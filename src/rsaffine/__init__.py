@@ -1,11 +1,9 @@
 """Exact computational kernel for two-parameter affine quantum algebras.
 
 Everything is computed over the exact rational-function field Q(r, s, a, b)
-with lattice exponents; there is no floating point anywhere.  The compiled
-polynomial kernel is used when present, with a pure-Python fallback.
+with lattice exponents; there is no floating point anywhere.
 """
 
-from ._kernel import BACKEND as _KERNEL_BACKEND
 from .cartan import AffineType, PairingTable, build_pairing, pairing, parse_type, weight_pairing
 from .field import (
     LATTICE,
@@ -52,11 +50,5 @@ from .drinfeld import (
 )
 from .hopf import TensorModule, span_closure, tensor, twist
 from .specialize import SpecMap, specialize_module, specialize_table
-
-
-def kernel_backend() -> str:
-    """'cython' when the compiled kernel is active, else 'python'."""
-    return _KERNEL_BACKEND
-
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 
 from .cartan import build_pairing, parse_type, table_to_json
 from .drinfeld import drinfeld_report, verify_RQ_form
-from .errors import RsaffineError
+from .errors import LatticeOverflow, RsaffineError, UnsupportedRank
 from .field import ONE, B, RatFunc, parse, render
 from .hopf import span_closure, tensor, tensor_basis_vector, twist
 from .matrix import Matrix
@@ -34,6 +34,8 @@ from .specialize import centrality_report, parse_spec_map, specialize_module
 MAX_N = 12
 MAX_KMAX = 8
 MAX_ORDER = 16
+# drinfeld reconstructs P of degree n from a series of order >= 2n+1
+MAX_DRINFELD_N = (MAX_ORDER - 1) // 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -44,29 +46,48 @@ class UsageError(Exception):
     pass
 
 
-def _default_order() -> int:
+def _drinfeld_order(n: int, order) -> int:
+    """The series order of the drinfeld command: --order when given, else
+    RSAFFINE_ORDER (default 8) raised to at least 2n+2."""
+    low = 2 * n + 1
+    if order is not None:
+        if not (low <= order <= MAX_ORDER):
+            raise UsageError(f"--order must be in {low}..{MAX_ORDER} for --n {n}")
+        return order
+    text = os.environ.get("RSAFFINE_ORDER", "8")
     try:
-        return int(os.environ.get("RSAFFINE_ORDER", "8"))
+        default = int(text)
     except ValueError:
-        return 8
+        raise UsageError(f"RSAFFINE_ORDER must be an integer, got {text!r}") from None
+    if not (1 <= default <= MAX_ORDER):
+        raise UsageError(f"RSAFFINE_ORDER must be in 1..{MAX_ORDER}")
+    return max(default, low + 1)
 
 
-def _check_bounds(n=None, kmax=None, order=None):
-    if n is not None and not (0 <= n <= MAX_N):
-        raise UsageError(f"--n must be in 0..{MAX_N}")
+def _check_bounds(n=None, kmax=None, lmax=None, max_n=MAX_N):
+    if n is not None and not (0 <= n <= max_n):
+        raise UsageError(f"--n must be in 0..{max_n}")
     if kmax is not None and not (1 <= kmax <= MAX_KMAX):
         raise UsageError(f"--kmax must be in 1..{MAX_KMAX}")
-    if order is not None and not (1 <= order <= MAX_ORDER):
-        raise UsageError(f"--order must be in 1..{MAX_ORDER}")
+    # the omega series behind the D-relations is materialized to order 2*kmax
+    if lmax is not None and not (1 <= lmax <= 2 * kmax):
+        raise UsageError(f"--lmax must be in 1..{2 * kmax} (twice --kmax)")
 
 
-def _parse_scalar(text: str) -> RatFunc:
+def _parse_type(text: str):
+    try:
+        return parse_type(text)
+    except UnsupportedRank as exc:
+        raise UsageError(f"--type {text!r}: {exc}") from None
+
+
+def _parse_scalar(text: str, flag: str) -> RatFunc:
     try:
         value = parse(text)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse scalar {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError, LatticeOverflow) as exc:
+        raise UsageError(f"{flag}: cannot parse scalar {text!r}: {exc}") from None
     if value.is_zero():
-        raise UsageError("parameter pins must be nonzero")
+        raise UsageError(f"{flag}: parameter pins must be nonzero")
     return value
 
 
@@ -118,8 +139,8 @@ def _emit(doc: dict, as_json: bool, lines):
 
 
 def cmd_verify(args) -> int:
-    _check_bounds(n=args.n, kmax=args.kmax)
-    t = parse_type(args.type)
+    _check_bounds(n=args.n, kmax=args.kmax, lmax=args.lmax)
+    t = _parse_type(args.type)
     if t.family != "A" or t.rank != 1:
         raise UsageError("verify currently drives the rank-1 evaluation modules")
     if args.mutate and not _mutate_allowed():
@@ -131,7 +152,7 @@ def cmd_verify(args) -> int:
     if args.mutate:
         chev, curr = _apply_mutation(chev, curr, args.mutate)
     if args.a is not None:
-        a = _parse_scalar(args.a)
+        a = _parse_scalar(args.a, "--a")
         chev = _pin_module(chev, a=a)
         curr = _pin_module(curr, a=a)
 
@@ -157,8 +178,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_drinfeld(args) -> int:
-    order = args.order if args.order is not None else max(_default_order(), 2 * args.n + 2)
-    _check_bounds(n=args.n, order=order)
+    _check_bounds(n=args.n, max_n=MAX_DRINFELD_N)
+    order = _drinfeld_order(args.n, args.order)
     shift = args.shift == "rs-inverse"
     doc = drinfeld_report(args.n, shift, order=order)
     rq = verify_RQ_form(
@@ -191,7 +212,7 @@ def cmd_drinfeld(args) -> int:
 
 
 def cmd_table(args) -> int:
-    t = build_pairing(parse_type(args.type))
+    t = build_pairing(_parse_type(args.type))
     doc = table_to_json(t)
     doc["command"] = "table"
     width = max(len(render(e)) for row in t.entries for e in row)
@@ -253,8 +274,8 @@ def cmd_tensor(args) -> int:
     mR_a = build_chevalley_eval(args.right)
     mR = _pin_module(mR_a, a=B)  # right factor carries the second parameter
     if args.a is not None or args.b is not None:
-        a = _parse_scalar(args.a) if args.a else None
-        b = _parse_scalar(args.b) if args.b else None
+        a = _parse_scalar(args.a, "--a") if args.a else None
+        b = _parse_scalar(args.b, "--b") if args.b else None
         mL = _pin_module(mL, a=a)
         mR = _pin_module(mR, b=b)
     T = tensor(mL, mR)
@@ -282,7 +303,9 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    _check_bounds(n=args.n, kmax=args.kmax)
+    _check_bounds(n=args.n, kmax=args.kmax, lmax=args.lmax)
+    if args.aut == "gamma2" and args.c is None:
+        raise UsageError("--aut gamma2 needs --c")
     em = build_current_eval(args.n, args.shift == "rs-inverse", kmax=args.kmax, lmax=args.lmax)
     mod = em.base
     if args.aut == "sigma":
@@ -292,7 +315,7 @@ def cmd_twist(args) -> int:
         ok = all_pass(check_chevalley(tw))
         entrywise = None
     else:
-        c = _parse_scalar(args.c) if args.aut == "gamma2" else None
+        c = _parse_scalar(args.c, "--c") if args.aut == "gamma2" else None
         tw = twist(mod, args.aut, c=c)
         reparam = -ONE if args.aut == "gamma1" else c
         target = _pin_module(mod, a=reparam * parse("a"))

@@ -228,7 +228,8 @@ def rq_closed_series(n: int, i: int, order: int) -> TruncSeries:
 
 
 def _poly_series(coeffs, scale, order) -> TruncSeries:
-    return TruncSeries("u", order, [c * scale**k for k, c in enumerate(coeffs)], ASC)
+    # a truncated product never reads a coefficient above the order
+    return TruncSeries.from_poly_coeffs((c * scale**k for k, c in enumerate(coeffs)), "u", order)
 
 
 def verify_RQ_form(em: EvalModule, order: int = 6) -> dict:

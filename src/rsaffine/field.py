@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _intgcd
+from math import lcm as _intlcm
 
 from . import _kernel as K
 from .errors import (
@@ -86,11 +87,12 @@ class LaurentMono:
     def as_ratfunc(self) -> "RatFunc":
         if self.coeff == 0:
             return ZERO
-        return RatFunc._make({self.key(): self.coeff}, {_ZERO_KEY: Fraction(1)})
+        c = self.coeff
+        return RatFunc._make({self.key(): c.numerator}, {_ZERO_KEY: c.denominator})
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers (dicts: (er6, es6, ea, eb) -> Fraction)
+# raw polynomial helpers (dicts: (er6, es6, ea, eb) -> int)
 # ---------------------------------------------------------------------------
 
 
@@ -118,38 +120,30 @@ def _min_exps(p):
     return (m0, m1, m2, m3)
 
 
-def _frac_content(p) -> Fraction:
-    """Positive rational c with p/c integer-coefficient primitive."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.values():
-        num_gcd = _intgcd(num_gcd, abs(c.numerator))
-        d = c.denominator
-        den_lcm = den_lcm * d // _intgcd(den_lcm, d)
-    return Fraction(num_gcd, den_lcm)
-
-
 def _int_primitive(p):
-    """Scale to integer primitive coefficients; also flip sign so the
-    graded-lex leading coefficient is positive."""
+    """Divide by the content; also flip sign so the graded-lex leading
+    coefficient is positive."""
     if not p:
         return {}
-    c = _frac_content(p)
+    c = _intgcd(*p.values())
     if p[_leading(p)] < 0:
         c = -c
-    return K.pscale(p, 1 / c)
+    if c == 1:
+        return p
+    return {k: v // c for k, v in p.items()}
 
 
 def _divmod_exact(p, q):
-    """Exact multivariate division p / q in the polynomial ring.
+    """Exact multivariate division p / q in the integer polynomial ring.
 
-    Returns the quotient dict, or None when q does not divide p.  Both
+    Returns the quotient dict, or None when q does not divide p over Z.
+    When q is primitive that is the same as over Q (Gauss's lemma).  Both
     inputs must have nonnegative exponents.
     """
     if not q:
         raise DivisionByZero("polynomial division by zero")
     quot = {}
-    rem = dict(p)
+    rem = p
     lq = _leading(q)
     cq = q[lq]
     while rem:
@@ -157,10 +151,11 @@ def _divmod_exact(p, q):
         dk = (lr[0] - lq[0], lr[1] - lq[1], lr[2] - lq[2], lr[3] - lq[3])
         if dk[0] < 0 or dk[1] < 0 or dk[2] < 0 or dk[3] < 0:
             return None
-        c = rem[lr] / cq
-        piece = {dk: c}
-        quot = K.padd(quot, piece)
-        rem = K.psub(rem, K.pmul(piece, q))
+        c, m = divmod(rem[lr], cq)
+        if m:
+            return None
+        quot[dk] = c
+        rem = K.psub(rem, K.pmul({dk: c}, q))
     return quot
 
 
@@ -265,7 +260,7 @@ def _key_scale(p, sc, mul):
 
 def _pgcd_shifted(p, q):
     if len(p) == 1 or len(q) == 1:
-        return {_ZERO_KEY: Fraction(1)}
+        return {_ZERO_KEY: 1}
 
     sc = _exp_rescale(p, q)
     if sc != (1, 1, 1, 1):
@@ -274,7 +269,7 @@ def _pgcd_shifted(p, q):
 
     common = [ax for ax in range(4) if _deg_axis(p, ax) > 0 and _deg_axis(q, ax) > 0]
     if not common:
-        return {_ZERO_KEY: Fraction(1)}
+        return {_ZERO_KEY: 1}
 
     # direct divisibility covers the frequent den-divides-num case cheaply
     small, large = (p, q) if len(p) <= len(q) else (q, p)
@@ -304,7 +299,7 @@ _EVAL_POINTS = ((2, 3, 5, 7), (3, 7, 2, 5), (5, 2, 7, 3), (7, 5, 3, 2), (11, 13,
 
 
 def _eval_univ(p, ax, point):
-    """Evaluate all axes but ax at integer values; {deg: Fraction}."""
+    """Evaluate all axes but ax at integer values; {deg: int}."""
     out = {}
     for k, c in p.items():
         v = c
@@ -312,7 +307,7 @@ def _eval_univ(p, ax, point):
             if j != ax and k[j]:
                 v = v * point[j] ** k[j]
         d = k[ax]
-        out[d] = out.get(d, Fraction(0)) + v
+        out[d] = out.get(d, 0) + v
     return {d: v for d, v in out.items() if v}
 
 
@@ -325,31 +320,37 @@ def _gcd_degree_bound_zero(p, q, ax):
         # degree must not drop at the point, else the bound is unsound
         if not ep or not eq or max(ep) != dp or max(eq) != dq:
             continue
-        return _univ_frac_gcd_degree(ep, eq) == 0
+        return _univ_gcd_degree(ep, eq) == 0
     return False
 
 
-def _univ_frac_gcd_degree(u, v):
-    """Degree of gcd of two univariate polynomials over Q ({deg: Fraction})."""
+def _univ_gcd_degree(u, v):
+    """Degree over Q of the gcd of two univariate polynomials ({deg: int}),
+    by primitive pseudo-remainders."""
     while v:
         dv = max(v)
         lv = v[dv]
-        r = dict(u)
+        r = u
         while r and max(r) >= dv:
             dr = max(r)
-            c = r[dr] / lv
+            c = r[dr]
+            # lv * r - c * z^(dr-dv) * v cancels the leading term of r
+            r = K.pscale(r, lv)
             for d, cv in v.items():
                 nd = d + dr - dv
-                w = r.get(nd, Fraction(0)) - c * cv
+                w = r.get(nd, 0) - c * cv
                 if w:
                     r[nd] = w
                 else:
                     r.pop(nd, None)
+        if r:
+            c = _intgcd(*r.values())
+            r = {d: x // c for d, x in r.items()}
         u, v = v, r
     return max(u) if u else 0
 
 
-_UNIT = {_ZERO_KEY: Fraction(1)}
+_UNIT = {_ZERO_KEY: 1}
 
 
 def _coeff_gcd(polys):
@@ -365,8 +366,8 @@ def _prs(u, v, ax):
     """Primitive part of gcd via the subresultant PRS (GCL algorithm 7.3)."""
     if max(u) < max(v):
         u, v = v, u
-    g = {_ZERO_KEY: Fraction(1)}
-    h = {_ZERO_KEY: Fraction(1)}
+    g = {_ZERO_KEY: 1}
+    h = {_ZERO_KEY: 1}
     while True:
         delta = max(u) - max(v)
         r = _prem(u, v)
@@ -375,7 +376,7 @@ def _prs(u, v, ax):
             cv = _coeff_gcd(list(v.values()))
             return {d: _divmod_exact(s, cv) for d, s in v.items()}
         if max(r) == 0:
-            return {0: {_ZERO_KEY: Fraction(1)}}
+            return {0: {_ZERO_KEY: 1}}
         u = v
         ghd = K.pmul(g, _pow_poly(h, delta))
         v = {d: _divmod_exact(s, ghd) for d, s in r.items()}
@@ -386,7 +387,7 @@ def _prs(u, v, ax):
 
 
 def _pow_poly(p, n):
-    out = {_ZERO_KEY: Fraction(1)}
+    out = {_ZERO_KEY: 1}
     for _ in range(n):
         out = K.pmul(out, p)
     return out
@@ -400,11 +401,14 @@ def _pow_poly(p, n):
 class RatFunc:
     """Rational function in r, s, a, b over Q, in a unique canonical form.
 
-    Canonical form: numerator and denominator are coprime after clearing
-    negative exponents; the denominator has minimal exponent 0 in every
-    variable and graded-lex leading coefficient 1.  Equality is therefore a
-    plain component comparison (and cross-multiplication agrees; the tests
-    check both).  Instances are immutable.
+    Canonical form: numerator and denominator have integer coefficients,
+    are coprime after clearing negative exponents, and have combined
+    content 1; the denominator has minimal exponent 0 in every variable and
+    a positive graded-lex leading coefficient.  So 1/2 is num 1 over den 2,
+    and a value is a Laurent polynomial exactly when its denominator is a
+    single positive integer.  Equality is therefore a plain component
+    comparison (and cross-multiplication agrees; the tests check both).
+    Instances are immutable.
     """
 
     __slots__ = ("num", "den")
@@ -429,27 +433,30 @@ class RatFunc:
         if len(den) == 1:
             # monomial denominator: shift it into the numerator
             ((k, c),) = den.items()
-            num = K.pshift(num, -k[0], -k[1], -k[2], -k[3])
-            if c != 1:
-                num = K.pscale(num, 1 / c)
-            return cls._make(num, dict(_UNIT))
-        if num == den:
-            return ONE
-        g = pgcd(num, den)
-        if g != _UNIT:
-            num = _laurent_div_exact(num, g)
-            den = _laurent_div_exact(den, g)
-            if len(den) == 1:
-                return cls._normalize(num, den)
-        md = _min_exps(den)
-        if md != (0, 0, 0, 0):
-            num = K.pshift(num, -md[0], -md[1], -md[2], -md[3])
-            den = K.pshift(den, -md[0], -md[1], -md[2], -md[3])
-        lc = den[_leading(den)]
-        if lc != 1:
-            inv = 1 / lc
-            num = K.pscale(num, inv)
-            den = K.pscale(den, inv)
+            if k != _ZERO_KEY:
+                num = K.pshift(num, -k[0], -k[1], -k[2], -k[3])
+                den = {_ZERO_KEY: c}
+            if c == 1:
+                return cls._make(num, _UNIT)
+        else:
+            if num == den:
+                return ONE
+            g = pgcd(num, den)
+            if g != _UNIT:
+                num = _laurent_div_exact(num, g)
+                den = _laurent_div_exact(den, g)
+                if len(den) == 1:
+                    return cls._normalize(num, den)
+            md = _min_exps(den)
+            if md != (0, 0, 0, 0):
+                num = K.pshift(num, -md[0], -md[1], -md[2], -md[3])
+                den = K.pshift(den, -md[0], -md[1], -md[2], -md[3])
+        g = _intgcd(*num.values(), *den.values())
+        if den[_leading(den)] < 0:
+            g = -g
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den = {k: v // g for k, v in den.items()}
         return cls._make(num, den)
 
     # -- constructors ------------------------------------------------------
@@ -463,7 +470,7 @@ class RatFunc:
         c = _to_frac(c)
         if c == 0:
             return ZERO
-        return cls._make({_ZERO_KEY: c}, {_ZERO_KEY: Fraction(1)})
+        return cls._make({_ZERO_KEY: c.numerator}, {_ZERO_KEY: c.denominator})
 
     @classmethod
     def monomial(cls, coeff, exp_r=0, exp_s=0, exp_a=0, exp_b=0) -> "RatFunc":
@@ -473,11 +480,12 @@ class RatFunc:
 
     @classmethod
     def from_monomials(cls, monos) -> "RatFunc":
+        monos = [m for m in monos if m.coeff]
+        d = _intlcm(*(m.coeff.denominator for m in monos))
         num = {}
         for m in monos:
-            if m.coeff:
-                num = K.padd(num, {m.key(): m.coeff})
-        return cls._normalize(num, {_ZERO_KEY: Fraction(1)}) if num else ZERO
+            num = K.padd(num, {m.key(): int(m.coeff * d)})
+        return cls._normalize(num, {_ZERO_KEY: d}) if num else ZERO
 
     # -- predicates ---------------------------------------------------------
 
@@ -485,29 +493,30 @@ class RatFunc:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == {_ZERO_KEY: Fraction(1)} and self.den == {_ZERO_KEY: Fraction(1)}
+        return self.num == _UNIT and self.den == _UNIT
 
     def is_laurent_polynomial(self) -> bool:
-        return self.den == {_ZERO_KEY: Fraction(1)}
+        return len(self.den) == 1
 
     def is_monomial(self) -> bool:
-        return len(self.num) <= 1 and self.is_laurent_polynomial()
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def monomials(self):
-        """The numerator terms as LaurentMono values (denominator must be 1)."""
+        """The numerator terms as LaurentMono values (denominator must be a constant)."""
         if not self.is_laurent_polynomial():
             raise NotPolynomial("value has a nontrivial denominator")
+        d = self.den[_ZERO_KEY]
         return [
-            LaurentMono(c, Fraction(k[0], LATTICE), Fraction(k[1], LATTICE), k[2], k[3])
-            for k, c in sorted(self.num.items(), key=_order_key, reverse=True)
+            LaurentMono(Fraction(self.num[k], d), Fraction(k[0], LATTICE), Fraction(k[1], LATTICE), k[2], k[3])
+            for k in sorted(self.num, key=_order_key, reverse=True)
         ]
 
     def as_fraction(self) -> Fraction:
         """The value as a rational number; requires a constant."""
         if not self.num:
             return Fraction(0)
-        if self.num.keys() == {_ZERO_KEY} and self.den.keys() == {_ZERO_KEY}:
-            return self.num[_ZERO_KEY] / self.den[_ZERO_KEY]
+        if self.num.keys() == {_ZERO_KEY} and len(self.den) == 1:
+            return Fraction(self.num[_ZERO_KEY], self.den[_ZERO_KEY])
         raise NotPolynomial("value is not constant")
 
     # -- arithmetic ----------------------------------------------------------
@@ -517,7 +526,7 @@ class RatFunc:
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, (int, Fraction)):
-            return RatFunc.from_fraction(Fraction(x))
+            return RatFunc.from_fraction(x)
         return NotImplemented
 
     def __add__(self, other):
@@ -579,15 +588,16 @@ class RatFunc:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return ONE
-        if len(self.num) == 1 and self.den == _UNIT:
+        if n < 0:
+            return self.inv() ** -n
+        if self.is_monomial() and self.num:
+            # (c/d) x^k with c, d coprime: the power needs no normalization
             ((k, c),) = self.num.items()
-            return RatFunc._make({(k[0] * n, k[1] * n, k[2] * n, k[3] * n): c**n}, dict(_UNIT))
-        base = self if n > 0 else self.inv()
+            key = (k[0] * n, k[1] * n, k[2] * n, k[3] * n)
+            return RatFunc._make({key: c**n}, {_ZERO_KEY: self.den[_ZERO_KEY] ** n})
         out = ONE
-        for _ in range(abs(n)):
-            out = out * base
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -609,7 +619,7 @@ class RatFunc:
     def cross_equal(self, other) -> bool:
         """Equality by cross-multiplication (independent of canonical form)."""
         o = self._coerce(other)
-        return K.peq(K.pmul(self.num, o.den), K.pmul(o.num, self.den))
+        return K.pmul(self.num, o.den) == K.pmul(o.num, self.den)
 
     # -- substitution --------------------------------------------------------
 
@@ -645,7 +655,7 @@ def _subst_poly(p, images) -> RatFunc:
             if img is None:
                 kk = [0, 0, 0, 0]
                 kk[ax] = scaled
-                term = term * RatFunc._make({tuple(kk): Fraction(1)}, dict(_UNIT))
+                term = term * RatFunc._make({tuple(kk): 1}, _UNIT)
                 continue
             exp = Fraction(scaled, LATTICE) if ax < 2 else Fraction(scaled)
             if exp.denominator == 1:
@@ -660,20 +670,20 @@ def _mono_frac_pow(x: RatFunc, exp: Fraction) -> RatFunc:
     if not x.is_monomial() or x.is_zero():
         raise LatticeOverflow("fractional power of a non-monomial value")
     ((k, c),) = x.num.items()
-    if c != 1:
+    if c != 1 or x.den != _UNIT:
         raise LatticeOverflow("fractional power of a monomial with coefficient != 1")
     es = [Fraction(kk) * exp for kk in k]
     if any(e.denominator != 1 for e in es):
         raise LatticeOverflow(f"exponent leaves the (1/{LATTICE})Z lattice")
-    return RatFunc._make({tuple(int(e) for e in es): Fraction(1)}, dict(_UNIT))
+    return RatFunc._make({tuple(int(e) for e in es): 1}, _UNIT)
 
 
 # ---------------------------------------------------------------------------
 # named generators and quantum numbers
 # ---------------------------------------------------------------------------
 
-ZERO = RatFunc._make({}, {_ZERO_KEY: Fraction(1)})
-ONE = RatFunc._make({_ZERO_KEY: Fraction(1)}, {_ZERO_KEY: Fraction(1)})
+ZERO = RatFunc._make({}, _UNIT)
+ONE = RatFunc._make(_UNIT, _UNIT)
 
 
 def gens():
@@ -788,13 +798,22 @@ def _render_poly(p) -> str:
 
 
 def render(x: RatFunc) -> str:
-    """Canonical text form; parse(render(x)) == x exactly."""
+    """Canonical text form; parse(render(x)) == x exactly.
+
+    Both parts are divided by the leading coefficient of the denominator,
+    so the text shows a monic denominator.
+    """
     if x.is_zero():
         return "0"
-    ns = _render_poly(x.num)
-    if x.is_laurent_polynomial():
+    num, den = x.num, x.den
+    lc = den[_leading(den)]
+    if lc != 1:
+        num = {k: Fraction(c, lc) for k, c in num.items()}
+        den = {k: Fraction(c, lc) for k, c in den.items()}
+    ns = _render_poly(num)
+    if len(den) == 1:
         return ns
-    return f"({ns})/({_render_poly(x.den)})"
+    return f"({ns})/({_render_poly(den)})"
 
 
 class _Parser:

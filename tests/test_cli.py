@@ -74,14 +74,19 @@ def test_drinfeld_n1(capsys):
 
 
 def test_drinfeld_json_schema(capsys):
-    code, out = run(capsys, "drinfeld", "--n", "3", "--order", "8", "--json")
-    assert code == EXIT_PASS
-    doc = json.loads(out)
-    assert doc["checks"]["plus"] == "pass"
-    assert doc["checks"]["minus"] == "pass"
-    assert doc["checks"]["matches_closed_form"] is True
-    assert len(doc["RQ"]) == 4
-    assert all(e["pass"] for e in doc["RQ"])
+    for argv in (
+        ("--n", "3", "--order", "8"),
+        ("--n", "4"),  # polynomials of degree above the RQ order are truncated
+        ("--n", "7"),  # largest n whose order 2n+2 fits MAX_ORDER
+    ):
+        code, out = run(capsys, "drinfeld", *argv, "--json")
+        assert code == EXIT_PASS, argv
+        doc = json.loads(out)
+        assert doc["checks"]["plus"] == "pass"
+        assert doc["checks"]["minus"] == "pass"
+        assert doc["checks"]["matches_closed_form"] is True
+        assert len(doc["RQ"]) == doc["n"] + 1
+        assert all(e["pass"] for e in doc["RQ"])
 
 
 def test_table_g2(capsys):
@@ -155,3 +160,44 @@ def test_series_order_env_default(capsys, monkeypatch):
 
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+# (argv, RSAFFINE_ORDER or None, exit code, text stderr must contain)
+BAD_INPUT_CASES = [
+    (("drinfeld", "--n", "3", "--order", "4"), None, EXIT_USAGE, "--order"),
+    (("drinfeld", "--n", "1", "--order", "1"), None, EXIT_USAGE, "--order"),
+    (("drinfeld", "--n", "12"), None, EXIT_USAGE, "--n"),
+    (("drinfeld", "--n", "8", "--order", "16"), None, EXIT_USAGE, "--n"),
+    (("drinfeld", "--n", "1"), "abc", EXIT_USAGE, "RSAFFINE_ORDER"),
+    (("drinfeld", "--n", "1"), "40", EXIT_USAGE, "RSAFFINE_ORDER"),
+    (("drinfeld", "--n", "3", "--order", "7"), None, EXIT_PASS, ""),
+    (("verify", "--n", "1", "--lmax", "-3"), None, EXIT_USAGE, "--lmax"),
+    (("verify", "--n", "1", "--lmax", "0"), None, EXIT_USAGE, "--lmax"),
+    (("verify", "--n", "1", "--kmax", "4", "--lmax", "9"), None, EXIT_USAGE, "--lmax"),
+    (("verify", "--n", "1", "--kmax", "2", "--lmax", "4"), None, EXIT_PASS, ""),
+    (("twist", "--aut", "gamma1", "--lmax", "-3"), None, EXIT_USAGE, "--lmax"),
+    (("twist", "--aut", "gamma1", "--kmax", "2", "--lmax", "5"), None, EXIT_USAGE, "--lmax"),
+    (("twist", "--aut", "gamma2", "--n", "1"), None, EXIT_USAGE, "--c"),
+    (("twist", "--aut", "gamma2", "--c", "1/0"), None, EXIT_USAGE, "--c"),
+    (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
+    (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
+    (("table", "--type", "E8"), None, EXIT_USAGE, "--type"),
+    (("verify", "--type", "E8"), None, EXIT_USAGE, "--type"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,order_env,want,flag",
+    BAD_INPUT_CASES,
+    ids=[(f"RSAFFINE_ORDER={e} " if e else "") + " ".join(a) for a, e, _, _ in BAD_INPUT_CASES],
+)
+def test_bad_input_exit_codes(capsys, monkeypatch, argv, order_env, want, flag):
+    if order_env is None:
+        monkeypatch.delenv("RSAFFINE_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("RSAFFINE_ORDER", order_env)
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err
+    assert flag in err

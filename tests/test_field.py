@@ -1,9 +1,10 @@
 """Exact field arithmetic: rational functions, quantum numbers, substitution."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsaffine.errors import (
@@ -46,13 +47,45 @@ def test_zero_division_raises():
         ONE / ZERO
 
 
+def _leading_coeff(p):
+    return p[max(p, key=lambda k: (sum(k), *k))]
+
+
+def assert_canonical(x):
+    """Integer coefficients, combined content 1, denominator with minimal
+    exponent 0 in every variable and a positive graded-lex leading
+    coefficient."""
+    coeffs = [*x.num.values(), *x.den.values()]
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(*coeffs) == 1
+    assert all(min(k[ax] for k in x.den) == 0 for ax in range(4))
+    assert _leading_coeff(x.den) > 0
+
+
 def test_canonical_form_der_monic_and_reduced():
     x = (R**2 - S**2) / ((R - S) * (R + S))
     assert x == ONE
     y = rf(2) / (2 * R - 2 * S)
-    # denominator leading coefficient 1, numerator carries the scale
-    assert y.den[max(y.den, key=lambda k: (sum(k), *k))] == 1
+    # the common factor 2 cancels, leaving a monic denominator
+    assert _leading_coeff(y.den) == 1
     assert y * (R - S) == ONE
+    # a rational scale lives in the integer coefficients of both parts
+    half = rf(1) / 2
+    assert (half.num, half.den) == ({(0, 0, 0, 0): 1}, {(0, 0, 0, 0): 2})
+    z = (3 * R) / (-4 * S**2 + 6 * R * S)
+    assert (z.num, z.den) == ({(6, -6, 0, 0): 3}, {(6, 0, 0, 0): 6, (0, 6, 0, 0): -4})
+    for v in (x, y, half, z, -z, z * half, z + half, ZERO, ONE):
+        assert_canonical(v)
+    assert render(z) == "(1/2*r*s^(-1))/(r - 2/3*s)"
+
+
+def test_fraction_edges_round_trip():
+    x = RatFunc.monomial(Fraction(-3, 2), Fraction(1, 2), 0, 1) + rf(1) / 3
+    assert [m.coeff for m in x.monomials()] == [Fraction(-3, 2), Fraction(1, 3)]
+    assert RatFunc.from_monomials(x.monomials()) == x
+    assert RatFunc.from_monomials([]) == ZERO
+    assert (rf(5) / -6).as_fraction() == Fraction(-5, 6)
+    assert RatFunc.from_fraction(Fraction(-5, 6)) == rf(5) / -6
 
 
 def test_monomial_constructor_lattice():
@@ -180,6 +213,24 @@ def test_substitute_is_homomorphism(x, y):
     except SpecializationPole:
         return
     assert lhs == rx * ry
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratfuncs(), ratfuncs(allow_zero=False), ratfuncs(allow_zero=False), ratfuncs())
+def test_integer_canonical_form(p, q, g, y):
+    assume(q and g)  # nonzero terms may still cancel to zero
+    x = p / q
+    for v in (p, q, g, x, y, x + y, x * y, x - y):
+        assert_canonical(v)
+    # a common factor cancels to the same components, so hashes agree too
+    x2 = (p * g) / (q * g)
+    assert x2 == x
+    assert hash(x2) == hash(x)
+    assert (x + y) - y == x
+    assert hash((x + y) - y) == hash(x)
+    assert x.cross_equal(x2)
+    assert x.cross_equal(y) == (x == y)
+    assert parse(render(x)) == x
 
 
 # -- rendering / parsing -----------------------------------------------------
