@@ -19,6 +19,9 @@ from .field import ONE, R, S, RatFunc, parse, render
 FAMILIES = ("A", "B", "C", "D", "E6", "F4", "G2")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+# The table of rank N has (N+1)^2 entries and takes quadratic time: on a
+# 2-vCPU machine `table --type A128` takes about 0.9 s, A256 about 4 s.
+MAX_RANK = 128
 _FIXED_RANK = {"E6": 6, "F4": 4, "G2": 2}
 
 
@@ -39,6 +42,8 @@ class AffineType:
             raise UnsupportedRank(
                 f"family {self.family} needs rank >= {_MIN_RANK[self.family]}"
             )
+        elif self.rank > MAX_RANK:
+            raise UnsupportedRank(f"rank {self.rank} exceeds the maximum rank {MAX_RANK}")
 
     @property
     def size(self) -> int:
@@ -55,9 +60,14 @@ def parse_type(text: str) -> AffineType:
         if text == fam:
             return AffineType(fam, _FIXED_RANK[fam])
     fam, num = text[:1], text[1:]
-    if fam not in ("A", "B", "C", "D") or not num.isdigit():
+    if fam not in ("A", "B", "C", "D") or not (num.isascii() and num.isdigit()):
         raise UnsupportedRank(f"cannot parse affine type {text!r}")
-    return AffineType(fam, int(num))
+    # checked on the text: int() refuses strings of more than 4300 digits,
+    # leading zeros included
+    digits = num.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_RANK)):
+        raise UnsupportedRank(f"rank {digits} exceeds the maximum rank {MAX_RANK}")
+    return AffineType(fam, int(digits))
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,7 @@ def _pin_module(mod: MatrixModule, a=None, b=None) -> MatrixModule:
         subs["a"] = a
     if b is not None:
         subs["b"] = b
-    assign = {
-        g: Matrix([[x.substitute(**subs) for x in row] for row in mat.rows])
-        for g, mat in mod.assign.items()
-    }
+    assign = {g: mat.map(lambda x: x.substitute(**subs)) for g, mat in mod.assign.items()}
     return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
 
 

@@ -511,6 +511,11 @@ class RatFunc:
             for k in sorted(self.num, key=_order_key, reverse=True)
         ]
 
+    def as_quotient(self):
+        """The pair (p, q) of Laurent polynomials with self == p / q, read
+        off the canonical form (q is the denominator)."""
+        return RatFunc._make(self.num, _UNIT), RatFunc._make(self.den, _UNIT)
+
     def as_fraction(self) -> Fraction:
         """The value as a rational number; requires a constant."""
         if not self.num:
@@ -614,7 +619,7 @@ class RatFunc:
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     def cross_equal(self, other) -> bool:
         """Equality by cross-multiplication (independent of canonical form)."""
@@ -816,6 +821,18 @@ def render(x: RatFunc) -> str:
     return f"({ns})/({_render_poly(den)})"
 
 
+# Parser bounds.  Every value the parser builds (each literal, sum,
+# product, quotient and power) must stay inside them, so parsing takes
+# bounded time and parse(render(x)) == x for every x that parse returns:
+# render prints integers of at most MAX_DIGITS digits (far below the 4300
+# digits of Python's int-to-str limit) and exponents of at most
+# MAX_EXPONENT.
+MAX_DIGITS = 1000
+MAX_EXPONENT = 1000
+MAX_TERMS = 256
+_DIGIT_LIMIT = 10**MAX_DIGITS
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -832,16 +849,29 @@ class _Parser:
         self.skip()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def bounded(self, x: RatFunc) -> RatFunc:
+        """x, after checking it against the parser bounds."""
+        if len(x.num) + len(x.den) > MAX_TERMS:
+            self.error(f"value has more than {MAX_TERMS} terms")
+        for p in (x.num, x.den):
+            for k, c in p.items():
+                if not -_DIGIT_LIMIT < c < _DIGIT_LIMIT:
+                    self.error(f"value has a coefficient of more than {MAX_DIGITS} digits")
+                # r and s exponents are stored in sixths
+                if max(abs(k[0]), abs(k[1])) > MAX_EXPONENT * LATTICE or max(abs(k[2]), abs(k[3])) > MAX_EXPONENT:
+                    self.error(f"value has an exponent above {MAX_EXPONENT}")
+        return x
+
     def expr(self) -> RatFunc:
         out = self.term()
         while True:
             c = self.peek()
             if c == "+":
                 self.pos += 1
-                out = out + self.term()
+                out = self.bounded(out + self.term())
             elif c == "-":
                 self.pos += 1
-                out = out - self.term()
+                out = self.bounded(out - self.term())
             else:
                 return out
 
@@ -851,10 +881,10 @@ class _Parser:
             c = self.peek()
             if c == "*":
                 self.pos += 1
-                out = out * self.factor()
+                out = self.bounded(out * self.factor())
             elif c == "/":
                 self.pos += 1
-                out = out / self.factor()
+                out = self.bounded(out / self.factor())
             else:
                 return out
 
@@ -867,9 +897,25 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             e = self.exponent()
-            if e.denominator == 1:
-                return base ** int(e)
-            return _mono_frac_pow(base, e)
+            if abs(e) > MAX_EXPONENT:
+                self.error(f"exponent {e} is above {MAX_EXPONENT}")
+            if e.denominator != 1:
+                return self.bounded(_mono_frac_pow(base, e))
+            n = int(e)
+            if n < 0:
+                base, n = base.inv(), -n
+            if base.is_monomial():
+                # skip computing a power whose coefficient is sure to exceed the bound
+                c = max(map(abs, (*base.num.values(), *base.den.values())))
+                if (c.bit_length() - 1) * n > _DIGIT_LIMIT.bit_length():
+                    self.error(f"value has a coefficient of more than {MAX_DIGITS} digits")
+                return self.bounded(base**n)
+            # one factor at a time, so a power that outgrows the bounds
+            # stops as soon as it does
+            out = ONE
+            for _ in range(n):
+                out = self.bounded(out * base)
+            return out
         return base
 
     def exponent(self) -> Fraction:
@@ -900,6 +946,8 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("expected digits")
+        if self.pos - start > MAX_DIGITS:
+            self.error(f"integer literal of more than {MAX_DIGITS} digits")
         return int(self.text[start:self.pos])
 
     def atom(self) -> RatFunc:

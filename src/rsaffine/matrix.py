@@ -1,8 +1,13 @@
-"""Dense matrices over the exact rational-function field.
+"""Sparse matrices over the exact rational-function field.
 
-Small and exact: module dimensions in scope stay below ten, so plain
-row-major products with RatFunc entries are the right tool.  Matrices are
-immutable after construction.
+A matrix is stored as one dict per row mapping a column index to a nonzero
+RatFunc entry; zero entries are never stored.  The generator matrices of
+the evaluation modules are mostly zero (ladder, diagonal and current
+matrices have at most one or two nonzeros per row), so every operation
+loops over stored entries only: a product costs one scalar product per
+pair of nonzeros that meet, and a diagonal conjugation W X W^-1 costs
+2 nnz(X) products.  Matrices are immutable after construction; `rows`
+gives the dense view.
 """
 
 from __future__ import annotations
@@ -11,63 +16,117 @@ from .errors import DivisionByZero
 from .field import ONE, ZERO, RatFunc
 
 
+def _add_rows(row, other, f=None):
+    """row + f * other for sparse rows (row + other when f is None),
+    dropping the entries that cancel."""
+    out = dict(row)
+    for j, y in other.items():
+        if f is not None:
+            y = f * y
+        x = out.get(j)
+        if x is None:
+            out[j] = y
+        else:
+            v = x + y
+            if v:
+                out[j] = v
+            else:
+                del out[j]
+    return out
+
+
 class Matrix:
-    __slots__ = ("rows", "n", "m")
+    __slots__ = ("_rows", "n", "m")
 
     def __init__(self, rows):
-        rows = tuple(tuple(RatFunc._coerce(x) for x in row) for row in rows)
+        rows = [list(row) for row in rows]
         if not rows:
             raise ValueError("empty matrix")
         m = len(rows[0])
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        self.rows = rows
-        self.n = len(rows)
+        sparse = []
+        for row in rows:
+            entries = {}
+            for j, x in enumerate(row):
+                x = RatFunc._coerce(x)
+                if x is NotImplemented:
+                    raise TypeError("matrix entries must be RatFunc, int or Fraction")
+                if x:
+                    entries[j] = x
+            sparse.append(entries)
+        self._rows = tuple(sparse)
+        self.n = len(sparse)
         self.m = m
 
     @classmethod
+    def _sparse(cls, rows, m):
+        """Trusted constructor: rows are dicts of nonzero entries below m."""
+        self = object.__new__(cls)
+        self._rows = tuple(rows)
+        self.n = len(self._rows)
+        self.m = m
+        return self
+
+    @classmethod
     def zeros(cls, n, m=None):
-        m = n if m is None else m
-        return cls([[ZERO] * m for _ in range(n)])
+        return cls._sparse([{} for _ in range(n)], n if m is None else m)
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._sparse([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, entries):
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        entries = [RatFunc._coerce(x) for x in entries]
+        return cls._sparse([{i: x} if x else {} for i, x in enumerate(entries)], len(entries))
+
+    @property
+    def rows(self):
+        """Dense read-only view: a tuple of row tuples."""
+        return tuple(tuple(row.get(j, ZERO) for j in range(self.m)) for row in self._rows)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self._rows[i].get(range(self.m)[j], ZERO)  # range() bounds-checks j
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.m == other.m and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.m, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __add__(self, other):
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        if self.n != other.n or self.m != other.m:
+            raise ValueError("dimension mismatch")
+        return Matrix._sparse([_add_rows(ra, rb) for ra, rb in zip(self._rows, other._rows)], self.m)
 
     def __sub__(self, other):
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self + (-other)
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows])
+        return Matrix._sparse([{j: -a for j, a in row.items()} for row in self._rows], self.m)
 
     def scale(self, c) -> "Matrix":
         c = RatFunc._coerce(c)
-        return Matrix([[a * c for a in row] for row in self.rows])
+        if not c:
+            return Matrix.zeros(self.n, self.m)
+        return Matrix._sparse([{j: a * c for j, a in row.items()} for row in self._rows], self.m)
+
+    def map(self, fn) -> "Matrix":
+        """Entrywise image: fn applied to the nonzero entries only (so fn
+        must send zero to zero); results that are zero are dropped."""
+        out = []
+        for row in self._rows:
+            new = {}
+            for j, a in row.items():
+                b = RatFunc._coerce(fn(a))
+                if b:
+                    new[j] = b
+            out.append(new)
+        return Matrix._sparse(out, self.m)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -79,18 +138,17 @@ class Matrix:
     def __matmul__(self, other) -> "Matrix":
         if self.m != other.n:
             raise ValueError("dimension mismatch")
-        bt = list(zip(*other.rows))
+        brows = other._rows
         out = []
-        for row in self.rows:
-            new = []
-            for col in bt:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                new.append(acc)
-            out.append(new)
-        return Matrix(out)
+        for row in self._rows:
+            acc = {}
+            for j, a in row.items():
+                for k, b in brows[j].items():
+                    p = a * b
+                    v = acc.get(k)
+                    acc[k] = p if v is None else v + p
+            out.append({k: v for k, v in acc.items() if v})
+        return Matrix._sparse(out, other.m)
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:
@@ -105,53 +163,55 @@ class Matrix:
         if len(vec) != self.m:
             raise ValueError("dimension mismatch")
         out = []
-        for row in self.rows:
+        for row in self._rows:
             acc = ZERO
-            for a, v in zip(row, vec):
-                if not (a.is_zero() or v.is_zero()):
+            for j, a in row.items():
+                v = vec[j]
+                if v:
                     acc = acc + a * v
             out.append(acc)
         return out
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        return not any(self._rows)
 
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.n)
 
     def is_diagonal(self) -> bool:
-        return all(
-            a.is_zero() for i, row in enumerate(self.rows) for j, a in enumerate(row) if i != j
-        )
+        return all(row.keys() <= {i} for i, row in enumerate(self._rows))
 
     def diagonal_entries(self):
-        return [self.rows[i][i] for i in range(min(self.n, self.m))]
+        return [self._rows[i].get(i, ZERO) for i in range(min(self.n, self.m))]
 
     def kron(self, other) -> "Matrix":
         """Kronecker product (left factor acts on the outer index)."""
+        mb = other.m
         out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out)
+        for ra in self._rows:
+            for rb in other._rows:
+                out.append({ja * mb + jb: a * b for ja, a in ra.items() for jb, b in rb.items()})
+        return Matrix._sparse(out, self.m * mb)
 
     def inverse(self) -> "Matrix":
         if self.n != self.m:
             raise ValueError("inverse of a non-square matrix")
         n = self.n
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(self.rows)]
+        aug = [{**row, n + i: ONE} for i, row in enumerate(self._rows)]
         for col in range(n):
-            piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+            piv = next((r for r in range(col, n) if col in aug[r]), None)
             if piv is None:
                 raise DivisionByZero("singular matrix")
             aug[col], aug[piv] = aug[piv], aug[col]
-            pc = aug[col][col].inv()
-            aug[col] = [x * pc for x in aug[col]]
+            prow = aug[col]
+            if not prow[col].is_one():
+                pc = prow[col].inv()
+                prow = aug[col] = {j: x * pc for j, x in prow.items()}
             for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix([row[n:] for row in aug])
+                f = aug[r].get(col) if r != col else None
+                if f is not None:
+                    aug[r] = _add_rows(aug[r], prow, -f)
+        return Matrix._sparse([{j - n: x for j, x in row.items() if j >= n} for row in aug], n)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in row) for row in self.rows)
@@ -166,24 +226,32 @@ def rref(vectors):
     """Reduced row echelon basis of the span of the given vectors.
 
     Returns (pivot_columns, rows); pivoting picks the first nonzero column,
-    so the basis order is deterministic.
+    so the basis order is deterministic.  The elimination runs on sparse
+    rows; the rows come back as dense lists.
     """
     rows = []
     pivots = []
+    width = 0
     for vec in vectors:
-        v = list(vec)
+        vec = list(vec)
+        width = len(vec)
+        v = {j: x for j, x in enumerate(vec) if x}
         for p, row in zip(pivots, rows):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if not x.is_zero()), None)
-        if piv is None:
+            f = v.get(p)
+            if f is not None:
+                v = _add_rows(v, row, -f)
+        if not v:
             continue
-        inv = v[piv].inv()
-        v = [x * inv for x in v]
+        piv = min(v)
+        if not v[piv].is_one():
+            inv = v[piv].inv()
+            v = {j: x * inv for j, x in v.items()}
         # back-substitute into the existing rows and keep sorted order
-        rows = [[x - row[piv] * y for x, y in zip(row, v)] if not row[piv].is_zero() else row for row in rows]
+        for k, row in enumerate(rows):
+            f = row.get(piv)
+            if f is not None:
+                rows[k] = _add_rows(row, v, -f)
         idx = next((k for k, p in enumerate(pivots) if p > piv), len(pivots))
         pivots.insert(idx, piv)
         rows.insert(idx, v)
-    return pivots, rows
+    return pivots, [[row.get(j, ZERO) for j in range(width)] for row in rows]

@@ -202,13 +202,25 @@ class _Checker:
     def check(self, instance, lhs: Matrix, rhs: Matrix):
         self.report.instances_checked += 1
         if lhs != rhs:
-            self.report.failures.append(
-                {
-                    "instance": str(instance),
-                    "lhs": _render_matrix(lhs),
-                    "rhs": _render_matrix(rhs),
-                }
-            )
+            self._fail(instance, lhs, rhs)
+
+    def check_scaled(self, instance, lhs: Matrix, mat: Matrix, c: RatFunc):
+        """check(instance, lhs, mat.scale(c)) for a scalar c = p/q such as
+        1/(r-s).  It compares lhs*q with mat*p, so Laurent entries need no
+        polynomial gcd; only a failure builds mat.scale(c), for the report."""
+        self.report.instances_checked += 1
+        p, q = c.as_quotient()
+        if lhs.scale(q) != mat.scale(p):
+            self._fail(instance, lhs, mat.scale(c))
+
+    def _fail(self, instance, lhs: Matrix, rhs: Matrix):
+        self.report.failures.append(
+            {
+                "instance": str(instance),
+                "lhs": _render_matrix(lhs),
+                "rhs": _render_matrix(rhs),
+            }
+        )
 
     def done(self):
         self.report.elapsed_ms = (time.monotonic() - self._t0) * 1000.0
@@ -270,10 +282,9 @@ def check_chevalley(mod: MatrixModule, nodes=None) -> list:
         for j in nodes:
             lhs = commutator(mod.get(E(i)), mod.get(F(j)))
             if i == j:
-                rhs = (mod.get(W(i)) - mod.get(Wp(i))).scale(rsinv)
+                c.check_scaled((i, j), lhs, mod.get(W(i)) - mod.get(Wp(i)), rsinv)
             else:
-                rhs = zero
-            c.check((i, j), lhs, rhs)
+                c.check((i, j), lhs, zero)
     reports.append(c.done())
 
     c = _Checker("R4")
@@ -342,12 +353,12 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     kc = w @ wp
     kcinv = winv @ wpinv
 
+    kpows = {0: ident}
+
     def kpow(n):
-        base = kc if n >= 0 else kcinv
-        out = ident
-        for _ in range(abs(n)):
-            out = out @ base
-        return out
+        if n not in kpows:
+            kpows[n] = kpow(n - 1) @ kc if n > 0 else kpow(n + 1) @ kcinv
+        return kpows[n]
 
     reports = []
 
@@ -432,8 +443,8 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
         for k2 in range(-kmax, kmax + 1):
             m = k + k2
             lhs = commutator(mod.get(Xp(i, k)), mod.get(Xm(i, k2)))
-            rhs = (kpow(k2) @ mod.get(Wser(i, m)) - kpow(-k) @ mod.get(Wpser(i, m))).scale(rs)
-            c.check((k, k2), lhs, rhs)
+            rhs = kpow(k2) @ mod.get(Wser(i, m)) - kpow(-k) @ mod.get(Wpser(i, m))
+            c.check_scaled((k, k2), lhs, rhs, rs)
     reports.append(c.done())
 
     for rid in ("D8_1", "D8_2", "D8_3"):

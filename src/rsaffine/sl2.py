@@ -61,17 +61,12 @@ class EvalModule:
 
 def _vn_matrices(n: int):
     d = n + 1
-    e = Matrix.zeros(d)
-    f = Matrix.zeros(d)
-    erows = [list(row) for row in e.rows]
-    frows = [list(row) for row in f.rows]
-    for i in range(1, d):
-        erows[i - 1][i] = quantum_int(n + 1 - i)
-    for i in range(d - 1):
-        frows[i + 1][i] = quantum_int(i + 1)
+    # e.v_j = [n+1-j] v_(j-1) and f.v_j = [j+1] v_(j+1)
+    e = Matrix([[quantum_int(n - i) if j == i + 1 else 0 for j in range(d)] for i in range(d)])
+    f = Matrix([[quantum_int(j + 1) if i == j + 1 else 0 for j in range(d)] for i in range(d)])
     w = Matrix.diagonal([R**n * _RHO**-i for i in range(d)])
     wp = Matrix.diagonal([S**n * _RHO**i for i in range(d)])
-    return Matrix(erows), Matrix(frows), w, wp
+    return e, f, w, wp
 
 
 def _with_gammas(assign, dim):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .cartan import PairingTable
 from .errors import SpecializationPole
 from .field import R, S, RatFunc
-from .matrix import Matrix
 from .rep_core import MatrixModule
 
 S_TO_R_INVERSE = "s_to_r_inverse"
@@ -96,9 +95,7 @@ def specialize_module(mod: MatrixModule, m: SpecMap) -> MatrixModule:
     assign = {}
     for g, mat in mod.assign.items():
         try:
-            assign[g] = Matrix(
-                [[x.substitute(**subs) for x in row] for row in mat.rows]
-            )
+            assign[g] = mat.map(lambda x: x.substitute(**subs))
         except SpecializationPole as exc:
             raise SpecializationPole(f"generator {g} has a pole: {exc}") from None
     table = specialize_pairing(mod.table, m)

@@ -29,6 +29,29 @@ def test_verify_kmax_bound(capsys):
     assert code == EXIT_USAGE
 
 
+# Polynomial products made by `verify --n 4 --json`.  The count is exact and
+# machine independent, so a change that makes the relation check do more
+# arithmetic fails here; a change that makes it do less updates the number.
+VERIFY_N4_PMUL_CALLS = 22800
+
+
+def test_verify_pmul_count_tripwire(capsys, monkeypatch):
+    import rsaffine._kernel as kernel
+
+    calls = 0
+    pmul = kernel.pmul
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pmul(p, q)
+
+    monkeypatch.setattr(kernel, "pmul", counting)
+    code, _ = run(capsys, "verify", "--n", "4", "--json")
+    assert code == EXIT_PASS
+    assert calls == VERIFY_N4_PMUL_CALLS
+
+
 def test_mutate_requires_env(capsys, monkeypatch):
     monkeypatch.delenv("RSAFFINE_ENABLE_MUTATE", raising=False)
     code, _ = run(capsys, "verify", "--n", "1", "--mutate", "xplus")
@@ -182,6 +205,12 @@ BAD_INPUT_CASES = [
     (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
     (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
     (("table", "--type", "E8"), None, EXIT_USAGE, "--type"),
+    (("table", "--type", "A99999"), None, EXIT_USAGE, "--type"),
+    (("table", "--type", "A\u00b2"), None, EXIT_USAGE, "--type"),
+    (("table", "--type", "A" + "0" * 4301 + "1"), None, EXIT_PASS, ""),
+    (("table", "--type", "A" + "0" * 4301 + "99999"), None, EXIT_USAGE, "--type"),
+    (("verify", "--n", "1", "--a", "(1+r)^5000"), None, EXIT_USAGE, "--a"),
+    (("verify", "--n", "1", "--a", "7^6000"), None, EXIT_USAGE, "--a"),
     (("verify", "--type", "E8"), None, EXIT_USAGE, "--type"),
 ]
 
@@ -189,7 +218,10 @@ BAD_INPUT_CASES = [
 @pytest.mark.parametrize(
     "argv,order_env,want,flag",
     BAD_INPUT_CASES,
-    ids=[(f"RSAFFINE_ORDER={e} " if e else "") + " ".join(a) for a, e, _, _ in BAD_INPUT_CASES],
+    ids=[
+        (f"RSAFFINE_ORDER={e} " if e else "") + " ".join(x if len(x) <= 40 else f"{x[:8]}...{x[-8:]}" for x in a)
+        for a, e, _, _ in BAD_INPUT_CASES
+    ],
 )
 def test_bad_input_exit_codes(capsys, monkeypatch, argv, order_env, want, flag):
     if order_env is None:

@@ -267,6 +267,35 @@ def test_parse_round_trip_random(x):
     assert parse(render(x)) == x
 
 
+def test_parse_bounds():
+    from rsaffine.field import MAX_DIGITS, MAX_EXPONENT, MAX_TERMS
+
+    # at the bounds: accepted, and the rendering parses back
+    for text in (
+        f"7^{MAX_EXPONENT}",
+        f"10^{MAX_DIGITS - 1}",
+        "9" * MAX_DIGITS,
+        f"r^{MAX_EXPONENT}*s^(-{MAX_EXPONENT})*a^{MAX_EXPONENT}",
+        f"(1+r)^{MAX_TERMS - 2}",
+    ):
+        x = parse(text)
+        assert parse(render(x)) == x
+    # past them: the parser's own error, before any large computation
+    for text in (
+        "(1+r)^5000",
+        "7^6000",
+        f"7^{MAX_EXPONENT + 1}",
+        f"10^{MAX_DIGITS}",
+        f"(10^{MAX_DIGITS - 1})^{MAX_EXPONENT}",
+        "9" * (MAX_DIGITS + 1),
+        f"r^{MAX_EXPONENT}*r",
+        f"(1+r)^{MAX_TERMS - 1}",
+        "(1+r+s+a+b)^64",
+    ):
+        with pytest.raises(ValueError, match="parse error"):
+            parse(text)
+
+
 def test_parse_expressions():
     assert parse("(r - s)*(r + s)") == R**2 - S**2
     assert parse("1/2*r") == R / 2
