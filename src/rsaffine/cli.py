@@ -227,7 +227,7 @@ def cmd_specialize(args) -> int:
     try:
         sm = parse_spec_map(args.map)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"--map: {exc}") from None
     mod = specialize_module(build_chevalley_eval(args.n), sm)
     doc = {
         "command": "specialize",

@@ -919,25 +919,25 @@ class _Parser:
         return base
 
     def exponent(self) -> Fraction:
-        if self.peek() == "(":
-            self.pos += 1
-            e = self.signed_rational()
-            if self.peek() != ")":
-                self.error("expected ')' after exponent")
-            self.pos += 1
-            return e
-        return self.signed_rational()
-
-    def signed_rational(self) -> Fraction:
-        sign = 1
-        if self.peek() == "-":
-            sign = -1
-            self.pos += 1
-        n = self.integer()
+        """An optionally signed integer.  A rational exponent needs the
+        parentheses that render prints, so r^-1/2 is r^(-1) / 2."""
+        if self.peek() != "(":
+            return Fraction(self.signed_integer())
+        self.pos += 1
+        e = Fraction(self.signed_integer())
         if self.peek() == "/":
             self.pos += 1
-            return Fraction(sign * n, self.integer())
-        return Fraction(sign * n)
+            e /= self.integer()
+        if self.peek() != ")":
+            self.error("expected ')' after exponent")
+        self.pos += 1
+        return e
+
+    def signed_integer(self) -> int:
+        if self.peek() == "-":
+            self.pos += 1
+            return -self.integer()
+        return self.integer()
 
     def integer(self) -> int:
         self.skip()

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MissingGenerator, TypeMismatch
-from .field import ONE, RatFunc
-from .matrix import Matrix, rref
+from .field import ONE, ZERO, RatFunc
+from .matrix import Matrix, echelon_insert
 from .rep_core import (
     AIM_KIND,
     E,
@@ -78,8 +78,6 @@ def tensor(mL: MatrixModule, mR: MatrixModule) -> TensorModule:
 
 def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):
     """Standard basis vector v_i (x) v_j of the tensor space."""
-    from .field import ZERO
-
     out = [ZERO] * (mL.dim * mR.dim)
     out[i * mR.dim + j] = ONE
     return out
@@ -87,24 +85,37 @@ def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):
 
 def span_closure(mod, seed):
     """Exact basis of the smallest generator-invariant subspace containing
-    the seed vector; rows come back in first-pivot order."""
+    the seed vector: its reduced echelon rows, in pivot order.
+
+    A worklist on one echelon basis: the seed is inserted, then each pivot
+    is expanded once, by inserting the image under every generator of the
+    current reduced row with that pivot, until no pivot is left or the span
+    is the whole space.  The expanded rows lead at distinct columns, so
+    they are a basis of the result, and their images lie in it, so it is
+    invariant.  At most dim x #generators images are computed.
+    """
     if isinstance(mod, TensorModule):
         mod = mod.module
-    if all(RatFunc._coerce(x).is_zero() for x in seed):
-        raise ValueError("seed vector must be nonzero")
+    seed = list(seed)
+    if len(seed) != mod.dim:
+        raise ValueError("dimension mismatch")
     mats = [mod.assign[g] for g in mod.generators()]
-    _, rows = rref([seed])
-    changed = True
-    while changed and len(rows) < mod.dim:
-        changed = False
-        for vec in list(rows):
-            for mat in mats:
-                img = mat.apply(vec)
-                before = len(rows)
-                _, rows = rref(rows + [img])
-                if len(rows) > before:
-                    changed = True
-    return rows
+    v = {j: x for j, x in enumerate(map(RatFunc._coerce, seed)) if x}
+    if not v:
+        raise ValueError("seed vector must be nonzero")
+    pivots, rows = [], []
+    todo = [echelon_insert(pivots, rows, v)]
+    while todo and len(rows) < mod.dim:
+        row = rows[pivots.index(todo.pop())]
+        vec = [row.get(j, ZERO) for j in range(mod.dim)]
+        for mat in mats:
+            img = mat.apply(vec)
+            piv = echelon_insert(pivots, rows, {j: x for j, x in enumerate(img) if x})
+            if piv is not None:
+                todo.append(piv)
+                if len(rows) == mod.dim:
+                    break
+    return [[row.get(j, ZERO) for j in range(mod.dim)] for row in rows]
 
 
 # -- twists ------------------------------------------------------------------

@@ -12,6 +12,8 @@ gives the dense view.
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from .errors import DivisionByZero
 from .field import ONE, ZERO, RatFunc
 
@@ -222,6 +224,34 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
+def echelon_insert(pivots, rows, v):
+    """Add the sparse vector v to a reduced echelon basis, in place.
+
+    `rows` are sparse reduced rows sorted by their pivot columns `pivots`.
+    v is reduced against them; a nonzero remainder is scaled to a leading
+    one, eliminated from the other rows and inserted in pivot order.
+    Returns its pivot column, or None when v was already in the span.
+    """
+    for p, row in zip(pivots, rows):
+        f = v.get(p)
+        if f is not None:
+            v = _add_rows(v, row, -f)
+    if not v:
+        return None
+    piv = min(v)
+    if not v[piv].is_one():
+        inv = v[piv].inv()
+        v = {j: x * inv for j, x in v.items()}
+    for k, row in enumerate(rows):
+        f = row.get(piv)
+        if f is not None:
+            rows[k] = _add_rows(row, v, -f)
+    idx = bisect(pivots, piv)
+    pivots.insert(idx, piv)
+    rows.insert(idx, v)
+    return piv
+
+
 def rref(vectors):
     """Reduced row echelon basis of the span of the given vectors.
 
@@ -235,23 +265,5 @@ def rref(vectors):
     for vec in vectors:
         vec = list(vec)
         width = len(vec)
-        v = {j: x for j, x in enumerate(vec) if x}
-        for p, row in zip(pivots, rows):
-            f = v.get(p)
-            if f is not None:
-                v = _add_rows(v, row, -f)
-        if not v:
-            continue
-        piv = min(v)
-        if not v[piv].is_one():
-            inv = v[piv].inv()
-            v = {j: x * inv for j, x in v.items()}
-        # back-substitute into the existing rows and keep sorted order
-        for k, row in enumerate(rows):
-            f = row.get(piv)
-            if f is not None:
-                rows[k] = _add_rows(row, v, -f)
-        idx = next((k for k, p in enumerate(pivots) if p > piv), len(pivots))
-        pivots.insert(idx, piv)
-        rows.insert(idx, v)
+        echelon_insert(pivots, rows, {j: x for j, x in enumerate(vec) if x})
     return pivots, [[row.get(j, ZERO) for j in range(width)] for row in rows]

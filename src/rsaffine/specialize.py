@@ -9,11 +9,12 @@ coefficients stay finite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .cartan import PairingTable
 from .errors import SpecializationPole
-from .field import R, S, RatFunc
+from .field import MAX_EXPONENT, R, S, RatFunc
 from .rep_core import MatrixModule
 
 S_TO_R_INVERSE = "s_to_r_inverse"
@@ -25,7 +26,9 @@ INDEPENDENT = "independent"
 @dataclass(frozen=True)
 class SpecMap:
     """One of the parameter collapses; k parametrizes r -> s^k (k != 1,
-    which would duplicate s -> r read backwards)."""
+    which would duplicate s -> r read backwards).  |k| < MAX_EXPONENT, so
+    that s^k and s^(k-1), s^(1-k), the images of r and of the A1 table
+    entries r*s^-1, r^-1*s, stay within the parser's exponent bound."""
 
     kind: str
     k: int = 0
@@ -35,6 +38,8 @@ class SpecMap:
             raise ValueError(f"unknown specialization {self.kind!r}")
         if self.kind == R_TO_S_POW and self.k == 1:
             raise ValueError("r -> s^1 duplicates the s -> r map")
+        if self.kind == R_TO_S_POW and abs(self.k) >= MAX_EXPONENT:
+            raise ValueError(f"r -> s^k needs |k| < {MAX_EXPONENT}, got {self.k}")
 
     @property
     def target_variable(self) -> str:
@@ -66,8 +71,9 @@ def parse_spec_map(text: str) -> SpecMap:
         return SpecMap(S_TO_R)
     if t == "independent":
         return SpecMap(INDEPENDENT)
-    if t.startswith("r=s^"):
-        return SpecMap(R_TO_S_POW, int(t[4:].strip("()")))
+    k = re.fullmatch(r"r=s\^(-?[0-9]+|\(-?[0-9]+\))", t)
+    if k:
+        return SpecMap(R_TO_S_POW, int(k[1].strip("()")))
     raise ValueError(f"cannot parse specialization map {text!r}")
 
 

@@ -52,6 +52,34 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
     assert calls == VERIFY_N4_PMUL_CALLS
 
 
+# Matrix-vector products made by `tensor --left 4 --right 4 --json`, all of
+# them in the span closure of v_0 (x) v_0.  Each pivot of the closure is
+# expanded once, so the count is at most dim x #generators (25 x 16 = 400);
+# re-eliminating every row after every sweep made 1,600.
+TENSOR_44_APPLY_CALLS = 241
+
+
+def test_tensor_apply_count_tripwire(capsys, monkeypatch):
+    from rsaffine.hopf import tensor
+    from rsaffine.matrix import Matrix
+    from rsaffine.sl2 import build_chevalley_eval
+
+    calls = 0
+    apply = Matrix.apply
+
+    def counting(self, vec):
+        nonlocal calls
+        calls += 1
+        return apply(self, vec)
+
+    monkeypatch.setattr(Matrix, "apply", counting)
+    code, out = run(capsys, "tensor", "--left", "4", "--right", "4", "--json")
+    assert code == EXIT_PASS
+    assert calls == TENSOR_44_APPLY_CALLS
+    n_gens = len(tensor(build_chevalley_eval(4), build_chevalley_eval(4)).module.generators())
+    assert calls <= json.loads(out)["closure_dim_from_highest_weight"] * n_gens == 25 * 16
+
+
 def test_mutate_requires_env(capsys, monkeypatch):
     monkeypatch.delenv("RSAFFINE_ENABLE_MUTATE", raising=False)
     code, _ = run(capsys, "verify", "--n", "1", "--mutate", "xplus")
@@ -212,6 +240,11 @@ BAD_INPUT_CASES = [
     (("verify", "--n", "1", "--a", "(1+r)^5000"), None, EXIT_USAGE, "--a"),
     (("verify", "--n", "1", "--a", "7^6000"), None, EXIT_USAGE, "--a"),
     (("verify", "--type", "E8"), None, EXIT_USAGE, "--type"),
+    (("specialize", "--map", "r=s^100000", "--n", "1"), None, EXIT_USAGE, "--map"),
+    (("specialize", "--map", "r=s^-1000", "--n", "1"), None, EXIT_USAGE, "--map"),
+    (("specialize", "--map", "r=s^-999", "--n", "1"), None, EXIT_PASS, ""),
+    (("specialize", "--map", "r=s^1_0", "--n", "1"), None, EXIT_USAGE, "--map"),
+    (("specialize", "--map", "s=q", "--n", "1"), None, EXIT_USAGE, "--map"),
 ]
 
 

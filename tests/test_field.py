@@ -304,3 +304,23 @@ def test_parse_expressions():
         parse("r +")
     with pytest.raises(ValueError):
         parse("q")
+
+
+def test_parse_exponent_is_integer_unless_parenthesized():
+    # a bare exponent is an optionally signed integer; "/" after it divides
+    assert parse("r^2/s") == R**2 / S
+    assert parse("2^3/4") == rf(2)
+    assert parse("r^-1/2") == R**-1 / 2
+    assert parse("(1+r)^2/(1+s)^2") == (1 + R) ** 2 / (1 + S) ** 2
+    assert parse("r^-1") == R**-1
+    # a rational exponent is written in parentheses, as render prints it
+    half = RatFunc.monomial(1, Fraction(1, 2), 0, 0)
+    assert parse("r^(1/2)") == half
+    assert parse("r^(-1/2)") == half.inv()
+    assert parse("r^(3)") == R**3
+    for x in (R**2 / S, half / 2, R**-1 / 2):
+        assert parse(render(x)) == x
+    with pytest.raises(ZeroDivisionError):
+        parse("r^(1/0)")
+    with pytest.raises(ValueError, match="expected '\\)' after exponent"):
+        parse("r^(1/2")

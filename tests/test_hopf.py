@@ -2,8 +2,9 @@
 
 import pytest
 
+from rsaffine.cli import _pin_module
 from rsaffine.errors import TypeMismatch
-from rsaffine.field import A, B, ONE, R, S, ZERO
+from rsaffine.field import A, B, ONE, R, S, ZERO, parse
 from rsaffine.hopf import (
     antipode_axiom_report,
     span_closure,
@@ -11,7 +12,7 @@ from rsaffine.hopf import (
     tensor_basis_vector,
     twist,
 )
-from rsaffine.matrix import Matrix
+from rsaffine.matrix import Matrix, rref
 from rsaffine.rep_core import (
     E,
     F,
@@ -23,6 +24,7 @@ from rsaffine.rep_core import (
     check_drinfeld,
 )
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval
+from rsaffine.specialize import parse_spec_map, specialize_module
 
 
 def _with_param_b(mod):
@@ -123,6 +125,95 @@ def test_closure_basis_is_deterministic():
     T = tensor(mL, mR)
     seed = tensor_basis_vector(mL, mR, 0, 0)
     assert span_closure(T, seed) == span_closure(T, seed)
+
+
+def ref_span_closure(mod, seed):
+    """Reference closure: re-eliminate the whole basis with each image and
+    sweep every row and generator again until a sweep adds nothing."""
+    if hasattr(mod, "module"):
+        mod = mod.module
+    mats = [mod.assign[g] for g in mod.generators()]
+    _, rows = rref([seed])
+    changed = True
+    while changed and len(rows) < mod.dim:
+        changed = False
+        for vec in list(rows):
+            for mat in mats:
+                before = len(rows)
+                _, rows = rref(rows + [mat.apply(vec)])
+                if len(rows) > before:
+                    changed = True
+    return rows
+
+
+def _cli_tensor(left, right, a=None, b=None):
+    """The factors `rsaffine tensor` builds: the right one carries b."""
+    mL = _pin_module(build_chevalley_eval(left), a=a)
+    mR = _pin_module(_pin_module(build_chevalley_eval(right), a=B), b=b)
+    return mL, mR
+
+
+@pytest.mark.parametrize(
+    "left,right,a,b",
+    [
+        (1, 1, None, None),
+        (2, 2, None, None),
+        (3, 3, None, None),
+        (3, 3, "1+r", "2+s"),
+        (1, 1, "1", "s^(-2)"),  # a proper submodule: the closure has dimension 3
+    ],
+)
+def test_closure_matches_reference_on_tensor_seeds(left, right, a, b):
+    mL, mR = _cli_tensor(left, right, a and parse(a), b and parse(b))
+    T = tensor(mL, mR)
+    seed = tensor_basis_vector(mL, mR, 0, 0)
+    assert span_closure(T, seed) == ref_span_closure(T, seed)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_closure_matches_reference_on_specialized_basis(n):
+    mod = specialize_module(build_chevalley_eval(n), parse_spec_map("s=r"))
+    for i in range(mod.dim):
+        seed = [ONE if j == i else ZERO for j in range(mod.dim)]
+        basis = span_closure(mod, seed)
+        assert basis == ref_span_closure(mod, seed)
+        assert len(basis) == mod.dim
+
+
+def _direct_sum(m1, m2):
+    """Block-diagonal module m1 (+) m2: both blocks are invariant."""
+    n1, n2 = m1.dim, m2.dim
+    assign = {}
+    for g in m1.assign:
+        top = [list(row) + [ZERO] * n2 for row in m1.assign[g].rows]
+        bottom = [[ZERO] * n1 + list(row) for row in m2.assign[g].rows]
+        assign[g] = Matrix(top + bottom)
+    return MatrixModule(m1.table, assign, check=False)
+
+
+@pytest.mark.parametrize("block,i", [(0, 0), (0, 2), (1, 0), (1, 3)])
+def test_closure_stays_in_an_invariant_block(block, i):
+    m1, m2 = build_chevalley_eval(2), build_chevalley_eval(3)
+    mod = _direct_sum(m1, m2)
+    seed = [ZERO] * mod.dim
+    seed[i + block * m1.dim] = ONE
+    basis = span_closure(mod, seed)
+    assert basis == ref_span_closure(mod, seed)
+    assert len(basis) == (m1.dim, m2.dim)[block] < mod.dim
+    # every basis row lives in the seed's block
+    lo = block * m1.dim
+    hi = lo + (m1.dim, m2.dim)[block]
+    assert all(x.is_zero() for row in basis for j, x in enumerate(row) if not lo <= j < hi)
+
+
+def test_closure_of_a_mixed_seed_is_the_whole_sum():
+    m1, m2 = build_chevalley_eval(2), build_chevalley_eval(3)
+    mod = _direct_sum(m1, m2)
+    seed = [ZERO] * mod.dim
+    seed[0] = seed[m1.dim] = ONE
+    basis = span_closure(mod, seed)
+    assert basis == ref_span_closure(mod, seed)
+    assert len(basis) == mod.dim
 
 
 # -- antipode ---------------------------------------------------------------------
