@@ -195,15 +195,14 @@ def _direct_sum(m1, m2):
 def test_closure_stays_in_an_invariant_block(block, i):
     m1, m2 = build_chevalley_eval(2), build_chevalley_eval(3)
     mod = _direct_sum(m1, m2)
+    lo, size = block * m1.dim, (m1.dim, m2.dim)[block]
     seed = [ZERO] * mod.dim
-    seed[i + block * m1.dim] = ONE
+    seed[lo + i] = ONE
     basis = span_closure(mod, seed)
     assert basis == ref_span_closure(mod, seed)
-    assert len(basis) == (m1.dim, m2.dim)[block] < mod.dim
+    assert len(basis) == size < mod.dim
     # every basis row lives in the seed's block
-    lo = block * m1.dim
-    hi = lo + (m1.dim, m2.dim)[block]
-    assert all(x.is_zero() for row in basis for j, x in enumerate(row) if not lo <= j < hi)
+    assert all(x.is_zero() for row in basis for j, x in enumerate(row) if not lo <= j < lo + size)
 
 
 def test_closure_of_a_mixed_seed_is_the_whole_sum():
