@@ -238,8 +238,11 @@ def verify_RQ_form(em: EvalModule, order: int = 6) -> dict:
     The module must carry the rs^-1 shift (the closed form is stated for
     that normalization).  Also asserts the two prefactor readings agree:
     r^(deg R - deg Q/2) s^(deg Q/2) == r^(n-i) s^i since deg R = n and
-    deg Q = 2i.  Failures are report content, never exceptions.
+    deg Q = 2i.  Failures are report content, never exceptions; an order
+    below 1, which would compare no coefficient, raises ValueError.
     """
+    if order < 1:
+        raise ValueError(f"verify_RQ_form needs order >= 1, got {order}")
     n = em.n
     results = []
     for i in range(n + 1):
@@ -265,10 +268,16 @@ def verify_RQ_form(em: EvalModule, order: int = 6) -> dict:
 
 
 def drinfeld_report(n: int, use_shift=False, order=None) -> dict:
-    """Reconstruction vs closed form plus the mirror law, JSON-ready."""
+    """Reconstruction vs closed form plus the mirror law, JSON-ready.
+
+    The reconstruction reads the plus series to order 2n+1, so a smaller
+    order raises ValueError (the CLI rejects it as a usage error).
+    """
     from .sl2 import build_current_eval
 
     order = order if order is not None else 2 * n + 2
+    if order < 2 * n + 1:
+        raise ValueError(f"drinfeld_report needs order >= 2n+1 = {2 * n + 1} for n={n}, got {order}")
     kmax = max(1, (order + 1) // 2)
     em = build_current_eval(n, use_shift, kmax=kmax, lmax=1)
     h = extract_hw_series(em, order)

@@ -242,12 +242,7 @@ def pgcd(p, q):
 def _exp_rescale(p, q):
     """Per-axis gcd of all occurring exponents (lattice scaling makes every
     exponent a multiple of 6 in the common all-integer case)."""
-    sc = [0, 0, 0, 0]
-    for poly in (p, q):
-        for k in poly:
-            for ax in range(4):
-                sc[ax] = _intgcd(sc[ax], k[ax])
-    return tuple(s if s > 1 else 1 for s in sc)
+    return tuple(max(_intgcd(*col), 1) for col in zip(*p, *q))
 
 
 def _key_scale(p, sc, mul):
@@ -267,9 +262,17 @@ def _pgcd_shifted(p, q):
         g = _pgcd_shifted(_key_scale(p, sc, False), _key_scale(q, sc, False))
         return _key_scale(g, sc, True)
 
-    common = [ax for ax in range(4) if _deg_axis(p, ax) > 0 and _deg_axis(q, ax) > 0]
+    dp = [max(col) for col in zip(*p)]
+    dq = [max(col) for col in zip(*q)]
+    common = [ax for ax in range(4) if dp[ax] > 0 and dq[ax] > 0]
     if not common:
         return {_ZERO_KEY: 1}
+    # a variable of only one input: the gcd divides that input's content in it
+    for ax in range(4):
+        if dp[ax] > 0 and dq[ax] == 0:
+            return _coeff_gcd([q, *_univ_view(p, ax).values()])
+        if dq[ax] > 0 and dp[ax] == 0:
+            return _coeff_gcd([p, *_univ_view(q, ax).values()])
 
     # direct divisibility covers the frequent den-divides-num case cheaply
     small, large = (p, q) if len(p) <= len(q) else (q, p)
@@ -277,7 +280,7 @@ def _pgcd_shifted(p, q):
         return _int_primitive(small)
 
     # main variable: smallest combined degree keeps the PRS short
-    ax = min(common, key=lambda a: _deg_axis(p, a) + _deg_axis(q, a))
+    ax = min(common, key=lambda a: dp[a] + dq[a])
 
     if _gcd_degree_bound_zero(p, q, ax):
         up, uq = _univ_view(p, ax), _univ_view(q, ax)
@@ -320,7 +323,10 @@ def _gcd_degree_bound_zero(p, q, ax):
         # degree must not drop at the point, else the bound is unsound
         if not ep or not eq or max(ep) != dp or max(eq) != dq:
             continue
-        return _univ_gcd_degree(ep, eq) == 0
+        # the image gcd bounds the true degree from above, so one point
+        # with degree 0 suffices; an unlucky point only bounds it loosely
+        if _univ_gcd_degree(ep, eq) == 0:
+            return True
     return False
 
 
@@ -409,6 +415,23 @@ class RatFunc:
     single positive integer.  Equality is therefore a plain component
     comparison (and cross-multiplication agrees; the tests check both).
     Instances are immutable.
+
+    Arithmetic relies on its operands being reduced, so it takes gcds of
+    factors only (Henrici's rules; Knuth, TAOCP 4.5.1).  A single-term
+    polynomial is a unit here (a monomial times a rational), so a gcd with
+    one is never computed; a constant denominator means a Laurent value.
+    - Product: gcd(n1 n2, d1 d2) = gcd(n1, d2) gcd(n2, d1), since n1 is
+      coprime to d1 and n2 to d2.  Both are divided out before
+      multiplying.  A quotient is the product with d2/n2.
+    - Sum: with g = gcd(d1, d2), d1 = g d1', d2 = g d2', the sum is
+      (n1 d2' + n2 d1') / (d1' d2).  Its numerator is coprime to d1' and
+      d2', so only gcd(numerator, g) can cancel, and nothing can when g is
+      a unit.
+    - Power: the factors of n^k are those of n, so n^k / d^k is reduced,
+      and it has the canonical content, shift and sign whenever n / d does.
+    Each result then only needs the canonicalizing tail (_canonical).  The
+    canonical form is unique, so these rules change no value and no byte
+    of output; _normalize keeps the one-shot reduction for other callers.
     """
 
     __slots__ = ("num", "den")
@@ -426,8 +449,24 @@ class RatFunc:
 
     @classmethod
     def _normalize(cls, num, den):
+        """Canonical form of num/den for any Laurent dicts: cancel their
+        gcd, then canonicalize."""
         if not den:
             raise DivisionByZero("zero denominator")
+        if num and len(den) > 1:
+            if num == den:
+                return ONE
+            g = pgcd(num, den)
+            if len(g) > 1:
+                num = _laurent_div_exact(num, g)
+                den = _laurent_div_exact(den, g)
+        return cls._canonical(num, den)
+
+    @classmethod
+    def _canonical(cls, num, den):
+        """Canonical form of num/den for coprime Laurent dicts: shift den to
+        minimal exponent 0, divide out the combined content and make den's
+        leading coefficient positive."""
         if not num:
             return ZERO
         if len(den) == 1:
@@ -439,14 +478,6 @@ class RatFunc:
             if c == 1:
                 return cls._make(num, _UNIT)
         else:
-            if num == den:
-                return ONE
-            g = pgcd(num, den)
-            if g != _UNIT:
-                num = _laurent_div_exact(num, g)
-                den = _laurent_div_exact(den, g)
-                if len(den) == 1:
-                    return cls._normalize(num, den)
             md = _min_exps(den)
             if md != (0, 0, 0, 0):
                 num = K.pshift(num, -md[0], -md[1], -md[2], -md[3])
@@ -538,14 +569,28 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero():
+        if not self.num:
             return o
-        if o.is_zero():
+        if not o.num:
             return self
-        if self.den == o.den:
-            return RatFunc._normalize(K.padd(self.num, o.num), self.den)
-        num = K.padd(K.pmul(self.num, o.den), K.pmul(o.num, self.den))
-        return RatFunc._normalize(num, K.pmul(self.den, o.den))
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            if len(d1) == 1:
+                return RatFunc._canonical(K.padd(self.num, o.num), d1)
+            return RatFunc._normalize(K.padd(self.num, o.num), d1)
+        if len(d1) > 1 and len(d2) > 1:
+            g = pgcd(d1, d2)
+            if len(g) > 1:
+                d1 = _laurent_div_exact(d1, g)
+                num = K.padd(K.pmul(self.num, _laurent_div_exact(d2, g)), K.pmul(o.num, d1))
+                if len(num) > 1:
+                    h = pgcd(num, g)
+                    if len(h) > 1:
+                        num = _laurent_div_exact(num, h)
+                        d2 = _laurent_div_exact(d2, h)
+                return RatFunc._canonical(num, K.pmul(d1, d2))
+        num = K.padd(K.pmul(self.num, d2), K.pmul(o.num, d1))
+        return RatFunc._canonical(num, K.pmul(d1, d2))
 
     __radd__ = __add__
 
@@ -565,9 +610,11 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        if not self.num or not o.num:
             return ZERO
-        return RatFunc._normalize(K.pmul(self.num, o.num), K.pmul(self.den, o.den))
+        if len(self.den) == 1 and len(o.den) == 1:
+            return RatFunc._canonical(K.pmul(self.num, o.num), K.pmul(self.den, o.den))
+        return _mul_coprime(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -575,11 +622,13 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_zero():
+        if not o.num:
             raise DivisionByZero("division by the zero rational function")
-        if self.is_zero():
+        if not self.num:
             return ZERO
-        return RatFunc._normalize(K.pmul(self.num, o.den), K.pmul(self.den, o.num))
+        if len(self.den) == 1 and len(o.num) == 1:
+            return RatFunc._canonical(K.pmul(self.num, o.den), K.pmul(self.den, o.num))
+        return _mul_coprime(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -600,10 +649,7 @@ class RatFunc:
             ((k, c),) = self.num.items()
             key = (k[0] * n, k[1] * n, k[2] * n, k[3] * n)
             return RatFunc._make({key: c**n}, {_ZERO_KEY: self.den[_ZERO_KEY] ** n})
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        return RatFunc._make(_pow_poly(self.num, n), _pow_poly(self.den, n))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -742,6 +788,22 @@ def gauss_binom(m: int, k: int, base=None) -> RatFunc:
     if not out.is_laurent_polynomial():
         raise NotPolynomial(f"gauss_binom({m},{k}) left a remainder")
     return out
+
+
+def _mul_coprime(n1, d1, n2, d2) -> RatFunc:
+    """(n1/d1) * (n2/d2) for coprime pairs (n1, d1) and (n2, d2): cancel
+    gcd(n1, d2) and gcd(n2, d1), whose product is the gcd of the products."""
+    if len(n1) > 1 and len(d2) > 1:
+        g = pgcd(n1, d2)
+        if len(g) > 1:
+            n1 = _laurent_div_exact(n1, g)
+            d2 = _laurent_div_exact(d2, g)
+    if len(n2) > 1 and len(d1) > 1:
+        g = pgcd(n2, d1)
+        if len(g) > 1:
+            n2 = _laurent_div_exact(n2, g)
+            d1 = _laurent_div_exact(d1, g)
+    return RatFunc._canonical(K.pmul(n1, n2), K.pmul(d1, d2))
 
 
 def _laurent_div_exact(p, g):

@@ -52,6 +52,31 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
     assert calls == VERIFY_N4_PMUL_CALLS
 
 
+# Polynomial gcds, recursive ones included, made by `verify --n 2 --a 1+r
+# --json`, whose pinned entries all have real denominators.  Reducing each
+# product and sum through gcds of its already reduced factors makes 5,942;
+# one gcd of the whole product's numerator and denominator made 9,347.
+VERIFY_PINNED_PGCD_CALLS = 5942
+
+
+def test_verify_pinned_pgcd_count_tripwire(capsys, monkeypatch):
+    import rsaffine.field as field
+
+    calls = 0
+    pgcd = field.pgcd
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pgcd(p, q)
+
+    monkeypatch.setattr(field, "pgcd", counting)
+    code, _ = run(capsys, "verify", "--n", "2", "--a", "1+r", "--json")
+    assert code == EXIT_PASS
+    assert calls == VERIFY_PINNED_PGCD_CALLS
+    assert calls < 9347
+
+
 # Matrix-vector products made by `tensor --left 4 --right 4 --json`, all of
 # them in the span closure of v_0 (x) v_0.  Each pivot of the closure is
 # expanded once, so the count is at most dim x #generators (25 x 16 = 400);

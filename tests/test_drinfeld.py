@@ -7,6 +7,7 @@ from rsaffine.drinfeld import (
     DrinfeldPoly,
     HwSeries,
     closed_form_P,
+    drinfeld_report,
     extract_hw_series,
     minus_series_of,
     plus_series_of,
@@ -193,6 +194,23 @@ def test_verify_rq_form(n):
     rep = verify_RQ_form(em, order=6)
     assert rep["all_pass"]
     assert [e["i"] for e in rep["per_weight"]] == list(range(n + 1))
+
+
+def test_library_order_lower_bounds():
+    # an order the reconstruction cannot use is a usage error, as in the
+    # CLI, not a mathematical failure in the report
+    with pytest.raises(ValueError, match="2n\\+1 = 5"):
+        drinfeld_report(2, order=4)
+    with pytest.raises(ValueError):
+        drinfeld_report(0, order=0)
+    assert drinfeld_report(2, order=5)["checks"]["plus"] == "pass"
+    assert drinfeld_report(0, order=1)["checks"]["plus"] == "pass"
+    # order 0 would compare no coefficient and report a vacuous pass
+    em = build_current_eval(1, True, kmax=1, lmax=1)
+    with pytest.raises(ValueError):
+        verify_RQ_form(em, order=0)
+    rep = verify_RQ_form(em, order=1)
+    assert rep["all_pass"] and rep["order"] == 1
 
 
 def test_rq_form_detects_dropped_factor():

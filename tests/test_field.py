@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rsaffine._kernel import padd, pmul, psub
 from rsaffine.errors import (
     DivisionByZero,
     LatticeOverflow,
@@ -14,6 +15,7 @@ from rsaffine.errors import (
 )
 from rsaffine.field import (
     A,
+    B,
     ONE,
     R,
     S,
@@ -231,6 +233,125 @@ def test_integer_canonical_form(p, q, g, y):
     assert x.cross_equal(x2)
     assert x.cross_equal(y) == (x == y)
     assert parse(render(x)) == x
+
+
+# -- gcd-splitting arithmetic against the one-shot reduction -------------------
+
+# irreducible factors, shared between operands so that results cancel
+_FACTORS = tuple(f.num for f in (1 + R, R - S, 2 + S, 1 + R * S, A - 1, 1 + B))
+_UNIT_KEY = (0, 0, 0, 0)
+_P = 2**61 - 1
+
+
+def _one_shot(num, den):
+    """The reference: the whole quotient reduced by its full gcd."""
+    return RatFunc._normalize(num, den)
+
+
+def _pow_dict(p, k):
+    out = {_UNIT_KEY: 1}
+    for _ in range(k):
+        out = pmul(out, p)
+    return out
+
+
+def _eval_poly(p, point):
+    # r and s exponents count sixths, so the point holds sixth roots of r, s
+    total = 0
+    for key, c in p.items():
+        for x, e in zip(point, key):
+            c = c * pow(x, e, _P) % _P
+        total += c
+    return total % _P
+
+
+def _eval(x, point):
+    """x at the point mod _P, or None where its denominator vanishes."""
+    d = _eval_poly(x.den, point)
+    return None if d == 0 else _eval_poly(x.num, point) * pow(d, -1, _P) % _P
+
+
+@st.composite
+def planted_triples(draw):
+    """x = (f g)/(h k), y = (h m)/(f n) and t = m/(h n) over products of
+    _FACTORS, each part times a Laurent monomial with an integer
+    coefficient (a content)."""
+
+    def product(min_size):
+        out = {_UNIT_KEY: 1}
+        for i in draw(st.lists(st.integers(0, len(_FACTORS) - 1), min_size=min_size, max_size=2)):
+            out = pmul(out, _FACTORS[i])
+        return out
+
+    def scaled(p):
+        c = draw(st.integers(-6, 6).filter(bool))
+        key = (
+            draw(st.integers(-12, 12)),
+            draw(st.integers(-12, 12)),
+            draw(st.integers(-1, 1)),
+            draw(st.integers(-1, 1)),
+        )
+        return pmul(p, {key: c})
+
+    f, h = product(1), product(1)
+    g, k, m, n = (product(0) for _ in range(4))
+    x = _one_shot(scaled(pmul(f, g)), scaled(pmul(h, k)))
+    y = _one_shot(scaled(pmul(h, m)), scaled(pmul(f, n)))
+    t = _one_shot(scaled(m), scaled(pmul(h, n)))
+    return x, y, t
+
+
+_points = st.tuples(*[st.integers(2, _P - 1)] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_triples(), st.integers(-3, 4), st.lists(_points, min_size=2, max_size=2))
+def test_split_arithmetic_matches_one_shot(triple, k, points):
+    x, y, t = triple
+    if k >= 0:
+        want_pow = _one_shot(_pow_dict(x.num, k), _pow_dict(x.den, k))
+    else:
+        want_pow = _one_shot(_pow_dict(x.den, -k), _pow_dict(x.num, -k))
+    cases = {
+        "x*y": (x * y, _one_shot(pmul(x.num, y.num), pmul(x.den, y.den))),
+        "x/y": (x / y, _one_shot(pmul(x.num, y.den), pmul(x.den, y.num))),
+        "x+y": (x + y, _one_shot(padd(pmul(x.num, y.den), pmul(y.num, x.den)), pmul(x.den, y.den))),
+        "x-y": (x - y, _one_shot(psub(pmul(x.num, y.den), pmul(y.num, x.den)), pmul(x.den, y.den))),
+        "x**k": (x**k, want_pow),
+    }
+    # z = t - x usually has a larger denominator than t, so the sum x + z
+    # must cancel a common factor of the two denominators
+    z = _one_shot(psub(pmul(t.num, x.den), pmul(x.num, t.den)), pmul(t.den, x.den))
+    cases["x+z"] = (x + z, t)
+    for name, (got, want) in cases.items():
+        assert (got.num, got.den) == (want.num, want.den), name
+        assert_canonical(got)
+    # independently of any gcd: the values mod a prime at random points
+    for point in points:
+        ex, ey = _eval(x, point), _eval(y, point)
+        if ex is None or ey is None or ey == 0 or (ex == 0 and k < 0):
+            continue
+        images = {
+            "x*y": ex * ey,
+            "x/y": ex * pow(ey, -1, _P),
+            "x+y": ex + ey,
+            "x-y": ex - ey,
+            "x**k": pow(ex, k, _P),
+        }
+        for name, want in images.items():
+            assert _eval(cases[name][0], point) == want % _P, name
+
+
+def test_split_arithmetic_examples():
+    x = (2 + 2 * R) / (3 + 3 * S)
+    assert (x.num, x.den) == ({(6, 0, 0, 0): 2, _UNIT_KEY: 2}, {(0, 6, 0, 0): 3, _UNIT_KEY: 3})
+    y = (1 + S) * (R - S) / ((1 + R) * (2 + S))
+    assert x * y == 2 * (R - S) / (3 * (2 + S))
+    assert x / y == 2 * (1 + R) ** 2 * (2 + S) / (3 * (1 + S) ** 2 * (R - S))
+    assert x + (1 - R) / (1 + S) == (5 - R) / (3 + 3 * S)
+    assert (1 + R) / (2 + S) - ONE / (2 + S) == R / (2 + S)
+    assert x**3 == 8 * (1 + R) ** 3 / (27 * (1 + S) ** 3)
+    assert x**-2 == 9 * (1 + S) ** 2 / (4 * (1 + R) ** 2)
 
 
 # -- rendering / parsing -----------------------------------------------------

@@ -180,6 +180,18 @@ def test_closure_matches_reference_on_specialized_basis(n):
         assert len(basis) == mod.dim
 
 
+def test_closure_from_a_generic_seed():
+    # a non-weight seed mixes every weight space, so the elimination runs on
+    # entries with real denominators; reducing products factor by factor
+    # keeps their coefficients small (whole-product gcds ran past 60 s here)
+    mL, mR = _cli_tensor(2, 1)
+    T = tensor(mL, mR)
+    assert T.dim == 6
+    basis = span_closure(T, range(1, T.dim + 1))
+    # the closure is the whole space, whose reduced echelon basis is the identity
+    assert basis == [[ONE if j == i else ZERO for j in range(T.dim)] for i in range(T.dim)]
+
+
 def _direct_sum(m1, m2):
     """Block-diagonal module m1 (+) m2: both blocks are invariant."""
     n1, n2 = m1.dim, m2.dim
