@@ -13,7 +13,6 @@ from .field import (
     R,
     S,
     ZERO,
-    LaurentMono,
     RatFunc,
     gauss_binom,
     parse,
@@ -32,7 +31,6 @@ from .rep_core import (
     check_drinfeld,
 )
 from .sl2 import (
-    EvalModule,
     build_chevalley_eval,
     build_current_eval,
     build_Vn,

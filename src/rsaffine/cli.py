@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
 
     shift = args.shift == "rs-inverse"
     chev = build_chevalley_eval(args.n, shift)
-    curr = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax).base
+    curr = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
     if args.mutate:
         chev, curr = _apply_mutation(chev, curr, args.mutate)
     if args.a is not None:
@@ -303,16 +303,17 @@ def cmd_twist(args) -> int:
     _check_bounds(n=args.n, kmax=args.kmax, lmax=args.lmax)
     if args.aut == "gamma2" and args.c is None:
         raise UsageError("--aut gamma2 needs --c")
-    em = build_current_eval(args.n, args.shift == "rs-inverse", kmax=args.kmax, lmax=args.lmax)
-    mod = em.base
+    shift = args.shift == "rs-inverse"
     if args.aut == "sigma":
-        signs = tuple(1 if ch == "+" else -1 for ch in args.signs)
-        chev = build_chevalley_eval(args.n, args.shift == "rs-inverse")
-        tw = twist(chev, "sigma", signs=signs)
+        chev = build_chevalley_eval(args.n, shift)
+        if len(args.signs) != chev.table.size or set(args.signs) - {"+", "-"}:
+            raise UsageError(f"--signs needs {chev.table.size} characters, each + or -")
+        tw = twist(chev, "sigma", signs=tuple(1 if ch == "+" else -1 for ch in args.signs))
         ok = all_pass(check_chevalley(tw))
         entrywise = None
     else:
         c = _parse_scalar(args.c, "--c") if args.aut == "gamma2" else None
+        mod = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
         tw = twist(mod, args.aut, c=c)
         reparam = -ONE if args.aut == "gamma1" else c
         target = _pin_module(mod, a=reparam * parse("a"))

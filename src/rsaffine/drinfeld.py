@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEigenvector
 from .field import A, ONE, R, S, ZERO, render
-from .rep_core import Wpser, Wser
-from .series import ASC, DESC, TruncSeries
-from .sl2 import EvalModule, omega_matrices, shift_factor
+from .rep_core import MatrixModule
+from .series import ASC, DESC, TruncSeries, ratio_series
+from .sl2 import series_matrices, shift_factor
 
 
 @dataclass(frozen=True)
@@ -77,71 +77,37 @@ def _mirror(coeffs, n: int):
     return tuple(c * rs_n**k for k, c in enumerate(coeffs))
 
 
-def extract_hw_series(em: EvalModule, order: int) -> HwSeries:
+def extract_hw_series(mod: MatrixModule, order: int) -> HwSeries:
     """Eigenvalues of w(k) and w'(-k) on the highest-weight basis vector."""
-    mod = em.base
-    have = all(Wser(1, m) in mod.assign and Wpser(1, -m) in mod.assign for m in range(order + 1))
-    if have:
-        ws = [mod.assign[Wser(1, m)] for m in range(order + 1)]
-        wps = [mod.assign[Wpser(1, -m)] for m in range(order + 1)]
-    else:
-        ws, wps = omega_matrices(em, order)
+    ws, wps = series_matrices(mod, order)
     for m in (ws, wps):
         for mat in m:
             if not mat.is_diagonal():
                 raise NotEigenvector("series generator is not diagonal on the basis")
     plus = TruncSeries("z", order, [w[0, 0] for w in ws], ASC)
     minus = TruncSeries("z", order, [w[0, 0] for w in wps], DESC)
-    return HwSeries(plus=plus, minus=minus, n=em.n)
+    return HwSeries(plus=plus, minus=minus, n=mod.dim - 1)
 
 
 def closed_form_P(n: int, use_shift=False) -> DrinfeldPoly:
     """Product form prod_{k=1..n} (1 - a' (r^-1 s)^k r^-1 s^-n z), a' = shift*a."""
     ap = shift_factor(use_shift) * A
-    roots = [ap * (R**-1 * S) ** k * R**-1 * S**-n for k in range(1, n + 1)]
-    coeffs = [ONE]
-    for rt in roots:
-        nxt = [ZERO] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j] = nxt[j] + c
-            nxt[j + 1] = nxt[j + 1] - c * rt
-        coeffs = nxt
-    coeffs = tuple(coeffs)
+    coeffs = tuple(_poly_from_roots(ap * (R**-1 * S) ** k * R**-1 * S**-n for k in range(1, n + 1)))
     return DrinfeldPoly(coeffs=coeffs, mirror=_mirror(coeffs, n))
-
-
-def _ratio_series_asc(num, den, order) -> TruncSeries:
-    """Ascending expansion of num(z)/den(z) about 0 (den[0] invertible)."""
-    f = TruncSeries("z", order, list(num), ASC)
-    g = TruncSeries("z", order, list(den), ASC)
-    return f * g.inv()
-
-
-def _ratio_series_desc(num, den, order) -> TruncSeries:
-    """Descending expansion of num(z)/den(z) about infinity for polynomials
-    of the same degree with invertible leading coefficients."""
-    d = len(num) - 1
-    if len(den) - 1 != d:
-        raise ValueError("expansion about infinity needs equal degrees")
-    f = TruncSeries("z", order, list(reversed(num)), DESC)
-    g = TruncSeries("z", order, list(reversed(den)), DESC)
-    return f * g.inv()
 
 
 def plus_series_of(p: DrinfeldPoly, order: int) -> TruncSeries:
     """r^deg * P(sz)/P(rz) expanded about 0."""
     num = [c * S**k for k, c in enumerate(p.coeffs)]
     den = [c * R**k for k, c in enumerate(p.coeffs)]
-    return _ratio_series_asc(num, den, order) * R ** p.degree
+    return ratio_series(num, den, "z", order) * R ** p.degree
 
 
 def minus_series_of(p: DrinfeldPoly, order: int) -> TruncSeries:
     """r^deg * Q(sz)/Q(rz) expanded about infinity, Q the mirror."""
-    if p.degree == 0:
-        return TruncSeries("z", order, [ONE], DESC)
     num = [c * S**k for k, c in enumerate(p.mirror)]
     den = [c * R**k for k, c in enumerate(p.mirror)]
-    return _ratio_series_desc(num, den, order) * R ** p.degree
+    return ratio_series(num[::-1], den[::-1], "z", order, DESC) * R ** p.degree
 
 
 def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
@@ -175,18 +141,12 @@ def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
     return p
 
 
-def weight_gamma_series(em: EvalModule, i: int, order: int):
+def weight_gamma_series(mod: MatrixModule, i: int, order: int):
     """Eigenvalue generating functions of w(m), w'(-m) on the basis vector
     v_i: (ascending plus, descending minus)."""
-    if not (0 <= i <= em.n):
-        raise IndexOutOfRange(f"weight index {i} outside 0..{em.n}")
-    mod = em.base
-    have = all(Wser(1, m) in mod.assign and Wpser(1, -m) in mod.assign for m in range(order + 1))
-    if have:
-        ws = [mod.assign[Wser(1, m)] for m in range(order + 1)]
-        wps = [mod.assign[Wpser(1, -m)] for m in range(order + 1)]
-    else:
-        ws, wps = omega_matrices(em, order)
+    if not (0 <= i < mod.dim):
+        raise IndexOutOfRange(f"weight index {i} outside 0..{mod.dim - 1}")
+    ws, wps = series_matrices(mod, order)
     plus = TruncSeries("u", order, [w[i, i] for w in ws], ASC)
     minus = TruncSeries("u", order, [w[i, i] for w in wps], DESC)
     return plus, minus
@@ -216,13 +176,9 @@ def _poly_from_roots(params):
 
 def rq_closed_series(n: int, i: int, order: int) -> TruncSeries:
     """Ascending expansion of r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us))."""
-    rfac, qfac = rq_polynomials(n, i)
-    num = _poly_series(_poly_from_roots(rfac), S, order) * _poly_series(
-        _poly_from_roots(qfac), R, order
-    )
-    den = _poly_series(_poly_from_roots(rfac), R, order) * _poly_series(
-        _poly_from_roots(qfac), S, order
-    )
+    rpoly, qpoly = (_poly_from_roots(fac) for fac in rq_polynomials(n, i))
+    num = _poly_series(rpoly, S, order) * _poly_series(qpoly, R, order)
+    den = _poly_series(rpoly, R, order) * _poly_series(qpoly, S, order)
     pref = R ** (n - i) * S**i
     return num * den.inv() * pref
 
@@ -232,7 +188,7 @@ def _poly_series(coeffs, scale, order) -> TruncSeries:
     return TruncSeries.from_poly_coeffs((c * scale**k for k, c in enumerate(coeffs)), "u", order)
 
 
-def verify_RQ_form(em: EvalModule, order: int = 6) -> dict:
+def verify_RQ_form(mod: MatrixModule, order: int = 6) -> dict:
     """Per-weight check of the closed-form eigenvalue generating function.
 
     The module must carry the rs^-1 shift (the closed form is stated for
@@ -243,10 +199,10 @@ def verify_RQ_form(em: EvalModule, order: int = 6) -> dict:
     """
     if order < 1:
         raise ValueError(f"verify_RQ_form needs order >= 1, got {order}")
-    n = em.n
+    n = mod.dim - 1
     results = []
     for i in range(n + 1):
-        plus, _ = weight_gamma_series(em, i, order)
+        plus, _ = weight_gamma_series(mod, i, order)
         want = rq_closed_series(n, i, order)
         degR, degQ = n, 2 * i
         pref_printed = R ** (degR - degQ // 2) * S ** (degQ // 2)
@@ -279,8 +235,7 @@ def drinfeld_report(n: int, use_shift=False, order=None) -> dict:
     if order < 2 * n + 1:
         raise ValueError(f"drinfeld_report needs order >= 2n+1 = {2 * n + 1} for n={n}, got {order}")
     kmax = max(1, (order + 1) // 2)
-    em = build_current_eval(n, use_shift, kmax=kmax, lmax=1)
-    h = extract_hw_series(em, order)
+    h = extract_hw_series(build_current_eval(n, use_shift, kmax=kmax, lmax=1), order)
     closed = closed_form_P(n, use_shift)
     status = {"plus": "pass", "minus": "pass"}
     matches = False

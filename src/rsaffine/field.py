@@ -1,4 +1,4 @@
-"""Exact scalar field: Laurent monomials and rational functions in r, s, a, b.
+"""Exact scalar field: rational functions in r, s, a, b.
 
 Everything downstream (pairing tables, module matrices, series) is computed
 over Q(r, s, a, b) with r- and s-exponents in the lattice (1/6)Z and
@@ -12,10 +12,8 @@ Values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _intgcd
-from math import lcm as _intlcm
 
 from . import _kernel as K
 from .errors import (
@@ -46,49 +44,12 @@ def _lattice_int(exp, what: str) -> int:
     return int(e)
 
 
-@dataclass(frozen=True)
-class LaurentMono:
-    """One monomial coeff * r^exp_r * s^exp_s * a^exp_a * b^exp_b.
-
-    exp_r and exp_s must lie in (1/6)Z; the exponents of the evaluation
-    parameters a and b are integers.  A zero coefficient forces all
-    exponents to zero (the canonical zero).
-    """
-
-    coeff: Fraction
-    exp_r: Fraction
-    exp_s: Fraction
-    exp_a: int
-    exp_b: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _to_frac(self.coeff))
-        er = _to_frac(self.exp_r)
-        es = _to_frac(self.exp_s)
-        _lattice_int(er, "r")
-        _lattice_int(es, "s")
-        if not isinstance(self.exp_a, int) or not isinstance(self.exp_b, int):
-            raise TypeError("exp_a and exp_b must be integers")
-        if self.coeff == 0:
-            er, es = Fraction(0), Fraction(0)
-            object.__setattr__(self, "exp_a", 0)
-            object.__setattr__(self, "exp_b", 0)
-        object.__setattr__(self, "exp_r", er)
-        object.__setattr__(self, "exp_s", es)
-
-    def key(self):
-        return (
-            _lattice_int(self.exp_r, "r"),
-            _lattice_int(self.exp_s, "s"),
-            self.exp_a,
-            self.exp_b,
-        )
-
-    def as_ratfunc(self) -> "RatFunc":
-        if self.coeff == 0:
-            return ZERO
-        c = self.coeff
-        return RatFunc._make({self.key(): c.numerator}, {_ZERO_KEY: c.denominator})
+def _bare_int(exp, what: str) -> int:
+    """An exponent of a or b, which must be an exact integer."""
+    e = _to_frac(exp)
+    if e.denominator != 1:
+        raise LatticeOverflow(f"{what} exponent {exp} is not an integer")
+    return int(e)
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +466,12 @@ class RatFunc:
 
     @classmethod
     def monomial(cls, coeff, exp_r=0, exp_s=0, exp_a=0, exp_b=0) -> "RatFunc":
-        return LaurentMono(
-            _to_frac(coeff), _to_frac(exp_r), _to_frac(exp_s), int(exp_a), int(exp_b)
-        ).as_ratfunc()
-
-    @classmethod
-    def from_monomials(cls, monos) -> "RatFunc":
-        monos = [m for m in monos if m.coeff]
-        d = _intlcm(*(m.coeff.denominator for m in monos))
-        num = {}
-        for m in monos:
-            num = K.padd(num, {m.key(): int(m.coeff * d)})
-        return cls._normalize(num, {_ZERO_KEY: d}) if num else ZERO
+        """coeff * r^exp_r * s^exp_s * a^exp_a * b^exp_b, with the r- and
+        s-exponents in (1/6)Z and integer exponents on a and b."""
+        c = _to_frac(coeff)
+        key = (_lattice_int(exp_r, "r"), _lattice_int(exp_s, "s"))
+        key += (_bare_int(exp_a, "a"), _bare_int(exp_b, "b"))
+        return cls._make({key: c.numerator}, {_ZERO_KEY: c.denominator}) if c else ZERO
 
     # -- predicates ---------------------------------------------------------
 
@@ -531,16 +486,6 @@ class RatFunc:
 
     def is_monomial(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
-
-    def monomials(self):
-        """The numerator terms as LaurentMono values (denominator must be a constant)."""
-        if not self.is_laurent_polynomial():
-            raise NotPolynomial("value has a nontrivial denominator")
-        d = self.den[_ZERO_KEY]
-        return [
-            LaurentMono(Fraction(self.num[k], d), Fraction(k[0], LATTICE), Fraction(k[1], LATTICE), k[2], k[3])
-            for k in sorted(self.num, key=_order_key, reverse=True)
-        ]
 
     def as_quotient(self):
         """The pair (p, q) of Laurent polynomials with self == p / q, read

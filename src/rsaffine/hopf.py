@@ -23,13 +23,13 @@ from .rep_core import (
     GammaPrimeHalf,
     MatrixModule,
     W,
-    WPSER_KIND,
     WSER_KIND,
     Wp,
     XM_KIND,
     XP_KIND,
     Gen,
 )
+from .sl2 import with_series
 
 
 @dataclass(frozen=True)
@@ -141,31 +141,13 @@ def twist_sigma(mod: MatrixModule, signs) -> MatrixModule:
     return MatrixModule(mod.table, assign, rs=mod.rs)
 
 
-def _retwist_series(mod: MatrixModule, assign) -> dict:
-    """Recompute operational series/imaginary generators from new currents."""
-    from .sl2 import EvalModule, omega_matrices, recover_imaginary
-
-    sers = sorted(g.k for g in mod.assign if g.kind == WSER_KIND)
-    ells = sorted(g.k for g in mod.assign if g.kind == AIM_KIND and g.k > 0)
-    stripped = {
-        g: m
-        for g, m in assign.items()
-        if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)
-    }
-    em = EvalModule(mod.dim - 1, ONE, MatrixModule(mod.table, stripped, check=False, rs=mod.rs))
-    if sers:
-        ws, wps = omega_matrices(em, max(sers))
-        for m, mat in enumerate(ws):
-            stripped[Gen(WSER_KIND, 1, m)] = mat
-        for m, mat in enumerate(wps):
-            stripped[Gen(WPSER_KIND, 1, -m)] = mat
-        em = EvalModule(mod.dim - 1, ONE, MatrixModule(mod.table, stripped, check=False, rs=mod.rs))
-    if ells:
-        apos, aneg = recover_imaginary(em, max(ells))
-        for l in range(1, max(ells) + 1):
-            stripped[Gen(AIM_KIND, 1, l)] = apos[l - 1]
-            stripped[Gen(AIM_KIND, 1, -l)] = aneg[l - 1]
-    return stripped
+def _retwist_series(mod: MatrixModule, assign) -> MatrixModule:
+    """The twisted module, its series and imaginary generators re-derived
+    from the new currents to the orders mod carries."""
+    twisted = MatrixModule(mod.table, assign, check=False, rs=mod.rs)
+    sers = [g.k for g in mod.assign if g.kind == WSER_KIND]
+    ells = [g.k for g in mod.assign if g.kind == AIM_KIND]
+    return with_series(twisted, max(sers), max(ells, default=0)) if sers else twisted
 
 
 def twist_gamma1(mod: MatrixModule) -> MatrixModule:
@@ -180,7 +162,7 @@ def twist_gamma1(mod: MatrixModule) -> MatrixModule:
             assign[g] = -mat
         else:
             assign[g] = mat
-    return MatrixModule(mod.table, _retwist_series(mod, assign), check=False, rs=mod.rs)
+    return _retwist_series(mod, assign)
 
 
 def twist_gamma2(mod: MatrixModule, c) -> MatrixModule:
@@ -196,7 +178,7 @@ def twist_gamma2(mod: MatrixModule, c) -> MatrixModule:
             assign[g] = mat.scale(c**g.k)
         else:
             assign[g] = mat
-    return MatrixModule(mod.table, _retwist_series(mod, assign), check=False, rs=mod.rs)
+    return _retwist_series(mod, assign)
 
 
 def twist(mod: MatrixModule, aut: str, signs=None, c=None) -> MatrixModule:

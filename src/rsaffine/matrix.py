@@ -183,9 +183,6 @@ class Matrix:
     def is_diagonal(self) -> bool:
         return all(row.keys() <= {i} for i, row in enumerate(self._rows))
 
-    def diagonal_entries(self):
-        return [self._rows[i].get(i, ZERO) for i in range(min(self.n, self.m))]
-
     def kron(self, other) -> "Matrix":
         """Kronecker product (left factor acts on the outer index)."""
         mb = other.m

@@ -139,9 +139,6 @@ class MatrixModule:
             if (g @ g) @ (gp @ gp) != ident:
                 raise ValueError("gamma gamma' must act as the identity (c = 0)")
 
-    def has(self, gen: Gen) -> bool:
-        return gen in self.assign
-
     def get(self, gen: Gen) -> Matrix:
         # out-of-range series elements are zero by definition
         if gen.kind == WSER_KIND and gen.k < 0:

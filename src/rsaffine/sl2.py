@@ -9,13 +9,14 @@ formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cartan import AffineType, build_pairing
 from .errors import BadConstantTerm, NotEigenvector, WindowTooSmall
-from .field import A, ONE, R, S, RatFunc, quantum_int
+from .field import A, ONE, R, S, ZERO, RatFunc, quantum_int
 from .matrix import Matrix, commutator
 from .rep_core import (
+    AIM_KIND,
+    WPSER_KIND,
+    WSER_KIND,
     Aim,
     E,
     F,
@@ -44,19 +45,6 @@ def shift_factor(use_shift) -> RatFunc:
     if use_shift in (True, RS_INVERSE):
         return _RHO
     raise ValueError(f"unknown shift {use_shift!r}")
-
-
-@dataclass(frozen=True)
-class EvalModule:
-    """An (n+1)-dimensional current module; shift multiplies the parameter a."""
-
-    n: int
-    shift: RatFunc
-    base: MatrixModule
-
-    @property
-    def dim(self) -> int:
-        return self.n + 1
 
 
 def _vn_matrices(n: int):
@@ -123,8 +111,6 @@ def current_matrices(n: int, shift: RatFunc, k: int):
     ap = shift * A
     xp = [[None] * d for _ in range(d)]
     xm = [[None] * d for _ in range(d)]
-    from .field import ZERO
-
     for r_ in range(d):
         for c_ in range(d):
             xp[r_][c_] = ZERO
@@ -157,13 +143,12 @@ def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
     return out
 
 
-def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> EvalModule:
+def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
     """Current module with x+-(k) for |k| <= kmax+1, the omega series to
     order 2*kmax, and the recovered imaginary generators to +-lmax."""
     if n < 0 or kmax < 1:
         raise ValueError("need n >= 0 and kmax >= 1")
     sh = shift_factor(use_shift)
-    d = n + 1
     _, _, w, wp = _vn_matrices(n)
     assign = {
         W(1): w,
@@ -176,28 +161,40 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
         xp, xm = current_matrices(n, sh, k)
         assign[Xp(1, k)] = xp
         assign[Xm(1, k)] = xm
-    em = EvalModule(n, sh, MatrixModule(_A1, _with_gammas(assign, d)))
+    currents = MatrixModule(_A1, _with_gammas(assign, n + 1), check=False)
+    return MatrixModule(_A1, with_series(currents, 2 * kmax, lmax).assign)
 
-    ws, wps = omega_matrices(em, 2 * kmax)
+
+def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
+    """mod with w(0..order), w'(0..-order) derived from its currents and
+    a(+-1..+-lmax) recovered from them; stored series generators are replaced."""
+    assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
+    ws, wps = omega_matrices(mod, order)
     for m, mat in enumerate(ws):
         assign[Wser(1, m)] = mat
     for m, mat in enumerate(wps):
         assign[Wpser(1, -m)] = mat
-    em = EvalModule(n, sh, MatrixModule(_A1, assign))
-
-    apos, aneg = recover_imaginary(em, lmax)
+    apos, aneg = recover_imaginary(MatrixModule(mod.table, assign, check=False, rs=mod.rs), lmax)
     for l in range(1, lmax + 1):
         assign[Aim(1, l)] = apos[l - 1]
         assign[Aim(1, -l)] = aneg[l - 1]
-    return EvalModule(n, sh, MatrixModule(_A1, assign))
+    return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
 
 
-def omega_matrices(em: EvalModule, mmax: int):
+def series_matrices(mod: MatrixModule, order: int):
+    """w(0..order) and w'(0..-order): the stored ones when the module carries
+    all of them, otherwise derived from the currents by omega_matrices."""
+    gens = [(Wser(1, m), Wpser(1, -m)) for m in range(order + 1)]
+    if all(g in mod.assign and gp in mod.assign for g, gp in gens):
+        return [mod.assign[g] for g, _ in gens], [mod.assign[gp] for _, gp in gens]
+    return omega_matrices(mod, order)
+
+
+def omega_matrices(mod: MatrixModule, mmax: int):
     """Series generators from the commutator instances:
     w(m) = (r-s)[x+(m), x-(0)] and w'(-m) = -(r-s)[x+(0), x-(-m)] for m > 0,
     w(0), w'(0) from the group-likes.  All results are diagonal (asserted).
     """
-    mod = em.base
     if mod.kmax < mmax:
         raise WindowTooSmall(f"currents to |k| <= {mod.kmax}, need {mmax}")
     rs = R - S
@@ -215,23 +212,17 @@ def omega_matrices(em: EvalModule, mmax: int):
     return ws, wps
 
 
-def recover_imaginary(em: EvalModule, lmax: int):
+def recover_imaginary(mod: MatrixModule, lmax: int):
     """Imaginary generators from the series logarithm:
     sum_m w(m) z^-m = w(0) exp((r-s) sum_l a(l) z^-l) and the primed series
     with the -(r-s) sign.  Returns (a(1..lmax), a(-1..-lmax)), all diagonal.
     """
-    mod = em.base
-    try:
-        ws = [mod.assign[Wser(1, m)] for m in range(lmax + 1)]
-        wps = [mod.assign[Wpser(1, -m)] for m in range(lmax + 1)]
-    except KeyError:
-        ws, wps = omega_matrices(em, lmax)
-    d = em.dim
+    ws, wps = series_matrices(mod, lmax)
     rs_inv = (R - S).inv()
 
     apos_diag = [[] for _ in range(lmax)]
     aneg_diag = [[] for _ in range(lmax)]
-    for i in range(d):
+    for i in range(mod.dim):
         c0 = ws[0][i, i]
         c0p = wps[0][i, i]
         if c0.is_zero() or c0p.is_zero():
@@ -248,7 +239,5 @@ def recover_imaginary(em: EvalModule, lmax: int):
     return apos, aneg
 
 
-def highest_weight_vector(em: EvalModule):
-    from .field import ZERO
-
-    return [ONE] + [ZERO] * em.n
+def highest_weight_vector(mod: MatrixModule):
+    return [ONE] + [ZERO] * (mod.dim - 1)

@@ -41,10 +41,6 @@ class SpecMap:
         if self.kind == R_TO_S_POW and abs(self.k) >= MAX_EXPONENT:
             raise ValueError(f"r -> s^k needs |k| < {MAX_EXPONENT}, got {self.k}")
 
-    @property
-    def target_variable(self) -> str:
-        return "s" if self.kind == R_TO_S_POW else "r"
-
     def subs(self) -> dict:
         if self.kind == S_TO_R_INVERSE:
             return {"s": R**-1}
@@ -56,10 +52,6 @@ class SpecMap:
 
     def apply(self, x: RatFunc) -> RatFunc:
         return x.substitute(**self.subs())
-
-    def image_rs(self):
-        """Images of the pair (r, s) under the map."""
-        return (self.apply(R), self.apply(S))
 
 
 def parse_spec_map(text: str) -> SpecMap:

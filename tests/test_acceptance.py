@@ -60,8 +60,8 @@ def test_criterion_1_relation_suite():
             chev = build_chevalley_eval(n, shift)
             if not all_pass(check_chevalley(chev)):
                 failures.append(f"chevalley n={n} shift={shift}")
-            em = build_current_eval(n, shift, kmax=4, lmax=3)
-            if not all_pass(check_drinfeld(em.base, kmax=4, lmax=3)):
+            mod = build_current_eval(n, shift, kmax=4, lmax=3)
+            if not all_pass(check_drinfeld(mod, kmax=4, lmax=3)):
                 failures.append(f"drinfeld n={n} shift={shift}")
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 60.0
@@ -78,8 +78,8 @@ def test_criterion_2_drinfeld_polynomials():
     for n in range(6):
         for shift in (False, True):
             order = 2 * n + 2
-            em = build_current_eval(n, shift, kmax=max(1, (order + 1) // 2), lmax=1)
-            h = extract_hw_series(em, order)
+            mod = build_current_eval(n, shift, kmax=max(1, (order + 1) // 2), lmax=1)
+            h = extract_hw_series(mod, order)
             try:
                 p = reconstruct_P(h)  # verifies plus and minus/mirror identities
             except Exception as exc:
@@ -89,8 +89,8 @@ def test_criterion_2_drinfeld_polynomials():
                 bad.append(f"n={n} shift={shift}: closed-form mismatch")
     # the printed eigenvalue formula and the displayed resummation, plain shift
     for n in range(6):
-        em = build_current_eval(n, False, kmax=n + 1, lmax=1)
-        h = extract_hw_series(em, min(2 * n + 2, 2 * (n + 1)))
+        mod = build_current_eval(n, False, kmax=n + 1, lmax=1)
+        h = extract_hw_series(mod, min(2 * n + 2, 2 * (n + 1)))
         for k in range(1, h.plus.order + 1):
             want = (R - S) * (A * R**-1 * S ** (1 - n)) ** k * quantum_int(n)
             if h.plus[k] != want:
@@ -112,8 +112,8 @@ def test_criterion_3_weight_generating_functions():
     t0 = time.monotonic()
     bad = []
     for n in (1, 2, 3):
-        em = build_current_eval(n, True, kmax=3, lmax=1)
-        rep = verify_RQ_form(em, order=6)
+        mod = build_current_eval(n, True, kmax=3, lmax=1)
+        rep = verify_RQ_form(mod, order=6)
         for entry in rep["per_weight"]:
             if not (entry["pass"] and entry["prefactor_consistent"]):
                 bad.append(f"n={n} i={entry['i']}")
@@ -213,10 +213,10 @@ def test_criterion_7_twists():
     c = R**2 * S**-1
     for n in (0, 1, 2):
         for shift in (False, True):
-            em = build_current_eval(n, shift, kmax=2, lmax=2)
-            tw2 = twist(em.base, "gamma2", c=c)
-            tw1 = twist(em.base, "gamma1")
-            for g, mat in em.base.assign.items():
+            mod = build_current_eval(n, shift, kmax=2, lmax=2)
+            tw2 = twist(mod, "gamma2", c=c)
+            tw1 = twist(mod, "gamma1")
+            for g, mat in mod.assign.items():
                 if g.kind not in ("Xp", "Xm"):
                     continue
                 scaled = Matrix([[x.substitute(a=c * A) for x in row] for row in mat.rows])
@@ -240,16 +240,16 @@ def test_criterion_7_twists():
 
 def test_criterion_8_mutation_sensitivity():
     caught = []
-    em = build_current_eval(2, kmax=2, lmax=2)
+    mod = build_current_eval(2, kmax=2, lmax=2)
     chev = build_chevalley_eval(2)
 
-    bad_curr = em.base.with_assign(Xp(1, 1), Matrix.zeros(3))
+    bad_curr = mod.with_assign(Xp(1, 1), Matrix.zeros(3))
     caught.append(not all_pass(check_drinfeld(bad_curr, 2, 2)))
 
     bad_chev = chev.with_assign(E(1), chev.get(E(1)).scale(2))
     caught.append(not all_pass(check_chevalley(bad_chev)))
 
-    bad_curr2 = em.base.with_assign(Xm(1, 0), em.base.get(Xm(1, 0)).scale(R * S))
+    bad_curr2 = mod.with_assign(Xm(1, 0), mod.get(Xm(1, 0)).scale(R * S))
     caught.append(not all_pass(check_drinfeld(bad_curr2, 2, 2)))
 
     _report(8, all(caught), f"3 injected corruptions all caught: {caught}")

@@ -32,7 +32,7 @@ def test_verify_kmax_bound(capsys):
 # Polynomial products made by `verify --n 4 --json`.  The count is exact and
 # machine independent, so a change that makes the relation check do more
 # arithmetic fails here; a change that makes it do less updates the number.
-VERIFY_N4_PMUL_CALLS = 22800
+VERIFY_N4_PMUL_CALLS = 22700
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -50,6 +50,29 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
     code, _ = run(capsys, "verify", "--n", "4", "--json")
     assert code == EXIT_PASS
     assert calls == VERIFY_N4_PMUL_CALLS
+
+
+# Matrix products made by `verify --n 4 --json`, exact like the pmul count.
+# The current module's invariant check runs once, on the module returned by
+# build_current_eval; checking each intermediate module as well made 1,766.
+VERIFY_N4_MATMUL_CALLS = 1756
+
+
+def test_verify_matmul_count_tripwire(capsys, monkeypatch):
+    from rsaffine.matrix import Matrix
+
+    calls = 0
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    code, _ = run(capsys, "verify", "--n", "4", "--json")
+    assert code == EXIT_PASS
+    assert calls == VERIFY_N4_MATMUL_CALLS
 
 
 # Polynomial gcds, recursive ones included, made by `verify --n 2 --a 1+r
@@ -255,6 +278,9 @@ BAD_INPUT_CASES = [
     (("twist", "--aut", "gamma1", "--kmax", "2", "--lmax", "5"), None, EXIT_USAGE, "--lmax"),
     (("twist", "--aut", "gamma2", "--n", "1"), None, EXIT_USAGE, "--c"),
     (("twist", "--aut", "gamma2", "--c", "1/0"), None, EXIT_USAGE, "--c"),
+    (("twist", "--aut", "sigma", "--signs", "+++", "--n", "1"), None, EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "sigma", "--signs", "+x"), None, EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "sigma", "--signs=-+"), None, EXIT_PASS, ""),
     (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
     (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
     (("table", "--type", "E8"), None, EXIT_USAGE, "--type"),

@@ -30,8 +30,8 @@ def _module(n, shift=False, order=None):
 
 
 def test_hw_series_values_v1():
-    em = _module(1)
-    h = extract_hw_series(em, 4)
+    mod = _module(1)
+    h = extract_hw_series(mod, 4)
     assert h.plus[0] == R
     assert h.minus[0] == S
     # hand-checked expansion of r (1 - a r^-2 s z)/(1 - a r^-1 z)
@@ -41,8 +41,8 @@ def test_hw_series_values_v1():
 
 
 def test_hw_series_constant_for_n0():
-    em = _module(0, order=6)
-    h = extract_hw_series(em, 3)
+    mod = _module(0, order=6)
+    h = extract_hw_series(mod, 3)
     assert list(h.plus.coeffs) == [ONE, ZERO, ZERO, ZERO]
     assert list(h.minus.coeffs) == [ONE, ZERO, ZERO, ZERO]
 
@@ -69,8 +69,8 @@ def test_closed_form_mirror_is_rs_twist():
 
 
 def test_reconstruct_v1():
-    em = _module(1)
-    p = reconstruct_P(extract_hw_series(em, 4))
+    mod = _module(1)
+    p = reconstruct_P(extract_hw_series(mod, 4))
     assert p == closed_form_P(1)
     assert p.degree == 1
 
@@ -78,8 +78,8 @@ def test_reconstruct_v1():
 @pytest.mark.parametrize("n", range(6))
 @pytest.mark.parametrize("shift", (False, True))
 def test_reconstruct_matches_closed_form(n, shift):
-    em = _module(n, shift)
-    p = reconstruct_P(extract_hw_series(em, 2 * n + 2))
+    mod = _module(n, shift)
+    p = reconstruct_P(extract_hw_series(mod, 2 * n + 2))
     assert p == closed_form_P(n, shift)
     assert p.degree == n
 
@@ -106,8 +106,8 @@ def test_reconstruct_rejects_bad_constant():
 
 
 def test_reconstruct_rejects_non_drinfeld_series():
-    em = _module(1)
-    h = extract_hw_series(em, 4)
+    mod = _module(1)
+    h = extract_hw_series(mod, 4)
     coeffs = list(h.plus.coeffs)
     coeffs[3] = coeffs[3] + ONE  # corrupt one high coefficient
     bad = HwSeries(plus=TruncSeries("z", 4, coeffs), minus=h.minus, n=1)
@@ -116,8 +116,8 @@ def test_reconstruct_rejects_non_drinfeld_series():
 
 
 def test_reconstruct_flags_mirror_mismatch():
-    em = _module(1)
-    h = extract_hw_series(em, 4)
+    mod = _module(1)
+    h = extract_hw_series(mod, 4)
     coeffs = list(h.minus.coeffs)
     coeffs[2] = coeffs[2] * (R * S)
     bad = HwSeries(plus=h.plus, minus=TruncSeries("z", 4, coeffs, direction=DESC), n=1)
@@ -126,8 +126,8 @@ def test_reconstruct_flags_mirror_mismatch():
 
 
 def test_short_series_rejected():
-    em = _module(2)
-    h = extract_hw_series(em, 3)
+    mod = _module(2)
+    h = extract_hw_series(mod, 3)
     with pytest.raises(NoSolution):
         reconstruct_P(HwSeries(plus=h.plus.truncate(3), minus=h.minus.truncate(3), n=2))
 
@@ -136,26 +136,26 @@ def test_short_series_rejected():
 
 
 def test_weight_zero_equals_hw_series():
-    em = _module(2, shift=True)
-    h = extract_hw_series(em, 4)
-    plus, minus = weight_gamma_series(em, 0, 4)
+    mod = _module(2, shift=True)
+    h = extract_hw_series(mod, 4)
+    plus, minus = weight_gamma_series(mod, 0, 4)
     assert plus.coeffs == h.plus.coeffs
     assert minus.coeffs == h.minus.coeffs
 
 
 def test_weight_index_bounds():
-    em = _module(1)
+    mod = _module(1)
     with pytest.raises(IndexOutOfRange):
-        weight_gamma_series(em, 5, 3)
+        weight_gamma_series(mod, 5, 3)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_omega_eigenvalue_on_weight_spaces(n):
     # w(k).v_i = (r-s) a^k s^-nk rho^-ki rho^k (rho^-k [i+1][n-i] - [n+1-i][i]) v_i
     # on the rs^-1-shifted module
-    em = build_current_eval(n, True, kmax=3, lmax=1)
+    mod = build_current_eval(n, True, kmax=3, lmax=1)
     for i in range(n + 1):
-        plus, _ = weight_gamma_series(em, i, 3)
+        plus, _ = weight_gamma_series(mod, i, 3)
         for k in range(1, 4):
             want = (
                 (R - S)
@@ -176,9 +176,9 @@ def test_four_factor_closed_form(n):
     # plus series on v_i collapses to
     # r^(n-i) s^i (1-a r s^-n-1 u)(1-a r^-n u) / ((1-a r^-i s^(i-n) u)(1-a r^(1-i) s^(i-n-1) u))
     order = 6
-    em = build_current_eval(n, True, kmax=3, lmax=1)
+    mod = build_current_eval(n, True, kmax=3, lmax=1)
     for i in range(n + 1):
-        plus, _ = weight_gamma_series(em, i, order)
+        plus, _ = weight_gamma_series(mod, i, order)
         num = TruncSeries("u", order, [ONE, -A * R * S ** (-n - 1)]) * TruncSeries(
             "u", order, [ONE, -A * R**-n]
         )
@@ -190,8 +190,8 @@ def test_four_factor_closed_form(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_verify_rq_form(n):
-    em = build_current_eval(n, True, kmax=3, lmax=1)
-    rep = verify_RQ_form(em, order=6)
+    mod = build_current_eval(n, True, kmax=3, lmax=1)
+    rep = verify_RQ_form(mod, order=6)
     assert rep["all_pass"]
     assert [e["i"] for e in rep["per_weight"]] == list(range(n + 1))
 
@@ -206,10 +206,10 @@ def test_library_order_lower_bounds():
     assert drinfeld_report(2, order=5)["checks"]["plus"] == "pass"
     assert drinfeld_report(0, order=1)["checks"]["plus"] == "pass"
     # order 0 would compare no coefficient and report a vacuous pass
-    em = build_current_eval(1, True, kmax=1, lmax=1)
+    mod = build_current_eval(1, True, kmax=1, lmax=1)
     with pytest.raises(ValueError):
-        verify_RQ_form(em, order=0)
-    rep = verify_RQ_form(em, order=1)
+        verify_RQ_form(mod, order=0)
+    rep = verify_RQ_form(mod, order=1)
     assert rep["all_pass"] and rep["order"] == 1
 
 

@@ -20,7 +20,6 @@ from rsaffine.field import (
     R,
     S,
     ZERO,
-    LaurentMono,
     RatFunc,
     gauss_binom,
     parse,
@@ -82,10 +81,9 @@ def test_canonical_form_der_monic_and_reduced():
 
 
 def test_fraction_edges_round_trip():
-    x = RatFunc.monomial(Fraction(-3, 2), Fraction(1, 2), 0, 1) + rf(1) / 3
-    assert [m.coeff for m in x.monomials()] == [Fraction(-3, 2), Fraction(1, 3)]
-    assert RatFunc.from_monomials(x.monomials()) == x
-    assert RatFunc.from_monomials([]) == ZERO
+    x = RatFunc.monomial(Fraction(-3, 2), Fraction(1, 2), 0, 1)
+    assert (x.num, x.den) == ({(3, 0, 1, 0): -3}, {(0, 0, 0, 0): 2})
+    assert x == parse("-3/2*r^(1/2)*a")
     assert (rf(5) / -6).as_fraction() == Fraction(-5, 6)
     assert RatFunc.from_fraction(Fraction(-5, 6)) == rf(5) / -6
 
@@ -94,13 +92,30 @@ def test_monomial_constructor_lattice():
     half = RatFunc.monomial(1, Fraction(1, 2), Fraction(-1, 2), 0)
     assert half * half == R * S**-1
     with pytest.raises(LatticeOverflow):
-        LaurentMono(Fraction(1), Fraction(1, 4), Fraction(0), 0)
+        RatFunc.monomial(1, Fraction(1, 4), 0, 0)
+
+
+@pytest.mark.parametrize("exp_a", [Fraction(1, 2), Fraction(-7, 3)])
+def test_monomial_rejects_fractional_parameter_exponent(exp_a):
+    # a and b take integer exponents only, as parse("a^(1/2)") already enforces
+    with pytest.raises(LatticeOverflow):
+        RatFunc.monomial(1, 0, 0, exp_a)
+    with pytest.raises(LatticeOverflow):
+        RatFunc.monomial(1, 0, 0, 0, exp_a)
+    assert RatFunc.monomial(1, 0, 0, Fraction(4, 2)) == A**2
+
+
+def test_monomial_rejects_float_exponent():
+    with pytest.raises(TypeError):
+        RatFunc.monomial(1, 0, 0, 2.7)
+    with pytest.raises(TypeError):
+        RatFunc.monomial(1, 0.5)
 
 
 def test_zero_monomial_normalizes_exponents():
-    m = LaurentMono(Fraction(0), Fraction(1, 2), Fraction(3), 5)
-    assert m.exp_r == 0 and m.exp_s == 0 and m.exp_a == 0
-    assert m.as_ratfunc() == ZERO
+    m = RatFunc.monomial(Fraction(0), Fraction(1, 2), Fraction(3), 5)
+    assert m == ZERO and m.is_zero()
+    assert (m.num, m.den) == (ZERO.num, ZERO.den)
 
 
 def test_quantum_int_small():

@@ -257,7 +257,7 @@ def plain_d5_d7_failures(mod, kmax, lmax):
 @pytest.mark.parametrize("mutate", (False, True))
 def test_scaled_checks_match_the_plain_comparison(mutate):
     n, kmax, lmax = 2, 2, 2
-    mod = build_current_eval(n, kmax=kmax, lmax=lmax).base
+    mod = build_current_eval(n, kmax=kmax, lmax=lmax)
     if mutate:
         _, mod = _apply_mutation(build_chevalley_eval(n), mod, "xminus-scale")
     reports = {r.relation_id: r for r in check_drinfeld(mod, kmax, lmax)}

@@ -65,8 +65,8 @@ def test_scaled_generator_breaks_r3():
 
 
 def test_zeroed_current_breaks_ladder():
-    em = build_current_eval(1, kmax=2, lmax=2)
-    bad = em.base.with_assign(Xp(1, 1), Matrix.zeros(2))
+    curr = build_current_eval(1, kmax=2, lmax=2)
+    bad = curr.with_assign(Xp(1, 1), Matrix.zeros(2))
     reports = {r.relation_id: r for r in check_drinfeld(bad, 2, 2)}
     assert not reports["D5_1"].passed
     assert not reports["D7"].passed
@@ -77,8 +77,8 @@ def test_instance_counts_match_prediction():
     got = {r.relation_id: r.instances_checked for r in check_chevalley(mod)}
     assert got == chevalley_instance_counts(A1)
 
-    em = build_current_eval(1, kmax=3, lmax=2)
-    got = {r.relation_id: r.instances_checked for r in check_drinfeld(em.base, 3, 2)}
+    curr = build_current_eval(1, kmax=3, lmax=2)
+    got = {r.relation_id: r.instances_checked for r in check_drinfeld(curr, 3, 2)}
     assert got == drinfeld_instance_counts(3, 2)
 
 
@@ -92,9 +92,9 @@ def test_missing_generator():
 
 
 def test_window_too_small():
-    em = build_current_eval(1, kmax=2, lmax=2)
+    curr = build_current_eval(1, kmax=2, lmax=2)
     with pytest.raises(WindowTooSmall):
-        check_drinfeld(em.base, 8, 2)
+        check_drinfeld(curr, 8, 2)
 
 
 def test_drinfeld_needs_rank_one():
@@ -107,9 +107,9 @@ def test_drinfeld_needs_rank_one():
 
 
 def test_series_symbols_out_of_range_are_zero():
-    em = build_current_eval(1, kmax=2, lmax=2)
-    assert em.base.get(Wser(1, -3)).is_zero()
-    assert em.base.get(Gen("Wpser", 1, 2)).is_zero()
+    curr = build_current_eval(1, kmax=2, lmax=2)
+    assert curr.get(Wser(1, -3)).is_zero()
+    assert curr.get(Gen("Wpser", 1, 2)).is_zero()
 
 
 def test_imaginary_symbol_needs_nonzero_index():

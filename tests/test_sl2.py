@@ -12,8 +12,10 @@ from rsaffine.rep_core import (
     Aim,
     E,
     F,
+    MatrixModule,
     W,
     Wp,
+    Wpser,
     Wser,
     Xm,
     Xp,
@@ -30,6 +32,8 @@ from rsaffine.sl2 import (
     highest_weight_vector,
     omega_matrices,
     recover_imaginary,
+    series_matrices,
+    with_series,
 )
 
 RHO = R * S**-1
@@ -102,30 +106,30 @@ def test_e0_annihilates_v0_iff_n0():
 
 
 def test_current_k0_is_chevalley_pair():
-    em = build_current_eval(2, kmax=2, lmax=1)
+    mod = build_current_eval(2, kmax=2, lmax=1)
     m = build_Vn(2)
-    assert em.base.get(Xp(1, 0)) == m.get(E(1))
-    assert em.base.get(Xm(1, 0)) == m.get(F(1))
+    assert mod.get(Xp(1, 0)) == m.get(E(1))
+    assert mod.get(Xm(1, 0)) == m.get(F(1))
 
 
 def test_current_positive_k_example():
     # x+(1).v_1 = a s^-1 (rs^-1)^-1 [1] v_0 = a r^-1 v_0 at n = 1
-    em = build_current_eval(1, kmax=2, lmax=1)
-    assert em.base.get(Xp(1, 1)).apply([ZERO, ONE]) == [A * R**-1, ZERO]
+    mod = build_current_eval(1, kmax=2, lmax=1)
+    assert mod.get(Xp(1, 1)).apply([ZERO, ONE]) == [A * R**-1, ZERO]
 
 
 def test_current_negative_k_example():
     # x-(-1).v_0 = a^-1 r^-1 (rs^-1) v_1 = a^-1 s^-1 v_1 at n = 1
-    em = build_current_eval(1, kmax=2, lmax=1)
-    assert em.base.get(Xm(1, -1)).apply([ONE, ZERO]) == [ZERO, A**-1 * S**-1]
+    mod = build_current_eval(1, kmax=2, lmax=1)
+    assert mod.get(Xm(1, -1)).apply([ONE, ZERO]) == [ZERO, A**-1 * S**-1]
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_highest_weight_annihilation(n):
-    em = build_current_eval(n, kmax=3, lmax=1)
-    v0 = highest_weight_vector(em)
-    for k in range(-em.base.kmax, em.base.kmax + 1):
-        assert all(x.is_zero() for x in em.base.get(Xp(1, k)).apply(v0))
+    mod = build_current_eval(n, kmax=3, lmax=1)
+    v0 = highest_weight_vector(mod)
+    for k in range(-mod.kmax, mod.kmax + 1):
+        assert all(x.is_zero() for x in mod.get(Xp(1, k)).apply(v0))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -138,29 +142,29 @@ def test_evaluation_morphism_agrees_with_closed_action(n, shift):
 
 
 def test_omega_zero_is_grouplike():
-    em = build_current_eval(2, kmax=2, lmax=1)
-    ws, wps = omega_matrices(em, 2)
-    assert ws[0] == em.base.get(W(1))
-    assert wps[0] == em.base.get(Wp(1))
+    mod = build_current_eval(2, kmax=2, lmax=1)
+    ws, wps = omega_matrices(mod, 2)
+    assert ws[0] == mod.get(W(1))
+    assert wps[0] == mod.get(Wp(1))
 
 
 def test_omega_negative_index_is_zero():
-    em = build_current_eval(1, kmax=2, lmax=1)
-    assert em.base.get(Wser(1, -2)).is_zero()
+    mod = build_current_eval(1, kmax=2, lmax=1)
+    assert mod.get(Wser(1, -2)).is_zero()
 
 
 def test_omega_eigenvalue_shifted_module():
     # on the rs^-1-shifted module: w(1).v_0 = a (r-s) s^-1 v_0
-    em = build_current_eval(1, use_shift=True, kmax=2, lmax=1)
-    ws, _ = omega_matrices(em, 1)
+    mod = build_current_eval(1, use_shift=True, kmax=2, lmax=1)
+    ws, _ = omega_matrices(mod, 1)
     assert ws[1].apply([ONE, ZERO]) == [A * (R - S) * S**-1, ZERO]
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_hw_eigenvalue_formulas(n):
     # Phi+_k = (r-s)(a r^-1 s^(1-n))^k [n], Phi-_-k = -(r-s)(a^-1 r^(1-n) s^-1)^k [n]
-    em = build_current_eval(n, kmax=3, lmax=1)
-    ws, wps = omega_matrices(em, 3)
+    mod = build_current_eval(n, kmax=3, lmax=1)
+    ws, wps = omega_matrices(mod, 3)
     qn = quantum_int(n)
     for k in range(1, 4):
         plus = (R - S) * (A * R**-1 * S ** (1 - n)) ** k * qn
@@ -170,35 +174,50 @@ def test_hw_eigenvalue_formulas(n):
 
 
 def test_omega_requires_materialized_currents():
-    em = build_current_eval(1, kmax=2, lmax=1)
+    mod = build_current_eval(1, kmax=2, lmax=1)
     with pytest.raises(WindowTooSmall):
-        omega_matrices(em, 40)
+        omega_matrices(mod, 40)
+
+
+def test_series_matrices_reads_stored_else_derives():
+    mod = build_current_eval(1, kmax=2, lmax=2)  # stores w(0..4), w'(0..-4)
+    ws, wps = series_matrices(mod, 4)
+    assert all(w is mod.get(Wser(1, m)) for m, w in enumerate(ws))
+    assert all(w is mod.get(Wpser(1, -m)) for m, w in enumerate(wps))
+    bare = MatrixModule(
+        mod.table,
+        {g: m for g, m in mod.assign.items() if g.kind not in ("Wser", "Wpser", "Aimag")},
+        check=False,
+    )
+    assert series_matrices(bare, 4) == (ws, wps)
+    assert with_series(bare, 4, 2).assign == mod.assign
+    assert with_series(mod, 4, 2).assign == mod.assign
 
 
 # -- imaginary generators --------------------------------------------------------------
 
 
 def test_trivial_module_has_zero_imaginaries():
-    em = build_current_eval(0, kmax=2, lmax=3)
-    apos, aneg = recover_imaginary(em, 3)
+    mod = build_current_eval(0, kmax=2, lmax=3)
+    apos, aneg = recover_imaginary(mod, 3)
     assert all(m.is_zero() for m in apos + aneg)
 
 
 def test_a1_eigenvalue_from_series_oracle():
     # independent oracle: a(1) = w(1) w(0)^-1 / (r-s) at order 1 of the log
-    em = build_current_eval(1, use_shift=True, kmax=2, lmax=2)
-    ws, _ = omega_matrices(em, 1)
+    mod = build_current_eval(1, use_shift=True, kmax=2, lmax=2)
+    ws, _ = omega_matrices(mod, 1)
     oracle = ws[1] @ ws[0].inverse()
     oracle = oracle.scale((R - S).inv())
-    apos, _ = recover_imaginary(em, 1)
+    apos, _ = recover_imaginary(mod, 1)
     assert apos[0] == oracle
     assert apos[0].apply([ONE, ZERO]) == [A * R**-1 * S**-1, ZERO]
 
 
 def test_imaginaries_commute():
-    em = build_current_eval(2, kmax=2, lmax=2)
-    a1 = em.base.get(Aim(1, 1))
-    am1 = em.base.get(Aim(1, -1))
+    mod = build_current_eval(2, kmax=2, lmax=2)
+    a1 = mod.get(Aim(1, 1))
+    am1 = mod.get(Aim(1, -1))
     assert (a1 @ am1 - am1 @ a1).is_zero()
 
 
@@ -206,9 +225,9 @@ def test_imaginaries_commute():
 def test_series_exponential_roundtrip(n):
     # rebuilding the omega series from the recovered imaginaries reproduces it
     order = 4
-    em = build_current_eval(n, kmax=2, lmax=order)
-    ws, _ = omega_matrices(em, order)
-    apos, _ = recover_imaginary(em, order)
+    mod = build_current_eval(n, kmax=2, lmax=order)
+    ws, _ = omega_matrices(mod, order)
+    apos, _ = recover_imaginary(mod, order)
     for i in range(n + 1):
         log_series = TruncSeries("z", order, [ZERO] + [(R - S) * m[i, i] for m in apos])
         rebuilt = log_series.exp() * ws[0][i, i]
@@ -218,25 +237,25 @@ def test_series_exponential_roundtrip(n):
 @pytest.mark.parametrize("n", range(4))
 def test_ladder_identity(n):
     # [a(l), x+(k)] = theta_l x+(l+k) with theta_l = (rho^l - rho^-l)/(l(r-s))
-    em = build_current_eval(n, kmax=3, lmax=2)
+    mod = build_current_eval(n, kmax=3, lmax=2)
     for l in (1, 2):
         th = (RHO**l - RHO**-l) / ((R - S) * l)
-        al = em.base.get(Aim(1, l))
+        al = mod.get(Aim(1, l))
         for k in range(-2, 3):
-            xp = em.base.get(Xp(1, k))
+            xp = mod.get(Xp(1, k))
             lhs = al @ xp - xp @ al
-            assert lhs == em.base.get(Xp(1, l + k)).scale(th)
+            assert lhs == mod.get(Xp(1, l + k)).scale(th)
 
 
 @pytest.mark.parametrize("n", range(4))
 @pytest.mark.parametrize("shift", (False, True))
 def test_full_drinfeld_suite(n, shift):
-    em = build_current_eval(n, shift, kmax=3, lmax=3)
-    assert all_pass(check_drinfeld(em.base, kmax=3, lmax=3))
+    mod = build_current_eval(n, shift, kmax=3, lmax=3)
+    assert all_pass(check_drinfeld(mod, kmax=3, lmax=3))
 
 
 def test_module_golden_file():
-    em = build_current_eval(2, kmax=1, lmax=1)
-    got = em.base.to_json()
+    mod = build_current_eval(2, kmax=1, lmax=1)
+    got = mod.to_json()
     golden = json.loads(GOLDEN.read_text())
     assert got == golden
