@@ -46,7 +46,7 @@ from .drinfeld import (
     verify_RQ_form,
     weight_gamma_series,
 )
-from .hopf import TensorModule, span_closure, tensor, twist
-from .specialize import SpecMap, specialize_module, specialize_table
+from .hopf import span_closure, tensor, twist
+from .specialize import SpecMap, specialize_module, specialize_table, substitute_module
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .rep_core import (
     check_drinfeld,
 )
 from .sl2 import build_chevalley_eval, build_current_eval
-from .specialize import centrality_report, parse_spec_map, specialize_module
+from .specialize import centrality_report, parse_spec_map, specialize_module, substitute_module
 
 MAX_N = 12
 MAX_KMAX = 8
@@ -91,18 +91,6 @@ def _parse_scalar(text: str, flag: str) -> RatFunc:
     return value
 
 
-def _pin_module(mod: MatrixModule, a=None, b=None) -> MatrixModule:
-    if a is None and b is None:
-        return mod
-    subs = {}
-    if a is not None:
-        subs["a"] = a
-    if b is not None:
-        subs["b"] = b
-    assign = {g: mat.map(lambda x: x.substitute(**subs)) for g, mat in mod.assign.items()}
-    return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
-
-
 _MUTATIONS = ("xplus", "e1scale", "xminus-scale")
 
 
@@ -150,8 +138,8 @@ def cmd_verify(args) -> int:
         chev, curr = _apply_mutation(chev, curr, args.mutate)
     if args.a is not None:
         a = _parse_scalar(args.a, "--a")
-        chev = _pin_module(chev, a=a)
-        curr = _pin_module(curr, a=a)
+        chev = substitute_module(chev, a=a)
+        curr = substitute_module(curr, a=a)
 
     reports = check_chevalley(chev) + check_drinfeld(curr, args.kmax, args.lmax)
     ok = all_pass(reports)
@@ -268,15 +256,14 @@ def cmd_specialize(args) -> int:
 def cmd_tensor(args) -> int:
     _check_bounds(n=max(args.left, args.right))
     mL = build_chevalley_eval(args.left)
-    mR_a = build_chevalley_eval(args.right)
-    mR = _pin_module(mR_a, a=B)  # right factor carries the second parameter
-    if args.a is not None or args.b is not None:
-        a = _parse_scalar(args.a, "--a") if args.a else None
-        b = _parse_scalar(args.b, "--b") if args.b else None
-        mL = _pin_module(mL, a=a)
-        mR = _pin_module(mR, b=b)
+    # the right factor carries the second parameter
+    mR = substitute_module(build_chevalley_eval(args.right), a=B)
+    if args.a:
+        mL = substitute_module(mL, a=_parse_scalar(args.a, "--a"))
+    if args.b:
+        mR = substitute_module(mR, b=_parse_scalar(args.b, "--b"))
     T = tensor(mL, mR)
-    reports = check_chevalley(T.module)
+    reports = check_chevalley(T)
     ok = all_pass(reports)
     basis = span_closure(T, tensor_basis_vector(mL, mR, 0, 0))
     doc = {
@@ -306,9 +293,10 @@ def cmd_twist(args) -> int:
     shift = args.shift == "rs-inverse"
     if args.aut == "sigma":
         chev = build_chevalley_eval(args.n, shift)
-        if len(args.signs) != chev.table.size or set(args.signs) - {"+", "-"}:
+        signs = "".join(args.signs)
+        if len(signs) != chev.table.size or set(signs) - {"+", "-"}:
             raise UsageError(f"--signs needs {chev.table.size} characters, each + or -")
-        tw = twist(chev, "sigma", signs=tuple(1 if ch == "+" else -1 for ch in args.signs))
+        tw = twist(chev, "sigma", signs=tuple(1 if ch == "+" else -1 for ch in signs))
         ok = all_pass(check_chevalley(tw))
         entrywise = None
     else:
@@ -316,7 +304,7 @@ def cmd_twist(args) -> int:
         mod = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
         tw = twist(mod, args.aut, c=c)
         reparam = -ONE if args.aut == "gamma1" else c
-        target = _pin_module(mod, a=reparam * parse("a"))
+        target = substitute_module(mod, a=reparam * parse("a"))
         currents = [g for g in target.assign if g.kind in ("Xp", "Xm")]
         entrywise = all(tw.assign[g] == target.assign[g] for g in currents)
         ok = all_pass(check_drinfeld(tw, args.kmax, args.lmax)) and entrywise
@@ -387,7 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--aut", choices=("sigma", "gamma1", "gamma2"), required=True)
     w.add_argument("--n", type=int, default=1)
     w.add_argument("--c", help="scalar for gamma2 (exact expression)")
-    w.add_argument("--signs", default="++", help="sign string for sigma, one per node")
+    w.add_argument(
+        "--signs",
+        nargs="+",
+        default="++",
+        help="signs for sigma, one + or - per node, as one or more tokens "
+        "that are joined: +-, + -, - - or --signs=-+",
+    )
     w.add_argument("--shift", choices=("plain", "rs-inverse"), default="plain")
     w.add_argument("--kmax", type=int, default=2)
     w.add_argument("--lmax", type=int, default=2)

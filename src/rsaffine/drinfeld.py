@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEigenvector
+from .errors import IndexOutOfRange, MirrorMismatch, NoSolution
 from .field import A, ONE, R, S, ZERO, render
 from .rep_core import MatrixModule
 from .series import ASC, DESC, TruncSeries, ratio_series
@@ -79,13 +79,7 @@ def _mirror(coeffs, n: int):
 
 def extract_hw_series(mod: MatrixModule, order: int) -> HwSeries:
     """Eigenvalues of w(k) and w'(-k) on the highest-weight basis vector."""
-    ws, wps = series_matrices(mod, order)
-    for m in (ws, wps):
-        for mat in m:
-            if not mat.is_diagonal():
-                raise NotEigenvector("series generator is not diagonal on the basis")
-    plus = TruncSeries("z", order, [w[0, 0] for w in ws], ASC)
-    minus = TruncSeries("z", order, [w[0, 0] for w in wps], DESC)
+    plus, minus = weight_gamma_series(mod, 0, order)
     return HwSeries(plus=plus, minus=minus, n=mod.dim - 1)
 
 
@@ -100,14 +94,14 @@ def plus_series_of(p: DrinfeldPoly, order: int) -> TruncSeries:
     """r^deg * P(sz)/P(rz) expanded about 0."""
     num = [c * S**k for k, c in enumerate(p.coeffs)]
     den = [c * R**k for k, c in enumerate(p.coeffs)]
-    return ratio_series(num, den, "z", order) * R ** p.degree
+    return ratio_series(num, den, order) * R ** p.degree
 
 
 def minus_series_of(p: DrinfeldPoly, order: int) -> TruncSeries:
     """r^deg * Q(sz)/Q(rz) expanded about infinity, Q the mirror."""
     num = [c * S**k for k, c in enumerate(p.mirror)]
     den = [c * R**k for k, c in enumerate(p.mirror)]
-    return ratio_series(num[::-1], den[::-1], "z", order, DESC) * R ** p.degree
+    return ratio_series(num[::-1], den[::-1], order, DESC) * R ** p.degree
 
 
 def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
@@ -147,8 +141,8 @@ def weight_gamma_series(mod: MatrixModule, i: int, order: int):
     if not (0 <= i < mod.dim):
         raise IndexOutOfRange(f"weight index {i} outside 0..{mod.dim - 1}")
     ws, wps = series_matrices(mod, order)
-    plus = TruncSeries("u", order, [w[i, i] for w in ws], ASC)
-    minus = TruncSeries("u", order, [w[i, i] for w in wps], DESC)
+    plus = TruncSeries(order, [w[i, i] for w in ws], ASC)
+    minus = TruncSeries(order, [w[i, i] for w in wps], DESC)
     return plus, minus
 
 
@@ -185,7 +179,7 @@ def rq_closed_series(n: int, i: int, order: int) -> TruncSeries:
 
 def _poly_series(coeffs, scale, order) -> TruncSeries:
     # a truncated product never reads a coefficient above the order
-    return TruncSeries.from_poly_coeffs((c * scale**k for k, c in enumerate(coeffs)), "u", order)
+    return TruncSeries.from_poly_coeffs((c * scale**k for k, c in enumerate(coeffs)), order)
 
 
 def verify_RQ_form(mod: MatrixModule, order: int = 6) -> dict:

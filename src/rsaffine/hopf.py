@@ -10,8 +10,6 @@ re-run by the caller: the automorphism property is verified, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MissingGenerator, TypeMismatch
 from .field import ONE, ZERO, RatFunc
 from .matrix import Matrix, echelon_insert
@@ -32,20 +30,7 @@ from .rep_core import (
 from .sl2 import with_series
 
 
-@dataclass(frozen=True)
-class TensorModule:
-    """Tensor product of two Chevalley modules via the coproduct."""
-
-    left: MatrixModule
-    right: MatrixModule
-    module: MatrixModule
-
-    @property
-    def dim(self) -> int:
-        return self.module.dim
-
-
-def tensor(mL: MatrixModule, mR: MatrixModule) -> TensorModule:
+def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
     """Coproduct action on the tensor square:
     E(i) -> E(x)1 + W(x)E, F(i) -> 1(x)F + F(x)W', group-likes factorwise."""
     if mL.table.type != mR.table.type:
@@ -73,7 +58,7 @@ def tensor(mL: MatrixModule, mR: MatrixModule) -> TensorModule:
     ident = idL.kron(idR)
     for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
         assign[g] = ident
-    return TensorModule(mL, mR, MatrixModule(mL.table, assign, rs=mL.rs))
+    return MatrixModule(mL.table, assign, rs=mL.rs)
 
 
 def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):
@@ -94,8 +79,6 @@ def span_closure(mod, seed):
     they are a basis of the result, and their images lie in it, so it is
     invariant.  At most dim x #generators images are computed.
     """
-    if isinstance(mod, TensorModule):
-        mod = mod.module
     seed = list(seed)
     if len(seed) != mod.dim:
         raise ValueError("dimension mismatch")

@@ -195,22 +195,15 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.n != self.m:
             raise ValueError("inverse of a non-square matrix")
+        # the reduced echelon form of [self | I] is [I | self^-1] exactly
+        # when self is invertible, i.e. when the last pivot is column n-1
         n = self.n
-        aug = [{**row, n + i: ONE} for i, row in enumerate(self._rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if col in aug[r]), None)
-            if piv is None:
-                raise DivisionByZero("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            prow = aug[col]
-            if not prow[col].is_one():
-                pc = prow[col].inv()
-                prow = aug[col] = {j: x * pc for j, x in prow.items()}
-            for r in range(n):
-                f = aug[r].get(col) if r != col else None
-                if f is not None:
-                    aug[r] = _add_rows(aug[r], prow, -f)
-        return Matrix._sparse([{j - n: x for j, x in row.items() if j >= n} for row in aug], n)
+        pivots, rows = [], []
+        for i, row in enumerate(self._rows):
+            echelon_insert(pivots, rows, {**row, n + i: ONE})
+        if pivots[-1] >= n:
+            raise DivisionByZero("singular matrix")
+        return Matrix._sparse([{j - n: x for j, x in row.items() if j >= n} for row in rows], n)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in row) for row in self.rows)

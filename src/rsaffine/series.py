@@ -1,10 +1,10 @@
 """Truncated formal power series with RatFunc coefficients.
 
-A series carries a variable tag ('z' or 'u'), a truncation order N, a
-direction ('asc' for powers x^0..x^N, 'desc' for x^0..x^-N), and exact
-coefficients c_0..c_N.  Products truncate; nothing beyond index N is ever
-read or written.  The two directions represent Laurent expansions about 0
-and about infinity of the same rational functions.
+A series carries a truncation order N, a direction ('asc' for powers
+x^0..x^N, 'desc' for x^0..x^-N), and exact coefficients c_0..c_N.
+Products truncate; nothing beyond index N is ever read or written.  The
+two directions represent Laurent expansions about 0 and about infinity of
+the same rational functions.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ DESC = "desc"
 
 
 class TruncSeries:
-    __slots__ = ("var", "order", "direction", "coeffs")
+    __slots__ = ("order", "direction", "coeffs")
 
-    def __init__(self, var, order, coeffs, direction=ASC):
-        if var not in ("z", "u"):
-            raise ValueError("variable tag must be 'z' or 'u'")
+    def __init__(self, order, coeffs, direction=ASC):
         if direction not in (ASC, DESC):
             raise ValueError("direction must be 'asc' or 'desc'")
         if order < 0:
@@ -32,7 +30,6 @@ class TruncSeries:
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the order admits")
         coeffs += [ZERO] * (order + 1 - len(coeffs))
-        self.var = var
         self.order = order
         self.direction = direction
         self.coeffs = tuple(RatFunc._coerce(c) for c in coeffs)
@@ -40,33 +37,29 @@ class TruncSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def constant(cls, c, var="z", order=8, direction=ASC):
-        return cls(var, order, [c], direction)
+    def constant(cls, c, order=8, direction=ASC):
+        return cls(order, [c], direction)
 
     @classmethod
-    def one(cls, var="z", order=8, direction=ASC):
-        return cls.constant(ONE, var, order, direction)
+    def one(cls, order=8, direction=ASC):
+        return cls.constant(ONE, order, direction)
 
     @classmethod
-    def variable(cls, var="z", order=8, direction=ASC):
+    def variable(cls, order=8, direction=ASC):
         """The series x (or x^-1 in descending direction) itself."""
-        return cls(var, order, [ZERO, ONE], direction)
+        return cls(order, [ZERO, ONE], direction)
 
     @classmethod
-    def from_poly_coeffs(cls, coeffs, var="z", order=8, direction=ASC):
-        return cls(var, order, list(coeffs)[: order + 1], direction)
+    def from_poly_coeffs(cls, coeffs, order=8, direction=ASC):
+        return cls(order, list(coeffs)[: order + 1], direction)
 
     # -- helpers --------------------------------------------------------------
 
     def _check(self, other):
-        if (
-            self.var != other.var
-            or self.direction != other.direction
-            or self.order != other.order
-        ):
+        if self.direction != other.direction or self.order != other.order:
             raise MixedSeries(
-                f"cannot combine {self.var}/{self.direction}/{self.order} "
-                f"with {other.var}/{other.direction}/{other.order}"
+                f"cannot combine {self.direction}/{self.order} "
+                f"with {other.direction}/{other.order}"
             )
 
     def __getitem__(self, k):
@@ -76,14 +69,13 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return (
-            self.var == other.var
-            and self.direction == other.direction
+            self.direction == other.direction
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.var, self.direction, self.order, self.coeffs))
+        return hash((self.direction, self.order, self.coeffs))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -91,10 +83,9 @@ class TruncSeries:
         if isinstance(other, (int, Fraction, RatFunc)):
             c = list(self.coeffs)
             c[0] = c[0] + other
-            return TruncSeries(self.var, self.order, c, self.direction)
+            return TruncSeries(self.order, c, self.direction)
         self._check(other)
         return TruncSeries(
-            self.var,
             self.order,
             [a + b for a, b in zip(self.coeffs, other.coeffs)],
             self.direction,
@@ -103,7 +94,7 @@ class TruncSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs], self.direction)
+        return TruncSeries(self.order, [-c for c in self.coeffs], self.direction)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
@@ -113,9 +104,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
-            return TruncSeries(
-                self.var, self.order, [c * other for c in self.coeffs], self.direction
-            )
+            return TruncSeries(self.order, [c * other for c in self.coeffs], self.direction)
         self._check(other)
         n = self.order
         out = [ZERO] * (n + 1)
@@ -126,7 +115,7 @@ class TruncSeries:
                 b = other.coeffs[j]
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.var, self.order, out, self.direction)
+        return TruncSeries(self.order, out, self.direction)
 
     __rmul__ = __mul__
 
@@ -145,7 +134,7 @@ class TruncSeries:
                 if not a.is_zero():
                     acc = acc + a * out[k - j]
             out[k] = -inv0 * acc
-        return TruncSeries(self.var, self.order, out, self.direction)
+        return TruncSeries(self.order, out, self.direction)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
@@ -167,7 +156,7 @@ class TruncSeries:
                 if not out[j].is_zero() and not a.is_zero():
                     acc = acc - out[j] * j * a
             out[k] = acc / k
-        return TruncSeries(self.var, self.order, out, self.direction)
+        return TruncSeries(self.order, out, self.direction)
 
     def exp(self) -> "TruncSeries":
         """Series exponential; needs c_0 == 0."""
@@ -182,37 +171,37 @@ class TruncSeries:
                 if not g.is_zero() and not out[k - j].is_zero():
                     acc = acc + g * j * out[k - j]
             out[k] = acc / k
-        return TruncSeries(self.var, self.order, out, self.direction)
+        return TruncSeries(self.order, out, self.direction)
 
     def truncate(self, order) -> "TruncSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.var, order, self.coeffs[: order + 1], self.direction)
+        return TruncSeries(order, self.coeffs[: order + 1], self.direction)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
     def __repr__(self):
         sign = "" if self.direction == ASC else "-"
-        terms = ", ".join(f"{c}*{self.var}^{sign}{k}" for k, c in enumerate(self.coeffs))
+        terms = ", ".join(f"{c}*z^{sign}{k}" for k, c in enumerate(self.coeffs))
         return f"TruncSeries[{terms}]"
 
 
-def geometric(ratio, var="z", order=8, direction=ASC) -> TruncSeries:
+def geometric(ratio, order=8, direction=ASC) -> TruncSeries:
     """1/(1 - ratio*x) as a truncated series."""
     ratio = RatFunc._coerce(ratio)
     coeffs = [ONE]
     for _ in range(order):
         coeffs.append(coeffs[-1] * ratio)
-    return TruncSeries(var, order, coeffs, direction)
+    return TruncSeries(order, coeffs, direction)
 
 
-def linear(c0, c1, var="z", order=8, direction=ASC) -> TruncSeries:
-    return TruncSeries(var, order, [c0, c1], direction)
+def linear(c0, c1, order=8, direction=ASC) -> TruncSeries:
+    return TruncSeries(order, [c0, c1], direction)
 
 
-def ratio_series(num_coeffs, den_coeffs, var="z", order=8, direction=ASC) -> TruncSeries:
+def ratio_series(num_coeffs, den_coeffs, order=8, direction=ASC) -> TruncSeries:
     """Expansion of a polynomial ratio num/den with den[0] invertible."""
-    num = TruncSeries.from_poly_coeffs(num_coeffs, var, order, direction)
-    den = TruncSeries.from_poly_coeffs(den_coeffs, var, order, direction)
+    num = TruncSeries.from_poly_coeffs(num_coeffs, order, direction)
+    den = TruncSeries.from_poly_coeffs(den_coeffs, order, direction)
     return num * den.inv()

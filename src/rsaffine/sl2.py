@@ -169,7 +169,7 @@ def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
     """mod with w(0..order), w'(0..-order) derived from its currents and
     a(+-1..+-lmax) recovered from them; stored series generators are replaced."""
     assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
-    ws, wps = omega_matrices(mod, order)
+    ws, wps = series_matrices(MatrixModule(mod.table, assign, check=False, rs=mod.rs), order)
     for m, mat in enumerate(ws):
         assign[Wser(1, m)] = mat
     for m, mat in enumerate(wps):
@@ -183,17 +183,25 @@ def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
 
 def series_matrices(mod: MatrixModule, order: int):
     """w(0..order) and w'(0..-order): the stored ones when the module carries
-    all of them, otherwise derived from the currents by omega_matrices."""
+    all of them, otherwise derived from the currents by omega_matrices.
+    Raises NotEigenvector unless every one is diagonal on the basis, since
+    the eigenvalue readers read only the diagonal."""
     gens = [(Wser(1, m), Wpser(1, -m)) for m in range(order + 1)]
     if all(g in mod.assign and gp in mod.assign for g, gp in gens):
-        return [mod.assign[g] for g, _ in gens], [mod.assign[gp] for _, gp in gens]
-    return omega_matrices(mod, order)
+        ws, wps = [mod.assign[g] for g, _ in gens], [mod.assign[gp] for _, gp in gens]
+    else:
+        ws, wps = omega_matrices(mod, order)
+    for m, (w, wp) in enumerate(zip(ws, wps)):
+        if not (w.is_diagonal() and wp.is_diagonal()):
+            raise NotEigenvector(f"series generator at m={m} is not diagonal")
+    return ws, wps
 
 
 def omega_matrices(mod: MatrixModule, mmax: int):
     """Series generators from the commutator instances:
     w(m) = (r-s)[x+(m), x-(0)] and w'(-m) = -(r-s)[x+(0), x-(-m)] for m > 0,
-    w(0), w'(0) from the group-likes.  All results are diagonal (asserted).
+    w(0), w'(0) from the group-likes.  series_matrices checks that they
+    are diagonal.
     """
     if mod.kmax < mmax:
         raise WindowTooSmall(f"currents to |k| <= {mod.kmax}, need {mmax}")
@@ -203,12 +211,8 @@ def omega_matrices(mod: MatrixModule, mmax: int):
     ws = [mod.get(W(1))]
     wps = [mod.get(Wp(1))]
     for m in range(1, mmax + 1):
-        wm = commutator(mod.get(Xp(1, m)), xm0).scale(rs)
-        wpm = commutator(xp0, mod.get(Xm(1, -m))).scale(-rs)
-        if not wm.is_diagonal() or not wpm.is_diagonal():
-            raise NotEigenvector(f"series generator at m={m} is not diagonal")
-        ws.append(wm)
-        wps.append(wpm)
+        ws.append(commutator(mod.get(Xp(1, m)), xm0).scale(rs))
+        wps.append(commutator(xp0, mod.get(Xm(1, -m))).scale(-rs))
     return ws, wps
 
 
@@ -227,8 +231,8 @@ def recover_imaginary(mod: MatrixModule, lmax: int):
         c0p = wps[0][i, i]
         if c0.is_zero() or c0p.is_zero():
             raise BadConstantTerm("group-like eigenvalue vanished")
-        f = TruncSeries("z", lmax, [w[i, i] / c0 for w in ws])
-        g = TruncSeries("z", lmax, [w[i, i] / c0p for w in wps])
+        f = TruncSeries(lmax, [w[i, i] / c0 for w in ws])
+        g = TruncSeries(lmax, [w[i, i] / c0p for w in wps])
         lf = f.log()
         lg = g.log()
         for l in range(1, lmax + 1):

@@ -10,7 +10,7 @@ coefficients stay finite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cartan import PairingTable
 from .errors import SpecializationPole
@@ -74,31 +74,24 @@ def specialize_table(t: PairingTable, m: SpecMap):
     return [[m.apply(e) for e in row] for row in t.entries]
 
 
-def specialize_pairing(t: PairingTable, m: SpecMap) -> PairingTable:
-    """Specialized table rewrapped for the relation engine (classical data
-    unchanged; diagnostics inherited, not recomputed)."""
-    entries = specialize_table(t, m)
-    return PairingTable(
-        type=t.type,
-        entries=tuple(tuple(row) for row in entries),
-        cartan=t.cartan,
-        d=t.d,
-        diagnostics=t.diagnostics,
-    )
-
-
-def specialize_module(mod: MatrixModule, m: SpecMap) -> MatrixModule:
-    """Entrywise image of every generator matrix, over the specialized table."""
-    subs = m.subs()
+def substitute_module(mod: MatrixModule, **subs) -> MatrixModule:
+    """Image of mod under RatFunc.substitute(**subs), applied to every
+    generator matrix entrywise, to the pairing table entries (classical data
+    and diagnostics inherited, not recomputed) and to the images of (r, s)."""
     assign = {}
     for g, mat in mod.assign.items():
         try:
             assign[g] = mat.map(lambda x: x.substitute(**subs))
         except SpecializationPole as exc:
             raise SpecializationPole(f"generator {g} has a pole: {exc}") from None
-    table = specialize_pairing(mod.table, m)
-    rs = (m.apply(mod.rs[0]), m.apply(mod.rs[1]))
-    return MatrixModule(table, assign, check=False, rs=rs)
+    entries = tuple(tuple(e.substitute(**subs) for e in row) for row in mod.table.entries)
+    rs = tuple(x.substitute(**subs) for x in mod.rs)
+    return MatrixModule(replace(mod.table, entries=entries), assign, check=False, rs=rs)
+
+
+def specialize_module(mod: MatrixModule, m: SpecMap) -> MatrixModule:
+    """Entrywise image of every generator matrix, over the specialized table."""
+    return substitute_module(mod, **m.subs())
 
 
 def centrality_report(mod: MatrixModule) -> dict:

@@ -124,8 +124,31 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
     code, out = run(capsys, "tensor", "--left", "4", "--right", "4", "--json")
     assert code == EXIT_PASS
     assert calls == TENSOR_44_APPLY_CALLS
-    n_gens = len(tensor(build_chevalley_eval(4), build_chevalley_eval(4)).module.generators())
+    n_gens = len(tensor(build_chevalley_eval(4), build_chevalley_eval(4)).generators())
     assert calls <= json.loads(out)["closure_dim_from_highest_weight"] * n_gens == 25 * 16
+
+
+# Polynomial products made by `drinfeld --n 3 --json`: the highest-weight
+# series read for the reconstruction plus the per-weight RQ series, each
+# through sl2.series_matrices on a freshly built current module.
+DRINFELD_N3_PMUL_CALLS = 5607
+
+
+def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
+    import rsaffine._kernel as kernel
+
+    calls = 0
+    pmul = kernel.pmul
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pmul(p, q)
+
+    monkeypatch.setattr(kernel, "pmul", counting)
+    code, _ = run(capsys, "drinfeld", "--n", "3", "--json")
+    assert code == EXIT_PASS
+    assert calls == DRINFELD_N3_PMUL_CALLS
 
 
 def test_mutate_requires_env(capsys, monkeypatch):
@@ -281,6 +304,8 @@ BAD_INPUT_CASES = [
     (("twist", "--aut", "sigma", "--signs", "+++", "--n", "1"), None, EXIT_USAGE, "--signs"),
     (("twist", "--aut", "sigma", "--signs", "+x"), None, EXIT_USAGE, "--signs"),
     (("twist", "--aut", "sigma", "--signs=-+"), None, EXIT_PASS, ""),
+    (("twist", "--aut", "sigma", "--signs", "-", "-", "--n", "1"), None, EXIT_PASS, ""),
+    (("twist", "--aut", "sigma", "--signs=--"), None, EXIT_USAGE, "--signs"),
     (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
     (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
     (("table", "--type", "E8"), None, EXIT_USAGE, "--type"),

@@ -16,10 +16,11 @@ from rsaffine.drinfeld import (
     verify_RQ_form,
     weight_gamma_series,
 )
-from rsaffine.errors import IndexOutOfRange, MirrorMismatch, NoSolution
+from rsaffine.errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEigenvector
 from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int
 from rsaffine.series import DESC, TruncSeries
-from rsaffine.sl2 import build_current_eval
+from rsaffine.rep_core import Wser, Xp
+from rsaffine.sl2 import build_current_eval, recover_imaginary
 
 RHO = R * S**-1
 
@@ -90,15 +91,15 @@ def test_plus_series_resummation():
         p = closed_form_P(n)
         got = plus_series_of(p, 2 * n + 2)
         g = A * R**-1 * S
-        num = TruncSeries("z", 2 * n + 2, [ONE, -g * R**-n])
-        den = TruncSeries("z", 2 * n + 2, [ONE, -g * S**-n])
+        num = TruncSeries(2 * n + 2, [ONE, -g * R**-n])
+        den = TruncSeries(2 * n + 2, [ONE, -g * S**-n])
         assert got == num * den.inv() * R**n
 
 
 def test_reconstruct_rejects_bad_constant():
     bad = HwSeries(
-        plus=TruncSeries("z", 5, [R + S]),
-        minus=TruncSeries("z", 5, [S], direction=DESC),
+        plus=TruncSeries(5, [R + S]),
+        minus=TruncSeries(5, [S], direction=DESC),
         n=1,
     )
     with pytest.raises(NoSolution):
@@ -110,7 +111,7 @@ def test_reconstruct_rejects_non_drinfeld_series():
     h = extract_hw_series(mod, 4)
     coeffs = list(h.plus.coeffs)
     coeffs[3] = coeffs[3] + ONE  # corrupt one high coefficient
-    bad = HwSeries(plus=TruncSeries("z", 4, coeffs), minus=h.minus, n=1)
+    bad = HwSeries(plus=TruncSeries(4, coeffs), minus=h.minus, n=1)
     with pytest.raises(NoSolution):
         reconstruct_P(bad)
 
@@ -120,7 +121,7 @@ def test_reconstruct_flags_mirror_mismatch():
     h = extract_hw_series(mod, 4)
     coeffs = list(h.minus.coeffs)
     coeffs[2] = coeffs[2] * (R * S)
-    bad = HwSeries(plus=h.plus, minus=TruncSeries("z", 4, coeffs, direction=DESC), n=1)
+    bad = HwSeries(plus=h.plus, minus=TruncSeries(4, coeffs, direction=DESC), n=1)
     with pytest.raises(MirrorMismatch):
         reconstruct_P(bad)
 
@@ -147,6 +148,25 @@ def test_weight_index_bounds():
     mod = _module(1)
     with pytest.raises(IndexOutOfRange):
         weight_gamma_series(mod, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "read",
+    (
+        lambda mod: weight_gamma_series(mod, 0, 3),
+        lambda mod: verify_RQ_form(mod, order=3),
+        lambda mod: recover_imaginary(mod, 1),
+        lambda mod: extract_hw_series(mod, 3),
+    ),
+    ids=("weight_gamma_series", "verify_RQ_form", "recover_imaginary", "extract_hw_series"),
+)
+def test_non_diagonal_stored_series_generator_is_rejected(read):
+    # the readers take eigenvalues from the diagonal, so a stored w(1) with an
+    # off-diagonal entry must be refused, not read as if v_i were eigenvectors
+    mod = build_current_eval(2, True, kmax=2, lmax=1)
+    bad = mod.with_assign(Wser(1, 1), mod.get(Wser(1, 1)) + mod.get(Xp(1, 0)))
+    with pytest.raises(NotEigenvector):
+        read(bad)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -179,11 +199,11 @@ def test_four_factor_closed_form(n):
     mod = build_current_eval(n, True, kmax=3, lmax=1)
     for i in range(n + 1):
         plus, _ = weight_gamma_series(mod, i, order)
-        num = TruncSeries("u", order, [ONE, -A * R * S ** (-n - 1)]) * TruncSeries(
-            "u", order, [ONE, -A * R**-n]
+        num = TruncSeries(order, [ONE, -A * R * S ** (-n - 1)]) * TruncSeries(
+            order, [ONE, -A * R**-n]
         )
-        den = TruncSeries("u", order, [ONE, -A * R**-i * S ** (i - n)]) * TruncSeries(
-            "u", order, [ONE, -A * R ** (1 - i) * S ** (i - n - 1)]
+        den = TruncSeries(order, [ONE, -A * R**-i * S ** (i - n)]) * TruncSeries(
+            order, [ONE, -A * R ** (1 - i) * S ** (i - n - 1)]
         )
         assert plus == num * den.inv() * (R ** (n - i) * S**i)
 
@@ -269,8 +289,8 @@ def test_minus_series_multiplies_mirrors_not_the_total_twist():
             q_coeffs[i + j] = q_coeffs[i + j] + c1 * c2
     via_mirror_product = DrinfeldPoly(coeffs=(ONE,), mirror=tuple(q_coeffs))
     # reuse the expansion helper by planting the product of mirrors directly
-    num = TruncSeries("z", order, list(reversed([c * S**k for k, c in enumerate(q_coeffs)])), direction=DESC)
-    den = TruncSeries("z", order, list(reversed([c * R**k for k, c in enumerate(q_coeffs)])), direction=DESC)
+    num = TruncSeries(order, list(reversed([c * S**k for k, c in enumerate(q_coeffs)])), direction=DESC)
+    den = TruncSeries(order, list(reversed([c * R**k for k, c in enumerate(q_coeffs)])), direction=DESC)
     assert prod_series == num * den.inv() * R**2
 
     coeffs = [ZERO] * 3

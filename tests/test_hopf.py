@@ -2,7 +2,6 @@
 
 import pytest
 
-from rsaffine.cli import _pin_module
 from rsaffine.errors import TypeMismatch
 from rsaffine.field import A, B, ONE, R, S, ZERO, parse
 from rsaffine.hopf import (
@@ -24,7 +23,7 @@ from rsaffine.rep_core import (
     check_drinfeld,
 )
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval
-from rsaffine.specialize import parse_spec_map, specialize_module
+from rsaffine.specialize import parse_spec_map, specialize_module, substitute_module
 
 
 def _with_param_b(mod):
@@ -44,14 +43,14 @@ def test_trivial_factor_acts_as_identity():
     T = tensor(triv, m)
     # 1 x V identifies with V: every generator matrix is carried verbatim
     for g in m.assign:
-        assert T.module.get(g) == m.get(g)
+        assert T.get(g) == m.get(g)
 
 
 def test_grouplike_eigenvalue_multiplies():
     mL, mR = _pair(1, 1)
     T = tensor(mL, mR)
     v00 = tensor_basis_vector(mL, mR, 0, 0)
-    assert T.module.get(W(1)).apply(v00) == [R**2 * x for x in v00]
+    assert T.get(W(1)).apply(v00) == [R**2 * x for x in v00]
 
 
 def test_coproduct_action_example():
@@ -60,21 +59,21 @@ def test_coproduct_action_example():
     T = tensor(mL, mR)
     v10 = tensor_basis_vector(mL, mR, 1, 0)
     v00 = tensor_basis_vector(mL, mR, 0, 0)
-    assert T.module.get(E(1)).apply(v10) == v00
+    assert T.get(E(1)).apply(v10) == v00
 
 
 def test_highest_weight_line_annihilated():
     mL, mR = _pair(2, 1)
     T = tensor(mL, mR)
     v00 = tensor_basis_vector(mL, mR, 0, 0)
-    assert all(x.is_zero() for x in T.module.get(E(1)).apply(v00))
+    assert all(x.is_zero() for x in T.get(E(1)).apply(v00))
 
 
 @pytest.mark.parametrize("n1", (1, 2))
 @pytest.mark.parametrize("n2", (1, 2))
 def test_tensor_relation_suite(n1, n2):
     mL, mR = _pair(n1, n2)
-    assert all_pass(check_chevalley(tensor(mL, mR).module))
+    assert all_pass(check_chevalley(tensor(mL, mR)))
 
 
 def test_tensor_type_mismatch():
@@ -130,8 +129,6 @@ def test_closure_basis_is_deterministic():
 def ref_span_closure(mod, seed):
     """Reference closure: re-eliminate the whole basis with each image and
     sweep every row and generator again until a sweep adds nothing."""
-    if hasattr(mod, "module"):
-        mod = mod.module
     mats = [mod.assign[g] for g in mod.generators()]
     _, rows = rref([seed])
     changed = True
@@ -148,8 +145,11 @@ def ref_span_closure(mod, seed):
 
 def _cli_tensor(left, right, a=None, b=None):
     """The factors `rsaffine tensor` builds: the right one carries b."""
-    mL = _pin_module(build_chevalley_eval(left), a=a)
-    mR = _pin_module(_pin_module(build_chevalley_eval(right), a=B), b=b)
+    mL, mR = build_chevalley_eval(left), substitute_module(build_chevalley_eval(right), a=B)
+    if a is not None:
+        mL = substitute_module(mL, a=a)
+    if b is not None:
+        mR = substitute_module(mR, b=b)
     return mL, mR
 
 

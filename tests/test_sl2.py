@@ -229,9 +229,9 @@ def test_series_exponential_roundtrip(n):
     ws, _ = omega_matrices(mod, order)
     apos, _ = recover_imaginary(mod, order)
     for i in range(n + 1):
-        log_series = TruncSeries("z", order, [ZERO] + [(R - S) * m[i, i] for m in apos])
+        log_series = TruncSeries(order, [ZERO] + [(R - S) * m[i, i] for m in apos])
         rebuilt = log_series.exp() * ws[0][i, i]
-        assert rebuilt == TruncSeries("z", order, [m[i, i] for m in ws])
+        assert rebuilt == TruncSeries(order, [m[i, i] for m in ws])
 
 
 @pytest.mark.parametrize("n", range(4))
