@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, LatticeOverflow, UnsupportedRank
+from .errors import IndexOutOfRange, UnsupportedRank
 from .field import ONE, R, S, RatFunc, parse, render
+from .matrix import Matrix
 
 FAMILIES = ("A", "B", "C", "D", "E6", "F4", "G2")
 
@@ -288,7 +289,7 @@ def build_pairing(t: AffineType) -> PairingTable:
             if d[i] * a[i][j] != d[j] * a[j][i]:
                 diags.append(f"symmetrizer mismatch at ({i},{j})")
             prod = J[i][j] * J[j][i]
-            want = _pow_lattice(rho, d[i] * a[i][j])
+            want = rho ** (d[i] * a[i][j])
             if prod != want:
                 diags.append(
                     f"compatibility <{i},{j}><{j},{i}> = {render(prod)}"
@@ -302,15 +303,6 @@ def build_pairing(t: AffineType) -> PairingTable:
         d=tuple(d),
         diagnostics=tuple(diags),
     )
-
-
-def _pow_lattice(x: RatFunc, e: Fraction) -> RatFunc:
-    e = Fraction(e)
-    if e.denominator == 1:
-        return x ** int(e)
-    from .field import _mono_frac_pow
-
-    return _mono_frac_pow(x, e)
 
 
 def pairing(t: PairingTable, i: int, j: int) -> RatFunc:
@@ -332,32 +324,13 @@ def weight_pairing(t: PairingTable, lam, i: int) -> RatFunc:
     lam = [Fraction(c) for c in lam]
     if len(lam) != n:
         raise ValueError(f"weight must have {n} fundamental coordinates")
-    fin = [[Fraction(t.cartan[a + 1][b + 1]) for b in range(n)] for a in range(n)]
-    m = _solve_exact(fin, lam)
+    # m solves fin . m = lam, fin the finite Cartan matrix (nodes 1..n)
+    fin = Matrix([row[1:] for row in t.cartan[1:]])
     out = ONE
-    for j, mj in enumerate(m):
-        if mj == 0:
-            continue
-        out = out * _pow_lattice(t.entry(j + 1, i), mj)
+    for j, mj in enumerate(fin.inverse().apply(lam)):
+        if mj:
+            out = out * t.entry(j + 1, i) ** mj.as_fraction()
     return out
-
-
-def _solve_exact(mat, vec):
-    """Gaussian elimination over Q; raises LatticeOverflow when singular."""
-    n = len(vec)
-    aug = [row[:] + [vec[k]] for k, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise LatticeOverflow("finite Cartan matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pc = aug[col][col]
-        aug[col] = [x / pc for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def table_to_json(t: PairingTable) -> dict:

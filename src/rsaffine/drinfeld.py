@@ -244,7 +244,7 @@ def drinfeld_report(n: int, use_shift=False, order=None) -> dict:
         status["minus"] = f"fail: {exc}"
     return {
         "n": n,
-        "shift": "rs_inverse" if shift_factor(use_shift) != ONE else "plain",
+        "shift": "rs_inverse" if use_shift else "plain",
         "P": (p or closed).text(),
         "Q": (p or closed).mirror_text(),
         "checks": {

@@ -18,7 +18,7 @@ class BadConstantTerm(RsaffineError):
 
 
 class MixedSeries(RsaffineError):
-    """Arithmetic between series with different variable/direction/order."""
+    """Arithmetic between series with different direction or order."""
 
 
 class SpecializationPole(RsaffineError):

@@ -585,8 +585,23 @@ class RatFunc:
         return ONE / self
 
     def __pow__(self, n):
+        """Integer powers of any value; a Fraction exponent outside Z only
+        for a monomial with coefficient 1 whose exponents stay in the
+        (1/6)Z lattice, otherwise LatticeOverflow."""
         if not isinstance(n, int):
-            return NotImplemented
+            if not isinstance(n, Fraction):
+                return NotImplemented
+            if n.denominator == 1:
+                return self**n.numerator
+            if len(self.num) != 1 or len(self.den) != 1:
+                raise LatticeOverflow("fractional power of a non-monomial value")
+            ((k, c),) = self.num.items()
+            if c != 1 or self.den != _UNIT:
+                raise LatticeOverflow("fractional power of a monomial with coefficient != 1")
+            es = [kk * n for kk in k]
+            if any(e.denominator != 1 for e in es):
+                raise LatticeOverflow(f"exponent leaves the (1/{LATTICE})Z lattice")
+            return RatFunc._make({tuple(int(e) for e in es): 1}, _UNIT)
         if n < 0:
             return self.inv() ** -n
         if self.is_monomial() and self.num:
@@ -653,25 +668,9 @@ def _subst_poly(p, images) -> RatFunc:
                 kk[ax] = scaled
                 term = term * RatFunc._make({tuple(kk): 1}, _UNIT)
                 continue
-            exp = Fraction(scaled, LATTICE) if ax < 2 else Fraction(scaled)
-            if exp.denominator == 1:
-                term = term * img ** int(exp)
-            else:
-                term = term * _mono_frac_pow(img, exp)
+            term = term * img ** (Fraction(scaled, LATTICE) if ax < 2 else scaled)
         out = out + term
     return out
-
-
-def _mono_frac_pow(x: RatFunc, exp: Fraction) -> RatFunc:
-    if not x.is_monomial() or x.is_zero():
-        raise LatticeOverflow("fractional power of a non-monomial value")
-    ((k, c),) = x.num.items()
-    if c != 1 or x.den != _UNIT:
-        raise LatticeOverflow("fractional power of a monomial with coefficient != 1")
-    es = [Fraction(kk) * exp for kk in k]
-    if any(e.denominator != 1 for e in es):
-        raise LatticeOverflow(f"exponent leaves the (1/{LATTICE})Z lattice")
-    return RatFunc._make({tuple(int(e) for e in es): 1}, _UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +906,7 @@ class _Parser:
             if abs(e) > MAX_EXPONENT:
                 self.error(f"exponent {e} is above {MAX_EXPONENT}")
             if e.denominator != 1:
-                return self.bounded(_mono_frac_pow(base, e))
+                return self.bounded(base**e)
             n = int(e)
             if n < 0:
                 base, n = base.inv(), -n

@@ -115,9 +115,7 @@ def twist_sigma(mod: MatrixModule, signs) -> MatrixModule:
         raise MissingGenerator("sign twist acts on Chevalley generators")
     assign = {}
     for g, mat in mod.assign.items():
-        if g.kind == "E":
-            assign[g] = mat.scale(signs[g.i])
-        elif g.kind in ("W", "Wp"):
+        if g.kind in ("E", "W", "Wp"):
             assign[g] = mat.scale(signs[g.i])
         else:
             assign[g] = mat
@@ -134,18 +132,13 @@ def _retwist_series(mod: MatrixModule, assign) -> MatrixModule:
 
 
 def twist_gamma1(mod: MatrixModule) -> MatrixModule:
-    """Loop-sign twist: x+-(k) -> (-1)^k x+-(k), gamma halves negated."""
-    if not any(g.kind == XP_KIND for g in mod.assign):
-        raise MissingGenerator("loop twists act on current generators")
-    assign = {}
-    for g, mat in mod.assign.items():
-        if g.kind in (XP_KIND, XM_KIND):
-            assign[g] = mat if g.k % 2 == 0 else -mat
-        elif g.kind in ("GammaHalf", "GammaPrimeHalf"):
-            assign[g] = -mat
-        else:
-            assign[g] = mat
-    return _retwist_series(mod, assign)
+    """Loop-sign twist: x+-(k) -> (-1)^k x+-(k), gamma halves negated; the
+    gamma2 twist at c = -1, whose series re-derivation reads no gamma half."""
+    assign = dict(twist_gamma2(mod, -1).assign)
+    for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
+        if g in assign:
+            assign[g] = -assign[g]
+    return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
 
 
 def twist_gamma2(mod: MatrixModule, c) -> MatrixModule:

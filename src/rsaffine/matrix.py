@@ -130,13 +130,6 @@ class Matrix:
             out.append(new)
         return Matrix._sparse(out, self.m)
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self @ other
-        return self.scale(other)
-
-    __rmul__ = scale
-
     def __matmul__(self, other) -> "Matrix":
         if self.m != other.n:
             raise ValueError("dimension mismatch")

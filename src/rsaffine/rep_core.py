@@ -1,7 +1,7 @@
 """Generator symbols, matrix modules, and the relation-verification engine.
 
 Every defining relation of both presentations is checked as an exact matrix
-identity over Q(r, s, a).  Reports carry instance counts and the rendered
+identity over Q(r, s, a, b).  Reports carry instance counts and the rendered
 residual for any failure; an empty failure list means the relation holds
 exactly on the module.
 """

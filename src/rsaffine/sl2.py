@@ -35,16 +35,12 @@ from .series import TruncSeries
 _A1 = build_pairing(AffineType("A", 1))
 _RHO = R * S**-1
 
-PLAIN = "plain"
-RS_INVERSE = "rs_inverse"
 
-
-def shift_factor(use_shift) -> RatFunc:
-    if use_shift in (False, PLAIN):
-        return ONE
-    if use_shift in (True, RS_INVERSE):
-        return _RHO
-    raise ValueError(f"unknown shift {use_shift!r}")
+def shift_factor(use_shift: bool) -> RatFunc:
+    """The evaluation-parameter factor: rs^-1 when use_shift, else 1."""
+    if not isinstance(use_shift, bool):
+        raise ValueError(f"use_shift must be False or True, got {use_shift!r}")
+    return _RHO if use_shift else ONE
 
 
 def _vn_matrices(n: int):

@@ -123,14 +123,15 @@ def test_golden_tables():
 
 
 def test_weight_pairing_restricts_to_roots():
-    t = build_pairing(AffineType("A", 2))
-    # alpha_1 in fundamental coordinates is the first column of the finite Cartan
-    a1 = [Fraction(t.cartan[i][1]) for i in (1, 2)]
-    for i in range(3):
-        assert weight_pairing(t, a1, i) == pairing(t, 1, i)
-    a2 = [Fraction(t.cartan[i][2]) for i in (1, 2)]
-    for i in range(3):
-        assert weight_pairing(t, a2, i) == pairing(t, 2, i)
+    # alpha_j in fundamental coordinates is column j of the finite Cartan
+    # matrix; the non-symmetric ones would show a transposed solve
+    for name in ("A2", "A3", "B3", "C3", "D4", "E6", "F4", "G2"):
+        t = build_pairing(parse_type(name))
+        n = t.type.rank
+        for j in range(1, n + 1):
+            alpha = [Fraction(t.cartan[k][j]) for k in range(1, n + 1)]
+            for i in range(n + 1):
+                assert weight_pairing(t, alpha, i) == pairing(t, j, i), (name, j, i)
 
 
 def test_weight_pairing_zero_weight():

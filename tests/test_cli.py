@@ -130,8 +130,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 
 # Polynomial products made by `drinfeld --n 3 --json`: the highest-weight
 # series read for the reconstruction plus the per-weight RQ series, each
-# through sl2.series_matrices on a freshly built current module.
-DRINFELD_N3_PMUL_CALLS = 5607
+# through sl2.series_matrices on a freshly built current module.  The RQ
+# module carries currents only to the order the RQ check reads, min(order, 6);
+# building them to the reconstruction's order made 5,607.
+DRINFELD_N3_PMUL_CALLS = 5207
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -149,6 +151,33 @@ def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
     code, _ = run(capsys, "drinfeld", "--n", "3", "--json")
     assert code == EXIT_PASS
     assert calls == DRINFELD_N3_PMUL_CALLS
+
+
+# Polynomial products made by the pinned `tensor --left 3 --right 3 --a 1+r
+# --b 2+s --json`, where every entry has a real denominator.  Most gcds there
+# are trivial and field._gcd_degree_bound_zero certifies them by integer
+# evaluation; without that certificate the run makes 26,600.
+TENSOR_33_PINNED_PMUL_CALLS = 13577
+
+
+def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
+    import rsaffine._kernel as kernel
+
+    calls = 0
+    pmul = kernel.pmul
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pmul(p, q)
+
+    monkeypatch.setattr(kernel, "pmul", counting)
+    code, _ = run(
+        capsys, "tensor", "--left", "3", "--right", "3", "--a", "1+r", "--b", "2+s", "--json"
+    )
+    assert code == EXIT_PASS
+    assert calls == TENSOR_33_PINNED_PMUL_CALLS
+    assert calls < 26600
 
 
 def test_mutate_requires_env(capsys, monkeypatch):

@@ -173,6 +173,21 @@ def test_substitute_fractional_exponent_monomial_image():
         half.substitute(r=R + S)
 
 
+def test_fraction_exponent_is_a_lattice_power():
+    x = (1 + R) / (2 - S)
+    assert R ** Fraction(1, 2) == RatFunc.monomial(1, Fraction(1, 2))
+    assert (R**-1 * S) ** Fraction(-1, 3) == RatFunc.monomial(1, Fraction(1, 3), Fraction(-1, 3))
+    assert x ** Fraction(3) == x**3
+    assert x ** Fraction(-2) == x**-2
+    with pytest.raises(LatticeOverflow, match="non-monomial"):
+        (1 + R) ** Fraction(1, 2)
+    with pytest.raises(LatticeOverflow, match="coefficient"):
+        (2 * R) ** Fraction(1, 2)
+    with pytest.raises(LatticeOverflow, match="lattice"):
+        RatFunc.monomial(1, Fraction(1, 6)) ** Fraction(1, 2)
+    assert parse("r^(1/2)") == R ** Fraction(1, 2)
+
+
 def test_substitute_r_to_s_cubed():
     x = R * S**-1
     assert x.substitute(r=S**3) == S**2

@@ -132,6 +132,12 @@ def test_highest_weight_annihilation(n):
         assert all(x.is_zero() for x in mod.get(Xp(1, k)).apply(v0))
 
 
+@pytest.mark.parametrize("shift", ("rs_inverse", "plain", 1, None))
+def test_shift_must_be_a_bool(shift):
+    with pytest.raises(ValueError):
+        build_chevalley_eval(1, shift)
+
+
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("shift", (False, True))
 def test_evaluation_morphism_agrees_with_closed_action(n, shift):
