@@ -635,12 +635,20 @@ class RatFunc:
     # -- substitution --------------------------------------------------------
 
     def substitute(self, r=None, s=None, a=None, b=None) -> "RatFunc":
-        """Exact image under r|s|a|b -> RatFunc maps (identity when None).
+        """Exact image under r|s|a|b -> RatFunc, int or Fraction maps
+        (identity when None).
 
-        Raises SpecializationPole when the denominator vanishes identically,
+        Raises TypeError naming the variable for any other image,
+        SpecializationPole when the denominator vanishes identically,
         LatticeOverflow when a fractional exponent meets a non-monomial image.
         """
-        images = (r, s, a, b)
+        images = []
+        for name, img in zip("rsab", (r, s, a, b)):
+            if img is not None:
+                img = RatFunc._coerce(img)
+                if img is NotImplemented:
+                    raise TypeError(f"image of {name} must be RatFunc, int or Fraction")
+            images.append(img)
         ni = _subst_poly(self.num, images)
         di = _subst_poly(self.den, images)
         if di.is_zero():

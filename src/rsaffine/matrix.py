@@ -6,8 +6,10 @@ the evaluation modules are mostly zero (ladder, diagonal and current
 matrices have at most one or two nonzeros per row), so every operation
 loops over stored entries only: a product costs one scalar product per
 pair of nonzeros that meet, and a diagonal conjugation W X W^-1 costs
-2 nnz(X) products.  Matrices are immutable after construction; `rows`
-gives the dense view.
+2 nnz(X) products.  A commutator [D, X] with one diagonal factor costs at
+most nnz(X) products and one subtraction each, and none at all when both
+factors are diagonal; any other commutator costs its two full products.
+Matrices are immutable after construction; `rows` gives the dense view.
 """
 
 from __future__ import annotations
@@ -204,7 +206,34 @@ class Matrix:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
+    """[a, b] = a @ b - b @ a for square matrices of one size.
+
+    When one factor is diagonal (tested exactly, on these operands),
+    [D, X]_ij = (d_i - d_j) X_ij: one product per nonzero of X whose two
+    diagonal entries differ.  Two diagonal factors commute.
+    """
+    n = a.n
+    if a.m != n or b.n != n or b.m != n:
+        raise ValueError("dimension mismatch")
+    if a.is_diagonal():
+        if b.is_diagonal():
+            return Matrix.zeros(n)
+        d, x, sign = a, b, 1
+    elif b.is_diagonal():
+        d, x, sign = b, a, -1
+    else:
+        return a @ b - b @ a
+    diag = [row.get(i, ZERO) for i, row in enumerate(d._rows)]
+    out = []
+    for i, row in enumerate(x._rows):
+        di = diag[i]
+        new = {}
+        for j, y in row.items():
+            c = di - diag[j] if sign > 0 else diag[j] - di
+            if c:
+                new[j] = c * y
+        out.append(new)
+    return Matrix._sparse(out, n)
 
 
 def echelon_insert(pivots, rows, v):

@@ -196,10 +196,19 @@ class _Checker:
         self.report = RelationReport(relation_id)
         self._t0 = time.monotonic()
 
-    def check(self, instance, lhs: Matrix, rhs: Matrix):
+    def check(self, instance, lhs: Matrix, rhs: Matrix) -> bool:
         self.report.instances_checked += 1
         if lhs != rhs:
             self._fail(instance, lhs, rhs)
+            return False
+        return True
+
+    def decided(self, instance, failure=None):
+        """Count an instance whose verdict an earlier check decided; failure
+        is its (lhs, rhs) pair when that verdict is a failure."""
+        self.report.instances_checked += 1
+        if failure is not None:
+            self._fail(instance, *failure)
 
     def check_scaled(self, instance, lhs: Matrix, mat: Matrix, c: RatFunc):
         """check(instance, lhs, mat.scale(c)) for a scalar c = p/q such as
@@ -423,16 +432,35 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
             c.check(("x-", -l, k), lhs, mod.get(Xm(i, k - l)).scale(-th))
     reports.append(c.done())
 
+    # Mirror lemma: with sqrt_factor = 1, instance (k, k2) of D6 reads
+    # L(k, k2) == -L(k2, k) for L(k, k2) = X(k+1)X(k2) - rr X(k2)X(k+1).
+    # Instance (k2, k) is the same identity with its sides swapped and
+    # negated, so it has the same verdict.  Each unordered pair builds its two
+    # L's once (k = k2 is its own mirror); the mirrored instance keeps only
+    # that verdict, or, when it failed, the pair it renders.
     c = _Checker("D6")
     sqrt_factor = ONE  # (<j,i><i,j>^-1)^(1/2) at i = j
     for sign in (+1, -1):
         rr = rho if sign > 0 else rho.inv()
         X = (lambda k: mod.get(Xp(i, k))) if sign > 0 else (lambda k: mod.get(Xm(i, k)))
-        for k in range(-(kmax + 1), kmax + 1):
-            for k2 in range(-(kmax + 1), kmax + 1):
-                lhs = X(k + 1) @ X(k2) - (X(k2) @ X(k + 1)).scale(rr)
-                rhs = (X(k2 + 1) @ X(k) - (X(k) @ X(k2 + 1)).scale(rr)).scale(-sqrt_factor)
-                c.check((sign, k, k2), lhs, rhs)
+
+        def L(k, k2):
+            return X(k + 1) @ X(k2) - (X(k2) @ X(k + 1)).scale(rr)
+
+        mirrored = {}
+        ks = range(-(kmax + 1), kmax + 1)
+        for k in ks:
+            for k2 in ks:
+                if k2 < k:
+                    c.decided((sign, k, k2), mirrored.pop((k, k2)))
+                    continue
+                lhs = L(k, k2)
+                if k2 == k:
+                    c.check((sign, k, k), lhs, lhs.scale(-sqrt_factor))
+                    continue
+                other = L(k2, k)
+                ok = c.check((sign, k, k2), lhs, other.scale(-sqrt_factor))
+                mirrored[(k2, k)] = None if ok else (other, lhs.scale(-sqrt_factor))
     reports.append(c.done())
 
     c = _Checker("D7")

@@ -32,7 +32,9 @@ def test_verify_kmax_bound(capsys):
 # Polynomial products made by `verify --n 4 --json`.  The count is exact and
 # machine independent, so a change that makes the relation check do more
 # arithmetic fails here; a change that makes it do less updates the number.
-VERIFY_N4_PMUL_CALLS = 22700
+# Two full products per commutator with a diagonal factor, and both sides of
+# every D6 instance built anew, made 22,700.
+VERIFY_N4_PMUL_CALLS = 16332
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -52,10 +54,39 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
     assert calls == VERIFY_N4_PMUL_CALLS
 
 
+# Reductions to canonical form, RatFunc._normalize and RatFunc._canonical
+# together (a _normalize call counts its own _canonical too), made by
+# `verify --n 4 --json`; exact like the pmul count.  Full products for the
+# commutators with a diagonal factor and unmirrored D6 instances made 13,440.
+VERIFY_N4_NORMALIZE_CALLS = 9291
+
+
+def test_verify_normalize_count_tripwire(capsys, monkeypatch):
+    from rsaffine.field import RatFunc
+
+    calls = 0
+
+    def counting(fn):
+        def wrapped(cls, num, den):
+            nonlocal calls
+            calls += 1
+            return fn(cls, num, den)
+
+        return classmethod(wrapped)
+
+    for name in ("_normalize", "_canonical"):
+        monkeypatch.setattr(RatFunc, name, counting(getattr(RatFunc, name).__func__))
+    code, _ = run(capsys, "verify", "--n", "4", "--json")
+    assert code == EXIT_PASS
+    assert calls == VERIFY_N4_NORMALIZE_CALLS
+
+
 # Matrix products made by `verify --n 4 --json`, exact like the pmul count.
 # The current module's invariant check runs once, on the module returned by
 # build_current_eval; checking each intermediate module as well made 1,766.
-VERIFY_N4_MATMUL_CALLS = 1756
+# A commutator with a diagonal factor takes no product, and D6 builds the two
+# sides of each unordered (k, k2) pair once; full products made 1,756.
+VERIFY_N4_MATMUL_CALLS = 1018
 
 
 def test_verify_matmul_count_tripwire(capsys, monkeypatch):
@@ -79,7 +110,8 @@ def test_verify_matmul_count_tripwire(capsys, monkeypatch):
 # --json`, whose pinned entries all have real denominators.  Reducing each
 # product and sum through gcds of its already reduced factors makes 5,942;
 # one gcd of the whole product's numerator and denominator made 9,347.
-VERIFY_PINNED_PGCD_CALLS = 5942
+# Full products for the commutators with a diagonal factor made 5,942.
+VERIFY_PINNED_PGCD_CALLS = 3474
 
 
 def test_verify_pinned_pgcd_count_tripwire(capsys, monkeypatch):
@@ -156,8 +188,9 @@ def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
 # Polynomial products made by the pinned `tensor --left 3 --right 3 --a 1+r
 # --b 2+s --json`, where every entry has a real denominator.  Most gcds there
 # are trivial and field._gcd_degree_bound_zero certifies them by integer
-# evaluation; without that certificate the run makes 26,600.
-TENSOR_33_PINNED_PMUL_CALLS = 13577
+# evaluation; without that certificate the run makes 26,600.  Full products
+# for the commuting group-likes of R1 made 13,577.
+TENSOR_33_PINNED_PMUL_CALLS = 12809
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):

@@ -173,6 +173,26 @@ def test_substitute_fractional_exponent_monomial_image():
         half.substitute(r=R + S)
 
 
+def test_substitute_coerces_images():
+    half = RatFunc.monomial(1, Fraction(1, 2))
+    x = R**2 * S - A * B**-1
+    # int, Fraction and RatFunc images are the same map
+    for img in (3, Fraction(1, 2), RatFunc._coerce(3), R**-1):
+        assert x.substitute(r=img, b=img) == x.substitute(r=RatFunc._coerce(img), b=RatFunc._coerce(img))
+    assert x.substitute(r=3) == 9 * S - A * B**-1
+    assert x.substitute(b=Fraction(1, 2)) == R**2 * S - 2 * A
+    # an int image meets a fractional exponent as the RatFunc constant does
+    with pytest.raises(LatticeOverflow) as coerced:
+        half.substitute(r=RatFunc._coerce(2))
+    with pytest.raises(LatticeOverflow) as plain:
+        half.substitute(r=2)
+    assert str(plain.value) == str(coerced.value)
+    with pytest.raises(TypeError, match="image of r"):
+        half.substitute(r=2.0)
+    with pytest.raises(TypeError, match="image of b"):
+        x.substitute(b=0.5)
+
+
 def test_fraction_exponent_is_a_lattice_power():
     x = (1 + R) / (2 - S)
     assert R ** Fraction(1, 2) == RatFunc.monomial(1, Fraction(1, 2))

@@ -265,3 +265,53 @@ def test_scaled_checks_match_the_plain_comparison(mutate):
     for rid, failures in expected.items():
         assert reports[rid].failures == failures
         assert bool(failures) == mutate
+
+
+# -- commutator: the diagonal shortcut against the two full products -------------------
+
+# repeated values make d_i == d_j, so the entry (i, j) of [D, X] cancels
+DIAG_POOL = [ZERO, ONE, ONE, R, R, (R + 1) / (S + 2), (R + 1) / (S + 2), A / (R - S)]
+
+
+def square(n, diagonal):
+    if diagonal:
+        return st.lists(st.sampled_from(DIAG_POOL), min_size=n, max_size=n).map(Matrix.diagonal)
+    return dense(n, n).map(Matrix).filter(lambda m: not m.is_diagonal())
+
+
+@pytest.mark.parametrize("diag_a, diag_b", [(True, True), (True, False), (False, True), (False, False)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_commutator_matches_the_full_products(diag_a, diag_b, data):
+    n = data.draw(st.integers(1, 4))
+    a, b = data.draw(square(n, diag_a)), data.draw(square(n, diag_b))
+    got = commutator(a, b)
+    assert got == a @ b - b @ a
+    assert all(x for row in got._rows for x in row.values())
+
+
+def test_commutator_with_a_diagonal_factor_stores_no_cancelled_entry(monkeypatch):
+    import rsaffine._kernel as kernel
+
+    p = (R + 1) / (S + 2)
+    d = Matrix.diagonal([p, p, ZERO, A / (R - S)])
+    x = Matrix([[ZERO, R, ONE / (R - S), ONE], [S, ZERO, ZERO, ZERO], [ONE, ZERO, p, R], [ZERO, A, ONE, S]])
+    for lhs, rhs in ((d, x), (x, d)):
+        got = commutator(lhs, rhs)
+        assert got == lhs @ rhs - rhs @ lhs
+        assert 1 not in got._rows[0]  # d_0 == d_1: (0, 1) cancels
+        assert 0 not in got._rows[1]
+        assert got._rows[2][0] == (-p if lhs is d else p)  # the zero d_2 against d_0
+    calls = 0
+    pmul = kernel.pmul
+
+    def counting(f, g):
+        nonlocal calls
+        calls += 1
+        return pmul(f, g)
+
+    monkeypatch.setattr(kernel, "pmul", counting)
+    assert commutator(d, Matrix.diagonal([R, p, S, A])) == Matrix.zeros(4)
+    assert calls == 0
+    with pytest.raises(ValueError):
+        commutator(d, Matrix.zeros(3))

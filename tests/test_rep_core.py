@@ -4,7 +4,7 @@ import pytest
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from rsaffine.field import ONE, R, S, ZERO, quantum_int
+from rsaffine.field import ONE, R, S, ZERO, quantum_int, rf
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
     Aim,
@@ -19,6 +19,7 @@ from rsaffine.rep_core import (
     Wser,
     Xm,
     Xp,
+    _render_matrix,
     all_pass,
     apply_word,
     check_chevalley,
@@ -122,6 +123,97 @@ def test_grouplike_inverse_enforced_at_construction():
     bad[W(1, -1)] = Matrix([[ZERO + 2]])
     with pytest.raises(ValueError):
         MatrixModule(A1, bad)
+
+
+# -- D2/D3/D5/D6 reports against a naive reference ------------------------------------
+# The reference takes both full products of every commutator and builds both
+# sides of every D6 instance, so it shares neither the diagonal commutator
+# nor the D6 mirroring with check_drinfeld.
+
+
+def naive_reports(mod, kmax, lmax):
+    """(instances_checked, failures) of D2, D3, D5_1, D5_2 and D6, naively."""
+    i = 1
+    rho = mod.table.entry(i, i)
+    rs = (R - S).inv()
+    zero = Matrix.zeros(mod.dim)
+    w, winv, wp, wpinv = mod.get(W(i)), mod.get(W(i, -1)), mod.get(Wp(i)), mod.get(Wp(i, -1))
+    kc = w @ wp
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    def theta(l):
+        return (rho**l - rho**-l) * rs / rf(l)
+
+    def al(l):
+        return mod.get(Aim(i, l))
+
+    def xp(k):
+        return mod.get(Xp(i, k))
+
+    def xm(k):
+        return mod.get(Xm(i, k))
+
+    ells = [l for l in range(-lmax, lmax + 1) if l != 0]
+    found = {rid: [] for rid in ("D2", "D3", "D5_1", "D5_2", "D6")}
+    for l1 in ells:
+        for l2 in ells:
+            found["D2"].append(((l1, l2), comm(al(l1), al(l2)), zero))
+    for l in ells:
+        for tag, m in (("w", w), ("winv", winv), ("wp", wp), ("wpinv", wpinv)):
+            found["D3"].append(((l, tag), comm(al(l), m), zero))
+    for l in range(1, lmax + 1):
+        th = theta(l)
+        for k in range(-kmax, kmax + 1):
+            if abs(l + k) <= kmax + 1:
+                found["D5_1"].append((("x+", l, k), comm(al(l), xp(k)), xp(l + k).scale(th)))
+                found["D5_1"].append((("x-", l, k), comm(al(l), xm(k)), (kc**-l @ xm(l + k)).scale(-th)))
+        for k in range(-kmax, kmax + 1):
+            if abs(k - l) <= kmax + 1:
+                found["D5_2"].append((("x+", -l, k), comm(al(-l), xp(k)), (kc**-l @ xp(k - l)).scale(th)))
+                found["D5_2"].append((("x-", -l, k), comm(al(-l), xm(k)), xm(k - l).scale(-th)))
+    for sign, X, rr in ((1, xp, rho), (-1, xm, rho.inv())):
+        for k in range(-(kmax + 1), kmax + 1):
+            for k2 in range(-(kmax + 1), kmax + 1):
+                lhs = X(k + 1) @ X(k2) - (X(k2) @ X(k + 1)).scale(rr)
+                rhs = -(X(k2 + 1) @ X(k) - (X(k) @ X(k2 + 1)).scale(rr))
+                found["D6"].append(((sign, k, k2), lhs, rhs))
+    return {
+        rid: (
+            len(instances),
+            [
+                {"instance": str(inst), "lhs": _render_matrix(lhs), "rhs": _render_matrix(rhs)}
+                for inst, lhs, rhs in instances
+                if lhs != rhs
+            ],
+        )
+        for rid, instances in found.items()
+    }
+
+
+MUTATIONS = {
+    "none": (lambda mod: mod, set()),
+    "a(1) + x+(0)": (
+        lambda mod: mod.with_assign(Aim(1, 1), mod.get(Aim(1, 1)) + mod.get(Xp(1, 0))),
+        {"D2", "D3", "D5_1"},
+    ),
+    "x+(1) = 0": (lambda mod: mod.with_assign(Xp(1, 1), Matrix.zeros(mod.dim)), {"D5_1", "D5_2", "D6"}),
+    "x-(0) * rs": (lambda mod: mod.with_assign(Xm(1, 0), mod.get(Xm(1, 0)).scale(R * S)), {"D5_1", "D5_2", "D6"}),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_failure_reports_match_the_naive_reference(mutation):
+    kmax, lmax = 2, 2
+    mutate, failing = MUTATIONS[mutation]
+    mod = mutate(build_current_eval(2, kmax=kmax, lmax=lmax))
+    reports = {r.relation_id: r for r in check_drinfeld(mod, kmax, lmax)}
+    expected = naive_reports(mod, kmax, lmax)
+    for rid, (count, failures) in expected.items():
+        assert reports[rid].instances_checked == count
+        assert reports[rid].failures == failures
+    assert {rid for rid, (_, failures) in expected.items() if failures} == failing
 
 
 # -- apply_word ----------------------------------------------------------------
