@@ -167,10 +167,8 @@ def cmd_drinfeld(args) -> int:
     order = _drinfeld_order(args.n, args.order)
     shift = args.shift == "rs-inverse"
     doc = drinfeld_report(args.n, shift, order=order)
-    rq_order = min(order, 6)
     rq = verify_RQ_form(
-        build_current_eval(args.n, True, kmax=max(1, (rq_order + 1) // 2), lmax=1),
-        order=rq_order,
+        build_current_eval(args.n, True, kmax=max(1, (order + 1) // 2), lmax=1), order=order
     )
     doc["command"] = "drinfeld"
     doc["RQ"] = [

@@ -169,17 +169,12 @@ def _poly_from_roots(params):
 
 
 def rq_closed_series(n: int, i: int, order: int) -> TruncSeries:
-    """Ascending expansion of r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us))."""
-    rpoly, qpoly = (_poly_from_roots(fac) for fac in rq_polynomials(n, i))
-    num = _poly_series(rpoly, S, order) * _poly_series(qpoly, R, order)
-    den = _poly_series(rpoly, R, order) * _poly_series(qpoly, S, order)
-    pref = R ** (n - i) * S**i
-    return num * den.inv() * pref
-
-
-def _poly_series(coeffs, scale, order) -> TruncSeries:
-    # a truncated product never reads a coefficient above the order
-    return TruncSeries.from_poly_coeffs((c * scale**k for k, c in enumerate(coeffs)), order)
+    """Ascending expansion of r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us)); F(xu)
+    has the linear-factor parameters of F times x."""
+    rfac, qfac = rq_polynomials(n, i)
+    num = _poly_from_roots([S * p for p in rfac] + [R * p for p in qfac])
+    den = _poly_from_roots([R * p for p in rfac] + [S * p for p in qfac])
+    return ratio_series(num, den, order) * (R ** (n - i) * S**i)
 
 
 def verify_RQ_form(mod: MatrixModule, order: int = 6) -> dict:

@@ -49,10 +49,6 @@ class TruncSeries:
         """The series x (or x^-1 in descending direction) itself."""
         return cls(order, [ZERO, ONE], direction)
 
-    @classmethod
-    def from_poly_coeffs(cls, coeffs, order=8, direction=ASC):
-        return cls(order, list(coeffs)[: order + 1], direction)
-
     # -- helpers --------------------------------------------------------------
 
     def _check(self, other):
@@ -121,27 +117,28 @@ class TruncSeries:
 
     def inv(self) -> "TruncSeries":
         """Multiplicative inverse; needs c_0 != 0."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise BadConstantTerm("inv needs a nonzero constant term")
-        n = self.order
-        inv0 = c0.inv()
-        out = [inv0] + [ZERO] * n
-        for k in range(1, n + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                a = self.coeffs[j]
-                if not a.is_zero():
-                    acc = acc + a * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncSeries(self.order, out, self.direction)
+        return TruncSeries.one(self.order, self.direction) / self
 
     def __truediv__(self, other):
+        """Quotient by a scalar, or by a series b with b_0 != 0 through the
+        division recurrence q_k = (a_k - sum_{j>=1} b_j q_(k-j)) / b_0
+        (Knuth, TAOCP vol. 2, 4.7).  Zero b_j and zero q_(k-j) are skipped."""
         if isinstance(other, (int, Fraction, RatFunc)):
-            o = RatFunc._coerce(other)
-            return self * o.inv()
+            return self * RatFunc._coerce(other).inv()
         self._check(other)
-        return self * other.inv()
+        b0 = other.coeffs[0]
+        if b0.is_zero():
+            raise BadConstantTerm("division needs a nonzero constant term")
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if j and not b.is_zero()]
+        out = []
+        for k, acc in enumerate(self.coeffs):
+            for j, b in terms:
+                if j > k:
+                    break
+                if not out[k - j].is_zero():
+                    acc = acc - b * out[k - j]
+            out.append(acc / b0)
+        return TruncSeries(self.order, out, self.direction)
 
     def log(self) -> "TruncSeries":
         """Series logarithm; needs c_0 == 1."""
@@ -202,6 +199,6 @@ def linear(c0, c1, order=8, direction=ASC) -> TruncSeries:
 
 def ratio_series(num_coeffs, den_coeffs, order=8, direction=ASC) -> TruncSeries:
     """Expansion of a polynomial ratio num/den with den[0] invertible."""
-    num = TruncSeries.from_poly_coeffs(num_coeffs, order, direction)
-    den = TruncSeries.from_poly_coeffs(den_coeffs, order, direction)
-    return num * den.inv()
+    num = TruncSeries(order, num_coeffs[: order + 1], direction)
+    den = TruncSeries(order, den_coeffs[: order + 1], direction)
+    return num / den

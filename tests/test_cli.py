@@ -163,9 +163,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # Polynomial products made by `drinfeld --n 3 --json`: the highest-weight
 # series read for the reconstruction plus the per-weight RQ series, each
 # through sl2.series_matrices on a freshly built current module.  The RQ
-# module carries currents only to the order the RQ check reads, min(order, 6);
-# building them to the reconstruction's order made 5,607.
-DRINFELD_N3_PMUL_CALLS = 5207
+# check runs to the command's order 8 on a module with currents to k = 4,
+# and its closed side is one division recurrence; checking only to order 6
+# on a k = 3 module, with a full series inverse, made 5,207.
+DRINFELD_N3_PMUL_CALLS = 5399
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -183,6 +184,31 @@ def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
     code, _ = run(capsys, "drinfeld", "--n", "3", "--json")
     assert code == EXIT_PASS
     assert calls == DRINFELD_N3_PMUL_CALLS
+
+
+def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
+    # a per-weight series that leaves the closed form only at u^7 must fail
+    # `drinfeld --n 3` at its order 8; weight 0 feeds the P check, so only
+    # weight 2 is changed
+    from rsaffine import drinfeld
+    from rsaffine.field import ONE
+    from rsaffine.series import TruncSeries
+
+    weight_gamma_series = drinfeld.weight_gamma_series
+
+    def corrupted(mod, i, order):
+        plus, minus = weight_gamma_series(mod, i, order)
+        if i == 2 and order >= 7:
+            plus = plus + TruncSeries(order, [0] * 7 + [ONE])
+        return plus, minus
+
+    monkeypatch.delenv("RSAFFINE_ORDER", raising=False)
+    monkeypatch.setattr(drinfeld, "weight_gamma_series", corrupted)
+    code, out = run(capsys, "drinfeld", "--n", "3", "--json")
+    doc = json.loads(out)
+    assert code == EXIT_FAIL
+    assert doc["checks"] == {"plus": "pass", "minus": "pass", "matches_closed_form": True}
+    assert [e["pass"] for e in doc["RQ"]] == [True, True, False, True]
 
 
 # Polynomial products made by the pinned `tensor --left 3 --right 3 --a 1+r

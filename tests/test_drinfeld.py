@@ -13,12 +13,13 @@ from rsaffine.drinfeld import (
     plus_series_of,
     reconstruct_P,
     rq_closed_series,
+    rq_polynomials,
     verify_RQ_form,
     weight_gamma_series,
 )
 from rsaffine.errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEigenvector
 from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int
-from rsaffine.series import DESC, TruncSeries
+from rsaffine.series import DESC, TruncSeries, linear
 from rsaffine.rep_core import Wser, Xp
 from rsaffine.sl2 import build_current_eval, recover_imaginary
 
@@ -233,18 +234,55 @@ def test_library_order_lower_bounds():
     assert rep["all_pass"] and rep["order"] == 1
 
 
+def _factor_series(params, scale, order):
+    # prod (1 - p*scale*u) as a product of linear series
+    out = TruncSeries.one(order)
+    for p in params:
+        out = out * linear(ONE, -p * scale, order)
+    return out
+
+
 def test_rq_form_detects_dropped_factor():
     # dropping one factor from Q must surface a nonzero residual at u^1
     got = rq_closed_series(2, 1, 4)
-    from rsaffine.drinfeld import _poly_from_roots, _poly_series, rq_polynomials
-
     rfac, qfac = rq_polynomials(2, 1)
-    qfac = qfac[:-1]
-    num = _poly_series(_poly_from_roots(rfac), S, 4) * _poly_series(_poly_from_roots(qfac), R, 4)
-    den = _poly_series(_poly_from_roots(rfac), R, 4) * _poly_series(_poly_from_roots(qfac), S, 4)
-    perturbed = num * den.inv() * (R * S)
+
+    def closed(qfac):
+        num = _factor_series(rfac, S, 4) * _factor_series(qfac, R, 4)
+        den = _factor_series(rfac, R, 4) * _factor_series(qfac, S, 4)
+        return num / den * (R * S)
+
+    assert closed(qfac) == got
+    perturbed = closed(qfac[:-1])
     assert perturbed != got
     assert not (perturbed.coeffs[1] - got.coeffs[1]).is_zero()
+
+
+# Polynomial products made by verify_RQ_form on the rs^-1-shifted n = 4
+# module at order 12 (the module is built first and not counted).  The
+# closed side expands two polynomials with one division recurrence;
+# expanding four factor series, multiplying them and inverting the
+# denominator series made 2,952 calls and 75,441 term products.
+RQ_N4_PMUL_CALLS = 2202
+
+
+def test_rq_pmul_count_tripwire(monkeypatch):
+    import rsaffine._kernel as kernel
+
+    mod = build_current_eval(4, True, kmax=6, lmax=1)
+    calls = terms = 0
+    pmul = kernel.pmul
+
+    def counting(p, q):
+        nonlocal calls, terms
+        calls += 1
+        terms += len(p) * len(q)
+        return pmul(p, q)
+
+    monkeypatch.setattr(kernel, "pmul", counting)
+    assert verify_RQ_form(mod, order=12)["all_pass"]
+    assert calls == RQ_N4_PMUL_CALLS
+    assert terms < 75441
 
 
 # -- multiplicativity (tensor-level series arithmetic) --------------------------------

@@ -1,4 +1,4 @@
-"""Truncated series arithmetic: inv, log, exp, exact coefficients."""
+"""Truncated series arithmetic: division, inv, log, exp, exact coefficients."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rsaffine.errors import BadConstantTerm, MixedSeries
 from rsaffine.field import A, ONE, R, S, ZERO, rf
-from rsaffine.series import DESC, TruncSeries, geometric, linear
+from rsaffine.series import ASC, DESC, TruncSeries, geometric, linear, ratio_series
 
 
 def test_geometric_inverse():
@@ -44,11 +44,15 @@ def test_mixed_series_rejected():
     d = TruncSeries.one(order=4)
     with pytest.raises(MixedSeries):
         a - d
+    with pytest.raises(MixedSeries):
+        a / c
 
 
 def test_constant_term_preconditions():
     with pytest.raises(BadConstantTerm):
         TruncSeries(3, [ZERO, ONE]).inv()
+    with pytest.raises(BadConstantTerm):
+        TruncSeries.one(order=3) / TruncSeries(3, [ZERO, ONE])
     with pytest.raises(BadConstantTerm):
         TruncSeries(3, [rf(2)]).log()
     with pytest.raises(BadConstantTerm):
@@ -94,3 +98,37 @@ def test_log_turns_products_into_sums(cs, ds):
     f = TruncSeries(6, [ONE] + cs)
     g = TruncSeries(6, [ONE] + ds)
     assert (f * g).log() == f.log() + g.log()
+
+
+# values with real denominators, and zero, for the division recurrence
+nonzero_values = [ONE, rf(2), R, -S, A * R**-1, ONE / (R - S), (ONE + R) / (S + rf(2))]
+division_values = st.sampled_from([ZERO] + nonzero_values)
+directions = st.sampled_from([ASC, DESC])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(division_values, min_size=1, max_size=6),
+    st.sampled_from(nonzero_values),
+    st.lists(division_values, max_size=5),
+    directions,
+)
+def test_quotient_times_divisor_is_dividend(cs, b0, bs, direction):
+    # `*` is the only oracle: a / b is the series q with q * b == a
+    a = TruncSeries(5, cs, direction)
+    b = TruncSeries(5, [b0] + bs, direction)
+    assert (a / b) * b == a
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(division_values, min_size=5, max_size=8),
+    st.sampled_from(nonzero_values),
+    st.lists(division_values, min_size=4, max_size=7),
+    directions,
+)
+def test_ratio_series_divides_the_truncations(num, d0, den, direction):
+    # both polynomials are longer than the order; no coefficient past it is read
+    den = [d0] + den
+    want = TruncSeries(3, num[:4], direction) / TruncSeries(3, den[:4], direction)
+    assert ratio_series(num, den, 3, direction) == want
