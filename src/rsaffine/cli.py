@@ -29,7 +29,13 @@ from .rep_core import (
     check_drinfeld,
 )
 from .sl2 import build_chevalley_eval, build_current_eval
-from .specialize import centrality_report, parse_spec_map, specialize_module, substitute_module
+from .specialize import (
+    centrality_report,
+    parse_spec_map,
+    reports_at_pin,
+    specialize_module,
+    substitute_module,
+)
 
 MAX_N = 12
 MAX_KMAX = 8
@@ -136,12 +142,11 @@ def cmd_verify(args) -> int:
     curr = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
     if args.mutate:
         chev, curr = _apply_mutation(chev, curr, args.mutate)
-    if args.a is not None:
-        a = _parse_scalar(args.a, "--a")
-        chev = substitute_module(chev, a=a)
-        curr = substitute_module(curr, a=a)
+    a = None if args.a is None else _parse_scalar(args.a, "--a")
 
-    reports = check_chevalley(chev) + check_drinfeld(curr, args.kmax, args.lmax)
+    reports = reports_at_pin(check_chevalley, chev, a=a) + reports_at_pin(
+        lambda mod: check_drinfeld(mod, args.kmax, args.lmax), curr, a=a
+    )
     ok = all_pass(reports)
     doc = {
         "command": "verify",
@@ -166,10 +171,11 @@ def cmd_drinfeld(args) -> int:
     _check_bounds(n=args.n, max_n=MAX_DRINFELD_N)
     order = _drinfeld_order(args.n, args.order)
     shift = args.shift == "rs-inverse"
-    doc = drinfeld_report(args.n, shift, order=order)
-    rq = verify_RQ_form(
-        build_current_eval(args.n, True, kmax=max(1, (order + 1) // 2), lmax=1), order=order
-    )
+    # the RQ closed form is stated for the shifted module, which a shifted
+    # run also reads its polynomials from
+    shifted = build_current_eval(args.n, True, kmax=max(1, (order + 1) // 2), lmax=1)
+    doc = drinfeld_report(args.n, shift, order=order, mod=shifted if shift else None)
+    rq = verify_RQ_form(shifted, order=order)
     doc["command"] = "drinfeld"
     doc["RQ"] = [
         {"i": e["i"], "pass": e["pass"] and e["prefactor_consistent"]}
@@ -254,15 +260,17 @@ def cmd_specialize(args) -> int:
 
 def cmd_tensor(args) -> int:
     _check_bounds(n=max(args.left, args.right))
-    mL = build_chevalley_eval(args.left)
+    sL = build_chevalley_eval(args.left)
     # the right factor carries the second parameter
-    mR = substitute_module(build_chevalley_eval(args.right), a=B)
-    if args.a:
-        mL = substitute_module(mL, a=_parse_scalar(args.a, "--a"))
-    if args.b:
-        mR = substitute_module(mR, b=_parse_scalar(args.b, "--b"))
+    sR = substitute_module(build_chevalley_eval(args.right), a=B)
+    a = None if args.a is None else _parse_scalar(args.a, "--a")
+    mL = sL if a is None else substitute_module(sL, a=a)
+    b = None if args.b is None else _parse_scalar(args.b, "--b")
+    mR = sR if b is None else substitute_module(sR, b=b)
+    # the closure stays on the pinned module: rank can drop at a pin
     T = tensor(mL, mR)
-    reports = check_chevalley(T)
+    symbolic = T if a is None and b is None else tensor(sL, sR)
+    reports = reports_at_pin(check_chevalley, symbolic, a=a, b=b, pinned=T)
     ok = all_pass(reports)
     basis = span_closure(T, tensor_basis_vector(mL, mR, 0, 0))
     doc = {

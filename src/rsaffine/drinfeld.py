@@ -212,19 +212,22 @@ def verify_RQ_form(mod: MatrixModule, order: int = 6) -> dict:
     }
 
 
-def drinfeld_report(n: int, use_shift=False, order=None) -> dict:
+def drinfeld_report(n: int, use_shift=False, order=None, mod=None) -> dict:
     """Reconstruction vs closed form plus the mirror law, JSON-ready.
 
     The reconstruction reads the plus series to order 2n+1, so a smaller
-    order raises ValueError (the CLI rejects it as a usage error).
+    order raises ValueError (the CLI rejects it as a usage error).  mod is
+    the current module read, build_current_eval(n, use_shift,
+    kmax=(order+1)//2 or 1, lmax=1) when None.
     """
     from .sl2 import build_current_eval
 
     order = order if order is not None else 2 * n + 2
     if order < 2 * n + 1:
         raise ValueError(f"drinfeld_report needs order >= 2n+1 = {2 * n + 1} for n={n}, got {order}")
-    kmax = max(1, (order + 1) // 2)
-    h = extract_hw_series(build_current_eval(n, use_shift, kmax=kmax, lmax=1), order)
+    if mod is None:
+        mod = build_current_eval(n, use_shift, kmax=max(1, (order + 1) // 2), lmax=1)
+    h = extract_hw_series(mod, order)
     closed = closed_form_P(n, use_shift)
     status = {"plus": "pass", "minus": "pass"}
     matches = False

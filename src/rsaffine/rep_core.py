@@ -4,6 +4,16 @@ Every defining relation of both presentations is checked as an exact matrix
 identity over Q(r, s, a, b).  Reports carry instance counts and the rendered
 residual for any failure; an empty failure list means the relation holds
 exactly on the module.
+
+Pinned modules.  A module with a or b pinned is the substitution
+specialize.substitute_module(symbolic, a=..., b=...).  Substitution is a
+ring homomorphism on the rational functions that are regular at the pin
+(their denominators do not vanish there), so it commutes with every matrix
+product, sum and scaling a check computes.  The scalars the checks bring in
+(table entries, rho, theta(l), 1/(r-s)) contain no a or b.  So when every
+entry of the symbolic module is regular at the pin, a relation instance
+that holds on it holds on the pinned module; specialize.reports_at_pin
+decides pinned passes that way.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .cartan import PairingTable
 from .errors import SpecializationPole
 from .field import MAX_EXPONENT, R, S, RatFunc
-from .rep_core import MatrixModule
+from .rep_core import MatrixModule, all_pass
 
 S_TO_R_INVERSE = "s_to_r_inverse"
 S_TO_R = "s_to_r"
@@ -74,19 +74,68 @@ def specialize_table(t: PairingTable, m: SpecMap):
     return [[m.apply(e) for e in row] for row in t.entries]
 
 
+def _map_generators(mod: MatrixModule, fn) -> dict:
+    """fn applied entrywise to every generator matrix; a pole names the
+    first generator, in assignment order, that has one."""
+    assign = {}
+    for g, mat in mod.assign.items():
+        try:
+            assign[g] = mat.map(fn)
+        except SpecializationPole as exc:
+            raise SpecializationPole(f"generator {g} has a pole: {exc}") from None
+    return assign
+
+
 def substitute_module(mod: MatrixModule, **subs) -> MatrixModule:
     """Image of mod under RatFunc.substitute(**subs), applied to every
     generator matrix entrywise, to the pairing table entries (classical data
     and diagnostics inherited, not recomputed) and to the images of (r, s)."""
-    assign = {}
-    for g, mat in mod.assign.items():
-        try:
-            assign[g] = mat.map(lambda x: x.substitute(**subs))
-        except SpecializationPole as exc:
-            raise SpecializationPole(f"generator {g} has a pole: {exc}") from None
+    assign = _map_generators(mod, lambda x: x.substitute(**subs))
     entries = tuple(tuple(e.substitute(**subs) for e in row) for row in mod.table.entries)
     rs = tuple(x.substitute(**subs) for x in mod.rs)
     return MatrixModule(replace(mod.table, entries=entries), assign, check=False, rs=rs)
+
+
+def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None, pinned=None) -> list:
+    """check(substitute_module(symbolic, a=a, b=b)), decided on the symbolic
+    module whenever that proves it.
+
+    Lemma: substituting a and b is a ring homomorphism on the rational
+    functions whose denominators do not vanish at the pin, so it commutes
+    with the matrix products, sums and scalings a relation check computes.
+    The scalars a check brings in (table entries, rho, theta(l), 1/(r-s))
+    contain no a or b, and the pin fixes r and s.  So once every entry of
+    symbolic is regular at the pin, every instance that holds on symbolic
+    holds on the pinned module, and a symbolic pass is the pinned pass.
+
+    Regularity is checked as substitute_module checks it, with one
+    substitution per distinct entry denominator, and raises the same
+    SpecializationPole.  If any symbolic report fails, check runs on the
+    pinned module (pinned when given, which must be that substitution), so
+    it decides every verdict and renders every failure.  Without a pin the
+    symbolic run is the run; a zero pin, where a^-1 or b^-1 is not regular,
+    takes the pinned path directly.
+    """
+    pins = [p for p in (a, b) if p is not None]
+    if not pins:
+        return check(symbolic)
+    if all(pins):
+        regular = set()
+
+        def regular_at_pin(x):
+            den = x.as_quotient()[1]
+            if den not in regular:
+                den.inv().substitute(a=a, b=b)  # raises on a pole, as x.substitute would
+                regular.add(den)
+            return x
+
+        _map_generators(symbolic, regular_at_pin)
+        reports = check(symbolic)
+        if all_pass(reports):
+            return reports
+    if pinned is None:
+        pinned = substitute_module(symbolic, a=a, b=b)
+    return check(pinned)
 
 
 def specialize_module(mod: MatrixModule, m: SpecMap) -> MatrixModule:

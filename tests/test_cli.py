@@ -111,7 +111,10 @@ def test_verify_matmul_count_tripwire(capsys, monkeypatch):
 # product and sum through gcds of its already reduced factors makes 5,942;
 # one gcd of the whole product's numerator and denominator made 9,347.
 # Full products for the commutators with a diagonal factor made 5,942.
-VERIFY_PINNED_PGCD_CALLS = 3474
+# Checking the substituted modules made 3,474; the run now decides its pass
+# on the symbolic module and only substitutes the distinct denominators
+# (tests/test_specialize.py keeps the 3,474 of the direct path pinned).
+VERIFY_PINNED_PGCD_CALLS = 82
 
 
 def test_verify_pinned_pgcd_count_tripwire(capsys, monkeypatch):
@@ -186,6 +189,26 @@ def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
     assert calls == DRINFELD_N3_PMUL_CALLS
 
 
+@pytest.mark.parametrize("shift,builds", (("plain", 2), ("rs-inverse", 1)))
+def test_drinfeld_builds_each_current_module_once(capsys, monkeypatch, shift, builds):
+    # the RQ check reads the shifted module; a shifted run reads its
+    # polynomials from that same module
+    from rsaffine import cli, sl2
+
+    calls = []
+    build = sl2.build_current_eval
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sl2, "build_current_eval", counting)
+    monkeypatch.setattr(cli, "build_current_eval", counting)
+    code, _ = run(capsys, "drinfeld", "--n", "3", "--shift", shift, "--json")
+    assert code == EXIT_PASS
+    assert len(calls) == builds
+
+
 def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
     # a per-weight series that leaves the closed form only at u^7 must fail
     # `drinfeld --n 3` at its order 8; weight 0 feeds the P check, so only
@@ -215,8 +238,10 @@ def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
 # --b 2+s --json`, where every entry has a real denominator.  Most gcds there
 # are trivial and field._gcd_degree_bound_zero certifies them by integer
 # evaluation; without that certificate the run makes 26,600.  Full products
-# for the commuting group-likes of R1 made 13,577.
-TENSOR_33_PINNED_PMUL_CALLS = 12809
+# for the commuting group-likes of R1 made 13,577.  Checking the relations
+# on the pinned tensor module made 12,809; they are now decided on the
+# symbolic one, and the pinned module is built only for the closure.
+TENSOR_33_PINNED_PMUL_CALLS = 10222
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -396,6 +421,9 @@ BAD_INPUT_CASES = [
     (("twist", "--aut", "sigma", "--signs=--"), None, EXIT_USAGE, "--signs"),
     (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
     (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
+    (("verify", "--n", "1", "--a", ""), None, EXIT_USAGE, "--a: cannot parse scalar ''"),
+    (("tensor", "--left", "1", "--right", "1", "--a", ""), None, EXIT_USAGE, "--a: cannot parse scalar ''"),
+    (("tensor", "--left", "1", "--right", "1", "--b", ""), None, EXIT_USAGE, "--b: cannot parse scalar ''"),
     (("table", "--type", "E8"), None, EXIT_USAGE, "--type"),
     (("table", "--type", "A99999"), None, EXIT_USAGE, "--type"),
     (("table", "--type", "A\u00b2"), None, EXIT_USAGE, "--type"),

@@ -3,18 +3,20 @@
 import pytest
 
 from rsaffine.cartan import AffineType, build_pairing
-from rsaffine.errors import SpecializationPole
-from rsaffine.field import ONE, R, S, ZERO, quantum_int
-from rsaffine.hopf import span_closure
+from rsaffine.errors import DivisionByZero, SpecializationPole
+from rsaffine.field import ONE, A, B, R, S, ZERO, parse, quantum_int
+from rsaffine.hopf import span_closure, tensor
 from rsaffine.matrix import Matrix
-from rsaffine.rep_core import E, W, Wp, all_pass, check_chevalley
-from rsaffine.sl2 import build_chevalley_eval
+from rsaffine.rep_core import E, W, Wp, all_pass, check_chevalley, check_drinfeld
+from rsaffine.sl2 import build_chevalley_eval, build_current_eval
 from rsaffine.specialize import (
     SpecMap,
     centrality_report,
     parse_spec_map,
+    reports_at_pin,
     specialize_module,
     specialize_table,
+    substitute_module,
 )
 
 A1 = build_pairing(AffineType("A", 1))
@@ -130,3 +132,158 @@ def test_specialized_module_keeps_actions():
     sp = specialize_module(build_chevalley_eval(2), SpecMap("s_to_r"))
     # e.v_1 = [2] v_0 -> 2r v_0
     assert sp.get(E(1)).apply([ZERO, ONE, ZERO]) == [2 * R, ZERO, ZERO]
+
+
+# -- pinned verdicts through the substitution homomorphism ------------------------------
+#
+# reports_at_pin decides a pinned check on the symbolic module when that
+# proves it.  The oracle is the direct path: the same check on the
+# substituted module.
+
+
+PINS = ("1+r", "2+s", "r*s", "s^-2")
+KMAX = LMAX = 2
+
+
+def _direct(check, mod, **pins):
+    return [r.to_json() for r in check(substitute_module(mod, **pins))]
+
+
+def _helper(check, mod, **pins):
+    return [r.to_json() for r in reports_at_pin(check, mod, **pins)]
+
+
+def _drinfeld(mod):
+    return check_drinfeld(mod, KMAX, LMAX)
+
+
+@pytest.mark.parametrize("shift", (False, True), ids=("plain", "rs-inverse"))
+@pytest.mark.parametrize("mutation", (None, "xplus", "e1scale", "xminus-scale"))
+@pytest.mark.parametrize("pin", PINS)
+def test_pinned_verdicts_match_the_direct_path(pin, mutation, shift):
+    from rsaffine.cli import _apply_mutation
+
+    chev = build_chevalley_eval(2, shift)
+    curr = build_current_eval(2, shift, kmax=KMAX, lmax=LMAX)
+    if mutation:
+        chev, curr = _apply_mutation(chev, curr, mutation)
+    a = parse(pin)
+    for check, mod in ((check_chevalley, chev), (_drinfeld, curr)):
+        assert _helper(check, mod, a=a) == _direct(check, mod, a=a)
+
+
+@pytest.mark.parametrize("a,b", (("1+r", "2+s"), ("1", "s^-2"), ("1+r", "1+r")))
+def test_pinned_tensor_verdicts_match_the_direct_path(a, b):
+    sL = build_chevalley_eval(2)
+    sR = substitute_module(build_chevalley_eval(1), a=B)
+    pins = {"a": parse(a), "b": parse(b)}
+    pinned = tensor(substitute_module(sL, a=pins["a"]), substitute_module(sR, b=pins["b"]))
+    want = [r.to_json() for r in check_chevalley(pinned)]
+    assert _direct(check_chevalley, tensor(sL, sR), **pins) == want
+    assert _helper(check_chevalley, tensor(sL, sR), **pins) == want
+    got = reports_at_pin(check_chevalley, tensor(sL, sR), pinned=pinned, **pins)
+    assert [r.to_json() for r in got] == want
+
+
+def test_symbolic_failure_that_holds_at_the_pin():
+    # E(1) scaled by a: [E(1), F(1)] is a times the R3 right side, so R3
+    # fails on the symbolic module and holds exactly at a = 1
+    chev = build_chevalley_eval(2)
+    bad = chev.with_assign(E(1), chev.get(E(1)).scale(A))
+    symbolic = {r.relation_id: r for r in check_chevalley(bad)}
+    assert [k for k, r in symbolic.items() if not r.passed] == ["R3"]
+
+    at_one = reports_at_pin(check_chevalley, bad, a=ONE)
+    assert all_pass(at_one)
+    assert [r.to_json() for r in at_one] == _direct(check_chevalley, bad, a=ONE)
+
+    at_two = _helper(check_chevalley, bad, a=parse("2"))
+    assert at_two == _direct(check_chevalley, bad, a=parse("2"))
+    assert [r["relation_id"] for r in at_two if r["failures"]] == ["R3"]
+
+
+def _with_poles(mod):
+    # conjugation by diag(1, a - 1, 1, ...) is an isomorphism, so every
+    # relation still holds on the symbolic module, but entries of several
+    # generators now have the denominator a - 1; the error names the first
+    # of them in assignment order
+    d = [ONE] * mod.dim
+    d[1] = A - 1
+    D, Dinv = Matrix.diagonal(d), Matrix.diagonal([x.inv() for x in d])
+    for g in list(mod.assign):
+        mod = mod.with_assign(g, D @ mod.get(g) @ Dinv)
+    return mod
+
+
+def test_pole_error_is_the_substitution_error():
+    bad = _with_poles(build_chevalley_eval(2))
+    # without the pole check, this symbolic pass would be taken as a pass at a = 1
+    assert all_pass(check_chevalley(bad))
+    with pytest.raises(SpecializationPole) as direct:
+        substitute_module(bad, a=ONE)
+    with pytest.raises(SpecializationPole) as helper:
+        reports_at_pin(check_chevalley, bad, a=ONE)
+    assert str(helper.value) == str(direct.value)
+    first = next(
+        g for g, m in bad.assign.items() if any(not x.is_laurent_polynomial() for row in m.rows for x in row)
+    )
+    assert str(direct.value).startswith(f"generator {first} has a pole")
+    # away from the pole the entries are regular and the verdict is the pinned one
+    assert _helper(check_chevalley, bad, a=parse("2")) == _direct(check_chevalley, bad, a=parse("2"))
+
+
+def test_zero_pin_takes_the_direct_path():
+    # a^-1 is not regular at a = 0, and the symbolic module passes, so only
+    # the direct path can give the answer: the substitution's error
+    chev = build_chevalley_eval(1)
+    with pytest.raises(DivisionByZero) as direct:
+        substitute_module(chev, a=ZERO)
+    with pytest.raises(DivisionByZero) as helper:
+        reports_at_pin(check_chevalley, chev, a=ZERO)
+    assert str(helper.value) == str(direct.value)
+
+
+def test_pole_error_on_the_command_line(capsys, monkeypatch):
+    from rsaffine import cli
+
+    build = cli.build_chevalley_eval
+    monkeypatch.setattr(cli, "build_chevalley_eval", lambda n, shift=False: _with_poles(build(n, shift)))
+    with pytest.raises(SpecializationPole) as direct:
+        substitute_module(_with_poles(build(1)), a=ONE)
+    code = cli.main(["verify", "--n", "1", "--a", "1", "--json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err == f"error: SpecializationPole: {direct.value}\n"
+
+
+# Polynomial gcds, recursive ones included, made by the direct pinned path:
+# build the n = 2 Chevalley and current modules (at the verify defaults
+# kmax = 4, lmax = 3), substitute a = 1+r, then run check_chevalley and
+# check_drinfeld on the substituted modules, where every entry has a real
+# denominator.  `verify --a` decides a pass on the symbolic module, so this
+# count is what guards the gcd arithmetic of pinned relation checks.  It is
+# the count `verify --n 2 --a 1+r` made when it took this path.
+DIRECT_PINNED_PGCD_CALLS = 3474
+
+
+def test_direct_pinned_pgcd_count_tripwire(monkeypatch):
+    import rsaffine.field as field
+
+    calls = 0
+    pgcd = field.pgcd
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pgcd(p, q)
+
+    monkeypatch.setattr(field, "pgcd", counting)
+    chev = build_chevalley_eval(2)
+    curr = build_current_eval(2, kmax=4, lmax=3)
+    a = parse("1+r")
+    reports = check_chevalley(substitute_module(chev, a=a))
+    reports += check_drinfeld(substitute_module(curr, a=a), 4, 3)
+    assert all_pass(reports)
+    assert calls == DIRECT_PINNED_PGCD_CALLS
+    assert calls < 9347
