@@ -52,13 +52,6 @@ def pneg(p):
     return {k: -c for k, c in p.items()}
 
 
-def pscale(p, c):
-    """Multiply every coefficient by a nonzero scalar."""
-    if not c:
-        return {}
-    return {k: v * c for k, v in p.items()}
-
-
 def pshift(p, dr, ds, da, db):
     """Multiply by the monomial with exponent tuple (dr, ds, da, db)."""
     if not (dr or ds or da or db):

@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     }
     lines = [f"verify {t} n={args.n} shift={args.shift}"]
     for r in reports:
-        status = "ok" if r.passed else f"{len(r.failures)} FAILURES"
+        status = "ok" if r.passed else f"{len(r.mismatches)} FAILURES"
         lines.append(f"  {r.relation_id:5s} {r.instances_checked:4d} instances  {status}")
     lines.append("PASS" if ok else "FAIL")
     _emit(doc, args.json, lines)
@@ -267,10 +267,10 @@ def cmd_tensor(args) -> int:
     mL = sL if a is None else substitute_module(sL, a=a)
     b = None if args.b is None else _parse_scalar(args.b, "--b")
     mR = sR if b is None else substitute_module(sR, b=b)
-    # the closure stays on the pinned module: rank can drop at a pin
+    # the pinned module serves only the closure, whose rank can drop at a pin
     T = tensor(mL, mR)
     symbolic = T if a is None and b is None else tensor(sL, sR)
-    reports = reports_at_pin(check_chevalley, symbolic, a=a, b=b, pinned=T)
+    reports = reports_at_pin(check_chevalley, symbolic, a=a, b=b)
     ok = all_pass(reports)
     basis = span_closure(T, tensor_basis_vector(mL, mR, 0, 0))
     doc = {
@@ -297,10 +297,14 @@ def cmd_twist(args) -> int:
     _check_bounds(n=args.n, kmax=args.kmax, lmax=args.lmax)
     if args.aut == "gamma2" and args.c is None:
         raise UsageError("--aut gamma2 needs --c")
+    if args.c is not None and args.aut != "gamma2":
+        raise UsageError("--c applies only to --aut gamma2")
+    if args.signs is not None and args.aut != "sigma":
+        raise UsageError("--signs applies only to --aut sigma")
     shift = args.shift == "rs-inverse"
     if args.aut == "sigma":
         chev = build_chevalley_eval(args.n, shift)
-        signs = "".join(args.signs)
+        signs = "+" * chev.table.size if args.signs is None else "".join(args.signs)
         if len(signs) != chev.table.size or set(signs) - {"+", "-"}:
             raise UsageError(f"--signs needs {chev.table.size} characters, each + or -")
         tw = twist(chev, "sigma", signs=tuple(1 if ch == "+" else -1 for ch in signs))
@@ -381,13 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("twist", help="apply an automorphism twist and re-check")
     w.add_argument("--aut", choices=("sigma", "gamma1", "gamma2"), required=True)
     w.add_argument("--n", type=int, default=1)
-    w.add_argument("--c", help="scalar for gamma2 (exact expression)")
+    w.add_argument("--c", help="scalar for gamma2 only (exact expression)")
     w.add_argument(
         "--signs",
         nargs="+",
-        default="++",
-        help="signs for sigma, one + or - per node, as one or more tokens "
-        "that are joined: +-, + -, - - or --signs=-+",
+        help="signs for sigma only, one + or - per node (default all +), as one "
+        "or more tokens that are joined: +-, + -, - - or --signs=-+",
     )
     w.add_argument("--shift", choices=("plain", "rs-inverse"), default="plain")
     w.add_argument("--kmax", type=int, default=2)

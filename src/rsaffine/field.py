@@ -120,10 +120,6 @@ def _divmod_exact(p, q):
     return quot
 
 
-def _deg_axis(p, ax):
-    return max(k[ax] for k in p) if p else -1
-
-
 def _univ_view(p, ax):
     """View p as a univariate polynomial in axis ax: {degree: coeff-dict}."""
     out = {}
@@ -242,11 +238,6 @@ def _pgcd_shifted(p, q):
 
     # main variable: smallest combined degree keeps the PRS short
     ax = min(common, key=lambda a: dp[a] + dq[a])
-
-    if _gcd_degree_bound_zero(p, q, ax):
-        up, uq = _univ_view(p, ax), _univ_view(q, ax)
-        return _pgcd_shifted(_coeff_gcd(list(up.values())), _coeff_gcd(list(uq.values())))
-
     up, uq = _univ_view(p, ax), _univ_view(q, ax)
     cp = _coeff_gcd(list(up.values()))
     cq = _coeff_gcd(list(uq.values()))
@@ -257,64 +248,6 @@ def _pgcd_shifted(p, q):
     cont = _pgcd_shifted(cp, cq)
     out = K.pmul(_univ_collapse(g, ax), cont)
     return _int_primitive(out)
-
-
-_EVAL_POINTS = ((2, 3, 5, 7), (3, 7, 2, 5), (5, 2, 7, 3), (7, 5, 3, 2), (11, 13, 2, 3))
-
-
-def _eval_univ(p, ax, point):
-    """Evaluate all axes but ax at integer values; {deg: int}."""
-    out = {}
-    for k, c in p.items():
-        v = c
-        for j in range(4):
-            if j != ax and k[j]:
-                v = v * point[j] ** k[j]
-        d = k[ax]
-        out[d] = out.get(d, 0) + v
-    return {d: v for d, v in out.items() if v}
-
-
-def _gcd_degree_bound_zero(p, q, ax):
-    """True when a sound evaluation certificate shows deg_ax(gcd) == 0."""
-    dp, dq = _deg_axis(p, ax), _deg_axis(q, ax)
-    for point in _EVAL_POINTS:
-        ep = _eval_univ(p, ax, point)
-        eq = _eval_univ(q, ax, point)
-        # degree must not drop at the point, else the bound is unsound
-        if not ep or not eq or max(ep) != dp or max(eq) != dq:
-            continue
-        # the image gcd bounds the true degree from above, so one point
-        # with degree 0 suffices; an unlucky point only bounds it loosely
-        if _univ_gcd_degree(ep, eq) == 0:
-            return True
-    return False
-
-
-def _univ_gcd_degree(u, v):
-    """Degree over Q of the gcd of two univariate polynomials ({deg: int}),
-    by primitive pseudo-remainders."""
-    while v:
-        dv = max(v)
-        lv = v[dv]
-        r = u
-        while r and max(r) >= dv:
-            dr = max(r)
-            c = r[dr]
-            # lv * r - c * z^(dr-dv) * v cancels the leading term of r
-            r = K.pscale(r, lv)
-            for d, cv in v.items():
-                nd = d + dr - dv
-                w = r.get(nd, 0) - c * cv
-                if w:
-                    r[nd] = w
-                else:
-                    r.pop(nd, None)
-        if r:
-            c = _intgcd(*r.values())
-            r = {d: x // c for d, x in r.items()}
-        u, v = v, r
-    return max(u) if u else 0
 
 
 _UNIT = {_ZERO_KEY: 1}

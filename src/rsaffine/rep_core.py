@@ -1,9 +1,9 @@
 """Generator symbols, matrix modules, and the relation-verification engine.
 
 Every defining relation of both presentations is checked as an exact matrix
-identity over Q(r, s, a, b).  Reports carry instance counts and the rendered
-residual for any failure; an empty failure list means the relation holds
-exactly on the module.
+identity over Q(r, s, a, b).  Reports carry instance counts and both sides
+of every failing instance, rendered on output; an empty failure list means
+the relation holds exactly on the module.
 
 Pinned modules.  A module with a or b pinned is the substitution
 specialize.substitute_module(symbolic, a=..., b=...).  Substitution is a
@@ -11,9 +11,11 @@ ring homomorphism on the rational functions that are regular at the pin
 (their denominators do not vanish there), so it commutes with every matrix
 product, sum and scaling a check computes.  The scalars the checks bring in
 (table entries, rho, theta(l), 1/(r-s)) contain no a or b.  So when every
-entry of the symbolic module is regular at the pin, a relation instance
-that holds on it holds on the pinned module; specialize.reports_at_pin
-decides pinned passes that way.
+entry of the symbolic module is regular at the pin, both sides of every
+instance on the pinned module are the images of its symbolic sides: an
+instance that holds symbolically holds at the pin, and one that fails
+symbolically holds at the pin exactly when those images agree.
+specialize.reports_at_pin decides every pinned verdict that way.
 """
 
 from __future__ import annotations
@@ -186,12 +188,19 @@ class MatrixModule:
 class RelationReport:
     relation_id: str
     instances_checked: int = 0
-    failures: list = field(default_factory=list)
+    mismatches: list = field(default_factory=list)  # (instance, lhs, rhs) per failure
     elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.mismatches
+
+    @property
+    def failures(self) -> list:
+        return [
+            {"instance": str(inst), "lhs": _render_matrix(lhs), "rhs": _render_matrix(rhs)}
+            for inst, lhs, rhs in self.mismatches
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -230,13 +239,7 @@ class _Checker:
             self._fail(instance, lhs, mat.scale(c))
 
     def _fail(self, instance, lhs: Matrix, rhs: Matrix):
-        self.report.failures.append(
-            {
-                "instance": str(instance),
-                "lhs": _render_matrix(lhs),
-                "rhs": _render_matrix(rhs),
-            }
-        )
+        self.report.mismatches.append((instance, lhs, rhs))
 
     def done(self):
         self.report.elapsed_ms = (time.monotonic() - self._t0) * 1000.0

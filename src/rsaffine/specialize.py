@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .cartan import PairingTable
 from .errors import SpecializationPole
 from .field import MAX_EXPONENT, R, S, RatFunc
-from .rep_core import MatrixModule, all_pass
+from .rep_core import MatrixModule
 
 S_TO_R_INVERSE = "s_to_r_inverse"
 S_TO_R = "s_to_r"
@@ -96,46 +96,52 @@ def substitute_module(mod: MatrixModule, **subs) -> MatrixModule:
     return MatrixModule(replace(mod.table, entries=entries), assign, check=False, rs=rs)
 
 
-def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None, pinned=None) -> list:
-    """check(substitute_module(symbolic, a=a, b=b)), decided on the symbolic
-    module whenever that proves it.
+def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
+    """check(substitute_module(symbolic, a=a, b=b)), computed by one check on
+    the symbolic module.
 
     Lemma: substituting a and b is a ring homomorphism on the rational
     functions whose denominators do not vanish at the pin, so it commutes
     with the matrix products, sums and scalings a relation check computes.
     The scalars a check brings in (table entries, rho, theta(l), 1/(r-s))
     contain no a or b, and the pin fixes r and s.  So once every entry of
-    symbolic is regular at the pin, every instance that holds on symbolic
-    holds on the pinned module, and a symbolic pass is the pinned pass.
+    symbolic is regular at the pin, the two sides of each instance on the
+    pinned module are the images of its two symbolic sides.  Read one way,
+    an instance that holds symbolically holds at the pin; read the other,
+    a symbolic failure holds at the pin exactly when the images of its
+    sides agree.  Each symbolic failure is therefore mapped through the pin
+    and kept when its images differ, with the pinned sides the direct check
+    would report (the canonical form is unique), in the same order.
 
     Regularity is checked as substitute_module checks it, with one
     substitution per distinct entry denominator, and raises the same
-    SpecializationPole.  If any symbolic report fails, check runs on the
-    pinned module (pinned when given, which must be that substitution), so
-    it decides every verdict and renders every failure.  Without a pin the
-    symbolic run is the run; a zero pin, where a^-1 or b^-1 is not regular,
-    takes the pinned path directly.
+    SpecializationPole.  Without a pin the symbolic run is the run; a zero
+    pin, where a^-1 or b^-1 is not regular, takes the direct path and raises
+    what the substitution raises.
     """
     pins = [p for p in (a, b) if p is not None]
     if not pins:
         return check(symbolic)
-    if all(pins):
-        regular = set()
+    if not all(pins):
+        return check(substitute_module(symbolic, a=a, b=b))
+    regular = set()
 
-        def regular_at_pin(x):
-            den = x.as_quotient()[1]
-            if den not in regular:
-                den.inv().substitute(a=a, b=b)  # raises on a pole, as x.substitute would
-                regular.add(den)
-            return x
+    def regular_at_pin(x):
+        den = x.as_quotient()[1]
+        if den not in regular:
+            den.inv().substitute(a=a, b=b)  # raises on a pole, as x.substitute would
+            regular.add(den)
+        return x
 
-        _map_generators(symbolic, regular_at_pin)
-        reports = check(symbolic)
-        if all_pass(reports):
-            return reports
-    if pinned is None:
-        pinned = substitute_module(symbolic, a=a, b=b)
-    return check(pinned)
+    def at_pin(x):
+        return x.substitute(a=a, b=b)
+
+    _map_generators(symbolic, regular_at_pin)
+    reports = check(symbolic)
+    for rep in reports:
+        images = [(inst, lhs.map(at_pin), rhs.map(at_pin)) for inst, lhs, rhs in rep.mismatches]
+        rep.mismatches = [m for m in images if m[1] != m[2]]
+    return reports
 
 
 def specialize_module(mod: MatrixModule, m: SpecMap) -> MatrixModule:

@@ -235,13 +235,14 @@ def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
 
 
 # Polynomial products made by the pinned `tensor --left 3 --right 3 --a 1+r
-# --b 2+s --json`, where every entry has a real denominator.  Most gcds there
-# are trivial and field._gcd_degree_bound_zero certifies them by integer
-# evaluation; without that certificate the run makes 26,600.  Full products
-# for the commuting group-likes of R1 made 13,577.  Checking the relations
-# on the pinned tensor module made 12,809; they are now decided on the
-# symbolic one, and the pinned module is built only for the closure.
-TENSOR_33_PINNED_PMUL_CALLS = 10222
+# --b 2+s --json`, where the pinned entries have real denominators.  With
+# the relations checked on the pinned tensor module and no shortcut for
+# trivial gcds the run made 26,600, and full products for the commuting
+# group-likes of R1 made 13,577.  The relations are decided on the symbolic
+# module, and the pinned module is built only for the closure.  An integer
+# evaluation certificate for trivial gcds saved 18 products here and nothing
+# on any other benchmark run, so every gcd now goes through the PRS.
+TENSOR_33_PINNED_PMUL_CALLS = 10240
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -262,6 +263,36 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
     assert code == EXIT_PASS
     assert calls == TENSOR_33_PINNED_PMUL_CALLS
     assert calls < 26600
+
+
+# Polynomial products made by the failing pinned run `verify --n 2 --kmax 2
+# --lmax 2 --a 2+s --mutate xplus --json`.  Its relation checks run once, on
+# the symbolic module, and only the sides of the failing instances are
+# mapped through the pin; re-checking the whole suite on the pinned module
+# after a symbolic failure made 8,362.
+MUTATED_PINNED_PMUL_CALLS = 5076
+
+
+def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
+    import rsaffine._kernel as kernel
+
+    calls = 0
+    pmul = kernel.pmul
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pmul(p, q)
+
+    monkeypatch.setenv("RSAFFINE_ENABLE_MUTATE", "1")
+    monkeypatch.setattr(kernel, "pmul", counting)
+    code, _ = run(
+        capsys, "verify", "--n", "2", "--kmax", "2", "--lmax", "2", "--a", "2+s",
+        "--mutate", "xplus", "--json",
+    )
+    assert code == EXIT_FAIL
+    assert calls == MUTATED_PINNED_PMUL_CALLS
+    assert calls < 8362
 
 
 def test_mutate_requires_env(capsys, monkeypatch):
@@ -419,6 +450,11 @@ BAD_INPUT_CASES = [
     (("twist", "--aut", "sigma", "--signs=-+"), None, EXIT_PASS, ""),
     (("twist", "--aut", "sigma", "--signs", "-", "-", "--n", "1"), None, EXIT_PASS, ""),
     (("twist", "--aut", "sigma", "--signs=--"), None, EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "gamma1", "--c", "2"), None, EXIT_USAGE, "--c"),
+    (("twist", "--aut", "sigma", "--c", "2"), None, EXIT_USAGE, "--c"),
+    (("twist", "--aut", "gamma2", "--c", "2", "--signs", "+", "-"), None, EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "gamma1", "--signs", "+-"), None, EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "sigma", "--n", "1"), None, EXIT_PASS, ""),
     (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
     (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
     (("verify", "--n", "1", "--a", ""), None, EXIT_USAGE, "--a: cannot parse scalar ''"),

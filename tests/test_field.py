@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rsaffine._kernel import padd, pmul, psub
@@ -23,6 +23,7 @@ from rsaffine.field import (
     RatFunc,
     gauss_binom,
     parse,
+    pgcd,
     quantum_factorial,
     quantum_int,
     render,
@@ -402,6 +403,40 @@ def test_split_arithmetic_examples():
     assert (1 + R) / (2 + S) - ONE / (2 + S) == R / (2 + S)
     assert x**3 == 8 * (1 + R) ** 3 / (27 * (1 + S) ** 3)
     assert x**-2 == 9 * (1 + S) ** 2 / (4 * (1 + R) ** 2)
+
+
+# -- pgcd against a planted gcd -------------------------------------------------
+
+_factor_sets = st.frozensets(st.integers(0, len(_FACTORS) - 1), max_size=3)
+# an integer coefficient (a content) and a Laurent monomial (r, s in sixths)
+_monomials = st.tuples(
+    st.integers(-6, 6).filter(bool),
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12), st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+def _planted(factors, monomial):
+    c, key = monomial
+    out = {key: c}
+    for i in sorted(factors):
+        out = pmul(out, _FACTORS[i])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factor_sets, _factor_sets, _factor_sets, _monomials, _monomials, _monomials)
+# coprime g and h that both involve r and s, so the gcd is decided by the
+# pseudo-remainder sequence
+@example(frozenset({4}), frozenset({0, 2}), frozenset({1, 3}), (1, (0,) * 4), (1, (0,) * 4), (1, (0,) * 4))
+@example(frozenset({0, 5}), frozenset({1, 4}), frozenset({2, 3}), (3, (1, -2, 0, 1)), (-2, (0,) * 4), (4, (6, 0, -1, 0)))
+def test_pgcd_recovers_the_planted_factor(fs, gs, hs, fm, gm, hm):
+    # products of distinct irreducible factors: gcd(f g, f h) = f whenever
+    # g and h share none, in the canonical form pgcd returns (integer
+    # primitive, positive leading coefficient, the common monomial)
+    assume(not gs & hs)
+    f, g, h = _planted(fs, fm), _planted(gs, gm), _planted(hs, hm)
+    mono = tuple(e + min(u, v) for e, u, v in zip(fm[1], gm[1], hm[1]))
+    assert pgcd(pmul(f, g), pmul(f, h)) == _planted(fs, (1, mono))
 
 
 # -- rendering / parsing -----------------------------------------------------

@@ -136,9 +136,10 @@ def test_specialized_module_keeps_actions():
 
 # -- pinned verdicts through the substitution homomorphism ------------------------------
 #
-# reports_at_pin decides a pinned check on the symbolic module when that
-# proves it.  The oracle is the direct path: the same check on the
-# substituted module.
+# reports_at_pin runs a pinned check once, on the symbolic module, and maps
+# the two sides of each symbolic failure through the pin, keeping those
+# whose images differ.  The oracle is the direct path: the same check on the
+# substituted module, which must give the same verdicts, failures and bytes.
 
 
 PINS = ("1+r", "2+s", "r*s", "s^-2")
@@ -181,8 +182,21 @@ def test_pinned_tensor_verdicts_match_the_direct_path(a, b):
     want = [r.to_json() for r in check_chevalley(pinned)]
     assert _direct(check_chevalley, tensor(sL, sR), **pins) == want
     assert _helper(check_chevalley, tensor(sL, sR), **pins) == want
-    got = reports_at_pin(check_chevalley, tensor(sL, sR), pinned=pinned, **pins)
-    assert [r.to_json() for r in got] == want
+
+
+@pytest.mark.parametrize("a,r3_fails", (("2", True), ("1", False)))
+def test_failing_pinned_tensor_matches_the_direct_path(a, r3_fails):
+    # the left factor with E(1) scaled by a, as below: R3 fails on the
+    # symbolic tensor module, fails at a = 2 and holds at a = 1
+    chev = build_chevalley_eval(2)
+    sL = chev.with_assign(E(1), chev.get(E(1)).scale(A))
+    sR = substitute_module(build_chevalley_eval(1), a=B)
+    pins = {"a": parse(a), "b": parse("2+s")}
+    assert not all_pass(check_chevalley(tensor(sL, sR)))
+    pinned = tensor(substitute_module(sL, a=pins["a"]), substitute_module(sR, b=pins["b"]))
+    want = [r.to_json() for r in check_chevalley(pinned)]
+    assert _helper(check_chevalley, tensor(sL, sR), **pins) == want
+    assert [r["relation_id"] for r in want if r["failures"]] == (["R3"] if r3_fails else [])
 
 
 def test_symbolic_failure_that_holds_at_the_pin():
