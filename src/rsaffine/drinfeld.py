@@ -9,10 +9,24 @@ and the descending primed series satisfies the mirrored identity with
 Q(z) = P((rs)^deg(P) z) expanded about infinity.  Reconstruction solves the
 triangular linear system the identity imposes and then verifies every
 remaining coefficient, so a non-Drinfeld series is rejected, not fitted.
+
+The per-weight closed form r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us)) is in
+lowest terms a ratio of two polynomials of degree at most 2.  With
+p_j = a r^-j s^(j-n-1), R has the parameters p_1..p_n and Q the pairs
+(p_j, p_(j-1)) for j = 1..i; since r p_(j+1) = s p_j the factors telescope,
+and for 0 <= i <= n
+
+    R(us) Q(ur) / (R(ur) Q(us))  =  (1 - r p_0 u)(1 - r p_(n+1) u)
+                                    / ((1 - r p_i u)(1 - r p_(i+1) u)),
+
+where one more factor cancels when i = 0 or i = n.  Both sides have
+constant term 1, so the reduced ratio expands to the same truncated series
+as the unreduced one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, MirrorMismatch, NoSolution
@@ -170,10 +184,13 @@ def _poly_from_roots(params):
 
 def rq_closed_series(n: int, i: int, order: int) -> TruncSeries:
     """Ascending expansion of r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us)); F(xu)
-    has the linear-factor parameters of F times x."""
+    has the linear-factor parameters of F times x.  The factors common to
+    both sides cancel first, which leaves at most two on each (see the
+    module docstring)."""
     rfac, qfac = rq_polynomials(n, i)
-    num = _poly_from_roots([S * p for p in rfac] + [R * p for p in qfac])
-    den = _poly_from_roots([R * p for p in rfac] + [S * p for p in qfac])
+    num = Counter([S * p for p in rfac] + [R * p for p in qfac])
+    den = Counter([R * p for p in rfac] + [S * p for p in qfac])
+    num, den = _poly_from_roots((num - den).elements()), _poly_from_roots((den - num).elements())
     return ratio_series(num, den, order) * (R ** (n - i) * S**i)
 
 

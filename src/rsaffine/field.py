@@ -560,11 +560,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def cross_equal(self, other) -> bool:
-        """Equality by cross-multiplication (independent of canonical form)."""
-        o = self._coerce(other)
-        return K.pmul(self.num, o.den) == K.pmul(o.num, self.den)
-
     # -- substitution --------------------------------------------------------
 
     def substitute(self, r=None, s=None, a=None, b=None) -> "RatFunc":

@@ -119,6 +119,10 @@ class Matrix:
             return Matrix.zeros(self.n, self.m)
         return Matrix._sparse([{j: a * c for j, a in row.items()} for row in self._rows], self.m)
 
+    def scale_columns(self, factors) -> "Matrix":
+        """self @ diag(factors), factors nonzero: one product per entry."""
+        return Matrix._sparse([{j: a * factors[j] for j, a in row.items()} for row in self._rows], self.m)
+
     def map(self, fn) -> "Matrix":
         """Entrywise image: fn applied to the nonzero entries only (so fn
         must send zero to zero); results that are zero are dropped."""

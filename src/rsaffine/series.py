@@ -184,15 +184,6 @@ class TruncSeries:
         return f"TruncSeries[{terms}]"
 
 
-def geometric(ratio, order=8, direction=ASC) -> TruncSeries:
-    """1/(1 - ratio*x) as a truncated series."""
-    ratio = RatFunc._coerce(ratio)
-    coeffs = [ONE]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * ratio)
-    return TruncSeries(order, coeffs, direction)
-
-
 def linear(c0, c1, order=8, direction=ASC) -> TruncSeries:
     return TruncSeries(order, [c0, c1], direction)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cartan import AffineType, build_pairing
 from .errors import BadConstantTerm, NotEigenvector, WindowTooSmall
-from .field import A, ONE, R, S, ZERO, RatFunc, quantum_int
+from .field import A, ONE, R, S, RatFunc, quantum_int
 from .matrix import Matrix, commutator
 from .rep_core import (
     AIM_KIND,
@@ -101,21 +101,18 @@ def build_chevalley_eval(n: int, use_shift=False) -> MatrixModule:
     return MatrixModule(_A1, _with_gammas(assign, n + 1))
 
 
-def current_matrices(n: int, shift: RatFunc, k: int):
-    """The loop-generator matrices x+(k), x-(k) on V_n (closed form)."""
-    d = n + 1
+def current_matrices(e: Matrix, f: Matrix, shift: RatFunc, ks):
+    """The loop-generator matrices of V_n, {k: (x+(k), x-(k))} for k in ks.
+
+    Each is its degree-0 matrix times a diagonal power: x+(k) = e Lambda^k
+    and x-(k) = f M^k, with e = x+(0), f = x-(0) the ladder pair,
+    Lambda = diag(a' s^-n rho^-i), M = diag(a' r^n rho^-(i+1)) and
+    a' = shift*a; one product per nonzero entry."""
+    d = e.n
     ap = shift * A
-    xp = [[None] * d for _ in range(d)]
-    xm = [[None] * d for _ in range(d)]
-    for r_ in range(d):
-        for c_ in range(d):
-            xp[r_][c_] = ZERO
-            xm[r_][c_] = ZERO
-    for i in range(1, d):
-        xp[i - 1][i] = ap**k * S ** (-n * k) * _RHO ** (-k * i) * quantum_int(n + 1 - i)
-    for i in range(d - 1):
-        xm[i + 1][i] = ap**k * R ** (n * k) * _RHO ** (-k * (i + 1)) * quantum_int(i + 1)
-    return Matrix(xp), Matrix(xm)
+    lam = [ap * S ** (1 - d) * _RHO**-i for i in range(d)]
+    mu = [ap * R ** (d - 1) * _RHO ** -(i + 1) for i in range(d)]
+    return {k: (e.scale_columns([x**k for x in lam]), f.scale_columns([x**k for x in mu])) for k in ks}
 
 
 def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
@@ -127,11 +124,10 @@ def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
     e, f, w, wp = _vn_matrices(n)
     ap = sh * A
     out = []
-    for k in range(-kmax, kmax + 1):
+    for k, (xp, xm) in current_matrices(e, f, sh, range(-kmax, kmax + 1)).items():
         scalar = (R**-1 * S * ap) ** k
         via_ev_p = (wp**-k @ e).scale(scalar)
         via_ev_m = (f @ w**k).scale(scalar)
-        xp, xm = current_matrices(n, sh, k)
         if via_ev_p != xp:
             out.append(f"x+({k}) mismatch at n={n}")
         if via_ev_m != xm:
@@ -140,12 +136,12 @@ def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
 
 
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
-    """Current module with x+-(k) for |k| <= kmax+1, the omega series to
-    order 2*kmax, and the recovered imaginary generators to +-lmax."""
+    """Current module with x+-(k) for |k| <= max(kmax+1, 2*kmax), the omega
+    series to order 2*kmax, and the recovered imaginary generators to +-lmax."""
     if n < 0 or kmax < 1:
         raise ValueError("need n >= 0 and kmax >= 1")
     sh = shift_factor(use_shift)
-    _, _, w, wp = _vn_matrices(n)
+    e, f, w, wp = _vn_matrices(n)
     assign = {
         W(1): w,
         W(1, -1): w.inverse(),
@@ -153,8 +149,7 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
         Wp(1, -1): wp.inverse(),
     }
     reach = max(kmax + 1, 2 * kmax)  # series to order 2*kmax need currents there
-    for k in range(-reach, reach + 1):
-        xp, xm = current_matrices(n, sh, k)
+    for k, (xp, xm) in current_matrices(e, f, sh, range(-reach, reach + 1)).items():
         assign[Xp(1, k)] = xp
         assign[Xm(1, k)] = xm
     currents = MatrixModule(_A1, _with_gammas(assign, n + 1), check=False)
@@ -237,7 +232,3 @@ def recover_imaginary(mod: MatrixModule, lmax: int):
     apos = [Matrix.diagonal(cs) for cs in apos_diag]
     aneg = [Matrix.diagonal(cs) for cs in aneg_diag]
     return apos, aneg
-
-
-def highest_weight_vector(mod: MatrixModule):
-    return [ONE] + [ZERO] * (mod.dim - 1)

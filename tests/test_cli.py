@@ -33,8 +33,10 @@ def test_verify_kmax_bound(capsys):
 # machine independent, so a change that makes the relation check do more
 # arithmetic fails here; a change that makes it do less updates the number.
 # Two full products per commutator with a diagonal factor, and both sides of
-# every D6 instance built anew, made 22,700.
-VERIFY_N4_PMUL_CALLS = 16332
+# every D6 instance built anew, made 22,700.  Building each current entry
+# from its own quantum integer and three monomial factors, not as the
+# ladder entry times one power of its column's diagonal factor, made 16,332.
+VERIFY_N4_PMUL_CALLS = 14920
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -57,8 +59,9 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # Reductions to canonical form, RatFunc._normalize and RatFunc._canonical
 # together (a _normalize call counts its own _canonical too), made by
 # `verify --n 4 --json`; exact like the pmul count.  Full products for the
-# commutators with a diagonal factor and unmirrored D6 instances made 13,440.
-VERIFY_N4_NORMALIZE_CALLS = 9291
+# commutators with a diagonal factor and unmirrored D6 instances made 13,440,
+# and building each current entry from its own quantum integer made 9,291.
+VERIFY_N4_NORMALIZE_CALLS = 8381
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -168,8 +171,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # through sl2.series_matrices on a freshly built current module.  The RQ
 # check runs to the command's order 8 on a module with currents to k = 4,
 # and its closed side is one division recurrence; checking only to order 6
-# on a k = 3 module, with a full series inverse, made 5,207.
-DRINFELD_N3_PMUL_CALLS = 5399
+# on a k = 3 module, with a full series inverse, made 5,207.  Expanding the
+# closed side with every linear factor, before the common ones cancel, and
+# building each current entry from its own quantum integer made 5,399.
+DRINFELD_N3_PMUL_CALLS = 2995
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -269,8 +274,9 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # --lmax 2 --a 2+s --mutate xplus --json`.  Its relation checks run once, on
 # the symbolic module, and only the sides of the failing instances are
 # mapped through the pin; re-checking the whole suite on the pinned module
-# after a symbolic failure made 8,362.
-MUTATED_PINNED_PMUL_CALLS = 5076
+# after a symbolic failure made 8,362, and building each current entry from
+# its own quantum integer made 5,076.
+MUTATED_PINNED_PMUL_CALLS = 4800
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):

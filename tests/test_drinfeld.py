@@ -5,6 +5,7 @@ import pytest
 
 from rsaffine.drinfeld import (
     DrinfeldPoly,
+    _poly_from_roots,
     HwSeries,
     closed_form_P,
     drinfeld_report,
@@ -19,7 +20,7 @@ from rsaffine.drinfeld import (
 )
 from rsaffine.errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEigenvector
 from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int
-from rsaffine.series import DESC, TruncSeries, linear
+from rsaffine.series import DESC, TruncSeries, linear, ratio_series
 from rsaffine.rep_core import Wser, Xp
 from rsaffine.sl2 import build_current_eval, recover_imaginary
 
@@ -234,6 +235,34 @@ def test_library_order_lower_bounds():
     assert rep["all_pass"] and rep["order"] == 1
 
 
+def _unreduced_rq_closed_series(n, i, order):
+    # the closed form expanded with every linear factor of both sides
+    rfac, qfac = rq_polynomials(n, i)
+    num = _poly_from_roots([S * p for p in rfac] + [R * p for p in qfac])
+    den = _poly_from_roots([R * p for p in rfac] + [S * p for p in qfac])
+    return ratio_series(num, den, order) * (R ** (n - i) * S**i)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_reduced_rq_closed_form_matches_the_unreduced_expansion(n, monkeypatch):
+    import rsaffine.drinfeld as drinfeld
+
+    degrees = []
+
+    def recording(params):
+        coeffs = _poly_from_roots(params)
+        degrees.append(len(coeffs) - 1)
+        return coeffs
+
+    monkeypatch.setattr(drinfeld, "_poly_from_roots", recording)
+    for i in range(n + 1):
+        for order in (1, 6, 3 * n + 1):
+            assert rq_closed_series(n, i, order) == _unreduced_rq_closed_series(n, i, order)
+    # the reduced numerator and denominator of every weight
+    assert len(degrees) == 2 * 3 * (n + 1)
+    assert max(degrees) <= 2
+
+
 def _factor_series(params, scale, order):
     # prod (1 - p*scale*u) as a product of linear series
     out = TruncSeries.one(order)
@@ -260,10 +289,12 @@ def test_rq_form_detects_dropped_factor():
 
 # Polynomial products made by verify_RQ_form on the rs^-1-shifted n = 4
 # module at order 12 (the module is built first and not counted).  The
-# closed side expands two polynomials with one division recurrence;
-# expanding four factor series, multiplying them and inverting the
-# denominator series made 2,952 calls and 75,441 term products.
-RQ_N4_PMUL_CALLS = 2202
+# closed side cancels its common linear factors and expands two polynomials
+# of degree at most 2 with one division recurrence; expanding all 3n
+# factors made 2,202 calls, and expanding four factor series, multiplying
+# them and inverting the denominator series made 2,952 calls and 75,441
+# term products.
+RQ_N4_PMUL_CALLS = 992
 
 
 def test_rq_pmul_count_tripwire(monkeypatch):

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from rsaffine.errors import BadConstantTerm, MixedSeries
 from rsaffine.field import A, ONE, R, S, ZERO, rf
-from rsaffine.series import ASC, DESC, TruncSeries, geometric, linear, ratio_series
+from rsaffine.series import ASC, DESC, TruncSeries, linear, ratio_series
+
+
+def geometric(ratio, order=8, direction=ASC):
+    """1/(1 - ratio*x) as a truncated series, by its coefficients."""
+    coeffs = [ONE]
+    for _ in range(order):
+        coeffs.append(coeffs[-1] * ratio)
+    return TruncSeries(order, coeffs, direction)
 
 
 def test_geometric_inverse():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rsaffine.cli import MAX_KMAX
 from rsaffine.errors import WindowTooSmall
 from rsaffine.field import A, ONE, R, S, ZERO, quantum_int
 from rsaffine.rep_core import (
@@ -29,7 +30,6 @@ from rsaffine.sl2 import (
     build_current_eval,
     build_Vn,
     evaluation_map_consistency,
-    highest_weight_vector,
     omega_matrices,
     recover_imaginary,
     series_matrices,
@@ -127,7 +127,7 @@ def test_current_negative_k_example():
 @pytest.mark.parametrize("n", range(4))
 def test_highest_weight_annihilation(n):
     mod = build_current_eval(n, kmax=3, lmax=1)
-    v0 = highest_weight_vector(mod)
+    v0 = [ONE] + [ZERO] * n
     for k in range(-mod.kmax, mod.kmax + 1):
         assert all(x.is_zero() for x in mod.get(Xp(1, k)).apply(v0))
 
@@ -142,6 +142,33 @@ def test_shift_must_be_a_bool(shift):
 @pytest.mark.parametrize("shift", (False, True))
 def test_evaluation_morphism_agrees_with_closed_action(n, shift):
     assert evaluation_map_consistency(n, shift, kmax=3) == []
+
+
+@pytest.mark.parametrize("n", (1, 4, 12))
+@pytest.mark.parametrize("shift", (False, True))
+def test_evaluation_morphism_covers_the_cli_current_window(n, shift):
+    # the CLI materializes currents to |k| <= 2*kmax with kmax <= MAX_KMAX
+    assert evaluation_map_consistency(n, shift, kmax=2 * MAX_KMAX) == []
+
+
+def test_current_build_makes_one_quantum_integer_per_ladder_entry(monkeypatch):
+    # every current is its degree-0 matrix times a diagonal power, so the
+    # 2n ladder entries are the only quantum integers built; building each
+    # x+-(k) entry from its own quantum integer made 456 calls here
+    import rsaffine.sl2 as sl2
+
+    calls = 0
+    built = sl2.quantum_int
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return built(*args)
+
+    monkeypatch.setattr(sl2, "quantum_int", counting)
+    n = 6
+    build_current_eval(n, True, kmax=9, lmax=1)
+    assert calls == 2 * n
 
 
 # -- series generators --------------------------------------------------------------
