@@ -70,9 +70,9 @@ def _drinfeld_order(n: int, order) -> int:
     return max(default, low + 1)
 
 
-def _check_bounds(n=None, kmax=None, lmax=None, max_n=MAX_N):
+def _check_bounds(n=None, kmax=None, lmax=None, max_n=MAX_N, n_flag="--n"):
     if n is not None and not (0 <= n <= max_n):
-        raise UsageError(f"--n must be in 0..{max_n}")
+        raise UsageError(f"{n_flag} must be in 0..{max_n}")
     if kmax is not None and not (1 <= kmax <= MAX_KMAX):
         raise UsageError(f"--kmax must be in 1..{MAX_KMAX}")
     # the omega series behind the D-relations is materialized to order 2*kmax
@@ -259,7 +259,8 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    _check_bounds(n=max(args.left, args.right))
+    _check_bounds(n=args.left, n_flag="--left")
+    _check_bounds(n=args.right, n_flag="--right")
     sL = build_chevalley_eval(args.left)
     # the right factor carries the second parameter
     sR = substitute_module(build_chevalley_eval(args.right), a=B)

@@ -317,6 +317,10 @@ class RatFunc:
     - Product: gcd(n1 n2, d1 d2) = gcd(n1, d2) gcd(n2, d1), since n1 is
       coprime to d1 and n2 to d2.  Both are divided out before
       multiplying.  A quotient is the product with d2/n2.
+    - Unit denominators: n1/1 * n2/1 is n1 n2 / 1 in canonical form
+      already (a unit denominator needs no shift and no content division,
+      and a product of nonzero integer polynomials is nonzero), so it
+      skips the canonicalizing tail.
     - Sum: with g = gcd(d1, d2), d1 = g d1', d2 = g d2', the sum is
       (n1 d2' + n2 d1') / (d1' d2).  Its numerator is coprime to d1' and
       d2', so only gcd(numerator, g) can cancel, and nothing can when g is
@@ -490,6 +494,8 @@ class RatFunc:
             return NotImplemented
         if not self.num or not o.num:
             return ZERO
+        if self.den == _UNIT and o.den == _UNIT:
+            return RatFunc._make(K.pmul(self.num, o.num), _UNIT)
         if len(self.den) == 1 and len(o.den) == 1:
             return RatFunc._canonical(K.pmul(self.num, o.num), K.pmul(self.den, o.den))
         return _mul_coprime(self.num, self.den, o.num, o.den)

@@ -445,14 +445,20 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
             c.check(("x-", -l, k), lhs, mod.get(Xm(i, k - l)).scale(-th))
     reports.append(c.done())
 
-    # Mirror lemma: with sqrt_factor = 1, instance (k, k2) of D6 reads
-    # L(k, k2) == -L(k2, k) for L(k, k2) = X(k+1)X(k2) - rr X(k2)X(k+1).
-    # Instance (k2, k) is the same identity with its sides swapped and
-    # negated, so it has the same verdict.  Each unordered pair builds its two
-    # L's once (k = k2 is its own mirror); the mirrored instance keeps only
-    # that verdict, or, when it failed, the pair it renders.
+    # Anti-diagonal lemma: with sqrt_factor = 1 and P(a, b) = X(a)X(b),
+    # instance (k, k2) of D6 reads L(k, k2) == -L(k2, k) for
+    # L(k, k2) = P(k+1, k2) - rr P(k2, k+1), that is
+    #     P(k+1, k2) + P(k2+1, k) == rr (P(k2, k+1) + P(k, k2+1)).
+    # The identity is symmetric in k and k2, so (k2, k) has the verdict of
+    # (k, k2), and every product in it has a + b = k + k2 + 1.  Verdicts are
+    # decided one anti-diagonal t = k + k2 at a time: the pairs k <= k2 on it
+    # read P(a, t+1-a) for a = lo .. t-lo+1 and no other product, so each is
+    # built once; k = k2 reads P(k+1, k) == rr P(k, k+1).  The verdicts are
+    # then counted in instance order, and only a failure builds its two sides
+    # L(k, k2) and -L(k2, k) for the report.
     c = _Checker("D6")
     sqrt_factor = ONE  # (<j,i><i,j>^-1)^(1/2) at i = j
+    ks = range(-(kmax + 1), kmax + 1)
     for sign in (+1, -1):
         rr = rho if sign > 0 else rho.inv()
         X = (lambda k: mod.get(Xp(i, k))) if sign > 0 else (lambda k: mod.get(Xm(i, k)))
@@ -460,20 +466,23 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
         def L(k, k2):
             return X(k + 1) @ X(k2) - (X(k2) @ X(k + 1)).scale(rr)
 
-        mirrored = {}
-        ks = range(-(kmax + 1), kmax + 1)
+        failed = set()
+        for t in range(2 * ks[0], 2 * ks[-1] + 1):
+            lo = max(ks[0], t - ks[-1])
+            P = {a: X(a) @ X(t + 1 - a) for a in range(lo, t - lo + 2)}
+            for k in range(lo, t // 2 + 1):
+                k2 = t - k
+                if k == k2:
+                    holds = P[k + 1] == P[k].scale(rr)
+                else:
+                    holds = P[k + 1] + P[k2 + 1] == (P[k2] + P[k]).scale(rr)
+                if not holds:
+                    failed.update(((k, k2), (k2, k)))
+            del P  # so that one diagonal's products are alive at a time
         for k in ks:
             for k2 in ks:
-                if k2 < k:
-                    c.decided((sign, k, k2), mirrored.pop((k, k2)))
-                    continue
-                lhs = L(k, k2)
-                if k2 == k:
-                    c.check((sign, k, k), lhs, lhs.scale(-sqrt_factor))
-                    continue
-                other = L(k2, k)
-                ok = c.check((sign, k, k2), lhs, other.scale(-sqrt_factor))
-                mirrored[(k2, k)] = None if ok else (other, lhs.scale(-sqrt_factor))
+                failure = (L(k, k2), L(k2, k).scale(-sqrt_factor)) if (k, k2) in failed else None
+                c.decided((sign, k, k2), failure)
     reports.append(c.done())
 
     c = _Checker("D7")

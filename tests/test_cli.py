@@ -36,7 +36,9 @@ def test_verify_kmax_bound(capsys):
 # every D6 instance built anew, made 22,700.  Building each current entry
 # from its own quantum integer and three monomial factors, not as the
 # ladder entry times one power of its column's diagonal factor, made 16,332.
-VERIFY_N4_PMUL_CALLS = 14920
+# Multiplying the unit denominators of two Laurent entries as well, and
+# building the two sides of every unordered D6 pair, made 14,920.
+VERIFY_N4_PMUL_CALLS = 7736
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -61,7 +63,9 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # `verify --n 4 --json`; exact like the pmul count.  Full products for the
 # commutators with a diagonal factor and unmirrored D6 instances made 13,440,
 # and building each current entry from its own quantum integer made 9,291.
-VERIFY_N4_NORMALIZE_CALLS = 8381
+# Canonicalizing every product of two Laurent entries, and building the two
+# sides of every unordered D6 pair, made 8,381.
+VERIFY_N4_NORMALIZE_CALLS = 2163
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -89,7 +93,9 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 # build_current_eval; checking each intermediate module as well made 1,766.
 # A commutator with a diagonal factor takes no product, and D6 builds the two
 # sides of each unordered (k, k2) pair once; full products made 1,756.
-VERIFY_N4_MATMUL_CALLS = 1018
+# D6 now builds each product X(a)X(b) once per anti-diagonal a + b; the two
+# sides of each unordered pair made 1,018.
+VERIFY_N4_MATMUL_CALLS = 856
 
 
 def test_verify_matmul_count_tripwire(capsys, monkeypatch):
@@ -174,7 +180,8 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # on a k = 3 module, with a full series inverse, made 5,207.  Expanding the
 # closed side with every linear factor, before the common ones cancel, and
 # building each current entry from its own quantum integer made 5,399.
-DRINFELD_N3_PMUL_CALLS = 2995
+# Multiplying the unit denominators of two Laurent values made 2,995.
+DRINFELD_N3_PMUL_CALLS = 1983
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -247,7 +254,8 @@ def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
 # module, and the pinned module is built only for the closure.  An integer
 # evaluation certificate for trivial gcds saved 18 products here and nothing
 # on any other benchmark run, so every gcd now goes through the PRS.
-TENSOR_33_PINNED_PMUL_CALLS = 10240
+# Multiplying the unit denominators of two Laurent values made 10,240.
+TENSOR_33_PINNED_PMUL_CALLS = 5550
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -275,8 +283,10 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # the symbolic module, and only the sides of the failing instances are
 # mapped through the pin; re-checking the whole suite on the pinned module
 # after a symbolic failure made 8,362, and building each current entry from
-# its own quantum integer made 5,076.
-MUTATED_PINNED_PMUL_CALLS = 4800
+# its own quantum integer made 5,076.  Multiplying the unit denominators of
+# two Laurent values, and building the two sides of every unordered D6 pair,
+# made 4,800.
+MUTATED_PINNED_PMUL_CALLS = 3171
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -463,6 +473,10 @@ BAD_INPUT_CASES = [
     (("twist", "--aut", "sigma", "--n", "1"), None, EXIT_PASS, ""),
     (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
     (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
+    (("tensor", "--left", "-1", "--right", "2"), None, EXIT_USAGE, "--left must be in 0..12"),
+    (("tensor", "--left", "2", "--right", "-3"), None, EXIT_USAGE, "--right must be in 0..12"),
+    (("tensor", "--left", "13", "--right", "1"), None, EXIT_USAGE, "--left must be in 0..12"),
+    (("tensor", "--left", "0", "--right", "13"), None, EXIT_USAGE, "--right must be in 0..12"),
     (("verify", "--n", "1", "--a", ""), None, EXIT_USAGE, "--a: cannot parse scalar ''"),
     (("tensor", "--left", "1", "--right", "1", "--a", ""), None, EXIT_USAGE, "--a: cannot parse scalar ''"),
     (("tensor", "--left", "1", "--right", "1", "--b", ""), None, EXIT_USAGE, "--b: cannot parse scalar ''"),

@@ -293,8 +293,9 @@ def test_rq_form_detects_dropped_factor():
 # of degree at most 2 with one division recurrence; expanding all 3n
 # factors made 2,202 calls, and expanding four factor series, multiplying
 # them and inverting the denominator series made 2,952 calls and 75,441
-# term products.
-RQ_N4_PMUL_CALLS = 992
+# term products.  Multiplying the unit denominators of two Laurent
+# coefficients made 992.
+RQ_N4_PMUL_CALLS = 637
 
 
 def test_rq_pmul_count_tripwire(monkeypatch):

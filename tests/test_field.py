@@ -410,6 +410,56 @@ def test_split_arithmetic_examples():
     assert x**-2 == 9 * (1 + S) ** 2 / (4 * (1 + R) ** 2)
 
 
+# -- products of Laurent values -------------------------------------------------
+
+
+@st.composite
+def laurent_values(draw):
+    """A nonzero Laurent value: an integer polynomial with a content and
+    negative exponents in every variable (r, s in sixths), over a positive
+    integer.  The integer is 1 most often, so products of two unit
+    denominators and products with a denominator such as 2 are both drawn."""
+    content = draw(st.integers(-6, 6).filter(bool))
+    key = st.tuples(st.integers(-12, 12), st.integers(-12, 12), st.integers(-3, 3), st.integers(-3, 3))
+    terms = draw(st.dictionaries(key, st.integers(-9, 9).filter(bool), min_size=1, max_size=4))
+    den = draw(st.sampled_from((1, 1, 1, 2, 3, 6)))
+    return _one_shot({k: content * c for k, c in terms.items()}, {_UNIT_KEY: den})
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=laurent_values(), y=laurent_values(), point=_points)
+@example(x=1 + R, y=(1 - S * A**-1) * B**-2, point=(2, 3, 5, 7))
+@example(x=rf(1) / 2, y=2 * R * S**-1, point=(2, 3, 5, 7))
+@example(x=(1 + R) / 6, y=-4 * (1 + S), point=(2, 3, 5, 7))
+def test_laurent_product_matches_one_shot(x, y, point):
+    got = x * y
+    want = _one_shot(pmul(x.num, y.num), pmul(x.den, y.den))
+    assert (got.num, got.den) == (want.num, want.den)
+    assert_canonical(got)
+    # integer denominators never vanish mod _P
+    assert _eval(got, point) == _eval(x, point) * _eval(y, point) % _P
+
+
+def test_unit_denominator_product_skips_the_canonical_form(monkeypatch):
+    x, y = 2 * R**-1 + S * A, 3 - B**-2
+    want = 6 * R**-1 - 2 * R**-1 * B**-2 + 3 * S * A - S * A * B**-2
+    half, two_r = rf(1) / 2, 2 * R
+    calls = 0
+    canonical = RatFunc._canonical.__func__
+
+    def counting(cls, num, den):
+        nonlocal calls
+        calls += 1
+        return canonical(cls, num, den)
+
+    monkeypatch.setattr(RatFunc, "_canonical", classmethod(counting))
+    assert x * y == want
+    assert calls == 0
+    # a denominator other than 1 still takes the canonicalizing tail
+    assert half * two_r == R
+    assert calls == 1
+
+
 # -- pgcd against a planted gcd -------------------------------------------------
 
 _factor_sets = st.frozensets(st.integers(0, len(_FACTORS) - 1), max_size=3)

@@ -128,7 +128,7 @@ def test_grouplike_inverse_enforced_at_construction():
 # -- D2/D3/D5/D6 reports against a naive reference ------------------------------------
 # The reference takes both full products of every commutator and builds both
 # sides of every D6 instance, so it shares neither the diagonal commutator
-# nor the D6 mirroring with check_drinfeld.
+# nor the D6 anti-diagonals with check_drinfeld.
 
 
 def naive_reports(mod, kmax, lmax):
@@ -214,6 +214,72 @@ def test_failure_reports_match_the_naive_reference(mutation):
         assert reports[rid].instances_checked == count
         assert reports[rid].failures == failures
     assert {rid for rid, (_, failures) in expected.items() if failures} == failing
+
+
+# Mutations aimed at D6, with a check on its failing instances (sign, k, k2):
+# x-(1) scaled breaks only the x- sign, x+(kmax+1) is the window edge that
+# only k = kmax reads, and adding 1 to a current breaks k = k2 instances,
+# which a scaled current cannot (it scales both of their sides alike).
+D6_MUTATIONS = {
+    "x-(1) * 2": (
+        lambda mod, kmax: mod.with_assign(Xm(1, 1), mod.get(Xm(1, 1)).scale(2)),
+        lambda fails, kmax: {sign for sign, _, _ in fails} == {-1},
+    ),
+    "x+(kmax+1) + 1": (
+        lambda mod, kmax: mod.with_assign(Xp(1, kmax + 1), mod.get(Xp(1, kmax + 1)) + Matrix.identity(mod.dim)),
+        lambda fails, kmax: (1, kmax, kmax) in fails and all(sign == 1 and kmax in (k, k2) for sign, k, k2 in fails),
+    ),
+    "x+(0) + 1": (
+        lambda mod, kmax: mod.with_assign(Xp(1, 0), mod.get(Xp(1, 0)) + Matrix.identity(mod.dim)),
+        lambda fails, kmax: (1, 0, 0) in fails and (1, -1, -1) in fails,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", D6_MUTATIONS)
+@pytest.mark.parametrize("shift", (False, True))
+@pytest.mark.parametrize("kmax", (1, 3))
+@pytest.mark.parametrize("n", (2, 3))
+def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
+    mutate, expect = D6_MUTATIONS[mutation]
+    mod = mutate(build_current_eval(n, shift, kmax=kmax, lmax=1), kmax)
+    (report,) = [r for r in check_drinfeld(mod, kmax, 1) if r.relation_id == "D6"]
+    count, failures = naive_reports(mod, kmax, 1)["D6"]
+    assert report.instances_checked == count == drinfeld_instance_counts(kmax, 1)["D6"]
+    assert report.failures == failures
+    assert expect({inst for inst, _, _ in report.mismatches}, kmax)
+
+
+# Matrix products made by D6 on one module at kmax = K: each X(a)X(b) of an
+# anti-diagonal a + b = t + 1 once, that is 2(2K+2)^2 - (2K+1)^2 per sign.
+# Building the two sides of every unordered (k, k2) pair made 4(2K+2)^2.
+@pytest.mark.parametrize("kmax,products", ((1, 46), (2, 94), (4, 238), (8, 718)))
+def test_d6_builds_each_current_product_once(monkeypatch, kmax, products):
+    import rsaffine.rep_core as rep_core
+
+    calls = 0
+    spans = {}
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return matmul(a, b)
+
+    class Spans(rep_core._Checker):
+        def __init__(self, relation_id):
+            super().__init__(relation_id)
+            self.start = calls
+
+        def done(self):
+            spans[self.report.relation_id] = calls - self.start
+            return super().done()
+
+    mod = build_current_eval(1, kmax=kmax, lmax=1)
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    monkeypatch.setattr(rep_core, "_Checker", Spans)
+    assert all_pass(check_drinfeld(mod, kmax, 1))
+    assert spans["D6"] == products == 2 * (2 * (2 * kmax + 2) ** 2 - (2 * kmax + 1) ** 2)
 
 
 # -- apply_word ----------------------------------------------------------------

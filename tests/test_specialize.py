@@ -277,8 +277,9 @@ def test_pole_error_on_the_command_line(capsys, monkeypatch):
 # check_drinfeld on the substituted modules, where every entry has a real
 # denominator.  `verify --a` decides a pass on the symbolic module, so this
 # count is what guards the gcd arithmetic of pinned relation checks.  It is
-# the count `verify --n 2 --a 1+r` made when it took this path.
-DIRECT_PINNED_PGCD_CALLS = 3474
+# the count `verify --n 2 --a 1+r` made when it took this path.  Building the
+# two sides of every unordered D6 pair made 3,474.
+DIRECT_PINNED_PGCD_CALLS = 3194
 
 
 def test_direct_pinned_pgcd_count_tripwire(monkeypatch):
