@@ -10,24 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cartan import build_pairing, parse_type, table_to_json
 from .drinfeld import drinfeld_report, verify_RQ_form
 from .errors import LatticeOverflow, RsaffineError, UnsupportedRank
-from .field import ONE, B, RatFunc, parse, render
+from .field import ONE, ZERO, A, B, RatFunc, parse, render
 from .hopf import span_closure, tensor, tensor_basis_vector, twist
-from .matrix import Matrix
-from .rep_core import (
-    E,
-    MatrixModule,
-    Xm,
-    Xp,
-    all_pass,
-    check_chevalley,
-    check_drinfeld,
-)
+from .rep_core import all_pass, check_chevalley, check_drinfeld
 from .sl2 import build_chevalley_eval, build_current_eval
 from .specialize import (
     centrality_report,
@@ -54,20 +44,13 @@ class UsageError(Exception):
 
 def _drinfeld_order(n: int, order) -> int:
     """The series order of the drinfeld command: --order when given, else
-    RSAFFINE_ORDER (default 8) raised to at least 2n+2."""
+    max(8, 2n+2)."""
     low = 2 * n + 1
-    if order is not None:
-        if not (low <= order <= MAX_ORDER):
-            raise UsageError(f"--order must be in {low}..{MAX_ORDER} for --n {n}")
-        return order
-    text = os.environ.get("RSAFFINE_ORDER", "8")
-    try:
-        default = int(text)
-    except ValueError:
-        raise UsageError(f"RSAFFINE_ORDER must be an integer, got {text!r}") from None
-    if not (1 <= default <= MAX_ORDER):
-        raise UsageError(f"RSAFFINE_ORDER must be in 1..{MAX_ORDER}")
-    return max(default, low + 1)
+    if order is None:
+        return max(8, low + 1)
+    if not (low <= order <= MAX_ORDER):
+        raise UsageError(f"--order must be in {low}..{MAX_ORDER} for --n {n}")
+    return order
 
 
 def _check_bounds(n=None, kmax=None, lmax=None, max_n=MAX_N, n_flag="--n"):
@@ -97,27 +80,6 @@ def _parse_scalar(text: str, flag: str) -> RatFunc:
     return value
 
 
-_MUTATIONS = ("xplus", "e1scale", "xminus-scale")
-
-
-def _mutate_allowed():
-    return os.environ.get("RSAFFINE_ENABLE_MUTATE") == "1"
-
-
-def _apply_mutation(chev: MatrixModule, curr: MatrixModule, which: str):
-    from .field import R, S
-
-    if which == "xplus":
-        curr = curr.with_assign(Xp(1, 1), Matrix.zeros(curr.dim))
-    elif which == "e1scale":
-        chev = chev.with_assign(E(1), chev.get(E(1)).scale(2))
-    elif which == "xminus-scale":
-        curr = curr.with_assign(Xm(1, 0), curr.get(Xm(1, 0)).scale(R * S))
-    else:
-        raise UsageError(f"unknown mutation {which!r}; choose from {_MUTATIONS}")
-    return chev, curr
-
-
 def _emit(doc: dict, as_json: bool, lines):
     if as_json:
         print(json.dumps(doc, sort_keys=True, indent=1))
@@ -134,14 +96,10 @@ def cmd_verify(args) -> int:
     t = _parse_type(args.type)
     if t.family != "A" or t.rank != 1:
         raise UsageError("verify currently drives the rank-1 evaluation modules")
-    if args.mutate and not _mutate_allowed():
-        raise UsageError("--mutate is a test hook; set RSAFFINE_ENABLE_MUTATE=1")
 
     shift = args.shift == "rs-inverse"
     chev = build_chevalley_eval(args.n, shift)
     curr = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
-    if args.mutate:
-        chev, curr = _apply_mutation(chev, curr, args.mutate)
     a = None if args.a is None else _parse_scalar(args.a, "--a")
 
     reports = reports_at_pin(check_chevalley, chev, a=a) + reports_at_pin(
@@ -231,10 +189,8 @@ def cmd_specialize(args) -> int:
     lines = [f"specialize {args.map} on the (n+1)-dimensional module, n={args.n}"]
     if sm.kind == "s_to_r":
         cent = centrality_report(mod)
-        from .field import ONE as _one, ZERO as _zero
-
         full = all(
-            len(span_closure(mod, [_one if j == i else _zero for j in range(mod.dim)]))
+            len(span_closure(mod, [ONE if j == i else ZERO for j in range(mod.dim)]))
             == mod.dim
             for i in range(mod.dim)
         )
@@ -316,7 +272,7 @@ def cmd_twist(args) -> int:
         mod = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
         tw = twist(mod, args.aut, c=c)
         reparam = -ONE if args.aut == "gamma1" else c
-        target = substitute_module(mod, a=reparam * parse("a"))
+        target = substitute_module(mod, a=reparam * A)
         currents = [g for g in target.assign if g.kind in ("Xp", "Xm")]
         entrywise = all(tw.assign[g] == target.assign[g] for g in currents)
         ok = all_pass(check_drinfeld(tw, args.kmax, args.lmax)) and entrywise
@@ -353,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--kmax", type=int, default=4)
     v.add_argument("--lmax", type=int, default=3)
     v.add_argument("--a", help="pin the evaluation parameter to an exact scalar")
-    v.add_argument("--mutate", choices=_MUTATIONS, help="test hook: corrupt one generator")
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
 

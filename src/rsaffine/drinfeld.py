@@ -187,21 +187,25 @@ def rq_closed_series(n: int, i: int, order: int) -> TruncSeries:
     has the linear-factor parameters of F times x.  The factors common to
     both sides cancel first, which leaves at most two on each (see the
     module docstring)."""
-    rfac, qfac = rq_polynomials(n, i)
+    return _expand_rq(n, i, order, *rq_polynomials(n, i))
+
+
+def _expand_rq(n: int, i: int, order: int, rfac, qfac) -> TruncSeries:
     num = Counter([S * p for p in rfac] + [R * p for p in qfac])
     den = Counter([R * p for p in rfac] + [S * p for p in qfac])
     num, den = _poly_from_roots((num - den).elements()), _poly_from_roots((den - num).elements())
     return ratio_series(num, den, order) * (R ** (n - i) * S**i)
 
 
-def verify_RQ_form(mod: MatrixModule, order: int = 6) -> dict:
+def verify_RQ_form(mod: MatrixModule, order: int) -> dict:
     """Per-weight check of the closed-form eigenvalue generating function.
 
     The module must carry the rs^-1 shift (the closed form is stated for
     that normalization).  Also asserts the two prefactor readings agree:
-    r^(deg R - deg Q/2) s^(deg Q/2) == r^(n-i) s^i since deg R = n and
-    deg Q = 2i.  Failures are report content, never exceptions; an order
-    below 1, which would compare no coefficient, raises ValueError.
+    r^(deg R - deg Q/2) s^(deg Q/2) == r^(n-i) s^i, with deg R and deg Q
+    read from the factor lists of rq_polynomials (they are n and 2i).
+    Failures are report content, never exceptions; an order below 1, which
+    would compare no coefficient, raises ValueError.
     """
     if order < 1:
         raise ValueError(f"verify_RQ_form needs order >= 1, got {order}")
@@ -209,8 +213,9 @@ def verify_RQ_form(mod: MatrixModule, order: int = 6) -> dict:
     results = []
     for i in range(n + 1):
         plus, _ = weight_gamma_series(mod, i, order)
-        want = rq_closed_series(n, i, order)
-        degR, degQ = n, 2 * i
+        rfac, qfac = rq_polynomials(n, i)
+        want = _expand_rq(n, i, order, rfac, qfac)
+        degR, degQ = len(rfac), len(qfac)
         pref_printed = R ** (degR - degQ // 2) * S ** (degQ // 2)
         pref_proof = R ** (n - i) * S**i
         entry = {
@@ -229,17 +234,17 @@ def verify_RQ_form(mod: MatrixModule, order: int = 6) -> dict:
     }
 
 
-def drinfeld_report(n: int, use_shift=False, order=None, mod=None) -> dict:
+def drinfeld_report(n: int, use_shift=False, *, order: int, mod=None) -> dict:
     """Reconstruction vs closed form plus the mirror law, JSON-ready.
 
     The reconstruction reads the plus series to order 2n+1, so a smaller
     order raises ValueError (the CLI rejects it as a usage error).  mod is
     the current module read, build_current_eval(n, use_shift,
-    kmax=(order+1)//2 or 1, lmax=1) when None.
+    kmax=(order+1)//2 or 1, lmax=1) when None.  When the series is not of
+    Drinfeld form the failing side is reported and P, Q are the closed form.
     """
     from .sl2 import build_current_eval
 
-    order = order if order is not None else 2 * n + 2
     if order < 2 * n + 1:
         raise ValueError(f"drinfeld_report needs order >= 2n+1 = {2 * n + 1} for n={n}, got {order}")
     if mod is None:

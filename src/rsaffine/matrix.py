@@ -267,19 +267,3 @@ def echelon_insert(pivots, rows, v):
     rows.insert(idx, v)
     return piv
 
-
-def rref(vectors):
-    """Reduced row echelon basis of the span of the given vectors.
-
-    Returns (pivot_columns, rows); pivoting picks the first nonzero column,
-    so the basis order is deterministic.  The elimination runs on sparse
-    rows; the rows come back as dense lists.
-    """
-    rows = []
-    pivots = []
-    width = 0
-    for vec in vectors:
-        vec = list(vec)
-        width = len(vec)
-        echelon_insert(pivots, rows, {j: x for j, x in enumerate(vec) if x})
-    return pivots, [[row.get(j, ZERO) for j in range(width)] for row in rows]

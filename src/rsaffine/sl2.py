@@ -158,14 +158,17 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
 
 def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
     """mod with w(0..order), w'(0..-order) derived from its currents and
-    a(+-1..+-lmax) recovered from them; stored series generators are replaced."""
+    a(+-1..+-lmax) recovered from them; stored series generators are replaced.
+    Raises NotEigenvector unless every derived one is diagonal."""
     assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
-    ws, wps = series_matrices(MatrixModule(mod.table, assign, check=False, rs=mod.rs), order)
+    ws, wps = omega_matrices(mod, order)
     for m, mat in enumerate(ws):
         assign[Wser(1, m)] = mat
     for m, mat in enumerate(wps):
         assign[Wpser(1, -m)] = mat
-    apos, aneg = recover_imaginary(MatrixModule(mod.table, assign, check=False, rs=mod.rs), lmax)
+    series = MatrixModule(mod.table, assign, check=False, rs=mod.rs)
+    series_matrices(series, order)  # refuses a non-diagonal one at any m <= order
+    apos, aneg = recover_imaginary(series, lmax)
     for l in range(1, lmax + 1):
         assign[Aim(1, l)] = apos[l - 1]
         assign[Aim(1, -l)] = aneg[l - 1]
@@ -173,15 +176,11 @@ def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
 
 
 def series_matrices(mod: MatrixModule, order: int):
-    """w(0..order) and w'(0..-order): the stored ones when the module carries
-    all of them, otherwise derived from the currents by omega_matrices.
-    Raises NotEigenvector unless every one is diagonal on the basis, since
-    the eigenvalue readers read only the diagonal."""
-    gens = [(Wser(1, m), Wpser(1, -m)) for m in range(order + 1)]
-    if all(g in mod.assign and gp in mod.assign for g, gp in gens):
-        ws, wps = [mod.assign[g] for g, _ in gens], [mod.assign[gp] for _, gp in gens]
-    else:
-        ws, wps = omega_matrices(mod, order)
+    """The stored w(0..order) and w'(0..-order).  Raises MissingGenerator
+    when one is not stored, and NotEigenvector unless every one is diagonal
+    on the basis, since the eigenvalue readers read only the diagonal."""
+    ws = [mod.get(Wser(1, m)) for m in range(order + 1)]
+    wps = [mod.get(Wpser(1, -m)) for m in range(order + 1)]
     for m, (w, wp) in enumerate(zip(ws, wps)):
         if not (w.is_diagonal() and wp.is_diagonal()):
             raise NotEigenvector(f"series generator at m={m} is not diagonal")
@@ -191,8 +190,8 @@ def series_matrices(mod: MatrixModule, order: int):
 def omega_matrices(mod: MatrixModule, mmax: int):
     """Series generators from the commutator instances:
     w(m) = (r-s)[x+(m), x-(0)] and w'(-m) = -(r-s)[x+(0), x-(-m)] for m > 0,
-    w(0), w'(0) from the group-likes.  series_matrices checks that they
-    are diagonal.
+    w(0), w'(0) from the group-likes.  with_series checks that they are
+    diagonal.
     """
     if mod.kmax < mmax:
         raise WindowTooSmall(f"currents to |k| <= {mod.kmax}, need {mmax}")

@@ -1,8 +1,13 @@
-"""Command-line surface: exit codes, JSON determinism, bounds, mutation hook."""
+"""Command-line surface: exit codes, JSON determinism, bounds, and injected
+corruptions that the checks must catch."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from mutations import MUTATIONS, mutate_cli
 
 from rsaffine.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
@@ -237,13 +242,40 @@ def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
             plus = plus + TruncSeries(order, [0] * 7 + [ONE])
         return plus, minus
 
-    monkeypatch.delenv("RSAFFINE_ORDER", raising=False)
     monkeypatch.setattr(drinfeld, "weight_gamma_series", corrupted)
     code, out = run(capsys, "drinfeld", "--n", "3", "--json")
     doc = json.loads(out)
     assert code == EXIT_FAIL
     assert doc["checks"] == {"plus": "pass", "minus": "pass", "matches_closed_form": True}
     assert [e["pass"] for e in doc["RQ"]] == [True, True, False, True]
+
+
+def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
+    # a weight-0 plus series changed in its last coefficient: the plus side
+    # fails, the minus side is skipped, and P and Q fall back to the closed form
+    from rsaffine import drinfeld
+    from rsaffine.field import ONE
+    from rsaffine.series import TruncSeries
+
+    weight_gamma_series = drinfeld.weight_gamma_series
+
+    def corrupted(mod, i, order):
+        plus, minus = weight_gamma_series(mod, i, order)
+        if i == 0:
+            plus = plus + TruncSeries(order, [0] * order + [ONE])
+        return plus, minus
+
+    _, clean = run(capsys, "drinfeld", "--n", "2", "--json")
+    monkeypatch.setattr(drinfeld, "weight_gamma_series", corrupted)
+    code, out = run(capsys, "drinfeld", "--n", "2", "--json")
+    doc, want = json.loads(out), json.loads(clean)
+    assert code == EXIT_FAIL and doc["pass"] is False
+    assert doc["checks"] == {
+        "plus": "fail: plus series is not of Drinfeld polynomial form",
+        "minus": "skipped",
+        "matches_closed_form": False,
+    }
+    assert (doc["P"], doc["Q"]) == (want["P"], want["Q"])
 
 
 # Polynomial products made by the pinned `tensor --left 3 --right 3 --a 1+r
@@ -279,13 +311,13 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 
 
 # Polynomial products made by the failing pinned run `verify --n 2 --kmax 2
-# --lmax 2 --a 2+s --mutate xplus --json`.  Its relation checks run once, on
-# the symbolic module, and only the sides of the failing instances are
-# mapped through the pin; re-checking the whole suite on the pinned module
-# after a symbolic failure made 8,362, and building each current entry from
-# its own quantum integer made 5,076.  Multiplying the unit denominators of
-# two Laurent values, and building the two sides of every unordered D6 pair,
-# made 4,800.
+# --lmax 2 --a 2+s --json` with x+(1) zeroed in the current module.  Its
+# relation checks run once, on the symbolic module, and only the sides of
+# the failing instances are mapped through the pin; re-checking the whole
+# suite on the pinned module after a symbolic failure made 8,362, and
+# building each current entry from its own quantum integer made 5,076.
+# Multiplying the unit denominators of two Laurent values, and building the
+# two sides of every unordered D6 pair, made 4,800.
 MUTATED_PINNED_PMUL_CALLS = 3171
 
 
@@ -300,29 +332,20 @@ def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
         calls += 1
         return pmul(p, q)
 
-    monkeypatch.setenv("RSAFFINE_ENABLE_MUTATE", "1")
+    mutate_cli(monkeypatch, "xplus")
     monkeypatch.setattr(kernel, "pmul", counting)
     code, _ = run(
-        capsys, "verify", "--n", "2", "--kmax", "2", "--lmax", "2", "--a", "2+s",
-        "--mutate", "xplus", "--json",
+        capsys, "verify", "--n", "2", "--kmax", "2", "--lmax", "2", "--a", "2+s", "--json"
     )
     assert code == EXIT_FAIL
     assert calls == MUTATED_PINNED_PMUL_CALLS
     assert calls < 8362
 
 
-def test_mutate_requires_env(capsys, monkeypatch):
-    monkeypatch.delenv("RSAFFINE_ENABLE_MUTATE", raising=False)
-    code, _ = run(capsys, "verify", "--n", "1", "--mutate", "xplus")
-    assert code == EXIT_USAGE
-
-
-@pytest.mark.parametrize("mutation", ("xplus", "e1scale", "xminus-scale"))
+@pytest.mark.parametrize("mutation", MUTATIONS)
 def test_mutations_are_caught(capsys, monkeypatch, mutation):
-    monkeypatch.setenv("RSAFFINE_ENABLE_MUTATE", "1")
-    code, out = run(
-        capsys, "verify", "--n", "2", "--kmax", "2", "--lmax", "2", "--mutate", mutation
-    )
+    mutate_cli(monkeypatch, mutation)
+    code, out = run(capsys, "verify", "--n", "2", "--kmax", "2", "--lmax", "2")
     assert code == EXIT_FAIL
     assert "FAIL" in out
 
@@ -432,83 +455,87 @@ def test_twist_sigma(capsys):
     assert code == EXIT_PASS
 
 
-def test_series_order_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("RSAFFINE_ORDER", "10")
-    code, out = run(capsys, "drinfeld", "--n", "1", "--json")
-    assert code == EXIT_PASS
-    doc = json.loads(out)
-    assert doc["pass"] is True
+def test_output_does_not_depend_on_the_environment():
+    # variables once read by the command line change nothing: every run
+    # depends only on its argv
+    import rsaffine
+
+    src = os.path.dirname(os.path.dirname(rsaffine.__file__))
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("RSAFFINE")}
+    clean["PYTHONPATH"] = src
+    noisy = {**clean, "RSAFFINE_ORDER": "abc", "RSAFFINE_ENABLE_MUTATE": "1"}
+    for argv in (("verify", "--n", "1", "--json"), ("drinfeld", "--n", "1", "--json")):
+        cmd = [sys.executable, "-m", "rsaffine.cli", *argv]
+        want = subprocess.run(cmd, env=clean, capture_output=True, text=True)
+        got = subprocess.run(cmd, env=noisy, capture_output=True, text=True)
+        assert want.returncode == got.returncode == EXIT_PASS, got.stderr
+        assert got.stdout == want.stdout
 
 
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-# (argv, RSAFFINE_ORDER or None, exit code, text stderr must contain)
+# (argv, exit code, text stderr must contain)
 BAD_INPUT_CASES = [
-    (("drinfeld", "--n", "3", "--order", "4"), None, EXIT_USAGE, "--order"),
-    (("drinfeld", "--n", "1", "--order", "1"), None, EXIT_USAGE, "--order"),
-    (("drinfeld", "--n", "12"), None, EXIT_USAGE, "--n"),
-    (("drinfeld", "--n", "8", "--order", "16"), None, EXIT_USAGE, "--n"),
-    (("drinfeld", "--n", "1"), "abc", EXIT_USAGE, "RSAFFINE_ORDER"),
-    (("drinfeld", "--n", "1"), "40", EXIT_USAGE, "RSAFFINE_ORDER"),
-    (("drinfeld", "--n", "3", "--order", "7"), None, EXIT_PASS, ""),
-    (("verify", "--n", "1", "--lmax", "-3"), None, EXIT_USAGE, "--lmax"),
-    (("verify", "--n", "1", "--lmax", "0"), None, EXIT_USAGE, "--lmax"),
-    (("verify", "--n", "1", "--kmax", "4", "--lmax", "9"), None, EXIT_USAGE, "--lmax"),
-    (("verify", "--n", "1", "--kmax", "2", "--lmax", "4"), None, EXIT_PASS, ""),
-    (("twist", "--aut", "gamma1", "--lmax", "-3"), None, EXIT_USAGE, "--lmax"),
-    (("twist", "--aut", "gamma1", "--kmax", "2", "--lmax", "5"), None, EXIT_USAGE, "--lmax"),
-    (("twist", "--aut", "gamma2", "--n", "1"), None, EXIT_USAGE, "--c"),
-    (("twist", "--aut", "gamma2", "--c", "1/0"), None, EXIT_USAGE, "--c"),
-    (("twist", "--aut", "sigma", "--signs", "+++", "--n", "1"), None, EXIT_USAGE, "--signs"),
-    (("twist", "--aut", "sigma", "--signs", "+x"), None, EXIT_USAGE, "--signs"),
-    (("twist", "--aut", "sigma", "--signs=-+"), None, EXIT_PASS, ""),
-    (("twist", "--aut", "sigma", "--signs", "-", "-", "--n", "1"), None, EXIT_PASS, ""),
-    (("twist", "--aut", "sigma", "--signs=--"), None, EXIT_USAGE, "--signs"),
-    (("twist", "--aut", "gamma1", "--c", "2"), None, EXIT_USAGE, "--c"),
-    (("twist", "--aut", "sigma", "--c", "2"), None, EXIT_USAGE, "--c"),
-    (("twist", "--aut", "gamma2", "--c", "2", "--signs", "+", "-"), None, EXIT_USAGE, "--signs"),
-    (("twist", "--aut", "gamma1", "--signs", "+-"), None, EXIT_USAGE, "--signs"),
-    (("twist", "--aut", "sigma", "--n", "1"), None, EXIT_PASS, ""),
-    (("verify", "--n", "1", "--a", "r^(1/7)"), None, EXIT_USAGE, "--a"),
-    (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), None, EXIT_USAGE, "--b"),
-    (("tensor", "--left", "-1", "--right", "2"), None, EXIT_USAGE, "--left must be in 0..12"),
-    (("tensor", "--left", "2", "--right", "-3"), None, EXIT_USAGE, "--right must be in 0..12"),
-    (("tensor", "--left", "13", "--right", "1"), None, EXIT_USAGE, "--left must be in 0..12"),
-    (("tensor", "--left", "0", "--right", "13"), None, EXIT_USAGE, "--right must be in 0..12"),
-    (("verify", "--n", "1", "--a", ""), None, EXIT_USAGE, "--a: cannot parse scalar ''"),
-    (("tensor", "--left", "1", "--right", "1", "--a", ""), None, EXIT_USAGE, "--a: cannot parse scalar ''"),
-    (("tensor", "--left", "1", "--right", "1", "--b", ""), None, EXIT_USAGE, "--b: cannot parse scalar ''"),
-    (("table", "--type", "E8"), None, EXIT_USAGE, "--type"),
-    (("table", "--type", "A99999"), None, EXIT_USAGE, "--type"),
-    (("table", "--type", "A\u00b2"), None, EXIT_USAGE, "--type"),
-    (("table", "--type", "A" + "0" * 4301 + "1"), None, EXIT_PASS, ""),
-    (("table", "--type", "A" + "0" * 4301 + "99999"), None, EXIT_USAGE, "--type"),
-    (("verify", "--n", "1", "--a", "(1+r)^5000"), None, EXIT_USAGE, "--a"),
-    (("verify", "--n", "1", "--a", "7^6000"), None, EXIT_USAGE, "--a"),
-    (("verify", "--type", "E8"), None, EXIT_USAGE, "--type"),
-    (("specialize", "--map", "r=s^100000", "--n", "1"), None, EXIT_USAGE, "--map"),
-    (("specialize", "--map", "r=s^-1000", "--n", "1"), None, EXIT_USAGE, "--map"),
-    (("specialize", "--map", "r=s^-999", "--n", "1"), None, EXIT_PASS, ""),
-    (("specialize", "--map", "r=s^1_0", "--n", "1"), None, EXIT_USAGE, "--map"),
-    (("specialize", "--map", "s=q", "--n", "1"), None, EXIT_USAGE, "--map"),
+    (("drinfeld", "--n", "3", "--order", "4"), EXIT_USAGE, "--order"),
+    (("drinfeld", "--n", "1", "--order", "1"), EXIT_USAGE, "--order"),
+    (("drinfeld", "--n", "12"), EXIT_USAGE, "--n"),
+    (("drinfeld", "--n", "8", "--order", "16"), EXIT_USAGE, "--n"),
+    (("drinfeld", "--n", "3", "--order", "7"), EXIT_PASS, ""),
+    (("verify", "--n", "1", "--mutate", "xplus"), EXIT_USAGE, "--mutate"),
+    (("verify", "--n", "1", "--lmax", "-3"), EXIT_USAGE, "--lmax"),
+    (("verify", "--n", "1", "--lmax", "0"), EXIT_USAGE, "--lmax"),
+    (("verify", "--n", "1", "--kmax", "4", "--lmax", "9"), EXIT_USAGE, "--lmax"),
+    (("verify", "--n", "1", "--kmax", "2", "--lmax", "4"), EXIT_PASS, ""),
+    (("twist", "--aut", "gamma1", "--lmax", "-3"), EXIT_USAGE, "--lmax"),
+    (("twist", "--aut", "gamma1", "--kmax", "2", "--lmax", "5"), EXIT_USAGE, "--lmax"),
+    (("twist", "--aut", "gamma2", "--n", "1"), EXIT_USAGE, "--c"),
+    (("twist", "--aut", "gamma2", "--c", "1/0"), EXIT_USAGE, "--c"),
+    (("twist", "--aut", "sigma", "--signs", "+++", "--n", "1"), EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "sigma", "--signs", "+x"), EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "sigma", "--signs=-+"), EXIT_PASS, ""),
+    (("twist", "--aut", "sigma", "--signs", "-", "-", "--n", "1"), EXIT_PASS, ""),
+    (("twist", "--aut", "sigma", "--signs=--"), EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "gamma1", "--c", "2"), EXIT_USAGE, "--c"),
+    (("twist", "--aut", "sigma", "--c", "2"), EXIT_USAGE, "--c"),
+    (("twist", "--aut", "gamma2", "--c", "2", "--signs", "+", "-"), EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "gamma1", "--signs", "+-"), EXIT_USAGE, "--signs"),
+    (("twist", "--aut", "sigma", "--n", "1"), EXIT_PASS, ""),
+    (("verify", "--n", "1", "--a", "r^(1/7)"), EXIT_USAGE, "--a"),
+    (("tensor", "--left", "1", "--right", "1", "--b", "r^(1/7)"), EXIT_USAGE, "--b"),
+    (("tensor", "--left", "-1", "--right", "2"), EXIT_USAGE, "--left must be in 0..12"),
+    (("tensor", "--left", "2", "--right", "-3"), EXIT_USAGE, "--right must be in 0..12"),
+    (("tensor", "--left", "13", "--right", "1"), EXIT_USAGE, "--left must be in 0..12"),
+    (("tensor", "--left", "0", "--right", "13"), EXIT_USAGE, "--right must be in 0..12"),
+    (("verify", "--n", "1", "--a", ""), EXIT_USAGE, "--a: cannot parse scalar ''"),
+    (("tensor", "--left", "1", "--right", "1", "--a", ""), EXIT_USAGE, "--a: cannot parse scalar ''"),
+    (("tensor", "--left", "1", "--right", "1", "--b", ""), EXIT_USAGE, "--b: cannot parse scalar ''"),
+    (("table", "--type", "E8"), EXIT_USAGE, "--type"),
+    (("table", "--type", "A99999"), EXIT_USAGE, "--type"),
+    (("table", "--type", "A\u00b2"), EXIT_USAGE, "--type"),
+    (("table", "--type", "A" + "0" * 4301 + "1"), EXIT_PASS, ""),
+    (("table", "--type", "A" + "0" * 4301 + "99999"), EXIT_USAGE, "--type"),
+    (("verify", "--n", "1", "--a", "(1+r)^5000"), EXIT_USAGE, "--a"),
+    (("verify", "--n", "1", "--a", "7^6000"), EXIT_USAGE, "--a"),
+    (("verify", "--type", "E8"), EXIT_USAGE, "--type"),
+    (("specialize", "--map", "r=s^100000", "--n", "1"), EXIT_USAGE, "--map"),
+    (("specialize", "--map", "r=s^-1000", "--n", "1"), EXIT_USAGE, "--map"),
+    (("specialize", "--map", "r=s^-999", "--n", "1"), EXIT_PASS, ""),
+    (("specialize", "--map", "r=s^1_0", "--n", "1"), EXIT_USAGE, "--map"),
+    (("specialize", "--map", "s=q", "--n", "1"), EXIT_USAGE, "--map"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,order_env,want,flag",
+    "argv,want,flag",
     BAD_INPUT_CASES,
     ids=[
-        (f"RSAFFINE_ORDER={e} " if e else "") + " ".join(x if len(x) <= 40 else f"{x[:8]}...{x[-8:]}" for x in a)
-        for a, e, _, _ in BAD_INPUT_CASES
+        " ".join(x if len(x) <= 40 else f"{x[:8]}...{x[-8:]}" for x in a)
+        for a, _, _ in BAD_INPUT_CASES
     ],
 )
-def test_bad_input_exit_codes(capsys, monkeypatch, argv, order_env, want, flag):
-    if order_env is None:
-        monkeypatch.delenv("RSAFFINE_ORDER", raising=False)
-    else:
-        monkeypatch.setenv("RSAFFINE_ORDER", order_env)
+def test_bad_input_exit_codes(capsys, argv, want, flag):
     code = main(list(argv))
     err = capsys.readouterr().err
     assert code == want

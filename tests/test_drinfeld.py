@@ -218,6 +218,56 @@ def test_verify_rq_form(n):
     assert [e["i"] for e in rep["per_weight"]] == list(range(n + 1))
 
 
+def test_rq_prefactor_reads_the_factor_degrees(monkeypatch):
+    # with one Q factor dropped, deg Q = 2i - 1 and the printed prefactor
+    # r^(deg R - deg Q/2) s^(deg Q/2) no longer reads r^(n-i) s^i
+    import rsaffine.drinfeld as drinfeld
+
+    rq_polynomials = drinfeld.rq_polynomials
+
+    def dropped(n, i):
+        rfac, qfac = rq_polynomials(n, i)
+        return rfac, qfac[:-1]
+
+    mod = build_current_eval(2, True, kmax=2, lmax=1)
+    assert all(e["prefactor_consistent"] for e in verify_RQ_form(mod, order=4)["per_weight"])
+    monkeypatch.setattr(drinfeld, "rq_polynomials", dropped)
+    rep = verify_RQ_form(mod, order=4)
+    assert [e["prefactor_consistent"] for e in rep["per_weight"]] == [True, False, False]
+    assert not rep["all_pass"]
+
+
+@pytest.mark.parametrize(
+    "side,checks",
+    (
+        ("plus", {"plus": "fail: plus series is not of Drinfeld polynomial form", "minus": "skipped"}),
+        ("minus", {"plus": "pass", "minus": "fail: minus series fails the mirrored identity"}),
+    ),
+    ids=("plus", "minus"),
+)
+def test_report_of_a_series_off_the_polynomial_form(monkeypatch, side, checks):
+    # the weight-0 series changed in its last coefficient: the failing side
+    # is reported, nothing is matched, and P, Q fall back to the closed form
+    import rsaffine.drinfeld as drinfeld
+
+    weight_gamma_series = drinfeld.weight_gamma_series
+
+    def corrupted(mod, i, order):
+        plus, minus = weight_gamma_series(mod, i, order)
+        if side == "plus":
+            plus = plus + TruncSeries(order, [ZERO] * order + [ONE])
+        else:
+            minus = minus + TruncSeries(order, [ZERO] * order + [ONE], DESC)
+        return plus, minus
+
+    monkeypatch.setattr(drinfeld, "weight_gamma_series", corrupted)
+    for n in (1, 3):
+        rep = drinfeld_report(n, order=2 * n + 2)
+        assert rep["checks"] == {**checks, "matches_closed_form": False}
+        closed = closed_form_P(n)
+        assert (rep["P"], rep["Q"]) == (closed.text(), closed.mirror_text())
+
+
 def test_library_order_lower_bounds():
     # an order the reconstruction cannot use is a usage error, as in the
     # CLI, not a mathematical failure in the report

@@ -11,7 +11,7 @@ from rsaffine.hopf import (
     tensor_basis_vector,
     twist,
 )
-from rsaffine.matrix import Matrix, rref
+from rsaffine.matrix import Matrix, echelon_insert
 from rsaffine.rep_core import (
     E,
     F,
@@ -127,20 +127,26 @@ def test_closure_basis_is_deterministic():
 
 
 def ref_span_closure(mod, seed):
-    """Reference closure: re-eliminate the whole basis with each image and
-    sweep every row and generator again until a sweep adds nothing."""
+    """Reference closure: sweep every basis row and generator again until a
+    sweep adds nothing."""
     mats = [mod.assign[g] for g in mod.generators()]
-    _, rows = rref([seed])
+    pivots, rows = [], []
+
+    def insert(vec):
+        return echelon_insert(pivots, rows, {j: x for j, x in enumerate(vec) if x})
+
+    def dense(row):
+        return [row.get(j, ZERO) for j in range(mod.dim)]
+
+    insert(seed)
     changed = True
     while changed and len(rows) < mod.dim:
         changed = False
-        for vec in list(rows):
+        for row in list(rows):
             for mat in mats:
-                before = len(rows)
-                _, rows = rref(rows + [mat.apply(vec)])
-                if len(rows) > before:
+                if insert(mat.apply(dense(row))) is not None:
                     changed = True
-    return rows
+    return [dense(row) for row in rows]
 
 
 def _cli_tensor(left, right, a=None, b=None):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rsaffine.cli import MAX_KMAX
-from rsaffine.errors import WindowTooSmall
+from rsaffine.errors import MissingGenerator, NotEigenvector, WindowTooSmall
 from rsaffine.field import A, ONE, R, S, ZERO, quantum_int
 from rsaffine.rep_core import (
     Aim,
@@ -222,9 +222,19 @@ def test_series_matrices_reads_stored_else_derives():
         {g: m for g, m in mod.assign.items() if g.kind not in ("Wser", "Wpser", "Aimag")},
         check=False,
     )
-    assert series_matrices(bare, 4) == (ws, wps)
+    with pytest.raises(MissingGenerator):
+        series_matrices(bare, 4)
     assert with_series(bare, 4, 2).assign == mod.assign
     assert with_series(mod, 4, 2).assign == mod.assign
+
+
+def test_with_series_refuses_a_non_diagonal_series_generator():
+    # x+(2) replaced by e^2 makes w(2) = (r-s)[e^2, f] lower a weight; lmax 1
+    # reads only w(0), w(1), so the refusal must cover every m <= order
+    mod = build_current_eval(2, kmax=1, lmax=1)
+    bad = mod.with_assign(Xp(1, 2), mod.get(Xp(1, 0)) @ mod.get(Xp(1, 0)))
+    with pytest.raises(NotEigenvector, match="m=2"):
+        with_series(bad, 2, 1)
 
 
 # -- imaginary generators --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parameter specializations and their observable consequences."""
 
 import pytest
+from mutations import apply_mutation
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import DivisionByZero, SpecializationPole
@@ -162,12 +163,10 @@ def _drinfeld(mod):
 @pytest.mark.parametrize("mutation", (None, "xplus", "e1scale", "xminus-scale"))
 @pytest.mark.parametrize("pin", PINS)
 def test_pinned_verdicts_match_the_direct_path(pin, mutation, shift):
-    from rsaffine.cli import _apply_mutation
-
     chev = build_chevalley_eval(2, shift)
     curr = build_current_eval(2, shift, kmax=KMAX, lmax=LMAX)
     if mutation:
-        chev, curr = _apply_mutation(chev, curr, mutation)
+        chev, curr = apply_mutation(chev, curr, mutation)
     a = parse(pin)
     for check, mod in ((check_chevalley, chev), (_drinfeld, curr)):
         assert _helper(check, mod, a=a) == _direct(check, mod, a=a)
