@@ -16,7 +16,6 @@ from .field import (
     RatFunc,
     gauss_binom,
     parse,
-    quantum_factorial,
     quantum_int,
     render,
 )
@@ -47,6 +46,6 @@ from .drinfeld import (
     weight_gamma_series,
 )
 from .hopf import span_closure, tensor, twist
-from .specialize import SpecMap, specialize_module, specialize_table, substitute_module
+from .specialize import SpecMap, specialize_module, substitute_module
 
 __version__ = "0.1.0"

@@ -182,14 +182,6 @@ def _poly_from_roots(params):
     return coeffs
 
 
-def rq_closed_series(n: int, i: int, order: int) -> TruncSeries:
-    """Ascending expansion of r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us)); F(xu)
-    has the linear-factor parameters of F times x.  The factors common to
-    both sides cancel first, which leaves at most two on each (see the
-    module docstring)."""
-    return _expand_rq(n, i, order, *rq_polynomials(n, i))
-
-
 def _expand_rq(n: int, i: int, order: int, rfac, qfac) -> TruncSeries:
     num = Counter([S * p for p in rfac] + [R * p for p in qfac])
     den = Counter([R * p for p in rfac] + [S * p for p in qfac])

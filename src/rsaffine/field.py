@@ -653,13 +653,6 @@ def quantum_int(n: int, base=None) -> RatFunc:
     return out
 
 
-def quantum_factorial(n: int, base=None) -> RatFunc:
-    out = ONE
-    for j in range(1, n + 1):
-        out = out * quantum_int(j, base)
-    return out
-
-
 def gauss_binom(m: int, k: int, base=None) -> RatFunc:
     """Gaussian binomial [m]! / ([k]! [m-k]!) over the given base pair.
 
@@ -690,6 +683,18 @@ def _mul_coprime(n1, d1, n2, d2) -> RatFunc:
             n2 = _laurent_div_exact(n2, g)
             d1 = _laurent_div_exact(d1, g)
     return RatFunc._canonical(K.pmul(n1, n2), K.pmul(d1, d2))
+
+
+def monomial_quotient(x: RatFunc, y: RatFunc):
+    """x / y when both are Laurent polynomials and x is a monomial times y,
+    else None.  The monomial is the ratio of their leading terms, confirmed
+    by one product, so no gcd is taken."""
+    if not (x.num and y.num) or len(x.den) != 1 or len(y.den) != 1:
+        return None
+    lx, ly = _leading(x.num), _leading(y.num)
+    c = Fraction(x.num[lx] * y.den[_ZERO_KEY], y.num[ly] * x.den[_ZERO_KEY])
+    m = RatFunc._make({tuple(a - b for a, b in zip(lx, ly)): c.numerator}, {_ZERO_KEY: c.denominator})
+    return m if y * m == x else None
 
 
 def _laurent_div_exact(p, g):

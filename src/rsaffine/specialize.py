@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .cartan import PairingTable
 from .errors import SpecializationPole
 from .field import MAX_EXPONENT, R, S, RatFunc
 from .rep_core import MatrixModule
@@ -67,11 +66,6 @@ def parse_spec_map(text: str) -> SpecMap:
     if k:
         return SpecMap(R_TO_S_POW, int(k[1].strip("()")))
     raise ValueError(f"cannot parse specialization map {text!r}")
-
-
-def specialize_table(t: PairingTable, m: SpecMap):
-    """Entrywise image of the pairing table; a matrix of RatFunc values."""
-    return [[m.apply(e) for e in row] for row in t.entries]
 
 
 def _map_generators(mod: MatrixModule, fn) -> dict:

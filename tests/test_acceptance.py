@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_specialize import specialize_table
 
 from rsaffine.cartan import build_pairing, parse_type, table_to_json
 from rsaffine.drinfeld import (
@@ -33,7 +34,7 @@ from rsaffine.rep_core import (
 )
 from rsaffine.series import TruncSeries
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval
-from rsaffine.specialize import SpecMap, centrality_report, specialize_module, specialize_table
+from rsaffine.specialize import SpecMap, centrality_report, specialize_module
 
 GOLDEN_TABLES = Path(__file__).parent / "golden" / "tables.json"
 

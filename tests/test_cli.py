@@ -42,8 +42,11 @@ def test_verify_kmax_bound(capsys):
 # from its own quantum integer and three monomial factors, not as the
 # ladder entry times one power of its column's diagonal factor, made 16,332.
 # Multiplying the unit denominators of two Laurent entries as well, and
-# building the two sides of every unordered D6 pair, made 14,920.
-VERIFY_N4_PMUL_CALLS = 7736
+# building the two sides of every unordered D6 pair, made 14,920.  Reading
+# each current as x(0) D^k now decides D4 and D5 once per family and builds
+# X(a)X(0), x+(k)x-(0) and x-(k2)x+(0) once per index; full products of the
+# currents for every instance made 7,736.
+VERIFY_N4_PMUL_CALLS = 6436
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -69,8 +72,9 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # commutators with a diagonal factor and unmirrored D6 instances made 13,440,
 # and building each current entry from its own quantum integer made 9,291.
 # Canonicalizing every product of two Laurent entries, and building the two
-# sides of every unordered D6 pair, made 8,381.
-VERIFY_N4_NORMALIZE_CALLS = 2163
+# sides of every unordered D6 pair, made 8,381.  Full products of the
+# currents for every D4-D7 instance, not one per family or index, made 2,163.
+VERIFY_N4_NORMALIZE_CALLS = 1491
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -98,9 +102,12 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 # build_current_eval; checking each intermediate module as well made 1,766.
 # A commutator with a diagonal factor takes no product, and D6 builds the two
 # sides of each unordered (k, k2) pair once; full products made 1,756.
-# D6 now builds each product X(a)X(b) once per anti-diagonal a + b; the two
-# sides of each unordered pair made 1,018.
-VERIFY_N4_MATMUL_CALLS = 856
+# D6 builds each product X(a)X(b) once per anti-diagonal a + b; the two
+# sides of each unordered pair made 1,018.  With the currents read as
+# x(0) D^k, D6 builds X(a)X(0) once per a, D7 x+(k)x-(0) and x-(k2)x+(0)
+# once per index, and D4 and D5 one verdict per family; products per
+# instance made 856.
+VERIFY_N4_MATMUL_CALLS = 374
 
 
 def test_verify_matmul_count_tripwire(capsys, monkeypatch):
@@ -317,8 +324,10 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # suite on the pinned module after a symbolic failure made 8,362, and
 # building each current entry from its own quantum integer made 5,076.
 # Multiplying the unit denominators of two Laurent values, and building the
-# two sides of every unordered D6 pair, made 4,800.
-MUTATED_PINNED_PMUL_CALLS = 3171
+# two sides of every unordered D6 pair, made 4,800.  With x+(1) zeroed no
+# D+ can be read, so the x+ currents keep their plain products, while the x-
+# currents are read as x(0) D^k; plain products for every instance made 3,171.
+MUTATED_PINNED_PMUL_CALLS = 3096
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):

@@ -12,8 +12,8 @@ from rsaffine.drinfeld import (
     extract_hw_series,
     minus_series_of,
     plus_series_of,
+    _expand_rq,
     reconstruct_P,
-    rq_closed_series,
     rq_polynomials,
     verify_RQ_form,
     weight_gamma_series,
@@ -283,6 +283,12 @@ def test_library_order_lower_bounds():
         verify_RQ_form(mod, order=0)
     rep = verify_RQ_form(mod, order=1)
     assert rep["all_pass"] and rep["order"] == 1
+
+
+def rq_closed_series(n, i, order):
+    # the closed form r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us)) in lowest terms,
+    # expanded as the RQ check expands it
+    return _expand_rq(n, i, order, *rq_polynomials(n, i))
 
 
 def _unreduced_rq_closed_series(n, i, order):

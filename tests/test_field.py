@@ -22,13 +22,30 @@ from rsaffine.field import (
     ZERO,
     RatFunc,
     gauss_binom,
+    monomial_quotient,
     parse,
     pgcd,
-    quantum_factorial,
     quantum_int,
     render,
     rf,
 )
+
+
+def quantum_factorial(n):
+    out = ONE
+    for j in range(1, n + 1):
+        out = out * quantum_int(j)
+    return out
+
+
+def test_monomial_quotient_is_read_off_the_leading_terms():
+    y = quantum_int(3)
+    m = RatFunc.monomial(Fraction(-2, 3), 1, -2, 1)
+    assert monomial_quotient(y * m, y) == m
+    assert monomial_quotient(y * (1 + R), y) is None  # not a monomial
+    assert monomial_quotient(y * m + 1, y) is None  # not a multiple of y
+    assert monomial_quotient(ONE / (R - S), ONE) is None  # not Laurent
+    assert monomial_quotient(ZERO, y) is None
 
 
 def test_self_division_is_one():

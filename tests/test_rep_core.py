@@ -1,5 +1,7 @@
 """Relation engine: exact verification, instance accounting, failure teeth."""
 
+import re
+
 import pytest
 
 from rsaffine.cartan import AffineType, build_pairing
@@ -16,6 +18,7 @@ from rsaffine.rep_core import (
     MatrixModule,
     W,
     Wp,
+    Wpser,
     Wser,
     Xm,
     Xp,
@@ -25,8 +28,10 @@ from rsaffine.rep_core import (
     check_chevalley,
     check_drinfeld,
     chevalley_instance_counts,
+    current_form,
     drinfeld_instance_counts,
 )
+from rsaffine.hopf import twist_gamma2
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval, build_Vn
 
 A1 = build_pairing(AffineType("A", 1))
@@ -98,6 +103,16 @@ def test_window_too_small():
         check_drinfeld(curr, 8, 2)
 
 
+# A window whose currents are stored but whose series (to order 2 kmax) or
+# a(l) (to |l| <= lmax) are not is refused before any relation runs; it used
+# to run D1-D6 and then raise MissingGenerator, or raise it from D2.
+@pytest.mark.parametrize("kmax,lmax,missing", ((3, 2, "Wser(1,5)"), (2, 3, "Aimag(1,-3)")))
+def test_window_needs_the_series_and_imaginary_generators(kmax, lmax, missing):
+    curr = build_current_eval(1, kmax=2, lmax=2)
+    with pytest.raises(WindowTooSmall, match=re.escape(missing)):
+        check_drinfeld(curr, kmax, lmax)
+
+
 def test_drinfeld_needs_rank_one():
     from rsaffine.cartan import parse_type
 
@@ -125,14 +140,15 @@ def test_grouplike_inverse_enforced_at_construction():
         MatrixModule(A1, bad)
 
 
-# -- D2/D3/D5/D6 reports against a naive reference ------------------------------------
-# The reference takes both full products of every commutator and builds both
-# sides of every D6 instance, so it shares neither the diagonal commutator
-# nor the D6 anti-diagonals with check_drinfeld.
+# -- D2-D7 reports against a naive reference ------------------------------------------
+# The reference takes both full products of every commutator, builds both
+# sides of every instance and compares them plainly, so it shares neither the
+# diagonal commutator, the D6 anti-diagonals, the current form of D4-D7 nor
+# the cross-multiplied D7 comparison with check_drinfeld.
 
 
 def naive_reports(mod, kmax, lmax):
-    """(instances_checked, failures) of D2, D3, D5_1, D5_2 and D6, naively."""
+    """(instances_checked, failures) of D2-D7, naively."""
     i = 1
     rho = mod.table.entry(i, i)
     rs = (R - S).inv()
@@ -156,13 +172,18 @@ def naive_reports(mod, kmax, lmax):
         return mod.get(Xm(i, k))
 
     ells = [l for l in range(-lmax, lmax + 1) if l != 0]
-    found = {rid: [] for rid in ("D2", "D3", "D5_1", "D5_2", "D6")}
+    found = {rid: [] for rid in ("D2", "D3", "D4", "D5_1", "D5_2", "D6", "D7")}
     for l1 in ells:
         for l2 in ells:
             found["D2"].append(((l1, l2), comm(al(l1), al(l2)), zero))
     for l in ells:
         for tag, m in (("w", w), ("winv", winv), ("wp", wp), ("wpinv", wpinv)):
             found["D3"].append(((l, tag), comm(al(l), m), zero))
+    for k in range(-(kmax + 1), kmax + 2):
+        found["D4"].append((("w x+", k), w @ xp(k) @ winv, xp(k).scale(rho)))
+        found["D4"].append((("w x-", k), w @ xm(k) @ winv, xm(k).scale(rho.inv())))
+        found["D4"].append((("wp x+", k), wp @ xp(k) @ wpinv, xp(k).scale(rho.inv())))
+        found["D4"].append((("wp x-", k), wp @ xm(k) @ wpinv, xm(k).scale(rho)))
     for l in range(1, lmax + 1):
         th = theta(l)
         for k in range(-kmax, kmax + 1):
@@ -179,6 +200,11 @@ def naive_reports(mod, kmax, lmax):
                 lhs = X(k + 1) @ X(k2) - (X(k2) @ X(k + 1)).scale(rr)
                 rhs = -(X(k2 + 1) @ X(k) - (X(k) @ X(k2 + 1)).scale(rr))
                 found["D6"].append(((sign, k, k2), lhs, rhs))
+    for k in range(-kmax, kmax + 1):
+        for k2 in range(-kmax, kmax + 1):
+            m = k + k2
+            rhs = (kc**k2 @ mod.get(Wser(i, m)) - kc**-k @ mod.get(Wpser(i, m))).scale(rs)
+            found["D7"].append(((k, k2), comm(xp(k), xm(k2)), rhs))
     return {
         rid: (
             len(instances),
@@ -198,8 +224,24 @@ MUTATIONS = {
         lambda mod: mod.with_assign(Aim(1, 1), mod.get(Aim(1, 1)) + mod.get(Xp(1, 0))),
         {"D2", "D3", "D5_1"},
     ),
-    "x+(1) = 0": (lambda mod: mod.with_assign(Xp(1, 1), Matrix.zeros(mod.dim)), {"D5_1", "D5_2", "D6"}),
-    "x-(0) * rs": (lambda mod: mod.with_assign(Xm(1, 0), mod.get(Xm(1, 0)).scale(R * S)), {"D5_1", "D5_2", "D6"}),
+    "x+(1) = 0": (lambda mod: mod.with_assign(Xp(1, 1), Matrix.zeros(mod.dim)), {"D5_1", "D5_2", "D6", "D7"}),
+    "x-(0) * rs": (
+        lambda mod: mod.with_assign(Xm(1, 0), mod.get(Xm(1, 0)).scale(R * S)),
+        {"D5_1", "D5_2", "D6", "D7"},
+    ),
+    # a current off the form at a negative index
+    "x-(-2) * 3": (
+        lambda mod: mod.with_assign(Xm(1, -2), mod.get(Xm(1, -2)).scale(3)),
+        {"D5_1", "D5_2", "D6", "D7"},
+    ),
+    # x+(1), which D is read from, off the form; [1, x-(k2)] = 0 leaves D7
+    "x+(1) + 1": (
+        lambda mod: mod.with_assign(Xp(1, 1), mod.get(Xp(1, 1)) + Matrix.identity(mod.dim)),
+        {"D4", "D5_1", "D5_2", "D6"},
+    ),
+    "w(2) + 1": (lambda mod: mod.with_assign(Wser(1, 2), mod.get(Wser(1, 2)) + Matrix.identity(mod.dim)), {"D7"}),
+    # every current on the form, with a D that is not monomial
+    "gamma2 twist, c = 1+r": (lambda mod: twist_gamma2(mod, 1 + R), set()),
 }
 
 
@@ -250,11 +292,31 @@ def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
     assert expect({inst for inst, _, _ in report.mismatches}, kmax)
 
 
-# Matrix products made by D6 on one module at kmax = K: each X(a)X(b) of an
-# anti-diagonal a + b = t + 1 once, that is 2(2K+2)^2 - (2K+1)^2 per sign.
-# Building the two sides of every unordered (k, k2) pair made 4(2K+2)^2.
-@pytest.mark.parametrize("kmax,products", ((1, 46), (2, 94), (4, 238), (8, 718)))
-def test_d6_builds_each_current_product_once(monkeypatch, kmax, products):
+# Matrix products made by each relation on a module whose currents are all
+# on the form (kmax = K, lmax = L <= 2K):
+# - D1: the inverse and centrality products of the group-likes;
+# - D4: w x(0) w^-1, two products once per tag, not per k;
+# - D5_1: per l, K^-l = K^-(l-1) K^-1 and K^-l x-(0) D-^l; D5_2: K^-l x+(0) D+^-l;
+# - D6: X(a)X(0) once per a and sign, where each product X(a)X(b) of an
+#   anti-diagonal made 2(2K+2)^2 - (2K+1)^2 per sign;
+# - D7: x+(k)x-(0) and x-(k2)x+(0) once per index, where the commutator made two
+#   per instance; two diagonal products per right side; and the powers K^m,
+#   m = 1..K and -(L+1)..-K, that D5 did not build.
+def relation_products(K, L):
+    return {
+        "D1": 7,
+        "D2": 0,
+        "D3": 0,
+        "D4": 8,
+        "D5_1": 2 * L,
+        "D5_2": L,
+        "D6": 2 * (2 * K + 3),
+        "D7": 2 * (2 * K + 1) + 2 * (2 * K + 1) ** 2 + K + max(K - L, 0),
+    }
+
+
+@pytest.mark.parametrize("kmax,lmax", ((1, 1), (2, 2), (4, 3), (8, 1)))
+def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
     import rsaffine.rep_core as rep_core
 
     calls = 0
@@ -275,11 +337,47 @@ def test_d6_builds_each_current_product_once(monkeypatch, kmax, products):
             spans[self.report.relation_id] = calls - self.start
             return super().done()
 
-    mod = build_current_eval(1, kmax=kmax, lmax=1)
+    mod = build_current_eval(1, kmax=kmax, lmax=lmax)
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     monkeypatch.setattr(rep_core, "_Checker", Spans)
-    assert all_pass(check_drinfeld(mod, kmax, 1))
-    assert spans["D6"] == products == 2 * (2 * (2 * kmax + 2) ** 2 - (2 * kmax + 1) ** 2)
+    assert all_pass(check_drinfeld(mod, kmax, lmax))
+    assert {rid: n for rid, n in spans.items() if not rid.startswith("D8")} == relation_products(kmax, lmax)
+
+
+# -- the current form ------------------------------------------------------------------
+
+
+# Every current that build_current_eval stores in the window is x(0) D^k with a
+# monomial D, so D4-D7 never fall back to their plain products on it.
+@pytest.mark.parametrize("kmax", (1, 4, 8))
+@pytest.mark.parametrize("shift", (False, True))
+def test_every_stored_current_is_on_the_form(shift, kmax):
+    window = set(range(-(kmax + 1), kmax + 2))
+    for n in range(13):
+        mod = build_current_eval(n, shift, kmax=kmax, lmax=1)
+        for sign in (1, -1):
+            diag, on = current_form(mod, sign, kmax)
+            assert on == window
+            assert all(x.is_monomial() for x in diag)
+
+
+# Any D is sound, because each k is compared with the stored current: a
+# corrupted x(1) gives a wrong D, on which only k = 0 and k = 1 hold.
+@pytest.mark.parametrize(
+    "corrupt,plus,minus",
+    (
+        (lambda mod: mod.with_assign(Xm(1, -2), mod.get(Xm(1, -2)).scale(3)), None, {-2}),
+        (lambda mod: mod.with_assign(Xp(1, 1), mod.get(Xp(1, 1)).scale(3)), {0, 1}, None),
+        (lambda mod: twist_gamma2(mod, 1 + R), None, None),
+    ),
+    ids=("x-(-2) * 3", "x+(1) * 3", "gamma2 twist, c = 1+r"),
+)
+def test_current_form_marks_the_indices_off_the_form(corrupt, plus, minus):
+    kmax = 2
+    window = set(range(-(kmax + 1), kmax + 2))
+    mod = corrupt(build_current_eval(2, kmax=kmax, lmax=1))
+    assert current_form(mod, 1, kmax)[1] == (window if plus is None else plus)
+    assert current_form(mod, -1, kmax)[1] == window - (minus or set())
 
 
 # -- apply_word ----------------------------------------------------------------
