@@ -27,13 +27,34 @@ diagonal and invertible and X(k) = X(0) D^k,
     diagonal, since they commute with D^k;
   - U D^k = V D^k exactly when U = V.
 So an instance whose two sides are U D^k and V D^k has the verdict of
-U = V.  D4 (with w^-1 diagonal) has one verdict per tag and D5 (with a(l)
-diagonal) one per (l, x+ or x-), each computed once; D6 builds X(a)X(b) as
-(X(a)X(0)) D^b, and D7 builds [x+(k), x-(k2)] from x+(k)x-(0) and
-x-(k2)x+(0), once per index.  An instance that reads a current off the form,
-or a non-diagonal a(l) or w^-1, takes its plain products, and a failing one
-is reported with the sides its plain expressions build, so reports_at_pin
-maps it unchanged.
+U = V: D4 (with w^-1 diagonal) has one verdict per tag and D5 (with a(l)
+diagonal) one per (l, x+ or x-), each computed once.
+
+Commutation lemmas.  For diagonals F and G, F X = c X G holds exactly when
+F_i = c G_j at every nonzero X_ij, so each identity below is checked entry
+by entry, without a product.
+  - D6.  Let X(a) = X(0) D^a for every |a| <= kmax + 1, E the diagonal with
+    E_i = D_j at the first nonzero X(0)_ij (1 on an empty row), Q = X(0)X(0)
+    and kappa = E_i / D_j at the first nonzero Q_ij.  If X(0) D = E X(0) and
+    E Q = kappa Q D, then X(0) D^a = E^a X(0) and E^a Q = kappa^a Q D^a, so
+    X(a)X(b) = kappa^a Q D^(a+b).  The two sides of instance (k, k2) then
+    differ by (kappa - rr)(kappa^k + kappa^k2) Q D^(k+k2+1), and the instance
+    fails exactly when that scalar times Q is nonzero.  On V_n(a),
+    kappa = rr.  E is read from the rows of X(0), not taken as a multiple of
+    D: current_form sets D to 1 on an empty column, so on the evaluation
+    modules D X(0) is not a multiple of X(0) D.
+  - D7.  Let x+(k) and x-(k) be on the form for every |k| <= kmax, K = c I
+    with K^-1 (the matrix kpow uses) = c^-1 I, and D+ x-(0) = c^-1 x-(0) D-,
+    D- x+(0) = c x+(0) D+.  Then [x+(k), x-(k2)] = c^-k L(m) for m = k + k2
+    and L(m) = x+(0)x-(0) D-^m - c^m x-(0)x+(0) D+^m, while the right side is
+    c^-k (c^m w(m) - w'(m))/(r-s).  So instance (k, k2) has the verdict of
+    L(m) (r-s) = c^m w(m) - w'(m): one per m, 4 kmax + 1 in all.
+An instance of D4 or D5 that reads a current off the form, or a
+non-diagonal w^-1 or a(l), takes its plain products, and so does every
+instance of a D6 sign or of D7 when a precondition fails (D6 then still
+builds each product once per anti-diagonal).  A failing decided instance is
+reported with the sides its plain expressions build, so reports_at_pin maps
+it unchanged.
 """
 
 from __future__ import annotations
@@ -381,6 +402,36 @@ def current_form(mod: MatrixModule, sign: int, kmax: int):
     return diag, on
 
 
+def _intertwines(x: Matrix, left, right) -> bool:
+    """left x == x right for the diagonals with entries left and right, that
+    is left_i == right_j at every nonzero x_ij."""
+    return all(left[i] == right[j] for i, row in enumerate(x.rows) for j, y in enumerate(row) if y)
+
+
+def anti_diagonal_form(x0: Matrix, d):
+    """(Q, kappa) with X(a)X(b) = kappa^a Q D^(a+b) whenever X(a) = x0 D^a for
+    the diagonal D with entries d (the D6 lemma in the module docstring), or
+    None when x0 D = E x0 or E Q = kappa Q D fails."""
+    e = [next((d[j] for j, y in enumerate(row) if y), ONE) for row in x0.rows]
+    if not _intertwines(x0, e, d):
+        return None
+    q = x0 @ x0
+    i, j = next(((i, j) for i, row in enumerate(q.rows) for j, y in enumerate(row) if y), (0, 0))
+    kappa = monomial_quotient(e[i], d[j]) or e[i] / d[j]
+    return (q, kappa) if _intertwines(q, e, [kappa * x for x in d]) else None
+
+
+def commutation_scalar(kc: Matrix, kcinv: Matrix, xp0: Matrix, xm0: Matrix, dp, dm):
+    """The c of the D7 lemma in the module docstring: kc = c I, kcinv = c^-1 I,
+    D+ x-(0) = c^-1 x-(0) D- and D- x+(0) = c x+(0) D+ for the diagonals
+    with entries dp and dm; None when one of them fails."""
+    c = kc[0, 0]
+    if not c or kc != Matrix.identity(kc.n).scale(c) or kcinv != Matrix.identity(kc.n).scale(c.inv()):
+        return None
+    cdp = [c * x for x in dp]
+    return c if _intertwines(xm0, cdp, dm) and _intertwines(xp0, dm, cdp) else None
+
+
 def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     """Verify (D1)-(D8) on a rank-1 current module, exactly.
 
@@ -455,9 +506,9 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
             c.check((l, tag), commutator(al, m), zero)
     reports.append(c.done())
 
-    # D4-D7 read the currents through current_form: an instance whose
-    # currents are on the form is decided by the lemma in the module
-    # docstring, and every other instance takes its plain products.
+    # D4-D7 read the currents through current_form: instances whose currents
+    # are on the form are decided by the lemmas in the module docstring, and
+    # every other instance takes its plain products.
     X = {1: lambda k: mod.get(Xp(i, k)), -1: lambda k: mod.get(Xm(i, k))}
     diag, on = {}, {}
     for sign in (1, -1):
@@ -529,74 +580,82 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                         c.check(inst, commutator(al, X[sign](k)), rhs(sign, X[sign](k + e)))
         reports.append(c.done())
 
-    # Anti-diagonal lemma: with sqrt_factor = 1 and P(a, b) = X(a)X(b),
-    # instance (k, k2) of D6 reads L(k, k2) == -L(k2, k) for
-    # L(k, k2) = P(k+1, k2) - rr P(k2, k+1), that is
+    # Instance (k, k2) of D6 reads L(k, k2) == -L(k2, k) for
+    # L(k, k2) = P(k+1, k2) - rr P(k2, k+1) and P(a, b) = X(a)X(b)
+    # (sqrt_factor = 1), that is
     #     P(k+1, k2) + P(k2+1, k) == rr (P(k2, k+1) + P(k, k2+1)).
-    # The identity is symmetric in k and k2, so (k2, k) has the verdict of
-    # (k, k2), and every product in it has a + b = k + k2 + 1.  Verdicts are
-    # decided one anti-diagonal t = k + k2 at a time: the pairs k <= k2 on it
-    # read P(a, t+1-a) for a = lo .. t-lo+1 and no other product, and
-    # P(a, b) = (X(a)X(0)) D^b when X(b) is on the form, so each X(a)X(0) is
-    # built once; k = k2 reads P(k+1, k) == rr P(k, k+1).  The verdicts are
-    # then counted in instance order, and only a failure builds its two sides
-    # L(k, k2) and -L(k2, k) for the report.
+    # Under the D6 lemma (module docstring) its verdict is read off kappa.
+    # Otherwise the identity, symmetric in k and k2 with every
+    # product on a + b = k + k2 + 1, is decided one anti-diagonal
+    # t = k + k2 at a time: the pairs k <= k2 on it read P(a, t+1-a) for
+    # a = lo .. t-lo+1, each built once; k = k2 reads P(k+1, k) == rr P(k, k+1).
+    # The verdicts are then counted in instance order, and only a failure
+    # builds its two sides L(k, k2) and -L(k2, k) for the report.
     c = _Checker("D6")
     sqrt_factor = ONE  # (<j,i><i,j>^-1)^(1/2) at i = j
     ks = range(-(kmax + 1), kmax + 1)
     for sign in (+1, -1):
         rr = rho if sign > 0 else rho.inv()
         Xs = X[sign]
-        x0_right = {}
-
-        def product(a, b):
-            if b not in on[sign]:
-                return Xs(a) @ Xs(b)
-            if a not in x0_right:
-                x0_right[a] = Xs(a) @ Xs(0)
-            return times_dpow(x0_right[a], sign, b)
 
         def L(k, k2):
             return Xs(k + 1) @ Xs(k2) - (Xs(k2) @ Xs(k + 1)).scale(rr)
 
+        form = anti_diagonal_form(Xs(0), diag[sign]) if on[sign] >= set(range(-(kmax + 1), kmax + 2)) else None
         failed = set()
-        for t in range(2 * ks[0], 2 * ks[-1] + 1):
-            lo = max(ks[0], t - ks[-1])
-            P = {}
-            for k in range(lo, t // 2 + 1):
-                k2 = t - k
-                for a in {k, k + 1, k2, k2 + 1} - P.keys():
-                    P[a] = product(a, t + 1 - a)
-                if k == k2:
-                    holds = P[k + 1] == P[k].scale(rr)
-                else:
-                    holds = P[k + 1] + P[k2 + 1] == (P[k2] + P[k]).scale(rr)
-                if not holds:
-                    failed.update(((k, k2), (k2, k)))
-                del P[k], P[k2 + 1]  # no later pair on this diagonal reads them
-        del x0_right
+        if form is not None:
+            square, kappa = form
+            if not square.is_zero() and kappa != rr:
+                pw = {k: kappa**k for k in ks}
+                failed = {(k, k2) for k in ks for k2 in ks if pw[k] + pw[k2]}
+        else:
+            for t in range(2 * ks[0], 2 * ks[-1] + 1):
+                lo = max(ks[0], t - ks[-1])
+                P = {}
+                for k in range(lo, t // 2 + 1):
+                    k2 = t - k
+                    for a in {k, k + 1, k2, k2 + 1} - P.keys():
+                        P[a] = Xs(a) @ Xs(t + 1 - a)
+                    if k == k2:
+                        holds = P[k + 1] == P[k].scale(rr)
+                    else:
+                        holds = P[k + 1] + P[k2 + 1] == (P[k2] + P[k]).scale(rr)
+                    if not holds:
+                        failed.update(((k, k2), (k2, k)))
+                    del P[k], P[k2 + 1]  # no later pair on this diagonal reads them
         for k in ks:
             for k2 in ks:
                 failure = (L(k, k2), L(k2, k).scale(-sqrt_factor)) if (k, k2) in failed else None
                 c.decided((sign, k, k2), failure)
     reports.append(c.done())
 
-    # [x+(k), x-(k2)] = (x+(k) x-(0)) D-^k2 - (x-(k2) x+(0)) D+^k when x-(k2)
-    # and x+(k) are on the form: two products per index, not two per instance.
+    # D7 reads [x+(k), x-(k2)] == (K^k2 w(m) - K^-k w'(m))/(r-s), m = k + k2;
+    # under the D7 lemma (module docstring) it has one verdict per m.
     c = _Checker("D7")
     window = range(-kmax, kmax + 1)
-    minus_plus = {k2: X[-1](k2) @ X[1](0) for k2 in window if k2 in on[-1]}
+    scalar = None
+    if set(window) <= on[1] & on[-1]:
+        scalar = commutation_scalar(kc, kcinv, X[1](0), X[-1](0), diag[1], diag[-1])
+    if scalar is not None:
+        pm, mp = X[1](0) @ X[-1](0), X[-1](0) @ X[1](0)
+        p, q = rs.as_quotient()
+        holds = {}
+        for m in range(-2 * kmax, 2 * kmax + 1):
+            cm = scalar**m
+            lhs = times_dpow(pm, -1, m) - times_dpow(mp, 1, m).scale(cm)
+            holds[m] = lhs.scale(q) == (mod.get(Wser(i, m)).scale(cm) - mod.get(Wpser(i, m))).scale(p)
+
+    def rhs(k, k2):
+        return kpow(k2) @ mod.get(Wser(i, k + k2)) - kpow(-k) @ mod.get(Wpser(i, k + k2))
+
     for k in window:
-        plus_minus = X[1](k) @ X[-1](0) if k in on[1] else None
         for k2 in window:
-            m = k + k2
-            if plus_minus is not None and k2 in minus_plus:
-                lhs = times_dpow(plus_minus, -1, k2) - times_dpow(minus_plus[k2], 1, k)
+            if scalar is None:
+                c.check_scaled((k, k2), commutator(X[1](k), X[-1](k2)), rhs(k, k2), rs)
+            elif holds[k + k2]:
+                c.decided((k, k2))
             else:
-                lhs = commutator(X[1](k), X[-1](k2))
-            rhs = kpow(k2) @ mod.get(Wser(i, m)) - kpow(-k) @ mod.get(Wpser(i, m))
-            c.check_scaled((k, k2), lhs, rhs, rs)
-    del minus_plus, plus_minus
+                c.decided((k, k2), (commutator(X[1](k), X[-1](k2)), rhs(k, k2).scale(rs)))
     reports.append(c.done())
 
     for rid in ("D8_1", "D8_2", "D8_3"):

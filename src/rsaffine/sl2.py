@@ -137,9 +137,12 @@ def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
 
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
     """Current module with x+-(k) for |k| <= max(kmax+1, 2*kmax), the omega
-    series to order 2*kmax, and the recovered imaginary generators to +-lmax."""
+    series to order 2*kmax, and the recovered imaginary generators to +-lmax,
+    lmax <= 2*kmax since a(l) is recovered from the series to order l."""
     if n < 0 or kmax < 1:
         raise ValueError("need n >= 0 and kmax >= 1")
+    if lmax > 2 * kmax:
+        raise ValueError(f"need lmax <= 2*kmax, got lmax {lmax} with kmax {kmax}")
     sh = shift_factor(use_shift)
     e, f, w, wp = _vn_matrices(n)
     assign = {

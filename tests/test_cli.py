@@ -45,8 +45,11 @@ def test_verify_kmax_bound(capsys):
 # building the two sides of every unordered D6 pair, made 14,920.  Reading
 # each current as x(0) D^k now decides D4 and D5 once per family and builds
 # X(a)X(0), x+(k)x-(0) and x-(k2)x+(0) once per index; full products of the
-# currents for every instance made 7,736.
-VERIFY_N4_PMUL_CALLS = 6436
+# currents for every instance made 7,736.  D6 and D7 are now decided by the
+# commutation identities of x(0) (rep_core docstring), with x(0)x(0) once per
+# sign and one D7 verdict per m = k + k2; the per-index products, the
+# anti-diagonal sums and a right side per D7 instance made 6,436.
+VERIFY_N4_PMUL_CALLS = 3875
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -74,7 +77,10 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # Canonicalizing every product of two Laurent entries, and building the two
 # sides of every unordered D6 pair, made 8,381.  Full products of the
 # currents for every D4-D7 instance, not one per family or index, made 2,163.
-VERIFY_N4_NORMALIZE_CALLS = 1491
+# The per-index D6 and D7 products, the anti-diagonal sums and a right side
+# per D7 instance, where the commutation lemmas now decide D6 by scalars and
+# D7 once per m, made 1,491.
+VERIFY_N4_NORMALIZE_CALLS = 758
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -106,8 +112,10 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 # sides of each unordered pair made 1,018.  With the currents read as
 # x(0) D^k, D6 builds X(a)X(0) once per a, D7 x+(k)x-(0) and x-(k2)x+(0)
 # once per index, and D4 and D5 one verdict per family; products per
-# instance made 856.
-VERIFY_N4_MATMUL_CALLS = 374
+# instance made 856.  D6 now builds x(0)x(0) once per sign and D7 x+(0)x-(0)
+# and x-(0)x+(0) once, whatever kmax; those per-index products, and the
+# powers of K in the right side of every D7 instance, made 374.
+VERIFY_N4_MATMUL_CALLS = 171
 
 
 def test_verify_matmul_count_tripwire(capsys, monkeypatch):
@@ -327,7 +335,10 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # two sides of every unordered D6 pair, made 4,800.  With x+(1) zeroed no
 # D+ can be read, so the x+ currents keep their plain products, while the x-
 # currents are read as x(0) D^k; plain products for every instance made 3,171.
-MUTATED_PINNED_PMUL_CALLS = 3096
+# The x- sign of D6 is now decided by its commutation lemma, with x(0)x(0)
+# once, and D7 takes its plain commutators; X(a)X(0) once per a on the x-
+# side of D6, and x-(k2)x+(0) once per k2 in D7, made 3,096.
+MUTATED_PINNED_PMUL_CALLS = 3002
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):

@@ -1,12 +1,13 @@
 """Relation engine: exact verification, instance accounting, failure teeth."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from rsaffine.field import ONE, R, S, ZERO, quantum_int, rf
+from rsaffine.field import A, ONE, R, S, ZERO, quantum_int, rf
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
     Aim,
@@ -26,12 +27,14 @@ from rsaffine.rep_core import (
     all_pass,
     apply_word,
     check_chevalley,
+    anti_diagonal_form,
     check_drinfeld,
     chevalley_instance_counts,
+    commutation_scalar,
     current_form,
     drinfeld_instance_counts,
 )
-from rsaffine.hopf import twist_gamma2
+from rsaffine.hopf import twist_gamma1, twist_gamma2
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval, build_Vn
 
 A1 = build_pairing(AffineType("A", 1))
@@ -143,8 +146,11 @@ def test_grouplike_inverse_enforced_at_construction():
 # -- D2-D7 reports against a naive reference ------------------------------------------
 # The reference takes both full products of every commutator, builds both
 # sides of every instance and compares them plainly, so it shares neither the
-# diagonal commutator, the D6 anti-diagonals, the current form of D4-D7 nor
-# the cross-multiplied D7 comparison with check_drinfeld.
+# diagonal commutator, the D6 anti-diagonals, the current form of D4-D7, the
+# commutation lemmas of D6 and D7 nor the cross-multiplied D7 comparison with
+# check_drinfeld.  Like check_drinfeld it takes K^-1 as the generator product
+# w^-1 w'^-1, which differs from the inverse of K = w w' on a module whose
+# w^-1 or w'^-1 is corrupted.
 
 
 def naive_reports(mod, kmax, lmax):
@@ -154,7 +160,10 @@ def naive_reports(mod, kmax, lmax):
     rs = (R - S).inv()
     zero = Matrix.zeros(mod.dim)
     w, winv, wp, wpinv = mod.get(W(i)), mod.get(W(i, -1)), mod.get(Wp(i)), mod.get(Wp(i, -1))
-    kc = w @ wp
+    kc, kcinv = w @ wp, winv @ wpinv
+
+    def kpow(n):
+        return kc**n if n >= 0 else kcinv ** (-n)
 
     def comm(a, b):
         return a @ b - b @ a
@@ -189,10 +198,10 @@ def naive_reports(mod, kmax, lmax):
         for k in range(-kmax, kmax + 1):
             if abs(l + k) <= kmax + 1:
                 found["D5_1"].append((("x+", l, k), comm(al(l), xp(k)), xp(l + k).scale(th)))
-                found["D5_1"].append((("x-", l, k), comm(al(l), xm(k)), (kc**-l @ xm(l + k)).scale(-th)))
+                found["D5_1"].append((("x-", l, k), comm(al(l), xm(k)), (kpow(-l) @ xm(l + k)).scale(-th)))
         for k in range(-kmax, kmax + 1):
             if abs(k - l) <= kmax + 1:
-                found["D5_2"].append((("x+", -l, k), comm(al(-l), xp(k)), (kc**-l @ xp(k - l)).scale(th)))
+                found["D5_2"].append((("x+", -l, k), comm(al(-l), xp(k)), (kpow(-l) @ xp(k - l)).scale(th)))
                 found["D5_2"].append((("x-", -l, k), comm(al(-l), xm(k)), xm(k - l).scale(-th)))
     for sign, X, rr in ((1, xp, rho), (-1, xm, rho.inv())):
         for k in range(-(kmax + 1), kmax + 1):
@@ -203,7 +212,7 @@ def naive_reports(mod, kmax, lmax):
     for k in range(-kmax, kmax + 1):
         for k2 in range(-kmax, kmax + 1):
             m = k + k2
-            rhs = (kc**k2 @ mod.get(Wser(i, m)) - kc**-k @ mod.get(Wpser(i, m))).scale(rs)
+            rhs = (kpow(k2) @ mod.get(Wser(i, m)) - kpow(-k) @ mod.get(Wpser(i, m))).scale(rs)
             found["D7"].append(((k, k2), comm(xp(k), xm(k2)), rhs))
     return {
         rid: (
@@ -242,20 +251,100 @@ MUTATIONS = {
     "w(2) + 1": (lambda mod: mod.with_assign(Wser(1, 2), mod.get(Wser(1, 2)) + Matrix.identity(mod.dim)), {"D7"}),
     # every current on the form, with a D that is not monomial
     "gamma2 twist, c = 1+r": (lambda mod: twist_gamma2(mod, 1 + R), set()),
+    # Each corruption below is made at every stored index k, so all currents
+    # stay on the form.  G x+(k) keeps both commutation identities, so the D6
+    # and D7 lemmas decide, and only D7 fails.
+    "G x+(k)": (lambda mod: _at_every_index(mod, Xp, lambda k, x: _g(mod) @ x), {"D7"}),
+    # D- doubled: D+ x-(0) = c^-1 x-(0) D- fails, and instances with one
+    # m = k + k2 no longer share a D7 verdict
+    "x-(k) * 2^k": (
+        lambda mod: _at_every_index(mod, Xm, lambda k, x: x.scale(Fraction(2) ** k)),
+        {"D5_1", "D5_2", "D7"},
+    ),
+    # the last entry of D+ doubled: E Q = kappa Q D fails
+    "x+(k) last column * 2^k": (
+        lambda mod: _at_every_index(mod, Xp, lambda k, x: x.scale_columns([ONE] * (mod.dim - 1) + [Fraction(2) ** k])),
+        {"D5_1", "D5_2", "D6", "D7"},
+    ),
+    # D+_j times (-rho)^j: kappa = -1, so D6 fails exactly where k - k2 is even
+    "x+(k) (-rho)^(jk)": (
+        lambda mod: _at_every_index(
+            mod, Xp, lambda k, x: x.scale_columns([(-mod.table.entry(1, 1)) ** (j * k) for j in range(mod.dim)])
+        ),
+        {"D5_1", "D5_2", "D6", "D7"},
+    ),
+    # x+(0) + 1 carried along the form: x+(0) D+ = E x+(0) fails
+    "(x+(0) + 1) D+^k": (
+        lambda mod: _at_every_index(mod, Xp, lambda k, x: x + _dplus(mod, k)),
+        {"D4", "D5_1", "D5_2", "D6", "D7"},
+    ),
+    # x+(0) = Z with Z^2 = 0 and Z D+ != E Z: Q = 0, yet X(a)X(b) != 0
+    "x+(k) = Z D+^k": (
+        lambda mod: _at_every_index(mod, Xp, lambda k, x: _nilpotent(mod.dim) @ _dplus(mod, k)),
+        {"D4", "D5_1", "D5_2", "D6", "D7"},
+    ),
+    # K = w w' is still c I but w^-1 w'^-1 is not c^-1 I: D7 takes its plain path
+    "w^-1 * 2": (lambda mod: mod.with_assign(W(1, -1), mod.get(W(1, -1)).scale(2)), {"D4", "D5_1", "D5_2", "D7"}),
+    # K = w G w' is not scalar, while w G (w^-1 G^-1) = 1 still
+    "w G, w^-1 G^-1": (
+        lambda mod: mod.with_assign(W(1), mod.get(W(1)) @ _g(mod)).with_assign(
+            W(1, -1), mod.get(W(1, -1)) @ _g(mod).inverse()
+        ),
+        {"D4", "D5_1", "D5_2", "D7"},
+    ),
 }
+
+
+def _g(mod):
+    return Matrix.diagonal(range(1, mod.dim + 1))
+
+
+def _dplus(mod, k):
+    """D+^k for the D+ that current_form reads from mod."""
+    return Matrix.diagonal([y**k for y in current_form(mod, 1, 2)[0]])
+
+
+def _nilpotent(d):
+    """[[1, 1], [-1, -1]] in the top left corner of a d x d zero matrix."""
+    return Matrix([[(1 if i == 0 else -1) if i < 2 and j < 2 else 0 for j in range(d)] for i in range(d)])
+
+
+def _at_every_index(mod, gen, f):
+    """mod with every stored current x = gen(1, k) replaced by f(k, x)."""
+    out = mod
+    for g in mod.generators():
+        if g.kind == gen(1, 0).kind:
+            out = out.with_assign(g, f(g.k, mod.get(g)))
+    return out
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_failure_reports_match_the_naive_reference(mutation):
     kmax, lmax = 2, 2
     mutate, failing = MUTATIONS[mutation]
-    mod = mutate(build_current_eval(2, kmax=kmax, lmax=lmax))
+    mod = mutate(build_current_eval(3, kmax=kmax, lmax=lmax))
     reports = {r.relation_id: r for r in check_drinfeld(mod, kmax, lmax)}
     expected = naive_reports(mod, kmax, lmax)
     for rid, (count, failures) in expected.items():
         assert reports[rid].instances_checked == count
         assert reports[rid].failures == failures
     assert {rid for rid, (_, failures) in expected.items() if failures} == failing
+
+
+# At n = 0 the currents are zero, and at n = 1 x(0)x(0) = 0: D6 takes its
+# lemma with Q = 0, and every relation holds.
+@pytest.mark.parametrize("n", (0, 1))
+def test_reports_match_the_naive_reference_when_q_vanishes(n):
+    kmax, lmax = 2, 2
+    mod = build_current_eval(n, kmax=kmax, lmax=lmax)
+    for sign in (1, -1):
+        diag, _ = current_form(mod, sign, kmax)
+        q, _ = anti_diagonal_form(mod.get((Xp if sign > 0 else Xm)(1, 0)), diag)
+        assert q.is_zero()
+    reports = {r.relation_id: r for r in check_drinfeld(mod, kmax, lmax)}
+    for rid, (count, failures) in naive_reports(mod, kmax, lmax).items():
+        assert reports[rid].instances_checked == count
+        assert reports[rid].failures == failures == []
 
 
 # Mutations aimed at D6, with a check on its failing instances (sign, k, k2):
@@ -297,11 +386,11 @@ def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
 # - D1: the inverse and centrality products of the group-likes;
 # - D4: w x(0) w^-1, two products once per tag, not per k;
 # - D5_1: per l, K^-l = K^-(l-1) K^-1 and K^-l x-(0) D-^l; D5_2: K^-l x+(0) D+^-l;
-# - D6: X(a)X(0) once per a and sign, where each product X(a)X(b) of an
-#   anti-diagonal made 2(2K+2)^2 - (2K+1)^2 per sign;
-# - D7: x+(k)x-(0) and x-(k2)x+(0) once per index, where the commutator made two
-#   per instance; two diagonal products per right side; and the powers K^m,
-#   m = 1..K and -(L+1)..-K, that D5 did not build.
+# - D6: Q = x(0)x(0) once per sign, whatever K, where X(a)X(0) once per a
+#   made 2(2K+3);
+# - D7: x+(0)x-(0) and x-(0)x+(0) once, whatever K, where x+(k)x-(0) and
+#   x-(k2)x+(0) once per index, two diagonal products per right side and the
+#   powers of K that D5 did not build made 2(2K+1) + 2(2K+1)^2 + K + max(K-L, 0).
 def relation_products(K, L):
     return {
         "D1": 7,
@@ -310,8 +399,8 @@ def relation_products(K, L):
         "D4": 8,
         "D5_1": 2 * L,
         "D5_2": L,
-        "D6": 2 * (2 * K + 3),
-        "D7": 2 * (2 * K + 1) + 2 * (2 * K + 1) ** 2 + K + max(K - L, 0),
+        "D6": 2,
+        "D7": 2,
     }
 
 
@@ -348,17 +437,38 @@ def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
 
 
 # Every current that build_current_eval stores in the window is x(0) D^k with a
-# monomial D, so D4-D7 never fall back to their plain products on it.
+# monomial D, and the commutation identities of the D6 and D7 lemmas hold with
+# kappa = rr, so D4-D7 never fall back to their plain products on it.
+def assert_lemma_path(mod, kmax):
+    window = set(range(-(kmax + 1), kmax + 2))
+    rho = mod.table.entry(1, 1)
+    diag = {}
+    for sign, gen, rr in ((1, Xp, rho), (-1, Xm, rho.inv())):
+        diag[sign], on = current_form(mod, sign, kmax)
+        assert on == window
+        q, kappa = anti_diagonal_form(mod.get(gen(1, 0)), diag[sign])
+        assert q.is_zero() or kappa == rr
+    w, winv, wp, wpinv = mod.get(W(1)), mod.get(W(1, -1)), mod.get(Wp(1)), mod.get(Wp(1, -1))
+    assert commutation_scalar(w @ wp, winv @ wpinv, mod.get(Xp(1, 0)), mod.get(Xm(1, 0)), diag[1], diag[-1])
+    return diag
+
+
 @pytest.mark.parametrize("kmax", (1, 4, 8))
 @pytest.mark.parametrize("shift", (False, True))
 def test_every_stored_current_is_on_the_form(shift, kmax):
-    window = set(range(-(kmax + 1), kmax + 2))
     for n in range(13):
-        mod = build_current_eval(n, shift, kmax=kmax, lmax=1)
-        for sign in (1, -1):
-            diag, on = current_form(mod, sign, kmax)
-            assert on == window
-            assert all(x.is_monomial() for x in diag)
+        diag = assert_lemma_path(build_current_eval(n, shift, kmax=kmax, lmax=1), kmax)
+        assert all(x.is_monomial() for sign in (1, -1) for x in diag[sign])
+
+
+# The loop twists scale D by c, which cancels in kappa and leaves K alone.
+@pytest.mark.parametrize("twist", ("gamma1", "gamma2 1+r", "gamma2 2+s", "gamma2 a", "gamma2 rs"))
+def test_twisted_modules_take_the_lemma_path(twist):
+    scalar = {"gamma2 1+r": 1 + R, "gamma2 2+s": 2 + S, "gamma2 a": A, "gamma2 rs": R * S}.get(twist)
+    for n in range(13):
+        for shift in (False, True):
+            mod = build_current_eval(n, shift, kmax=2, lmax=1)
+            assert_lemma_path(twist_gamma1(mod) if scalar is None else twist_gamma2(mod, scalar), 2)
 
 
 # Any D is sound, because each k is compared with the stored current: a

@@ -2,6 +2,7 @@
 generators, all against independently computed eigenvalue formulas."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,16 @@ def test_highest_weight_annihilation(n):
 def test_shift_must_be_a_bool(shift):
     with pytest.raises(ValueError):
         build_chevalley_eval(1, shift)
+
+
+# a(l) is recovered from the series to order l, which the module stores to
+# order 2 kmax; a larger lmax used to raise MissingGenerator 'Wser(1,3)' from
+# inside recover_imaginary.
+@pytest.mark.parametrize("kmax,lmax", ((1, 3), (2, 5)))
+def test_current_module_needs_lmax_at_most_twice_kmax(kmax, lmax):
+    with pytest.raises(ValueError, match=re.escape("lmax <= 2*kmax")):
+        build_current_eval(1, kmax=kmax, lmax=lmax)
+    assert build_current_eval(1, kmax=kmax, lmax=2 * kmax).get(Aim(1, -2 * kmax)).is_diagonal()
 
 
 @pytest.mark.parametrize("n", range(5))

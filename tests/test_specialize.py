@@ -284,8 +284,11 @@ def test_pole_error_on_the_command_line(capsys, monkeypatch):
 # two sides of every unordered D6 pair made 3,474.  Reading the currents as
 # x(0) D^k, with D = (1+r) times a monomial here, scales by powers of D once
 # per family or index where every instance took full products; that made
-# 3,194.
-DIRECT_PINNED_PGCD_CALLS = 2230
+# 3,194.  Deciding D6 by the commutation identities of x(0), with x(0)x(0)
+# once per sign, and D7 once per m = k + k2, where the X(a)X(0) and
+# x+(k)x-(0) products were scaled by powers of D per index and a right side
+# built per D7 instance, made 2,230.
+DIRECT_PINNED_PGCD_CALLS = 742
 
 
 def test_direct_pinned_pgcd_count_tripwire(monkeypatch):
