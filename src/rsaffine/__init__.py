@@ -32,7 +32,6 @@ from .rep_core import (
 from .sl2 import (
     build_chevalley_eval,
     build_current_eval,
-    build_Vn,
     omega_matrices,
     recover_imaginary,
 )
@@ -45,7 +44,7 @@ from .drinfeld import (
     verify_RQ_form,
     weight_gamma_series,
 )
-from .hopf import span_closure, tensor, twist
+from .hopf import span_closure, tensor, twist_sigma
 from .specialize import SpecMap, specialize_module, substitute_module
 
 __version__ = "0.1.0"

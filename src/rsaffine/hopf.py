@@ -1,11 +1,12 @@
-"""Coproduct-built tensor modules, span closure, antipode checks, and the
-sign/loop automorphism twists.
+"""Coproduct-built tensor modules, span closure, and the sign twist.
 
 The coproduct acts on Chevalley generators only (e -> e(x)1 + w(x)e,
 f -> 1(x)f + f(x)w', group-likes multiply), so tensor modules live at the
-Chevalley level.  Twists transform the primary generator matrices and
-re-derive the operational series generators, then the relation suites are
-re-run by the caller: the automorphism property is verified, not assumed.
+Chevalley level.  The sign twist transforms the Chevalley generator
+matrices, and the caller re-runs the relation suite on the result: the
+automorphism property is verified, not assumed.  The loop twists are the
+reparameterizations a -> c a, which the twist command decides through
+specialize.reports_at_pin.
 """
 
 from __future__ import annotations
@@ -13,21 +14,7 @@ from __future__ import annotations
 from .errors import MissingGenerator, TypeMismatch
 from .field import ONE, ZERO, RatFunc
 from .matrix import Matrix, echelon_insert
-from .rep_core import (
-    AIM_KIND,
-    E,
-    F,
-    GammaHalf,
-    GammaPrimeHalf,
-    MatrixModule,
-    W,
-    WSER_KIND,
-    Wp,
-    XM_KIND,
-    XP_KIND,
-    Gen,
-)
-from .sl2 import with_series
+from .rep_core import E, F, GammaHalf, GammaPrimeHalf, MatrixModule, W, Wp
 
 
 def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
@@ -101,7 +88,7 @@ def span_closure(mod, seed):
     return [[row.get(j, ZERO) for j in range(mod.dim)] for row in rows]
 
 
-# -- twists ------------------------------------------------------------------
+# -- sign twist ---------------------------------------------------------------
 
 
 def twist_sigma(mod: MatrixModule, signs) -> MatrixModule:
@@ -120,92 +107,3 @@ def twist_sigma(mod: MatrixModule, signs) -> MatrixModule:
         else:
             assign[g] = mat
     return MatrixModule(mod.table, assign, rs=mod.rs)
-
-
-def _retwist_series(mod: MatrixModule, assign) -> MatrixModule:
-    """The twisted module, its series and imaginary generators re-derived
-    from the new currents to the orders mod carries."""
-    twisted = MatrixModule(mod.table, assign, check=False, rs=mod.rs)
-    sers = [g.k for g in mod.assign if g.kind == WSER_KIND]
-    ells = [g.k for g in mod.assign if g.kind == AIM_KIND]
-    return with_series(twisted, max(sers), max(ells, default=0)) if sers else twisted
-
-
-def twist_gamma1(mod: MatrixModule) -> MatrixModule:
-    """Loop-sign twist: x+-(k) -> (-1)^k x+-(k), gamma halves negated; the
-    gamma2 twist at c = -1, whose series re-derivation reads no gamma half."""
-    assign = dict(twist_gamma2(mod, -1).assign)
-    for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
-        if g in assign:
-            assign[g] = -assign[g]
-    return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
-
-
-def twist_gamma2(mod: MatrixModule, c) -> MatrixModule:
-    """Loop-scaling twist: x+-(k) -> c^k x+-(k) for an invertible scalar c."""
-    c = RatFunc._coerce(c)
-    if c.is_zero():
-        raise ValueError("twist scalar must be invertible")
-    if not any(g.kind == XP_KIND for g in mod.assign):
-        raise MissingGenerator("loop twists act on current generators")
-    assign = {}
-    for g, mat in mod.assign.items():
-        if g.kind in (XP_KIND, XM_KIND):
-            assign[g] = mat.scale(c**g.k)
-        else:
-            assign[g] = mat
-    return _retwist_series(mod, assign)
-
-
-def twist(mod: MatrixModule, aut: str, signs=None, c=None) -> MatrixModule:
-    """Dispatch: aut in {'sigma', 'gamma1', 'gamma2'}."""
-    if aut == "sigma":
-        return twist_sigma(mod, signs)
-    if aut == "gamma1":
-        return twist_gamma1(mod)
-    if aut == "gamma2":
-        return twist_gamma2(mod, c)
-    raise ValueError(f"unknown automorphism {aut!r}")
-
-
-# -- antipode -----------------------------------------------------------------
-
-
-def antipode_matrix(mod: MatrixModule, gen) -> Matrix:
-    """Matrix of the antipode image of a Chevalley generator:
-    S(e) = -w^-1 e, S(f) = -f w'^-1, group-likes invert."""
-    if gen.kind == "E":
-        return -(mod.get(W(gen.i, -1)) @ mod.get(E(gen.i)))
-    if gen.kind == "F":
-        return -(mod.get(F(gen.i)) @ mod.get(Wp(gen.i, -1)))
-    if gen.kind in ("W", "Wp", "GammaHalf", "GammaPrimeHalf"):
-        return mod.get(Gen(gen.kind, gen.i, -gen.k))
-    raise MissingGenerator(f"antipode not defined on {gen}")
-
-
-def antipode_axiom_report(mod: MatrixModule) -> dict:
-    """Check m(S (x) id)Delta(g) = eps(g) id on every Chevalley generator."""
-    ident = Matrix.identity(mod.dim)
-    zero = Matrix.zeros(mod.dim)
-    failures = []
-    checked = 0
-    N = mod.table.size
-    for i in range(N):
-        if E(i) in mod.assign:
-            # Delta(e) = e(x)1 + w(x)e -> S(e)*1 + S(w)*e must vanish
-            got = antipode_matrix(mod, E(i)) + mod.get(W(i, -1)) @ mod.get(E(i))
-            checked += 1
-            if got != zero:
-                failures.append(f"e_{i}")
-        if F(i) in mod.assign:
-            got = mod.get(F(i)) + antipode_matrix(mod, F(i)) @ mod.get(Wp(i))
-            checked += 1
-            if got != zero:
-                failures.append(f"f_{i}")
-        for kind, ctor in (("W", W), ("Wp", Wp)):
-            if ctor(i) in mod.assign:
-                got = antipode_matrix(mod, ctor(i)) @ mod.get(ctor(i))
-                checked += 1
-                if got != ident:
-                    failures.append(f"{kind.lower()}_{i}")
-    return {"checked": checked, "failures": failures}

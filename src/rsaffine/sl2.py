@@ -1,5 +1,5 @@
-"""Finite-dimensional modules for the rank-1 affine algebra: the ladder
-module V_n, its affine Chevalley pullback, and the loop-generator
+"""Finite-dimensional modules for the rank-1 affine algebra: the affine
+Chevalley pullback of the ladder module V_n, and the loop-generator
 (current) evaluation modules with their series and imaginary generators.
 
 Both normalizations are exposed: shift 1 gives V_n(a), shift rs^-1 gives
@@ -60,23 +60,6 @@ def _with_gammas(assign, dim):
     return assign
 
 
-def build_Vn(n: int) -> MatrixModule:
-    """The (n+1)-dimensional ladder module of the finite subalgebra:
-    e.v_i = [n+1-i] v_(i-1), f.v_i = [i+1] v_(i+1), diagonal omega actions."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    e, f, w, wp = _vn_matrices(n)
-    assign = {
-        E(1): e,
-        F(1): f,
-        W(1): w,
-        W(1, -1): w.inverse(),
-        Wp(1): wp,
-        Wp(1, -1): wp.inverse(),
-    }
-    return MatrixModule(_A1, _with_gammas(assign, n + 1))
-
-
 def build_chevalley_eval(n: int, use_shift=False) -> MatrixModule:
     """Affine Chevalley module on V_n: node-0 generators act through the
     evaluation morphism e_0 -> r^-1 s a' f, f_0 -> r s^-1 a'^-1 e, with the
@@ -113,26 +96,6 @@ def current_matrices(e: Matrix, f: Matrix, shift: RatFunc, ks):
     lam = [ap * S ** (1 - d) * _RHO**-i for i in range(d)]
     mu = [ap * R ** (d - 1) * _RHO ** -(i + 1) for i in range(d)]
     return {k: (e.scale_columns([x**k for x in lam]), f.scale_columns([x**k for x in mu])) for k in ks}
-
-
-def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
-    """Cross-check the closed current action against the lifted evaluation
-    morphism x+(k) -> r^-k s^k a^k w'^-k e, x-(k) -> r^-k s^k a^k f w^k.
-
-    Returns a list of discrepancy descriptions (empty when they agree)."""
-    sh = shift_factor(use_shift)
-    e, f, w, wp = _vn_matrices(n)
-    ap = sh * A
-    out = []
-    for k, (xp, xm) in current_matrices(e, f, sh, range(-kmax, kmax + 1)).items():
-        scalar = (R**-1 * S * ap) ** k
-        via_ev_p = (wp**-k @ e).scale(scalar)
-        via_ev_m = (f @ w**k).scale(scalar)
-        if via_ev_p != xp:
-            out.append(f"x+({k}) mismatch at n={n}")
-        if via_ev_m != xm:
-            out.append(f"x-({k}) mismatch at n={n}")
-    return out
 
 
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:

@@ -92,7 +92,8 @@ def substitute_module(mod: MatrixModule, **subs) -> MatrixModule:
 
 def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
     """check(substitute_module(symbolic, a=a, b=b)), computed by one check on
-    the symbolic module.
+    the symbolic module.  A pin is any nonzero rational function, a scalar
+    such as 3/2 or 1+r, or one in a itself, such as c*a.
 
     Lemma: substituting a and b is a ring homomorphism on the rational
     functions whose denominators do not vanish at the pin, so it commutes
@@ -112,6 +113,22 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
     SpecializationPole.  Without a pin the symbolic run is the run; a zero
     pin, where a^-1 or b^-1 is not regular, takes the direct path and raises
     what the substitution raises.
+
+    Lemma (loop twists): let every entry of each current x+-(k) of symbolic
+    be homogeneous of a-degree k, and let its series and imaginary
+    generators be those sl2.with_series derives from its currents.  Then
+    the twist x+-(k) -> c^k x+-(k), with the series derived again from the
+    twisted currents, is substitute_module(symbolic, a=c*a), so its reports
+    are reports_at_pin(check, symbolic, a=c*a).  Homogeneity is the identity
+    c^k x+-(k) = x+-(k) at a -> c a (the twist command checks it current by
+    current), so the twisted currents are the images of the stored ones;
+    with_series builds w(m), w'(-m) and a(l) from products, sums, scalings
+    and series logarithms of the currents, which commute with the
+    substitution, so the series it derives are the images of the stored
+    ones.  The gamma1 twist is c = -1 with the gamma halves negated too;
+    check_drinfeld reads them only in the D1 products gh gh^-1, gph gph^-1
+    and (gh gh)(gph gph), where the two signs cancel, so its reports are
+    those of c = -1.
     """
     pins = [p for p in (a, b) if p is not None]
     if not pins:

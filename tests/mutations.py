@@ -2,7 +2,9 @@
 relation checks catch a wrong generator.
 
 Each mutation names the builder whose module it corrupts and the corruption:
-x+(1) zeroed, e_1 doubled, or x-(0) scaled by rs.
+x+(1) zeroed, e_1 doubled, x-(0) scaled by rs, or x+(1) plus the identity.
+The last one breaks the a-grading: x+(1) is no longer homogeneous of
+a-degree 1, so it is not the loop twist's image of itself.
 """
 
 from rsaffine.field import R, S
@@ -15,6 +17,10 @@ MUTATIONS = {
     "xminus-scale": (
         "build_current_eval",
         lambda m: m.with_assign(Xm(1, 0), m.get(Xm(1, 0)).scale(R * S)),
+    ),
+    "xplus-identity": (
+        "build_current_eval",
+        lambda m: m.with_assign(Xp(1, 1), m.get(Xp(1, 1)) + Matrix.identity(m.dim)),
     ),
 }
 

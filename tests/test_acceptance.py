@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from test_specialize import specialize_table
+from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import build_pairing, parse_type, table_to_json
 from rsaffine.drinfeld import (
@@ -20,7 +21,7 @@ from rsaffine.drinfeld import (
     verify_RQ_form,
 )
 from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int
-from rsaffine.hopf import span_closure, tensor, tensor_basis_vector, twist
+from rsaffine.hopf import span_closure, tensor, tensor_basis_vector, twist_sigma
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
     E,
@@ -215,8 +216,8 @@ def test_criterion_7_twists():
     for n in (0, 1, 2):
         for shift in (False, True):
             mod = build_current_eval(n, shift, kmax=2, lmax=2)
-            tw2 = twist(mod, "gamma2", c=c)
-            tw1 = twist(mod, "gamma1")
+            tw2 = twist_gamma2(mod, c)
+            tw1 = twist_gamma1(mod)
             for g, mat in mod.assign.items():
                 if g.kind not in ("Xp", "Xm"):
                     continue
@@ -233,7 +234,7 @@ def test_criterion_7_twists():
             if not all_pass(check_drinfeld(tw1, 2, 2)):
                 bad.append(f"gamma1 suite n={n} shift={shift}")
     for signs in ((1, -1), (-1, 1), (-1, -1)):
-        tws = twist(build_chevalley_eval(2), "sigma", signs=signs)
+        tws = twist_sigma(build_chevalley_eval(2), signs)
         if not all_pass(check_chevalley(tws)):
             bad.append(f"sigma suite {signs}")
     _report(7, not bad, f"gamma2 = a->c*a, gamma1 = a->-a, all twists keep suites: {bad or 'exact'}")

@@ -368,6 +368,12 @@ def test_mutations_are_caught(capsys, monkeypatch, mutation):
     code, out = run(capsys, "verify", "--n", "2", "--kmax", "2", "--lmax", "2")
     assert code == EXIT_FAIL
     assert "FAIL" in out
+    if MUTATIONS[mutation][0] == "build_current_eval":
+        # the loop twist is decided on the symbolic module, so a corrupted
+        # current must fail there too; only x+(1) + I leaves the a-grading
+        code, out = run(capsys, "twist", "--aut", "gamma2", "--c", "1+r", "--n", "2", "--json")
+        assert code == EXIT_FAIL
+        assert json.loads(out)["matches_reparameterized_module"] == (mutation != "xplus-identity")
 
 
 def test_verify_json_deterministic(capsys):
@@ -473,6 +479,34 @@ def test_twist_gamma1(capsys):
 def test_twist_sigma(capsys):
     code, _ = run(capsys, "twist", "--aut", "sigma", "--signs", "+-", "--n", "2")
     assert code == EXIT_PASS
+
+
+# Polynomial products made by `twist --aut gamma2 --c 1+r --n 3 --json`.  The
+# verdicts are one check on the symbolic module, mapped through a -> (1+r) a,
+# and the grading check compares each current scaled by c^k with its image
+# there.  Building the twisted module, with its series and imaginary
+# generators derived again from the scaled currents, substituting the whole
+# module for the comparison and checking the twisted module, whose entries
+# have real denominators, made 5,676.
+TWIST_GAMMA2_N3_PMUL_CALLS = 2662
+
+
+def test_twist_pmul_count_tripwire(capsys, monkeypatch):
+    import rsaffine._kernel as kernel
+
+    calls = 0
+    pmul = kernel.pmul
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pmul(p, q)
+
+    monkeypatch.setattr(kernel, "pmul", counting)
+    code, _ = run(capsys, "twist", "--aut", "gamma2", "--c", "1+r", "--n", "3", "--json")
+    assert code == EXIT_PASS
+    assert calls == TWIST_GAMMA2_N3_PMUL_CALLS
+    assert calls < 5676
 
 
 def test_output_does_not_depend_on_the_environment():

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from test_sl2 import build_Vn
+from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import MissingGenerator, UnsupportedRank, WindowTooSmall
@@ -34,8 +36,7 @@ from rsaffine.rep_core import (
     current_form,
     drinfeld_instance_counts,
 )
-from rsaffine.hopf import twist_gamma1, twist_gamma2
-from rsaffine.sl2 import build_chevalley_eval, build_current_eval, build_Vn
+from rsaffine.sl2 import build_chevalley_eval, build_current_eval
 
 A1 = build_pairing(AffineType("A", 1))
 

@@ -14,6 +14,8 @@ from rsaffine.rep_core import (
     Aim,
     E,
     F,
+    GammaHalf,
+    GammaPrimeHalf,
     MatrixModule,
     W,
     Wp,
@@ -29,16 +31,45 @@ from rsaffine.series import TruncSeries
 from rsaffine.sl2 import (
     build_chevalley_eval,
     build_current_eval,
-    build_Vn,
-    evaluation_map_consistency,
+    current_matrices,
     omega_matrices,
     recover_imaginary,
     series_matrices,
+    shift_factor,
     with_series,
 )
 
 RHO = R * S**-1
 GOLDEN = Path(__file__).parent / "golden" / "module_v2.json"
+
+
+def build_Vn(n: int) -> MatrixModule:
+    """The (n+1)-dimensional ladder module of the finite subalgebra:
+    e.v_i = [n+1-i] v_(i-1), f.v_i = [i+1] v_(i+1), diagonal omega actions;
+    node 1 of the affine Chevalley module, with its gamma halves."""
+    halves = {GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)}
+    chev = build_chevalley_eval(n)
+    return MatrixModule(chev.table, {g: m for g, m in chev.assign.items() if g.i == 1 or g in halves})
+
+
+def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
+    """Cross-check the closed current action against the lifted evaluation
+    morphism x+(k) -> r^-k s^k a^k w'^-k e, x-(k) -> r^-k s^k a^k f w^k.
+
+    Returns a list of discrepancy descriptions (empty when they agree)."""
+    sh = shift_factor(use_shift)
+    e, f, w, wp = (build_Vn(n).get(g) for g in (E(1), F(1), W(1), Wp(1)))
+    ap = sh * A
+    out = []
+    for k, (xp, xm) in current_matrices(e, f, sh, range(-kmax, kmax + 1)).items():
+        scalar = (R**-1 * S * ap) ** k
+        via_ev_p = (wp**-k @ e).scale(scalar)
+        via_ev_m = (f @ w**k).scale(scalar)
+        if via_ev_p != xp:
+            out.append(f"x+({k}) mismatch at n={n}")
+        if via_ev_m != xm:
+            out.append(f"x-({k}) mismatch at n={n}")
+    return out
 
 
 def test_v0_is_trivial():

@@ -2,14 +2,15 @@
 
 import pytest
 from mutations import apply_mutation
+from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import DivisionByZero, SpecializationPole
 from rsaffine.field import ONE, A, B, R, S, ZERO, parse, quantum_int
 from rsaffine.hopf import span_closure, tensor
 from rsaffine.matrix import Matrix
-from rsaffine.rep_core import E, W, Wp, all_pass, check_chevalley, check_drinfeld
-from rsaffine.sl2 import build_chevalley_eval, build_current_eval
+from rsaffine.rep_core import E, W, Wp, Xm, Xp, all_pass, check_chevalley, check_drinfeld
+from rsaffine.sl2 import build_chevalley_eval, build_current_eval, with_series
 from rsaffine.specialize import (
     SpecMap,
     centrality_report,
@@ -258,6 +259,42 @@ def test_zero_pin_takes_the_direct_path():
     with pytest.raises(DivisionByZero) as helper:
         reports_at_pin(check_chevalley, chev, a=ZERO)
     assert str(helper.value) == str(direct.value)
+
+
+# -- loop twists through a -> c a ------------------------------------------------------
+#
+# The twist command decides the loop twist x+-(k) -> c^k x+-(k) as the pin
+# a -> c a (the loop-twist lemma of reports_at_pin; gamma1 is c = -1).  The
+# oracle builds the twisted module itself, its series derived again from the
+# scaled currents (tests/twists.py).  The corruptions keep every current
+# homogeneous of a-degree k, with the series derived from the corrupted
+# currents, so the lemma holds for them too and their failures must map.
+
+TWISTS = {"gamma1": None, **{f"gamma2 {c}": c for c in ("r*s", "a", "1+r", "2+s", "1/(r-s)", "1/a")}}
+HOMOGENEOUS_CORRUPTIONS = {
+    "clean": None,
+    "x+(2) * 3": (Xp(1, 2), 3),
+    "x-(-1) * rs": (Xm(1, -1), R * S),
+}
+
+
+@pytest.mark.parametrize("corruption", HOMOGENEOUS_CORRUPTIONS)
+@pytest.mark.parametrize("twist", TWISTS)
+def test_twist_verdicts_match_the_twisted_module(twist, corruption):
+    c = -ONE if TWISTS[twist] is None else parse(TWISTS[twist])
+    for n in range(4):
+        for shift in (False, True):
+            mod = build_current_eval(n, shift, kmax=KMAX, lmax=LMAX)
+            if HOMOGENEOUS_CORRUPTIONS[corruption]:
+                gen, factor = HOMOGENEOUS_CORRUPTIONS[corruption]
+                mod = with_series(mod.with_assign(gen, mod.get(gen).scale(factor)), 2 * KMAX, LMAX)
+            twisted = twist_gamma1(mod) if TWISTS[twist] is None else twist_gamma2(mod, c)
+            want = [r.to_json() for r in _drinfeld(twisted)]
+            assert _helper(_drinfeld, mod, a=c * A) == want
+            # no failure holds at the pin, even where a -> c a is not injective
+            symbolic = sum(len(r.mismatches) for r in _drinfeld(mod))
+            assert sum(len(r["failures"]) for r in want) == symbolic
+            assert (symbolic == 0) == (n == 0 or corruption == "clean")
 
 
 def test_pole_error_on_the_command_line(capsys, monkeypatch):
