@@ -29,12 +29,7 @@ from .rep_core import (
     check_chevalley,
     check_drinfeld,
 )
-from .sl2 import (
-    build_chevalley_eval,
-    build_current_eval,
-    omega_matrices,
-    recover_imaginary,
-)
+from .sl2 import build_chevalley_eval, build_current_eval
 from .drinfeld import (
     DrinfeldPoly,
     HwSeries,

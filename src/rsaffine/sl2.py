@@ -5,13 +5,28 @@ Chevalley pullback of the ladder module V_n, and the loop-generator
 Both normalizations are exposed: shift 1 gives V_n(a), shift rs^-1 gives
 the variant W_n(a) = V_n(rs^-1 a) used by the per-weight eigenvalue
 formulas.
+
+Series and imaginary generators come from the currents in one pass
+(with_series): w(m) = (r-s) C(m) and w'(-m) = -(r-s) C'(m) for m > 0, with
+C(m) = [x+(m), x-(0)] and C'(m) = [x+(0), x-(-m)], and w(0), w'(0) the
+group-likes.  The Drinfeld realization (Hu-Rosso-Zhang, CMP 278, 2008) ties
+them to the imaginary generators by W(z) = sum_m w(m) z^m = w(0) exp(B(z)),
+B(z) = sum_l b(l) z^l with b(l) = (r-s) a(l).
+
+Lemma (log-derivative recurrence; Knuth, TAOCP vol. 2, 4.7): differentiating,
+W'(z) = W(z) B'(z), since these matrices are all diagonal and so commute.
+At z^(m-1) this is m w(m) = sum_{l=1..m} l b(l) w(m-l); divided by r-s,
+    m a(m) w(0) = m C(m) - sum_{l<m} l b(l) C(m-l).
+The primed side is the same with C', w'(0) and b(l) = (s-r) a(-l).  Each
+step multiplies by the short exponential sums b(l) and divides only by
+m w(0)_ii, a monomial on the evaluation modules, so a build takes no gcd.
 """
 
 from __future__ import annotations
 
 from .cartan import AffineType, build_pairing
 from .errors import BadConstantTerm, NotEigenvector, WindowTooSmall
-from .field import A, ONE, R, S, RatFunc, quantum_int
+from .field import A, ONE, R, S, ZERO, RatFunc, quantum_int
 from .matrix import Matrix, commutator
 from .rep_core import (
     AIM_KIND,
@@ -30,7 +45,6 @@ from .rep_core import (
     Xm,
     Xp,
 )
-from .series import TruncSeries
 
 _A1 = build_pairing(AffineType("A", 1))
 _RHO = R * S**-1
@@ -100,12 +114,12 @@ def current_matrices(e: Matrix, f: Matrix, shift: RatFunc, ks):
 
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
     """Current module with x+-(k) for |k| <= max(kmax+1, 2*kmax), the omega
-    series to order 2*kmax, and the recovered imaginary generators to +-lmax,
-    lmax <= 2*kmax since a(l) is recovered from the series to order l."""
+    series to order 2*kmax, and the imaginary generators to +-lmax,
+    0 <= lmax <= 2*kmax since a(l) is read off the series to order l."""
     if n < 0 or kmax < 1:
         raise ValueError("need n >= 0 and kmax >= 1")
-    if lmax > 2 * kmax:
-        raise ValueError(f"need lmax <= 2*kmax, got lmax {lmax} with kmax {kmax}")
+    if not 0 <= lmax <= 2 * kmax:
+        raise ValueError(f"need 0 <= lmax <= 2*kmax, got lmax {lmax} with kmax {kmax}")
     sh = shift_factor(use_shift)
     e, f, w, wp = _vn_matrices(n)
     assign = {
@@ -124,21 +138,55 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
 
 def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
     """mod with w(0..order), w'(0..-order) derived from its currents and
-    a(+-1..+-lmax) recovered from them; stored series generators are replaced.
-    Raises NotEigenvector unless every derived one is diagonal."""
+    a(+-1..+-lmax) read off the log-derivative recurrence (module
+    docstring); stored series generators are replaced.  Raises
+    NotEigenvector unless every derived one is diagonal."""
+    if not 0 <= lmax <= order:
+        raise ValueError(f"need 0 <= lmax <= order, got lmax {lmax} with order {order}")
+    if mod.kmax < order:
+        raise WindowTooSmall(f"currents to |k| <= {mod.kmax}, need {order}")
+    rs = R - S
+    xp0, xm0 = mod.get(Xp(1, 0)), mod.get(Xm(1, 0))
+    ws, wps, cs, cps = [mod.get(W(1))], [mod.get(Wp(1))], [], []
+    for m in range(1, order + 1):
+        c, cp = commutator(mod.get(Xp(1, m)), xm0), commutator(xp0, mod.get(Xm(1, -m)))
+        ws.append(c.scale(rs))
+        wps.append(cp.scale(-rs))
+        if m <= lmax:  # a(l) reads only C(1..lmax); keeping no more lowers the peak memory
+            cs.append(c)
+            cps.append(cp)
     assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
-    ws, wps = omega_matrices(mod, order)
     for m, mat in enumerate(ws):
         assign[Wser(1, m)] = mat
     for m, mat in enumerate(wps):
         assign[Wpser(1, -m)] = mat
-    series = MatrixModule(mod.table, assign, check=False, rs=mod.rs)
-    series_matrices(series, order)  # refuses a non-diagonal one at any m <= order
-    apos, aneg = recover_imaginary(series, lmax)
+    series_matrices(MatrixModule(mod.table, assign, check=False), order)  # refuses a non-diagonal one
+    apos = _imaginary(ws[0], cs, rs, lmax)
+    aneg = _imaginary(wps[0], cps, -rs, lmax)
     for l in range(1, lmax + 1):
         assign[Aim(1, l)] = apos[l - 1]
         assign[Aim(1, -l)] = aneg[l - 1]
     return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
+
+
+def _imaginary(w0: Matrix, cs, rs: RatFunc, lmax: int):
+    """a(1..lmax), or a(-1..-lmax) from w'(0), C' and rs = s-r, as diagonal
+    matrices, by the log-derivative recurrence (module docstring) on each
+    diagonal entry, with C(m) = cs[m-1] for m <= lmax and b(l) = rs a(l)."""
+    mrs = [m * rs for m in range(lmax + 1)]
+    cols = []
+    for i in range(w0.n):
+        c0 = w0[i, i]
+        if c0.is_zero():
+            raise BadConstantTerm("group-like eigenvalue vanished")
+        c = [ZERO] + [cm[i, i] for cm in cs]
+        a, lb = [], [ZERO]  # lb[l] = l b(l)
+        for m in range(1, lmax + 1):
+            acc = m * c[m] - sum((lb[l] * c[m - l] for l in range(1, m)), ZERO)
+            a.append(acc / (m * c0))
+            lb.append(mrs[m] * a[-1])
+        cols.append(a)
+    return [Matrix.diagonal(col) for col in zip(*cols)]
 
 
 def series_matrices(mod: MatrixModule, order: int):
@@ -151,49 +199,3 @@ def series_matrices(mod: MatrixModule, order: int):
         if not (w.is_diagonal() and wp.is_diagonal()):
             raise NotEigenvector(f"series generator at m={m} is not diagonal")
     return ws, wps
-
-
-def omega_matrices(mod: MatrixModule, mmax: int):
-    """Series generators from the commutator instances:
-    w(m) = (r-s)[x+(m), x-(0)] and w'(-m) = -(r-s)[x+(0), x-(-m)] for m > 0,
-    w(0), w'(0) from the group-likes.  with_series checks that they are
-    diagonal.
-    """
-    if mod.kmax < mmax:
-        raise WindowTooSmall(f"currents to |k| <= {mod.kmax}, need {mmax}")
-    rs = R - S
-    xm0 = mod.get(Xm(1, 0))
-    xp0 = mod.get(Xp(1, 0))
-    ws = [mod.get(W(1))]
-    wps = [mod.get(Wp(1))]
-    for m in range(1, mmax + 1):
-        ws.append(commutator(mod.get(Xp(1, m)), xm0).scale(rs))
-        wps.append(commutator(xp0, mod.get(Xm(1, -m))).scale(-rs))
-    return ws, wps
-
-
-def recover_imaginary(mod: MatrixModule, lmax: int):
-    """Imaginary generators from the series logarithm:
-    sum_m w(m) z^-m = w(0) exp((r-s) sum_l a(l) z^-l) and the primed series
-    with the -(r-s) sign.  Returns (a(1..lmax), a(-1..-lmax)), all diagonal.
-    """
-    ws, wps = series_matrices(mod, lmax)
-    rs_inv = (R - S).inv()
-
-    apos_diag = [[] for _ in range(lmax)]
-    aneg_diag = [[] for _ in range(lmax)]
-    for i in range(mod.dim):
-        c0 = ws[0][i, i]
-        c0p = wps[0][i, i]
-        if c0.is_zero() or c0p.is_zero():
-            raise BadConstantTerm("group-like eigenvalue vanished")
-        f = TruncSeries(lmax, [w[i, i] / c0 for w in ws])
-        g = TruncSeries(lmax, [w[i, i] / c0p for w in wps])
-        lf = f.log()
-        lg = g.log()
-        for l in range(1, lmax + 1):
-            apos_diag[l - 1].append(lf[l] * rs_inv)
-            aneg_diag[l - 1].append(-(lg[l] * rs_inv))
-    apos = [Matrix.diagonal(cs) for cs in apos_diag]
-    aneg = [Matrix.diagonal(cs) for cs in aneg_diag]
-    return apos, aneg

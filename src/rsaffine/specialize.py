@@ -122,10 +122,10 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
     are reports_at_pin(check, symbolic, a=c*a).  Homogeneity is the identity
     c^k x+-(k) = x+-(k) at a -> c a (the twist command checks it current by
     current), so the twisted currents are the images of the stored ones;
-    with_series builds w(m), w'(-m) and a(l) from products, sums, scalings
-    and series logarithms of the currents, which commute with the
-    substitution, so the series it derives are the images of the stored
-    ones.  The gamma1 twist is c = -1 with the gamma halves negated too;
+    with_series builds w(m), w'(-m) and a(l) from products, sums and
+    scalings of the currents and divisions by m w(0)_ii, which has no a;
+    these commute with the substitution, so the series it derives are the
+    images of the stored ones.  The gamma1 twist is c = -1 with the gamma halves negated too;
     check_drinfeld reads them only in the D1 products gh gh^-1, gph gph^-1
     and (gh gh)(gph gph), where the two signs cancel, so its reports are
     those of c = -1.

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, JSON determinism, bounds, and injected
 corruptions that the checks must catch."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mutations import MUTATIONS, mutate_cli
 
 from rsaffine.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
@@ -48,8 +52,11 @@ def test_verify_kmax_bound(capsys):
 # currents for every instance made 7,736.  D6 and D7 are now decided by the
 # commutation identities of x(0) (rep_core docstring), with x(0)x(0) once per
 # sign and one D7 verdict per m = k + k2; the per-index products, the
-# anti-diagonal sums and a right side per D7 instance made 6,436.
-VERIFY_N4_PMUL_CALLS = 3875
+# anti-diagonal sums and a right side per D7 instance made 6,436.  The build
+# reads a(l) off the log-derivative recurrence on diagonal entries (sl2
+# docstring); a series logarithm per weight, divided back by r - s, made
+# 3,875.
+VERIFY_N4_PMUL_CALLS = 2897
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -79,8 +86,10 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # currents for every D4-D7 instance, not one per family or index, made 2,163.
 # The per-index D6 and D7 products, the anti-diagonal sums and a right side
 # per D7 instance, where the commutation lemmas now decide D6 by scalars and
-# D7 once per m, made 1,491.
-VERIFY_N4_NORMALIZE_CALLS = 758
+# D7 once per m, made 1,491.  A series logarithm per weight in the build,
+# where the log-derivative recurrence now reads a(l) off the diagonals, made
+# 758.
+VERIFY_N4_NORMALIZE_CALLS = 696
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -143,7 +152,10 @@ def test_verify_matmul_count_tripwire(capsys, monkeypatch):
 # Checking the substituted modules made 3,474; the run now decides its pass
 # on the symbolic module and only substitutes the distinct denominators
 # (tests/test_specialize.py keeps the 3,474 of the direct path pinned).
-VERIFY_PINNED_PGCD_CALLS = 82
+# Dividing each weight's series logarithm by r - s while the symbolic module
+# was built made 82; the log-derivative recurrence divides only by m w(0)_ii,
+# a monomial, so the build takes no gcd and these are the pin's.
+VERIFY_PINNED_PGCD_CALLS = 24
 
 
 def test_verify_pinned_pgcd_count_tripwire(capsys, monkeypatch):
@@ -201,7 +213,9 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # closed side with every linear factor, before the common ones cancel, and
 # building each current entry from its own quantum integer made 5,399.
 # Multiplying the unit denominators of two Laurent values made 2,995.
-DRINFELD_N3_PMUL_CALLS = 1983
+# Reading a(l) through a series logarithm per weight, divided back by r - s,
+# in each of the two builds made 1,983.
+DRINFELD_N3_PMUL_CALLS = 1679
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -337,8 +351,9 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # currents are read as x(0) D^k; plain products for every instance made 3,171.
 # The x- sign of D6 is now decided by its commutation lemma, with x(0)x(0)
 # once, and D7 takes its plain commutators; X(a)X(0) once per a on the x-
-# side of D6, and x-(k2)x+(0) once per k2 in D7, made 3,096.
-MUTATED_PINNED_PMUL_CALLS = 3002
+# side of D6, and x-(k2)x+(0) once per k2 in D7, made 3,096.  A series
+# logarithm per weight in the build, divided back by r - s, made 3,002.
+MUTATED_PINNED_PMUL_CALLS = 2756
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -487,8 +502,9 @@ def test_twist_sigma(capsys):
 # there.  Building the twisted module, with its series and imaginary
 # generators derived again from the scaled currents, substituting the whole
 # module for the comparison and checking the twisted module, whose entries
-# have real denominators, made 5,676.
-TWIST_GAMMA2_N3_PMUL_CALLS = 2662
+# have real denominators, made 5,676.  Reading a(l) in the build through a
+# series logarithm per weight, divided back by r - s, made 2,662.
+TWIST_GAMMA2_N3_PMUL_CALLS = 2292
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):
@@ -595,3 +611,67 @@ def test_bad_input_exit_codes(capsys, argv, want, flag):
     assert code == want
     assert "Traceback" not in err
     assert flag in err
+
+
+# -- fuzz over all six commands ------------------------------------------------------
+
+_SCALARS = ("0", "1", "2+s", "1/(r-s)", "a", "1/a", "b", "r^(1/2)", "r^(1/7)", "x", "(r", "")
+_NS = ("-1", "0", "1", "2", "3")
+_KMAXES = ("0", "1", "2")
+_LMAXES = ("0", "1", "2", "4")
+_SHIFTS = ("plain", "rs-inverse", "none")
+# command -> flag -> values, drawn from small pools that straddle every
+# bound; the first flags listed for table, specialize, tensor and twist are
+# required, so they are always given
+_FLAGS = {
+    "verify": {
+        "--type": ("A1", "A2", "Z1"),
+        "--n": _NS,
+        "--shift": _SHIFTS,
+        "--kmax": _KMAXES,
+        "--lmax": _LMAXES,
+        "--a": _SCALARS,
+    },
+    "drinfeld": {"--n": _NS, "--shift": _SHIFTS, "--order": ("1", "7", "8", "17")},
+    "table": {"--type": ("A1", "A4", "G2", "E9", "")},
+    "specialize": {"--map": ("s=r", "s=r^-1", "r=s^2", "independent", "r=s^0", "s=q"), "--n": _NS},
+    "tensor": {"--left": _NS, "--right": _NS, "--a": _SCALARS, "--b": _SCALARS},
+    "twist": {
+        "--aut": ("sigma", "gamma1", "gamma2", "tau"),
+        "--n": _NS,
+        "--c": _SCALARS,
+        "--signs": ("+", "+-", "-+", "x"),
+        "--shift": _SHIFTS,
+        "--kmax": _KMAXES,
+        "--lmax": _LMAXES,
+    },
+}
+_REQUIRED = {"table": 1, "specialize": 1, "tensor": 2, "twist": 1}
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [cmd]
+    for pos, (flag, pool) in enumerate(_FLAGS[cmd].items()):
+        values = st.sampled_from(pool)
+        value = draw(values if pos < _REQUIRED.get(cmd, 0) else st.none() | values)
+        if value is not None:
+            argv += [flag, value]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_exit_codes(argv):
+    # no exception escapes main, the exit code is 0, 1 or 2, and exit 1
+    # means a check failed: a document with pass false, or a last line FAIL
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_FAIL:
+        if "--json" in argv:
+            assert json.loads(out.getvalue())["pass"] is False
+        else:
+            assert out.getvalue().splitlines()[-1] == "FAIL"

@@ -22,7 +22,7 @@ from rsaffine.errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEige
 from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int
 from rsaffine.series import DESC, TruncSeries, linear, ratio_series
 from rsaffine.rep_core import Wser, Xp
-from rsaffine.sl2 import build_current_eval, recover_imaginary
+from rsaffine.sl2 import build_current_eval
 
 RHO = R * S**-1
 
@@ -157,10 +157,9 @@ def test_weight_index_bounds():
     (
         lambda mod: weight_gamma_series(mod, 0, 3),
         lambda mod: verify_RQ_form(mod, order=3),
-        lambda mod: recover_imaginary(mod, 1),
         lambda mod: extract_hw_series(mod, 3),
     ),
-    ids=("weight_gamma_series", "verify_RQ_form", "recover_imaginary", "extract_hw_series"),
+    ids=("weight_gamma_series", "verify_RQ_form", "extract_hw_series"),
 )
 def test_non_diagonal_stored_series_generator_is_rejected(read):
     # the readers take eigenvalues from the diagonal, so a stored w(1) with an

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from rsaffine.cli import MAX_KMAX
-from rsaffine.errors import MissingGenerator, NotEigenvector, WindowTooSmall
+from rsaffine.errors import BadConstantTerm, MissingGenerator, NotEigenvector, WindowTooSmall
 from rsaffine.field import A, ONE, R, S, ZERO, quantum_int
+from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
     Aim,
     E,
@@ -32,8 +33,6 @@ from rsaffine.sl2 import (
     build_chevalley_eval,
     build_current_eval,
     current_matrices,
-    omega_matrices,
-    recover_imaginary,
     series_matrices,
     shift_factor,
     with_series,
@@ -170,14 +169,28 @@ def test_shift_must_be_a_bool(shift):
         build_chevalley_eval(1, shift)
 
 
-# a(l) is recovered from the series to order l, which the module stores to
-# order 2 kmax; a larger lmax used to raise MissingGenerator 'Wser(1,3)' from
-# inside recover_imaginary.
+# a(l) is read off the series to order l, which the module stores to order
+# 2 kmax; a larger lmax used to raise MissingGenerator 'Wser(1,3)' from inside
+# the series logarithm.
 @pytest.mark.parametrize("kmax,lmax", ((1, 3), (2, 5)))
 def test_current_module_needs_lmax_at_most_twice_kmax(kmax, lmax):
     with pytest.raises(ValueError, match=re.escape("lmax <= 2*kmax")):
         build_current_eval(1, kmax=kmax, lmax=lmax)
     assert build_current_eval(1, kmax=kmax, lmax=2 * kmax).get(Aim(1, -2 * kmax)).is_diagonal()
+
+
+# A negative lmax used to raise IndexError, and with_series above its order
+# MissingGenerator; lmax 0 builds no a(l) and is accepted.
+def test_lmax_must_be_in_zero_to_the_series_order():
+    with pytest.raises(ValueError, match=re.escape("need 0 <= lmax <= 2*kmax, got lmax -2 with kmax 1")):
+        build_current_eval(1, kmax=1, lmax=-2)
+    mod = build_current_eval(1, kmax=2, lmax=0)
+    assert not any(g.kind == "Aimag" for g in mod.assign)
+    for order, lmax in ((4, -1), (2, 3)):
+        want = f"need 0 <= lmax <= order, got lmax {lmax} with order {order}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            with_series(mod, order, lmax)
+    assert with_series(mod, 4, 0).assign == mod.assign
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -213,14 +226,36 @@ def test_current_build_makes_one_quantum_integer_per_ladder_entry(monkeypatch):
     assert calls == 2 * n
 
 
+# The build reads a(l) off the log-derivative recurrence, whose only division
+# is by m w(0)_ii, a monomial (module docstring), so it takes no polynomial
+# gcd.  Dividing each weight's series logarithm by r - s made 70 at n = 4 and
+# 118 at n = 12 at the verify defaults kmax 4, lmax 3, and 638 at the n = 12
+# corner kmax 8, lmax 16.
+@pytest.mark.parametrize("n,kmax,lmax", [(n, 4, 3) for n in range(13)] + [(4, 8, 16), (12, 8, 16)])
+@pytest.mark.parametrize("shift", (False, True))
+def test_current_build_takes_no_gcd(monkeypatch, n, kmax, lmax, shift):
+    import rsaffine.field as field
+
+    calls = 0
+    pgcd = field.pgcd
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pgcd(p, q)
+
+    monkeypatch.setattr(field, "pgcd", counting)
+    build_current_eval(n, shift, kmax=kmax, lmax=lmax)
+    assert calls == 0
+
+
 # -- series generators --------------------------------------------------------------
 
 
 def test_omega_zero_is_grouplike():
     mod = build_current_eval(2, kmax=2, lmax=1)
-    ws, wps = omega_matrices(mod, 2)
-    assert ws[0] == mod.get(W(1))
-    assert wps[0] == mod.get(Wp(1))
+    assert mod.get(Wser(1, 0)) == mod.get(W(1))
+    assert mod.get(Wpser(1, 0)) == mod.get(Wp(1))
 
 
 def test_omega_negative_index_is_zero():
@@ -231,27 +266,25 @@ def test_omega_negative_index_is_zero():
 def test_omega_eigenvalue_shifted_module():
     # on the rs^-1-shifted module: w(1).v_0 = a (r-s) s^-1 v_0
     mod = build_current_eval(1, use_shift=True, kmax=2, lmax=1)
-    ws, _ = omega_matrices(mod, 1)
-    assert ws[1].apply([ONE, ZERO]) == [A * (R - S) * S**-1, ZERO]
+    assert mod.get(Wser(1, 1)).apply([ONE, ZERO]) == [A * (R - S) * S**-1, ZERO]
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_hw_eigenvalue_formulas(n):
     # Phi+_k = (r-s)(a r^-1 s^(1-n))^k [n], Phi-_-k = -(r-s)(a^-1 r^(1-n) s^-1)^k [n]
     mod = build_current_eval(n, kmax=3, lmax=1)
-    ws, wps = omega_matrices(mod, 3)
     qn = quantum_int(n)
     for k in range(1, 4):
         plus = (R - S) * (A * R**-1 * S ** (1 - n)) ** k * qn
         minus = -(R - S) * (A**-1 * R ** (1 - n) * S**-1) ** k * qn
-        assert ws[k][0, 0] == plus
-        assert wps[k][0, 0] == minus
+        assert mod.get(Wser(1, k))[0, 0] == plus
+        assert mod.get(Wpser(1, -k))[0, 0] == minus
 
 
 def test_omega_requires_materialized_currents():
     mod = build_current_eval(1, kmax=2, lmax=1)
     with pytest.raises(WindowTooSmall):
-        omega_matrices(mod, 40)
+        with_series(mod, 40, 1)
 
 
 def test_series_matrices_reads_stored_else_derives():
@@ -279,24 +312,33 @@ def test_with_series_refuses_a_non_diagonal_series_generator():
         with_series(bad, 2, 1)
 
 
+@pytest.mark.parametrize("gen", (W(1), Wp(1)))
+def test_with_series_refuses_a_vanishing_grouplike_eigenvalue(gen):
+    # a(l) divides by w(0) and w'(0) entry by entry; lmax 0 divides by
+    # nothing and still refuses
+    mod = build_current_eval(2, kmax=1, lmax=1)
+    bad = mod.with_assign(gen, Matrix.diagonal([ONE, ZERO, ONE]))
+    for lmax in (0, 2):
+        with pytest.raises(BadConstantTerm, match="group-like eigenvalue vanished"):
+            with_series(bad, 2, lmax)
+
+
 # -- imaginary generators --------------------------------------------------------------
 
 
 def test_trivial_module_has_zero_imaginaries():
     mod = build_current_eval(0, kmax=2, lmax=3)
-    apos, aneg = recover_imaginary(mod, 3)
-    assert all(m.is_zero() for m in apos + aneg)
+    assert all(mod.get(Aim(1, l)).is_zero() for l in (-3, -2, -1, 1, 2, 3))
 
 
 def test_a1_eigenvalue_from_series_oracle():
     # independent oracle: a(1) = w(1) w(0)^-1 / (r-s) at order 1 of the log
     mod = build_current_eval(1, use_shift=True, kmax=2, lmax=2)
-    ws, _ = omega_matrices(mod, 1)
-    oracle = ws[1] @ ws[0].inverse()
+    oracle = mod.get(Wser(1, 1)) @ mod.get(Wser(1, 0)).inverse()
     oracle = oracle.scale((R - S).inv())
-    apos, _ = recover_imaginary(mod, 1)
-    assert apos[0] == oracle
-    assert apos[0].apply([ONE, ZERO]) == [A * R**-1 * S**-1, ZERO]
+    a1 = mod.get(Aim(1, 1))
+    assert a1 == oracle
+    assert a1.apply([ONE, ZERO]) == [A * R**-1 * S**-1, ZERO]
 
 
 def test_imaginaries_commute():
@@ -306,17 +348,21 @@ def test_imaginaries_commute():
     assert (a1 @ am1 - am1 @ a1).is_zero()
 
 
-@pytest.mark.parametrize("n", range(3))
+@pytest.mark.parametrize("n", range(5))
 def test_series_exponential_roundtrip(n):
-    # rebuilding the omega series from the recovered imaginaries reproduces it
+    # rebuilding both series from the stored imaginaries reproduces them:
+    # w(m) from w(0) exp((r-s) sum a(l) z^l), w'(-m) from
+    # w'(0) exp(-(r-s) sum a(-l) y^l), with the exponential as the oracle
     order = 4
-    mod = build_current_eval(n, kmax=2, lmax=order)
-    ws, _ = omega_matrices(mod, order)
-    apos, _ = recover_imaginary(mod, order)
-    for i in range(n + 1):
-        log_series = TruncSeries(order, [ZERO] + [(R - S) * m[i, i] for m in apos])
-        rebuilt = log_series.exp() * ws[0][i, i]
-        assert rebuilt == TruncSeries(order, [m[i, i] for m in ws])
+    for shift in (False, True):
+        mod = build_current_eval(n, shift, kmax=2, lmax=order)
+        for ser, sign in ((Wser, 1), (Wpser, -1)):
+            ws = [mod.get(ser(1, sign * m)) for m in range(order + 1)]
+            als = [mod.get(Aim(1, sign * l)) for l in range(1, order + 1)]
+            for i in range(n + 1):
+                log_series = TruncSeries(order, [ZERO] + [sign * (R - S) * m[i, i] for m in als])
+                rebuilt = log_series.exp() * ws[0][i, i]
+                assert rebuilt == TruncSeries(order, [m[i, i] for m in ws])
 
 
 @pytest.mark.parametrize("n", range(4))
