@@ -779,17 +779,25 @@ def render(x: RatFunc) -> str:
 # bounded time and parse(render(x)) == x for every x that parse returns:
 # render prints integers of at most MAX_DIGITS digits (far below the 4300
 # digits of Python's int-to-str limit) and exponents of at most
-# MAX_EXPONENT.
+# MAX_EXPONENT.  Parentheses and unary minus together nest at most
+# MAX_NESTING deep, far inside Python's recursion limit; render nests at
+# most 2 deep.  Digits are ASCII 0-9 only.
 MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_TERMS = 256
+MAX_NESTING = 100
 _DIGIT_LIMIT = 10**MAX_DIGITS
+
+
+def _is_digit(c: str) -> bool:
+    return "0" <= c <= "9"
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ValueError(f"parse error at {self.pos} in {self.text!r}: {msg}")
@@ -814,6 +822,15 @@ class _Parser:
                 if max(abs(k[0]), abs(k[1])) > MAX_EXPONENT * LATTICE or max(abs(k[2]), abs(k[3])) > MAX_EXPONENT:
                     self.error(f"value has an exponent above {MAX_EXPONENT}")
         return x
+
+    def nested(self, parse) -> RatFunc:
+        """parse(), one level of parentheses or unary minus deeper."""
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING}")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def expr(self) -> RatFunc:
         out = self.term()
@@ -845,7 +862,7 @@ class _Parser:
         c = self.peek()
         if c == "-":
             self.pos += 1
-            return -self.factor()
+            return -self.nested(self.factor)
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
@@ -895,7 +912,7 @@ class _Parser:
     def integer(self) -> int:
         self.skip()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if start == self.pos:
             self.error("expected digits")
@@ -907,7 +924,7 @@ class _Parser:
         c = self.peek()
         if c == "(":
             self.pos += 1
-            out = self.expr()
+            out = self.nested(self.expr)
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
@@ -915,13 +932,13 @@ class _Parser:
         if c in _VAR_NAMES:
             self.pos += 1
             return (R, S, A, B)[_VAR_NAMES.index(c)]
-        if c.isdigit():
+        if _is_digit(c):
             n = self.integer()
             if self.peek() == "/":
                 # lookahead: only treat as a rational literal when followed by digits
                 save = self.pos
                 self.pos += 1
-                if self.peek().isdigit():
+                if _is_digit(self.peek()):
                     return RatFunc.from_fraction(Fraction(n, self.integer()))
                 self.pos = save
             return RatFunc.from_int(n)

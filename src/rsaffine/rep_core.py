@@ -20,7 +20,8 @@ specialize.reports_at_pin decides every pinned verdict that way.
 Currents on the form.  On the evaluation modules every current is
 x(k) = x(0) D^k with D diagonal and invertible (sl2.current_matrices), one
 D for x+ and one for x-.  current_form reads a D from x(1) against x(0) and
-marks each k whose stored x(k) equals x(0) D^k exactly.  Lemma: for D
+answers per sign: D when every stored x(k) with |k| <= kmax + 1 equals
+x(0) D^k exactly, None otherwise.  Lemma: for D
 diagonal and invertible and X(k) = X(0) D^k,
   - A X(k) = (A X(0)) D^k for any A;
   - [G, X(k)] = [G, X(0)] D^k, and G X(k) H = (G X(0) H) D^k, for G and H
@@ -49,12 +50,14 @@ by entry, without a product.
     and L(m) = x+(0)x-(0) D-^m - c^m x-(0)x+(0) D+^m, while the right side is
     c^-k (c^m w(m) - w'(m))/(r-s).  So instance (k, k2) has the verdict of
     L(m) (r-s) = c^m w(m) - w'(m): one per m, 4 kmax + 1 in all.
-An instance of D4 or D5 that reads a current off the form, or a
-non-diagonal w^-1 or a(l), takes its plain products, and so does every
-instance of a D6 sign or of D7 when a precondition fails (D6 then still
-builds each product once per anti-diagonal).  A failing decided instance is
-reported with the sides its plain expressions build, so reports_at_pin maps
-it unchanged.
+Every instance is counted by _Checker.verdict, with the verdict of a lemma
+or by comparing its two sides.  A sign off the form has its D4, D5 and D6
+instances take their plain products, and D7 takes them unless both signs
+are on the form; so does an instance of D4 or D5 with a non-diagonal w^-1
+or a(l), and every instance of a D6 sign or of D7 when a commutation
+identity fails.  D6 then still builds each product X(a)X(b) once and decides
+each pair k <= k2 once.  A failing decided instance is reported with the
+sides its plain expressions build, so reports_at_pin maps it unchanged.
 """
 
 from __future__ import annotations
@@ -254,31 +257,29 @@ class _Checker:
         self.report = RelationReport(relation_id)
         self._t0 = time.monotonic()
 
+    def verdict(self, instance, holds, sides, c=None) -> bool:
+        """Count one instance and return its verdict: holds, the verdict of
+        a lemma, or for holds None the comparison of the two sides (lhs, rhs)
+        that sides() builds.  sides() is called only for that comparison or
+        for a failure.  With a scalar c = p/q, such as 1/(r-s), the instance
+        reads lhs == rhs c and is compared as lhs q == rhs p, so Laurent
+        entries need no polynomial gcd; a failure is reported with rhs c."""
+        self.report.instances_checked += 1
+        if holds:
+            return True
+        lhs, rhs = sides()
+        if holds is None:
+            if c is None:
+                holds = lhs == rhs
+            else:
+                p, q = c.as_quotient()
+                holds = lhs.scale(q) == rhs.scale(p)
+        if not holds:
+            self.report.mismatches.append((instance, lhs, rhs if c is None else rhs.scale(c)))
+        return holds
+
     def check(self, instance, lhs: Matrix, rhs: Matrix) -> bool:
-        self.report.instances_checked += 1
-        if lhs != rhs:
-            self._fail(instance, lhs, rhs)
-            return False
-        return True
-
-    def decided(self, instance, failure=None):
-        """Count an instance whose verdict an earlier check decided; failure
-        is its (lhs, rhs) pair when that verdict is a failure."""
-        self.report.instances_checked += 1
-        if failure is not None:
-            self._fail(instance, *failure)
-
-    def check_scaled(self, instance, lhs: Matrix, mat: Matrix, c: RatFunc):
-        """check(instance, lhs, mat.scale(c)) for a scalar c = p/q such as
-        1/(r-s).  It compares lhs*q with mat*p, so Laurent entries need no
-        polynomial gcd; only a failure builds mat.scale(c), for the report."""
-        self.report.instances_checked += 1
-        p, q = c.as_quotient()
-        if lhs.scale(q) != mat.scale(p):
-            self._fail(instance, lhs, mat.scale(c))
-
-    def _fail(self, instance, lhs: Matrix, rhs: Matrix):
-        self.report.mismatches.append((instance, lhs, rhs))
+        return self.verdict(instance, None, lambda: (lhs, rhs))
 
     def done(self):
         self.report.elapsed_ms = (time.monotonic() - self._t0) * 1000.0
@@ -292,14 +293,11 @@ def _render_matrix(m: Matrix) -> str:
 # -- Chevalley relations ---------------------------------------------------------
 
 
-def check_chevalley(mod: MatrixModule, nodes=None) -> list:
-    """Verify (R1)-(R4) as exact matrix identities; returns one report each.
-
-    nodes restricts the checked index set (e.g. the finite part of the
-    diagram); default is every node of the table.
-    """
+def check_chevalley(mod: MatrixModule) -> list:
+    """Verify (R1)-(R4) at every node as exact matrix identities; returns one
+    report each."""
     table = mod.table
-    nodes = list(range(table.size)) if nodes is None else list(nodes)
+    nodes = range(table.size)
     ident = Matrix.identity(mod.dim)
     zero = Matrix.zeros(mod.dim)
     reports = []
@@ -340,7 +338,7 @@ def check_chevalley(mod: MatrixModule, nodes=None) -> list:
         for j in nodes:
             lhs = commutator(mod.get(E(i)), mod.get(F(j)))
             if i == j:
-                c.check_scaled((i, j), lhs, mod.get(W(i)) - mod.get(Wp(i)), rsinv)
+                c.verdict((i, j), None, lambda: (lhs, mod.get(W(i)) - mod.get(Wp(i))), rsinv)
             else:
                 c.check((i, j), lhs, zero)
     reports.append(c.done())
@@ -366,8 +364,8 @@ def check_chevalley(mod: MatrixModule, nodes=None) -> list:
     return reports
 
 
-def chevalley_instance_counts(table: PairingTable, nodes=None) -> dict:
-    N = table.size if nodes is None else len(list(nodes))
+def chevalley_instance_counts(table: PairingTable) -> dict:
+    N = table.size
     return {
         "R1": 2 * N + 3 * N * N + 3,
         "R2": 4 * N * N,
@@ -380,9 +378,9 @@ def chevalley_instance_counts(table: PairingTable, nodes=None) -> dict:
 
 
 def current_form(mod: MatrixModule, sign: int, kmax: int):
-    """(D, on) for the currents x = x+ (sign > 0) or x- of a rank-1 module:
-    D, the entries of a diagonal read from x(1) against x(0), and on, the
-    set of k with |k| <= kmax + 1 whose stored x(k) == x(0) D^k exactly.
+    """D, the entries of a diagonal read from x(1) against x(0), when every
+    stored x(k) with |k| <= kmax + 1 equals x(0) D^k exactly, for the
+    currents x = x+ (sign > 0) or x- of a rank-1 module; None otherwise.
 
     Column j of D is x(1)_ij / x(0)_ij at the first nonzero x(0)_ij, taken
     as a monomial quotient when there is one (no gcd), and 1 where that
@@ -395,11 +393,10 @@ def current_form(mod: MatrixModule, sign: int, kmax: int):
     for col0, col1 in zip(zip(*x0.rows), zip(*mod.get(gen(1, 1)).rows)):
         y, z = next(((y, z) for y, z in zip(col0, col1) if y), (ONE, ONE))
         diag.append((monomial_quotient(z, y) or z / y) if z else ONE)
-    on = {0}
     for k in range(-(kmax + 1), kmax + 2):
-        if k and mod.get(gen(1, k)) == x0.scale_columns([x**k for x in diag]):
-            on.add(k)
-    return diag, on
+        if k and mod.get(gen(1, k)) != x0.scale_columns([x**k for x in diag]):
+            return None
+    return diag
 
 
 def _intertwines(x: Matrix, left, right) -> bool:
@@ -506,13 +503,11 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
             c.check((l, tag), commutator(al, m), zero)
     reports.append(c.done())
 
-    # D4-D7 read the currents through current_form: instances whose currents
-    # are on the form are decided by the lemmas in the module docstring, and
-    # every other instance takes its plain products.
+    # D4-D7 read the currents through current_form: a sign on the form has
+    # its instances decided by the lemmas in the module docstring, and every
+    # other instance takes its plain products.
     X = {1: lambda k: mod.get(Xp(i, k)), -1: lambda k: mod.get(Xm(i, k))}
-    diag, on = {}, {}
-    for sign in (1, -1):
-        diag[sign], on[sign] = current_form(mod, sign, kmax)
+    diag = {sign: current_form(mod, sign, kmax) for sign in (1, -1)}
     dpows = {}  # (sign, k) -> D^k
 
     def times_dpow(m, sign, k):
@@ -532,15 +527,12 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     family = {
         tag: g @ X[sign](0) @ ginv == X[sign](0).scale(sc)
         for tag, g, ginv, sign, sc in conj
-        if ginv.is_diagonal()
+        if ginv.is_diagonal() and diag[sign] is not None
     }
     for k in range(-(kmax + 1), kmax + 2):
         for tag, g, ginv, sign, sc in conj:
             x = X[sign](k)
-            if tag in family and k in on[sign]:
-                c.decided((tag, k), None if family[tag] else (g @ x @ ginv, x.scale(sc)))
-            else:
-                c.check((tag, k), g @ x @ ginv, x.scale(sc))
+            c.verdict((tag, k), family.get(tag), lambda: (g @ x @ ginv, x.scale(sc)))
     reports.append(c.done())
 
     def theta(l):
@@ -548,15 +540,14 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
 
     # Instance (tag, e, k) of D5 reads [a(e), x(k)] == rhs(x(k + e)) for x = x+
     # or x-, where rhs(m) = +-theta(l) m, with K^-l m in place of m on the
-    # side whose sign is not that of e.  With a(e) diagonal and k, k + e on
-    # the form its verdict is that of [a(e), x(0)] == rhs(x(0) D^e), one per
-    # family (e, tag).
+    # side whose sign is not that of e.  With a(e) diagonal and x on the form
+    # its verdict is that of [a(e), x(0)] == rhs(x(0) D^e), one per family
+    # (e, tag).
     for rid, e_sign in (("D5_1", 1), ("D5_2", -1)):
         c = _Checker(rid)
         for l in range(1, lmax + 1):
             e = e_sign * l
             al = mod.get(Aim(i, e))
-            al_diagonal = al.is_diagonal()
             th = theta(l)
 
             def rhs(sign, m):
@@ -564,20 +555,18 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                     m = kpow(-l) @ m
                 return m.scale(th if sign > 0 else -th)
 
-            family = {}
+            family = {
+                sign: commutator(al, X[sign](0)) == rhs(sign, times_dpow(X[sign](0), sign, e))
+                for sign in (1, -1)
+                if al.is_diagonal() and diag[sign] is not None
+            }
             for k in range(-kmax, kmax + 1):
                 if abs(k + e) > kmax + 1:
                     continue
                 for sign, tag in ((1, "x+"), (-1, "x-")):
-                    inst = (tag, e, k)
-                    if al_diagonal and k in on[sign] and k + e in on[sign]:
-                        if sign not in family:
-                            x0 = X[sign](0)
-                            family[sign] = commutator(al, x0) == rhs(sign, times_dpow(x0, sign, e))
-                        failure = None if family[sign] else (commutator(al, X[sign](k)), rhs(sign, X[sign](k + e)))
-                        c.decided(inst, failure)
-                    else:
-                        c.check(inst, commutator(al, X[sign](k)), rhs(sign, X[sign](k + e)))
+                    c.verdict(
+                        (tag, e, k), family.get(sign), lambda: (commutator(al, X[sign](k)), rhs(sign, X[sign](k + e)))
+                    )
         reports.append(c.done())
 
     # Instance (k, k2) of D6 reads L(k, k2) == -L(k2, k) for
@@ -585,23 +574,25 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     # (sqrt_factor = 1), that is
     #     P(k+1, k2) + P(k2+1, k) == rr (P(k2, k+1) + P(k, k2+1)).
     # Under the D6 lemma (module docstring) its verdict is read off kappa.
-    # Otherwise the identity, symmetric in k and k2 with every
-    # product on a + b = k + k2 + 1, is decided one anti-diagonal
-    # t = k + k2 at a time: the pairs k <= k2 on it read P(a, t+1-a) for
-    # a = lo .. t-lo+1, each built once; k = k2 reads P(k+1, k) == rr P(k, k+1).
-    # The verdicts are then counted in instance order, and only a failure
-    # builds its two sides L(k, k2) and -L(k2, k) for the report.
+    # Otherwise the identity, symmetric in k and k2, is decided once per
+    # pair k <= k2, with each product P(a, b) built once; k = k2 reads
+    # P(k+1, k) == rr P(k, k+1).  Only a failure builds its two sides.
     c = _Checker("D6")
     sqrt_factor = ONE  # (<j,i><i,j>^-1)^(1/2) at i = j
     ks = range(-(kmax + 1), kmax + 1)
     for sign in (+1, -1):
         rr = rho if sign > 0 else rho.inv()
-        Xs = X[sign]
+        P = {}
+
+        def prod(a, b):
+            if (a, b) not in P:
+                P[a, b] = X[sign](a) @ X[sign](b)
+            return P[a, b]
 
         def L(k, k2):
-            return Xs(k + 1) @ Xs(k2) - (Xs(k2) @ Xs(k + 1)).scale(rr)
+            return prod(k + 1, k2) - prod(k2, k + 1).scale(rr)
 
-        form = anti_diagonal_form(Xs(0), diag[sign]) if on[sign] >= set(range(-(kmax + 1), kmax + 2)) else None
+        form = anti_diagonal_form(X[sign](0), diag[sign]) if diag[sign] is not None else None
         failed = set()
         if form is not None:
             square, kappa = form
@@ -609,37 +600,28 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                 pw = {k: kappa**k for k in ks}
                 failed = {(k, k2) for k in ks for k2 in ks if pw[k] + pw[k2]}
         else:
-            for t in range(2 * ks[0], 2 * ks[-1] + 1):
-                lo = max(ks[0], t - ks[-1])
-                P = {}
-                for k in range(lo, t // 2 + 1):
-                    k2 = t - k
-                    for a in {k, k + 1, k2, k2 + 1} - P.keys():
-                        P[a] = Xs(a) @ Xs(t + 1 - a)
+            for k in ks:
+                for k2 in ks[k - ks[0] :]:
                     if k == k2:
-                        holds = P[k + 1] == P[k].scale(rr)
+                        u, v = prod(k + 1, k), prod(k, k + 1)
                     else:
-                        holds = P[k + 1] + P[k2 + 1] == (P[k2] + P[k]).scale(rr)
-                    if not holds:
+                        u, v = prod(k + 1, k2) + prod(k2 + 1, k), prod(k2, k + 1) + prod(k, k2 + 1)
+                    if u != v.scale(rr):
                         failed.update(((k, k2), (k2, k)))
-                    del P[k], P[k2 + 1]  # no later pair on this diagonal reads them
         for k in ks:
             for k2 in ks:
-                failure = (L(k, k2), L(k2, k).scale(-sqrt_factor)) if (k, k2) in failed else None
-                c.decided((sign, k, k2), failure)
+                c.verdict((sign, k, k2), (k, k2) not in failed, lambda: (L(k, k2), L(k2, k).scale(-sqrt_factor)))
     reports.append(c.done())
 
     # D7 reads [x+(k), x-(k2)] == (K^k2 w(m) - K^-k w'(m))/(r-s), m = k + k2;
     # under the D7 lemma (module docstring) it has one verdict per m.
     c = _Checker("D7")
     window = range(-kmax, kmax + 1)
-    scalar = None
-    if set(window) <= on[1] & on[-1]:
-        scalar = commutation_scalar(kc, kcinv, X[1](0), X[-1](0), diag[1], diag[-1])
+    holds = {}
+    scalar = None if None in diag.values() else commutation_scalar(kc, kcinv, X[1](0), X[-1](0), diag[1], diag[-1])
     if scalar is not None:
         pm, mp = X[1](0) @ X[-1](0), X[-1](0) @ X[1](0)
         p, q = rs.as_quotient()
-        holds = {}
         for m in range(-2 * kmax, 2 * kmax + 1):
             cm = scalar**m
             lhs = times_dpow(pm, -1, m) - times_dpow(mp, 1, m).scale(cm)
@@ -650,12 +632,7 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
 
     for k in window:
         for k2 in window:
-            if scalar is None:
-                c.check_scaled((k, k2), commutator(X[1](k), X[-1](k2)), rhs(k, k2), rs)
-            elif holds[k + k2]:
-                c.decided((k, k2))
-            else:
-                c.decided((k, k2), (commutator(X[1](k), X[-1](k2)), rhs(k, k2).scale(rs)))
+            c.verdict((k, k2), holds.get(k + k2), lambda: (commutator(X[1](k), X[-1](k2)), rhs(k, k2)), rs)
     reports.append(c.done())
 
     for rid in ("D8_1", "D8_2", "D8_3"):

@@ -353,7 +353,9 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # once, and D7 takes its plain commutators; X(a)X(0) once per a on the x-
 # side of D6, and x-(k2)x+(0) once per k2 in D7, made 3,096.  A series
 # logarithm per weight in the build, divided back by r - s, made 3,002.
-MUTATED_PINNED_PMUL_CALLS = 2756
+# The form check now stops at the first x+(k) off the form; comparing every
+# x+(k) in the window with x+(0) D+^k made 2,756.
+MUTATED_PINNED_PMUL_CALLS = 2698
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -595,15 +597,26 @@ BAD_INPUT_CASES = [
     (("specialize", "--map", "r=s^1_0", "--n", "1"), EXIT_USAGE, "--map"),
     (("specialize", "--map", "s=q", "--n", "1"), EXIT_USAGE, "--map"),
 ]
+# scalars nested past the parser bound, or written with non-ASCII digits
+SCALAR_PARSE_CASES = [
+    (("verify", "--n", "1", "--a", "(" * 600 + "r" + ")" * 600), "--a"),
+    (("verify", "--n", "1", "--a=" + "-" * 1000 + "r"), "--a"),
+    (("twist", "--aut", "gamma2", "--c", "(" * 400 + "r" + ")" * 400), "--c"),
+    (("verify", "--n", "1", "--a", "\u0663"), "--a"),
+    (("verify", "--n", "1", "--a", "\u0661/\u0662"), "--a"),
+    (("tensor", "--left", "1", "--right", "1", "--b", "\u00b2"), "--b"),
+]
+BAD_INPUT_CASES += [(argv, EXIT_USAGE, flag) for argv, flag in SCALAR_PARSE_CASES]
+
+
+def _case_id(argv):
+    return " ".join(x if len(x) <= 40 else f"{x[:8]}...{x[-8:]}" for x in argv)
 
 
 @pytest.mark.parametrize(
     "argv,want,flag",
     BAD_INPUT_CASES,
-    ids=[
-        " ".join(x if len(x) <= 40 else f"{x[:8]}...{x[-8:]}" for x in a)
-        for a, _, _ in BAD_INPUT_CASES
-    ],
+    ids=[_case_id(a) for a, _, _ in BAD_INPUT_CASES],
 )
 def test_bad_input_exit_codes(capsys, argv, want, flag):
     code = main(list(argv))
@@ -613,9 +626,18 @@ def test_bad_input_exit_codes(capsys, argv, want, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv,flag", SCALAR_PARSE_CASES, ids=[_case_id(a) for a, _ in SCALAR_PARSE_CASES])
+def test_scalar_parse_errors_are_one_line(capsys, argv, flag):
+    assert main(list(argv)) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {flag}: cannot parse scalar")
+    assert line.endswith(("nesting deeper than 100", "expected a value"))
+
+
 # -- fuzz over all six commands ------------------------------------------------------
 
 _SCALARS = ("0", "1", "2+s", "1/(r-s)", "a", "1/a", "b", "r^(1/2)", "r^(1/7)", "x", "(r", "")
+_SCALARS += ("(" * 300 + "r" + ")" * 300,)  # nested past the parser bound
 _NS = ("-1", "0", "1", "2", "3")
 _KMAXES = ("0", "1", "2")
 _LMAXES = ("0", "1", "2", "4")

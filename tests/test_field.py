@@ -574,6 +574,36 @@ def test_parse_bounds():
             parse(text)
 
 
+def _nested_r(depth):
+    """r under depth levels of parentheses, of unary minus, and of the two
+    alternating."""
+    half = depth // 2
+    return ("(" * depth + "r" + ")" * depth, "-" * depth + "r", "-(" * half + "-" * (depth % 2) + "r" + ")" * half)
+
+
+# Parentheses and unary minus together nest at most MAX_NESTING deep; deeper
+# input is refused with a positioned parse error, not a RecursionError.
+def test_parse_nesting_bound():
+    from rsaffine.field import MAX_NESTING
+
+    for text in _nested_r(MAX_NESTING):
+        assert parse(text) == (-R if text.count("-") % 2 else R)
+    for depth in (MAX_NESTING + 1, 250, 1000):
+        for text in _nested_r(depth):
+            with pytest.raises(ValueError, match=f"parse error at .*nesting deeper than {MAX_NESTING}"):
+                parse(text)
+    # binary minus, exponent signs and exponent parentheses do not nest
+    half = MAX_NESTING // 2
+    assert parse("-(" * half + "r^(-1) - s^-1" + ")" * half) == R**-1 - S**-1
+
+
+# Digits are ASCII 0-9 only, as in cartan.parse_type and the --map parser.
+@pytest.mark.parametrize("text", ("\u0663", "\u0661/\u0662", "\u00b2", "3\u00b2", "1/\u0662", "r^\u0663"))
+def test_parse_refuses_non_ascii_digits(text):
+    with pytest.raises(ValueError, match="parse error at"):
+        parse(text)
+
+
 def test_parse_expressions():
     assert parse("(r - s)*(r + s)") == R**2 - S**2
     assert parse("1/2*r") == R / 2

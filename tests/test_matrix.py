@@ -213,7 +213,7 @@ def test_shapes_and_special_forms():
 
 
 # -- D5/D7 verdicts and reports equal those of a plain `lhs != M.scale(c)` -------------
-# D7 scales by 1/(r-s) and goes through the cross-multiplied `check_scaled`; D5 scales
+# D7 scales by 1/(r-s) and goes through the cross-multiplied `verdict` with c; D5 scales
 # by theta_l, a Laurent polynomial, and uses the plain comparison itself.
 
 

@@ -147,11 +147,11 @@ def test_grouplike_inverse_enforced_at_construction():
 # -- D2-D7 reports against a naive reference ------------------------------------------
 # The reference takes both full products of every commutator, builds both
 # sides of every instance and compares them plainly, so it shares neither the
-# diagonal commutator, the D6 anti-diagonals, the current form of D4-D7, the
-# commutation lemmas of D6 and D7 nor the cross-multiplied D7 comparison with
-# check_drinfeld.  Like check_drinfeld it takes K^-1 as the generator product
-# w^-1 w'^-1, which differs from the inverse of K = w w' on a module whose
-# w^-1 or w'^-1 is corrupted.
+# diagonal commutator, the D6 products shared by an instance pair, the current
+# form of D4-D7, the commutation lemmas of D6 and D7 nor the cross-multiplied
+# D7 comparison with check_drinfeld.  Like check_drinfeld it takes K^-1 as the
+# generator product w^-1 w'^-1, which differs from the inverse of K = w w' on
+# a module whose w^-1 or w'^-1 is corrupted.
 
 
 def naive_reports(mod, kmax, lmax):
@@ -244,6 +244,8 @@ MUTATIONS = {
         lambda mod: mod.with_assign(Xm(1, -2), mod.get(Xm(1, -2)).scale(3)),
         {"D5_1", "D5_2", "D6", "D7"},
     ),
+    # the window edge off the form: every x+ instance takes its plain products
+    "x+(kmax+1) * 3": (lambda mod: mod.with_assign(Xp(1, 3), mod.get(Xp(1, 3)).scale(3)), {"D5_1", "D6"}),
     # x+(1), which D is read from, off the form; [1, x-(k2)] = 0 leaves D7
     "x+(1) + 1": (
         lambda mod: mod.with_assign(Xp(1, 1), mod.get(Xp(1, 1)) + Matrix.identity(mod.dim)),
@@ -302,7 +304,7 @@ def _g(mod):
 
 def _dplus(mod, k):
     """D+^k for the D+ that current_form reads from mod."""
-    return Matrix.diagonal([y**k for y in current_form(mod, 1, 2)[0]])
+    return Matrix.diagonal([y**k for y in current_form(mod, 1, 2)])
 
 
 def _nilpotent(d):
@@ -339,7 +341,7 @@ def test_reports_match_the_naive_reference_when_q_vanishes(n):
     kmax, lmax = 2, 2
     mod = build_current_eval(n, kmax=kmax, lmax=lmax)
     for sign in (1, -1):
-        diag, _ = current_form(mod, sign, kmax)
+        diag = current_form(mod, sign, kmax)
         q, _ = anti_diagonal_form(mod.get((Xp if sign > 0 else Xm)(1, 0)), diag)
         assert q.is_zero()
     reports = {r.relation_id: r for r in check_drinfeld(mod, kmax, lmax)}
@@ -441,12 +443,11 @@ def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
 # monomial D, and the commutation identities of the D6 and D7 lemmas hold with
 # kappa = rr, so D4-D7 never fall back to their plain products on it.
 def assert_lemma_path(mod, kmax):
-    window = set(range(-(kmax + 1), kmax + 2))
     rho = mod.table.entry(1, 1)
     diag = {}
     for sign, gen, rr in ((1, Xp, rho), (-1, Xm, rho.inv())):
-        diag[sign], on = current_form(mod, sign, kmax)
-        assert on == window
+        diag[sign] = current_form(mod, sign, kmax)
+        assert diag[sign] is not None
         q, kappa = anti_diagonal_form(mod.get(gen(1, 0)), diag[sign])
         assert q.is_zero() or kappa == rr
     w, winv, wp, wpinv = mod.get(W(1)), mod.get(W(1, -1)), mod.get(Wp(1)), mod.get(Wp(1, -1))
@@ -473,22 +474,28 @@ def test_twisted_modules_take_the_lemma_path(twist):
 
 
 # Any D is sound, because each k is compared with the stored current: a
-# corrupted x(1) gives a wrong D, on which only k = 0 and k = 1 hold.
+# corrupted x(1) gives a wrong D, and one current off the form, inside the
+# window or at its edges k = +-(kmax + 1), leaves its sign without a D.
 @pytest.mark.parametrize(
     "corrupt,plus,minus",
     (
-        (lambda mod: mod.with_assign(Xm(1, -2), mod.get(Xm(1, -2)).scale(3)), None, {-2}),
-        (lambda mod: mod.with_assign(Xp(1, 1), mod.get(Xp(1, 1)).scale(3)), {0, 1}, None),
-        (lambda mod: twist_gamma2(mod, 1 + R), None, None),
+        (lambda mod: mod.with_assign(Xm(1, -2), mod.get(Xm(1, -2)).scale(3)), True, False),
+        (lambda mod: mod.with_assign(Xm(1, -3), mod.get(Xm(1, -3)).scale(3)), True, False),
+        (lambda mod: mod.with_assign(Xp(1, 1), mod.get(Xp(1, 1)).scale(3)), False, True),
+        (lambda mod: mod.with_assign(Xp(1, 3), mod.get(Xp(1, 3)).scale(3)), False, True),
+        (lambda mod: twist_gamma2(mod, 1 + R), True, True),
     ),
-    ids=("x-(-2) * 3", "x+(1) * 3", "gamma2 twist, c = 1+r"),
+    ids=("x-(-2) * 3", "x-(-(kmax+1)) * 3", "x+(1) * 3", "x+(kmax+1) * 3", "gamma2 twist, c = 1+r"),
 )
 def test_current_form_marks_the_indices_off_the_form(corrupt, plus, minus):
     kmax = 2
-    window = set(range(-(kmax + 1), kmax + 2))
     mod = corrupt(build_current_eval(2, kmax=kmax, lmax=1))
-    assert current_form(mod, 1, kmax)[1] == (window if plus is None else plus)
-    assert current_form(mod, -1, kmax)[1] == window - (minus or set())
+    for sign, gen, on in ((1, Xp, plus), (-1, Xm, minus)):
+        diag = current_form(mod, sign, kmax)
+        assert (diag is not None) == on
+        if on:
+            for k in range(-(kmax + 1), kmax + 2):
+                assert mod.get(gen(1, k)) == mod.get(gen(1, 0)).scale_columns([y**k for y in diag])
 
 
 # -- apply_word ----------------------------------------------------------------
