@@ -14,7 +14,7 @@ import sys
 
 from .cartan import build_pairing, parse_type, table_to_json
 from .drinfeld import drinfeld_report, verify_RQ_form
-from .errors import LatticeOverflow, RsaffineError, UnsupportedRank
+from .errors import LatticeOverflow, ParseError, RsaffineError, UnsupportedRank
 from .field import ONE, ZERO, A, B, RatFunc, parse, render
 from .hopf import span_closure, tensor, tensor_basis_vector, twist_sigma
 from .rep_core import all_pass, check_chevalley, check_drinfeld
@@ -70,11 +70,18 @@ def _parse_type(text: str):
         raise UsageError(f"--type {text!r}: {exc}") from None
 
 
+# characters of a refused scalar echoed on each side of the error position
+ECHO_WIDTH = 40
+
+
 def _parse_scalar(text: str, flag: str) -> RatFunc:
     try:
         value = parse(text)
     except (ValueError, ZeroDivisionError, LatticeOverflow) as exc:
-        raise UsageError(f"{flag}: cannot parse scalar {text!r}: {exc}") from None
+        pos = exc.pos if isinstance(exc, ParseError) else 0
+        lo, hi = max(pos - ECHO_WIDTH, 0), pos + ECHO_WIDTH
+        shown = ("..." if lo else "") + text[lo:hi] + ("..." if hi < len(text) else "")
+        raise UsageError(f"{flag}: cannot parse scalar {shown!r}: {exc}") from None
     if value.is_zero():
         raise UsageError(f"{flag}: parameter pins must be nonzero")
     return value

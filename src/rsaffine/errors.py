@@ -25,6 +25,14 @@ class SpecializationPole(RsaffineError):
     """A substitution sends a denominator to zero."""
 
 
+class ParseError(RsaffineError, ValueError):
+    """Text the scalar parser refuses; pos is the offset of the error in it."""
+
+    def __init__(self, pos, msg):
+        super().__init__(f"parse error at {pos}: {msg}")
+        self.pos = pos
+
+
 class LatticeOverflow(RsaffineError):
     """A required exponent does not lie in the (1/L) lattice."""
 

@@ -20,6 +20,7 @@ from .errors import (
     DivisionByZero,
     LatticeOverflow,
     NotPolynomial,
+    ParseError,
     SpecializationPole,
 )
 
@@ -327,6 +328,11 @@ class RatFunc:
       a unit.
     - Power: the factors of n^k are those of n, so n^k / d^k is reduced,
       and it has the canonical content, shift and sign whenever n / d does.
+    - Monomial powers: (c/d x^k)^n with c, d coprime and d > 0 is
+      c^n/d^n x^kn, and for n < 0 it is (d'/c')^|n| x^kn with the sign of
+      c moved into d' so the denominator stays positive.  That form is
+      canonical as it stands, so inv() of a monomial and a quotient by one
+      (the product with its inverse) take no canonicalizing tail.
     Each result then only needs the canonicalizing tail (_canonical).  The
     canonical form is unique, so these rules change no value and no byte
     of output; _normalize keeps the one-shot reduction for other callers.
@@ -510,8 +516,8 @@ class RatFunc:
             raise DivisionByZero("division by the zero rational function")
         if not self.num:
             return ZERO
-        if len(self.den) == 1 and len(o.num) == 1:
-            return RatFunc._canonical(K.pmul(self.num, o.den), K.pmul(self.den, o.num))
+        if o.is_monomial():
+            return self * o**-1
         return _mul_coprime(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
@@ -521,7 +527,7 @@ class RatFunc:
         return o / self
 
     def inv(self) -> "RatFunc":
-        return ONE / self
+        return self**-1 if self.num and self.is_monomial() else ONE / self
 
     def __pow__(self, n):
         """Integer powers of any value; a Fraction exponent outside Z only
@@ -541,13 +547,19 @@ class RatFunc:
             if any(e.denominator != 1 for e in es):
                 raise LatticeOverflow(f"exponent leaves the (1/{LATTICE})Z lattice")
             return RatFunc._make({tuple(int(e) for e in es): 1}, _UNIT)
+        if self.num and self.is_monomial():
+            # (c/d) x^k with c, d coprime and d > 0: the power needs no
+            # normalization, and (c/d x^k)^-n = (d/c)^n x^-kn once the sign
+            # of c moves into the numerator
+            ((k, c),) = self.num.items()
+            d = self.den[_ZERO_KEY]
+            if n < 0:
+                n, c, d = -n, (d if c > 0 else -d), abs(c)
+                k = (-k[0], -k[1], -k[2], -k[3])
+            key = (k[0] * n, k[1] * n, k[2] * n, k[3] * n)
+            return RatFunc._make({key: c**n}, {_ZERO_KEY: d**n})
         if n < 0:
             return self.inv() ** -n
-        if self.is_monomial() and self.num:
-            # (c/d) x^k with c, d coprime: the power needs no normalization
-            ((k, c),) = self.num.items()
-            key = (k[0] * n, k[1] * n, k[2] * n, k[3] * n)
-            return RatFunc._make({key: c**n}, {_ZERO_KEY: self.den[_ZERO_KEY] ** n})
         return RatFunc._make(_pow_poly(self.num, n), _pow_poly(self.den, n))
 
     def __eq__(self, other):
@@ -800,7 +812,7 @@ class _Parser:
         self.depth = 0
 
     def error(self, msg):
-        raise ValueError(f"parse error at {self.pos} in {self.text!r}: {msg}")
+        raise ParseError(self.pos, msg)
 
     def skip(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -868,7 +880,7 @@ class _Parser:
             self.pos += 1
             e = self.exponent()
             if abs(e) > MAX_EXPONENT:
-                self.error(f"exponent {e} is above {MAX_EXPONENT}")
+                self.error(f"exponent above {MAX_EXPONENT}")
             if e.denominator != 1:
                 return self.bounded(base**e)
             n = int(e)

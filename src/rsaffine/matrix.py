@@ -117,6 +117,8 @@ class Matrix:
         c = RatFunc._coerce(c)
         if not c:
             return Matrix.zeros(self.n, self.m)
+        if c.is_one():
+            return self
         return Matrix._sparse([{j: a * c for j, a in row.items()} for row in self._rows], self.m)
 
     def scale_columns(self, factors) -> "Matrix":

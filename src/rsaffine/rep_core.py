@@ -29,11 +29,18 @@ diagonal and invertible and X(k) = X(0) D^k,
   - U D^k = V D^k exactly when U = V.
 So an instance whose two sides are U D^k and V D^k has the verdict of
 U = V: D4 (with w^-1 diagonal) has one verdict per tag and D5 (with a(l)
-diagonal) one per (l, x+ or x-), each computed once.
+and K^-l diagonal) one per (l, x+ or x-), each computed once.
 
 Commutation lemmas.  For diagonals F and G, F X = c X G holds exactly when
 F_i = c G_j at every nonzero X_ij, so each identity below is checked entry
 by entry, without a product.
+  - D5.  With a = a(e) and K^-l diagonal, the family identity
+    [a, x(0)] = t K^-l x(0) D^e, for t = +-theta(l) and K^-l = 1 on the
+    side of the sign of e, reads (a_i - a_j) x(0)_ij = t (K^-l)_ii x(0)_ij
+    D_j^e.  The entries lie in an integral domain, so each nonzero x(0)_ij
+    cancels: the family holds exactly when a_i - a_j = t (K^-l)_ii D_j^e at
+    every nonzero x(0)_ij.  With a(e) or K^-l not diagonal each instance
+    takes its plain products.
   - D6.  Let X(a) = X(0) D^a for every |a| <= kmax + 1, E the diagonal with
     E_i = D_j at the first nonzero X(0)_ij (1 on an empty row), Q = X(0)X(0)
     and kappa = E_i / D_j at the first nonzero Q_ij.  If X(0) D = E X(0) and
@@ -49,12 +56,15 @@ by entry, without a product.
     D- x+(0) = c x+(0) D+.  Then [x+(k), x-(k2)] = c^-k L(m) for m = k + k2
     and L(m) = x+(0)x-(0) D-^m - c^m x-(0)x+(0) D+^m, while the right side is
     c^-k (c^m w(m) - w'(m))/(r-s).  So instance (k, k2) has the verdict of
-    L(m) (r-s) = c^m w(m) - w'(m): one per m, 4 kmax + 1 in all.
+    L(m) (r-s) = c^m w(m) - w'(m): one per m, 4 kmax + 1 in all.  A scalar
+    commutes with the column scaling by a diagonal, so
+    L(m) (r-s) = (x+(0)x-(0) (r-s)) D-^m - c^m (x-(0)x+(0) (r-s)) D+^m,
+    and the two products are scaled by r - s once, before the m loop.
 Every instance is counted by _Checker.verdict, with the verdict of a lemma
 or by comparing its two sides.  A sign off the form has its D4, D5 and D6
 instances take their plain products, and D7 takes them unless both signs
-are on the form; so does an instance of D4 or D5 with a non-diagonal w^-1
-or a(l), and every instance of a D6 sign or of D7 when a commutation
+are on the form; so does an instance of D4 or D5 with a non-diagonal w^-1,
+a(l) or K^-l, and every instance of a D6 sign or of D7 when a commutation
 identity fails.  D6 then still builds each product X(a)X(b) once and decides
 each pair k <= k2 once.  A failing decided instance is reported with the
 sides its plain expressions build, so reports_at_pin maps it unchanged.
@@ -510,11 +520,11 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     diag = {sign: current_form(mod, sign, kmax) for sign in (1, -1)}
     dpows = {}  # (sign, k) -> D^k
 
-    def times_dpow(m, sign, k):
-        """m D^k for the diagonal D of sign."""
+    def dpow(sign, k):
+        """The entries of D^k for the diagonal D of sign."""
         if (sign, k) not in dpows:
             dpows[sign, k] = [x**k for x in diag[sign]]
-        return m.scale_columns(dpows[sign, k])
+        return dpows[sign, k]
 
     c = _Checker("D4")
     conj = (
@@ -540,9 +550,10 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
 
     # Instance (tag, e, k) of D5 reads [a(e), x(k)] == rhs(x(k + e)) for x = x+
     # or x-, where rhs(m) = +-theta(l) m, with K^-l m in place of m on the
-    # side whose sign is not that of e.  With a(e) diagonal and x on the form
-    # its verdict is that of [a(e), x(0)] == rhs(x(0) D^e), one per family
-    # (e, tag).
+    # side whose sign is not that of e.  With a(e) and K^-l diagonal and x on
+    # the form its verdict is that of [a(e), x(0)] == rhs(x(0) D^e), one per
+    # family (e, tag), read entry by entry (the D5 lemma in the module
+    # docstring); otherwise each instance takes its products.
     for rid, e_sign in (("D5_1", 1), ("D5_2", -1)):
         c = _Checker(rid)
         for l in range(1, lmax + 1):
@@ -555,17 +566,25 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                     m = kpow(-l) @ m
                 return m.scale(th if sign > 0 else -th)
 
-            family = {
-                sign: commutator(al, X[sign](0)) == rhs(sign, times_dpow(X[sign](0), sign, e))
-                for sign in (1, -1)
-                if al.is_diagonal() and diag[sign] is not None
-            }
+            def family(sign):
+                if diag[sign] is None or not al.is_diagonal():
+                    return None
+                kl = ident if sign == e_sign else kpow(-l)
+                if not kl.is_diagonal():
+                    return None
+                x0 = X[sign](0)
+                t = th if sign > 0 else -th
+                a, d = [al[j, j] for j in range(dim)], dpow(sign, e)
+                ts = [t] * dim if kl is ident else [t * kl[j, j] for j in range(dim)]
+                return all(a[i] - a[j] == ts[i] * d[j] for i, row in enumerate(x0.rows) for j, y in enumerate(row) if y)
+
+            families = {sign: family(sign) for sign in (1, -1)}
             for k in range(-kmax, kmax + 1):
                 if abs(k + e) > kmax + 1:
                     continue
                 for sign, tag in ((1, "x+"), (-1, "x-")):
                     c.verdict(
-                        (tag, e, k), family.get(sign), lambda: (commutator(al, X[sign](k)), rhs(sign, X[sign](k + e)))
+                        (tag, e, k), families[sign], lambda: (commutator(al, X[sign](k)), rhs(sign, X[sign](k + e)))
                     )
         reports.append(c.done())
 
@@ -620,12 +639,13 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     holds = {}
     scalar = None if None in diag.values() else commutation_scalar(kc, kcinv, X[1](0), X[-1](0), diag[1], diag[-1])
     if scalar is not None:
-        pm, mp = X[1](0) @ X[-1](0), X[-1](0) @ X[1](0)
+        # both products scaled by r - s once (the D7 lemma)
         p, q = rs.as_quotient()
+        pm, mp = (X[1](0) @ X[-1](0)).scale(q), (X[-1](0) @ X[1](0)).scale(q)
         for m in range(-2 * kmax, 2 * kmax + 1):
             cm = scalar**m
-            lhs = times_dpow(pm, -1, m) - times_dpow(mp, 1, m).scale(cm)
-            holds[m] = lhs.scale(q) == (mod.get(Wser(i, m)).scale(cm) - mod.get(Wpser(i, m))).scale(p)
+            lhs = pm.scale_columns(dpow(-1, m)) - mp.scale_columns(dpow(1, m)).scale(cm)
+            holds[m] = lhs == (mod.get(Wser(i, m)).scale(cm) - mod.get(Wpser(i, m))).scale(p)
 
     def rhs(k, k2):
         return kpow(k2) @ mod.get(Wser(i, k + k2)) - kpow(-k) @ mod.get(Wpser(i, k + k2))

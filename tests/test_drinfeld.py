@@ -349,8 +349,9 @@ def test_rq_form_detects_dropped_factor():
 # factors made 2,202 calls, and expanding four factor series, multiplying
 # them and inverting the denominator series made 2,952 calls and 75,441
 # term products.  Multiplying the unit denominators of two Laurent
-# coefficients made 992.
-RQ_N4_PMUL_CALLS = 637
+# coefficients made 992.  Negative powers and inverses of monomials through
+# ONE / x, with two products each, made 637.
+RQ_N4_PMUL_CALLS = 420
 
 
 def test_rq_pmul_count_tripwire(monkeypatch):

@@ -66,6 +66,46 @@ def test_zero_division_raises():
         ONE / ZERO
 
 
+# ZERO has no terms, so a monomial shortcut that took it in would recurse
+# through inv() and the negative power, or divide by zero in Python; every
+# path to its inverse raises DivisionByZero instead.
+@pytest.mark.parametrize(
+    "op", (ZERO.inv, lambda: ZERO**-1, lambda: ZERO**-3, lambda: R / ZERO, lambda: ZERO / ZERO, lambda: 1 / ZERO)
+)
+def test_zero_has_no_inverse(op):
+    with pytest.raises(DivisionByZero):
+        op()
+
+
+_MONOMIALS = (
+    RatFunc.monomial(-1, 1),
+    RatFunc.monomial(Fraction(-2, 3), Fraction(1, 2), Fraction(-1, 3), 1, -2),
+    RatFunc.monomial(Fraction(5, 7), Fraction(-5, 6), 0, 0, 3),
+    RatFunc.monomial(-4),
+    RatFunc.monomial(Fraction(1, 6), 0, Fraction(2, 3)),
+)
+
+
+# The closed monomial power, at negative exponents too, against the generic
+# path: repeated products of the value or of its inverse, reduced in one shot
+# by _normalize.  inv() and a quotient by a monomial go through that power.
+@pytest.mark.parametrize("x", _MONOMIALS, ids=render)
+def test_monomial_powers_match_the_generic_path(x):
+    inverse = RatFunc._normalize(dict(x.den), dict(x.num))
+    assert x.inv() == inverse
+    assert_canonical(x.inv())
+    assert x * x.inv() == ONE
+    for n in range(-6, 7):
+        want = ONE
+        for _ in range(abs(n)):
+            want = want * (x if n > 0 else inverse)
+        assert x**n == want
+        assert_canonical(x**n)
+    for y in (ONE, R - S, (1 + R) / (2 + S), RatFunc.monomial(Fraction(3, 2), 1, -1)):
+        assert y / x == y * inverse
+        assert_canonical(y / x)
+
+
 def _leading_coeff(p):
     return p[max(p, key=lambda k: (sum(k), *k))]
 

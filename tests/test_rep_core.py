@@ -234,6 +234,8 @@ MUTATIONS = {
         lambda mod: mod.with_assign(Aim(1, 1), mod.get(Aim(1, 1)) + mod.get(Xp(1, 0))),
         {"D2", "D3", "D5_1"},
     ),
+    # a(1) stays diagonal, so the D5_1 families are decided entry by entry
+    "a(1) + E_00": (lambda mod: mod.with_assign(Aim(1, 1), mod.get(Aim(1, 1)) + _unit(mod.dim, 0, 0)), {"D5_1"}),
     "x+(1) = 0": (lambda mod: mod.with_assign(Xp(1, 1), Matrix.zeros(mod.dim)), {"D5_1", "D5_2", "D6", "D7"}),
     "x-(0) * rs": (
         lambda mod: mod.with_assign(Xm(1, 0), mod.get(Xm(1, 0)).scale(R * S)),
@@ -295,7 +297,30 @@ MUTATIONS = {
         ),
         {"D4", "D5_1", "D5_2", "D7"},
     ),
+    # K = w G w' is diagonal but not central, with G = 1 but at entry 0: the
+    # entrywise D5 families read (K^-l)_ii, the row of each nonzero x(0)_ij
+    "w G_0, w^-1 G_0^-1": (
+        lambda mod: mod.with_assign(W(1), mod.get(W(1)) @ _g0(mod)).with_assign(
+            W(1, -1), mod.get(W(1, -1)) @ _g0(mod).inverse()
+        ),
+        {"D4", "D5_2", "D7"},
+    ),
+    # w^-1 w'^-1 is not diagonal: the D5 instances off the sign of e take
+    # their plain products, and D7 its plain path
+    "w'^-1 + E_01": (
+        lambda mod: mod.with_assign(Wp(1, -1), mod.get(Wp(1, -1)) + _unit(mod.dim, 0, 1)),
+        {"D3", "D4", "D5_1", "D5_2", "D7"},
+    ),
 }
+
+
+def _unit(d, i, j):
+    """The d x d matrix unit with a 1 at (i, j)."""
+    return Matrix([[1 if (a, b) == (i, j) else 0 for b in range(d)] for a in range(d)])
+
+
+def _g0(mod):
+    return Matrix.diagonal([2] + [1] * (mod.dim - 1))
 
 
 def _g(mod):
@@ -388,7 +413,9 @@ def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
 # on the form (kmax = K, lmax = L <= 2K):
 # - D1: the inverse and centrality products of the group-likes;
 # - D4: w x(0) w^-1, two products once per tag, not per k;
-# - D5_1: per l, K^-l = K^-(l-1) K^-1 and K^-l x-(0) D-^l; D5_2: K^-l x+(0) D+^-l;
+# - D5_1: per l, K^-l = K^-(l-1) K^-1, whose diagonal the entrywise family
+#   verdict reads; D5_2: none, K^-l built by D5_1, where K^-l x(0) D^e once
+#   per l in each made 2L and L;
 # - D6: Q = x(0)x(0) once per sign, whatever K, where X(a)X(0) once per a
 #   made 2(2K+3);
 # - D7: x+(0)x-(0) and x-(0)x+(0) once, whatever K, where x+(k)x-(0) and
@@ -400,8 +427,8 @@ def relation_products(K, L):
         "D2": 0,
         "D3": 0,
         "D4": 8,
-        "D5_1": 2 * L,
-        "D5_2": L,
+        "D5_1": L,
+        "D5_2": 0,
         "D6": 2,
         "D7": 2,
     }

@@ -326,8 +326,11 @@ def test_pole_error_on_the_command_line(capsys, monkeypatch):
 # x+(k)x-(0) products were scaled by powers of D per index and a right side
 # built per D7 instance, made 2,230.  Dividing each weight's series
 # logarithm by r - s while the symbolic current module was built made 742;
-# the build now takes no gcd (sl2 docstring).
-DIRECT_PINNED_PGCD_CALLS = 684
+# the build now takes no gcd (sl2 docstring).  Scaling the D7 left side by
+# r - s once per m, where x+(0)x-(0) and x-(0)x+(0) are now scaled once, made
+# 684, and building the D5 family sides, where the verdict now reads the
+# diagonal entries, 612.
+DIRECT_PINNED_PGCD_CALLS = 576
 
 
 def test_direct_pinned_pgcd_count_tripwire(monkeypatch):
