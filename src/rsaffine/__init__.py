@@ -19,7 +19,6 @@ from .field import (
     quantum_int,
     render,
 )
-from .series import TruncSeries
 from .matrix import Matrix
 from .rep_core import (
     MatrixModule,

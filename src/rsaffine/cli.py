@@ -70,8 +70,14 @@ def _parse_type(text: str):
         raise UsageError(f"--type {text!r}: {exc}") from None
 
 
-# characters of a refused scalar echoed on each side of the error position
+# characters of a refused argument echoed on each side of the error position
 ECHO_WIDTH = 40
+
+
+def _echo(text: str, pos: int = 0) -> str:
+    """text quoted once, cut to ECHO_WIDTH characters on each side of pos."""
+    lo, hi = max(pos - ECHO_WIDTH, 0), pos + ECHO_WIDTH
+    return repr(("..." if lo else "") + text[lo:hi] + ("..." if hi < len(text) else ""))
 
 
 def _parse_scalar(text: str, flag: str) -> RatFunc:
@@ -79,9 +85,7 @@ def _parse_scalar(text: str, flag: str) -> RatFunc:
         value = parse(text)
     except (ValueError, ZeroDivisionError, LatticeOverflow) as exc:
         pos = exc.pos if isinstance(exc, ParseError) else 0
-        lo, hi = max(pos - ECHO_WIDTH, 0), pos + ECHO_WIDTH
-        shown = ("..." if lo else "") + text[lo:hi] + ("..." if hi < len(text) else "")
-        raise UsageError(f"{flag}: cannot parse scalar {shown!r}: {exc}") from None
+        raise UsageError(f"{flag}: cannot parse scalar {_echo(text, pos)}: {exc}") from None
     if value.is_zero():
         raise UsageError(f"{flag}: parameter pins must be nonzero")
     return value
@@ -185,7 +189,7 @@ def cmd_specialize(args) -> int:
     try:
         sm = parse_spec_map(args.map)
     except ValueError as exc:
-        raise UsageError(f"--map: {exc}") from None
+        raise UsageError(f"--map: cannot parse specialization map {_echo(args.map)}: {exc}") from None
     mod = specialize_module(build_chevalley_eval(args.n), sm)
     doc = {
         "command": "specialize",

@@ -22,6 +22,11 @@ and for 0 <= i <= n
 where one more factor cancels when i = 0 or i = n.  Both sides have
 constant term 1, so the reduced ratio expands to the same truncated series
 as the unreduced one.
+
+A truncated series is the tuple of its coefficients c_0..c_order, its
+order being len - 1.  expand is the one expansion of a polynomial ratio,
+the division recurrence; the expansion about infinity of the primed
+series is expand on the reversed coefficient lists.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from dataclasses import dataclass
 from .errors import IndexOutOfRange, MirrorMismatch, NoSolution
 from .field import A, ONE, R, S, ZERO, render
 from .rep_core import MatrixModule
-from .series import ASC, DESC, TruncSeries, ratio_series
 from .sl2 import series_matrices, shift_factor
 
 
@@ -40,8 +44,8 @@ from .sl2 import series_matrices, shift_factor
 class HwSeries:
     """Eigenvalue series of the series generators on the highest-weight line."""
 
-    plus: TruncSeries  # ascending: eigenvalue of w(k) as coefficient of z^k
-    minus: TruncSeries  # descending: eigenvalue of w'(-k) as coefficient of z^-k
+    plus: tuple  # ascending: eigenvalue of w(k) as coefficient of z^k
+    minus: tuple  # descending: eigenvalue of w'(-k) as coefficient of z^-k
     n: int
 
 
@@ -104,18 +108,41 @@ def closed_form_P(n: int, use_shift=False) -> DrinfeldPoly:
     return DrinfeldPoly(coeffs=coeffs, mirror=_mirror(coeffs, n))
 
 
-def plus_series_of(p: DrinfeldPoly, order: int) -> TruncSeries:
+def expand(num, den, order: int) -> tuple:
+    """Coefficients 0..order of the power series num/den, for coefficient
+    lists with den[0] != 0, by the division recurrence
+    q_k = (num_k - sum_{j>=1} den_j q_(k-j)) / den_0 (Knuth, TAOCP vol. 2,
+    4.7).  Zero den_j and zero q_(k-j) are skipped, and no coefficient
+    past order is read."""
+    d0 = den[0]
+    terms = [(j, d) for j, d in enumerate(den[1 : order + 1], 1) if not d.is_zero()]
+    out = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else ZERO
+        for j, d in terms:
+            if j > k:
+                break
+            if not out[k - j].is_zero():
+                acc = acc - d * out[k - j]
+        out.append(acc / d0)
+    return tuple(out)
+
+
+def plus_series_of(p: DrinfeldPoly, order: int) -> tuple:
     """r^deg * P(sz)/P(rz) expanded about 0."""
     num = [c * S**k for k, c in enumerate(p.coeffs)]
     den = [c * R**k for k, c in enumerate(p.coeffs)]
-    return ratio_series(num, den, order) * R ** p.degree
+    scale = R**p.degree
+    return tuple(c * scale for c in expand(num, den, order))
 
 
-def minus_series_of(p: DrinfeldPoly, order: int) -> TruncSeries:
-    """r^deg * Q(sz)/Q(rz) expanded about infinity, Q the mirror."""
+def minus_series_of(p: DrinfeldPoly, order: int) -> tuple:
+    """r^deg * Q(sz)/Q(rz) expanded about infinity, Q the mirror: the
+    coefficient of z^-k is at index k."""
     num = [c * S**k for k, c in enumerate(p.mirror)]
     den = [c * R**k for k, c in enumerate(p.mirror)]
-    return ratio_series(num[::-1], den[::-1], order, DESC) * R ** p.degree
+    scale = R**p.degree
+    return tuple(c * scale for c in expand(num[::-1], den[::-1], order))
 
 
 def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
@@ -126,7 +153,7 @@ def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
     and MirrorMismatch when the plus side solves but the minus side fails.
     """
     n = h.n
-    order = h.plus.order
+    order = len(h.plus) - 1
     if order < 2 * n + 1:
         raise NoSolution(f"need plus series to order {2 * n + 1}, have {order}")
     phi = h.plus
@@ -144,7 +171,7 @@ def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
 
     if plus_series_of(p, order) != phi:
         raise NoSolution("plus series is not of Drinfeld polynomial form")
-    if minus_series_of(p, h.minus.order) != h.minus:
+    if minus_series_of(p, len(h.minus) - 1) != h.minus:
         raise MirrorMismatch("minus series fails the mirrored identity")
     return p
 
@@ -155,9 +182,7 @@ def weight_gamma_series(mod: MatrixModule, i: int, order: int):
     if not (0 <= i < mod.dim):
         raise IndexOutOfRange(f"weight index {i} outside 0..{mod.dim - 1}")
     ws, wps = series_matrices(mod, order)
-    plus = TruncSeries(order, [w[i, i] for w in ws], ASC)
-    minus = TruncSeries(order, [w[i, i] for w in wps], DESC)
-    return plus, minus
+    return tuple(w[i, i] for w in ws), tuple(w[i, i] for w in wps)
 
 
 def rq_polynomials(n: int, i: int):
@@ -182,11 +207,12 @@ def _poly_from_roots(params):
     return coeffs
 
 
-def _expand_rq(n: int, i: int, order: int, rfac, qfac) -> TruncSeries:
+def _expand_rq(n: int, i: int, order: int, rfac, qfac) -> tuple:
     num = Counter([S * p for p in rfac] + [R * p for p in qfac])
     den = Counter([R * p for p in rfac] + [S * p for p in qfac])
     num, den = _poly_from_roots((num - den).elements()), _poly_from_roots((den - num).elements())
-    return ratio_series(num, den, order) * (R ** (n - i) * S**i)
+    scale = R ** (n - i) * S**i
+    return tuple(c * scale for c in expand(num, den, order))
 
 
 def verify_RQ_form(mod: MatrixModule, order: int) -> dict:
@@ -216,7 +242,7 @@ def verify_RQ_form(mod: MatrixModule, order: int) -> dict:
             "prefactor_consistent": pref_printed == pref_proof,
         }
         if not entry["pass"]:
-            entry["residual"] = [render(a - b) for a, b in zip(plus.coeffs, want.coeffs)]
+            entry["residual"] = [render(a - b) for a, b in zip(plus, want)]
         results.append(entry)
     return {
         "n": n,

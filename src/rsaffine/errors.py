@@ -14,11 +14,8 @@ class NotPolynomial(RsaffineError):
 
 
 class BadConstantTerm(RsaffineError):
-    """Series constant term violates an inv/log/exp precondition."""
-
-
-class MixedSeries(RsaffineError):
-    """Arithmetic between series with different direction or order."""
+    """A series constant term violates a precondition: the log-derivative
+    recurrence divides by a nonzero w(0) eigenvalue."""
 
 
 class SpecializationPole(RsaffineError):

@@ -951,7 +951,11 @@ class _Parser:
                 save = self.pos
                 self.pos += 1
                 if _is_digit(self.peek()):
-                    return RatFunc.from_fraction(Fraction(n, self.integer()))
+                    start = self.pos
+                    d = self.integer()
+                    if not d:
+                        raise ParseError(start, "division by zero")
+                    return RatFunc.from_fraction(Fraction(n, d))
                 self.pos = save
             return RatFunc.from_int(n)
         self.error("expected a value")

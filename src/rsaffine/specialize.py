@@ -38,7 +38,7 @@ class SpecMap:
         if self.kind == R_TO_S_POW and self.k == 1:
             raise ValueError("r -> s^1 duplicates the s -> r map")
         if self.kind == R_TO_S_POW and abs(self.k) >= MAX_EXPONENT:
-            raise ValueError(f"r -> s^k needs |k| < {MAX_EXPONENT}, got {self.k}")
+            raise ValueError(f"r -> s^k needs |k| < {MAX_EXPONENT}")
 
     def subs(self) -> dict:
         if self.kind == S_TO_R_INVERSE:
@@ -62,10 +62,16 @@ def parse_spec_map(text: str) -> SpecMap:
         return SpecMap(S_TO_R)
     if t == "independent":
         return SpecMap(INDEPENDENT)
-    k = re.fullmatch(r"r=s\^(-?[0-9]+|\(-?[0-9]+\))", t)
-    if k:
-        return SpecMap(R_TO_S_POW, int(k[1].strip("()")))
-    raise ValueError(f"cannot parse specialization map {text!r}")
+    m = re.fullmatch(r"r=s\^(-?[0-9]+|\(-?[0-9]+\))", t)
+    if m:
+        k = m[1].strip("()")
+        # checked on the text, as in cartan.parse_type: int() refuses
+        # strings of more than 4300 digits, leading zeros included
+        digits = k.lstrip("-").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)):
+            raise ValueError(f"r -> s^k needs |k| < {MAX_EXPONENT}")
+        return SpecMap(R_TO_S_POW, -int(digits) if k.startswith("-") else int(digits))
+    raise ValueError("expected s=r^-1, s=r, r=s^k or independent")
 
 
 def _map_generators(mod: MatrixModule, fn) -> dict:

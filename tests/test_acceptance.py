@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from test_specialize import specialize_table
+from truncseries import TruncSeries
 from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import build_pairing, parse_type, table_to_json
@@ -33,7 +34,6 @@ from rsaffine.rep_core import (
     check_chevalley,
     check_drinfeld,
 )
-from rsaffine.series import TruncSeries
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval
 from rsaffine.specialize import SpecMap, centrality_report, specialize_module
 
@@ -93,19 +93,19 @@ def test_criterion_2_drinfeld_polynomials():
     for n in range(6):
         mod = build_current_eval(n, False, kmax=n + 1, lmax=1)
         h = extract_hw_series(mod, min(2 * n + 2, 2 * (n + 1)))
-        for k in range(1, h.plus.order + 1):
+        for k in range(1, len(h.plus)):
             want = (R - S) * (A * R**-1 * S ** (1 - n)) ** k * quantum_int(n)
             if h.plus[k] != want:
                 bad.append(f"Phi+ formula fails at n={n}, k={k}")
                 break
         g = A * R**-1 * S
-        order = h.plus.order
+        order = len(h.plus) - 1
         resummed = (
             TruncSeries(order, [ONE, -g * R**-n])
             * TruncSeries(order, [ONE, -g * S**-n]).inv()
             * R**n
         )
-        if resummed != h.plus:
+        if resummed.coeffs != h.plus:
             bad.append(f"resummation fails at n={n}")
     _report(2, not bad, f"P reconstruction/mirror/eigenvalue formulas n<=5: {bad or 'exact'}")
 
@@ -204,8 +204,8 @@ def test_criterion_6_tensor_and_multiplicativity():
 
         p2 = DrinfeldPoly(coeffs=p2c, mirror=p2c)
         p12 = DrinfeldPoly(coeffs=tuple(coeffs), mirror=tuple(coeffs))
-        lhs = plus_series_of(p1, order) * plus_series_of(p2, order)
-        if lhs != plus_series_of(p12, order):
+        lhs = TruncSeries(order, plus_series_of(p1, order)) * TruncSeries(order, plus_series_of(p2, order))
+        if lhs.coeffs != plus_series_of(p12, order):
             bad.append(f"series multiplicativity ({n1},{n2})")
     _report(6, not bad, f"tensor suite, closure dim 4, multiplicativity: {bad or 'exact'}")
 

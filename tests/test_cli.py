@@ -273,14 +273,13 @@ def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
     # weight 2 is changed
     from rsaffine import drinfeld
     from rsaffine.field import ONE
-    from rsaffine.series import TruncSeries
 
     weight_gamma_series = drinfeld.weight_gamma_series
 
     def corrupted(mod, i, order):
         plus, minus = weight_gamma_series(mod, i, order)
         if i == 2 and order >= 7:
-            plus = plus + TruncSeries(order, [0] * 7 + [ONE])
+            plus = plus[:7] + (plus[7] + ONE,) + plus[8:]
         return plus, minus
 
     monkeypatch.setattr(drinfeld, "weight_gamma_series", corrupted)
@@ -296,14 +295,13 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
     # fails, the minus side is skipped, and P and Q fall back to the closed form
     from rsaffine import drinfeld
     from rsaffine.field import ONE
-    from rsaffine.series import TruncSeries
 
     weight_gamma_series = drinfeld.weight_gamma_series
 
     def corrupted(mod, i, order):
         plus, minus = weight_gamma_series(mod, i, order)
         if i == 0:
-            plus = plus + TruncSeries(order, [0] * order + [ONE])
+            plus = plus[:-1] + (plus[-1] + ONE,)
         return plus, minus
 
     _, clean = run(capsys, "drinfeld", "--n", "2", "--json")
@@ -616,7 +614,8 @@ BAD_INPUT_CASES = [
     (("specialize", "--map", "r=s^1_0", "--n", "1"), EXIT_USAGE, "--map"),
     (("specialize", "--map", "s=q", "--n", "1"), EXIT_USAGE, "--map"),
 ]
-# scalars nested past the parser bound, or written with non-ASCII digits
+# scalars nested past the parser bound, written with non-ASCII digits, or
+# with a zero denominator in a rational literal
 SCALAR_PARSE_CASES = [
     (("verify", "--n", "1", "--a", "(" * 600 + "r" + ")" * 600), "--a"),
     (("verify", "--n", "1", "--a=" + "-" * 1000 + "r"), "--a"),
@@ -624,6 +623,8 @@ SCALAR_PARSE_CASES = [
     (("verify", "--n", "1", "--a", "\u0663"), "--a"),
     (("verify", "--n", "1", "--a", "\u0661/\u0662"), "--a"),
     (("tensor", "--left", "1", "--right", "1", "--b", "\u00b2"), "--b"),
+    (("verify", "--n", "1", "--a", "1/0"), "--a"),
+    (("verify", "--n", "1", "--a", "2/000"), "--a"),
 ]
 BAD_INPUT_CASES += [(argv, EXIT_USAGE, flag) for argv, flag in SCALAR_PARSE_CASES]
 
@@ -650,7 +651,7 @@ def test_scalar_parse_errors_are_one_line(capsys, argv, flag):
     assert main(list(argv)) == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {flag}: cannot parse scalar")
-    assert line.endswith(("nesting deeper than 100", "expected a value"))
+    assert line.endswith(("nesting deeper than 100", "expected a value", "division by zero"))
 
 
 # A refused scalar is echoed once, cut to a window around the error
@@ -662,7 +663,7 @@ def test_scalar_parse_errors_are_one_line(capsys, argv, flag):
         "-" * 1000 + "r",
         "1+" * 600 + "q",
         "r" * 2000,
-        "1/0" + "+r" * 600,
+        "r/(s-s)" + "+r" * 600,
         "r^" + "9" * 999,
     ),
     ids=("nested", "minus", "late error", "trailing input", "no position", "long exponent"),
@@ -671,6 +672,25 @@ def test_scalar_parse_error_line_is_bounded(capsys, text):
     assert main(["verify", "--n", "1", "--a=" + text]) == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: --a: cannot parse scalar '")
+    assert len(line) < 200
+
+
+# A refused --map is echoed through the same window, and its exponent is
+# bounded on the text, before int() could refuse more than 4300 digits.
+@pytest.mark.parametrize(
+    "text,reason",
+    (
+        ("r=s^" + "1" * 3000, "needs |k| < 1000"),
+        ("r=s^(-" + "9" * 5000 + ")", "needs |k| < 1000"),
+        ("x" * 3000, "expected s=r^-1, s=r, r=s^k or independent"),
+    ),
+    ids=("long exponent", "exponent past int()", "long map"),
+)
+def test_map_parse_error_line_is_bounded(capsys, text, reason):
+    assert main(["specialize", "--n", "1", "--map", text]) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --map: cannot parse specialization map '")
+    assert line.endswith(reason)
     assert len(line) < 200
 
 
@@ -696,7 +716,10 @@ _FLAGS = {
     },
     "drinfeld": {"--n": _NS, "--shift": _SHIFTS, "--order": ("1", "7", "8", "17")},
     "table": {"--type": ("A1", "A4", "G2", "E9", "")},
-    "specialize": {"--map": ("s=r", "s=r^-1", "r=s^2", "independent", "r=s^0", "s=q"), "--n": _NS},
+    "specialize": {
+        "--map": ("s=r", "s=r^-1", "r=s^2", "independent", "r=s^0", "s=q", "r=s^" + "1" * 3000),
+        "--n": _NS,
+    },
     "tensor": {"--left": _NS, "--right": _NS, "--a": _SCALARS, "--b": _SCALARS},
     "twist": {
         "--aut": ("sigma", "gamma1", "gamma2", "tau"),

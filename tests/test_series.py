@@ -1,36 +1,38 @@
-"""Truncated series arithmetic: division, inv, log, exp, exact coefficients."""
+"""Truncated series: drinfeld.expand against the oracle's quotient, and the
+oracle's own arithmetic (division, inv, log, exp, exact coefficients)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from truncseries import TruncSeries
 
-from rsaffine.errors import BadConstantTerm, MixedSeries
+from rsaffine.drinfeld import expand
+from rsaffine.errors import BadConstantTerm, DivisionByZero
 from rsaffine.field import A, ONE, R, S, ZERO, rf
-from rsaffine.series import ASC, DESC, TruncSeries, linear, ratio_series
 
 
-def geometric(ratio, order=8, direction=ASC):
+def geometric(ratio, order=8):
     """1/(1 - ratio*x) as a truncated series, by its coefficients."""
     coeffs = [ONE]
     for _ in range(order):
         coeffs.append(coeffs[-1] * ratio)
-    return TruncSeries(order, coeffs, direction)
+    return TruncSeries(order, coeffs)
 
 
 def test_geometric_inverse():
-    one_minus_z = linear(ONE, -ONE, order=3)
+    one_minus_z = TruncSeries(3, [ONE, -ONE])
     assert one_minus_z.inv() == TruncSeries(3, [ONE, ONE, ONE, ONE])
 
 
 def test_log_exp_inverse_pair():
     c = R * S**-1 + rf(2)
-    cz = linear(ZERO, c, order=2)
+    cz = TruncSeries(2, [ZERO, c])
     assert cz.exp().log() == cz
 
 
 def test_product_example():
     # (1 - a r^-1 z) / (1 - a s^-1 z), truncated at order 2
-    left = linear(ONE, -A * R**-1, order=2)
+    left = TruncSeries(2, [ONE, -A * R**-1])
     right = geometric(A * S**-1, order=2)
     got = left * right
     # brute-force expansion: sum_k (a/s)^k z^k times (1 - a/r z)
@@ -40,27 +42,15 @@ def test_product_example():
 
 
 def test_mul_truncates():
-    z = TruncSeries.variable(order=2)
-    assert (z * z * z).is_zero()
-
-
-def test_mixed_series_rejected():
-    a = TruncSeries.one(order=3)
-    c = TruncSeries.one(order=3, direction=DESC)
-    with pytest.raises(MixedSeries):
-        a * c
-    d = TruncSeries.one(order=4)
-    with pytest.raises(MixedSeries):
-        a - d
-    with pytest.raises(MixedSeries):
-        a / c
+    z = TruncSeries(2, [ZERO, ONE])
+    assert z * z * z == TruncSeries(2, [])
 
 
 def test_constant_term_preconditions():
     with pytest.raises(BadConstantTerm):
         TruncSeries(3, [ZERO, ONE]).inv()
     with pytest.raises(BadConstantTerm):
-        TruncSeries.one(order=3) / TruncSeries(3, [ZERO, ONE])
+        TruncSeries(3, [ONE]) / TruncSeries(3, [ZERO, ONE])
     with pytest.raises(BadConstantTerm):
         TruncSeries(3, [rf(2)]).log()
     with pytest.raises(BadConstantTerm):
@@ -69,14 +59,7 @@ def test_constant_term_preconditions():
 
 def test_inv_roundtrip_with_denominators():
     f = TruncSeries(5, [ONE, R, S * A, ONE / (R - S)])
-    assert f * f.inv() == TruncSeries.one(order=5)
-
-
-def test_descending_direction_algebra():
-    # same recurrences, coefficients indexed by |power|
-    f = geometric(R, order=4, direction=DESC)
-    g = linear(ONE, -R, order=4, direction=DESC)
-    assert f * g == TruncSeries.one(order=4, direction=DESC)
+    assert f * f.inv() == TruncSeries(5, [ONE])
 
 
 coeffs_strategy = st.lists(
@@ -111,7 +94,6 @@ def test_log_turns_products_into_sums(cs, ds):
 # values with real denominators, and zero, for the division recurrence
 nonzero_values = [ONE, rf(2), R, -S, A * R**-1, ONE / (R - S), (ONE + R) / (S + rf(2))]
 division_values = st.sampled_from([ZERO] + nonzero_values)
-directions = st.sampled_from([ASC, DESC])
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,24 +101,36 @@ directions = st.sampled_from([ASC, DESC])
     st.lists(division_values, min_size=1, max_size=6),
     st.sampled_from(nonzero_values),
     st.lists(division_values, max_size=5),
-    directions,
 )
-def test_quotient_times_divisor_is_dividend(cs, b0, bs, direction):
+def test_quotient_times_divisor_is_dividend(cs, b0, bs):
     # `*` is the only oracle: a / b is the series q with q * b == a
-    a = TruncSeries(5, cs, direction)
-    b = TruncSeries(5, [b0] + bs, direction)
+    a = TruncSeries(5, cs)
+    b = TruncSeries(5, [b0] + bs)
     assert (a / b) * b == a
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    st.lists(division_values, min_size=5, max_size=8),
-    st.sampled_from(nonzero_values),
-    st.lists(division_values, min_size=4, max_size=7),
-    directions,
+    st.lists(division_values, min_size=1, max_size=8),
+    division_values,
+    st.lists(division_values, max_size=7),
+    st.integers(0, 5),
+    st.booleans(),
 )
-def test_ratio_series_divides_the_truncations(num, d0, den, direction):
-    # both polynomials are longer than the order; no coefficient past it is read
+@example([R], rf(2), [], 3, False)
+@example([ONE, R], ZERO, [ONE], 3, False)
+@example([], ZERO, [], 0, False)
+def test_expand_matches_the_oracle_quotient(num, d0, den, order, reverse):
+    # the lists may be longer or shorter than the order: no coefficient past
+    # it is read, and a short numerator reads as zero.  Reversed lists are
+    # the expansion about infinity that minus_series_of takes; a zero
+    # constant term has no expansion.
     den = [d0] + den
-    want = TruncSeries(3, num[:4], direction) / TruncSeries(3, den[:4], direction)
-    assert ratio_series(num, den, 3, direction) == want
+    if reverse:
+        num, den = num[::-1], den[::-1]
+    if den[0].is_zero():
+        with pytest.raises(DivisionByZero):
+            expand(num, den, order)
+        return
+    want = TruncSeries(order, num[: order + 1]) / TruncSeries(order, den[: order + 1])
+    assert expand(num, den, order) == want.coeffs

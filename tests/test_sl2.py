@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from truncseries import TruncSeries
 
 from rsaffine.cli import MAX_KMAX
 from rsaffine.errors import BadConstantTerm, MissingGenerator, NotEigenvector, WindowTooSmall
@@ -28,7 +29,6 @@ from rsaffine.rep_core import (
     check_chevalley,
     check_drinfeld,
 )
-from rsaffine.series import TruncSeries
 from rsaffine.sl2 import (
     build_chevalley_eval,
     build_current_eval,

@@ -38,6 +38,13 @@ def test_map_parsing():
         parse_spec_map("r=q")
     with pytest.raises(ValueError):
         SpecMap("r_to_s_pow", 1)
+    # the exponent is bounded on its digits, leading zeros aside, before
+    # int() could refuse more than 4300 of them
+    assert parse_spec_map("r=s^" + "0" * 5000 + "5").k == 5
+    assert parse_spec_map("r=s^(-" + "0" * 5000 + "999)").k == -999
+    for text in ("r=s^" + "9" * 5000, "r=s^1000", "r=s^(-1000)"):
+        with pytest.raises(ValueError, match=r"needs \|k\| < 1000$"):
+            parse_spec_map(text)
 
 
 def test_rank1_table_to_classical():
