@@ -608,6 +608,34 @@ class RatFunc:
         return render(self)
 
 
+P61 = 2**61 - 1
+
+
+def eval_mod(x: RatFunc, point, monomials=None):
+    """x mod P61 at point = (t_r, t_s, a, b), all nonzero, where r = t_r^6
+    and s = t_s^6 make the stored r- and s-exponents (sixths) integer
+    powers; None where the denominator vanishes.  On the values regular at
+    the point it is a ring homomorphism to GF(P61).  Calls may share a
+    monomials dict, the monomial values at the point."""
+    monomials = {} if monomials is None else monomials
+
+    def at(p):
+        total = 0
+        for key, c in p.items():
+            m = monomials.get(key)
+            if m is None:
+                m = 1
+                for t, e in zip(point, key):
+                    m = m * pow(t, e, P61) % P61
+                monomials[key] = m
+            total += c * m
+        return total % P61
+
+    # a Laurent value's denominator is a positive integer
+    d = at(x.den) if len(x.den) > 1 else x.den[_ZERO_KEY] % P61
+    return None if d == 0 else at(x.num) * pow(d, -1, P61) % P61
+
+
 def _subst_poly(p, images) -> RatFunc:
     out = ZERO
     for key, c in p.items():
@@ -909,7 +937,12 @@ class _Parser:
         e = Fraction(self.signed_integer())
         if self.peek() == "/":
             self.pos += 1
-            e /= self.integer()
+            self.skip()
+            start = self.pos
+            d = self.integer()
+            if not d:
+                raise ParseError(start, "division by zero")
+            e /= d
         if self.peek() != ")":
             self.error("expected ')' after exponent")
         self.pos += 1

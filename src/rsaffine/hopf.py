@@ -12,7 +12,7 @@ specialize.reports_at_pin.
 from __future__ import annotations
 
 from .errors import MissingGenerator, TypeMismatch
-from .field import ONE, ZERO, RatFunc
+from .field import ONE, P61, ZERO, RatFunc, eval_mod
 from .matrix import Matrix, echelon_insert
 from .rep_core import E, F, GammaHalf, GammaPrimeHalf, MatrixModule, W, Wp
 
@@ -55,16 +55,77 @@ def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):
     return out
 
 
+# The span certificate's points (t_r, t_s, a, b) mod P61, r = t_r^6, s = t_s^6
+_POINTS = (
+    (144471030931734330, 2143091457179325563, 365550386486063846, 300552282432094508),
+    (188795199523072135, 1928334045343398362, 501680558545474880, 324636754553547369),
+    (2196488239196475238, 678387143078361356, 2198515853106766764, 1041722944014863979),
+)
+
+
+def _spans_mod(mats, seed, dim, point):
+    """Whether span_closure's worklist, run at the point on int dicts, spans
+    GF(P61)^dim; None when an entry of mats or of the seed is not regular."""
+    monomials = {}
+    v = {j: eval_mod(x, point, monomials) for j, x in seed.items()}
+    cols = [[{} for _ in range(dim)] for _ in mats]
+    for mat, col in zip(mats, cols):
+        for i, row in enumerate(mat._rows):
+            for j, x in row.items():
+                y = col[j][i] = eval_mod(x, point, monomials)
+                if y is None:
+                    return None
+    if None in v.values():
+        return None
+    basis, todo = {}, []
+
+    def insert(v):
+        while v:
+            p = min(v)
+            row = basis.get(p)
+            if row is None:
+                inv = pow(v[p], -1, P61)
+                basis[p] = v = {j: x * inv % P61 for j, x in v.items()}
+                todo.append(v)
+                return
+            f = v[p]
+            for j, x in row.items():
+                v[j] = (v.get(j, 0) - f * x) % P61
+            v = {j: x for j, x in v.items() if x}
+
+    insert({j: x for j, x in v.items() if x})
+    while todo and len(basis) < dim:
+        vec = todo.pop()
+        for col in cols:
+            img = {}
+            for j, x in vec.items():
+                for i, y in col[j].items():
+                    img[i] = (img.get(i, 0) + x * y) % P61
+            insert({i: y for i, y in img.items() if y})
+    return len(basis) == dim
+
+
 def span_closure(mod, seed):
     """Exact basis of the smallest generator-invariant subspace containing
     the seed vector: its reduced echelon rows, in pivot order.
 
-    A worklist on one echelon basis: the seed is inserted, then each pivot
-    is expanded once, by inserting the image under every generator of the
-    current reduced row with that pivot, until no pivot is left or the span
-    is the whole space.  The expanded rows lead at distinct columns, so
-    they are a basis of the result, and their images lie in it, so it is
-    invariant.  At most dim x #generators images are computed.
+    First a certificate mod p = P61, at the first point of _POINTS where
+    every generator entry and seed coordinate is regular.  Evaluation is a
+    ring homomorphism on the values regular there, so it sends each word
+    image M_w1 ... M_wk seed to that of the evaluated matrices.  If those
+    span GF(p)^dim (the same worklist, over GF(p)), some dim x dim minor of
+    them is nonzero mod p, so the same minor of the exact word images is
+    nonzero: the exact span is the whole space, and its reduced echelon
+    basis the identity.  Rank can only drop under evaluation, so a smaller
+    modular span proves nothing and falls through to the exact worklist.
+
+    The exact closure is a worklist on one echelon basis: the seed is
+    inserted, then each pivot is expanded once, by inserting the image
+    under every generator of the current reduced row with that pivot, until
+    no pivot is left or the span is the whole space.  The expanded rows
+    lead at distinct columns, so they are a basis of the result, and their
+    images lie in it, so it is invariant.  At most dim x #generators images
+    are computed.
     """
     seed = list(seed)
     if len(seed) != mod.dim:
@@ -73,6 +134,12 @@ def span_closure(mod, seed):
     v = {j: x for j, x in enumerate(map(RatFunc._coerce, seed)) if x}
     if not v:
         raise ValueError("seed vector must be nonzero")
+    for point in _POINTS:
+        full = _spans_mod(mats, v, mod.dim, point)
+        if full is not None:
+            break
+    if full:
+        return [[ONE if j == i else ZERO for j in range(mod.dim)] for i in range(mod.dim)]
     pivots, rows = [], []
     todo = [echelon_insert(pivots, rows, v)]
     while todo and len(rows) < mod.dim:

@@ -186,11 +186,14 @@ def test_verify_pinned_pgcd_count_tripwire(capsys, monkeypatch):
     assert calls < 9347
 
 
-# Matrix-vector products made by `tensor --left 4 --right 4 --json`, all of
-# them in the span closure of v_0 (x) v_0.  Each pivot of the closure is
-# expanded once, so the count is at most dim x #generators (25 x 16 = 400);
-# re-eliminating every row after every sweep made 1,600.
-TENSOR_44_APPLY_CALLS = 241
+# Matrix-vector products made by the exact span closure of v_0 (x) v_0 in
+# `tensor --left 4 --right 4 --a 1 --b s^-8 --json`, a pin where the closure
+# is a proper submodule (dimension 9), so the certificate mod p refuses it
+# and the exact worklist runs.  Each pivot of the closure is expanded once,
+# so the count is at most dim x #generators (9 x 16 = 144).  The plain 4 x 4
+# run made 241 here, re-eliminating every row after every sweep 1,600; its
+# closure is now certified mod p, with no exact product at all.
+TENSOR_44_APPLY_CALLS = 144
 
 
 def test_tensor_apply_count_tripwire(capsys, monkeypatch):
@@ -209,9 +212,13 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
     monkeypatch.setattr(Matrix, "apply", counting)
     code, out = run(capsys, "tensor", "--left", "4", "--right", "4", "--json")
     assert code == EXIT_PASS
+    assert calls == 0
+    assert json.loads(out)["closure_dim_from_highest_weight"] == 25
+    code, out = run(capsys, "tensor", "--left", "4", "--right", "4", "--a", "1", "--b", "s^-8", "--json")
+    assert code == EXIT_PASS
     assert calls == TENSOR_44_APPLY_CALLS
     n_gens = len(tensor(build_chevalley_eval(4), build_chevalley_eval(4)).generators())
-    assert calls <= json.loads(out)["closure_dim_from_highest_weight"] * n_gens == 25 * 16
+    assert calls <= json.loads(out)["closure_dim_from_highest_weight"] * n_gens == 9 * 16
 
 
 # Polynomial products made by `drinfeld --n 3 --json`: the highest-weight
@@ -327,8 +334,10 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # on any other benchmark run, so every gcd now goes through the PRS.
 # Multiplying the unit denominators of two Laurent values made 10,240.
 # Negative powers and inverses of monomials through ONE / x made 5,550, and
-# scaling the R3 right side by the numerator 1 of 1/(r-s) made 5,239.
-TENSOR_33_PINNED_PMUL_CALLS = 5215
+# scaling the R3 right side by the numerator 1 of 1/(r-s) made 5,239.  The
+# exact span closure of the pinned module made 5,215; its full rank is now
+# certified mod p, which takes no polynomial product.
+TENSOR_33_PINNED_PMUL_CALLS = 4765
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -625,6 +634,8 @@ SCALAR_PARSE_CASES = [
     (("tensor", "--left", "1", "--right", "1", "--b", "\u00b2"), "--b"),
     (("verify", "--n", "1", "--a", "1/0"), "--a"),
     (("verify", "--n", "1", "--a", "2/000"), "--a"),
+    (("verify", "--n", "1", "--a", "r^(1/0)"), "--a"),
+    (("verify", "--n", "1", "--a", "r^(-3/00)"), "--a"),
 ]
 BAD_INPUT_CASES += [(argv, EXIT_USAGE, flag) for argv, flag in SCALAR_PARSE_CASES]
 

@@ -1,10 +1,14 @@
 """Coproduct tensor modules, span closure, antipode, and automorphism twists."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_field import planted_triples
 from twists import twist_gamma1, twist_gamma2
 
+from rsaffine import hopf
 from rsaffine.errors import MissingGenerator, TypeMismatch
-from rsaffine.field import A, B, ONE, R, S, ZERO, parse
+from rsaffine.field import A, B, ONE, P61, R, S, ZERO, eval_mod, parse
 from rsaffine.hopf import span_closure, tensor, tensor_basis_vector, twist_sigma
 from rsaffine.matrix import Matrix, echelon_insert
 from rsaffine.rep_core import (
@@ -182,16 +186,110 @@ def test_closure_matches_reference_on_specialized_basis(n):
         assert len(basis) == mod.dim
 
 
+def _identity_rows(dim):
+    return [[ONE if j == i else ZERO for j in range(dim)] for i in range(dim)]
+
+
 def test_closure_from_a_generic_seed():
-    # a non-weight seed mixes every weight space, so the elimination runs on
-    # entries with real denominators; reducing products factor by factor
-    # keeps their coefficients small (whole-product gcds ran past 60 s here)
+    # a non-weight seed mixes every weight space, so the exact elimination
+    # would run on entries with real denominators; the full span is
+    # certified mod p, and ref_span_closure's exact basis must agree
     mL, mR = _cli_tensor(2, 1)
     T = tensor(mL, mR)
     assert T.dim == 6
     basis = span_closure(T, range(1, T.dim + 1))
     # the closure is the whole space, whose reduced echelon basis is the identity
-    assert basis == [[ONE if j == i else ZERO for j in range(T.dim)] for i in range(T.dim)]
+    assert basis == _identity_rows(T.dim)
+    assert basis == ref_span_closure(T, [k * ONE for k in range(1, T.dim + 1)])
+
+
+def _count_exact_inserts(monkeypatch):
+    """A list that collects one entry per echelon_insert of span_closure's
+    exact worklist; the certificate mod p makes none."""
+    calls = []
+
+    def counting(pivots, rows, v):
+        calls.append(v)
+        return echelon_insert(pivots, rows, v)
+
+    monkeypatch.setattr(hopf, "echelon_insert", counting)
+    return calls
+
+
+def test_generic_seed_on_the_nine_dimensional_tensor_is_certified(monkeypatch):
+    # the seed (1, ..., 9) on tensor(V_2, V_2) ran past 190 s in the exact
+    # worklist, through coefficient swell; full rank mod p settles it
+    mL, mR = _cli_tensor(2, 2)
+    T = tensor(mL, mR)
+    calls = _count_exact_inserts(monkeypatch)
+    assert span_closure(T, range(1, 10)) == _identity_rows(9)
+    assert calls == []
+
+
+def test_rank_deficient_pin_takes_the_exact_path(monkeypatch):
+    # V_1(1) (x) V_1(s^-2) has a proper submodule through v_0 (x) v_0: the
+    # modular span is too, so nothing is certified and the exact worklist
+    # decides the basis
+    mL, mR = _cli_tensor(1, 1, parse("1"), parse("s^(-2)"))
+    T = tensor(mL, mR)
+    seed = tensor_basis_vector(mL, mR, 0, 0)
+    calls = _count_exact_inserts(monkeypatch)
+    basis = span_closure(T, seed)
+    assert len(calls) > 1
+    assert len(basis) == 3
+    assert basis == ref_span_closure(T, seed)
+
+
+def _pole_at_points(k):
+    """1 / prod_(i < k) (r - c_i), with c_i the value of r at _POINTS[i]:
+    regular at the other points, not at the first k."""
+    den = ONE
+    for t_r, *_ in hopf._POINTS[:k]:
+        den = den * (R - pow(t_r, 6, P61))
+    return ONE / den
+
+
+@pytest.mark.parametrize("where", ("entry", "seed"))
+@pytest.mark.parametrize("k", (1, len(hopf._POINTS)))
+def test_certificate_is_refused_at_a_singular_point(monkeypatch, where, k):
+    m = build_chevalley_eval(2)
+    pole = _pole_at_points(k)
+    assign = dict(m.assign)
+    seed = [ONE, ZERO, ZERO]
+    if where == "entry":
+        assign[F(1)] = m.get(F(1)).scale(pole)
+    else:
+        seed[0] = pole
+    mod = MatrixModule(m.table, assign, check=False)
+    mats = [mod.assign[g] for g in mod.generators()]
+    v = {j: x for j, x in enumerate(seed) if x}
+    assert eval_mod(pole, hopf._POINTS[0]) is None
+    assert hopf._spans_mod(mats, v, mod.dim, hopf._POINTS[0]) is None
+    calls = _count_exact_inserts(monkeypatch)
+    basis = span_closure(mod, seed)
+    assert basis == ref_span_closure(mod, seed) == _identity_rows(3)
+    # regular at a later point: certified there; singular at every point:
+    # the exact worklist runs
+    assert (calls == []) == (k < len(hopf._POINTS))
+
+
+_any_point = st.one_of(st.sampled_from(hopf._POINTS), st.tuples(*[st.integers(1, P61 - 1)] * 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_triples(), _any_point)
+def test_evaluation_is_a_ring_homomorphism(triple, point):
+    # wherever both denominators are regular, so is the result's, and the
+    # image of each operation is the operation on the images
+    x, y, _ = triple
+    ex, ey = eval_mod(x, point), eval_mod(y, point)
+    if ex is None or ey is None:
+        return
+    assert eval_mod(x * y, point) == ex * ey % P61
+    assert eval_mod(x + y, point) == (ex + ey) % P61
+    assert eval_mod(x - y, point) == (ex - ey) % P61
+    if ey:
+        assert eval_mod(x / y, point) == ex * pow(ey, -1, P61) % P61
 
 
 def _direct_sum(m1, m2):
