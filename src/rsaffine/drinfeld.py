@@ -112,9 +112,13 @@ def expand(num, den, order: int) -> tuple:
     """Coefficients 0..order of the power series num/den, for coefficient
     lists with den[0] != 0, by the division recurrence
     q_k = (num_k - sum_{j>=1} den_j q_(k-j)) / den_0 (Knuth, TAOCP vol. 2,
-    4.7).  Zero den_j and zero q_(k-j) are skipped, and no coefficient
-    past order is read."""
-    d0 = den[0]
+    4.7).  Zero den_j and zero q_(k-j) are skipped, no coefficient past
+    order is read, and there is no division when den_0 is one.
+
+    The recurrence is linear in num, so expand(c num) = c expand(num): a
+    caller folds a scalar c into num, one product per coefficient of num
+    instead of one per coefficient of the expansion."""
+    d0 = None if den[0].is_one() else den[0]
     terms = [(j, d) for j, d in enumerate(den[1 : order + 1], 1) if not d.is_zero()]
     out = []
     for k in range(order + 1):
@@ -124,25 +128,25 @@ def expand(num, den, order: int) -> tuple:
                 break
             if not out[k - j].is_zero():
                 acc = acc - d * out[k - j]
-        out.append(acc / d0)
+        out.append(acc if d0 is None else acc / d0)
     return tuple(out)
 
 
 def plus_series_of(p: DrinfeldPoly, order: int) -> tuple:
     """r^deg * P(sz)/P(rz) expanded about 0."""
-    num = [c * S**k for k, c in enumerate(p.coeffs)]
-    den = [c * R**k for k, c in enumerate(p.coeffs)]
     scale = R**p.degree
-    return tuple(c * scale for c in expand(num, den, order))
+    num = [c * (scale * S**k) for k, c in enumerate(p.coeffs)]
+    den = [c * R**k for k, c in enumerate(p.coeffs)]
+    return expand(num, den, order)
 
 
 def minus_series_of(p: DrinfeldPoly, order: int) -> tuple:
     """r^deg * Q(sz)/Q(rz) expanded about infinity, Q the mirror: the
     coefficient of z^-k is at index k."""
-    num = [c * S**k for k, c in enumerate(p.mirror)]
-    den = [c * R**k for k, c in enumerate(p.mirror)]
     scale = R**p.degree
-    return tuple(c * scale for c in expand(num[::-1], den[::-1], order))
+    num = [c * (scale * S**k) for k, c in enumerate(p.mirror)]
+    den = [c * R**k for k, c in enumerate(p.mirror)]
+    return expand(num[::-1], den[::-1], order)
 
 
 def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
@@ -212,7 +216,7 @@ def _expand_rq(n: int, i: int, order: int, rfac, qfac) -> tuple:
     den = Counter([R * p for p in rfac] + [S * p for p in qfac])
     num, den = _poly_from_roots((num - den).elements()), _poly_from_roots((den - num).elements())
     scale = R ** (n - i) * S**i
-    return tuple(c * scale for c in expand(num, den, order))
+    return expand([c * scale for c in num], den, order)
 
 
 def verify_RQ_form(mod: MatrixModule, order: int) -> dict:

@@ -321,7 +321,8 @@ class RatFunc:
     - Unit denominators: n1/1 * n2/1 is n1 n2 / 1 in canonical form
       already (a unit denominator needs no shift and no content division,
       and a product of nonzero integer polynomials is nonzero), so it
-      skips the canonicalizing tail.
+      skips the canonicalizing tail; so does n1/1 - n2/1 = (n1 - n2)/1
+      unless it is zero.
     - Sum: with g = gcd(d1, d2), d1 = g d1', d2 = g d2', the sum is
       (n1 d2' + n2 d1') / (d1' d2).  Its numerator is coprime to d1' and
       d2', so only gcd(numerator, g) can cancel, and nothing can when g is
@@ -489,6 +490,10 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den == _UNIT and o.den == _UNIT:
+            # den 1 leaves content 1 and nothing to shift: canonical as computed
+            num = K.psub(self.num, o.num)
+            return RatFunc._make(num, _UNIT) if num else ZERO
         return self + (-o)
 
     def __rsub__(self, other):
@@ -894,7 +899,12 @@ class _Parser:
                 out = self.bounded(out * self.factor())
             elif c == "/":
                 self.pos += 1
-                out = self.bounded(out / self.factor())
+                self.skip()
+                start = self.pos
+                d = self.factor()
+                if not d:
+                    raise ParseError(start, "division by zero")
+                out = self.bounded(out / d)
             else:
                 return out
 
@@ -903,6 +913,7 @@ class _Parser:
         if c == "-":
             self.pos += 1
             return -self.nested(self.factor)
+        start = self.pos
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
@@ -913,6 +924,8 @@ class _Parser:
                 return self.bounded(base**e)
             n = int(e)
             if n < 0:
+                if not base:
+                    raise ParseError(start, "division by zero")
                 base, n = base.inv(), -n
             if base.is_monomial():
                 # skip computing a power whose coefficient is sure to exceed the bound

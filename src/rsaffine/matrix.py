@@ -8,7 +8,10 @@ loops over stored entries only: a product costs one scalar product per
 pair of nonzeros that meet, and a diagonal conjugation W X W^-1 costs
 2 nnz(X) products.  A commutator [D, X] with one diagonal factor costs at
 most nnz(X) products and one subtraction each, and none at all when both
-factors are diagonal; any other commutator costs its two full products.
+factors are diagonal; any other commutator makes the scalar products of
+a @ b and of b @ a in one pass, summed into one row at a time, with no
+intermediate matrix and no negated copy.  A difference walks both rows
+and negates only the entries it does not meet.
 Matrices are immutable after construction; `rows` gives the dense view.
 """
 
@@ -32,6 +35,22 @@ def _add_rows(row, other, f=None):
             out[j] = y
         else:
             v = x + y
+            if v:
+                out[j] = v
+            else:
+                del out[j]
+    return out
+
+
+def _sub_rows(row, other):
+    """row - other for sparse rows, dropping the entries that cancel."""
+    out = dict(row)
+    for j, y in other.items():
+        x = out.get(j)
+        if x is None:
+            out[j] = -y
+        else:
+            v = x - y
             if v:
                 out[j] = v
             else:
@@ -108,7 +127,9 @@ class Matrix:
         return Matrix._sparse([_add_rows(ra, rb) for ra, rb in zip(self._rows, other._rows)], self.m)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.n != other.n or self.m != other.m:
+            raise ValueError("dimension mismatch")
+        return Matrix._sparse([_sub_rows(ra, rb) for ra, rb in zip(self._rows, other._rows)], self.m)
 
     def __neg__(self):
         return Matrix._sparse([{j: -a for j, a in row.items()} for row in self._rows], self.m)
@@ -216,7 +237,9 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
     When one factor is diagonal (tested exactly, on these operands),
     [D, X]_ij = (d_i - d_j) X_ij: one product per nonzero of X whose two
-    diagonal entries differ.  Two diagonal factors commute.
+    diagonal entries differ.  Two diagonal factors commute.  Otherwise
+    row i sums the products a_ij b_jk and subtracts the products b_ij a_jk
+    in one dict, and drops the entries that cancel once, at the end.
     """
     n = a.n
     if a.m != n or b.n != n or b.m != n:
@@ -228,7 +251,22 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     elif b.is_diagonal():
         d, x, sign = b, a, -1
     else:
-        return a @ b - b @ a
+        arows, brows = a._rows, b._rows
+        out = []
+        for ra, rb in zip(arows, brows):
+            acc = {}
+            for j, x in ra.items():
+                for k, y in brows[j].items():
+                    p = x * y
+                    v = acc.get(k)
+                    acc[k] = p if v is None else v + p
+            for j, y in rb.items():
+                for k, x in arows[j].items():
+                    p = y * x
+                    v = acc.get(k)
+                    acc[k] = -p if v is None else v - p
+            out.append({k: v for k, v in acc.items() if v})
+        return Matrix._sparse(out, n)
     diag = [row.get(i, ZERO) for i, row in enumerate(d._rows)]
     out = []
     for i, row in enumerate(x._rows):

@@ -9,9 +9,18 @@ formulas.
 Series and imaginary generators come from the currents in one pass
 (with_series): w(m) = (r-s) C(m) and w'(-m) = -(r-s) C'(m) for m > 0, with
 C(m) = [x+(m), x-(0)] and C'(m) = [x+(0), x-(-m)], and w(0), w'(0) the
-group-likes.  The Drinfeld realization (Hu-Rosso-Zhang, CMP 278, 2008) ties
-them to the imaginary generators by W(z) = sum_m w(m) z^m = w(0) exp(B(z)),
-B(z) = sum_l b(l) z^l with b(l) = (r-s) a(l).
+group-likes.  The Drinfeld realization (Hu-Rosso-Zhang, CMP 278, 2008)
+ties them to the imaginary generators by W(z) = sum_m w(m) z^m =
+w(0) exp(B(z)), B(z) = sum_l b(l) z^l with b(l) = (r-s) a(l).
+
+Hoisting r-s: the commutator is bilinear, so
+    (r-s) [x+(m), x-(0)] = [x+(m), (r-s) x-(0)],
+    -(r-s) [x+(0), x-(-m)] = [-(r-s) x+(0), x-(-m)].
+x-(0) and x+(0) are scaled once, and w(m), w'(-m) for m > lmax are plain
+commutators against them, with no scaling per m.  The entries of x+-(0)
+are quantum integers [k], of k terms, and (r-s)[k] = r^k - s^k has two,
+so these products are smaller too.  C(m), C'(m) for m <= lmax, which the
+recurrence below reads, are taken and then scaled.
 
 Lemma (log-derivative recurrence; Knuth, TAOCP vol. 2, 4.7): differentiating,
 W'(z) = W(z) B'(z), since these matrices are all diagonal and so commute.
@@ -104,12 +113,23 @@ def current_matrices(e: Matrix, f: Matrix, shift: RatFunc, ks):
     Each is its degree-0 matrix times a diagonal power: x+(k) = e Lambda^k
     and x-(k) = f M^k, with e = x+(0), f = x-(0) the ladder pair,
     Lambda = diag(a' s^-n rho^-i), M = diag(a' r^n rho^-(i+1)) and
-    a' = shift*a; one product per nonzero entry."""
+    a' = shift*a.  They are running products, x+(k) = x+(k-1) Lambda and
+    x+(-k) = x+(1-k) Lambda^-1 outward from k = 0 (likewise x-), so each k
+    costs one product per nonzero entry and no power."""
+    ks = list(ks)
     d = e.n
     ap = shift * A
     lam = [ap * S ** (1 - d) * _RHO**-i for i in range(d)]
     mu = [ap * R ** (d - 1) * _RHO ** -(i + 1) for i in range(d)]
-    return {k: (e.scale_columns([x**k for x in lam]), f.scale_columns([x**k for x in mu])) for k in ks}
+    table = {0: (e, f)}
+    for k in range(1, max(ks, default=0) + 1):
+        xp, xm = table[k - 1]
+        table[k] = (xp.scale_columns(lam), xm.scale_columns(mu))
+    lam, mu = [x**-1 for x in lam], [x**-1 for x in mu]
+    for k in range(-1, min(ks, default=0) - 1, -1):
+        xp, xm = table[k + 1]
+        table[k] = (xp.scale_columns(lam), xm.scale_columns(mu))
+    return {k: table[k] for k in ks}
 
 
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
@@ -147,14 +167,19 @@ def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
         raise WindowTooSmall(f"currents to |k| <= {mod.kmax}, need {order}")
     rs = R - S
     xp0, xm0 = mod.get(Xp(1, 0)), mod.get(Xm(1, 0))
+    xm0_rs, xp0_rs = xm0.scale(rs), xp0.scale(-rs)  # (r-s) x-(0), -(r-s) x+(0): module docstring
     ws, wps, cs, cps = [mod.get(W(1))], [mod.get(Wp(1))], [], []
     for m in range(1, order + 1):
-        c, cp = commutator(mod.get(Xp(1, m)), xm0), commutator(xp0, mod.get(Xm(1, -m)))
-        ws.append(c.scale(rs))
-        wps.append(cp.scale(-rs))
+        xpm, xmm = mod.get(Xp(1, m)), mod.get(Xm(1, -m))
         if m <= lmax:  # a(l) reads only C(1..lmax); keeping no more lowers the peak memory
+            c, cp = commutator(xpm, xm0), commutator(xp0, xmm)
             cs.append(c)
             cps.append(cp)
+            ws.append(c.scale(rs))
+            wps.append(cp.scale(-rs))
+        else:
+            ws.append(commutator(xpm, xm0_rs))
+            wps.append(commutator(xp0_rs, xmm))
     assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
     for m, mat in enumerate(ws):
         assign[Wser(1, m)] = mat

@@ -61,8 +61,11 @@ def test_verify_kmax_bound(capsys):
 # D7 left side scaled by r - s once per m, where x+(0)x-(0) and x-(0)x+(0)
 # are now scaled once, 2,202; and the D5 families built from products,
 # where the verdict is now read off the diagonal entries of a(e) and K^-l,
-# 2,126.
-VERIFY_N4_PMUL_CALLS = 2024
+# 2,126.  Scaling each w(m) by r - s, where r - s is now hoisted into x-(0)
+# and x+(0) once (sl2 docstring), made 2,024; and each current x+-(k) as a
+# fresh power of D per entry, where it is now the running product
+# x+-(k -+ 1) D and x+-(0) is taken as it is, 1,982.
+VERIFY_N4_PMUL_CALLS = 1974
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -96,8 +99,10 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # where the log-derivative recurrence now reads a(l) off the diagonals, made
 # 758.  Negative powers, inverses and quotients by a monomial through
 # ONE / x and its canonicalizing tail made 696, and the D5 families built
-# from products, where the verdict is now read entry by entry, 393.
-VERIFY_N4_NORMALIZE_CALLS = 381
+# from products, where the verdict is now read entry by entry, 393.  A
+# difference taken as the sum with a negated copy, where a difference of two
+# unit denominators is now canonical as computed, made 381.
+VERIFY_N4_NORMALIZE_CALLS = 170
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -133,8 +138,18 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 # and x-(0)x+(0) once, whatever kmax; those per-index products, and the
 # powers of K in the right side of every D7 instance, made 374.  The D5
 # family verdict now reads the diagonal entries of K^-l, where it built
-# K^-l x(0) D^e once per (l, sign) off the sign of e: 171.
-VERIFY_N4_MATMUL_CALLS = 165
+# K^-l x(0) D^e once per (l, sign) off the sign of e: 171.  Each commutator
+# of two non-diagonal factors took its two full products, a @ b and b @ a:
+# 165.  The one-pass commutator makes the same scalar products without
+# calling Matrix.__matmul__, so that drop is work this count no longer sees,
+# not work removed; VERIFY_N4_COMMUTATOR_PRODUCTS counts it, and the two
+# counts sum to 165.
+VERIFY_N4_MATMUL_CALLS = 125
+# The products a @ b and b @ a that one-pass commutators of two
+# non-diagonal factors stand for, two per commutator, in the same run: the
+# build's C(m), C'(m) for m <= lmax = 3 and w(m), w'(-m) for m = 4..8, and
+# the four [e_i, f_j] of R3.
+VERIFY_N4_COMMUTATOR_PRODUCTS = 40
 
 
 def test_verify_matmul_count_tripwire(capsys, monkeypatch):
@@ -152,6 +167,27 @@ def test_verify_matmul_count_tripwire(capsys, monkeypatch):
     code, _ = run(capsys, "verify", "--n", "4", "--json")
     assert code == EXIT_PASS
     assert calls == VERIFY_N4_MATMUL_CALLS
+
+
+def test_verify_commutator_product_count_tripwire(capsys, monkeypatch):
+    import rsaffine.matrix
+    import rsaffine.rep_core
+    import rsaffine.sl2
+
+    products = 0
+    commutator = rsaffine.matrix.commutator
+
+    def counting(a, b):
+        nonlocal products
+        if not (a.is_diagonal() or b.is_diagonal()):
+            products += 2
+        return commutator(a, b)
+
+    for module in (rsaffine.matrix, rsaffine.rep_core, rsaffine.sl2):
+        monkeypatch.setattr(module, "commutator", counting)
+    code, _ = run(capsys, "verify", "--n", "4", "--json")
+    assert code == EXIT_PASS
+    assert products == VERIFY_N4_COMMUTATOR_PRODUCTS
 
 
 # Polynomial gcds, recursive ones included, made by `verify --n 2 --a 1+r
@@ -233,8 +269,13 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # Reading a(l) through a series logarithm per weight, divided back by r - s,
 # in each of the two builds made 1,983.  Sending a negative power of a
 # monomial, its inverse and a quotient by one through ONE / x, with two
-# products each, made 1,679.
-DRINFELD_N3_PMUL_CALLS = 1157
+# products each, made 1,679.  Scaling each w(m) by r - s, where r - s is now
+# hoisted into x-(0) and x+(0) once, made 1,157; each current as a fresh
+# power of D per entry, where it is now a running product, 1,057; and
+# dividing every expanded coefficient by a constant term of one, and
+# multiplying it by the expansion's scalar, where that scalar is now folded
+# into the numerator (drinfeld.expand), 1,045.
+DRINFELD_N3_PMUL_CALLS = 964
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -378,7 +419,10 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # x+(k) in the window with x+(0) D+^k made 2,756.  Negative powers and
 # inverses of monomials through ONE / x made 2,698, scaling by 1 2,471, and
 # the x- family of D5 built from products, not read entry by entry, 2,397.
-MUTATED_PINNED_PMUL_CALLS = 2382
+# Scaling each w(m) by r - s, where r - s is now hoisted into x-(0) and
+# x+(0) once, made 2,382, and each current as a fresh power of D per entry,
+# where it is now a running product, 2,374.
+MUTATED_PINNED_PMUL_CALLS = 2370
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -531,8 +575,11 @@ def test_twist_sigma(capsys):
 # series logarithm per weight, divided back by r - s, made 2,662.  Negative
 # powers and inverses of monomials through ONE / x made 2,292, scaling by 1
 # 2,003, D7 scaling by r - s once per m 1,954, and the D5 families built
-# from products, not read entry by entry, 1,924.
-TWIST_GAMMA2_N3_PMUL_CALLS = 1876
+# from products, not read entry by entry, 1,924.  Scaling each w(m) of the
+# build by r - s, where r - s is now hoisted into x-(0) and x+(0) once, made
+# 1,876, and each current as a fresh power of D per entry, where it is now a
+# running product, 1,866.
+TWIST_GAMMA2_N3_PMUL_CALLS = 1860
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):
@@ -624,7 +671,8 @@ BAD_INPUT_CASES = [
     (("specialize", "--map", "s=q", "--n", "1"), EXIT_USAGE, "--map"),
 ]
 # scalars nested past the parser bound, written with non-ASCII digits, or
-# with a zero denominator in a rational literal
+# with a divisor or a negatively powered base that is zero, literally or
+# by evaluation; each of those ends in a positioned `division by zero`
 SCALAR_PARSE_CASES = [
     (("verify", "--n", "1", "--a", "(" * 600 + "r" + ")" * 600), "--a"),
     (("verify", "--n", "1", "--a=" + "-" * 1000 + "r"), "--a"),
@@ -636,6 +684,10 @@ SCALAR_PARSE_CASES = [
     (("verify", "--n", "1", "--a", "2/000"), "--a"),
     (("verify", "--n", "1", "--a", "r^(1/0)"), "--a"),
     (("verify", "--n", "1", "--a", "r^(-3/00)"), "--a"),
+    (("verify", "--n", "1", "--a", "1/(r-r)"), "--a"),
+    (("verify", "--n", "1", "--a", "(r-r)^-1"), "--a"),
+    (("verify", "--n", "1", "--a", "0^-1"), "--a"),
+    (("verify", "--n", "1", "--a", "r/(s-s)*2"), "--a"),
 ]
 BAD_INPUT_CASES += [(argv, EXIT_USAGE, flag) for argv, flag in SCALAR_PARSE_CASES]
 
@@ -674,7 +726,7 @@ def test_scalar_parse_errors_are_one_line(capsys, argv, flag):
         "-" * 1000 + "r",
         "1+" * 600 + "q",
         "r" * 2000,
-        "r/(s-s)" + "+r" * 600,
+        "(1+r)^(1/2)" + "+r" * 600,
         "r^" + "9" * 999,
     ),
     ids=("nested", "minus", "late error", "trailing input", "no position", "long exponent"),

@@ -352,8 +352,11 @@ def test_rq_form_detects_dropped_factor():
 # them and inverting the denominator series made 2,952 calls and 75,441
 # term products.  Multiplying the unit denominators of two Laurent
 # coefficients made 992.  Negative powers and inverses of monomials through
-# ONE / x, with two products each, made 637.
-RQ_N4_PMUL_CALLS = 420
+# ONE / x, with two products each, made 637.  Dividing every expanded
+# coefficient by a constant term of one, and multiplying it by r^(n-i) s^i,
+# where that scalar is now folded into the numerator (drinfeld.expand),
+# made 420.
+RQ_N4_PMUL_CALLS = 303
 
 
 def test_rq_pmul_count_tripwire(monkeypatch):

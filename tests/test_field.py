@@ -503,6 +503,47 @@ def test_unit_denominator_product_skips_the_canonical_form(monkeypatch):
     assert calls == 1
 
 
+# -- differences against the sum with the negation ------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_triples(), laurent_values(), laurent_values())
+@example(triple=(1 + R, 1 + R, ONE), u=2 * R - S, v=2 * R - S)
+@example(triple=(ONE / (1 + R), R / (1 + R), ONE), u=rf(1) / 2, v=rf(1) / 2)
+def test_difference_is_the_sum_with_the_negation(triple, u, v):
+    # planted values have non-unit denominators, Laurent ones mostly den 1;
+    # a difference of two den-1 values skips the canonicalizing tail, and
+    # an equal pair cancels to ZERO either way
+    x, y, t = triple
+    for a, b in ((x, y), (y, t), (x, u), (u, v), (v, u), (u, u), (x, x)):
+        got, want = a - b, a + (-b)
+        assert (got.num, got.den) == (want.num, want.den)
+        if got:
+            assert_canonical(got)
+        else:
+            assert got is ZERO
+
+
+def test_unit_denominator_difference_skips_the_canonical_form(monkeypatch):
+    x, y = 2 * R**-1 + S * A, 2 * R**-1 - B**-2
+    want, half, three_halves = S * A + B**-2, rf(1) / 2, rf(3) / 2
+    calls = 0
+    canonical = RatFunc._canonical.__func__
+
+    def counting(cls, num, den):
+        nonlocal calls
+        calls += 1
+        return canonical(cls, num, den)
+
+    monkeypatch.setattr(RatFunc, "_canonical", classmethod(counting))
+    assert x - y == want
+    assert x - x is ZERO
+    assert calls == 0
+    # a denominator other than 1 still takes the canonicalizing tail
+    assert three_halves - half == ONE
+    assert calls == 1
+
+
 # -- pgcd against a planted gcd -------------------------------------------------
 
 _factor_sets = st.frozensets(st.integers(0, len(_FACTORS) - 1), max_size=3)
@@ -656,5 +697,16 @@ def test_parse_exponent_is_integer_unless_parenthesized():
         assert parse(render(x)) == x
     with pytest.raises(ParseError, match="parse error at 5: division by zero"):
         parse("r^(1/0)")
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [("1/(r-r)", 2), ("1 / (r-r)", 4), ("r/(s-s)*2", 2), ("2/(1-1)^3", 2), ("(r-r)^-1", 0), ("0^-1", 0), ("r+ 0^-2", 3)],
+)
+def test_parse_zero_divisor_is_a_positioned_error(text, pos):
+    # a divisor, or a base raised to a negative power, that evaluates to
+    # zero is refused at its first character, as a zero literal is
+    with pytest.raises(ParseError, match=f"parse error at {pos}: division by zero"):
+        parse(text)
     with pytest.raises(ValueError, match="expected '\\)' after exponent"):
         parse("r^(1/2")

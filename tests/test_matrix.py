@@ -271,7 +271,7 @@ def test_scaled_checks_match_the_plain_comparison(mutate):
         assert bool(failures) == mutate
 
 
-# -- commutator: the diagonal shortcut against the two full products -------------------
+# -- commutator: the diagonal shortcut and the one-pass sum against the two full products
 
 # repeated values make d_i == d_j, so the entry (i, j) of [D, X] cancels
 DIAG_POOL = [ZERO, ONE, ONE, R, R, (R + 1) / (S + 2), (R + 1) / (S + 2), A / (R - S)]
@@ -283,15 +283,55 @@ def square(n, diagonal):
     return dense(n, n).map(Matrix).filter(lambda m: not m.is_diagonal())
 
 
+def stores_no_zero(m):
+    return all(x for row in m._rows for x in row.values())
+
+
 @pytest.mark.parametrize("diag_a, diag_b", [(True, True), (True, False), (False, True), (False, False)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_commutator_matches_the_full_products(diag_a, diag_b, data):
+    # two non-diagonal factors take the one-pass sum of both products
     n = data.draw(st.integers(1, 4))
     a, b = data.draw(square(n, diag_a)), data.draw(square(n, diag_b))
     got = commutator(a, b)
-    assert got == a @ b - b @ a
-    assert all(x for row in got._rows for x in row.values())
+    assert got == a @ b - (b @ a)
+    assert stores_no_zero(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_pass_commutator_drops_what_cancels(data):
+    # a commutes with every polynomial in a, so each entry that the two
+    # products reach cancels; a part of b that is such a polynomial
+    # cancels entry by entry against the rest of the commutator
+    n = data.draw(st.integers(2, 4))
+    a, b = data.draw(square(n, False)), data.draw(square(n, False))
+    c = data.draw(entries)
+    poly = a @ a + a.scale(c)
+    for x in (a, poly):
+        got = commutator(a, x)
+        assert got.is_zero() and not any(got._rows)
+    got = commutator(a, b + poly)
+    assert got == commutator(a, b) == a @ b - (b @ a)
+    assert stores_no_zero(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_pair(same_shape=True), st.data())
+def test_difference_matches_the_sum_with_the_negation(pair, data):
+    # b copies some of a's entries, so those cancel and must not be stored
+    a, b = pair
+    keep = [[data.draw(st.booleans()) for _ in row] for row in a]
+    b = [[x if k else y for x, y, k in zip(ra, rb, rk)] for ra, rb, rk in zip(a, b, keep)]
+    ma, mb = Matrix(a), Matrix(b)
+    got = ma - mb
+    assert got == ma + (-mb)
+    assert got.rows == as_tuples(ref_sub(a, b))
+    assert stores_no_zero(got)
+    assert not any((ma - ma)._rows)
+    with pytest.raises(ValueError):
+        ma - Matrix.zeros(ma.n + 1, ma.m)
 
 
 def test_commutator_with_a_diagonal_factor_stores_no_cancelled_entry(monkeypatch):

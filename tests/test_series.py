@@ -134,3 +134,19 @@ def test_expand_matches_the_oracle_quotient(num, d0, den, order, reverse):
         return
     want = TruncSeries(order, num[: order + 1]) / TruncSeries(order, den[: order + 1])
     assert expand(num, den, order) == want.coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(division_values, min_size=1, max_size=6),
+    st.sampled_from(nonzero_values),
+    st.lists(division_values, max_size=5),
+    st.sampled_from(nonzero_values + [R**3 * S**-2, ZERO]),
+    st.integers(0, 5),
+)
+@example([R, ONE], ONE, [S], R**3 * S**-2, 4)
+@example([R, ONE], rf(2), [S], ONE / (R - S), 4)
+def test_expand_is_linear_in_the_numerator(num, d0, den, c, order):
+    # the callers fold their scalar into num; d0 = 1 takes no division
+    den = [d0] + den
+    assert expand([c * x for x in num], den, order) == tuple(c * q for q in expand(num, den, order))

@@ -307,6 +307,59 @@ def test_series_matrices_reads_stored_else_derives():
     assert with_series(mod, 4, 2).assign == mod.assign
 
 
+def plain_series(mod, order):
+    """w(1..order) and w'(-1..-order) by the definition, with plain
+    products: (r-s) [x+(m), x-(0)] and -(r-s) [x+(0), x-(-m)]."""
+    rs = R - S
+    xp0, xm0 = mod.get(Xp(1, 0)), mod.get(Xm(1, 0))
+    ws, wps = [], []
+    for m in range(1, order + 1):
+        xp, xm = mod.get(Xp(1, m)), mod.get(Xm(1, -m))
+        ws.append((xp @ xm0 - xm0 @ xp).scale(rs))
+        wps.append((xp0 @ xm - xm @ xp0).scale(-rs))
+    return ws, wps
+
+
+@pytest.mark.parametrize("corrupt", (False, True))
+@pytest.mark.parametrize("use_shift", (False, True))
+@pytest.mark.parametrize("n", range(5))
+def test_with_series_matches_the_plain_commutators(n, use_shift, corrupt):
+    # w(m) for m <= lmax scales C(m), the others hoist r - s into x+-(0);
+    # both must be the plain scaled commutator.  The corrupted currents, x+(1)
+    # on the first path and x+(3), x-(-4) on the second, keep every w
+    # diagonal, so with_series still accepts them.
+    kmax, lmax = 2, 2
+    mod = build_current_eval(n, use_shift, kmax=kmax, lmax=lmax)
+    if corrupt:
+        for gen, c in ((Xp(1, 1), 1 + R), (Xp(1, 3), 2 + S), (Xm(1, -4), R / (1 + S))):
+            mod = mod.with_assign(gen, mod.get(gen).scale(c))
+    got = with_series(mod, 2 * kmax, lmax)
+    ws, wps = plain_series(mod, 2 * kmax)
+    assert [got.get(Wser(1, m)) for m in range(1, 2 * kmax + 1)] == ws
+    assert [got.get(Wpser(1, -m)) for m in range(1, 2 * kmax + 1)] == wps
+    if corrupt and n:
+        assert got.get(Wser(1, 3)) != build_current_eval(n, use_shift, kmax=kmax, lmax=lmax).get(Wser(1, 3))
+
+
+@pytest.mark.parametrize("ks", (range(-5, 6), [3, -2, 0, 5], [-1], [], range(2, 4)))
+@pytest.mark.parametrize("use_shift", (False, True))
+@pytest.mark.parametrize("n", range(5))
+def test_current_matrices_match_the_powers(n, use_shift, ks):
+    # the running products against x+(k) = e Lambda^k, x-(k) = f M^k per k,
+    # for any ks, in the order given
+    sh = shift_factor(use_shift)
+    vn = build_Vn(n)
+    e, f = vn.get(E(1)), vn.get(F(1))
+    d, ap = n + 1, sh * A
+    lam = [ap * S ** (1 - d) * RHO**-i for i in range(d)]
+    mu = [ap * R ** (d - 1) * RHO ** -(i + 1) for i in range(d)]
+    got = current_matrices(e, f, sh, ks)
+    assert list(got) == list(ks)
+    for k, (xp, xm) in got.items():
+        assert xp == e.scale_columns([x**k for x in lam])
+        assert xm == f.scale_columns([x**k for x in mu])
+
+
 def test_with_series_refuses_a_non_diagonal_series_generator():
     # x+(2) replaced by e^2 makes w(2) = (r-s)[e^2, f] lower a weight; lmax 1
     # reads only w(0), w(1), so the refusal must cover every m <= order
