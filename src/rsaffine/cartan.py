@@ -248,7 +248,8 @@ class PairingTable:
 
     Immutable; entries are exact RatFunc values.  diagnostics lists every
     printed entry that fails the diagonal or compatibility law (construction
-    never repairs the source tables).
+    never repairs the source tables).  rs holds the images of r and s, which
+    a specialization maps with the entries, so 1/(r - s) lives in their field.
     """
 
     type: AffineType
@@ -256,6 +257,7 @@ class PairingTable:
     cartan: tuple
     d: tuple
     diagnostics: tuple
+    rs: tuple = (R, S)
 
     @property
     def size(self) -> int:

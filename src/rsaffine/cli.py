@@ -142,7 +142,7 @@ def cmd_drinfeld(args) -> int:
     shift = args.shift == "rs-inverse"
     # the RQ closed form is stated for the shifted module, which a shifted
     # run also reads its polynomials from
-    shifted = build_current_eval(args.n, True, kmax=max(1, (order + 1) // 2), lmax=1)
+    shifted = build_current_eval(args.n, True, kmax=max(1, (order + 1) // 2), lmax=0)
     doc = drinfeld_report(args.n, shift, order=order, mod=shifted if shift else None)
     rq = verify_RQ_form(shifted, order=order)
     doc["command"] = "drinfeld"

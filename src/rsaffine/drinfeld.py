@@ -51,22 +51,17 @@ class HwSeries:
 
 @dataclass(frozen=True)
 class DrinfeldPoly:
-    """P(z) with constant term 1, its degree, and the mirror Q(z) = P((rs)^deg z)."""
+    """P(z) with constant term 1; its degree and mirror Q(z) = P((rs)^deg z) are computed."""
 
     coeffs: tuple  # c_0 .. c_deg, c_0 = 1
-    mirror: tuple
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other):
-        if not isinstance(other, DrinfeldPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    @property
+    def mirror(self) -> tuple:
+        return _mirror(self.coeffs, self.degree)
 
     def text(self) -> str:
         return poly_text(self.coeffs)
@@ -105,7 +100,7 @@ def closed_form_P(n: int, use_shift=False) -> DrinfeldPoly:
     """Product form prod_{k=1..n} (1 - a' (r^-1 s)^k r^-1 s^-n z), a' = shift*a."""
     ap = shift_factor(use_shift) * A
     coeffs = tuple(_poly_from_roots(ap * (R**-1 * S) ** k * R**-1 * S**-n for k in range(1, n + 1)))
-    return DrinfeldPoly(coeffs=coeffs, mirror=_mirror(coeffs, n))
+    return DrinfeldPoly(coeffs)
 
 
 def expand(num, den, order: int) -> tuple:
@@ -143,9 +138,9 @@ def plus_series_of(p: DrinfeldPoly, order: int) -> tuple:
 def minus_series_of(p: DrinfeldPoly, order: int) -> tuple:
     """r^deg * Q(sz)/Q(rz) expanded about infinity, Q the mirror: the
     coefficient of z^-k is at index k."""
-    scale = R**p.degree
-    num = [c * (scale * S**k) for k, c in enumerate(p.mirror)]
-    den = [c * R**k for k, c in enumerate(p.mirror)]
+    scale, q = R**p.degree, p.mirror
+    num = [c * (scale * S**k) for k, c in enumerate(q)]
+    den = [c * R**k for k, c in enumerate(q)]
     return expand(num[::-1], den[::-1], order)
 
 
@@ -171,7 +166,7 @@ def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
         for j in range(k):
             acc = acc + coeffs[j] * R**j * phi[k - j]
         coeffs[k] = acc / (R**n * (S**k - R**k))
-    p = DrinfeldPoly(coeffs=tuple(coeffs), mirror=_mirror(tuple(coeffs), n))
+    p = DrinfeldPoly(tuple(coeffs))
 
     if plus_series_of(p, order) != phi:
         raise NoSolution("plus series is not of Drinfeld polynomial form")
@@ -232,9 +227,10 @@ def verify_RQ_form(mod: MatrixModule, order: int) -> dict:
     if order < 1:
         raise ValueError(f"verify_RQ_form needs order >= 1, got {order}")
     n = mod.dim - 1
+    ws, _ = series_matrices(mod, order)
     results = []
     for i in range(n + 1):
-        plus, _ = weight_gamma_series(mod, i, order)
+        plus = tuple(w[i, i] for w in ws)
         rfac, qfac = rq_polynomials(n, i)
         want = _expand_rq(n, i, order, rfac, qfac)
         degR, degQ = len(rfac), len(qfac)
@@ -262,15 +258,16 @@ def drinfeld_report(n: int, use_shift=False, *, order: int, mod=None) -> dict:
     The reconstruction reads the plus series to order 2n+1, so a smaller
     order raises ValueError (the CLI rejects it as a usage error).  mod is
     the current module read, build_current_eval(n, use_shift,
-    kmax=(order+1)//2 or 1, lmax=1) when None.  When the series is not of
-    Drinfeld form the failing side is reported and P, Q are the closed form.
+    kmax=(order+1)//2 or 1, lmax=0) when None, as no a(l) is read.  When the
+    series is not of Drinfeld form the failing side is reported and P, Q are
+    the closed form.
     """
     from .sl2 import build_current_eval
 
     if order < 2 * n + 1:
         raise ValueError(f"drinfeld_report needs order >= 2n+1 = {2 * n + 1} for n={n}, got {order}")
     if mod is None:
-        mod = build_current_eval(n, use_shift, kmax=max(1, (order + 1) // 2), lmax=1)
+        mod = build_current_eval(n, use_shift, kmax=max(1, (order + 1) // 2), lmax=0)
     h = extract_hw_series(mod, order)
     closed = closed_form_P(n, use_shift)
     status = {"plus": "pass", "minus": "pass"}

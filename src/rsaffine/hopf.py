@@ -24,7 +24,7 @@ def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
         raise TypeMismatch(
             f"tensor needs one affine type, got {mL.table.type} and {mR.table.type}"
         )
-    if mL.rs != mR.rs:
+    if mL.table.rs != mR.table.rs:
         raise TypeMismatch("tensor factors live over different parameter images")
     idL = Matrix.identity(mL.dim)
     idR = Matrix.identity(mR.dim)
@@ -45,7 +45,7 @@ def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
     ident = idL.kron(idR)
     for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
         assign[g] = ident
-    return MatrixModule(mL.table, assign, rs=mL.rs)
+    return MatrixModule(mL.table, assign)
 
 
 def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):
@@ -173,4 +173,4 @@ def twist_sigma(mod: MatrixModule, signs) -> MatrixModule:
             assign[g] = mat.scale(signs[g.i])
         else:
             assign[g] = mat
-    return MatrixModule(mod.table, assign, rs=mod.rs)
+    return MatrixModule(mod.table, assign)

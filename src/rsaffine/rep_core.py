@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 
 from .cartan import PairingTable
 from .errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from .field import ONE, R, S, RatFunc, monomial_quotient, rf, render
+from .field import ONE, RatFunc, monomial_quotient, rf, render
 from .matrix import Matrix, commutator
 
 # -- generator symbols ---------------------------------------------------------
@@ -169,19 +169,16 @@ class MatrixModule:
 
     Immutable after construction.  Construction verifies the group-like
     inverse pairs and the central half-element normalization (level zero:
-    gamma gamma' acts as the identity).  `rs` carries the images of the two
-    deformation parameters so specialized modules re-run the relation
-    coefficients in their own field.
+    gamma gamma' acts as the identity).
     """
 
-    def __init__(self, table: PairingTable, assign: dict, check=True, rs=None):
+    def __init__(self, table: PairingTable, assign: dict, check=True):
         dims = {m.n for m in assign.values()} | {m.m for m in assign.values()}
         if len(dims) != 1:
             raise ValueError("all generator matrices must share one square size")
         self.dim = dims.pop()
         self.table = table
         self.assign = dict(assign)
-        self.rs = (R, S) if rs is None else (RatFunc._coerce(rs[0]), RatFunc._coerce(rs[1]))
         self.kmax = max(
             (abs(g.k) for g in assign if g.kind in (XP_KIND, XM_KIND)), default=-1
         )
@@ -217,7 +214,7 @@ class MatrixModule:
     def with_assign(self, gen: Gen, mat: Matrix) -> "MatrixModule":
         new = dict(self.assign)
         new[gen] = mat
-        return MatrixModule(self.table, new, check=False, rs=self.rs)
+        return MatrixModule(self.table, new, check=False)
 
     def generators(self):
         return sorted(self.assign, key=lambda g: (g.kind, g.i, g.k))
@@ -342,7 +339,7 @@ def check_chevalley(mod: MatrixModule) -> list:
     reports.append(c.done())
 
     c = _Checker("R3")
-    rsub, ssub = mod.rs
+    rsub, ssub = mod.table.rs
     rsinv = (rsub - ssub).inv()
     for i in nodes:
         for j in nodes:
@@ -470,7 +467,7 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     ident = Matrix.identity(dim)
     zero = Matrix.zeros(dim)
     rho = table.entry(i, i)
-    rsub, ssub = mod.rs
+    rsub, ssub = mod.table.rs
     rs = (rsub - ssub).inv()
 
     w, winv = mod.get(W(i)), mod.get(W(i, -1))

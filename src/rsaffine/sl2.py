@@ -133,9 +133,10 @@ def current_matrices(e: Matrix, f: Matrix, shift: RatFunc, ks):
 
 
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
-    """Current module with x+-(k) for |k| <= max(kmax+1, 2*kmax), the omega
-    series to order 2*kmax, and the imaginary generators to +-lmax,
-    0 <= lmax <= 2*kmax since a(l) is read off the series to order l."""
+    """Current module with x+-(k) for |k| <= 2*kmax, the omega series to
+    order 2*kmax, and the imaginary generators to +-lmax, 0 <= lmax <=
+    2*kmax since a(l) is read off the series to order l.  The invariants
+    are checked once, on the currents; with_series keeps the group-likes."""
     if n < 0 or kmax < 1:
         raise ValueError("need n >= 0 and kmax >= 1")
     if not 0 <= lmax <= 2 * kmax:
@@ -148,12 +149,11 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
         Wp(1): wp,
         Wp(1, -1): wp.inverse(),
     }
-    reach = max(kmax + 1, 2 * kmax)  # series to order 2*kmax need currents there
+    reach = 2 * kmax  # series to order 2*kmax need currents there
     for k, (xp, xm) in current_matrices(e, f, sh, range(-reach, reach + 1)).items():
         assign[Xp(1, k)] = xp
         assign[Xm(1, k)] = xm
-    currents = MatrixModule(_A1, _with_gammas(assign, n + 1), check=False)
-    return MatrixModule(_A1, with_series(currents, 2 * kmax, lmax).assign)
+    return with_series(MatrixModule(_A1, _with_gammas(assign, n + 1)), 2 * kmax, lmax)
 
 
 def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
@@ -180,18 +180,18 @@ def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
         else:
             ws.append(commutator(xpm, xm0_rs))
             wps.append(commutator(xp0_rs, xmm))
+    for m, (w, wp) in enumerate(zip(ws, wps)):
+        if not (w.is_diagonal() and wp.is_diagonal()):
+            raise NotEigenvector(f"series generator at m={m} is not diagonal")
     assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
-    for m, mat in enumerate(ws):
-        assign[Wser(1, m)] = mat
-    for m, mat in enumerate(wps):
-        assign[Wpser(1, -m)] = mat
-    series_matrices(MatrixModule(mod.table, assign, check=False), order)  # refuses a non-diagonal one
+    assign.update((Wser(1, m), mat) for m, mat in enumerate(ws))
+    assign.update((Wpser(1, -m), mat) for m, mat in enumerate(wps))
     apos = _imaginary(ws[0], cs, rs, lmax)
     aneg = _imaginary(wps[0], cps, -rs, lmax)
     for l in range(1, lmax + 1):
         assign[Aim(1, l)] = apos[l - 1]
         assign[Aim(1, -l)] = aneg[l - 1]
-    return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
+    return MatrixModule(mod.table, assign, check=False)
 
 
 def _imaginary(w0: Matrix, cs, rs: RatFunc, lmax: int):

@@ -88,12 +88,13 @@ def _map_generators(mod: MatrixModule, fn) -> dict:
 
 def substitute_module(mod: MatrixModule, **subs) -> MatrixModule:
     """Image of mod under RatFunc.substitute(**subs), applied to every
-    generator matrix entrywise, to the pairing table entries (classical data
-    and diagnostics inherited, not recomputed) and to the images of (r, s)."""
+    generator matrix entrywise and, in one map of the table, to its entries
+    and its images of (r, s), from which the relation coefficients are read
+    (classical data and diagnostics inherited, not recomputed)."""
     assign = _map_generators(mod, lambda x: x.substitute(**subs))
     entries = tuple(tuple(e.substitute(**subs) for e in row) for row in mod.table.entries)
-    rs = tuple(x.substitute(**subs) for x in mod.rs)
-    return MatrixModule(replace(mod.table, entries=entries), assign, check=False, rs=rs)
+    rs = tuple(x.substitute(**subs) for x in mod.table.rs)
+    return MatrixModule(replace(mod.table, entries=entries, rs=rs), assign, check=False)
 
 
 def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:

@@ -202,8 +202,8 @@ def test_criterion_6_tensor_and_multiplicativity():
                 coeffs[i + j] = coeffs[i + j] + c1 * c2
         from rsaffine.drinfeld import DrinfeldPoly
 
-        p2 = DrinfeldPoly(coeffs=p2c, mirror=p2c)
-        p12 = DrinfeldPoly(coeffs=tuple(coeffs), mirror=tuple(coeffs))
+        p2 = DrinfeldPoly(coeffs=p2c)
+        p12 = DrinfeldPoly(coeffs=tuple(coeffs))
         lhs = TruncSeries(order, plus_series_of(p1, order)) * TruncSeries(order, plus_series_of(p2, order))
         if lhs.coeffs != plus_series_of(p12, order):
             bad.append(f"series multiplicativity ({n1},{n2})")

@@ -274,8 +274,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # power of D per entry, where it is now a running product, 1,057; and
 # dividing every expanded coefficient by a constant term of one, and
 # multiplying it by the expansion's scalar, where that scalar is now folded
-# into the numerator (drinfeld.expand), 1,045.
-DRINFELD_N3_PMUL_CALLS = 964
+# into the numerator (drinfeld.expand), 1,045.  Building a(1) and a(-1) in
+# both current modules, which neither the report nor the RQ check reads,
+# made 964; both are now built with lmax=0.
+DRINFELD_N3_PMUL_CALLS = 880
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -318,19 +320,22 @@ def test_drinfeld_builds_each_current_module_once(capsys, monkeypatch, shift, bu
 def test_drinfeld_checks_rq_to_the_command_order(capsys, monkeypatch):
     # a per-weight series that leaves the closed form only at u^7 must fail
     # `drinfeld --n 3` at its order 8; weight 0 feeds the P check, so only
-    # weight 2 is changed
+    # weight 2 is changed, in the series matrices that verify_RQ_form reads
+    # once per module
     from rsaffine import drinfeld
-    from rsaffine.field import ONE
+    from rsaffine.field import ONE, ZERO
+    from rsaffine.matrix import Matrix
 
-    weight_gamma_series = drinfeld.weight_gamma_series
+    series_matrices = drinfeld.series_matrices
 
-    def corrupted(mod, i, order):
-        plus, minus = weight_gamma_series(mod, i, order)
-        if i == 2 and order >= 7:
-            plus = plus[:7] + (plus[7] + ONE,) + plus[8:]
-        return plus, minus
+    def corrupted(mod, order):
+        ws, wps = series_matrices(mod, order)
+        if order >= 7:
+            bump = Matrix.diagonal([ONE if j == 2 else ZERO for j in range(mod.dim)])
+            ws = ws[:7] + [ws[7] + bump] + ws[8:]
+        return ws, wps
 
-    monkeypatch.setattr(drinfeld, "weight_gamma_series", corrupted)
+    monkeypatch.setattr(drinfeld, "series_matrices", corrupted)
     code, out = run(capsys, "drinfeld", "--n", "3", "--json")
     doc = json.loads(out)
     assert code == EXIT_FAIL

@@ -1,11 +1,14 @@
 """Polynomial reconstruction from eigenvalue series, closed forms, mirror
 law, per-weight generating functions, and series multiplicativity."""
 
+from dataclasses import fields
+
 import pytest
 from truncseries import TruncSeries
 
 from rsaffine.drinfeld import (
     DrinfeldPoly,
+    _mirror,
     _poly_from_roots,
     HwSeries,
     closed_form_P,
@@ -70,6 +73,18 @@ def test_closed_form_mirror_is_rs_twist():
     p = closed_form_P(3)
     rs3 = (R * S) ** 3
     assert p.mirror == tuple(c * rs3**k for k, c in enumerate(p.coeffs))
+
+
+@pytest.mark.parametrize("n", (0, 1, 3))
+def test_mirror_is_computed_and_equality_reads_the_coefficients(n):
+    # the mirror is derived from the coefficients, never stored: the one
+    # field is coeffs, so equality and hashing read nothing else
+    p = closed_form_P(n)
+    assert [f.name for f in fields(DrinfeldPoly)] == ["coeffs"]
+    assert p.mirror == _mirror(p.coeffs, p.degree)
+    q = DrinfeldPoly(tuple(c + ZERO for c in p.coeffs))
+    assert q == p and hash(q) == hash(p) and q.mirror == p.mirror
+    assert DrinfeldPoly(p.coeffs + (ONE,)) != p
 
 
 def test_reconstruct_v1():
@@ -383,10 +398,7 @@ def test_rq_pmul_count_tripwire(monkeypatch):
 
 def _independent_pair(n1, n2):
     p1 = closed_form_P(n1)
-    p2 = DrinfeldPoly(
-        coeffs=tuple(c.substitute(a=B) for c in closed_form_P(n2).coeffs),
-        mirror=tuple(c.substitute(a=B) for c in closed_form_P(n2).mirror),
-    )
+    p2 = DrinfeldPoly(coeffs=tuple(c.substitute(a=B) for c in closed_form_P(n2).coeffs))
     return p1, p2
 
 
@@ -407,7 +419,7 @@ def test_plus_series_multiplicativity(pair):
     for i, c1 in enumerate(p1.coeffs):
         for j, c2 in enumerate(p2.coeffs):
             coeffs[i + j] = coeffs[i + j] + c1 * c2
-    p12 = DrinfeldPoly(coeffs=tuple(coeffs), mirror=tuple(ZERO for _ in coeffs))
+    p12 = DrinfeldPoly(coeffs=tuple(coeffs))
     assert prod_series.coeffs == plus_series_of(p12, order)
 
 
@@ -423,7 +435,6 @@ def test_minus_series_multiplies_mirrors_not_the_total_twist():
     for i, c1 in enumerate(p1.mirror):
         for j, c2 in enumerate(p2.mirror):
             q_coeffs[i + j] = q_coeffs[i + j] + c1 * c2
-    via_mirror_product = DrinfeldPoly(coeffs=(ONE,), mirror=tuple(q_coeffs))
     # reuse the expansion helper by planting the product of mirrors directly
     num = TruncSeries(order, list(reversed([c * S**k for k, c in enumerate(q_coeffs)])))
     den = TruncSeries(order, list(reversed([c * R**k for k, c in enumerate(q_coeffs)])))
@@ -434,8 +445,6 @@ def test_minus_series_multiplies_mirrors_not_the_total_twist():
         for j, c2 in enumerate(p2.coeffs):
             coeffs[i + j] = coeffs[i + j] + c1 * c2
     rs2 = (R * S) ** 2
-    total_twist = DrinfeldPoly(
-        coeffs=tuple(coeffs),
-        mirror=tuple(c * rs2**k for k, c in enumerate(coeffs)),
-    )
+    total_twist = DrinfeldPoly(coeffs=tuple(coeffs))
+    assert total_twist.mirror == tuple(c * rs2**k for k, c in enumerate(coeffs))
     assert prod_series.coeffs != minus_series_of(total_twist, order)

@@ -5,11 +5,11 @@ from mutations import apply_mutation
 from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
-from rsaffine.errors import DivisionByZero, SpecializationPole
+from rsaffine.errors import DivisionByZero, SpecializationPole, TypeMismatch
 from rsaffine.field import ONE, A, B, R, S, ZERO, parse, quantum_int
 from rsaffine.hopf import span_closure, tensor
 from rsaffine.matrix import Matrix
-from rsaffine.rep_core import E, W, Wp, Xm, Xp, all_pass, check_chevalley, check_drinfeld
+from rsaffine.rep_core import E, MatrixModule, W, Wp, Xm, Xp, all_pass, check_chevalley, check_drinfeld
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval, with_series
 from rsaffine.specialize import (
     SpecMap,
@@ -145,6 +145,42 @@ def test_specialized_module_keeps_actions():
     sp = specialize_module(build_chevalley_eval(2), SpecMap("s_to_r"))
     # e.v_1 = [2] v_0 -> 2r v_0
     assert sp.get(E(1)).apply([ZERO, ONE, ZERO]) == [2 * R, ZERO, ZERO]
+
+
+# -- the images of r and s live in the pairing table -------------------------------------
+
+
+@pytest.mark.parametrize("m", ("s=r^-1", "r=s^2", "r=s^-1"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_rewrapped_specialized_module_keeps_its_verdicts(m, n):
+    # the images of r and s are the table's, so a module built over a
+    # specialized table decides R3 with the specialized 1/(r - s) and
+    # tensors with the module it came from
+    spec = specialize_module(build_chevalley_eval(n), parse_spec_map(m))
+    rewrapped = MatrixModule(spec.table, spec.assign)
+    assert _reports(check_chevalley(rewrapped)) == _reports(check_chevalley(spec))
+    assert all_pass(check_chevalley(rewrapped))
+    assert tensor(spec, rewrapped).table.rs == spec.table.rs
+
+
+def _reports(reports):
+    return [r.to_json() for r in reports]
+
+
+def test_substitution_maps_the_parameter_images_with_the_entries():
+    mod = build_chevalley_eval(2)
+    assert mod.table.rs == (R, S)
+    for subs, rs in (({"s": R**-1}, (R, R**-1)), ({"r": S**3}, (S**3, S)), ({"a": 1 + R}, (R, S))):
+        img = substitute_module(mod, **subs)
+        assert img.table.rs == rs
+        assert img.table.entries == tuple(
+            tuple(e.substitute(**subs) for e in row) for row in mod.table.entries
+        )
+    spec = specialize_module(mod, SpecMap("s_to_r_inverse"))
+    with pytest.raises(TypeMismatch, match="^tensor factors live over different parameter images$"):
+        tensor(mod, spec)
+    with pytest.raises(TypeMismatch, match="^tensor factors live over different parameter images$"):
+        tensor(spec, mod)
 
 
 # -- pinned verdicts through the substitution homomorphism ------------------------------

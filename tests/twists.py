@@ -24,7 +24,7 @@ from rsaffine.sl2 import with_series
 def _retwist_series(mod: MatrixModule, assign) -> MatrixModule:
     """The twisted module, its series and imaginary generators re-derived
     from the new currents to the orders mod carries."""
-    twisted = MatrixModule(mod.table, assign, check=False, rs=mod.rs)
+    twisted = MatrixModule(mod.table, assign, check=False)
     sers = [g.k for g in mod.assign if g.kind == WSER_KIND]
     ells = [g.k for g in mod.assign if g.kind == AIM_KIND]
     return with_series(twisted, max(sers), max(ells, default=0)) if sers else twisted
@@ -37,7 +37,7 @@ def twist_gamma1(mod: MatrixModule) -> MatrixModule:
     for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
         if g in assign:
             assign[g] = -assign[g]
-    return MatrixModule(mod.table, assign, check=False, rs=mod.rs)
+    return MatrixModule(mod.table, assign, check=False)
 
 
 def twist_gamma2(mod: MatrixModule, c) -> MatrixModule:
