@@ -17,7 +17,7 @@ from .drinfeld import drinfeld_report, verify_RQ_form
 from .errors import LatticeOverflow, ParseError, RsaffineError, UnsupportedRank
 from .field import ONE, ZERO, A, B, RatFunc, parse, render
 from .hopf import span_closure, tensor, tensor_basis_vector, twist_sigma
-from .rep_core import all_pass, check_chevalley, check_drinfeld
+from .rep_core import XM_KIND, XP_KIND, all_pass, check_chevalley, check_drinfeld
 from .sl2 import build_chevalley_eval, build_current_eval
 from .specialize import (
     centrality_report,
@@ -289,7 +289,7 @@ def cmd_twist(args) -> int:
         entrywise = all(
             mat.scale(c**g.k) == mat.map(lambda x: x.substitute(a=ca))
             for g, mat in mod.assign.items()
-            if g.kind in ("Xp", "Xm")
+            if g.kind in (XP_KIND, XM_KIND)
         )
         ok = all_pass(reports) and entrywise
     doc = {

@@ -166,6 +166,8 @@ def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
         for j in range(k):
             acc = acc + coeffs[j] * R**j * phi[k - j]
         coeffs[k] = acc / (R**n * (S**k - R**k))
+    if coeffs[n].is_zero():
+        raise NoSolution(f"solved polynomial has degree below {n}")
     p = DrinfeldPoly(tuple(coeffs))
 
     if plus_series_of(p, order) != phi:

@@ -122,17 +122,14 @@ def _divmod_exact(p, q):
 
 
 def _univ_view(p, ax):
-    """View p as a univariate polynomial in axis ax: {degree: coeff-dict}."""
+    """View p as a univariate polynomial in axis ax: {degree: coeff-dict}.
+    Distinct keys of p stay distinct, so no coefficient merges or vanishes."""
     out = {}
     for k, c in p.items():
-        d = k[ax]
         kk = list(k)
         kk[ax] = 0
-        kk = tuple(kk)
-        sub = out.setdefault(d, {})
-        v = sub.get(kk)
-        sub[kk] = c if v is None else v + c
-    return {d: {k: c for k, c in sub.items() if c} for d, sub in out.items() if sub}
+        out.setdefault(k[ax], {})[tuple(kk)] = c
+    return out
 
 
 def _univ_collapse(u, ax):
@@ -142,7 +139,7 @@ def _univ_collapse(u, ax):
             kk = list(k)
             kk[ax] = k[ax] + d
             out[tuple(kk)] = c
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _univ_mul_coeff(u, c):
@@ -642,20 +639,20 @@ def eval_mod(x: RatFunc, point, monomials=None):
 
 
 def _subst_poly(p, images) -> RatFunc:
+    # terms with equal exponents on the substituted axes take each power once
+    axes = [ax for ax in range(4) if images[ax] is not None]
+    classes = {}
+    for k, c in p.items():
+        rest = list(k)
+        for ax in axes:
+            rest[ax] = 0
+        classes.setdefault(tuple(k[ax] for ax in axes), {})[tuple(rest)] = c
     out = ZERO
-    for key, c in p.items():
-        term = RatFunc.from_fraction(c)
-        for ax in range(4):
-            scaled = key[ax]
-            if scaled == 0:
-                continue
-            img = images[ax]
-            if img is None:
-                kk = [0, 0, 0, 0]
-                kk[ax] = scaled
-                term = term * RatFunc._make({tuple(kk): 1}, _UNIT)
-                continue
-            term = term * img ** (Fraction(scaled, LATTICE) if ax < 2 else scaled)
+    for exps, rest in classes.items():
+        term = RatFunc._make(rest, _UNIT)
+        for ax, e in zip(axes, exps):
+            if e:
+                term = term * images[ax] ** (Fraction(e, LATTICE) if ax < 2 else e)
         out = out + term
     return out
 

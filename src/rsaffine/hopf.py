@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import MissingGenerator, TypeMismatch
 from .field import ONE, P61, ZERO, RatFunc, eval_mod
 from .matrix import Matrix, echelon_insert
-from .rep_core import E, F, GammaHalf, GammaPrimeHalf, MatrixModule, W, Wp
+from .rep_core import E_KIND, WP_KIND, W_KIND, E, F, GammaHalf, GammaPrimeHalf, MatrixModule, W, Wp
 
 
 def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
@@ -169,7 +169,7 @@ def twist_sigma(mod: MatrixModule, signs) -> MatrixModule:
         raise MissingGenerator("sign twist acts on Chevalley generators")
     assign = {}
     for g, mat in mod.assign.items():
-        if g.kind in ("E", "W", "Wp"):
+        if g.kind in (E_KIND, W_KIND, WP_KIND):
             assign[g] = mat.scale(signs[g.i])
         else:
             assign[g] = mat

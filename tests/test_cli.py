@@ -382,8 +382,10 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # Negative powers and inverses of monomials through ONE / x made 5,550, and
 # scaling the R3 right side by the numerator 1 of 1/(r-s) made 5,239.  The
 # exact span closure of the pinned module made 5,215; its full rank is now
-# certified mod p, which takes no polynomial product.
-TENSOR_33_PINNED_PMUL_CALLS = 4765
+# certified mod p, which takes no polynomial product.  Substituting the pins
+# term by term, each term from its own image powers, made 4,765; a class of
+# terms with the same a- or b-exponent now takes the pin's power once.
+TENSOR_33_PINNED_PMUL_CALLS = 4435
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -426,8 +428,10 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # the x- family of D5 built from products, not read entry by entry, 2,397.
 # Scaling each w(m) by r - s, where r - s is now hoisted into x-(0) and
 # x+(0) once, made 2,382, and each current as a fresh power of D per entry,
-# where it is now a running product, 2,374.
-MUTATED_PINNED_PMUL_CALLS = 2370
+# where it is now a running product, 2,374.  Mapping the failing sides
+# through the pin term by term, each term from its own power of 2+s, made
+# 2,370; a class of terms with the same a-exponent now takes it once.
+MUTATED_PINNED_PMUL_CALLS = 1686
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -583,8 +587,10 @@ def test_twist_sigma(capsys):
 # from products, not read entry by entry, 1,924.  Scaling each w(m) of the
 # build by r - s, where r - s is now hoisted into x-(0) and x+(0) once, made
 # 1,876, and each current as a fresh power of D per entry, where it is now a
-# running product, 1,866.
-TWIST_GAMMA2_N3_PMUL_CALLS = 1860
+# running product, 1,866.  Substituting a -> c·a term by term, each term
+# from its own power of c·a, made 1,860; a class of terms with the same
+# a-exponent now takes it once.
+TWIST_GAMMA2_N3_PMUL_CALLS = 1317
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):

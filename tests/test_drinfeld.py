@@ -17,6 +17,7 @@ from rsaffine.drinfeld import (
     extract_hw_series,
     minus_series_of,
     plus_series_of,
+    poly_text,
     _expand_rq,
     reconstruct_P,
     rq_polynomials,
@@ -114,6 +115,10 @@ def test_plus_series_resummation():
         assert got == (num * den.inv() * R**n).coeffs
 
 
+def test_poly_text_skips_zero_and_unit_coefficients():
+    assert poly_text((ONE, ZERO, ONE)) == "1 + z^2"
+
+
 def test_reconstruct_rejects_bad_constant():
     bad = HwSeries(
         plus=(R + S,) + (ZERO,) * 5,
@@ -142,6 +147,16 @@ def test_reconstruct_flags_mirror_mismatch():
     bad = HwSeries(plus=h.plus, minus=tuple(coeffs), n=1)
     with pytest.raises(MirrorMismatch):
         reconstruct_P(bad)
+
+
+def test_reconstruct_rejects_a_polynomial_below_the_presented_degree():
+    # r^2 P(sz)/P(rz) with P = 1 - a z solves at n = 2 with c_2 = 0 and
+    # passes the plus check; P's degree is 1, so the series is not of the form
+    p = DrinfeldPoly((ONE, -A))
+    plus = tuple(R * c for c in plus_series_of(p, 6))
+    minus = tuple(R * c for c in minus_series_of(p, 6))
+    with pytest.raises(NoSolution):
+        reconstruct_P(HwSeries(plus=plus, minus=minus, n=2))
 
 
 def test_short_series_rejected():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import termsubst
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,8 @@ from rsaffine.field import (
     S,
     ZERO,
     RatFunc,
+    _univ_collapse,
+    _univ_view,
     eval_mod,
     gauss_binom,
     monomial_quotient,
@@ -576,6 +579,77 @@ def test_pgcd_recovers_the_planted_factor(fs, gs, hs, fm, gm, hm):
     f, g, h = _planted(fs, fm), _planted(gs, gm), _planted(hs, hm)
     mono = tuple(e + min(u, v) for e, u, v in zip(fm[1], gm[1], hm[1]))
     assert pgcd(pmul(f, g), pmul(f, h)) == _planted(fs, (1, mono))
+
+
+# -- substitution against the term-by-term oracle ------------------------------
+
+_sixths = st.integers(-12, 12).map(lambda e: Fraction(e, 6))
+# a coefficient other than 1 refuses a fractional power
+_monomial_images = st.builds(
+    RatFunc.monomial,
+    st.sampled_from((1, 1, 1, -1, 2, Fraction(1, 3))),
+    _sixths,
+    _sixths,
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+)
+# zero, constants, the other variables (a <-> b and the poles of the planted
+# factors) and rational images with real denominators
+_images = st.one_of(
+    st.none(),
+    _monomial_images,
+    st.sampled_from(
+        (ZERO, 1, -1, 3, Fraction(-1, 2), R, S, A, B, 1 + R, (1 + R) / (2 + S), A / (R - S), (2 + B) / (1 + A * S))
+    ),
+)
+_substituted_values = st.one_of(laurent_values(), planted_triples().map(lambda t: t[0]), ratfuncs())
+
+
+def _outcome(substitute):
+    try:
+        x = substitute()
+    except (DivisionByZero, LatticeOverflow, SpecializationPole) as exc:
+        return type(exc), str(exc)
+    assert_canonical(x)
+    return x.num, x.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(_substituted_values, _images, _images, _images, _images)
+@example(x=(1 + A) * (2 + B) ** -1 * R, r=None, s=None, a=B, b=A)
+@example(x=(1 + R * A) / (2 - S * B), r=None, s=None, a=None, b=None)
+@example(x=R ** Fraction(1, 2) * (3 + A) / (1 + S), r=R**3, s=(1 + R) / (2 + S), a=A / (R - S), b=-1)
+@example(x=A**-1 + R, r=None, s=None, a=ZERO, b=None)
+@example(x=R ** Fraction(1, 3) + 1, r=2 * R, s=None, a=None, b=None)
+@example(x=ONE / (R - S), r=None, s=R, a=None, b=None)
+def test_substitute_matches_term_by_term(x, r, s, a, b):
+    got = _outcome(lambda: x.substitute(r=r, s=s, a=a, b=b))
+    assert got == _outcome(lambda: termsubst.substitute(x, r=r, s=s, a=a, b=b))
+
+
+@pytest.mark.parametrize(
+    "x, images, error",
+    (
+        (A**-1 + R, dict(a=ZERO), DivisionByZero),
+        (R ** Fraction(1, 2) + S, dict(r=1 + R), LatticeOverflow),
+        (R ** Fraction(1, 3), dict(r=2 * R), LatticeOverflow),
+        (ONE / (R - S), dict(s=R), SpecializationPole),
+    ),
+)
+def test_substitution_errors_match_term_by_term(x, images, error):
+    with pytest.raises(error) as got:
+        x.substitute(**images)
+    with pytest.raises(error) as want:
+        termsubst.substitute(x, **images)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_values(), st.integers(0, 3))
+def test_univariate_view_collapses_back(x, ax):
+    view = _univ_view(x.num, ax)
+    assert all(k[ax] == 0 and c for sub in view.values() for k, c in sub.items())
+    assert _univ_collapse(view, ax) == x.num
 
 
 # -- rendering / parsing -----------------------------------------------------

@@ -14,6 +14,7 @@ from rsaffine.matrix import Matrix, echelon_insert
 from rsaffine.rep_core import (
     E,
     F,
+    GammaHalf,
     Gen,
     MatrixModule,
     W,
@@ -84,6 +85,14 @@ def test_tensor_type_mismatch():
     stub = MatrixModule(other, {W(0): Matrix.identity(2)})
     with pytest.raises(TypeMismatch):
         tensor(mL, stub)
+
+
+def test_tensor_refuses_a_factor_not_at_level_zero():
+    m = build_chevalley_eval(1)
+    assign = dict(m.assign)
+    assign[GammaHalf()] = -Matrix.identity(m.dim)
+    with pytest.raises(TypeMismatch, match="level zero"):
+        tensor(m, MatrixModule(m.table, assign))
 
 
 # -- span closure ------------------------------------------------------------------
@@ -391,6 +400,17 @@ def test_sigma_twist_preserves_relations(signs):
     m = build_chevalley_eval(2)
     tw = twist_sigma(m, signs)
     assert all_pass(check_chevalley(tw))
+
+
+@pytest.mark.parametrize("signs", ((1,), (1, 1, 1), (1, 2)))
+def test_sigma_twist_refuses_bad_signs(signs):
+    with pytest.raises(ValueError, match="need 2 signs"):
+        twist_sigma(build_chevalley_eval(1), signs)
+
+
+def test_sigma_twist_needs_chevalley_generators():
+    with pytest.raises(MissingGenerator):
+        twist_sigma(build_current_eval(1, kmax=1, lmax=1), (1, 1))
 
 
 def test_sigma_twist_fixes_f():

@@ -94,6 +94,14 @@ def test_grouplikes_become_central(n):
     assert centrality_report(sp)["failures"] == []
 
 
+def test_grouplikes_of_the_generic_module_are_not_central():
+    # each of the 8 group-likes fails to commute with E(0), E(1), F(0), F(1)
+    rep = centrality_report(build_chevalley_eval(2))
+    assert rep["checked"] == 128
+    assert len(rep["failures"]) == 32
+    assert "[W(1,+1), E(1)] != 0" in rep["failures"]
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_omega_eigenvalue_collapses(n):
     sp = specialize_module(build_chevalley_eval(n), SpecMap("s_to_r"))
@@ -372,8 +380,11 @@ def test_pole_error_on_the_command_line(capsys, monkeypatch):
 # the build now takes no gcd (sl2 docstring).  Scaling the D7 left side by
 # r - s once per m, where x+(0)x-(0) and x-(0)x+(0) are now scaled once, made
 # 684, and building the D5 family sides, where the verdict now reads the
-# diagonal entries, 612.
-DIRECT_PINNED_PGCD_CALLS = 576
+# diagonal entries, 612.  Substituting the pin term by term, adding each
+# term's power of 1+r to the sum one at a time, made 576; a class of terms
+# with the same a-exponent now takes the power once, so the sum has fewer
+# terms whose denominators need a gcd.
+DIRECT_PINNED_PGCD_CALLS = 477
 
 
 def test_direct_pinned_pgcd_count_tripwire(monkeypatch):
