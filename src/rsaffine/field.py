@@ -639,7 +639,23 @@ def eval_mod(x: RatFunc, point, monomials=None):
 
 
 def _subst_poly(p, images) -> RatFunc:
-    # terms with equal exponents on the substituted axes take each power once
+    """The image of the Laurent dict p with images[ax] put for each axis
+    whose image is not None.
+
+    When every image is a monomial x^m with coefficient 1, the image of a
+    term is a term: an exponent e on a substituted axis becomes e m (e/6 m on
+    r and s, whose stored exponents are sixths), so the keys are mapped and
+    the coefficients of equal keys added, with no power and no product; a
+    Laurent dict over the unit denominator is canonical as it stands.  A key
+    that leaves the (1/6)Z lattice there falls through to the general path,
+    which raises its LatticeOverflow.  The general path groups the terms by
+    their exponents on the substituted axes: a class keeps its other
+    exponents as one Laurent coefficient, takes each image's power once and
+    is added to the sum once.
+    """
+    out = _relabel(p, images)
+    if out is not None:
+        return out
     axes = [ax for ax in range(4) if images[ax] is not None]
     classes = {}
     for k, c in p.items():
@@ -655,6 +671,38 @@ def _subst_poly(p, images) -> RatFunc:
                 term = term * images[ax] ** (Fraction(e, LATTICE) if ax < 2 else e)
         out = out + term
     return out
+
+
+def _relabel(p, images):
+    """_subst_poly(p, images) when every image is a monomial with coefficient
+    1 and every mapped key stays on the lattice; None otherwise."""
+    moves = []
+    for ax, img in enumerate(images):
+        if img is not None:
+            if len(img.num) != 1 or img.den != _UNIT:
+                return None
+            ((m, c),) = img.num.items()
+            if c != 1:
+                return None
+            moves.append((ax, m, LATTICE if ax < 2 else 1))
+    out = {}
+    for k, c in p.items():
+        key = list(k)
+        for ax, _, _ in moves:
+            key[ax] = 0
+        for ax, m, d in moves:
+            for j, mj in enumerate(m):
+                q, miss = divmod(mj * k[ax], d)
+                if miss:
+                    return None
+                key[j] += q
+        key = tuple(key)
+        v = out.get(key, 0) + c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+    return RatFunc._make(out, _UNIT)
 
 
 # ---------------------------------------------------------------------------

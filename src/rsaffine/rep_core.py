@@ -31,6 +31,22 @@ So an instance whose two sides are U D^k and V D^k has the verdict of
 U = V: D4 (with w^-1 diagonal) has one verdict per tag and D5 (with a(l)
 and K^-l diagonal) one per (l, x+ or x-), each computed once.
 
+Conjugation lemma.  For diagonals g and h, (g x h)_ab = g_a x_ab h_b, so
+g x h = c x holds exactly when g_a h_b = c at every nonzero x_ab (the
+entries lie in a field); conjugation_scalar returns that common value, or
+reports that g or h is not diagonal, or that g_a h_b is not constant.
+  - R2 (g x h = c x for a group-like pair (w, w^-1) or (w', w'^-1) and
+    x = e_i or f_i) and D4's family at k = 0 are read off it, with no
+    product.
+  - R4.  Let h g = 1 and g x h = p x for x = e_i, q x for x = e_j.  Then
+    g (x y) h = (g x h)(g y h), so the t-th iterate b_t of
+    b -> e_i b - (g b h) e_i, a sum of words with t letters e_i and one e_j,
+    has g b_t h = q p^t b_t, and the step is e_i b - b (q p^t e_i): two
+    products, not four.  ad_r f is the same with g = w'^-1, h = w' and
+    b -> b f_i - f_i (g b h) = b f_i - (q p^t f_i) b.
+  Kassel, Quantum Groups, IV.2, for the ad-iterates; Benkart and
+  Witherspoon (2004) for R2 and R4 of U_{r,s}.
+
 Commutation lemmas.  For diagonals F and G, F X = c X G holds exactly when
 F_i = c G_j at every nonzero X_ij, so each identity below is checked entry
 by entry, without a product.
@@ -61,7 +77,10 @@ by entry, without a product.
     L(m) (r-s) = (x+(0)x-(0) (r-s)) D-^m - c^m (x-(0)x+(0) (r-s)) D+^m,
     and the two products are scaled by r - s once, before the m loop.
 Every instance is counted by _Checker.verdict, with the verdict of a lemma
-or by comparing its two sides.  A sign off the form has its D4, D5 and D6
+or by comparing its two sides.  R2 takes its plain products when a
+group-like is not diagonal, and an R4 ad-iterate takes them when w^-1 w = 1
+fails or e_i or e_j (f_i or f_j) has no conjugation scalar.  A sign off the
+form has its D4, D5 and D6
 instances take their plain products, and D7 takes them unless both signs
 are on the form; so does an instance of D4 or D5 with a non-diagonal w^-1,
 a(l) or K^-l, and every instance of a D6 sign or of D7 when a commutation
@@ -77,7 +96,7 @@ from dataclasses import dataclass, field
 
 from .cartan import PairingTable
 from .errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from .field import ONE, RatFunc, monomial_quotient, rf, render
+from .field import ONE, ZERO, RatFunc, monomial_quotient, rf, render
 from .matrix import Matrix, commutator
 
 # -- generator symbols ---------------------------------------------------------
@@ -324,6 +343,9 @@ def check_chevalley(mod: MatrixModule) -> list:
     c.check(("central-product",), (gh @ gh) @ (gph @ gph), ident)
     reports.append(c.done())
 
+    # R2 reads g x h == c x for the group-like pair (g, h), each instance
+    # decided by the conjugation lemma (module docstring) when g and h are
+    # diagonal
     c = _Checker("R2")
     for i in nodes:
         ei, fi = mod.get(E(i)), mod.get(F(i))
@@ -332,10 +354,13 @@ def check_chevalley(mod: MatrixModule) -> list:
             wpj, wpjinv = mod.get(Wp(j)), mod.get(Wp(j, -1))
             pij = table.entry(i, j)
             pji = table.entry(j, i)
-            c.check(("we", i, j), wj @ ei @ wjinv, ei.scale(pij))
-            c.check(("wf", i, j), wj @ fi @ wjinv, fi.scale(pij.inv()))
-            c.check(("wpe", i, j), wpj @ ei @ wpjinv, ei.scale(pji.inv()))
-            c.check(("wpf", i, j), wpj @ fi @ wpjinv, fi.scale(pji))
+            for tag, g, x, h, sc in (
+                ("we", wj, ei, wjinv, pij),
+                ("wf", wj, fi, wjinv, pij.inv()),
+                ("wpe", wpj, ei, wpjinv, pji.inv()),
+                ("wpf", wpj, fi, wpjinv, pji),
+            ):
+                c.verdict((tag, i, j), conjugation_verdict(g, x, h, sc), lambda: (g @ x @ h, x.scale(sc)))
     reports.append(c.done())
 
     c = _Checker("R3")
@@ -350,6 +375,10 @@ def check_chevalley(mod: MatrixModule) -> list:
                 c.check((i, j), lhs, zero)
     reports.append(c.done())
 
+    # R4 iterates b -> e b - (w b w^-1) e and b -> b f - f (w'^-1 b w'); when
+    # the conjugation lemma gives w x w^-1 = p x for x = e_i and q x for
+    # x = e_j, with w^-1 w = 1, the t-th iterate has w b w^-1 = q p^t b
+    # (module docstring), so each step takes two products, not four
     c = _Checker("R4")
     for i in nodes:
         ei, wi, wiinv = mod.get(E(i)), mod.get(W(i)), mod.get(W(i, -1))
@@ -359,12 +388,14 @@ def check_chevalley(mod: MatrixModule) -> list:
                 continue
             times = 1 - table.cartan[i][j]
             b = mod.get(E(j))
-            for _ in range(times):
-                b = ei @ b - wi @ b @ wiinv @ ei
+            cs = ad_scalars(wi, wiinv, ei, b, times)
+            for t in range(times):
+                b = ei @ b - (b @ ei.scale(cs[t]) if cs else wi @ b @ wiinv @ ei)
             c.check(("ad_l e", i, j), b, zero)
             b = mod.get(F(j))
-            for _ in range(times):
-                b = b @ fi - fi @ wpiinv @ b @ wpi
+            cs = ad_scalars(wpiinv, wpi, fi, b, times)
+            for t in range(times):
+                b = b @ fi - (fi.scale(cs[t]) @ b if cs else fi @ wpiinv @ b @ wpi)
             c.check(("ad_r f", i, j), b, zero)
     reports.append(c.done())
 
@@ -409,18 +440,60 @@ def current_form(mod: MatrixModule, sign: int, kmax: int):
 def _intertwines(x: Matrix, left, right) -> bool:
     """left x == x right for the diagonals with entries left and right, that
     is left_i == right_j at every nonzero x_ij."""
-    return all(left[i] == right[j] for i, row in enumerate(x.rows) for j, y in enumerate(row) if y)
+    return all(left[i] == right[j] for i, row in enumerate(x._rows) for j in row)
+
+
+def conjugation_scalar(g: Matrix, x: Matrix, h: Matrix):
+    """The c with g x h == c x by the conjugation lemma (module docstring):
+    for g and h diagonal, the common value of g_a h_b at the nonzero x_ab,
+    ONE when x is zero (every c holds then); False when g_a h_b is not
+    constant there; None when g or h is not diagonal."""
+    if not (g.is_diagonal() and h.is_diagonal()):
+        return None
+    gd = [row.get(a, ZERO) for a, row in enumerate(g._rows)]
+    hd = [row.get(b, ZERO) for b, row in enumerate(h._rows)]
+    c = None
+    for a, row in enumerate(x._rows):
+        for b in row:
+            v = gd[a] * hd[b]
+            if c is None:
+                c = v
+            elif v != c:
+                return False
+    return ONE if c is None else c
+
+
+def ad_scalars(g: Matrix, h: Matrix, x: Matrix, y: Matrix, times: int):
+    """[q p^t for t < times], the scalars with g b_t h = q p^t b_t on the
+    iterates b_0 = y, b_(t+1) = x b_t - (g b_t h) x or b_t x - x (g b_t h) (the
+    R4 lemma in the module docstring), when h g = 1, g x h = p x and
+    g y h = q y; None otherwise."""
+    inverse = conjugation_scalar(g, Matrix.identity(g.n), h)
+    if not (inverse and inverse.is_one()):
+        return None
+    # g and h are invertible now, so p and q are nonzero or False
+    p, q = conjugation_scalar(g, x, h), conjugation_scalar(g, y, h)
+    return [q * p**t for t in range(times)] if p and q else None
+
+
+def conjugation_verdict(g: Matrix, x: Matrix, h: Matrix, c):
+    """Whether g x h == c x, read off conjugation_scalar; None when g or h is
+    not diagonal."""
+    v = conjugation_scalar(g, x, h)
+    if v is None or v is False:
+        return v
+    return v == c or x.is_zero()
 
 
 def anti_diagonal_form(x0: Matrix, d):
     """(Q, kappa) with X(a)X(b) = kappa^a Q D^(a+b) whenever X(a) = x0 D^a for
     the diagonal D with entries d (the D6 lemma in the module docstring), or
     None when x0 D = E x0 or E Q = kappa Q D fails."""
-    e = [next((d[j] for j, y in enumerate(row) if y), ONE) for row in x0.rows]
+    e = [d[min(row)] if row else ONE for row in x0._rows]
     if not _intertwines(x0, e, d):
         return None
     q = x0 @ x0
-    i, j = next(((i, j) for i, row in enumerate(q.rows) for j, y in enumerate(row) if y), (0, 0))
+    i, j = next(((i, min(row)) for i, row in enumerate(q._rows) if row), (0, 0))
     kappa = monomial_quotient(e[i], d[j]) or e[i] / d[j]
     return (q, kappa) if _intertwines(q, e, [kappa * x for x in d]) else None
 
@@ -530,12 +603,14 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
         ("wp x+", wp, wpinv, 1, rho.inv()),
         ("wp x-", wp, wpinv, -1, rho),
     )
-    # one verdict per tag, taken at k = 0, for the right factor diagonal
-    family = {
-        tag: g @ X[sign](0) @ ginv == X[sign](0).scale(sc)
-        for tag, g, ginv, sign, sc in conj
-        if ginv.is_diagonal() and diag[sign] is not None
-    }
+    # one verdict per tag, taken at k = 0, for the right factor diagonal: by
+    # the conjugation lemma when g is diagonal too, by products otherwise
+    family = {}
+    for tag, g, ginv, sign, sc in conj:
+        if ginv.is_diagonal() and diag[sign] is not None:
+            x0 = X[sign](0)
+            holds = conjugation_verdict(g, x0, ginv, sc)
+            family[tag] = g @ x0 @ ginv == x0.scale(sc) if holds is None else holds
     for k in range(-(kmax + 1), kmax + 2):
         for tag, g, ginv, sign, sc in conj:
             x = X[sign](k)
@@ -573,7 +648,7 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                 t = th if sign > 0 else -th
                 a, d = [al[j, j] for j in range(dim)], dpow(sign, e)
                 ts = [t] * dim if kl is ident else [t * kl[j, j] for j in range(dim)]
-                return all(a[i] - a[j] == ts[i] * d[j] for i, row in enumerate(x0.rows) for j, y in enumerate(row) if y)
+                return all(a[i] - a[j] == ts[i] * d[j] for i, row in enumerate(x0._rows) for j in row)
 
             families = {sign: family(sign) for sign in (1, -1)}
             for k in range(-kmax, kmax + 1):

@@ -1,0 +1,54 @@
+"""The plain R2 and R4 loops: the test oracle for check_chevalley's
+conjugation lemma.
+
+Every R2 instance builds both of its sides by matrix products, w x w^-1
+against the scaled x, and every step of an R4 ad-iterate takes its four
+products, e b - (w b w^-1) e or b f - f (w'^-1 b w'), whatever the module.
+"""
+
+from __future__ import annotations
+
+from rsaffine.matrix import Matrix
+from rsaffine.rep_core import E, F, W, Wp, _render_matrix
+
+
+def _failures(instances):
+    return [
+        {"instance": str(inst), "lhs": _render_matrix(lhs), "rhs": _render_matrix(rhs)}
+        for inst, lhs, rhs in instances
+        if lhs != rhs
+    ]
+
+
+def plain_reports(mod):
+    """{"R2": (instances_checked, failures), "R4": (...)}, plainly."""
+    table = mod.table
+    nodes = range(table.size)
+    zero = Matrix.zeros(mod.dim)
+    r2, r4 = [], []
+    for i in nodes:
+        ei, fi = mod.get(E(i)), mod.get(F(i))
+        for j in nodes:
+            wj, wjinv = mod.get(W(j)), mod.get(W(j, -1))
+            wpj, wpjinv = mod.get(Wp(j)), mod.get(Wp(j, -1))
+            pij, pji = table.entry(i, j), table.entry(j, i)
+            r2.append((("we", i, j), wj @ ei @ wjinv, ei.scale(pij)))
+            r2.append((("wf", i, j), wj @ fi @ wjinv, fi.scale(pij.inv())))
+            r2.append((("wpe", i, j), wpj @ ei @ wpjinv, ei.scale(pji.inv())))
+            r2.append((("wpf", i, j), wpj @ fi @ wpjinv, fi.scale(pji)))
+    for i in nodes:
+        ei, wi, wiinv = mod.get(E(i)), mod.get(W(i)), mod.get(W(i, -1))
+        fi, wpi, wpiinv = mod.get(F(i)), mod.get(Wp(i)), mod.get(Wp(i, -1))
+        for j in nodes:
+            if i == j:
+                continue
+            times = 1 - table.cartan[i][j]
+            b = mod.get(E(j))
+            for _ in range(times):
+                b = ei @ b - wi @ b @ wiinv @ ei
+            r4.append((("ad_l e", i, j), b, zero))
+            b = mod.get(F(j))
+            for _ in range(times):
+                b = b @ fi - fi @ wpiinv @ b @ wpi
+            r4.append((("ad_r f", i, j), b, zero))
+    return {"R2": (len(r2), _failures(r2)), "R4": (len(r4), _failures(r4))}

@@ -64,8 +64,13 @@ def test_verify_kmax_bound(capsys):
 # 2,126.  Scaling each w(m) by r - s, where r - s is now hoisted into x-(0)
 # and x+(0) once (sl2 docstring), made 2,024; and each current x+-(k) as a
 # fresh power of D per entry, where it is now the running product
-# x+-(k -+ 1) D and x+-(0) is taken as it is, 1,982.
-VERIFY_N4_PMUL_CALLS = 1974
+# x+-(k -+ 1) D and x+-(0) is taken as it is, 1,982.  R2 and the D4 families
+# are now decided by the conjugation lemma (rep_core docstring), one product
+# g_a h_b per nonzero entry, and R4 reads w b w^-1 as a scalar times b; the
+# sides of every R2 instance and D4 family by matrix products (R2 192, now
+# 64; D4 48, now 16) and the conjugations of every R4 step (R4 186, now 184)
+# made 1,974.
+VERIFY_N4_PMUL_CALLS = 1812
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -143,8 +148,11 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 # 165.  The one-pass commutator makes the same scalar products without
 # calling Matrix.__matmul__, so that drop is work this count no longer sees,
 # not work removed; VERIFY_N4_COMMUTATOR_PRODUCTS counts it, and the two
-# counts sum to 165.
-VERIFY_N4_MATMUL_CALLS = 125
+# counts sum to 165.  R2's 16 instances (two products each), the D4 families
+# (two per tag) and the conjugation w b w^-1 in each of R4's 12 steps (two
+# per step), which the conjugation lemma now reads off the group-likes'
+# diagonals, made 125.
+VERIFY_N4_MATMUL_CALLS = 61
 # The products a @ b and b @ a that one-pass commutators of two
 # non-diagonal factors stand for, two per commutator, in the same run: the
 # build's C(m), C'(m) for m <= lmax = 3 and w(m), w'(-m) for m = 4..8, and
@@ -384,8 +392,13 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # exact span closure of the pinned module made 5,215; its full rank is now
 # certified mod p, which takes no polynomial product.  Substituting the pins
 # term by term, each term from its own image powers, made 4,765; a class of
-# terms with the same a- or b-exponent now takes the pin's power once.
-TENSOR_33_PINNED_PMUL_CALLS = 4435
+# terms with the same a- or b-exponent now takes the pin's power once.  R2's
+# sides built by products, where the conjugation lemma now decides each
+# instance from one product per nonzero entry (1,152 in R2, now 384), and
+# R4's conjugations w b w^-1 by products, where each step now scales e once
+# (1,634 in R4, now 1,452), made 4,441; the right factor's a -> b taken
+# through powers of b, where the exponent keys are now relabelled, 4,435.
+TENSOR_33_PINNED_PMUL_CALLS = 3479
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -430,8 +443,11 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # x+(0) once, made 2,382, and each current as a fresh power of D per entry,
 # where it is now a running product, 2,374.  Mapping the failing sides
 # through the pin term by term, each term from its own power of 2+s, made
-# 2,370; a class of terms with the same a-exponent now takes it once.
-MUTATED_PINNED_PMUL_CALLS = 1686
+# 2,370; a class of terms with the same a-exponent now takes it once.  R2
+# and the D4 families by products, where the conjugation lemma now decides
+# them (R2 96 then 32, D4 84 then 76), and R4's conjugations w b w^-1 by
+# products, where each step now scales e once (R4 90 then 96), made 1,686.
+MUTATED_PINNED_PMUL_CALLS = 1620
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -589,8 +605,9 @@ def test_twist_sigma(capsys):
 # 1,876, and each current as a fresh power of D per entry, where it is now a
 # running product, 1,866.  Substituting a -> c·a term by term, each term
 # from its own power of c·a, made 1,860; a class of terms with the same
-# a-exponent now takes it once.
-TWIST_GAMMA2_N3_PMUL_CALLS = 1317
+# a-exponent now takes it once.  The D4 families by products, where the
+# conjugation lemma now decides each tag (rep_core docstring), made 1,317.
+TWIST_GAMMA2_N3_PMUL_CALLS = 1293
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):

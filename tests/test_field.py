@@ -24,6 +24,7 @@ from rsaffine.field import (
     S,
     ZERO,
     RatFunc,
+    _relabel,
     _univ_collapse,
     _univ_view,
     eval_mod,
@@ -642,6 +643,48 @@ def test_substitution_errors_match_term_by_term(x, images, error):
     with pytest.raises(error) as want:
         termsubst.substitute(x, **images)
     assert str(got.value) == str(want.value)
+
+
+# Coefficient-1 monomials, whose substitution maps the exponent keys and adds
+# the coefficients of equal keys (field._relabel): sixth-lattice and negative
+# exponents, the maps of tensor (a -> b) and specialize (s -> r, s -> r^-1,
+# r -> s^k), and an a <-> b swap.
+_unit_monomials = st.builds(RatFunc.monomial, st.just(1), _sixths, _sixths, st.integers(-3, 3), st.integers(-3, 3))
+_unit_images = st.one_of(st.none(), _unit_monomials, st.sampled_from((R, S, A, B, R**-1, S**-2, S**3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_substituted_values, _unit_images, _unit_images, _unit_images, _unit_images)
+@example(x=(1 + A) * (2 + S * A**-2) / (R - S), r=None, s=None, a=B, b=None)
+@example(x=(R**2 + S) / (1 + R * S**-3), r=None, s=R, a=None, b=None)
+@example(x=(R**2 + S) / (1 + R * S**-3), r=None, s=R**-1, a=None, b=None)
+@example(x=(R**2 + S) / (1 + R * S**-3), r=S**-4, s=None, a=None, b=None)
+@example(x=(1 + A) * (2 + B) ** -1 * R, r=None, s=None, a=B, b=A)
+@example(x=R ** Fraction(1, 2) * S ** Fraction(-5, 6), r=R ** Fraction(2, 3), s=S ** Fraction(-1, 2), a=None, b=None)
+@example(x=R ** Fraction(1, 6) + A, r=R ** Fraction(1, 3), s=None, a=None, b=None)
+@example(x=ONE / (R - S), r=None, s=R, a=None, b=None)
+def test_monomial_images_relabel_the_keys(x, r, s, a, b):
+    images = [r, s, a, b]
+    got = _outcome(lambda: x.substitute(r=r, s=s, a=a, b=b))
+    assert got == _outcome(lambda: termsubst.substitute(x, r=r, s=s, a=a, b=b))
+    # the keys are relabelled unless one leaves the lattice, where the
+    # general path raises the oracle's LatticeOverflow
+    missed = _relabel(x.num, images) is None or _relabel(x.den, images) is None
+    assert missed == (got[0] is LatticeOverflow)
+
+
+def test_monomial_images_keep_the_errors_and_the_general_path():
+    x = R ** Fraction(1, 6) + S
+    with pytest.raises(LatticeOverflow) as got:
+        x.substitute(r=R ** Fraction(1, 3))
+    with pytest.raises(LatticeOverflow) as want:
+        termsubst.substitute(x, r=R ** Fraction(1, 3))
+    assert str(got.value) == str(want.value)
+    # a coefficient other than 1 takes the general path
+    y = (1 + A**2) / (R - S * A)
+    assert _relabel(y.num, [None, None, 2 * B, None]) is None
+    assert y.substitute(a=2 * B) == termsubst.substitute(y, a=2 * B) == (1 + 4 * B**2) / (R - 2 * S * B)
+    assert _relabel((1 + A**2).num, [None, None, B, None]) == 1 + B**2
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,12 +4,15 @@ import re
 from fractions import Fraction
 
 import pytest
+from mutations import MUTATIONS as CORRUPTIONS
+from mutations import apply_mutation
+from plainchevalley import plain_reports
 from test_sl2 import build_Vn
 from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from rsaffine.field import A, ONE, R, S, ZERO, quantum_int, rf
+from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int, rf
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
     Aim,
@@ -33,10 +36,13 @@ from rsaffine.rep_core import (
     check_drinfeld,
     chevalley_instance_counts,
     commutation_scalar,
+    conjugation_scalar,
     current_form,
     drinfeld_instance_counts,
 )
+from rsaffine.hopf import tensor
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval
+from rsaffine.specialize import parse_spec_map, specialize_module, substitute_module
 
 A1 = build_pairing(AffineType("A", 1))
 
@@ -412,7 +418,8 @@ def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
 # Matrix products made by each relation on a module whose currents are all
 # on the form (kmax = K, lmax = L <= 2K):
 # - D1: the inverse and centrality products of the group-likes;
-# - D4: w x(0) w^-1, two products once per tag, not per k;
+# - D4: none, each tag's family decided by the conjugation lemma, where
+#   w x(0) w^-1, two products once per tag, made 8;
 # - D5_1: per l, K^-l = K^-(l-1) K^-1, whose diagonal the entrywise family
 #   verdict reads; D5_2: none, K^-l built by D5_1, where K^-l x(0) D^e once
 #   per l in each made 2L and L;
@@ -426,7 +433,7 @@ def relation_products(K, L):
         "D1": 7,
         "D2": 0,
         "D3": 0,
-        "D4": 8,
+        "D4": 0,
         "D5_1": L,
         "D5_2": 0,
         "D6": 2,
@@ -434,8 +441,9 @@ def relation_products(K, L):
     }
 
 
-@pytest.mark.parametrize("kmax,lmax", ((1, 1), (2, 2), (4, 3), (8, 1)))
-def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
+def products_per_relation(monkeypatch, check):
+    """The matrix products each relation's checker spans while check() runs,
+    which must pass."""
     import rsaffine.rep_core as rep_core
 
     calls = 0
@@ -456,11 +464,89 @@ def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
             spans[self.report.relation_id] = calls - self.start
             return super().done()
 
-    mod = build_current_eval(1, kmax=kmax, lmax=lmax)
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     monkeypatch.setattr(rep_core, "_Checker", Spans)
-    assert all_pass(check_drinfeld(mod, kmax, lmax))
+    assert all_pass(check())
+    return spans
+
+
+@pytest.mark.parametrize("kmax,lmax", ((1, 1), (2, 2), (4, 3), (8, 1)))
+def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
+    mod = build_current_eval(1, kmax=kmax, lmax=lmax)
+    spans = products_per_relation(monkeypatch, lambda: check_drinfeld(mod, kmax, lmax))
     assert {rid: n for rid, n in spans.items() if not rid.startswith("D8")} == relation_products(kmax, lmax)
+
+
+# -- R2 and R4 against the plain loops -------------------------------------------------
+# tests/plainchevalley.py builds both sides of every R2 instance and each R4
+# step from its four products.  check_chevalley reads R2, and R4's conjugation
+# w b w^-1, off the conjugation lemma when the group-likes are diagonal, so
+# its reports must equal the oracle's on modules that meet the lemma's
+# preconditions and on modules that break one of them.
+
+
+def _chevalley_modules():
+    for n in (1, 2):
+        chev, curr = build_chevalley_eval(n), build_current_eval(n, kmax=1, lmax=1)
+        for which in CORRUPTIONS:
+            yield f"n={n} {which}", apply_mutation(chev, curr, which)[0]
+    for left in (1, 2, 3):
+        for right in (1, 2, 3):
+            sl, sr = build_chevalley_eval(left), substitute_module(build_chevalley_eval(right), a=B)
+            yield f"tensor {left}x{right}", tensor(sl, sr)
+            yield f"tensor {left}x{right} pinned", tensor(substitute_module(sl, a=1 + R), substitute_module(sr, b=2 + S))
+    for n in (1, 2, 3):
+        for m in ("s=r^-1", "r=s^2", "r=s^-3", "independent"):
+            # s = r makes 1/(r - s) a pole, so check_chevalley refuses it at R3
+            yield f"n={n} {m}", specialize_module(build_chevalley_eval(n), parse_spec_map(m))
+    # at n = 3, e_i^3 != 0, so a wrong R4 scalar changes the iterate
+    for n in (1, 3):
+        chev = build_chevalley_eval(n)
+        ident = Matrix.identity(chev.dim)
+        broken = {
+            "w(1,-1) * 2 is not the inverse of w(1)": (W(1, -1), chev.get(W(1, -1)).scale(2)),
+            "w'(0,-1) * r is not the inverse of w'(0)": (Wp(0, -1), chev.get(Wp(0, -1)).scale(R)),
+            "e(1) + 1 has two values of w_a w^-1_b": (E(1), chev.get(E(1)) + ident),
+            "e(1) + f(1) has two values of w_a w^-1_b": (E(1), chev.get(E(1)) + chev.get(F(1))),
+            "f(0) + 1 has two values of w'^-1_a w'_b": (F(0), chev.get(F(0)) + ident),
+            "w(0) + e(0) is not diagonal": (W(0), chev.get(W(0)) + chev.get(E(0))),
+            "e(0) = 0": (E(0), Matrix.zeros(chev.dim)),
+            "e(1) = 0": (E(1), Matrix.zeros(chev.dim)),
+            "f(1) = 0": (F(1), Matrix.zeros(chev.dim)),
+        }
+        for name, (gen, mat) in broken.items():
+            yield f"n={n} {name}", chev.with_assign(gen, mat)
+
+
+@pytest.mark.parametrize("mod", [pytest.param(mod, id=name) for name, mod in _chevalley_modules()])
+def test_r2_and_r4_match_the_plain_loops(mod):
+    reports = {r.relation_id: r for r in check_chevalley(mod)}
+    for rid, (count, failures) in plain_reports(mod).items():
+        assert reports[rid].instances_checked == count
+        assert reports[rid].failures == failures
+
+
+# Matrix products made by R2 and R4 on V_n(a) at A1^(1) (two nodes, a_01 =
+# a_10 = -2, so three steps per ad-iterate): none for R2, where each of its 16
+# instances took two; two per R4 step, e b and b (c e), where e b and
+# w b w^-1 e took four, so 4 iterates x 3 steps x 2 = 24 (48 before).
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_r2_and_r4_take_the_conjugation_lemma(monkeypatch, n):
+    mod = build_chevalley_eval(n)
+    spans = products_per_relation(monkeypatch, lambda: check_chevalley(mod))
+    assert (spans["R2"], spans["R4"]) == (0, 24)
+
+
+def test_conjugation_scalar_reads_the_lemma():
+    chev = build_chevalley_eval(2)
+    w, winv, e1 = chev.get(W(1)), chev.get(W(1, -1)), chev.get(E(1))
+    rho = chev.table.entry(1, 1)
+    assert conjugation_scalar(w, e1, winv) == rho
+    assert conjugation_scalar(w, Matrix.identity(chev.dim), winv) == ONE
+    assert conjugation_scalar(w, Matrix.zeros(chev.dim), winv) == ONE
+    assert conjugation_scalar(w, e1 + Matrix.identity(chev.dim), winv) is False
+    assert conjugation_scalar(w + e1, e1, winv) is None
+    assert conjugation_scalar(w, e1, winv + e1) is None
 
 
 # -- the current form ------------------------------------------------------------------
