@@ -9,6 +9,7 @@ document (canonical rendering makes repeated runs identical).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -326,25 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--lmax", type=int, default=3)
     v.add_argument("--a", help="pin the evaluation parameter to an exact scalar")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("drinfeld", help="reconstruct the polynomial pair and verify it")
     d.add_argument("--n", type=int, default=1)
     d.add_argument("--shift", choices=("plain", "rs-inverse"), default="plain")
     d.add_argument("--order", type=int, default=None)
     d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_drinfeld)
 
     t = sub.add_parser("table", help="print a quantum Cartan matrix")
     t.add_argument("--type", required=True)
     t.add_argument("--json", action="store_true")
-    t.set_defaults(fn=cmd_table)
 
     s = sub.add_parser("specialize", help="specialize the parameters and re-check")
     s.add_argument("--map", required=True, help="s=r | s=r^-1 | r=s^k | independent")
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=cmd_specialize)
 
     x = sub.add_parser("tensor", help="coproduct tensor module and closure dimension")
     x.add_argument("--left", type=int, required=True)
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--a")
     x.add_argument("--b")
     x.add_argument("--json", action="store_true")
-    x.set_defaults(fn=cmd_tensor)
 
     w = sub.add_parser("twist", help="apply an automorphism twist and re-check")
     w.add_argument("--aut", choices=("sigma", "gamma1", "gamma2"), required=True)
@@ -368,19 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--kmax", type=int, default=2)
     w.add_argument("--lmax", type=int, default=2)
     w.add_argument("--json", action="store_true")
-    w.set_defaults(fn=cmd_twist)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to main and kept: parsing leaves
+    no state on it, since every call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # looked up per call, so a command replaced on the module is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

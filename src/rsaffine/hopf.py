@@ -2,7 +2,12 @@
 
 The coproduct acts on Chevalley generators only (e -> e(x)1 + w(x)e,
 f -> 1(x)f + f(x)w', group-likes multiply), so tensor modules live at the
-Chevalley level.  The sign twist transforms the Chevalley generator
+Chevalley level.  A tensor module records its two factors, and
+check_chevalley reads its R3 and R4 off them through the tensor lemmas
+(rep_core), once it has checked that every stored E, F, W and W' is exactly
+the coproduct image of the factors' generators: the coproduct form is
+verified, not assumed, and every other relation is checked on the module's
+own matrices.  The sign twist transforms the Chevalley generator
 matrices, and the caller re-runs the relation suite on the result: the
 automorphism property is verified, not assumed.  The loop twists are the
 reparameterizations a -> c a, which the twist command decides through
@@ -14,38 +19,32 @@ from __future__ import annotations
 from .errors import MissingGenerator, TypeMismatch
 from .field import ONE, P61, ZERO, RatFunc, eval_mod
 from .matrix import Matrix, echelon_insert
-from .rep_core import E_KIND, WP_KIND, W_KIND, E, F, GammaHalf, GammaPrimeHalf, MatrixModule, W, Wp
+from .rep_core import E_KIND, WP_KIND, W_KIND, E, GammaHalf, GammaPrimeHalf, MatrixModule, coproduct
 
 
 def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
     """Coproduct action on the tensor square:
-    E(i) -> E(x)1 + W(x)E, F(i) -> 1(x)F + F(x)W', group-likes factorwise."""
+    E(i) -> E(x)1 + W(x)E, F(i) -> 1(x)F + F(x)W', group-likes factorwise
+    (rep_core.coproduct).  The module records (mL, mR) as its factors."""
     if mL.table.type != mR.table.type:
         raise TypeMismatch(
             f"tensor needs one affine type, got {mL.table.type} and {mR.table.type}"
         )
     if mL.table.rs != mR.table.rs:
         raise TypeMismatch("tensor factors live over different parameter images")
-    idL = Matrix.identity(mL.dim)
-    idR = Matrix.identity(mR.dim)
     for m in (mL, mR):
         if not (m.get(GammaHalf()).is_identity() and m.get(GammaPrimeHalf()).is_identity()):
             raise TypeMismatch("tensor factors must be level zero")
 
     assign = {}
-    N = mL.table.size
-    for i in range(N):
-        eL, eR = mL.get(E(i)), mR.get(E(i))
-        fL, fR = mL.get(F(i)), mR.get(F(i))
-        assign[E(i)] = eL.kron(idR) + mL.get(W(i)).kron(eR)
-        assign[F(i)] = idL.kron(fR) + fL.kron(mR.get(Wp(i)))
-        for e in (1, -1):
-            assign[W(i, e)] = mL.get(W(i, e)).kron(mR.get(W(i, e)))
-            assign[Wp(i, e)] = mL.get(Wp(i, e)).kron(mR.get(Wp(i, e)))
-    ident = idL.kron(idR)
+    for i in range(mL.table.size):
+        assign.update(coproduct(mL, mR, i))
+    ident = Matrix.identity(mL.dim * mR.dim)
     for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
         assign[g] = ident
-    return MatrixModule(mL.table, assign)
+    out = MatrixModule(mL.table, assign)
+    out.factors = (mL, mR)
+    return out
 
 
 def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):

@@ -76,10 +76,51 @@ by entry, without a product.
     commutes with the column scaling by a diagonal, so
     L(m) (r-s) = (x+(0)x-(0) (r-s)) D-^m - c^m (x-(0)x+(0) (r-s)) D+^m,
     and the two products are scaled by r - s once, before the m loop.
+Tensor lemmas.  Let M store exactly the coproduct images of the Chevalley
+generators of two factors, E_i = e_i(x)1 + w_i(x)e_i, F_i = 1(x)f_i +
+f_i(x)w'_i, W_i^+-1 = w_i^+-1(x)w_i^+-1 and W'_i^+-1 = w'_i^+-1(x)w'_i^+-1
+(tensor_factors checks each against the factors hopf.tensor records), and
+recall (A(x)B)(C(x)D) = AC(x)BD.
+  - R3.  [E_i, F_j] = [e_i, f_j](x)w'_j + w_i(x)[e_i, f_j] + (w_i f_j (x)
+    e_i w'_j - f_j w_i (x) w'_j e_i).  Let w_i^-1 w_i = 1 and
+    w_i f_j w_i^-1 = c f_j on the left factor, and w'_j^-1 w'_j = 1 and
+    w'_j e_i w'_j^-1 = c e_i on the right one, for the same c.  Then
+    w_i f_j = c f_j w_i and w'_j e_i = c e_i w'_j, so the bracket is
+    c (f_j w_i (x) e_i w'_j) - c (f_j w_i (x) e_i w'_j) = 0.  When instance
+    (i, j) holds on both factors, [E_i, F_j] is 0 for i != j, and for i = j
+    it is ((w_i - w'_i)(x)w'_i + w_i(x)(w_i - w'_i))/(r-s) =
+    (W_i - W'_i)/(r-s): the instance holds on M.  Otherwise its left side
+    is the first two terms, built by Kronecker products.
+  - R4: the quantum Serre element is skew-primitive.  Let w_a^-1 w_a = 1
+    and w_a e_b w_a^-1 = P_ab e_b on both factors for a, b in {i, j}, with
+    the same P_ab on both, and P_ij P_ji = P_ii^a for a = a_ij; let
+    T = 1 - a, q = P_ii, x = P_ij P_ji = q^a, and u_t be the t-th iterate
+    of b -> e_i b - (w_i b w_i^-1) e_i from e_j on a factor, so that
+    w_i u_t w_i^-1 = P_ij q^t u_t.  By induction on t, the iterate on M is
+        B_t = u_t(x)1 + sum_(k <= t) c_tk e_i^(t-k) w_i^k w_j (x) u_k
+    with c_tt = 1: the step sends u_t(x)1 to u_(t+1)(x)1, and moving e_i to
+    the left past w_i^k w_j (the scalar q^k P_ji) and u_k past w_i gives
+    c_(t+1)k = (1 - q^(t+k) x) c_tk + q^(t-k+1) c_t(k-1).  The q-Pascal rules
+    [t+1, k] = [t, k] + q^(t+1-k) [t, k-1] = q^k [t, k] + [t, k-1] solve it
+    as c_tk = [t, k]_q prod_(l=k..t-1) (1 - q^l x).  At t = T the factor
+    l = T - 1 = -a is 1 - q^-a q^a = 0 for every k < T, so
+    B_T = u_T(x)1 + w_i^T w_j (x) u_T.  ad_r f is the same argument,
+    transposed, on the flipped tensor (f^t and w' in place of e and w):
+    with P_ab read from w'_a^-1 f_b w'_a, the iterate of b -> b f_i -
+    f_i (w'_i^-1 b w'_i) on M is 1(x)v_T + v_T(x)w'_i^T w'_j.  So the
+    instance holds when both factors' iterates are zero, and otherwise its
+    left side is that sum, built by Kronecker products.  Equal P_ab alone
+    are not enough: twisting W(k) on both factors by one diagonal keeps
+    them equal and breaks P_ij P_ji = P_ii^a, and with it the identity.
+  Jantzen, Lectures on Quantum Groups, ch. 4, for the skew-primitive Serre
+  element; Benkart and Witherspoon (2004) for U_{r,s}.
 Every instance is counted by _Checker.verdict, with the verdict of a lemma
 or by comparing its two sides.  R2 takes its plain products when a
 group-like is not diagonal, and an R4 ad-iterate takes them when w^-1 w = 1
-fails or e_i or e_j (f_i or f_j) has no conjugation scalar.  A sign off the
+fails or e_i or e_j (f_i or f_j) has no conjugation scalar.  R3 and R4 of a
+module hopf.tensor built take the tensor lemmas when tensor_factors confirms
+the coproduct form and an instance meets their hypotheses; every other
+instance, on any other module too, takes its products.  A sign off the
 form has its D4, D5 and D6
 instances take their plain products, and D7 takes them unless both signs
 are on the form; so does an instance of D4 or D5 with a non-diagonal w^-1,
@@ -190,6 +231,8 @@ class MatrixModule:
     inverse pairs and the central half-element normalization (level zero:
     gamma gamma' acts as the identity).
     """
+
+    factors = None  # (mL, mR) on a module hopf.tensor built
 
     def __init__(self, table: PairingTable, assign: dict, check=True):
         dims = {m.n for m in assign.values()} | {m.m for m in assign.values()}
@@ -363,40 +406,36 @@ def check_chevalley(mod: MatrixModule) -> list:
                 c.verdict((tag, i, j), conjugation_verdict(g, x, h, sc), lambda: (g @ x @ h, x.scale(sc)))
     reports.append(c.done())
 
+    # R3 and R4 of a tensor module are read off its factors (the tensor
+    # lemmas in the module docstring) once its coproduct form is confirmed
     c = _Checker("R3")
     rsub, ssub = mod.table.rs
     rsinv = (rsub - ssub).inv()
+    factors = tensor_factors(mod)
     for i in nodes:
         for j in nodes:
-            lhs = commutator(mod.get(E(i)), mod.get(F(j)))
+            holds, lhs = (factors and _r3_on_factors(*factors, i, j, rsinv)) or (
+                None,
+                lambda: commutator(mod.get(E(i)), mod.get(F(j))),
+            )
             if i == j:
-                c.verdict((i, j), None, lambda: (lhs, mod.get(W(i)) - mod.get(Wp(i))), rsinv)
+                c.verdict((i, j), holds, lambda: (lhs(), mod.get(W(i)) - mod.get(Wp(i))), rsinv)
             else:
-                c.check((i, j), lhs, zero)
+                c.verdict((i, j), holds, lambda: (lhs(), zero))
     reports.append(c.done())
 
-    # R4 iterates b -> e b - (w b w^-1) e and b -> b f - f (w'^-1 b w'); when
-    # the conjugation lemma gives w x w^-1 = p x for x = e_i and q x for
-    # x = e_j, with w^-1 w = 1, the t-th iterate has w b w^-1 = q p^t b
-    # (module docstring), so each step takes two products, not four
     c = _Checker("R4")
     for i in nodes:
-        ei, wi, wiinv = mod.get(E(i)), mod.get(W(i)), mod.get(W(i, -1))
-        fi, wpi, wpiinv = mod.get(F(i)), mod.get(Wp(i)), mod.get(Wp(i, -1))
         for j in nodes:
             if i == j:
                 continue
-            times = 1 - table.cartan[i][j]
-            b = mod.get(E(j))
-            cs = ad_scalars(wi, wiinv, ei, b, times)
-            for t in range(times):
-                b = ei @ b - (b @ ei.scale(cs[t]) if cs else wi @ b @ wiinv @ ei)
-            c.check(("ad_l e", i, j), b, zero)
-            b = mod.get(F(j))
-            cs = ad_scalars(wpiinv, wpi, fi, b, times)
-            for t in range(times):
-                b = b @ fi - (fi.scale(cs[t]) @ b if cs else fi @ wpiinv @ b @ wpi)
-            c.check(("ad_r f", i, j), b, zero)
+            aij = table.cartan[i][j]
+            for tag, left in (("ad_l e", True), ("ad_r f", False)):
+                holds, b = (factors and _r4_on_factors(*factors, i, j, aij, left)) or (
+                    None,
+                    lambda: ad_iterate(mod, i, j, 1 - aij, left),
+                )
+                c.verdict((tag, i, j), holds, lambda: (b(), zero))
     reports.append(c.done())
 
     return reports
@@ -463,17 +502,125 @@ def conjugation_scalar(g: Matrix, x: Matrix, h: Matrix):
     return ONE if c is None else c
 
 
+def _inverse_pair(g: Matrix, h: Matrix) -> bool:
+    """h g == 1, for g and h diagonal."""
+    inverse = conjugation_scalar(g, Matrix.identity(g.n), h)
+    return bool(inverse) and inverse.is_one()
+
+
 def ad_scalars(g: Matrix, h: Matrix, x: Matrix, y: Matrix, times: int):
     """[q p^t for t < times], the scalars with g b_t h = q p^t b_t on the
     iterates b_0 = y, b_(t+1) = x b_t - (g b_t h) x or b_t x - x (g b_t h) (the
     R4 lemma in the module docstring), when h g = 1, g x h = p x and
     g y h = q y; None otherwise."""
-    inverse = conjugation_scalar(g, Matrix.identity(g.n), h)
-    if not (inverse and inverse.is_one()):
+    if not _inverse_pair(g, h):
         return None
     # g and h are invertible now, so p and q are nonzero or False
     p, q = conjugation_scalar(g, x, h), conjugation_scalar(g, y, h)
     return [q * p**t for t in range(times)] if p and q else None
+
+
+def _ad_generators(mod: MatrixModule, i: int, left: bool):
+    """(x, g, h) of an R4 iterate at node i: (e_i, w_i, w_i^-1) for ad_l e,
+    (f_i, w'_i^-1, w'_i) for ad_r f."""
+    if left:
+        return mod.get(E(i)), mod.get(W(i)), mod.get(W(i, -1))
+    return mod.get(F(i)), mod.get(Wp(i, -1)), mod.get(Wp(i))
+
+
+def ad_iterate(mod: MatrixModule, i: int, j: int, times: int, left: bool) -> Matrix:
+    """The R4 iterate: b -> e_i b - (w_i b w_i^-1) e_i (left) or
+    b -> b f_i - f_i (w'_i^-1 b w'_i), applied times times from e_j or f_j;
+    each step takes two products when ad_scalars gives its scalar, four
+    otherwise."""
+    x, g, h = _ad_generators(mod, i, left)
+    b = _ad_generators(mod, j, left)[0]
+    cs = ad_scalars(g, h, x, b, times)
+    for t in range(times):
+        if left:
+            b = x @ b - (b @ x.scale(cs[t]) if cs else g @ b @ h @ x)
+        else:
+            b = b @ x - (x.scale(cs[t]) @ b if cs else x @ g @ b @ h)
+    return b
+
+
+def coproduct(mL: MatrixModule, mR: MatrixModule, i: int) -> dict:
+    """The coproduct images of the Chevalley generators at node i on the
+    tensor of mL and mR: E(i) -> e(x)1 + w(x)e, F(i) -> 1(x)f + f(x)w',
+    W(i, +-1) -> w(x)w and Wp(i, +-1) -> w'(x)w'."""
+    idL, idR = Matrix.identity(mL.dim), Matrix.identity(mR.dim)
+    out = {
+        E(i): mL.get(E(i)).kron(idR) + mL.get(W(i)).kron(mR.get(E(i))),
+        F(i): idL.kron(mR.get(F(i))) + mL.get(F(i)).kron(mR.get(Wp(i))),
+    }
+    for e in (1, -1):
+        for g in (W(i, e), Wp(i, e)):
+            out[g] = mL.get(g).kron(mR.get(g))
+    return out
+
+
+def tensor_factors(mod: MatrixModule):
+    """mod.factors, the (mL, mR) that hopf.tensor records, when every E, F,
+    W and Wp that mod stores is exactly its coproduct image from them; None
+    otherwise, as on a module re-wrapped, mutated or built by hand."""
+    if mod.factors is None:
+        return None
+    try:
+        images = [coproduct(*mod.factors, i) for i in range(mod.table.size)]
+    except MissingGenerator:
+        return None
+    same = all(mod.assign.get(g) == m for image in images for g, m in image.items())
+    return mod.factors if same else None
+
+
+def _r3_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, rsinv):
+    """(holds, lhs) for instance (i, j) of R3 on the tensor of mL and mR by
+    the R3 tensor lemma (module docstring): holds is True when the instance
+    holds on both factors and None otherwise, and lhs() builds [E_i, F_j]
+    from Kronecker products; None when the lemma's scalars differ."""
+    wi, wiinv = mL.get(W(i)), mL.get(W(i, -1))
+    wpj, wpjinv = mR.get(Wp(j)), mR.get(Wp(j, -1))
+    if not (_inverse_pair(wi, wiinv) and _inverse_pair(wpj, wpjinv)):
+        return None
+    c = conjugation_scalar(wi, mL.get(F(j)), wiinv)
+    if not (c and c == conjugation_scalar(wpj, mR.get(E(i)), wpjinv)):
+        return None
+    p, q = rsinv.as_quotient()
+    ks = [commutator(m.get(E(i)), m.get(F(j))) for m in (mL, mR)]
+    if i == j:
+        holds = all(k.scale(q) == (m.get(W(i)) - m.get(Wp(i))).scale(p) for m, k in zip((mL, mR), ks))
+    else:
+        holds = ks[0].is_zero() and ks[1].is_zero()
+    return holds or None, lambda: ks[0].kron(wpj) + wi.kron(ks[1])
+
+
+def _r4_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, aij: int, left: bool):
+    """(holds, b) for the R4 instance (ad_l e when left, else ad_r f) at
+    (i, j) on the tensor of mL and mR by the R4 tensor lemma (module
+    docstring): holds is True when both factors' iterates are zero and None
+    otherwise, and b() builds the tensor's iterate from Kronecker products;
+    None when a hypothesis fails."""
+    scalars = []
+    for m in (mL, mR):
+        gens = [_ad_generators(m, a, left) for a in (i, j)]
+        if not all(_inverse_pair(g, h) for _, g, h in gens):
+            return None
+        # P_ii, P_ij, P_ji, P_jj: the scalar of g_a on x_b
+        scalars.append([conjugation_scalar(g, x, h) for _, g, h in gens for x, _, _ in gens])
+    pii, pij, pji, _ = scalars[0]
+    if not (all(scalars[0]) and scalars[0] == scalars[1] and pij * pji == pii**aij):
+        return None
+    times = 1 - aij
+    uL, uR = (ad_iterate(m, i, j, times, left) for m in (mL, mR))
+
+    def b():
+        if left:
+            k = mL.get(W(i)) ** times @ mL.get(W(j))
+            return uL.kron(Matrix.identity(mR.dim)) + k.kron(uR)
+        k = mR.get(Wp(i)) ** times @ mR.get(Wp(j))
+        return Matrix.identity(mL.dim).kron(uR) + uL.kron(k)
+
+    return (uL.is_zero() and uR.is_zero()) or None, b
 
 
 def conjugation_verdict(g: Matrix, x: Matrix, h: Matrix, c):

@@ -1,9 +1,11 @@
-"""The plain R2 and R4 loops: the test oracle for check_chevalley's
-conjugation lemma.
+"""The plain R2, R3 and R4 loops: the test oracle for check_chevalley's
+conjugation and tensor lemmas.
 
 Every R2 instance builds both of its sides by matrix products, w x w^-1
-against the scaled x, and every step of an R4 ad-iterate takes its four
-products, e b - (w b w^-1) e or b f - f (w'^-1 b w'), whatever the module.
+against the scaled x; every R3 instance builds E F - F E against
+(W - W')/(r - s) or zero; and every step of an R4 ad-iterate takes its four
+products, e b - (w b w^-1) e or b f - f (w'^-1 b w'), whatever the module,
+a tensor module too.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ def _failures(instances):
 
 
 def plain_reports(mod):
-    """{"R2": (instances_checked, failures), "R4": (...)}, plainly."""
+    """{"R2": (instances_checked, failures), "R3": (...), "R4": (...)},
+    plainly."""
     table = mod.table
     nodes = range(table.size)
     zero = Matrix.zeros(mod.dim)
-    r2, r4 = [], []
+    rsub, ssub = table.rs
+    rsinv = (rsub - ssub).inv()
+    r2, r3, r4 = [], [], []
     for i in nodes:
         ei, fi = mod.get(E(i)), mod.get(F(i))
         for j in nodes:
@@ -36,6 +41,11 @@ def plain_reports(mod):
             r2.append((("wf", i, j), wj @ fi @ wjinv, fi.scale(pij.inv())))
             r2.append((("wpe", i, j), wpj @ ei @ wpjinv, ei.scale(pji.inv())))
             r2.append((("wpf", i, j), wpj @ fi @ wpjinv, fi.scale(pji)))
+    for i in nodes:
+        for j in nodes:
+            ei, fj = mod.get(E(i)), mod.get(F(j))
+            rhs = (mod.get(W(i)) - mod.get(Wp(i))).scale(rsinv) if i == j else zero
+            r3.append(((i, j), ei @ fj - fj @ ei, rhs))
     for i in nodes:
         ei, wi, wiinv = mod.get(E(i)), mod.get(W(i)), mod.get(W(i, -1))
         fi, wpi, wpiinv = mod.get(F(i)), mod.get(Wp(i)), mod.get(Wp(i, -1))
@@ -51,4 +61,4 @@ def plain_reports(mod):
             for _ in range(times):
                 b = b @ fi - fi @ wpiinv @ b @ wpi
             r4.append((("ad_r f", i, j), b, zero))
-    return {"R2": (len(r2), _failures(r2)), "R4": (len(r4), _failures(r4))}
+    return {rid: (len(insts), _failures(insts)) for rid, insts in (("R2", r2), ("R3", r3), ("R4", r4))}

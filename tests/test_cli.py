@@ -398,7 +398,13 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # R4's conjugations w b w^-1 by products, where each step now scales e once
 # (1,634 in R4, now 1,452), made 4,441; the right factor's a -> b taken
 # through powers of b, where the exponent keys are now relabelled, 4,435.
-TENSOR_33_PINNED_PMUL_CALLS = 3479
+# R4's iterates built on the 16-dimensional tensor, where the R4 tensor lemma
+# now reads them off the 4-dimensional factors (R4 1,452, now 444), and the
+# tensor's identity built as the Kronecker product of two identities (32),
+# made 3,479.  R3 now reads its commutators off the factors too, and
+# confirming the coproduct form of the stored generators costs a little more
+# than that saves (R3 330, now 338).
+TENSOR_33_PINNED_PMUL_CALLS = 2447
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -647,6 +653,44 @@ def test_output_does_not_depend_on_the_environment():
 
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_main_builds_the_parser_once_and_keeps_no_state(capsys, monkeypatch):
+    # main builds the parser on its first call and keeps it; a pin, an
+    # argument or an error of one call must not reach the next
+    from rsaffine import cli
+
+    argv = ("verify", "--n", "1", "--json")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "rsaffine.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    builds, pins = 0, []
+    build, verify = cli.build_parser, cli.cmd_verify
+
+    def counting():
+        nonlocal builds
+        builds += 1
+        return build()
+
+    def recording(args):
+        pins.append(args.a)
+        return verify(args)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "cmd_verify", recording)
+    cli._parser.cache_clear()
+    assert run(capsys, "verify", "--n", "1", "--a", "2", "--json")[0] == EXIT_PASS
+    assert main(["verify", "--n", "1", "--a"]) == EXIT_USAGE
+    capsys.readouterr()
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    cli._parser.cache_clear()
+    assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert (builds, pins) == (1, ["2", None])
 
 
 # (argv, exit code, text stderr must contain)

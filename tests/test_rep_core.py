@@ -40,6 +40,7 @@ from rsaffine.rep_core import (
     current_form,
     drinfeld_instance_counts,
 )
+from rsaffine import rep_core
 from rsaffine.hopf import tensor
 from rsaffine.sl2 import build_chevalley_eval, build_current_eval
 from rsaffine.specialize import parse_spec_map, specialize_module, substitute_module
@@ -441,9 +442,9 @@ def relation_products(K, L):
     }
 
 
-def products_per_relation(monkeypatch, check):
+def products_per_relation(monkeypatch, check, dim=None):
     """The matrix products each relation's checker spans while check() runs,
-    which must pass."""
+    which must pass; with dim, only the products of dim x dim matrices."""
     import rsaffine.rep_core as rep_core
 
     calls = 0
@@ -452,7 +453,7 @@ def products_per_relation(monkeypatch, check):
 
     def counting(a, b):
         nonlocal calls
-        calls += 1
+        calls += dim is None or a.n == dim
         return matmul(a, b)
 
     class Spans(rep_core._Checker):
@@ -477,12 +478,69 @@ def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
     assert {rid: n for rid, n in spans.items() if not rid.startswith("D8")} == relation_products(kmax, lmax)
 
 
-# -- R2 and R4 against the plain loops -------------------------------------------------
-# tests/plainchevalley.py builds both sides of every R2 instance and each R4
-# step from its four products.  check_chevalley reads R2, and R4's conjugation
-# w b w^-1, off the conjugation lemma when the group-likes are diagonal, so
-# its reports must equal the oracle's on modules that meet the lemma's
-# preconditions and on modules that break one of them.
+# -- R2, R3 and R4 against the plain loops -----------------------------------------------
+# tests/plainchevalley.py builds both sides of every R2 and R3 instance and
+# each R4 step from its four products.  check_chevalley reads R2, and R4's
+# conjugation w b w^-1, off the conjugation lemma when the group-likes are
+# diagonal, and R3 and R4 of a module hopf.tensor built off its factors (the
+# tensor lemmas) once the stored generators are confirmed to be the
+# coproduct images of the recorded factors.  So its reports must equal the
+# oracle's on modules that meet the lemmas' preconditions and on modules that
+# break one of them: for tensors, factors whose Serre elements are nonzero,
+# factors that break a hypothesis of a lemma, and stored generators or
+# factors changed after the build.
+
+
+def _scaled(mod):
+    """mod with the k-th nonzero entry of each E and F, row by row, times
+    k + 2: the supports, so R2 and every conjugation scalar, are kept, and
+    the quantum Serre elements are not zero."""
+    out = mod
+    for gen in (E(0), E(1), F(0), F(1)):
+        k = iter(range(2, 10**6))
+        out = out.with_assign(gen, Matrix([[x * next(k) if x else x for x in row] for row in mod.get(gen).rows]))
+    return out
+
+
+def _twisted(mod, kind, k):
+    """mod with the group-like pair Gen(kind, k, +-1) times diag(r^+-j)."""
+    d = [R**j for j in range(mod.dim)]
+    plus, minus = Gen(kind, k, 1), Gen(kind, k, -1)
+    out = mod.with_assign(plus, mod.get(plus).scale_columns(d))
+    return out.with_assign(minus, mod.get(minus).scale_columns([x.inv() for x in d]))
+
+
+def _factors(left=2, right=3):
+    return build_chevalley_eval(left), substitute_module(build_chevalley_eval(right), a=B)
+
+
+def _tensor_cases():
+    mL, mR = _factors()
+    yield "plain", tensor(mL, mR)
+    yield "scaled left", tensor(_scaled(mL), mR)
+    yield "scaled right", tensor(mL, _scaled(mR))
+    yield "scaled both", tensor(_scaled(mL), _scaled(mR))
+    for kind in ("W", "Wp"):
+        for k in (0, 1):
+            tl, tr = _twisted(mL, kind, k), _twisted(mR, kind, k)
+            yield f"{kind}({k}) twisted on the left", tensor(tl, mR)
+            yield f"{kind}({k}) twisted on the right", tensor(mL, tr)
+            yield f"{kind}({k}) twisted on both", tensor(tl, tr)
+    for i in (0, 1):
+        yield f"e({i}) = 0 on the left", tensor(mL.with_assign(E(i), Matrix.zeros(mL.dim)), mR)
+        yield f"e({i}) = 0 on the right", tensor(mL, mR.with_assign(E(i), Matrix.zeros(mR.dim)))
+    one, oneR = _factors(0, 0)
+    yield "1-dimensional left", tensor(one, mR)
+    yield "1-dimensional right", tensor(mL, oneR)
+    yield "1-dimensional both", tensor(one, oneR)
+    for gen in (E(0), E(1), F(1), W(0, -1)):
+        replaced = tensor(mL, mR)
+        replaced.assign[gen] = replaced.get(gen).scale(2)
+        yield f"{gen} replaced after the build", replaced
+    left = build_chevalley_eval(2)
+    moved = tensor(left, mR)
+    left.assign[E(1)] = left.get(E(1)).scale(2)
+    yield "left factor's E(1) replaced after the build", moved
 
 
 def _chevalley_modules():
@@ -516,6 +574,8 @@ def _chevalley_modules():
         }
         for name, (gen, mat) in broken.items():
             yield f"n={n} {name}", chev.with_assign(gen, mat)
+    for name, mod in _tensor_cases():
+        yield f"tensor 2x3 {name}", mod
 
 
 @pytest.mark.parametrize("mod", [pytest.param(mod, id=name) for name, mod in _chevalley_modules()])
@@ -547,6 +607,39 @@ def test_conjugation_scalar_reads_the_lemma():
     assert conjugation_scalar(w, e1 + Matrix.identity(chev.dim), winv) is False
     assert conjugation_scalar(w + e1, e1, winv) is None
     assert conjugation_scalar(w, e1, winv + e1) is None
+
+
+def test_tensor_lemmas_see_the_cases_they_decide():
+    mL, mR = _factors()
+    # the scaled factors' Serre elements are nonzero on both sides, so the
+    # tensor's iterates are the lemma's sums of both terms
+    for m in (_scaled(mL), _scaled(mR)):
+        assert len(plain_reports(m)["R4"][1]) == 4
+    scaled = tensor(_scaled(mL), _scaled(mR))
+    assert rep_core._r4_on_factors(mL, mR, 0, 1, -2, True)[0] is True
+    for left in (True, False):
+        holds, b = rep_core._r4_on_factors(*scaled.factors, 0, 1, -2, left)
+        assert holds is None and not b().is_zero()
+    # twisting one group-like on both factors keeps the scalars equal across
+    # them and breaks P_ij P_ji = P_ii^a_ij: the plain path
+    for kind, left in (("W", True), ("Wp", False)):
+        both = tensor(_twisted(mL, kind, 0), _twisted(mR, kind, 0))
+        assert rep_core.tensor_factors(both) == both.factors
+        assert rep_core._r4_on_factors(*both.factors, 0, 1, -2, left) is None
+    # a stored generator or a factor changed after the build: no factors
+    for name, mod in _tensor_cases():
+        assert (rep_core.tensor_factors(mod) is None) == name.endswith("after the build")
+    assert rep_core.tensor_factors(tensor(mL, mR).with_assign(E(0), Matrix.zeros(12))) is None
+    assert rep_core.tensor_factors(substitute_module(tensor(mL, mR), b=2 + S)) is None
+
+
+# Matrix products of tensor size made by R3 and R4 on V_m(a) (x) V_n(b): none,
+# since both read the factors' commutators and iterates.
+@pytest.mark.parametrize("left,right", ((1, 1), (2, 3), (4, 2)))
+def test_tensor_r3_and_r4_make_no_tensor_sized_product(monkeypatch, left, right):
+    mod = tensor(*_factors(left, right))
+    spans = products_per_relation(monkeypatch, lambda: check_chevalley(mod), dim=mod.dim)
+    assert (spans["R3"], spans["R4"]) == (0, 0)
 
 
 # -- the current form ------------------------------------------------------------------
