@@ -575,7 +575,13 @@ class RatFunc:
         return r if r is NotImplemented else not r
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        # a constant hashes as its Fraction, so as the int or Fraction it
+        # equals; canonical forms are unique, so equal values hash equal
+        num, den = self.num, self.den
+        if len(den) == 1 and _ZERO_KEY in den and (not num or len(num) == 1 and _ZERO_KEY in num):
+            n, d = num.get(_ZERO_KEY, 0), den[_ZERO_KEY]
+            return hash(n) if d == 1 else hash(Fraction(n, d))
+        return hash((frozenset(num.items()), frozenset(den.items())))
 
     def __bool__(self):
         return bool(self.num)

@@ -2,30 +2,30 @@
 
 The coproduct acts on Chevalley generators only (e -> e(x)1 + w(x)e,
 f -> 1(x)f + f(x)w', group-likes multiply), so tensor modules live at the
-Chevalley level.  A tensor module records its two factors, and
-check_chevalley reads its R3 and R4 off them through the tensor lemmas
-(rep_core), once it has checked that every stored E, F, W and W' is exactly
-the coproduct image of the factors' generators: the coproduct form is
-verified, not assumed, and every other relation is checked on the module's
-own matrices.  The sign twist transforms the Chevalley generator
-matrices, and the caller re-runs the relation suite on the result: the
-automorphism property is verified, not assumed.  The loop twists are the
-reparameterizations a -> c a, which the twist command decides through
-specialize.reports_at_pin.
+Chevalley level.  tensor stores exactly the coproduct image of the
+factors' generators and records the two factors; modules are read-only, so
+that form holds by construction, and check_chevalley reads R3 and R4 of the
+module off its factors through the tensor lemmas (rep_core).  Every other
+relation is checked on the module's own matrices.  The sign twist
+transforms the Chevalley generator matrices, and the caller re-runs the
+relation suite on the result: the automorphism property is verified, not
+assumed.  The loop twists are the reparameterizations a -> c a, which the
+twist command decides through specialize.reports_at_pin.
 """
 
 from __future__ import annotations
 
-from .errors import MissingGenerator, TypeMismatch
+from .errors import IndexOutOfRange, MissingGenerator, TypeMismatch
 from .field import ONE, P61, ZERO, RatFunc, eval_mod
 from .matrix import Matrix, echelon_insert
-from .rep_core import E_KIND, WP_KIND, W_KIND, E, GammaHalf, GammaPrimeHalf, MatrixModule, coproduct
+from .rep_core import E_KIND, WP_KIND, W_KIND, E, F, GammaHalf, GammaPrimeHalf, MatrixModule, W, Wp
 
 
 def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
     """Coproduct action on the tensor square:
-    E(i) -> E(x)1 + W(x)E, F(i) -> 1(x)F + F(x)W', group-likes factorwise
-    (rep_core.coproduct).  The module records (mL, mR) as its factors."""
+    E(i) -> E(x)1 + W(x)E, F(i) -> 1(x)F + F(x)W', group-likes factorwise.
+    The module records (mL, mR) as its factors: it is the only module that
+    does."""
     if mL.table.type != mR.table.type:
         raise TypeMismatch(
             f"tensor needs one affine type, got {mL.table.type} and {mR.table.type}"
@@ -36,9 +36,14 @@ def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
         if not (m.get(GammaHalf()).is_identity() and m.get(GammaPrimeHalf()).is_identity()):
             raise TypeMismatch("tensor factors must be level zero")
 
+    idL, idR = Matrix.identity(mL.dim), Matrix.identity(mR.dim)
     assign = {}
     for i in range(mL.table.size):
-        assign.update(coproduct(mL, mR, i))
+        assign[E(i)] = mL.get(E(i)).kron(idR) + mL.get(W(i)).kron(mR.get(E(i)))
+        assign[F(i)] = idL.kron(mR.get(F(i))) + mL.get(F(i)).kron(mR.get(Wp(i)))
+        for e in (1, -1):
+            for g in (W(i, e), Wp(i, e)):
+                assign[g] = mL.get(g).kron(mR.get(g))
     ident = Matrix.identity(mL.dim * mR.dim)
     for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
         assign[g] = ident
@@ -49,6 +54,8 @@ def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
 
 def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):
     """Standard basis vector v_i (x) v_j of the tensor space."""
+    if not (0 <= i < mL.dim and 0 <= j < mR.dim):
+        raise IndexOutOfRange(f"basis index ({i},{j}) outside 0..{mL.dim - 1} x 0..{mR.dim - 1}")
     out = [ZERO] * (mL.dim * mR.dim)
     out[i * mR.dim + j] = ONE
     return out

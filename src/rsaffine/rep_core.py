@@ -78,9 +78,10 @@ by entry, without a product.
     and the two products are scaled by r - s once, before the m loop.
 Tensor lemmas.  Let M store exactly the coproduct images of the Chevalley
 generators of two factors, E_i = e_i(x)1 + w_i(x)e_i, F_i = 1(x)f_i +
-f_i(x)w'_i, W_i^+-1 = w_i^+-1(x)w_i^+-1 and W'_i^+-1 = w'_i^+-1(x)w'_i^+-1
-(tensor_factors checks each against the factors hopf.tensor records), and
-recall (A(x)B)(C(x)D) = AC(x)BD.
+f_i(x)w'_i, W_i^+-1 = w_i^+-1(x)w_i^+-1 and W'_i^+-1 = w'_i^+-1(x)w'_i^+-1,
+and recall (A(x)B)(C(x)D) = AC(x)BD.  The modules hopf.tensor returns are
+these by construction: it builds every image from the factors it records,
+and modules are read-only, so neither can change after the build.
   - R3.  [E_i, F_j] = [e_i, f_j](x)w'_j + w_i(x)[e_i, f_j] + (w_i f_j (x)
     e_i w'_j - f_j w_i (x) w'_j e_i).  Let w_i^-1 w_i = 1 and
     w_i f_j w_i^-1 = c f_j on the left factor, and w'_j^-1 w'_j = 1 and
@@ -118,9 +119,9 @@ Every instance is counted by _Checker.verdict, with the verdict of a lemma
 or by comparing its two sides.  R2 takes its plain products when a
 group-like is not diagonal, and an R4 ad-iterate takes them when w^-1 w = 1
 fails or e_i or e_j (f_i or f_j) has no conjugation scalar.  R3 and R4 of a
-module hopf.tensor built take the tensor lemmas when tensor_factors confirms
-the coproduct form and an instance meets their hypotheses; every other
-instance, on any other module too, takes its products.  A sign off the
+module hopf.tensor returned take the tensor lemmas when an instance meets
+their hypotheses; every other instance, on any other module too, takes its
+products.  A sign off the
 form has its D4, D5 and D6
 instances take their plain products, and D7 takes them unless both signs
 are on the form; so does an instance of D4 or D5 with a non-diagonal w^-1,
@@ -134,6 +135,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .cartan import PairingTable
 from .errors import MissingGenerator, UnsupportedRank, WindowTooSmall
@@ -227,12 +229,14 @@ def Wpser(i, m):
 class MatrixModule:
     """A finite set of generator symbols mapped to square RatFunc matrices.
 
-    Immutable after construction.  Construction verifies the group-like
-    inverse pairs and the central half-element normalization (level zero:
-    gamma gamma' acts as the identity).
+    Read-only: assign is a read-only view of the module's own copy of the
+    mapping, and Matrix values are immutable, so a derived module is a new
+    one (with_assign).  Construction verifies the group-like inverse pairs
+    and the central half-element normalization (level zero: gamma gamma'
+    acts as the identity).
     """
 
-    factors = None  # (mL, mR) on a module hopf.tensor built
+    factors = None  # (mL, mR) on a module hopf.tensor returned, None on every other
 
     def __init__(self, table: PairingTable, assign: dict, check=True):
         dims = {m.n for m in assign.values()} | {m.m for m in assign.values()}
@@ -240,7 +244,7 @@ class MatrixModule:
             raise ValueError("all generator matrices must share one square size")
         self.dim = dims.pop()
         self.table = table
-        self.assign = dict(assign)
+        self.assign = MappingProxyType(dict(assign))
         self.kmax = max(
             (abs(g.k) for g in assign if g.kind in (XP_KIND, XM_KIND)), default=-1
         )
@@ -407,11 +411,11 @@ def check_chevalley(mod: MatrixModule) -> list:
     reports.append(c.done())
 
     # R3 and R4 of a tensor module are read off its factors (the tensor
-    # lemmas in the module docstring) once its coproduct form is confirmed
+    # lemmas in the module docstring)
     c = _Checker("R3")
     rsub, ssub = mod.table.rs
     rsinv = (rsub - ssub).inv()
-    factors = tensor_factors(mod)
+    factors = mod.factors
     for i in nodes:
         for j in nodes:
             holds, lhs = (factors and _r3_on_factors(*factors, i, j, rsinv)) or (
@@ -542,35 +546,6 @@ def ad_iterate(mod: MatrixModule, i: int, j: int, times: int, left: bool) -> Mat
         else:
             b = b @ x - (x.scale(cs[t]) @ b if cs else x @ g @ b @ h)
     return b
-
-
-def coproduct(mL: MatrixModule, mR: MatrixModule, i: int) -> dict:
-    """The coproduct images of the Chevalley generators at node i on the
-    tensor of mL and mR: E(i) -> e(x)1 + w(x)e, F(i) -> 1(x)f + f(x)w',
-    W(i, +-1) -> w(x)w and Wp(i, +-1) -> w'(x)w'."""
-    idL, idR = Matrix.identity(mL.dim), Matrix.identity(mR.dim)
-    out = {
-        E(i): mL.get(E(i)).kron(idR) + mL.get(W(i)).kron(mR.get(E(i))),
-        F(i): idL.kron(mR.get(F(i))) + mL.get(F(i)).kron(mR.get(Wp(i))),
-    }
-    for e in (1, -1):
-        for g in (W(i, e), Wp(i, e)):
-            out[g] = mL.get(g).kron(mR.get(g))
-    return out
-
-
-def tensor_factors(mod: MatrixModule):
-    """mod.factors, the (mL, mR) that hopf.tensor records, when every E, F,
-    W and Wp that mod stores is exactly its coproduct image from them; None
-    otherwise, as on a module re-wrapped, mutated or built by hand."""
-    if mod.factors is None:
-        return None
-    try:
-        images = [coproduct(*mod.factors, i) for i in range(mod.table.size)]
-    except MissingGenerator:
-        return None
-    same = all(mod.assign.get(g) == m for image in images for g, m in image.items())
-    return mod.factors if same else None
 
 
 def _r3_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, rsinv):

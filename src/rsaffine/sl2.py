@@ -180,9 +180,7 @@ def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
         else:
             ws.append(commutator(xpm, xm0_rs))
             wps.append(commutator(xp0_rs, xmm))
-    for m, (w, wp) in enumerate(zip(ws, wps)):
-        if not (w.is_diagonal() and wp.is_diagonal()):
-            raise NotEigenvector(f"series generator at m={m} is not diagonal")
+    _require_diagonal(ws, wps)
     assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
     assign.update((Wser(1, m), mat) for m, mat in enumerate(ws))
     assign.update((Wpser(1, -m), mat) for m, mat in enumerate(wps))
@@ -214,13 +212,18 @@ def _imaginary(w0: Matrix, cs, rs: RatFunc, lmax: int):
     return [Matrix.diagonal(col) for col in zip(*cols)]
 
 
+def _require_diagonal(ws, wps):
+    """NotEigenvector at the first m where w(m) or w'(-m) is not diagonal."""
+    for m, (w, wp) in enumerate(zip(ws, wps)):
+        if not (w.is_diagonal() and wp.is_diagonal()):
+            raise NotEigenvector(f"series generator at m={m} is not diagonal")
+
+
 def series_matrices(mod: MatrixModule, order: int):
     """The stored w(0..order) and w'(0..-order).  Raises MissingGenerator
     when one is not stored, and NotEigenvector unless every one is diagonal
     on the basis, since the eigenvalue readers read only the diagonal."""
     ws = [mod.get(Wser(1, m)) for m in range(order + 1)]
     wps = [mod.get(Wpser(1, -m)) for m in range(order + 1)]
-    for m, (w, wp) in enumerate(zip(ws, wps)):
-        if not (w.is_diagonal() and wp.is_diagonal()):
-            raise NotEigenvector(f"series generator at m={m} is not diagonal")
+    _require_diagonal(ws, wps)
     return ws, wps

@@ -401,10 +401,11 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # R4's iterates built on the 16-dimensional tensor, where the R4 tensor lemma
 # now reads them off the 4-dimensional factors (R4 1,452, now 444), and the
 # tensor's identity built as the Kronecker product of two identities (32),
-# made 3,479.  R3 now reads its commutators off the factors too, and
-# confirming the coproduct form of the stored generators costs a little more
-# than that saves (R3 330, now 338).
-TENSOR_33_PINNED_PMUL_CALLS = 2447
+# made 3,479.  R3 now reads its commutators off the factors too.  Rebuilding
+# every coproduct image from the factors before R3, to confirm the coproduct
+# form that modules now hold by construction (they are read-only), made 2,447
+# (224 in the rebuild).
+TENSOR_33_PINNED_PMUL_CALLS = 2223
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):

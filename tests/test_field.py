@@ -324,6 +324,16 @@ def test_field_axioms(x, y, z):
         assert (x * y) / x == y
 
 
+# A constant equals the int or Fraction it reads as, so it must hash as one:
+# 1 in {ONE} and ONE in {1} are True.
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(-10**30, 10**30), st.fractions()))
+def test_constants_hash_as_the_numbers_they_equal(c):
+    x = RatFunc.from_fraction(c)
+    assert x == c and hash(x) == hash(c)
+    assert c in {x} and x in {c}
+
+
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs(), ratfuncs())
 def test_substitute_is_homomorphism(x, y):

@@ -7,7 +7,7 @@ from test_field import planted_triples
 from twists import twist_gamma1, twist_gamma2
 
 from rsaffine import hopf
-from rsaffine.errors import MissingGenerator, TypeMismatch
+from rsaffine.errors import IndexOutOfRange, MissingGenerator, TypeMismatch
 from rsaffine.field import A, B, ONE, P61, R, S, ZERO, eval_mod, parse
 from rsaffine.hopf import span_closure, tensor, tensor_basis_vector, twist_sigma
 from rsaffine.matrix import Matrix, echelon_insert
@@ -61,6 +61,16 @@ def test_coproduct_action_example():
     v10 = tensor_basis_vector(mL, mR, 1, 0)
     v00 = tensor_basis_vector(mL, mR, 0, 0)
     assert T.get(E(1)).apply(v10) == v00
+
+
+# An index outside a factor used to wrap (or leak a bare IndexError): (0, 3) on
+# V_1 (x) V_2 read v_1 (x) v_0 and (0, -1) read v_1 (x) v_2.
+@pytest.mark.parametrize("i,j", ((0, 3), (0, -1), (1, 3), (2, 0), (-1, 0)))
+def test_tensor_basis_vector_refuses_an_index_outside_a_factor(i, j):
+    mL, mR = _pair(1, 2)
+    with pytest.raises(IndexOutOfRange, match=r"^basis index"):
+        tensor_basis_vector(mL, mR, i, j)
+    assert tensor_basis_vector(mL, mR, 1, 2) == [ZERO] * 5 + [ONE]
 
 
 def test_highest_weight_line_annihilated():

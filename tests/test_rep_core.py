@@ -41,8 +41,8 @@ from rsaffine.rep_core import (
     drinfeld_instance_counts,
 )
 from rsaffine import rep_core
-from rsaffine.hopf import tensor
-from rsaffine.sl2 import build_chevalley_eval, build_current_eval
+from rsaffine.hopf import tensor, twist_sigma
+from rsaffine.sl2 import build_chevalley_eval, build_current_eval, with_series
 from rsaffine.specialize import parse_spec_map, specialize_module, substitute_module
 
 A1 = build_pairing(AffineType("A", 1))
@@ -482,13 +482,12 @@ def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
 # tests/plainchevalley.py builds both sides of every R2 and R3 instance and
 # each R4 step from its four products.  check_chevalley reads R2, and R4's
 # conjugation w b w^-1, off the conjugation lemma when the group-likes are
-# diagonal, and R3 and R4 of a module hopf.tensor built off its factors (the
-# tensor lemmas) once the stored generators are confirmed to be the
-# coproduct images of the recorded factors.  So its reports must equal the
-# oracle's on modules that meet the lemmas' preconditions and on modules that
-# break one of them: for tensors, factors whose Serre elements are nonzero,
-# factors that break a hypothesis of a lemma, and stored generators or
-# factors changed after the build.
+# diagonal, and R3 and R4 of a module hopf.tensor returned off its factors
+# (the tensor lemmas).  So its reports must equal the oracle's on modules that
+# meet the lemmas' preconditions and on modules that break one of them: for
+# tensors, factors whose Serre elements are nonzero, factors that break a
+# hypothesis of a lemma, and stored generators replaced after the build,
+# which leave the coproduct form and take the plain path.
 
 
 def _scaled(mod):
@@ -533,14 +532,12 @@ def _tensor_cases():
     yield "1-dimensional left", tensor(one, mR)
     yield "1-dimensional right", tensor(mL, oneR)
     yield "1-dimensional both", tensor(one, oneR)
+    built = tensor(mL, mR)
     for gen in (E(0), E(1), F(1), W(0, -1)):
-        replaced = tensor(mL, mR)
-        replaced.assign[gen] = replaced.get(gen).scale(2)
-        yield f"{gen} replaced after the build", replaced
-    left = build_chevalley_eval(2)
-    moved = tensor(left, mR)
-    left.assign[E(1)] = left.get(E(1)).scale(2)
-    yield "left factor's E(1) replaced after the build", moved
+        yield f"{gen} replaced after the build", built.with_assign(gen, built.get(gen).scale(2))
+    # E(1) replaced by its image from a left factor with e(1) doubled
+    doubled = tensor(mL.with_assign(E(1), mL.get(E(1)).scale(2)), mR).get(E(1))
+    yield "left factor's E(1) replaced after the build", built.with_assign(E(1), doubled)
 
 
 def _chevalley_modules():
@@ -624,13 +621,34 @@ def test_tensor_lemmas_see_the_cases_they_decide():
     # them and breaks P_ij P_ji = P_ii^a_ij: the plain path
     for kind, left in (("W", True), ("Wp", False)):
         both = tensor(_twisted(mL, kind, 0), _twisted(mR, kind, 0))
-        assert rep_core.tensor_factors(both) == both.factors
+        assert both.factors is not None
         assert rep_core._r4_on_factors(*both.factors, 0, 1, -2, left) is None
-    # a stored generator or a factor changed after the build: no factors
+    # a stored generator replaced after the build: no factors, the plain path
     for name, mod in _tensor_cases():
-        assert (rep_core.tensor_factors(mod) is None) == name.endswith("after the build")
-    assert rep_core.tensor_factors(tensor(mL, mR).with_assign(E(0), Matrix.zeros(12))) is None
-    assert rep_core.tensor_factors(substitute_module(tensor(mL, mR), b=2 + S)) is None
+        assert (mod.factors is None) == name.endswith("after the build")
+
+
+# Modules are read-only, and only hopf.tensor records factors: every other way
+# to make a module, a re-wrap of a tensor included, records none, so a stored
+# generator of a module with factors is its coproduct image by construction.
+def test_modules_are_read_only_and_only_tensor_records_factors():
+    mL, mR = _factors()
+    built = tensor(mL, mR)
+    # mL is a build_chevalley_eval module
+    for mod in (built, mL, build_current_eval(1, kmax=1, lmax=1)):
+        with pytest.raises(TypeError):
+            mod.assign[E(0)] = Matrix.zeros(mod.dim)
+    assert built.factors == (mL, mR)
+    derived = (
+        built.with_assign(E(0), built.get(E(0))),
+        substitute_module(built, b=2 + S),
+        specialize_module(built, parse_spec_map("s=r^-1")),
+        twist_sigma(built, (-1, 1)),
+        MatrixModule(built.table, built.assign),
+    )
+    for mod in derived:
+        assert mod.factors is None
+    assert with_series(build_current_eval(1, kmax=1, lmax=1), 2, 1).factors is None
 
 
 # Matrix products of tensor size made by R3 and R4 on V_m(a) (x) V_n(b): none,
