@@ -17,7 +17,7 @@ from .cartan import build_pairing, parse_type, table_to_json
 from .drinfeld import drinfeld_report, verify_RQ_form
 from .errors import LatticeOverflow, ParseError, RsaffineError, UnsupportedRank
 from .field import ONE, ZERO, A, B, RatFunc, parse, render
-from .hopf import span_closure, tensor, tensor_basis_vector, twist_sigma
+from .hopf import exact_span_closure, full_span_certified, tensor, tensor_basis_vector, twist_sigma
 from .rep_core import XM_KIND, XP_KIND, all_pass, check_chevalley, check_drinfeld
 from .sl2 import build_chevalley_eval, build_current_eval
 from .specialize import (
@@ -201,10 +201,10 @@ def cmd_specialize(args) -> int:
     lines = [f"specialize {args.map} on the (n+1)-dimensional module, n={args.n}"]
     if sm.kind == "s_to_r":
         cent = centrality_report(mod)
+        seeds = [[ONE if j == i else ZERO for j in range(mod.dim)] for i in range(mod.dim)]
         full = all(
-            len(span_closure(mod, [ONE if j == i else ZERO for j in range(mod.dim)]))
-            == mod.dim
-            for i in range(mod.dim)
+            certified or len(exact_span_closure(mod, seed)) == mod.dim
+            for certified, seed in zip(full_span_certified(mod, seeds), seeds)
         )
         ok = not cent["failures"] and full
         doc["centrality"] = {"pass": not cent["failures"], "checked": cent["checked"]}
@@ -233,28 +233,35 @@ def cmd_tensor(args) -> int:
     # the right factor carries the second parameter
     sR = substitute_module(build_chevalley_eval(args.right), a=B)
     a = None if args.a is None else _parse_scalar(args.a, "--a")
-    mL = sL if a is None else substitute_module(sL, a=a)
     b = None if args.b is None else _parse_scalar(args.b, "--b")
-    mR = sR if b is None else substitute_module(sR, b=b)
-    # the pinned module serves only the closure, whose rank can drop at a pin
-    T = tensor(mL, mR)
-    symbolic = T if a is None and b is None else tensor(sL, sR)
-    reports = reports_at_pin(check_chevalley, symbolic, a=a, b=b)
+    T = tensor(sL, sR)
+    reports = reports_at_pin(check_chevalley, T, a=a, b=b)
     ok = all_pass(reports)
-    basis = span_closure(T, tensor_basis_vector(mL, mR, 0, 0))
+    seed = tensor_basis_vector(sL, sR, 0, 0)
+    # the closure's rank can drop at a pin: a full span is certified on the
+    # symbolic module at the pins' values (hopf.span_closure), and only a
+    # closure that is not certified builds the pinned module, which is the
+    # image of the symbolic one since sL holds no b and sR no a
+    (full,) = full_span_certified(T, [seed], a=a, b=b)
+    if full:
+        closure_dim = T.dim
+    else:
+        mL = sL if a is None else substitute_module(sL, a=a)
+        mR = sR if b is None else substitute_module(sR, b=b)
+        closure_dim = len(exact_span_closure(tensor(mL, mR), seed))
     doc = {
         "command": "tensor",
         "left": args.left,
         "right": args.right,
         "dim": T.dim,
-        "closure_dim_from_highest_weight": len(basis),
+        "closure_dim_from_highest_weight": closure_dim,
         "relations_pass": ok,
         "reports": [r.to_json() for r in reports],
         "pass": ok,
     }
     lines = [
         f"tensor V_{args.left}(a) (x) V_{args.right}(b): dim {T.dim}",
-        f"  closure of v_0 (x) v_0: dimension {len(basis)}",
+        f"  closure of v_0 (x) v_0: dimension {closure_dim}",
         f"  relation suite: {'ok' if ok else 'FAIL'}",
         "PASS" if ok else "FAIL",
     ]

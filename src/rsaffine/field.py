@@ -737,12 +737,15 @@ rf = RatFunc.from_int
 def quantum_int(n: int, base=None) -> RatFunc:
     """Two-parameter quantum integer r^(n-1) + r^(n-2) s + ... + s^(n-1).
 
-    base is an (r_i, s_i) pair of RatFunc values, default (r, s).
-    quantum_int(0) is 0.
+    base is an (r_i, s_i) pair of RatFunc values, default (r, s), whose
+    value is read off its exponents with no product.  quantum_int(0) is 0.
     """
     if n < 0:
         raise ValueError("quantum_int needs n >= 0")
-    br, bs = base if base is not None else (R, S)
+    if base is None:
+        terms = {(LATTICE * (n - 1 - j), LATTICE * j, 0, 0): 1 for j in range(n)}
+        return RatFunc._make(terms, _UNIT)
+    br, bs = base
     out = ZERO
     for j in range(n):
         out = out + br ** (n - 1 - j) * bs ** j

@@ -6,7 +6,10 @@ Chevalley level.  tensor stores exactly the coproduct image of the
 factors' generators and records the two factors; modules are read-only, so
 that form holds by construction, and check_chevalley reads R3 and R4 of the
 module off its factors through the tensor lemmas (rep_core).  Every other
-relation is checked on the module's own matrices.  The sign twist
+relation is checked on the module's own matrices.  span_closure certifies
+a full span mod p, and full_span_certified certifies it for a pinned
+module on the symbolic one, so a pinned module is built only when the
+certificate fails (span_closure docstring).  The sign twist
 transforms the Chevalley generator matrices, and the caller re-runs the
 relation suite on the result: the automorphism property is verified, not
 assumed.  The loop twists are the reparameterizations a -> c a, which the
@@ -44,12 +47,25 @@ def tensor(mL: MatrixModule, mR: MatrixModule) -> MatrixModule:
         for e in (1, -1):
             for g in (W(i, e), Wp(i, e)):
                 assign[g] = mL.get(g).kron(mR.get(g))
+    # (x (x) y)(x' (x) y') = xx' (x) yy', so each W, W' inverse pair of the
+    # tensor is checked on the factors' products; the gamma halves are the
+    # identity, so the module needs no invariant check of its own
+    for i in range(mL.table.size):
+        for plus, minus in ((W(i), W(i, -1)), (Wp(i), Wp(i, -1))):
+            if not _kron_is_identity(mL.get(plus) @ mL.get(minus), mR.get(plus) @ mR.get(minus)):
+                raise ValueError(f"{plus.kind}({i}) inverse pair broken")
     ident = Matrix.identity(mL.dim * mR.dim)
     for g in (GammaHalf(1), GammaHalf(-1), GammaPrimeHalf(1), GammaPrimeHalf(-1)):
         assign[g] = ident
-    out = MatrixModule(mL.table, assign)
+    out = MatrixModule(mL.table, assign, check=False)
     out.factors = (mL, mR)
     return out
+
+
+def _kron_is_identity(x: Matrix, y: Matrix) -> bool:
+    """Whether x (x) y is the identity: exactly when x = c I and y = c^-1 I."""
+    c = x[0, 0]
+    return bool(c) and x == Matrix.diagonal([c] * x.n) and y == Matrix.diagonal([c.inv()] * y.n)
 
 
 def tensor_basis_vector(mL: MatrixModule, mR: MatrixModule, i: int, j: int):
@@ -69,11 +85,21 @@ _POINTS = (
 )
 
 
-def _spans_mod(mats, seed, dim, point):
-    """Whether span_closure's worklist, run at the point on int dicts, spans
-    GF(P61)^dim; None when an entry of mats or of the seed is not regular."""
-    monomials = {}
-    v = {j: eval_mod(x, point, monomials) for j, x in seed.items()}
+def _pinned_point(point, a, b):
+    """point with its a and b coordinates replaced by the values of the pins
+    a and b there (a pin that is None keeps the coordinate); None where a
+    pin is not regular or is zero at the point."""
+    t_r, t_s, a0, b0 = point
+    if a is not None:
+        a0 = eval_mod(a, point)
+    if b is not None:
+        b0 = eval_mod(b, point)
+    return (t_r, t_s, a0, b0) if a0 and b0 else None
+
+
+def _columns_mod(mats, dim, point, monomials):
+    """The matrices at the point, each as its columns of {row: value} int
+    dicts; None when an entry is not regular there."""
     cols = [[{} for _ in range(dim)] for _ in mats]
     for mat, col in zip(mats, cols):
         for i, row in enumerate(mat._rows):
@@ -81,8 +107,12 @@ def _spans_mod(mats, seed, dim, point):
                 y = col[j][i] = eval_mod(x, point, monomials)
                 if y is None:
                     return None
-    if None in v.values():
-        return None
+    return cols
+
+
+def _spans_mod(cols, v, dim):
+    """Whether span_closure's worklist, run on int dicts over GF(P61) from
+    the seed v with the evaluated matrices cols, spans GF(P61)^dim."""
     basis, todo = {}, []
 
     def insert(v):
@@ -111,19 +141,76 @@ def _spans_mod(mats, seed, dim, point):
     return len(basis) == dim
 
 
+def _sparse_seed(mod, seed):
+    """The seed vector as a dict of its nonzero coordinates."""
+    seed = list(seed)
+    if len(seed) != mod.dim:
+        raise ValueError("dimension mismatch")
+    v = {j: x for j, x in enumerate(map(RatFunc._coerce, seed)) if x}
+    if not v:
+        raise ValueError("seed vector must be nonzero")
+    return v
+
+
+def full_span_certified(mod, seeds, a=None, b=None):
+    """Per seed, True when the certificate of span_closure proves that the
+    closure of the seed in substitute_module(mod, a=a, b=b) is the whole
+    space (in mod itself when there is no pin); False when it proves
+    nothing.  The generator matrices are evaluated once per point, at the
+    first point of _POINTS where the pins' values are regular and nonzero
+    and every entry is regular, and each seed not yet decided runs the
+    modular worklist there if its coordinates are regular too."""
+    mats = [mod.assign[g] for g in mod.generators()]
+    seeds = [_sparse_seed(mod, seed) for seed in seeds]
+    verdicts = [None] * len(seeds)
+    for point in _POINTS:
+        point = _pinned_point(point, a, b)
+        if point is None:
+            continue
+        monomials = {}
+        cols = _columns_mod(mats, mod.dim, point, monomials)
+        if cols is None:
+            continue
+        for k, v in enumerate(seeds):
+            if verdicts[k] is None:
+                vm = {j: eval_mod(x, point, monomials) for j, x in v.items()}
+                if None not in vm.values():
+                    verdicts[k] = _spans_mod(cols, vm, mod.dim)
+        if None not in verdicts:
+            break
+    return [bool(x) for x in verdicts]
+
+
 def span_closure(mod, seed):
     """Exact basis of the smallest generator-invariant subspace containing
     the seed vector: its reduced echelon rows, in pivot order.
 
-    First a certificate mod p = P61, at the first point of _POINTS where
-    every generator entry and seed coordinate is regular.  Evaluation is a
-    ring homomorphism on the values regular there, so it sends each word
-    image M_w1 ... M_wk seed to that of the evaluated matrices.  If those
-    span GF(p)^dim (the same worklist, over GF(p)), some dim x dim minor of
-    them is nonzero mod p, so the same minor of the exact word images is
-    nonzero: the exact span is the whole space, and its reduced echelon
-    basis the identity.  Rank can only drop under evaluation, so a smaller
-    modular span proves nothing and falls through to the exact worklist.
+    First a certificate mod p = P61 (full_span_certified), at the first
+    point of _POINTS where every generator entry and seed coordinate is
+    regular.  Evaluation is a ring homomorphism on the values regular
+    there, so it sends each word image M_w1 ... M_wk seed to that of the
+    evaluated matrices.  If those span GF(p)^dim (the same worklist, over
+    GF(p)), some dim x dim minor of them is nonzero mod p, so the same minor
+    of the exact word images is nonzero: the exact span is the whole space,
+    and its reduced echelon basis the identity.  Rank can only drop under
+    evaluation, so a smaller modular span proves nothing and falls through
+    to the exact worklist (exact_span_closure).
+
+    Lemma (pinned certificate): let the pins a and b have the values a_0
+    and b_0 mod p at a point (t_r, t_s, t_a, t_b), both regular and nonzero.
+    The rational functions whose denominators are nonzero mod p at that
+    point form a ring O, and evaluation there is a ring homomorphism from O
+    to GF(p).  The pins lie in O, and a_0, b_0 != 0 make them units of O,
+    so putting them for a and b sends each Laurent polynomial N into O, to
+    a value that evaluates to N(t_r, t_s, a_0, b_0).  If the denominator D
+    of an entry N/D of mod is nonzero at (t_r, t_s, a_0, b_0), the image of
+    D is a unit of O, so the pinned entry lies in O and evaluates to the
+    entry of mod evaluated at (t_r, t_s, a_0, b_0).  So the word images of
+    substitute_module(mod, a=a, b=b) lie in O and evaluate to those of mod
+    at (t_r, t_s, a_0, b_0): a full modular span there proves, by the minor
+    argument above, that the pinned closure is the whole space, and no
+    pinned module is built.  A point where a pin is not regular or is zero
+    is skipped.
 
     The exact closure is a worklist on one echelon basis: the seed is
     inserted, then each pivot is expanded once, by inserting the image
@@ -134,20 +221,16 @@ def span_closure(mod, seed):
     are computed.
     """
     seed = list(seed)
-    if len(seed) != mod.dim:
-        raise ValueError("dimension mismatch")
-    mats = [mod.assign[g] for g in mod.generators()]
-    v = {j: x for j, x in enumerate(map(RatFunc._coerce, seed)) if x}
-    if not v:
-        raise ValueError("seed vector must be nonzero")
-    for point in _POINTS:
-        full = _spans_mod(mats, v, mod.dim, point)
-        if full is not None:
-            break
-    if full:
+    if full_span_certified(mod, [seed])[0]:
         return [[ONE if j == i else ZERO for j in range(mod.dim)] for i in range(mod.dim)]
+    return exact_span_closure(mod, seed)
+
+
+def exact_span_closure(mod, seed):
+    """span_closure's exact worklist alone, with no certificate."""
+    mats = [mod.assign[g] for g in mod.generators()]
     pivots, rows = [], []
-    todo = [echelon_insert(pivots, rows, v)]
+    todo = [echelon_insert(pivots, rows, _sparse_seed(mod, seed))]
     while todo and len(rows) < mod.dim:
         row = rows[pivots.index(todo.pop())]
         vec = [row.get(j, ZERO) for j in range(mod.dim)]

@@ -69,8 +69,8 @@ def shift_factor(use_shift: bool) -> RatFunc:
 def _vn_matrices(n: int):
     d = n + 1
     # e.v_j = [n+1-j] v_(j-1) and f.v_j = [j+1] v_(j+1)
-    e = Matrix([[quantum_int(n - i) if j == i + 1 else 0 for j in range(d)] for i in range(d)])
-    f = Matrix([[quantum_int(j + 1) if i == j + 1 else 0 for j in range(d)] for i in range(d)])
+    e = Matrix._sparse([{i + 1: quantum_int(n - i)} for i in range(n)] + [{}], d)
+    f = Matrix._sparse([{}] + [{i - 1: quantum_int(i)} for i in range(1, d)], d)
     w = Matrix.diagonal([R**n * _RHO**-i for i in range(d)])
     wp = Matrix.diagonal([S**n * _RHO**i for i in range(d)])
     return e, f, w, wp

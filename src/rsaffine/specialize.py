@@ -115,11 +115,12 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
     and kept when its images differ, with the pinned sides the direct check
     would report (the canonical form is unique), in the same order.
 
-    Regularity is checked as substitute_module checks it, with one
-    substitution per distinct entry denominator, and raises the same
-    SpecializationPole.  Without a pin the symbolic run is the run; a zero
-    pin, where a^-1 or b^-1 is not regular, takes the direct path and raises
-    what the substitution raises.
+    Regularity is checked as substitute_module checks it, walking the
+    stored entries generator by generator in assignment order, with one
+    substitution per distinct entry denominator and no mapped copy, and
+    raises the same SpecializationPole, naming the same generator.  Without
+    a pin the symbolic run is the run; a zero pin, where a^-1 or b^-1 is not
+    regular, takes the direct path and raises what the substitution raises.
 
     Lemma (loop twists): let every entry of each current x+-(k) of symbolic
     be homogeneous of a-degree k, and let its series and imaginary
@@ -143,19 +144,23 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
         return check(symbolic)
     if not all(pins):
         return check(substitute_module(symbolic, a=a, b=b))
+    # a Laurent entry's denominator is a constant, regular at every pin
     regular = set()
-
-    def regular_at_pin(x):
-        den = x.as_quotient()[1]
-        if den not in regular:
-            den.inv().substitute(a=a, b=b)  # raises on a pole, as x.substitute would
-            regular.add(den)
-        return x
+    for g, mat in symbolic.assign.items():
+        for row in mat._rows:
+            for x in row.values():
+                if len(x.den) > 1:
+                    den = x.as_quotient()[1]
+                    if den not in regular:
+                        try:  # raises on a pole, as x.substitute would
+                            den.inv().substitute(a=a, b=b)
+                        except SpecializationPole as exc:
+                            raise SpecializationPole(f"generator {g} has a pole: {exc}") from None
+                        regular.add(den)
 
     def at_pin(x):
         return x.substitute(a=a, b=b)
 
-    _map_generators(symbolic, regular_at_pin)
     reports = check(symbolic)
     for rep in reports:
         images = [(inst, lhs.map(at_pin), rhs.map(at_pin)) for inst, lhs, rhs in rep.mismatches]

@@ -69,8 +69,10 @@ def test_verify_kmax_bound(capsys):
 # g_a h_b per nonzero entry, and R4 reads w b w^-1 as a scalar times b; the
 # sides of every R2 instance and D4 family by matrix products (R2 192, now
 # 64; D4 48, now 16) and the conjugations of every R4 step (R4 186, now 184)
-# made 1,974.
-VERIFY_N4_PMUL_CALLS = 1812
+# made 1,974.  Each quantum integer of the ladder matrices summed from n
+# products of powers of r and s, where its terms are now read off their
+# exponents (field.quantum_int), made 1,812.
+VERIFY_N4_PMUL_CALLS = 1772
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -106,8 +108,10 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # ONE / x and its canonicalizing tail made 696, and the D5 families built
 # from products, where the verdict is now read entry by entry, 393.  A
 # difference taken as the sum with a negated copy, where a difference of two
-# unit denominators is now canonical as computed, made 381.
-VERIFY_N4_NORMALIZE_CALLS = 170
+# unit denominators is now canonical as computed, made 381, and each quantum
+# integer of the ladder matrices summed from n products of powers of r and
+# s, where its terms are now read off their exponents, 170.
+VERIFY_N4_NORMALIZE_CALLS = 146
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -284,8 +288,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # multiplying it by the expansion's scalar, where that scalar is now folded
 # into the numerator (drinfeld.expand), 1,045.  Building a(1) and a(-1) in
 # both current modules, which neither the report nor the RQ check reads,
-# made 964; both are now built with lmax=0.
-DRINFELD_N3_PMUL_CALLS = 880
+# made 964; both are now built with lmax=0.  Each quantum integer of the
+# ladder matrices summed from n products of powers of r and s, where its
+# terms are now read off their exponents (field.quantum_int), made 880.
+DRINFELD_N3_PMUL_CALLS = 856
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -404,8 +410,16 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # made 3,479.  R3 now reads its commutators off the factors too.  Rebuilding
 # every coproduct image from the factors before R3, to confirm the coproduct
 # form that modules now hold by construction (they are read-only), made 2,447
-# (224 in the rebuild).
-TENSOR_33_PINNED_PMUL_CALLS = 2223
+# (224 in the rebuild), and each quantum integer of the ladder matrices
+# summed from n products of powers of r and s, where its terms are now read
+# off their exponents, 2,223.  Substituting the pins into a constant entry
+# denominator in reports_at_pin's regularity check, which now skips them,
+# made 2,199; multiplying out the inverse pairs of both 16-dimensional
+# tensors, where hopf.tensor now checks them on the factors' 4-dimensional
+# products, 2,198; and substituting both factors at the pins and building the
+# pinned tensor for the closure, whose full span is now certified on the
+# symbolic tensor at the pins' values (hopf.span_closure), 2,038.
+TENSOR_33_PINNED_PMUL_CALLS = 1566
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -454,7 +468,12 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # and the D4 families by products, where the conjugation lemma now decides
 # them (R2 96 then 32, D4 84 then 76), and R4's conjugations w b w^-1 by
 # products, where each step now scales e once (R4 90 then 96), made 1,686.
-MUTATED_PINNED_PMUL_CALLS = 1620
+# Each quantum integer of the ladder matrices summed from n products of
+# powers of r and s, where its terms are now read off their exponents
+# (field.quantum_int), made 1,620, and substituting the pin into each
+# constant entry denominator in reports_at_pin's regularity check, which now
+# skips them, 1,608.
+MUTATED_PINNED_PMUL_CALLS = 1604
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -580,6 +599,74 @@ def test_tensor_command(capsys):
     assert doc["relations_pass"] is True
 
 
+@pytest.mark.parametrize(
+    "pins,certified",
+    [
+        (("--a", "1+r", "--b", "2+s"), True),
+        (("--a", "b", "--b", "1/a"), True),
+        (("--a", "1", "--b", "s^-2"), False),
+        (("--b", "s^-2"), True),
+    ],
+)
+def test_tensor_substitutes_the_factors_only_when_the_certificate_fails(
+    capsys, monkeypatch, pins, certified
+):
+    import rsaffine.cli as cli
+
+    substituted = []
+    substitute = cli.substitute_module
+
+    def spy(mod, **subs):
+        substituted.append(sorted(subs))
+        return substitute(mod, **subs)
+
+    monkeypatch.setattr(cli, "substitute_module", spy)
+    code, out = run(capsys, "tensor", "--left", "1", "--right", "1", *pins, "--json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["closure_dim_from_highest_weight"] == (4 if certified else 3)
+    # the right factor's a -> b, then one substitution per pinned factor
+    pinned = [["a"]] if "--a" in pins else []
+    pinned += [["b"]] if "--b" in pins else []
+    assert substituted == [["a"]] + ([] if certified else pinned)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--left", "2", "--right", "2", "--a", "r-324563966933211791"),
+        ("--left", "3", "--right", "2", "--a", "r-324563966933211791", "--b", "2+s"),
+        ("--left", "4", "--right", "4", "--a", "1+r", "--b", "2+s"),
+        ("--left", "4", "--right", "4", "--a", "1", "--b", "s^-8"),
+    ],
+)
+@pytest.mark.parametrize("as_json", (True, False))
+def test_certified_tensor_closure_prints_the_exact_bytes(capsys, monkeypatch, argv, as_json):
+    # r - 324563966933211791 vanishes at the first point of the certificate
+    # (the constant is t_r^6 mod P61), which moves on to the next; whichever
+    # way the closure is decided, the output is that of the exact pinned path
+    import rsaffine.cli as cli
+
+    argv = ("tensor", *argv) + (("--json",) if as_json else ())
+    code, out = run(capsys, *argv)
+    monkeypatch.setattr(cli, "full_span_certified", lambda mod, seeds, **pins: [False] * len(seeds))
+    assert run(capsys, *argv) == (code, out)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_specialize_s_to_r_verdict_is_the_per_seed_closure(capsys, n):
+    from rsaffine.field import ONE, ZERO
+    from rsaffine.hopf import span_closure
+    from rsaffine.sl2 import build_chevalley_eval
+    from rsaffine.specialize import parse_spec_map, specialize_module
+
+    mod = specialize_module(build_chevalley_eval(n), parse_spec_map("s=r"))
+    seeds = [[ONE if j == i else ZERO for j in range(mod.dim)] for i in range(mod.dim)]
+    want = all(len(span_closure(mod, seed)) == mod.dim for seed in seeds)
+    code, out = run(capsys, "specialize", "--map", "s=r", "--n", str(n), "--json")
+    assert json.loads(out)["span_full_from_every_basis_vector"] is want
+    assert code == (EXIT_PASS if want else EXIT_FAIL)
+
+
 def test_twist_gamma2(capsys):
     code, out = run(capsys, "twist", "--aut", "gamma2", "--c", "r*s", "--n", "1", "--json")
     assert code == EXIT_PASS
@@ -614,7 +701,12 @@ def test_twist_sigma(capsys):
 # from its own power of c·a, made 1,860; a class of terms with the same
 # a-exponent now takes it once.  The D4 families by products, where the
 # conjugation lemma now decides each tag (rep_core docstring), made 1,317.
-TWIST_GAMMA2_N3_PMUL_CALLS = 1293
+# Each quantum integer of the ladder matrices summed from n products of
+# powers of r and s, where its terms are now read off their exponents
+# (field.quantum_int), made 1,293, and substituting a -> c·a into each
+# constant entry denominator in reports_at_pin's regularity check, which now
+# skips them, 1,281.
+TWIST_GAMMA2_N3_PMUL_CALLS = 1278
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):

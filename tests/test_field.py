@@ -195,6 +195,21 @@ def test_quantum_int_defining_ratio():
         assert quantum_int(n) * (R - S) == R**n - S**n
 
 
+def test_quantum_int_is_the_summed_definition():
+    # the default base reads the terms off their exponents; an explicit base
+    # keeps the sum of products, which is the definition
+    for n in range(41):
+        want = ZERO
+        for j in range(n):
+            want = want + R ** (n - 1 - j) * S**j
+        got = quantum_int(n)
+        assert got == want == quantum_int(n, base=(R, S))
+        assert (got.num, got.den) == (want.num, want.den)
+    for base in (None, (R, S)):
+        with pytest.raises(ValueError, match="n >= 0"):
+            quantum_int(-1, base)
+
+
 def test_gauss_binom_values():
     assert gauss_binom(2, 1) == R + S
     assert gauss_binom(3, 3) == ONE

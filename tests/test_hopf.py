@@ -9,7 +9,14 @@ from twists import twist_gamma1, twist_gamma2
 from rsaffine import hopf
 from rsaffine.errors import IndexOutOfRange, MissingGenerator, TypeMismatch
 from rsaffine.field import A, B, ONE, P61, R, S, ZERO, eval_mod, parse
-from rsaffine.hopf import span_closure, tensor, tensor_basis_vector, twist_sigma
+from rsaffine.hopf import (
+    exact_span_closure,
+    full_span_certified,
+    span_closure,
+    tensor,
+    tensor_basis_vector,
+    twist_sigma,
+)
 from rsaffine.matrix import Matrix, echelon_insert
 from rsaffine.rep_core import (
     E,
@@ -95,6 +102,30 @@ def test_tensor_type_mismatch():
     stub = MatrixModule(other, {W(0): Matrix.identity(2)})
     with pytest.raises(TypeMismatch):
         tensor(mL, stub)
+
+
+@pytest.mark.parametrize("kind", (W, Wp))
+@pytest.mark.parametrize("left,right,broken", [(2, 1, True), (1, 2, True), (2, 2, False)])
+def test_tensor_checks_its_inverse_pairs_on_the_factors(kind, left, right, broken):
+    # scale kind(1) by 2 in the left factor and kind(1)^-1 by 1/2 in the
+    # right: each factor's pair multiplies to a multiple of I, and the
+    # tensor's pair multiplies to I exactly when the two scalars cancel
+    mL, mR = _pair(left, right)
+    mL = MatrixModule(mL.table, {**mL.assign, kind(1): mL.get(kind(1)).scale(2)}, check=False)
+    half = 1 if broken else parse("1/2")
+    mR = MatrixModule(mR.table, {**mR.assign, kind(1, -1): mR.get(kind(1, -1)).scale(half)}, check=False)
+    # the oracle is the invariant check on the tensor-sized group-likes
+    grouplikes = [g(i, e) for g in (W, Wp) for i in (0, 1) for e in (1, -1)]
+    krons = {g: mL.get(g).kron(mR.get(g)) for g in grouplikes}
+    if broken:
+        with pytest.raises(ValueError) as direct:
+            MatrixModule(mL.table, krons)
+        with pytest.raises(ValueError) as factors:
+            tensor(mL, mR)
+        assert str(factors.value) == str(direct.value) == f"{kind(1).kind}(1) inverse pair broken"
+    else:
+        MatrixModule(mL.table, krons)
+        assert tensor(mL, mR).dim == mL.dim * mR.dim
 
 
 def test_tensor_refuses_a_factor_not_at_level_zero():
@@ -281,15 +312,101 @@ def test_certificate_is_refused_at_a_singular_point(monkeypatch, where, k):
         seed[0] = pole
     mod = MatrixModule(m.table, assign, check=False)
     mats = [mod.assign[g] for g in mod.generators()]
-    v = {j: x for j, x in enumerate(seed) if x}
     assert eval_mod(pole, hopf._POINTS[0]) is None
-    assert hopf._spans_mod(mats, v, mod.dim, hopf._POINTS[0]) is None
+    if where == "entry":
+        assert hopf._columns_mod(mats, mod.dim, hopf._POINTS[0], {}) is None
     calls = _count_exact_inserts(monkeypatch)
     basis = span_closure(mod, seed)
     assert basis == ref_span_closure(mod, seed) == _identity_rows(3)
     # regular at a later point: certified there; singular at every point:
     # the exact worklist runs
     assert (calls == []) == (k < len(hopf._POINTS))
+
+
+# The pinned certificate (span_closure docstring) evaluates the symbolic
+# tensor at the pins' values; the pinned module's exact closure is the oracle.
+_PIN_PAIRS = {
+    ("1+r", "2+s"): set(),
+    ("b", "1/a"): set(),
+    ("r^(1/2)", "s^3"): set(),
+    ("1", "s^(-2)"): {(1, 1)},
+    ("1", "r^(-2)"): set(),
+    ("1", "s^(-8)"): {(4, 4)},
+}
+
+
+@pytest.mark.parametrize("a,b", sorted(_PIN_PAIRS))
+def test_pinned_certificate_matches_the_exact_pinned_closure(a, b):
+    pins = {"a": parse(a), "b": parse(b)}
+    deficient = set()
+    for left in range(5):
+        for right in range(5):
+            sL, sR = _cli_tensor(left, right)
+            symbolic = tensor(sL, sR)
+            seed = tensor_basis_vector(sL, sR, 0, 0)
+            mL, mR = _cli_tensor(left, right, **pins)
+            exact = len(exact_span_closure(tensor(mL, mR), seed))
+            (full,) = full_span_certified(symbolic, [seed], **pins)
+            # a certified closure is the whole space, and at these points the
+            # certificate fails exactly where the pinned rank drops
+            assert full == (exact == symbolic.dim)
+            if not full:
+                deficient.add((left, right))
+    assert deficient == _PIN_PAIRS[(a, b)]
+
+
+# t_r^6 mod P61 at the first point: r minus it vanishes there
+_VANISHING_AT_FIRST_POINT = "r-324563966933211791"
+
+
+def test_a_pin_that_vanishes_at_a_point_moves_on_to_the_next():
+    a = parse(_VANISHING_AT_FIRST_POINT)
+    assert eval_mod(a, hopf._POINTS[0]) == 0
+    assert hopf._pinned_point(hopf._POINTS[0], a, None) is None
+    assert hopf._pinned_point(hopf._POINTS[1], a, None) is not None
+    sL, sR = _cli_tensor(2, 2)
+    seed = tensor_basis_vector(sL, sR, 0, 0)
+    assert full_span_certified(tensor(sL, sR), [seed], a=a) == [True]
+    mL, mR = _cli_tensor(2, 2, a=a)
+    assert len(exact_span_closure(tensor(mL, mR), seed)) == 9
+
+
+def test_a_pin_that_is_not_regular_at_a_point_is_skipped():
+    # 1 / (r - t_r^6) has a pole at the first point only
+    a = _pole_at_points(1)
+    assert hopf._pinned_point(hopf._POINTS[0], None, a) is None
+    sL, sR = _cli_tensor(1, 1)
+    seed = tensor_basis_vector(sL, sR, 0, 0)
+    assert full_span_certified(tensor(sL, sR), [seed], a=a, b=parse("2+s")) == [True]
+
+
+def test_one_evaluation_serves_every_seed(monkeypatch):
+    mod = specialize_module(build_chevalley_eval(4), parse_spec_map("s=r"))
+    evaluations = []
+    columns = hopf._columns_mod
+
+    def counting(*args):
+        evaluations.append(args)
+        return columns(*args)
+
+    monkeypatch.setattr(hopf, "_columns_mod", counting)
+    seeds = [[ONE if j == i else ZERO for j in range(mod.dim)] for i in range(mod.dim)]
+    assert full_span_certified(mod, seeds) == [True] * mod.dim
+    assert len(evaluations) == 1
+
+
+def test_seeds_are_decided_one_by_one():
+    # the closure of v_0 in V_1(1) (x) V_1(s^-2) is a proper submodule, that
+    # of the generic seed (1, 2, 3, 4) is the whole space; a seed with a pole
+    # at every point is left undecided
+    sL, sR = _cli_tensor(1, 1)
+    pins = {"a": parse("1"), "b": parse("s^(-2)")}
+    seeds = [tensor_basis_vector(sL, sR, 0, 0), [1, 2, 3, 4], [_pole_at_points(3), 0, 0, 0]]
+    assert full_span_certified(tensor(sL, sR), seeds, **pins) == [False, True, False]
+    with pytest.raises(ValueError, match="nonzero"):
+        full_span_certified(tensor(sL, sR), [[0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="dimension"):
+        full_span_certified(tensor(sL, sR), [[1, 0, 0]])
 
 
 _any_point = st.one_of(st.sampled_from(hopf._POINTS), st.tuples(*[st.integers(1, P61 - 1)] * 4))

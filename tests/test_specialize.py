@@ -301,6 +301,23 @@ def test_pole_error_is_the_substitution_error():
     assert _helper(check_chevalley, bad, a=parse("2")) == _direct(check_chevalley, bad, a=parse("2"))
 
 
+def test_regularity_check_maps_no_matrix(monkeypatch):
+    # the entries are walked where they are stored; only the sides of a
+    # failure are mapped through the pin, and this check has none
+    mapped = []
+    map_entries = Matrix.map
+
+    def spy(self, fn):
+        mapped.append(self)
+        return map_entries(self, fn)
+
+    symbolic = tensor(build_chevalley_eval(2), substitute_module(build_chevalley_eval(1), a=B))
+    monkeypatch.setattr(Matrix, "map", spy)
+    reports = reports_at_pin(check_chevalley, symbolic, a=parse("1+r"), b=parse("2+s"))
+    assert all_pass(reports)
+    assert mapped == []
+
+
 def test_zero_pin_takes_the_direct_path():
     # a^-1 is not regular at a = 0, and the symbolic module passes, so only
     # the direct path can give the answer: the substitution's error
