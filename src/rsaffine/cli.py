@@ -175,14 +175,19 @@ def cmd_table(args) -> int:
     t = build_pairing(_parse_type(args.type))
     doc = table_to_json(t)
     doc["command"] = "table"
+    _emit(doc, args.json, () if args.json else _table_lines(t))
+    return EXIT_PASS
+
+
+def _table_lines(t):
+    """The text form of a pairing table: its entries in columns of one width."""
     width = max(len(render(e)) for row in t.entries for e in row)
     lines = [f"quantum Cartan matrix for {t.type}"]
     for row in t.entries:
         lines.append("  " + "  ".join(render(e).ljust(width) for e in row))
     for d in t.diagnostics:
         lines.append(f"  note: {d}")
-    _emit(doc, args.json, lines)
-    return EXIT_PASS
+    return lines
 
 
 def cmd_specialize(args) -> int:

@@ -315,6 +315,9 @@ class RatFunc:
     - Product: gcd(n1 n2, d1 d2) = gcd(n1, d2) gcd(n2, d1), since n1 is
       coprime to d1 and n2 to d2.  Both are divided out before
       multiplying.  A quotient is the product with d2/n2.
+    - Laurent quotient: for integer denominators c1, c2, (n1/c1) / (n2/c2)
+      is q c2/c1 when n2 divides n1 with an integer quotient q, found by
+      one exact division and no gcd; otherwise it is the product above.
     - Unit denominators: n1/1 * n2/1 is n1 n2 / 1 in canonical form
       already (a unit denominator needs no shift and no content division,
       and a product of nonzero integer polynomials is nonzero), so it
@@ -520,6 +523,13 @@ class RatFunc:
             return ZERO
         if o.is_monomial():
             return self * o**-1
+        if len(self.num) > 1 and len(self.den) == 1 and len(o.den) == 1:
+            # the Laurent quotient (class docstring); the product below
+            # when o does not divide self
+            q = _laurent_div(self.num, o.num)
+            if q is not None:
+                yd = o.den[_ZERO_KEY]
+                return RatFunc._canonical(q if yd == 1 else {k: c * yd for k, c in q.items()}, self.den)
         return _mul_coprime(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
@@ -796,8 +806,9 @@ def monomial_quotient(x: RatFunc, y: RatFunc):
     return m if y * m == x else None
 
 
-def _laurent_div_exact(p, g):
-    """Divide a Laurent dict by a Laurent dict that divides it exactly."""
+def _laurent_div(p, g):
+    """p / g for Laurent dicts, or None when g does not divide p with a
+    quotient over the integers."""
     mp = _min_exps(p)
     mg = _min_exps(g)
     q = _divmod_exact(
@@ -805,8 +816,16 @@ def _laurent_div_exact(p, g):
         K.pshift(g, -mg[0], -mg[1], -mg[2], -mg[3]),
     )
     if q is None:
-        raise NotPolynomial("inexact division during canonicalization")
+        return None
     return K.pshift(q, mp[0] - mg[0], mp[1] - mg[1], mp[2] - mg[2], mp[3] - mg[3])
+
+
+def _laurent_div_exact(p, g):
+    """Divide a Laurent dict by a Laurent dict that divides it exactly."""
+    q = _laurent_div(p, g)
+    if q is None:
+        raise NotPolynomial("inexact division during canonicalization")
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ The coproduct acts on Chevalley generators only (e -> e(x)1 + w(x)e,
 f -> 1(x)f + f(x)w', group-likes multiply), so tensor modules live at the
 Chevalley level.  tensor stores exactly the coproduct image of the
 factors' generators and records the two factors; modules are read-only, so
-that form holds by construction, and check_chevalley reads R3 and R4 of the
-module off its factors through the tensor lemmas (rep_core).  Every other
-relation is checked on the module's own matrices.  span_closure certifies
-a full span mod p, and full_span_certified certifies it for a pinned
-module on the symbolic one, so a pinned module is built only when the
-certificate fails (span_closure docstring).  The sign twist
+that form holds by construction, and check_chevalley reads R1, R3 and R4
+of the module off its construction and its factors through the tensor
+lemmas (rep_core).  Every other instance is checked on the module's own
+matrices.  span_closure certifies a full span mod p, and
+full_span_certified certifies it for a pinned module on the symbolic one,
+so a pinned module is built only when the certificate fails (span_closure
+docstring).  The sign twist
 transforms the Chevalley generator matrices, and the caller re-runs the
 relation suite on the result: the automorphism property is verified, not
 assumed.  The loop twists are the reparameterizations a -> c a, which the

@@ -47,6 +47,17 @@ reports that g or h is not diagonal, or that g_a h_b is not constant.
   Kassel, Quantum Groups, IV.2, for the ad-iterates; Benkart and
   Witherspoon (2004) for R2 and R4 of U_{r,s}.
 
+Scaling lemma.  Let c = r - s (the table's image) and c E_i, c F_i the
+generators scaled by it.  The commutator is bilinear, so [c E_i, F_j] =
+c [E_i, F_j], and R3, which reads [E_i, F_j] = (W_i - W'_i)/(r - s) or 0,
+holds exactly when [c E_i, F_j] = W_i - W'_i or 0.  An R4 iterate is linear
+in each of its t + 1 letters e_i, e_j (f_i, f_j), and its conjugation
+scalars depend only on where x is nonzero, so the iterate of c x on c y is
+c^(t+1) times that of x on y, and zero exactly when it is.  On the ladder
+modules each [k] in these products becomes the binomial r^k - s^k.  The
+generators are scaled only when c and every entry of E_i and F_i are
+Laurent polynomials (scaled_chevalley), so the scaling takes no gcd.
+
 Commutation lemmas.  For diagonals F and G, F X = c X G holds exactly when
 F_i = c G_j at every nonzero X_ij, so each identity below is checked entry
 by entry, without a product.
@@ -82,6 +93,10 @@ f_i(x)w'_i, W_i^+-1 = w_i^+-1(x)w_i^+-1 and W'_i^+-1 = w'_i^+-1(x)w'_i^+-1,
 and recall (A(x)B)(C(x)D) = AC(x)BD.  The modules hopf.tensor returns are
 these by construction: it builds every image from the factors it records,
 and modules are read-only, so neither can change after the build.
+  - R1.  hopf.tensor checks every W, W' inverse pair on the factors and
+    stores identity gamma halves, so the inverse and gamma instances hold.
+    [x(x)x', y(x)y'] = xy(x)x'y' - yx(x)y'x' is 0 when [x, y] = 0 on the
+    left factor and [x', y'] = 0 on the right one.
   - R3.  [E_i, F_j] = [e_i, f_j](x)w'_j + w_i(x)[e_i, f_j] + (w_i f_j (x)
     e_i w'_j - f_j w_i (x) w'_j e_i).  Let w_i^-1 w_i = 1 and
     w_i f_j w_i^-1 = c f_j on the left factor, and w'_j^-1 w'_j = 1 and
@@ -118,17 +133,18 @@ and modules are read-only, so neither can change after the build.
 Every instance is counted by _Checker.verdict, with the verdict of a lemma
 or by comparing its two sides.  R2 takes its plain products when a
 group-like is not diagonal, and an R4 ad-iterate takes them when w^-1 w = 1
-fails or e_i or e_j (f_i or f_j) has no conjugation scalar.  R3 and R4 of a
-module hopf.tensor returned take the tensor lemmas when an instance meets
-their hypotheses; every other instance, on any other module too, takes its
-products.  A sign off the
-form has its D4, D5 and D6
-instances take their plain products, and D7 takes them unless both signs
-are on the form; so does an instance of D4 or D5 with a non-diagonal w^-1,
-a(l) or K^-l, and every instance of a D6 sign or of D7 when a commutation
-identity fails.  D6 then still builds each product X(a)X(b) once and decides
-each pair k <= k2 once.  A failing decided instance is reported with the
-sides its plain expressions build, so reports_at_pin maps it unchanged.
+fails or e_i or e_j (f_i or f_j) has no conjugation scalar.  R1, R3 and R4
+of a module hopf.tensor returned take the tensor lemmas when an instance
+meets their hypotheses, and every other instance of a tensor its products;
+R3 and R4 of any other module compare the scaled generators when the
+scaling lemma applies, and their plain products otherwise.  A sign off the
+form has its D4, D5 and D6 instances take their plain products, and D7
+takes them unless both signs are on the form; so does an instance of D4 or
+D5 with a non-diagonal w^-1, a(l) or K^-l, and every instance of a D6 sign
+or of D7 when a commutation identity fails.  D6 then still builds each
+product X(a)X(b) once and decides each pair k <= k2 once.  A failing
+decided instance, a scaled one too, is reported with the sides its plain
+expressions build, so reports_at_pin maps it unchanged.
 """
 
 from __future__ import annotations
@@ -375,19 +391,23 @@ def check_chevalley(mod: MatrixModule) -> list:
     zero = Matrix.zeros(mod.dim)
     reports = []
 
+    # R1 of a tensor module is read off its factors (the tensor lemmas in the
+    # module docstring): True for the instances that hold by construction
+    factors = mod.factors
+    built = True if factors else None
     c = _Checker("R1")
     for i in nodes:
-        c.check(("winv", i), mod.get(W(i)) @ mod.get(W(i, -1)), ident)
-        c.check(("wpinv", i), mod.get(Wp(i)) @ mod.get(Wp(i, -1)), ident)
+        for tag, g in (("winv", W), ("wpinv", Wp)):
+            c.verdict((tag, i), built, lambda: (mod.get(g(i)) @ mod.get(g(i, -1)), ident))
     for i in nodes:
         for j in nodes:
-            c.check(("ww", i, j), commutator(mod.get(W(i)), mod.get(W(j))), zero)
-            c.check(("wwp", i, j), commutator(mod.get(W(i)), mod.get(Wp(j))), zero)
-            c.check(("wpwp", i, j), commutator(mod.get(Wp(i)), mod.get(Wp(j))), zero)
+            for tag, g, h in (("ww", W(i), W(j)), ("wwp", W(i), Wp(j)), ("wpwp", Wp(i), Wp(j))):
+                holds = factors and all(commutator(m.get(g), m.get(h)).is_zero() for m in factors) or None
+                c.verdict((tag, i, j), holds, lambda: (commutator(mod.get(g), mod.get(h)), zero))
     gh, gph = mod.get(GammaHalf()), mod.get(GammaPrimeHalf())
-    c.check(("ghinv",), gh @ mod.get(GammaHalf(-1)), ident)
-    c.check(("gphinv",), gph @ mod.get(GammaPrimeHalf(-1)), ident)
-    c.check(("central-product",), (gh @ gh) @ (gph @ gph), ident)
+    c.verdict(("ghinv",), built, lambda: (gh @ mod.get(GammaHalf(-1)), ident))
+    c.verdict(("gphinv",), built, lambda: (gph @ mod.get(GammaPrimeHalf(-1)), ident))
+    c.verdict(("central-product",), built, lambda: ((gh @ gh) @ (gph @ gph), ident))
     reports.append(c.done())
 
     # R2 reads g x h == c x for the group-like pair (g, h), each instance
@@ -411,21 +431,22 @@ def check_chevalley(mod: MatrixModule) -> list:
     reports.append(c.done())
 
     # R3 and R4 of a tensor module are read off its factors (the tensor
-    # lemmas in the module docstring)
-    c = _Checker("R3")
-    rsub, ssub = mod.table.rs
+    # lemmas in the module docstring); on any other module they compare
+    # generators scaled by c = r - s when that takes no gcd (the scaling
+    # lemma), and a failing instance builds its sides unscaled
+    rsub, ssub = table.rs
     rsinv = (rsub - ssub).inv()
-    factors = mod.factors
+    scaled = None if factors else scaled_chevalley(mod, rsub - ssub)
+    c = _Checker("R3")
     for i in nodes:
         for j in nodes:
-            holds, lhs = (factors and _r3_on_factors(*factors, i, j, rsinv)) or (
-                None,
-                lambda: commutator(mod.get(E(i)), mod.get(F(j))),
-            )
-            if i == j:
-                c.verdict((i, j), holds, lambda: (lhs(), mod.get(W(i)) - mod.get(Wp(i))), rsinv)
-            else:
-                c.verdict((i, j), holds, lambda: (lhs(), zero))
+            rhs = (lambda: mod.get(W(i)) - mod.get(Wp(i))) if i == j else (lambda: zero)
+            holds, lhs = None, lambda: commutator(mod.get(E(i)), mod.get(F(j)))
+            if scaled is not None:
+                holds = commutator(scaled.get(E(i)), mod.get(F(j))) == rhs()
+            elif factors:
+                holds, lhs = _r3_on_factors(*factors, i, j, rsinv) or (holds, lhs)
+            c.verdict((i, j), holds, lambda: (lhs(), rhs()), rsinv if i == j else None)
     reports.append(c.done())
 
     c = _Checker("R4")
@@ -435,14 +456,28 @@ def check_chevalley(mod: MatrixModule) -> list:
                 continue
             aij = table.cartan[i][j]
             for tag, left in (("ad_l e", True), ("ad_r f", False)):
-                holds, b = (factors and _r4_on_factors(*factors, i, j, aij, left)) or (
-                    None,
-                    lambda: ad_iterate(mod, i, j, 1 - aij, left),
-                )
+                holds, b = None, lambda: ad_iterate(mod, i, j, 1 - aij, left)
+                if scaled is not None:
+                    holds = ad_iterate(scaled, i, j, 1 - aij, left).is_zero()
+                elif factors:
+                    holds, b = _r4_on_factors(*factors, i, j, aij, left) or (holds, b)
                 c.verdict((tag, i, j), holds, lambda: (b(), zero))
     reports.append(c.done())
 
     return reports
+
+
+def scaled_chevalley(mod: MatrixModule, c: RatFunc):
+    """mod with every E_i and F_i scaled by c, for the scaling lemma (module
+    docstring); None unless c and every entry of E_i and F_i are Laurent
+    polynomials, so that the scaling takes no gcd."""
+    gens = [g(i) for i in range(mod.table.size) for g in (E, F)]
+    entries = (x for g in gens for row in mod.get(g)._rows for x in row.values())
+    if not (c.is_laurent_polynomial() and all(x.is_laurent_polynomial() for x in entries)):
+        return None
+    assign = dict(mod.assign)
+    assign.update((g, mod.get(g).scale(c)) for g in gens)
+    return MatrixModule(mod.table, assign, check=False)
 
 
 def chevalley_instance_counts(table: PairingTable) -> dict:
@@ -474,9 +509,15 @@ def current_form(mod: MatrixModule, sign: int, kmax: int):
     for col0, col1 in zip(zip(*x0.rows), zip(*mod.get(gen(1, 1)).rows)):
         y, z = next(((y, z) for y, z in zip(col0, col1) if y), (ONE, ONE))
         diag.append((monomial_quotient(z, y) or z / y) if z else ONE)
-    for k in range(-(kmax + 1), kmax + 2):
-        if k and mod.get(gen(1, k)) != x0.scale_columns([x**k for x in diag]):
-            return None
+    # outward from k = 0: x(k-1) = x(0) D^(k-1) is checked first, so
+    # x(k) == x(k-1) D exactly when x(k) == x(0) D^k (likewise with D^-1)
+    for step, ks in ((diag, range(1, kmax + 2)), ([x.inv() for x in diag], range(-1, -kmax - 2, -1))):
+        x = x0
+        for k in ks:
+            stored = mod.get(gen(1, k))
+            if stored != x.scale_columns(step):
+                return None
+            x = stored
     return diag
 
 
@@ -740,7 +781,11 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     reports.append(c.done())
 
     def theta(l):
-        return (rho**l - rho**-l) * rs / rf(l)
+        """(rho^l - rho^-l) / (l (r-s)); the field divides exactly, with no
+        gcd, when r - s divides as a Laurent polynomial."""
+        return (rho**l - rho**-l) / (rsub - ssub) / rf(l)
+
+    thetas = {l: theta(l) for l in range(1, lmax + 1)}
 
     # Instance (tag, e, k) of D5 reads [a(e), x(k)] == rhs(x(k + e)) for x = x+
     # or x-, where rhs(m) = +-theta(l) m, with K^-l m in place of m on the
@@ -753,7 +798,7 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
         for l in range(1, lmax + 1):
             e = e_sign * l
             al = mod.get(Aim(i, e))
-            th = theta(l)
+            th = thetas[l]
 
             def rhs(sign, m):
                 if sign != e_sign:

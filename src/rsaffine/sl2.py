@@ -6,21 +6,26 @@ Both normalizations are exposed: shift 1 gives V_n(a), shift rs^-1 gives
 the variant W_n(a) = V_n(rs^-1 a) used by the per-weight eigenvalue
 formulas.
 
-Series and imaginary generators come from the currents in one pass
-(with_series): w(m) = (r-s) C(m) and w'(-m) = -(r-s) C'(m) for m > 0, with
-C(m) = [x+(m), x-(0)] and C'(m) = [x+(0), x-(-m)], and w(0), w'(0) the
+Series generators: w(m) = (r-s) C(m) and w'(-m) = -(r-s) C'(m) for m > 0,
+with C(m) = [x+(m), x-(0)] and C'(m) = [x+(0), x-(-m)], and w(0), w'(0) the
 group-likes.  The Drinfeld realization (Hu-Rosso-Zhang, CMP 278, 2008)
 ties them to the imaginary generators by W(z) = sum_m w(m) z^m =
 w(0) exp(B(z)), B(z) = sum_l b(l) z^l with b(l) = (r-s) a(l).
 
-Hoisting r-s: the commutator is bilinear, so
-    (r-s) [x+(m), x-(0)] = [x+(m), (r-s) x-(0)],
-    -(r-s) [x+(0), x-(-m)] = [-(r-s) x+(0), x-(-m)].
-x-(0) and x+(0) are scaled once, and w(m), w'(-m) for m > lmax are plain
-commutators against them, with no scaling per m.  The entries of x+-(0)
-are quantum integers [k], of k terms, and (r-s)[k] = r^k - s^k has two,
-so these products are smaller too.  C(m), C'(m) for m <= lmax, which the
-recurrence below reads, are taken and then scaled.
+Ladder identity.  Every current is the ladder pair times a diagonal power,
+x+(m) = e Lambda^m and x-(m) = f M^m (current_matrices), and e has its one
+nonzero per row on the superdiagonal, f on the subdiagonal.  So
+    C(m)_ii = P_i lam_(i+1)^m - Q_i lam_i^m,
+    C'(m)_ii = P_i mu_i^-m - Q_i mu_(i-1)^-m,
+and both are diagonal, with P = diag(ef), Q = diag(fe), P_i = [n-i] [i+1]
+and P_n = Q_0 = 0.  Since Q_i = f_(i,i-1) e_(i-1,i) = P_(i-1), each
+diagonal is a difference of neighbours, C(m)_ii = t_(i+1) - t_i with
+t_j = P_(j-1) lam_j^m, and C'(m)_ii = u_i - u_(i-1) with u_j = P_j mu_j^-m:
+n running products per m, one monomial product each.  For w(m) and w'(-m)
+the factor r-s goes into P once, (r-s) P_i = (r^(n-i) - s^(n-i)) [i+1],
+since (r-s)[k] = r^k - s^k has two terms; C(m) for m <= lmax, which the
+recurrence below reads, runs from P itself.  tests/seriesoracle.py derives
+the same series by general commutators.
 
 Lemma (log-derivative recurrence; Knuth, TAOCP vol. 2, 4.7): differentiating,
 W'(z) = W(z) B'(z), since these matrices are all diagonal and so commute.
@@ -34,13 +39,10 @@ m w(0)_ii, a monomial on the evaluation modules, so a build takes no gcd.
 from __future__ import annotations
 
 from .cartan import AffineType, build_pairing
-from .errors import BadConstantTerm, NotEigenvector, WindowTooSmall
+from .errors import BadConstantTerm, NotEigenvector
 from .field import A, ONE, R, S, ZERO, RatFunc, quantum_int
-from .matrix import Matrix, commutator
+from .matrix import Matrix
 from .rep_core import (
-    AIM_KIND,
-    WPSER_KIND,
-    WSER_KIND,
     Aim,
     E,
     F,
@@ -107,20 +109,25 @@ def build_chevalley_eval(n: int, use_shift=False) -> MatrixModule:
     return MatrixModule(_A1, _with_gammas(assign, n + 1))
 
 
-def current_matrices(e: Matrix, f: Matrix, shift: RatFunc, ks):
-    """The loop-generator matrices of V_n, {k: (x+(k), x-(k))} for k in ks.
-
-    Each is its degree-0 matrix times a diagonal power: x+(k) = e Lambda^k
-    and x-(k) = f M^k, with e = x+(0), f = x-(0) the ladder pair,
-    Lambda = diag(a' s^-n rho^-i), M = diag(a' r^n rho^-(i+1)) and
-    a' = shift*a.  They are running products, x+(k) = x+(k-1) Lambda and
-    x+(-k) = x+(1-k) Lambda^-1 outward from k = 0 (likewise x-), so each k
-    costs one product per nonzero entry and no power."""
-    ks = list(ks)
-    d = e.n
+def loop_diagonals(d: int, shift: RatFunc):
+    """The entries of Lambda = diag(a' s^-n rho^-i) and
+    M = diag(a' r^n rho^-(i+1)), a' = shift*a, on V_n with d = n + 1."""
     ap = shift * A
     lam = [ap * S ** (1 - d) * _RHO**-i for i in range(d)]
     mu = [ap * R ** (d - 1) * _RHO ** -(i + 1) for i in range(d)]
+    return lam, mu
+
+
+def current_matrices(e: Matrix, f: Matrix, lam, mu, ks):
+    """The loop-generator matrices of V_n, {k: (x+(k), x-(k))} for k in ks.
+
+    Each is its degree-0 matrix times a diagonal power: x+(k) = e Lambda^k
+    and x-(k) = f M^k, with e = x+(0), f = x-(0) the ladder pair and lam,
+    mu the entries of Lambda and M (loop_diagonals).  They are running
+    products, x+(k) = x+(k-1) Lambda and x+(-k) = x+(1-k) Lambda^-1 outward
+    from k = 0 (likewise x-), so each k costs one product per nonzero entry
+    and no power."""
+    ks = list(ks)
     table = {0: (e, f)}
     for k in range(1, max(ks, default=0) + 1):
         xp, xm = table[k - 1]
@@ -135,74 +142,75 @@ def current_matrices(e: Matrix, f: Matrix, shift: RatFunc, ks):
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
     """Current module with x+-(k) for |k| <= 2*kmax, the omega series to
     order 2*kmax, and the imaginary generators to +-lmax, 0 <= lmax <=
-    2*kmax since a(l) is read off the series to order l.  The invariants
-    are checked once, on the currents; with_series keeps the group-likes."""
+    2*kmax since a(l) is read off the series to order l.  The series are
+    read off the ladder and a(l) off the log-derivative recurrence (module
+    docstring); the invariants are checked once, on the finished module."""
     if n < 0 or kmax < 1:
         raise ValueError("need n >= 0 and kmax >= 1")
     if not 0 <= lmax <= 2 * kmax:
         raise ValueError(f"need 0 <= lmax <= 2*kmax, got lmax {lmax} with kmax {kmax}")
-    sh = shift_factor(use_shift)
     e, f, w, wp = _vn_matrices(n)
+    lam, mu = loop_diagonals(n + 1, shift_factor(use_shift))
     assign = {
         W(1): w,
         W(1, -1): w.inverse(),
         Wp(1): wp,
         Wp(1, -1): wp.inverse(),
     }
-    reach = 2 * kmax  # series to order 2*kmax need currents there
-    for k, (xp, xm) in current_matrices(e, f, sh, range(-reach, reach + 1)).items():
+    order = 2 * kmax  # series to order 2*kmax need currents there
+    for k, (xp, xm) in current_matrices(e, f, lam, mu, range(-order, order + 1)).items():
         assign[Xp(1, k)] = xp
         assign[Xm(1, k)] = xm
-    return with_series(MatrixModule(_A1, _with_gammas(assign, n + 1)), 2 * kmax, lmax)
+    _with_gammas(assign, n + 1)
+    # w(m) = (r-s) C(m) and w'(-m) = -(r-s) C'(m) from (r-s) P_i, with
+    # (r-s) e_(i,i+1) = (r-s) [n-i] = r^(n-i) - s^(n-i); a(l) reads C(m)
+    # from P_i = e_(i,i+1) f_(i+1,i) (module docstring)
+    fs = [f[i + 1, i] for i in range(n)]
+    ws, wps = _ladder_series([(R ** (n - i) - S ** (n - i)) * y for i, y in enumerate(fs)], lam, mu, order)
+    assign[Wser(1, 0)] = w
+    assign.update((Wser(1, m), Matrix.diagonal(d)) for m, d in enumerate(ws, 1))
+    assign[Wpser(1, 0)] = wp
+    assign.update((Wpser(1, -m), Matrix.diagonal([-x for x in d])) for m, d in enumerate(wps, 1))
+    if lmax:
+        cs, cps = _ladder_series([e[i, i + 1] * y for i, y in enumerate(fs)], lam, mu, lmax)
+        rs = R - S
+        apos = _imaginary(w, cs, rs, lmax)
+        aneg = _imaginary(wp, cps, -rs, lmax)
+        for l in range(1, lmax + 1):
+            assign[Aim(1, l)] = apos[l - 1]
+            assign[Aim(1, -l)] = aneg[l - 1]
+    return MatrixModule(_A1, assign)
 
 
-def with_series(mod: MatrixModule, order: int, lmax: int) -> MatrixModule:
-    """mod with w(0..order), w'(0..-order) derived from its currents and
-    a(+-1..+-lmax) read off the log-derivative recurrence (module
-    docstring); stored series generators are replaced.  Raises
-    NotEigenvector unless every derived one is diagonal."""
-    if not 0 <= lmax <= order:
-        raise ValueError(f"need 0 <= lmax <= order, got lmax {lmax} with order {order}")
-    if mod.kmax < order:
-        raise WindowTooSmall(f"currents to |k| <= {mod.kmax}, need {order}")
-    rs = R - S
-    xp0, xm0 = mod.get(Xp(1, 0)), mod.get(Xm(1, 0))
-    xm0_rs, xp0_rs = xm0.scale(rs), xp0.scale(-rs)  # (r-s) x-(0), -(r-s) x+(0): module docstring
-    ws, wps, cs, cps = [mod.get(W(1))], [mod.get(Wp(1))], [], []
-    for m in range(1, order + 1):
-        xpm, xmm = mod.get(Xp(1, m)), mod.get(Xm(1, -m))
-        if m <= lmax:  # a(l) reads only C(1..lmax); keeping no more lowers the peak memory
-            c, cp = commutator(xpm, xm0), commutator(xp0, xmm)
-            cs.append(c)
-            cps.append(cp)
-            ws.append(c.scale(rs))
-            wps.append(cp.scale(-rs))
-        else:
-            ws.append(commutator(xpm, xm0_rs))
-            wps.append(commutator(xp0_rs, xmm))
-    _require_diagonal(ws, wps)
-    assign = {g: m for g, m in mod.assign.items() if g.kind not in (WSER_KIND, WPSER_KIND, AIM_KIND)}
-    assign.update((Wser(1, m), mat) for m, mat in enumerate(ws))
-    assign.update((Wpser(1, -m), mat) for m, mat in enumerate(wps))
-    apos = _imaginary(ws[0], cs, rs, lmax)
-    aneg = _imaginary(wps[0], cps, -rs, lmax)
-    for l in range(1, lmax + 1):
-        assign[Aim(1, l)] = apos[l - 1]
-        assign[Aim(1, -l)] = aneg[l - 1]
-    return MatrixModule(mod.table, assign, check=False)
+def _ladder_series(p, lam, mu, order: int):
+    """The diagonals of C(m) and C'(m) for m = 1..order from the ladder
+    products P_i = p[i], i < n (module docstring): C(m)_ii = t_(i+1) - t_i
+    with t_j = P_(j-1) lam_j^m, and C'(m)_ii = u_i - u_(i-1) with
+    u_j = P_j mu_j^-m, where t_0, t_(n+1), u_(-1) and u_n are 0.  Each t_j
+    and u_j is a running product, one monomial product per m."""
+    t, u = [ZERO, *p], [*p, ZERO]
+    muinv = [x**-1 for x in mu]
+    cs, cps = [], []
+    for _ in range(order):
+        t = [x * y for x, y in zip(t, lam)]
+        u = [x * y for x, y in zip(u, muinv)]
+        cs.append([b - a for a, b in zip(t, [*t[1:], ZERO])])
+        cps.append([a - b for a, b in zip(u, [ZERO, *u])])
+    return cs, cps
 
 
 def _imaginary(w0: Matrix, cs, rs: RatFunc, lmax: int):
     """a(1..lmax), or a(-1..-lmax) from w'(0), C' and rs = s-r, as diagonal
     matrices, by the log-derivative recurrence (module docstring) on each
-    diagonal entry, with C(m) = cs[m-1] for m <= lmax and b(l) = rs a(l)."""
+    diagonal entry, with C(m)_ii = cs[m-1][i] for m <= lmax and
+    b(l) = rs a(l)."""
     mrs = [m * rs for m in range(lmax + 1)]
     cols = []
     for i in range(w0.n):
         c0 = w0[i, i]
         if c0.is_zero():
             raise BadConstantTerm("group-like eigenvalue vanished")
-        c = [ZERO] + [cm[i, i] for cm in cs]
+        c = [ZERO] + [cm[i] for cm in cs]
         a, lb = [], [ZERO]  # lb[l] = l b(l)
         for m in range(1, lmax + 1):
             acc = m * c[m] - sum((lb[l] * c[m - l] for l in range(1, m)), ZERO)

@@ -124,20 +124,23 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
 
     Lemma (loop twists): let every entry of each current x+-(k) of symbolic
     be homogeneous of a-degree k, and let its series and imaginary
-    generators be those sl2.with_series derives from its currents.  Then
-    the twist x+-(k) -> c^k x+-(k), with the series derived again from the
-    twisted currents, is substitute_module(symbolic, a=c*a), so its reports
-    are reports_at_pin(check, symbolic, a=c*a).  The proof needs only the
+    generators be those its currents define: w(m) = (r-s)[x+(m), x-(0)],
+    w'(-m) = -(r-s)[x+(0), x-(-m)] and a(l) by the log-derivative
+    recurrence (sl2 module docstring; sl2.build_current_eval reads them off
+    the ladder, and they are these).  Then the twist x+-(k) -> c^k x+-(k),
+    with the series derived again from the twisted currents, is
+    substitute_module(symbolic, a=c*a), so its reports are
+    reports_at_pin(check, symbolic, a=c*a).  The proof needs only the
     identity c^k x+-(k) = x+-(k) at a -> c a for this c (the twist command
     checks it current by current); homogeneity is sufficient for it at
     every nonzero c.  So the twisted currents are the images of the stored
-    ones; with_series builds w(m), w'(-m) and a(l) from products, sums and
-    scalings of the currents and divisions by m w(0)_ii, which has no a;
-    these commute with the substitution, so the series it derives are the
-    images of the stored ones.  The gamma1 twist is c = -1 with the gamma
-    halves negated too; check_drinfeld reads them only in the D1 products
-    gh gh^-1, gph gph^-1 and (gh gh)(gph gph), where the two signs cancel,
-    so its reports are those of c = -1.
+    ones; the definitions build w(m), w'(-m) and a(l) from products, sums
+    and scalings of the currents and divisions by m w(0)_ii, which has no
+    a; these commute with the substitution, so the series derived from the
+    twisted currents are the images of the stored ones.  The gamma1 twist
+    is c = -1 with the gamma halves negated too; check_drinfeld reads them
+    only in the D1 products gh gh^-1, gph gph^-1 and (gh gh)(gph gph),
+    where the two signs cancel, so its reports are those of c = -1.
     """
     pins = [p for p in (a, b) if p is not None]
     if not pins:

@@ -1,7 +1,8 @@
-"""The plain R2, R3 and R4 loops: the test oracle for check_chevalley's
-conjugation and tensor lemmas.
+"""The plain R1, R2, R3 and R4 loops: the test oracle for check_chevalley's
+conjugation, scaling and tensor lemmas.
 
-Every R2 instance builds both of its sides by matrix products, w x w^-1
+Every R1 instance builds its products and commutators, on a tensor module
+too; every R2 instance builds both of its sides by matrix products, w x w^-1
 against the scaled x; every R3 instance builds E F - F E against
 (W - W')/(r - s) or zero; and every step of an R4 ad-iterate takes its four
 products, e b - (w b w^-1) e or b f - f (w'^-1 b w'), whatever the module,
@@ -11,7 +12,7 @@ a tensor module too.
 from __future__ import annotations
 
 from rsaffine.matrix import Matrix
-from rsaffine.rep_core import E, F, W, Wp, _render_matrix
+from rsaffine.rep_core import E, F, GammaHalf, GammaPrimeHalf, W, Wp, _render_matrix
 
 
 def _failures(instances):
@@ -23,14 +24,27 @@ def _failures(instances):
 
 
 def plain_reports(mod):
-    """{"R2": (instances_checked, failures), "R3": (...), "R4": (...)},
-    plainly."""
+    """{"R1": (instances_checked, failures), "R2": (...), "R3": (...),
+    "R4": (...)}, plainly."""
     table = mod.table
     nodes = range(table.size)
     zero = Matrix.zeros(mod.dim)
+    ident = Matrix.identity(mod.dim)
     rsub, ssub = table.rs
     rsinv = (rsub - ssub).inv()
-    r2, r3, r4 = [], [], []
+    r1, r2, r3, r4 = [], [], [], []
+    for i in nodes:
+        r1.append((("winv", i), mod.get(W(i)) @ mod.get(W(i, -1)), ident))
+        r1.append((("wpinv", i), mod.get(Wp(i)) @ mod.get(Wp(i, -1)), ident))
+    for i in nodes:
+        for j in nodes:
+            for tag, g, h in (("ww", W(i), W(j)), ("wwp", W(i), Wp(j)), ("wpwp", Wp(i), Wp(j))):
+                x, y = mod.get(g), mod.get(h)
+                r1.append(((tag, i, j), x @ y - y @ x, zero))
+    gh, gph = mod.get(GammaHalf()), mod.get(GammaPrimeHalf())
+    r1.append((("ghinv",), gh @ mod.get(GammaHalf(-1)), ident))
+    r1.append((("gphinv",), gph @ mod.get(GammaPrimeHalf(-1)), ident))
+    r1.append((("central-product",), gh @ gh @ gph @ gph, ident))
     for i in nodes:
         ei, fi = mod.get(E(i)), mod.get(F(i))
         for j in nodes:
@@ -61,4 +75,4 @@ def plain_reports(mod):
             for _ in range(times):
                 b = b @ fi - fi @ wpiinv @ b @ wpi
             r4.append((("ad_r f", i, j), b, zero))
-    return {rid: (len(insts), _failures(insts)) for rid, insts in (("R2", r2), ("R3", r3), ("R4", r4))}
+    return {rid: (len(insts), _failures(insts)) for rid, insts in (("R1", r1), ("R2", r2), ("R3", r3), ("R4", r4))}

@@ -71,8 +71,15 @@ def test_verify_kmax_bound(capsys):
 # 64; D4 48, now 16) and the conjugations of every R4 step (R4 186, now 184)
 # made 1,974.  Each quantum integer of the ladder matrices summed from n
 # products of powers of r and s, where its terms are now read off their
-# exponents (field.quantum_int), made 1,812.
-VERIFY_N4_PMUL_CALLS = 1772
+# exponents (field.quantum_int), made 1,812.  The build's w(m), w'(-m) and
+# C(m), C'(m) as general commutators of the currents, where they are now
+# read off the ladder, n running monomial products per m (sl2 docstring),
+# made 1,772, and theta(l) built twice per l, once for D5_1 and once for
+# D5_2, through a gcd each time, where it is now one exact division per l,
+# 1,702.  R3 and R4 now compare E_i and F_i scaled by r - s (the scaling
+# lemma, rep_core docstring): scaling them takes 18 products and R3 no longer
+# scales its left sides (10), a net 8 more calls of far fewer terms.
+VERIFY_N4_PMUL_CALLS = 1537
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -110,8 +117,9 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # difference taken as the sum with a negated copy, where a difference of two
 # unit denominators is now canonical as computed, made 381, and each quantum
 # integer of the ladder matrices summed from n products of powers of r and
-# s, where its terms are now read off their exponents, 170.
-VERIFY_N4_NORMALIZE_CALLS = 146
+# s, where its terms are now read off their exponents, 170.  Building
+# theta(l) for D5_1 and again for D5_2 made 146.
+VERIFY_N4_NORMALIZE_CALLS = 141
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -159,9 +167,10 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 VERIFY_N4_MATMUL_CALLS = 61
 # The products a @ b and b @ a that one-pass commutators of two
 # non-diagonal factors stand for, two per commutator, in the same run: the
-# build's C(m), C'(m) for m <= lmax = 3 and w(m), w'(-m) for m = 4..8, and
-# the four [e_i, f_j] of R3.
-VERIFY_N4_COMMUTATOR_PRODUCTS = 40
+# four [(r - s) e_i, f_j] of R3.  The build's C(m), C'(m) for m <= lmax = 3
+# and w(m), w'(-m) for m = 4..8, which are now read off the ladder (sl2
+# docstring), made 40.
+VERIFY_N4_COMMUTATOR_PRODUCTS = 8
 
 
 def test_verify_matmul_count_tripwire(capsys, monkeypatch):
@@ -195,7 +204,7 @@ def test_verify_commutator_product_count_tripwire(capsys, monkeypatch):
             products += 2
         return commutator(a, b)
 
-    for module in (rsaffine.matrix, rsaffine.rep_core, rsaffine.sl2):
+    for module in (rsaffine.matrix, rsaffine.rep_core):
         monkeypatch.setattr(module, "commutator", counting)
     code, _ = run(capsys, "verify", "--n", "4", "--json")
     assert code == EXIT_PASS
@@ -212,8 +221,10 @@ def test_verify_commutator_product_count_tripwire(capsys, monkeypatch):
 # (tests/test_specialize.py keeps the 3,474 of the direct path pinned).
 # Dividing each weight's series logarithm by r - s while the symbolic module
 # was built made 82; the log-derivative recurrence divides only by m w(0)_ii,
-# a monomial, so the build takes no gcd and these are the pin's.
-VERIFY_PINNED_PGCD_CALLS = 24
+# a monomial, so the build takes no gcd.  theta(l) of D5, built twice per l
+# through a gcd of rho^l - rho^-l against r - s, made 24; it is now one exact
+# division per l, and the run takes no gcd at all.
+VERIFY_PINNED_PGCD_CALLS = 0
 
 
 def test_verify_pinned_pgcd_count_tripwire(capsys, monkeypatch):
@@ -291,7 +302,11 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # made 964; both are now built with lmax=0.  Each quantum integer of the
 # ladder matrices summed from n products of powers of r and s, where its
 # terms are now read off their exponents (field.quantum_int), made 880.
-DRINFELD_N3_PMUL_CALLS = 856
+# The series of both builds as general commutators, where they are now read
+# off the ladder, n running monomial products per m (sl2 docstring), made
+# 856, and reconstruct_P's divisions by r^n (s^k - r^k) through gcds, where
+# each is now one exact division, 754.
+DRINFELD_N3_PMUL_CALLS = 722
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -418,8 +433,11 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # tensors, where hopf.tensor now checks them on the factors' 4-dimensional
 # products, 2,198; and substituting both factors at the pins and building the
 # pinned tensor for the closure, whose full span is now certified on the
-# symbolic tensor at the pins' values (hopf.span_closure), 2,038.
-TENSOR_33_PINNED_PMUL_CALLS = 1566
+# symbolic tensor at the pins' values (hopf.span_closure), 2,038.  R1's
+# inverse-pair and gamma products on the 16-dimensional tensor, where the R1
+# tensor lemma now reads them off hopf.tensor's construction and the
+# factors' commutators (rep_core docstring), made 1,566.
+TENSOR_33_PINNED_PMUL_CALLS = 1422
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -472,8 +490,12 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # powers of r and s, where its terms are now read off their exponents
 # (field.quantum_int), made 1,620, and substituting the pin into each
 # constant entry denominator in reports_at_pin's regularity check, which now
-# skips them, 1,608.
-MUTATED_PINNED_PMUL_CALLS = 1604
+# skips them, 1,608.  theta(l) built twice per l through a gcd, where it is
+# now one exact division per l, made 1,604, and the build's series as general
+# commutators, where they are now read off the ladder, 1,507.  R3 and R4 of
+# the Chevalley module now compare E_i and F_i scaled by r - s (the scaling
+# lemma): 10 products to scale them, 6 fewer in R3, so 4 more calls.
+MUTATED_PINNED_PMUL_CALLS = 1491
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -559,6 +581,21 @@ def test_table_g2(capsys):
     code, out = run(capsys, "table", "--type", "G2")
     assert code == EXIT_PASS
     assert "r^(1/3)*s^(-1/3)" in out
+
+
+# --json prints no text, so the table command builds no text lines for it.
+def test_table_json_builds_no_text(capsys, monkeypatch):
+    from rsaffine import cli
+
+    code, text = run(capsys, "table", "--type", "E6")
+    assert code == EXIT_PASS and text.startswith("quantum Cartan matrix for E6")
+
+    def refuse(t):
+        raise AssertionError("text lines built for --json")
+
+    monkeypatch.setattr(cli, "_table_lines", refuse)
+    code, out = run(capsys, "table", "--type", "E6", "--json")
+    assert code == EXIT_PASS and json.loads(out)["command"] == "table"
 
 
 def test_table_json_matches_library(capsys):
@@ -705,8 +742,10 @@ def test_twist_sigma(capsys):
 # powers of r and s, where its terms are now read off their exponents
 # (field.quantum_int), made 1,293, and substituting a -> c·a into each
 # constant entry denominator in reports_at_pin's regularity check, which now
-# skips them, 1,281.
-TWIST_GAMMA2_N3_PMUL_CALLS = 1278
+# skips them, 1,281.  theta(l) built twice per l through a gcd, where it is
+# now one exact division per l, made 1,278, and the build's series as general
+# commutators, where they are now read off the ladder, 1,181.
+TWIST_GAMMA2_N3_PMUL_CALLS = 1153
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):

@@ -104,6 +104,27 @@ def test_reconstruct_matches_closed_form(n, shift):
     assert p.degree == n
 
 
+# reconstruct_P divides each coefficient by r^n (s^k - r^k), which the field
+# does by one exact division, with no gcd, when that divides it as a Laurent
+# polynomial, and by its gcd path otherwise: P with a root that is not
+# Laurent still comes back.
+def test_reconstruct_divides_exactly_or_falls_back(monkeypatch):
+    import rsaffine.field as field
+
+    def no_gcd(*args):
+        raise AssertionError("reconstruct_P took a gcd")
+
+    for p, exact in (
+        (closed_form_P(3), True),
+        (DrinfeldPoly(tuple(_poly_from_roots([A / (1 + R), A * S, B]))), False),
+    ):
+        h = HwSeries(plus=plus_series_of(p, 7), minus=minus_series_of(p, 7), n=3)
+        if exact:
+            monkeypatch.setattr(field, "pgcd", no_gcd)
+        assert reconstruct_P(h) == p
+        monkeypatch.undo()
+
+
 def test_plus_series_resummation():
     # the displayed resummation r^n (1 - a r^-1 s r^-n z)/(1 - a r^-1 s s^-n z)
     for n in range(1, 5):

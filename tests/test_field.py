@@ -55,6 +55,31 @@ def test_monomial_quotient_is_read_off_the_leading_terms():
     assert monomial_quotient(ZERO, y) is None
 
 
+def test_laurent_division_is_one_exact_division(monkeypatch):
+    import rsaffine.field as field
+
+    y = R - S
+    exact = [
+        (R**5 * S**-2 - R**-2 * S**5, y),  # rho-like, with monomials to shift out
+        (quantum_int(4) * (2 + A * B**-1) * Fraction(3, 7), (2 + A * B**-1) * Fraction(1, 5)),
+    ]
+    inexact = [
+        (R**3 - S**3, 2 * R - 2 * S),  # quotient not over the integers
+        (R + 1, y),  # not a multiple
+        (ONE / (1 + R), ONE + R),  # not Laurent
+        (R - 1, ONE / (1 + R)),
+    ]
+    monkeypatch.setattr(field, "pgcd", None)  # any gcd would raise
+    got = [x / d for x, d in exact]
+    monkeypatch.undo()
+    assert got[0] == R**-2 * S**-2 * quantum_int(7)
+    assert got[1] == quantum_int(4) * Fraction(15, 7)
+    # the gcd path divides the rest, to the same canonical values
+    assert [x / d * d for x, d in inexact] == [x for x, _ in inexact]
+    assert (R**3 - S**3) / (2 * R - 2 * S) == Fraction(1, 2) * quantum_int(3)
+    assert ZERO / y == ZERO
+
+
 def test_self_division_is_one():
     assert (R - S) / (R - S) == ONE
 

@@ -7,12 +7,13 @@ import pytest
 from mutations import MUTATIONS as CORRUPTIONS
 from mutations import apply_mutation
 from plainchevalley import plain_reports
+from seriesoracle import with_series
 from test_sl2 import build_Vn
 from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int, rf
+from rsaffine.field import A, B, ONE, R, S, ZERO, parse, quantum_int, rf
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
     Aim,
@@ -42,7 +43,7 @@ from rsaffine.rep_core import (
 )
 from rsaffine import rep_core
 from rsaffine.hopf import tensor, twist_sigma
-from rsaffine.sl2 import build_chevalley_eval, build_current_eval, with_series
+from rsaffine.sl2 import build_chevalley_eval, build_current_eval
 from rsaffine.specialize import parse_spec_map, specialize_module, substitute_module
 
 A1 = build_pairing(AffineType("A", 1))
@@ -573,6 +574,31 @@ def _chevalley_modules():
             yield f"n={n} {name}", chev.with_assign(gen, mat)
     for name, mod in _tensor_cases():
         yield f"tensor 2x3 {name}", mod
+    # the scaling lemma on failing R3 and R4 instances, and on pinned direct
+    # modules: at a = 1+r and a = 1/(1+r) an entry has a real denominator,
+    # so they take the unscaled path; at a = 2 and a = r^(1/2) the scaled one
+    for n in (1, 3):
+        yield f"n={n} scaled", _scaled(build_chevalley_eval(n))
+        for pin in ("1+r", "1/(1+r)", "2", "r^(1/2)"):
+            yield f"n={n} pinned a={pin}", substitute_module(build_chevalley_eval(n), a=parse(pin))
+    doubled = apply_mutation(build_chevalley_eval(2), None, "e1scale")[0]
+    for pin in ("2", "2+s"):
+        yield f"n=2 pinned a={pin}, e(1) doubled", substitute_module(doubled, a=parse(pin))
+    mL, mR = _factors()
+    yield "tensor 2x3 with a non-diagonal w(0) on the left", tensor(_conjugated(mL, W(0)), mR)
+    yield "tensor 2x3 with a non-diagonal w'(1) on the right", tensor(mL, _conjugated(mR, Wp(1)))
+
+
+def _conjugated(mod, plus):
+    """mod with the group-like pair of plus conjugated by 1 + (an off-diagonal
+    unit): still an inverse pair, but no longer diagonal, so it commutes with
+    neither the other group-likes nor, in general, its own e and f."""
+    n = mod.dim
+    p = Matrix([[ONE if i == j or (i, j) == (0, n - 1) else ZERO for j in range(n)] for i in range(n)])
+    pinv = p.inverse()
+    minus = Gen(plus.kind, plus.i, -1)
+    out = mod.with_assign(plus, p @ mod.get(plus) @ pinv)
+    return out.with_assign(minus, p @ mod.get(minus) @ pinv)
 
 
 @pytest.mark.parametrize("mod", [pytest.param(mod, id=name) for name, mod in _chevalley_modules()])
@@ -660,6 +686,56 @@ def test_tensor_r3_and_r4_make_no_tensor_sized_product(monkeypatch, left, right)
     assert (spans["R3"], spans["R4"]) == (0, 0)
 
 
+# R1 on V_m(a) (x) V_n(b) makes no tensor-sized product either: hopf.tensor
+# checked the inverse pairs on the factors and stores identity gamma halves,
+# and the factors' group-likes commute (the R1 tensor lemma); multiplying
+# out the pairs and the gamma products made 2 N + 5 = 9.
+@pytest.mark.parametrize("left,right", ((1, 1), (2, 3), (4, 2)))
+def test_tensor_r1_makes_no_tensor_sized_product(monkeypatch, left, right):
+    mod = tensor(*_factors(left, right))
+    spans = products_per_relation(monkeypatch, lambda: check_chevalley(mod), dim=mod.dim)
+    assert spans["R1"] == 0
+
+
+# R3 and R4 of a module that is not a tensor compare E_i and F_i scaled by
+# r - s (the scaling lemma) exactly when r - s and every entry of E_i and F_i
+# are Laurent polynomials; the verdicts and reports are the plain loops'
+# (test_r2_and_r4_match_the_plain_loops).
+def test_scaled_generators_only_for_laurent_entries(monkeypatch):
+    seen = []
+    scaled = rep_core.scaled_chevalley
+
+    def spy(mod, c):
+        out = scaled(mod, c)
+        seen.append(out is not None)
+        return out
+
+    monkeypatch.setattr(rep_core, "scaled_chevalley", spy)
+    chev = build_chevalley_eval(3)
+    cases = {
+        "symbolic": (chev, True),
+        "a = 2": (substitute_module(chev, a=rf(2)), True),
+        "a = 1+r": (substitute_module(chev, a=1 + R), False),
+        "a = 1/(1+r)": (substitute_module(chev, a=(1 + R).inv()), False),
+        "s = r^-1": (specialize_module(chev, parse_spec_map("s=r^-1")), True),
+    }
+    for name, (mod, laurent) in cases.items():
+        seen.clear()
+        check_chevalley(mod)
+        assert seen == [laurent], name
+    # a tensor reads R3 and R4 off its factors and scales nothing
+    seen.clear()
+    check_chevalley(tensor(*_factors()))
+    assert seen == []
+    # the scaled generators are c E_i and c F_i, and the group-likes are kept
+    mod = scaled(chev, R - S)
+    for i in (0, 1):
+        assert mod.get(E(i)) == chev.get(E(i)).scale(R - S)
+        assert mod.get(F(i)) == chev.get(F(i)).scale(R - S)
+        assert mod.get(W(i)) is chev.get(W(i))
+    assert mod.get(E(1))[0, 1] == R**3 - S**3
+
+
 # -- the current form ------------------------------------------------------------------
 
 
@@ -707,9 +783,19 @@ def test_twisted_modules_take_the_lemma_path(twist):
         (lambda mod: mod.with_assign(Xm(1, -3), mod.get(Xm(1, -3)).scale(3)), True, False),
         (lambda mod: mod.with_assign(Xp(1, 1), mod.get(Xp(1, 1)).scale(3)), False, True),
         (lambda mod: mod.with_assign(Xp(1, 3), mod.get(Xp(1, 3)).scale(3)), False, True),
+        (lambda mod: mod.with_assign(Xp(1, -1), mod.get(Xp(1, -1)).scale(3)), False, True),
+        (lambda mod: mod.with_assign(Xm(1, 2), mod.get(Xm(1, 2)).scale(3)), True, False),
         (lambda mod: twist_gamma2(mod, 1 + R), True, True),
     ),
-    ids=("x-(-2) * 3", "x-(-(kmax+1)) * 3", "x+(1) * 3", "x+(kmax+1) * 3", "gamma2 twist, c = 1+r"),
+    ids=(
+        "x-(-2) * 3",
+        "x-(-(kmax+1)) * 3",
+        "x+(1) * 3",
+        "x+(kmax+1) * 3",
+        "x+(-1) * 3",
+        "x-(2) * 3",
+        "gamma2 twist, c = 1+r",
+    ),
 )
 def test_current_form_marks_the_indices_off_the_form(corrupt, plus, minus):
     kmax = 2

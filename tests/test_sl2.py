@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from seriesoracle import with_series
 from truncseries import TruncSeries
 
 from rsaffine.cli import MAX_KMAX
@@ -33,9 +34,9 @@ from rsaffine.sl2 import (
     build_chevalley_eval,
     build_current_eval,
     current_matrices,
+    loop_diagonals,
     series_matrices,
     shift_factor,
-    with_series,
 )
 
 RHO = R * S**-1
@@ -60,7 +61,7 @@ def evaluation_map_consistency(n: int, use_shift=False, kmax: int = 3):
     e, f, w, wp = (build_Vn(n).get(g) for g in (E(1), F(1), W(1), Wp(1)))
     ap = sh * A
     out = []
-    for k, (xp, xm) in current_matrices(e, f, sh, range(-kmax, kmax + 1)).items():
+    for k, (xp, xm) in current_matrices(e, f, *loop_diagonals(n + 1, sh), range(-kmax, kmax + 1)).items():
         scalar = (R**-1 * S * ap) ** k
         via_ev_p = (wp**-k @ e).scale(scalar)
         via_ev_m = (f @ w**k).scale(scalar)
@@ -341,6 +342,20 @@ def test_with_series_matches_the_plain_commutators(n, use_shift, corrupt):
         assert got.get(Wser(1, 3)) != build_current_eval(n, use_shift, kmax=kmax, lmax=lmax).get(Wser(1, 3))
 
 
+# The series and imaginary generators read off the ladder (sl2 docstring)
+# are those the general commutators of the stored currents give, entry for
+# entry, and stored in the same order.
+@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("use_shift", (False, True))
+def test_build_matches_the_commutator_oracle(n, use_shift):
+    windows = [(1, 0), (1, 1), (2, 2), (4, 3)] + [(8, 16)] * (n == 12)
+    for kmax, lmax in windows:
+        mod = build_current_eval(n, use_shift, kmax=kmax, lmax=lmax)
+        oracle = with_series(mod, 2 * kmax, lmax)
+        assert list(oracle.assign) == list(mod.assign)
+        assert oracle.assign == mod.assign
+
+
 @pytest.mark.parametrize("ks", (range(-5, 6), [3, -2, 0, 5], [-1], [], range(2, 4)))
 @pytest.mark.parametrize("use_shift", (False, True))
 @pytest.mark.parametrize("n", range(5))
@@ -353,7 +368,7 @@ def test_current_matrices_match_the_powers(n, use_shift, ks):
     d, ap = n + 1, sh * A
     lam = [ap * S ** (1 - d) * RHO**-i for i in range(d)]
     mu = [ap * R ** (d - 1) * RHO ** -(i + 1) for i in range(d)]
-    got = current_matrices(e, f, sh, ks)
+    got = current_matrices(e, f, lam, mu, ks)
     assert list(got) == list(ks)
     for k, (xp, xm) in got.items():
         assert xp == e.scale_columns([x**k for x in lam])

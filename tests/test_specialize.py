@@ -2,6 +2,7 @@
 
 import pytest
 from mutations import apply_mutation
+from seriesoracle import with_series
 from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
@@ -10,7 +11,7 @@ from rsaffine.field import ONE, A, B, R, S, ZERO, parse, quantum_int
 from rsaffine.hopf import span_closure, tensor
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import E, MatrixModule, W, Wp, Xm, Xp, all_pass, check_chevalley, check_drinfeld
-from rsaffine.sl2 import build_chevalley_eval, build_current_eval, with_series
+from rsaffine.sl2 import build_chevalley_eval, build_current_eval
 from rsaffine.specialize import (
     SpecMap,
     centrality_report,
@@ -400,8 +401,11 @@ def test_pole_error_on_the_command_line(capsys, monkeypatch):
 # diagonal entries, 612.  Substituting the pin term by term, adding each
 # term's power of 1+r to the sum one at a time, made 576; a class of terms
 # with the same a-exponent now takes the power once, so the sum has fewer
-# terms whose denominators need a gcd.
-DIRECT_PINNED_PGCD_CALLS = 477
+# terms whose denominators need a gcd.  theta(l) of D5, built twice per l
+# through a gcd, where it is now one exact division per l, made 477, and
+# 453 before the field's division of one Laurent polynomial by another tried
+# that exact division itself, ahead of its gcd.
+DIRECT_PINNED_PGCD_CALLS = 451
 
 
 def test_direct_pinned_pgcd_count_tripwire(monkeypatch):

@@ -7,6 +7,8 @@ derived again from them, so that its check can be compared with the mapped
 one.
 """
 
+from seriesoracle import with_series
+
 from rsaffine.errors import MissingGenerator
 from rsaffine.field import RatFunc
 from rsaffine.rep_core import (
@@ -18,7 +20,6 @@ from rsaffine.rep_core import (
     GammaPrimeHalf,
     MatrixModule,
 )
-from rsaffine.sl2 import with_series
 
 
 def _retwist_series(mod: MatrixModule, assign) -> MatrixModule:
