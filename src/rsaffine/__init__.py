@@ -28,7 +28,7 @@ from .rep_core import (
     check_chevalley,
     check_drinfeld,
 )
-from .sl2 import build_chevalley_eval, build_current_eval
+from .sl2 import build_chevalley_eval, build_current_eval, build_series_eval
 from .drinfeld import (
     DrinfeldPoly,
     HwSeries,

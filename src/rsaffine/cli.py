@@ -19,7 +19,7 @@ from .errors import LatticeOverflow, ParseError, RsaffineError, UnsupportedRank
 from .field import ONE, ZERO, A, B, RatFunc, parse, render
 from .hopf import exact_span_closure, full_span_certified, tensor, tensor_basis_vector, twist_sigma
 from .rep_core import XM_KIND, XP_KIND, all_pass, check_chevalley, check_drinfeld
-from .sl2 import build_chevalley_eval, build_current_eval
+from .sl2 import build_chevalley_eval, build_current_eval, build_series_eval
 from .specialize import (
     centrality_report,
     parse_spec_map,
@@ -143,7 +143,7 @@ def cmd_drinfeld(args) -> int:
     shift = args.shift == "rs-inverse"
     # the RQ closed form is stated for the shifted module, which a shifted
     # run also reads its polynomials from
-    shifted = build_current_eval(args.n, True, kmax=max(1, (order + 1) // 2), lmax=0)
+    shifted = build_series_eval(args.n, True, order)
     doc = drinfeld_report(args.n, shift, order=order, mod=shifted if shift else None)
     rq = verify_RQ_form(shifted, order=order)
     doc["command"] = "drinfeld"

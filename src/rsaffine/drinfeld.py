@@ -27,6 +27,22 @@ A truncated series is the tuple of its coefficients c_0..c_order, its
 order being len - 1.  expand is the one expansion of a polynomial ratio,
 the division recurrence; the expansion about infinity of the primed
 series is expand on the reversed coefficient lists.
+
+Reduced-form lemma.  Let c_0..c_order be geometric from z^1, c_(k+1) =
+lam c_k for 1 <= k < order.  They are then the expansion to order of
+N/D = (c_0 + (c_1 - lam c_0) z)/(1 - lam z).  For coefficient lists num,
+den with den_0 != 0, num/den = N/D as rational functions exactly when
+num D = den N, a polynomial identity of degree max(deg num, deg den) + 1,
+and then the two expansions agree at every order, so expand(num, den,
+order) = c (Chari and Pressley, CMP 142, 1991, for the rational form;
+von zur Gathen and Gerhard, 5.9, for uniqueness).  For P of degree n >= 1
+with the closed form's roots, r^n P(sz)/P(rz) telescopes to degree one
+over degree one, as the per-weight ratio above does, and so does the
+mirrored primed series in z^-1: both are geometric from z^1.  reconstruct_P
+reads lam off c_2/c_1 (monomial_quotient) and confirms it on every stored
+coefficient.  Only a proved identity decides a match; a series that is not
+geometric (n = 0, where c_1 = 0) or whose identity fails (two ratios may
+agree to a finite order) is compared with its expansion.
 """
 
 from __future__ import annotations
@@ -35,9 +51,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, MirrorMismatch, NoSolution
-from .field import A, ONE, R, S, ZERO, render
+from .field import A, ONE, R, S, ZERO, monomial_quotient, render
 from .rep_core import MatrixModule
-from .sl2 import series_matrices, shift_factor
+from .sl2 import build_series_eval, series_matrices, shift_factor
 
 
 @dataclass(frozen=True)
@@ -127,26 +143,70 @@ def expand(num, den, order: int) -> tuple:
     return tuple(out)
 
 
-def plus_series_of(p: DrinfeldPoly, order: int) -> tuple:
-    """r^deg * P(sz)/P(rz) expanded about 0."""
+def _plus_ratio(p: DrinfeldPoly):
+    """num, den of r^deg * P(sz)/P(rz) as coefficient lists."""
     scale = R**p.degree
     num = [c * (scale * S**k) for k, c in enumerate(p.coeffs)]
     den = [c * R**k for k, c in enumerate(p.coeffs)]
-    return expand(num, den, order)
+    return num, den
+
+
+def _minus_ratio(p: DrinfeldPoly):
+    """num, den of r^deg * Q(sz)/Q(rz), Q the mirror, as coefficient lists
+    in z^-1: the reversed lists of the ratio in z."""
+    scale, q = R**p.degree, p.mirror
+    num = [c * (scale * S**k) for k, c in enumerate(q)]
+    den = [c * R**k for k, c in enumerate(q)]
+    return num[::-1], den[::-1]
+
+
+def plus_series_of(p: DrinfeldPoly, order: int) -> tuple:
+    """r^deg * P(sz)/P(rz) expanded about 0."""
+    return expand(*_plus_ratio(p), order)
 
 
 def minus_series_of(p: DrinfeldPoly, order: int) -> tuple:
     """r^deg * Q(sz)/Q(rz) expanded about infinity, Q the mirror: the
     coefficient of z^-k is at index k."""
-    scale, q = R**p.degree, p.mirror
-    num = [c * (scale * S**k) for k, c in enumerate(q)]
-    den = [c * R**k for k, c in enumerate(q)]
-    return expand(num[::-1], den[::-1], order)
+    return expand(*_minus_ratio(p), order)
+
+
+def _geometric_ratio(cs):
+    """The monomial lam with c_(k+1) = lam c_k for 1 <= k < order, or None
+    when cs has order below 2 or is not geometric from z^1."""
+    if len(cs) < 3:
+        return None
+    lam = monomial_quotient(cs[2], cs[1])
+    if lam is None or any(cs[k] * lam != cs[k + 1] for k in range(2, len(cs) - 1)):
+        return None
+    return lam
+
+
+def _agrees(num, den, cs) -> bool:
+    """Whether num/den expands to the truncated series cs: by the identity
+    num D == den N on the reduced form N/D of cs when cs is geometric from
+    z^1 and the identity holds, else by the expansion (reduced-form lemma,
+    module docstring)."""
+    lam = _geometric_ratio(cs)
+    if lam is not None:
+        n0, n1 = cs[0], cs[1] - lam * cs[0]
+        width = max(len(num), len(den)) + 1
+        a = [*num, *[ZERO] * (width - len(num))]
+        b = [*den, *[ZERO] * (width - len(den))]
+        # coefficient k of num (1 - lam z) == den (n0 + n1 z), with a_-1 = b_-1 = 0
+        if all(x - lam * y == n0 * u + n1 * v for x, y, u, v in zip(a, [ZERO, *a], b, [ZERO, *b])):
+            return True
+    return expand(num, den, len(cs) - 1) == cs
 
 
 def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
     """Solve r^n P(sz) = P(rz) * plus-series for the n unknown coefficients,
     verify the remaining orders, then verify the minus-series mirror law.
+
+    Each verification is the polynomial identity of the reduced-form lemma
+    (module docstring) when the stored series is geometric from z^1 and
+    the identity holds, and the expansion of the ratio (plus_series_of,
+    minus_series_of) compared with the stored series otherwise.
 
     Raises NoSolution when the plus series is not of polynomial-ratio shape
     and MirrorMismatch when the plus side solves but the minus side fails.
@@ -170,9 +230,9 @@ def reconstruct_P(h: HwSeries) -> DrinfeldPoly:
         raise NoSolution(f"solved polynomial has degree below {n}")
     p = DrinfeldPoly(tuple(coeffs))
 
-    if plus_series_of(p, order) != phi:
+    if not _agrees(*_plus_ratio(p), phi):
         raise NoSolution("plus series is not of Drinfeld polynomial form")
-    if minus_series_of(p, len(h.minus) - 1) != h.minus:
+    if not _agrees(*_minus_ratio(p), h.minus):
         raise MirrorMismatch("minus series fails the mirrored identity")
     return p
 
@@ -259,17 +319,15 @@ def drinfeld_report(n: int, use_shift=False, *, order: int, mod=None) -> dict:
 
     The reconstruction reads the plus series to order 2n+1, so a smaller
     order raises ValueError (the CLI rejects it as a usage error).  mod is
-    the current module read, build_current_eval(n, use_shift,
-    kmax=(order+1)//2 or 1, lmax=0) when None, as no a(l) is read.  When the
-    series is not of Drinfeld form the failing side is reported and P, Q are
-    the closed form.
+    the module read, build_series_eval(n, use_shift, order) when None: only
+    the series to order are read, so no current and no a(l) is built.  When
+    the series is not of Drinfeld form the failing side is reported and P, Q
+    are the closed form.
     """
-    from .sl2 import build_current_eval
-
     if order < 2 * n + 1:
         raise ValueError(f"drinfeld_report needs order >= 2n+1 = {2 * n + 1} for n={n}, got {order}")
     if mod is None:
-        mod = build_current_eval(n, use_shift, kmax=max(1, (order + 1) // 2), lmax=0)
+        mod = build_series_eval(n, use_shift, order)
     h = extract_hw_series(mod, order)
     closed = closed_form_P(n, use_shift)
     status = {"plus": "pass", "minus": "pass"}

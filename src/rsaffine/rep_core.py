@@ -805,6 +805,18 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                     m = kpow(-l) @ m
                 return m.scale(th if sign > 0 else -th)
 
+            a, diffs = [al[j, j] for j in range(dim)], {}
+
+            def diff(i, j):
+                """a_i - a_j, formed once per pair: x-(0) has its nonzeros
+                where x+(0) has them transposed, so its family reads the
+                negations."""
+                if (j, i) in diffs:
+                    return -diffs[j, i]
+                if (i, j) not in diffs:
+                    diffs[i, j] = a[i] - a[j]
+                return diffs[i, j]
+
             def family(sign):
                 if diag[sign] is None or not al.is_diagonal():
                     return None
@@ -813,9 +825,9 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                     return None
                 x0 = X[sign](0)
                 t = th if sign > 0 else -th
-                a, d = [al[j, j] for j in range(dim)], dpow(sign, e)
+                d = dpow(sign, e)
                 ts = [t] * dim if kl is ident else [t * kl[j, j] for j in range(dim)]
-                return all(a[i] - a[j] == ts[i] * d[j] for i, row in enumerate(x0._rows) for j in row)
+                return all(diff(i, j) == ts[i] * d[j] for i, row in enumerate(x0._rows) for j in row)
 
             families = {sign: family(sign) for sign in (1, -1)}
             for k in range(-kmax, kmax + 1):

@@ -6,6 +6,12 @@ Both normalizations are exposed: shift 1 gives V_n(a), shift rs^-1 gives
 the variant W_n(a) = V_n(rs^-1 a) used by the per-weight eigenvalue
 formulas.
 
+Two builders read the series off the ladder, by one code path (_series):
+build_series_eval stores only the group-likes, the gamma halves and
+w(0..order), w'(0..-order), which is all the eigenvalue readers (drinfeld)
+read; build_current_eval stores the same generators, in the same order,
+with the currents x+-(k) and the imaginary generators a(l) beside them.
+
 Series generators: w(m) = (r-s) C(m) and w'(-m) = -(r-s) C'(m) for m > 0,
 with C(m) = [x+(m), x-(0)] and C'(m) = [x+(0), x-(-m)], and w(0), w'(0) the
 group-likes.  The Drinfeld realization (Hu-Rosso-Zhang, CMP 278, 2008)
@@ -91,20 +97,21 @@ def build_chevalley_eval(n: int, use_shift=False) -> MatrixModule:
     omega pair swapped between the two nodes."""
     sh = shift_factor(use_shift)
     e, f, w, wp = _vn_matrices(n)
+    winv, wpinv = w.inverse(), wp.inverse()
     ap = sh * A
     assign = {
         E(1): e,
         F(1): f,
         W(1): w,
-        W(1, -1): w.inverse(),
+        W(1, -1): winv,
         Wp(1): wp,
-        Wp(1, -1): wp.inverse(),
+        Wp(1, -1): wpinv,
         E(0): f.scale(R**-1 * S * ap),
         F(0): e.scale(R * S**-1 * ap.inv()),
         W(0): wp,
-        W(0, -1): wp.inverse(),
+        W(0, -1): wpinv,
         Wp(0): w,
-        Wp(0, -1): w.inverse(),
+        Wp(0, -1): winv,
     }
     return MatrixModule(_A1, _with_gammas(assign, n + 1))
 
@@ -139,10 +146,44 @@ def current_matrices(e: Matrix, f: Matrix, lam, mu, ks):
     return {k: table[k] for k in ks}
 
 
+def _group_likes(w: Matrix, wp: Matrix) -> dict:
+    """The node-1 group-likes of V_n and their inverses."""
+    return {W(1): w, W(1, -1): w.inverse(), Wp(1): wp, Wp(1, -1): wp.inverse()}
+
+
+def _series(n: int, f: Matrix, w: Matrix, wp: Matrix, lam, mu, order: int) -> dict:
+    """w(0..order) and w'(0..-order) of V_n, read off the ladder: w(m) =
+    (r-s) C(m) and w'(-m) = -(r-s) C'(m) from (r-s) P_i, with
+    (r-s) e_(i,i+1) = (r-s) [n-i] = r^(n-i) - s^(n-i) (module docstring)."""
+    p = [(R ** (n - i) - S ** (n - i)) * f[i + 1, i] for i in range(n)]
+    ws, wps = _ladder_series(p, lam, mu, order)
+    out = {Wser(1, 0): w}
+    out.update((Wser(1, m), Matrix.diagonal(d)) for m, d in enumerate(ws, 1))
+    out[Wpser(1, 0)] = wp
+    out.update((Wpser(1, -m), Matrix.diagonal([-x for x in d])) for m, d in enumerate(wps, 1))
+    return out
+
+
+def build_series_eval(n: int, use_shift: bool, order: int) -> MatrixModule:
+    """Series module of V_n: the group-likes, the gamma halves, and the
+    omega series w(0..order), w'(0..-order), read off the ladder as in
+    build_current_eval, with no current and no imaginary generator.  It
+    is what the eigenvalue readers (drinfeld) read."""
+    if n < 0 or order < 0:
+        raise ValueError("need n >= 0 and order >= 0")
+    _, f, w, wp = _vn_matrices(n)
+    lam, mu = loop_diagonals(n + 1, shift_factor(use_shift))
+    assign = _with_gammas(_group_likes(w, wp), n + 1)
+    assign.update(_series(n, f, w, wp, lam, mu, order))
+    return MatrixModule(_A1, assign)
+
+
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
     """Current module with x+-(k) for |k| <= 2*kmax, the omega series to
     order 2*kmax, and the imaginary generators to +-lmax, 0 <= lmax <=
-    2*kmax since a(l) is read off the series to order l.  The series are
+    2*kmax since a(l) is read off the series to order l.  It stores what
+    build_series_eval(n, use_shift, 2*kmax) does, in the same order, with
+    the currents after the group-likes and a(l) last.  The series are
     read off the ladder and a(l) off the log-derivative recurrence (module
     docstring); the invariants are checked once, on the finished module."""
     if n < 0 or kmax < 1:
@@ -151,28 +192,17 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
         raise ValueError(f"need 0 <= lmax <= 2*kmax, got lmax {lmax} with kmax {kmax}")
     e, f, w, wp = _vn_matrices(n)
     lam, mu = loop_diagonals(n + 1, shift_factor(use_shift))
-    assign = {
-        W(1): w,
-        W(1, -1): w.inverse(),
-        Wp(1): wp,
-        Wp(1, -1): wp.inverse(),
-    }
+    assign = _group_likes(w, wp)
     order = 2 * kmax  # series to order 2*kmax need currents there
     for k, (xp, xm) in current_matrices(e, f, lam, mu, range(-order, order + 1)).items():
         assign[Xp(1, k)] = xp
         assign[Xm(1, k)] = xm
     _with_gammas(assign, n + 1)
-    # w(m) = (r-s) C(m) and w'(-m) = -(r-s) C'(m) from (r-s) P_i, with
-    # (r-s) e_(i,i+1) = (r-s) [n-i] = r^(n-i) - s^(n-i); a(l) reads C(m)
-    # from P_i = e_(i,i+1) f_(i+1,i) (module docstring)
-    fs = [f[i + 1, i] for i in range(n)]
-    ws, wps = _ladder_series([(R ** (n - i) - S ** (n - i)) * y for i, y in enumerate(fs)], lam, mu, order)
-    assign[Wser(1, 0)] = w
-    assign.update((Wser(1, m), Matrix.diagonal(d)) for m, d in enumerate(ws, 1))
-    assign[Wpser(1, 0)] = wp
-    assign.update((Wpser(1, -m), Matrix.diagonal([-x for x in d])) for m, d in enumerate(wps, 1))
+    assign.update(_series(n, f, w, wp, lam, mu, order))
     if lmax:
-        cs, cps = _ladder_series([e[i, i + 1] * y for i, y in enumerate(fs)], lam, mu, lmax)
+        # a(l) reads C(m) from P_i = e_(i,i+1) f_(i+1,i) (module docstring)
+        p = [e[i, i + 1] * f[i + 1, i] for i in range(n)]
+        cs, cps = _ladder_series(p, lam, mu, lmax)
         rs = R - S
         apos = _imaginary(w, cs, rs, lmax)
         aneg = _imaginary(wp, cps, -rs, lmax)

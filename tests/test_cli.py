@@ -79,7 +79,9 @@ def test_verify_kmax_bound(capsys):
 # 1,702.  R3 and R4 now compare E_i and F_i scaled by r - s (the scaling
 # lemma, rep_core docstring): scaling them takes 18 products and R3 no longer
 # scales its left sides (10), a net 8 more calls of far fewer terms.
-VERIFY_N4_PMUL_CALLS = 1537
+# build_chevalley_eval inverting w and w' twice each, once per node, where
+# each inverse is now formed once and stored at both nodes, made 1,537.
+VERIFY_N4_PMUL_CALLS = 1517
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -118,8 +120,11 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # unit denominators is now canonical as computed, made 381, and each quantum
 # integer of the ladder matrices summed from n products of powers of r and
 # s, where its terms are now read off their exponents, 170.  Building
-# theta(l) for D5_1 and again for D5_2 made 146.
-VERIFY_N4_NORMALIZE_CALLS = 141
+# theta(l) for D5_1 and again for D5_2 made 146, and each neighbour
+# difference a(e)_i - a(e)_j of D5 formed for the x+ family and again, as
+# a_j - a_i, for the x- family, where the x- family now negates the x+
+# family's difference, 141.
+VERIFY_N4_NORMALIZE_CALLS = 125
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -305,8 +310,13 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # The series of both builds as general commutators, where they are now read
 # off the ladder, n running monomial products per m (sl2 docstring), made
 # 856, and reconstruct_P's divisions by r^n (s^k - r^k) through gcds, where
-# each is now one exact division, 754.
-DRINFELD_N3_PMUL_CALLS = 722
+# each is now one exact division, 754.  Both builds storing the currents
+# x+-(k), |k| <= 8, which neither the report nor the RQ check reads, where
+# the command now builds series-only modules (sl2.build_series_eval), made
+# 722, and reconstruct_P expanding r^3 P(sz)/P(rz) and its mirror to order
+# 8, where each now takes the reduced form's polynomial identity (drinfeld
+# docstring), 530.
+DRINFELD_N3_PMUL_CALLS = 519
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -329,18 +339,24 @@ def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
 @pytest.mark.parametrize("shift,builds", (("plain", 2), ("rs-inverse", 1)))
 def test_drinfeld_builds_each_current_module_once(capsys, monkeypatch, shift, builds):
     # the RQ check reads the shifted module; a shifted run reads its
-    # polynomials from that same module
-    from rsaffine import cli, sl2
+    # polynomials from that same module.  Both read only the series, so
+    # every build is a series-only module and no current module is built.
+    from rsaffine import cli, drinfeld, sl2
 
     calls = []
-    build = sl2.build_current_eval
+    build = sl2.build_series_eval
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(sl2, "build_current_eval", counting)
-    monkeypatch.setattr(cli, "build_current_eval", counting)
+    def refused(*args, **kwargs):
+        raise AssertionError("drinfeld built a current module")
+
+    for mod in (sl2, cli, drinfeld):
+        monkeypatch.setattr(mod, "build_series_eval", counting)
+    monkeypatch.setattr(sl2, "build_current_eval", refused)
+    monkeypatch.setattr(cli, "build_current_eval", refused)
     code, _ = run(capsys, "drinfeld", "--n", "3", "--shift", shift, "--json")
     assert code == EXIT_PASS
     assert len(calls) == builds
@@ -436,8 +452,10 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # symbolic tensor at the pins' values (hopf.span_closure), 2,038.  R1's
 # inverse-pair and gamma products on the 16-dimensional tensor, where the R1
 # tensor lemma now reads them off hopf.tensor's construction and the
-# factors' commutators (rep_core docstring), made 1,566.
-TENSOR_33_PINNED_PMUL_CALLS = 1422
+# factors' commutators (rep_core docstring), made 1,566, and
+# build_chevalley_eval inverting w and w' of each factor twice, where each
+# inverse is now formed once, 1,422.
+TENSOR_33_PINNED_PMUL_CALLS = 1390
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -495,7 +513,9 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # commutators, where they are now read off the ladder, 1,507.  R3 and R4 of
 # the Chevalley module now compare E_i and F_i scaled by r - s (the scaling
 # lemma): 10 products to scale them, 6 fewer in R3, so 4 more calls.
-MUTATED_PINNED_PMUL_CALLS = 1491
+# build_chevalley_eval inverting w and w' twice each, where each inverse is
+# now formed once, made 1,491.
+MUTATED_PINNED_PMUL_CALLS = 1479
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):

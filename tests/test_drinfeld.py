@@ -27,7 +27,7 @@ from rsaffine.drinfeld import (
 from rsaffine.errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEigenvector
 from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int
 from rsaffine.rep_core import Wser, Xp
-from rsaffine.sl2 import build_current_eval
+from rsaffine.sl2 import build_current_eval, build_series_eval
 
 RHO = R * S**-1
 
@@ -123,6 +123,81 @@ def test_reconstruct_divides_exactly_or_falls_back(monkeypatch):
             monkeypatch.setattr(field, "pgcd", no_gcd)
         assert reconstruct_P(h) == p
         monkeypatch.undo()
+
+
+# reconstruct_P checks P on the reduced form N/D of a series geometric from
+# z^1 by the polynomial identity num D == den N (reduced-form lemma, drinfeld
+# docstring), and by expanding num/den otherwise.  plus_series_of and
+# minus_series_of stay the oracle: every outcome is the expansion path's, a
+# returned P expands to the stored series on both sides, and only a proved
+# identity skips the expansion.
+def _outcome(h):
+    try:
+        return reconstruct_P(h)
+    except (NoSolution, MirrorMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _outcomes(h, monkeypatch):
+    """(outcome, expand calls) of reconstruct_P, then the outcome of the
+    expansion path, with the reduced form refused."""
+    import rsaffine.drinfeld as drinfeld
+
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(drinfeld, "expand", lambda *args: calls.append(args) or expand(*args))
+        got = _outcome(h)
+    with monkeypatch.context() as m:
+        m.setattr(drinfeld, "_geometric_ratio", lambda cs: None)
+        want = _outcome(h)
+    return got, len(calls), want
+
+
+@pytest.mark.parametrize("shift", (False, True))
+@pytest.mark.parametrize("n", range(8))
+def test_reduced_form_agrees_with_the_expansion(n, shift, monkeypatch):
+    mod = build_series_eval(n, shift, 16)
+    for order in range(2 * n + 1, 17):
+        h = extract_hw_series(mod, order)
+        got, expands, want = _outcomes(h, monkeypatch)
+        assert got == want == closed_form_P(n, shift)
+        assert plus_series_of(got, order) == h.plus
+        assert minus_series_of(got, order) == h.minus
+        # n = 0: the series 1, 0, 0, ... is not geometric from z^1
+        assert expands == (2 if n == 0 else 0)
+
+
+def _scaled_from_z1(cs):
+    return cs[:1] + tuple(2 * c for c in cs[1:])
+
+
+@pytest.mark.parametrize(
+    "case,outcome",
+    (
+        ("plus scaled", NoSolution),
+        ("minus scaled", MirrorMismatch),
+        ("roots that do not telescope", DrinfeldPoly),
+    ),
+)
+def test_unproved_series_take_the_expansion(case, outcome, monkeypatch):
+    # scaling c_1..c_order by 2 keeps a series geometric from z^1 with the
+    # same ratio, but no P of the presented degree satisfies the identity; a
+    # P whose roots a, b do not telescope has a plus series of degree two
+    # over degree two, which is not geometric
+    if case == "roots that do not telescope":
+        p, order = DrinfeldPoly(tuple(_poly_from_roots([A, B]))), 7
+        h = HwSeries(plus=plus_series_of(p, order), minus=minus_series_of(p, order), n=2)
+    else:
+        h = extract_hw_series(build_series_eval(3, False, 8), 8)
+        side = "plus" if case == "plus scaled" else "minus"
+        h = HwSeries(**{"plus": h.plus, "minus": h.minus, side: _scaled_from_z1(getattr(h, side))}, n=3)
+    got, expands, want = _outcomes(h, monkeypatch)
+    assert got == want
+    assert expands >= 1
+    if outcome is DrinfeldPoly:
+        assert got == p
+    else:
+        assert got[0] is outcome
 
 
 def test_plus_series_resummation():

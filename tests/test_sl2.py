@@ -14,6 +14,9 @@ from rsaffine.errors import BadConstantTerm, MissingGenerator, NotEigenvector, W
 from rsaffine.field import A, ONE, R, S, ZERO, quantum_int
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
+    AIM_KIND,
+    XM_KIND,
+    XP_KIND,
     Aim,
     E,
     F,
@@ -33,6 +36,7 @@ from rsaffine.rep_core import (
 from rsaffine.sl2 import (
     build_chevalley_eval,
     build_current_eval,
+    build_series_eval,
     current_matrices,
     loop_diagonals,
     series_matrices,
@@ -354,6 +358,39 @@ def test_build_matches_the_commutator_oracle(n, use_shift):
         oracle = with_series(mod, 2 * kmax, lmax)
         assert list(oracle.assign) == list(mod.assign)
         assert oracle.assign == mod.assign
+
+
+# build_series_eval stores what build_current_eval stores apart from the
+# currents and a(l), entry for entry and in the same order.
+@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("use_shift", (False, True))
+def test_series_build_is_the_current_build_without_currents(n, use_shift):
+    windows = [(1, 0), (2, 2), (4, 3)] + [(8, 16)] * (n == 12)
+    for kmax, lmax in windows:
+        full = build_current_eval(n, use_shift, kmax=kmax, lmax=lmax)
+        part = {g: m for g, m in full.assign.items() if g.kind not in (XP_KIND, XM_KIND, AIM_KIND)}
+        series = build_series_eval(n, use_shift, 2 * kmax)
+        assert list(series.assign) == list(part)
+        assert series.assign == part
+
+
+def test_series_build_bounds():
+    assert list(build_series_eval(0, False, 0).assign)[-2:] == [Wser(1, 0), Wpser(1, 0)]
+    for n, order in ((-1, 4), (2, -1)):
+        with pytest.raises(ValueError):
+            build_series_eval(n, False, order)
+
+
+def test_chevalley_build_inverts_each_group_like_once(monkeypatch):
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+    mod = build_chevalley_eval(3, True)
+    assert len(calls) == 2
+    assert mod.get(W(1, -1)) is mod.get(Wp(0, -1))
+    assert mod.get(Wp(1, -1)) is mod.get(W(0, -1))
+    assert mod.get(W(1)) @ mod.get(W(1, -1)) == Matrix.identity(4)
+    assert mod.get(Wp(1)) @ mod.get(Wp(1, -1)) == Matrix.identity(4)
 
 
 @pytest.mark.parametrize("ks", (range(-5, 6), [3, -2, 0, 5], [-1], [], range(2, 4)))

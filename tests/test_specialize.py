@@ -404,8 +404,11 @@ def test_pole_error_on_the_command_line(capsys, monkeypatch):
 # terms whose denominators need a gcd.  theta(l) of D5, built twice per l
 # through a gcd, where it is now one exact division per l, made 477, and
 # 453 before the field's division of one Laurent polynomial by another tried
-# that exact division itself, ahead of its gcd.
-DIRECT_PINNED_PGCD_CALLS = 451
+# that exact division itself, ahead of its gcd.  Each neighbour difference
+# a(e)_i - a(e)_j of D5 formed for the x+ family and again, as a_j - a_i,
+# for the x- family, where the x- family now negates the x+ family's
+# difference, made 451.
+DIRECT_PINNED_PGCD_CALLS = 433
 
 
 def test_direct_pinned_pgcd_count_tripwire(monkeypatch):
