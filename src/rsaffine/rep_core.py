@@ -28,13 +28,16 @@ diagonal and invertible and X(k) = X(0) D^k,
     diagonal, since they commute with D^k;
   - U D^k = V D^k exactly when U = V.
 So an instance whose two sides are U D^k and V D^k has the verdict of
-U = V: D4 (with w^-1 diagonal) has one verdict per tag and D5 (with a(l)
-and K^-l diagonal) one per (l, x+ or x-), each computed once.
+U = V: D4 (with w and w^-1 diagonal) has one verdict per tag and D5 (with
+a(l) and K^-l diagonal) one per (l, x+ or x-), each computed once.
 
 Conjugation lemma.  For diagonals g and h, (g x h)_ab = g_a x_ab h_b, so
 g x h = c x holds exactly when g_a h_b = c at every nonzero x_ab (the
-entries lie in a field); conjugation_scalar returns that common value, or
-reports that g or h is not diagonal, or that g_a h_b is not constant.
+entries lie in a field).  A module's weight view (MatrixModule.weights,
+read once: modules are read-only) holds the diagonal of each diagonal
+group-like g, whether g and its partner h of the other sign are an inverse
+pair, and per (g, x) that common value, or that g or h is not diagonal, or
+that g_a h_b is not constant.  Every precondition below is a lookup in it.
   - R2 (g x h = c x for a group-like pair (w, w^-1) or (w', w'^-1) and
     x = e_i or f_i) and D4's family at k = 0 are read off it, with no
     product.
@@ -131,26 +134,28 @@ and modules are read-only, so neither can change after the build.
   Jantzen, Lectures on Quantum Groups, ch. 4, for the skew-primitive Serre
   element; Benkart and Witherspoon (2004) for U_{r,s}.
 Every instance is counted by _Checker.verdict, with the verdict of a lemma
-or by comparing its two sides.  R2 takes its plain products when a
-group-like is not diagonal, and an R4 ad-iterate takes them when w^-1 w = 1
-fails or e_i or e_j (f_i or f_j) has no conjugation scalar.  R1, R3 and R4
-of a module hopf.tensor returned take the tensor lemmas when an instance
-meets their hypotheses, and every other instance of a tensor its products;
-R3 and R4 of any other module compare the scaled generators when the
-scaling lemma applies, and their plain products otherwise.  A sign off the
-form has its D4, D5 and D6 instances take their plain products, and D7
-takes them unless both signs are on the form; so does an instance of D4 or
-D5 with a non-diagonal w^-1, a(l) or K^-l, and every instance of a D6 sign
-or of D7 when a commutation identity fails.  D6 then still builds each
-product X(a)X(b) once and decides each pair k <= k2 once.  A failing
-decided instance, a scaled one too, is reported with the sides its plain
-expressions build, so reports_at_pin maps it unchanged.
+or by comparing its two sides.  R2 takes its plain products when the
+weight view has no scalar c for it, and an R4 ad-iterate when w^-1 w = 1
+fails or e_i or e_j (f_i or f_j) has no scalar in the weight view.  R1, R3
+and R4 of a module hopf.tensor returned take the tensor lemmas when an
+instance meets their hypotheses, and every other instance of a tensor its
+products; R3 and R4 of any other module compare the scaled generators when
+the scaling lemma applies, and their plain products otherwise.  A sign off
+the form has its D4, D5 and D6 instances take their plain products, and D7
+takes them unless both signs are on the form; so does an instance of D4
+whose x(0) has no scalar c in the weight view, of D5 with a non-diagonal
+a(l) or K^-l, and every instance of a D6 sign or of D7 when a commutation
+identity fails.  D6 then still builds each product X(a)X(b) once and
+decides each pair k <= k2 once.  A failing decided instance, a scaled one
+too, is reported with the sides its plain expressions build, so
+reports_at_pin maps it unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 from .cartan import PairingTable
@@ -193,6 +198,11 @@ class Gen:
             base = f"{self.kind}({self.i},{sign})" if self.kind in (W_KIND, WP_KIND) else f"{self.kind}({sign})"
             return base
         return f"{self.kind}({self.i},{self.k})"
+
+    @property
+    def partner(self) -> "Gen":
+        """The group-like of the other sign: W(i, -1) for W(i), and so on."""
+        return Gen(self.kind, self.i, -self.k)
 
 
 def E(i):
@@ -293,6 +303,11 @@ class MatrixModule:
         except KeyError:
             raise MissingGenerator(str(gen)) from None
 
+    @cached_property
+    def weights(self) -> "Weights":
+        """The module's weight data, read once: the module is read-only."""
+        return Weights(self)
+
     def with_assign(self, gen: Gen, mat: Matrix) -> "MatrixModule":
         new = dict(self.assign)
         new[gen] = mat
@@ -313,6 +328,44 @@ class MatrixModule:
                 for g in self.generators()
             ],
         }
+
+
+class Weights:
+    """The weight data of a module (the conjugation lemma in the module
+    docstring): diagonal, the entries of each diagonal group-like W(i, +-1)
+    and Wp(i, +-1); inverse, the group-likes g with g and g.partner diagonal
+    and g.partner g = 1; and scalar(g, x), read once per (g, x)."""
+
+    def __init__(self, mod: MatrixModule):
+        # the matrices, not the module: a view that referred back to its
+        # module would keep both alive until the cycle collector runs
+        self._assign = mod.assign
+        self._scalars = {}
+        self.diagonal = {
+            g: [row.get(a, ZERO) for a, row in enumerate(m._rows)]
+            for g, m in mod.assign.items()
+            if g.kind in (W_KIND, WP_KIND) and m.is_diagonal()
+        }
+        # h_a == 1 / g_a, so that a monomial g_a takes no product
+        pairs = ((g, d, self.diagonal.get(g.partner)) for g, d in self.diagonal.items())
+        self.inverse = {g for g, d, dp in pairs if dp and all(x and y == x.inv() for x, y in zip(d, dp))}
+
+    def scalar(self, g: Gen, x: Gen):
+        """The c with g x h == c x for h = g.partner: the common value of
+        g_a h_b at the nonzero x_ab, ONE when x is zero (every c holds then);
+        False when g_a h_b is not constant there; None when g or h is not
+        diagonal."""
+        if (g, x) not in self._scalars:
+            gd, hd, c = self.diagonal.get(g), self.diagonal.get(g.partner), None
+            if gd is not None and hd is not None:
+                if x not in self._assign:
+                    raise MissingGenerator(str(x))
+                # lazily, so that the first value that differs ends the read
+                cs = (gd[a] * hd[b] for a, row in enumerate(self._assign[x]._rows) for b in row)
+                c = next(cs, ONE)
+                c = c if all(v == c for v in cs) else False
+            self._scalars[g, x] = c
+        return self._scalars[g, x]
 
 
 @dataclass
@@ -410,24 +463,21 @@ def check_chevalley(mod: MatrixModule) -> list:
     c.verdict(("central-product",), built, lambda: ((gh @ gh) @ (gph @ gph), ident))
     reports.append(c.done())
 
-    # R2 reads g x h == c x for the group-like pair (g, h), each instance
-    # decided by the conjugation lemma (module docstring) when g and h are
-    # diagonal
+    # R2 reads g x h == c x for the group-like g and h = g.partner: it holds
+    # when the weight view's scalar is c, and otherwise its sides are compared
     c = _Checker("R2")
     for i in nodes:
-        ei, fi = mod.get(E(i)), mod.get(F(i))
         for j in nodes:
-            wj, wjinv = mod.get(W(j)), mod.get(W(j, -1))
-            wpj, wpjinv = mod.get(Wp(j)), mod.get(Wp(j, -1))
-            pij = table.entry(i, j)
-            pji = table.entry(j, i)
-            for tag, g, x, h, sc in (
-                ("we", wj, ei, wjinv, pij),
-                ("wf", wj, fi, wjinv, pij.inv()),
-                ("wpe", wpj, ei, wpjinv, pji.inv()),
-                ("wpf", wpj, fi, wpjinv, pji),
+            pij, pji = table.entry(i, j), table.entry(j, i)
+            for tag, g, x, sc in (
+                ("we", W(j), E(i), pij),
+                ("wf", W(j), F(i), pij.inv()),
+                ("wpe", Wp(j), E(i), pji.inv()),
+                ("wpf", Wp(j), F(i), pji),
             ):
-                c.verdict((tag, i, j), conjugation_verdict(g, x, h, sc), lambda: (g @ x @ h, x.scale(sc)))
+                v = mod.weights.scalar(g, x)
+                sides = lambda: (mod.get(g) @ mod.get(x) @ mod.get(g.partner), mod.get(x).scale(sc))
+                c.verdict((tag, i, j), v is not False and v == sc or None, sides)
     reports.append(c.done())
 
     # R3 and R4 of a tensor module are read off its factors (the tensor
@@ -469,15 +519,18 @@ def check_chevalley(mod: MatrixModule) -> list:
 
 def scaled_chevalley(mod: MatrixModule, c: RatFunc):
     """mod with every E_i and F_i scaled by c, for the scaling lemma (module
-    docstring); None unless c and every entry of E_i and F_i are Laurent
-    polynomials, so that the scaling takes no gcd."""
+    docstring); None unless c is a nonzero Laurent polynomial and every entry
+    of E_i and F_i is one, so that the scaling takes no gcd.  It shares mod's
+    weight view, since c x has the support of x."""
     gens = [g(i) for i in range(mod.table.size) for g in (E, F)]
     entries = (x for g in gens for row in mod.get(g)._rows for x in row.values())
-    if not (c.is_laurent_polynomial() and all(x.is_laurent_polynomial() for x in entries)):
+    if not (c and c.is_laurent_polynomial() and all(x.is_laurent_polynomial() for x in entries)):
         return None
     assign = dict(mod.assign)
     assign.update((g, mod.get(g).scale(c)) for g in gens)
-    return MatrixModule(mod.table, assign, check=False)
+    out = MatrixModule(mod.table, assign, check=False)
+    out.weights = mod.weights
+    return out
 
 
 def chevalley_instance_counts(table: PairingTable) -> dict:
@@ -527,65 +580,21 @@ def _intertwines(x: Matrix, left, right) -> bool:
     return all(left[i] == right[j] for i, row in enumerate(x._rows) for j in row)
 
 
-def conjugation_scalar(g: Matrix, x: Matrix, h: Matrix):
-    """The c with g x h == c x by the conjugation lemma (module docstring):
-    for g and h diagonal, the common value of g_a h_b at the nonzero x_ab,
-    ONE when x is zero (every c holds then); False when g_a h_b is not
-    constant there; None when g or h is not diagonal."""
-    if not (g.is_diagonal() and h.is_diagonal()):
-        return None
-    gd = [row.get(a, ZERO) for a, row in enumerate(g._rows)]
-    hd = [row.get(b, ZERO) for b, row in enumerate(h._rows)]
-    c = None
-    for a, row in enumerate(x._rows):
-        for b in row:
-            v = gd[a] * hd[b]
-            if c is None:
-                c = v
-            elif v != c:
-                return False
-    return ONE if c is None else c
-
-
-def _inverse_pair(g: Matrix, h: Matrix) -> bool:
-    """h g == 1, for g and h diagonal."""
-    inverse = conjugation_scalar(g, Matrix.identity(g.n), h)
-    return bool(inverse) and inverse.is_one()
-
-
-def ad_scalars(g: Matrix, h: Matrix, x: Matrix, y: Matrix, times: int):
-    """[q p^t for t < times], the scalars with g b_t h = q p^t b_t on the
-    iterates b_0 = y, b_(t+1) = x b_t - (g b_t h) x or b_t x - x (g b_t h) (the
-    R4 lemma in the module docstring), when h g = 1, g x h = p x and
-    g y h = q y; None otherwise."""
-    if not _inverse_pair(g, h):
-        return None
-    # g and h are invertible now, so p and q are nonzero or False
-    p, q = conjugation_scalar(g, x, h), conjugation_scalar(g, y, h)
-    return [q * p**t for t in range(times)] if p and q else None
-
-
-def _ad_generators(mod: MatrixModule, i: int, left: bool):
-    """(x, g, h) of an R4 iterate at node i: (e_i, w_i, w_i^-1) for ad_l e,
-    (f_i, w'_i^-1, w'_i) for ad_r f."""
-    if left:
-        return mod.get(E(i)), mod.get(W(i)), mod.get(W(i, -1))
-    return mod.get(F(i)), mod.get(Wp(i, -1)), mod.get(Wp(i))
-
-
 def ad_iterate(mod: MatrixModule, i: int, j: int, times: int, left: bool) -> Matrix:
     """The R4 iterate: b -> e_i b - (w_i b w_i^-1) e_i (left) or
     b -> b f_i - f_i (w'_i^-1 b w'_i), applied times times from e_j or f_j;
-    each step takes two products when ad_scalars gives its scalar, four
-    otherwise."""
-    x, g, h = _ad_generators(mod, i, left)
-    b = _ad_generators(mod, j, left)[0]
-    cs = ad_scalars(g, h, x, b, times)
+    each step takes two products when the weight view has the scalars of the
+    R4 lemma (module docstring), four otherwise."""
+    xi, xj, gi = (E(i), E(j), W(i)) if left else (F(i), F(j), Wp(i, -1))
+    wts = mod.weights
+    p, q = (wts.scalar(gi, xi), wts.scalar(gi, xj)) if gi in wts.inverse else (None, None)
+    x, b, g, h = mod.get(xi), mod.get(xj), mod.get(gi), mod.get(gi.partner)
     for t in range(times):
+        c = q * p**t if p and q else None
         if left:
-            b = x @ b - (b @ x.scale(cs[t]) if cs else g @ b @ h @ x)
+            b = x @ b - (b @ x.scale(c) if c else g @ b @ h @ x)
         else:
-            b = b @ x - (x.scale(cs[t]) @ b if cs else x @ g @ b @ h)
+            b = b @ x - (x.scale(c) @ b if c else x @ g @ b @ h)
     return b
 
 
@@ -594,12 +603,11 @@ def _r3_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, rsinv):
     the R3 tensor lemma (module docstring): holds is True when the instance
     holds on both factors and None otherwise, and lhs() builds [E_i, F_j]
     from Kronecker products; None when the lemma's scalars differ."""
-    wi, wiinv = mL.get(W(i)), mL.get(W(i, -1))
-    wpj, wpjinv = mR.get(Wp(j)), mR.get(Wp(j, -1))
-    if not (_inverse_pair(wi, wiinv) and _inverse_pair(wpj, wpjinv)):
+    wL, wR = mL.weights, mR.weights
+    if not (W(i) in wL.inverse and Wp(j) in wR.inverse):
         return None
-    c = conjugation_scalar(wi, mL.get(F(j)), wiinv)
-    if not (c and c == conjugation_scalar(wpj, mR.get(E(i)), wpjinv)):
+    c = wL.scalar(W(i), F(j))
+    if not (c and c == wR.scalar(Wp(j), E(i))):
         return None
     p, q = rsinv.as_quotient()
     ks = [commutator(m.get(E(i)), m.get(F(j))) for m in (mL, mR)]
@@ -607,7 +615,7 @@ def _r3_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, rsinv):
         holds = all(k.scale(q) == (m.get(W(i)) - m.get(Wp(i))).scale(p) for m, k in zip((mL, mR), ks))
     else:
         holds = ks[0].is_zero() and ks[1].is_zero()
-    return holds or None, lambda: ks[0].kron(wpj) + wi.kron(ks[1])
+    return holds or None, lambda: ks[0].kron(mR.get(Wp(j))) + mL.get(W(i)).kron(ks[1])
 
 
 def _r4_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, aij: int, left: bool):
@@ -616,13 +624,13 @@ def _r4_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, aij: int,
     docstring): holds is True when both factors' iterates are zero and None
     otherwise, and b() builds the tensor's iterate from Kronecker products;
     None when a hypothesis fails."""
+    gs, xs = ((W(i), W(j)), (E(i), E(j))) if left else ((Wp(i, -1), Wp(j, -1)), (F(i), F(j)))
     scalars = []
-    for m in (mL, mR):
-        gens = [_ad_generators(m, a, left) for a in (i, j)]
-        if not all(_inverse_pair(g, h) for _, g, h in gens):
+    for wts in (mL.weights, mR.weights):
+        if not (gs[0] in wts.inverse and gs[1] in wts.inverse):
             return None
         # P_ii, P_ij, P_ji, P_jj: the scalar of g_a on x_b
-        scalars.append([conjugation_scalar(g, x, h) for _, g, h in gens for x, _, _ in gens])
+        scalars.append([wts.scalar(g, x) for g in gs for x in xs])
     pii, pij, pji, _ = scalars[0]
     if not (all(scalars[0]) and scalars[0] == scalars[1] and pij * pji == pii**aij):
         return None
@@ -637,15 +645,6 @@ def _r4_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, aij: int,
         return Matrix.identity(mL.dim).kron(uR) + uL.kron(k)
 
     return (uL.is_zero() and uR.is_zero()) or None, b
-
-
-def conjugation_verdict(g: Matrix, x: Matrix, h: Matrix, c):
-    """Whether g x h == c x, read off conjugation_scalar; None when g or h is
-    not diagonal."""
-    v = conjugation_scalar(g, x, h)
-    if v is None or v is False:
-        return v
-    return v == c or x.is_zero()
 
 
 def anti_diagonal_form(x0: Matrix, d):
@@ -676,8 +675,9 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     """Verify (D1)-(D8) on a rank-1 current module, exactly.
 
     Level-zero convention: the series generators Wser/Wpser and the
-    imaginary generators are the operational ones, defined through the
-    (m,0)/(0,-m) commutator instances and the series logarithm.  In that
+    imaginary generators are the operational ones, as stored: on the
+    evaluation modules the series are read off the ladder and a(l) comes
+    from the log-derivative recurrence (sl2 module docstring).  In that
     normalization the central prefactors of D5/D7 are integer powers of the
     central group-like K = omega omega' (central because rank 1), and the
     gamma half-generators enter only the D1 inverse/centrality checks.
@@ -687,10 +687,10 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
         raise UnsupportedRank("current-level verification is rank-1 only")
     if kmax < 1 or lmax < 1:
         raise WindowTooSmall("need kmax >= 1 and lmax >= 1")
+    if mod.kmax < 0:
+        raise WindowTooSmall("the module stores no currents")
     if mod.kmax < kmax + 1:
-        raise WindowTooSmall(
-            f"currents materialized to |k| <= {mod.kmax}, need {kmax + 1}"
-        )
+        raise WindowTooSmall(f"currents materialized to |k| <= {mod.kmax}, need {kmax + 1}")
     i = 1
     needed = [Wser(i, m) for m in range(2 * kmax + 1)] + [Wpser(i, -m) for m in range(2 * kmax + 1)]
     needed += [Aim(i, l) for l in range(-lmax, lmax + 1) if l]
@@ -761,23 +761,21 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
 
     c = _Checker("D4")
     conj = (
-        ("w x+", w, winv, 1, rho),
-        ("w x-", w, winv, -1, rho.inv()),
-        ("wp x+", wp, wpinv, 1, rho.inv()),
-        ("wp x-", wp, wpinv, -1, rho),
+        ("w x+", W(i), 1, rho),
+        ("w x-", W(i), -1, rho.inv()),
+        ("wp x+", Wp(i), 1, rho.inv()),
+        ("wp x-", Wp(i), -1, rho),
     )
-    # one verdict per tag, taken at k = 0, for the right factor diagonal: by
-    # the conjugation lemma when g is diagonal too, by products otherwise
+    # one verdict per tag for a sign on the form: True when the weight view's
+    # scalar of g on x(0) is sc, and otherwise each instance takes its products
     family = {}
-    for tag, g, ginv, sign, sc in conj:
-        if ginv.is_diagonal() and diag[sign] is not None:
-            x0 = X[sign](0)
-            holds = conjugation_verdict(g, x0, ginv, sc)
-            family[tag] = g @ x0 @ ginv == x0.scale(sc) if holds is None else holds
+    for tag, g, sign, sc in conj:
+        v = mod.weights.scalar(g, (Xp if sign > 0 else Xm)(i, 0)) if diag[sign] is not None else None
+        family[tag] = v is not False and v == sc or None
     for k in range(-(kmax + 1), kmax + 2):
-        for tag, g, ginv, sign, sc in conj:
+        for tag, g, sign, sc in conj:
             x = X[sign](k)
-            c.verdict((tag, k), family.get(tag), lambda: (g @ x @ ginv, x.scale(sc)))
+            c.verdict((tag, k), family[tag], lambda: (mod.get(g) @ x @ mod.get(g.partner), x.scale(sc)))
     reports.append(c.done())
 
     def theta(l):

@@ -81,7 +81,13 @@ def test_verify_kmax_bound(capsys):
 # scales its left sides (10), a net 8 more calls of far fewer terms.
 # build_chevalley_eval inverting w and w' twice each, once per node, where
 # each inverse is now formed once and stored at both nodes, made 1,537.
-VERIFY_N4_PMUL_CALLS = 1517
+# Each R4 iterate testing w^-1 w = 1 by one product per diagonal entry, where
+# the module's weight view (rep_core.Weights) now compares w^-1 with the
+# inverse of w once per module (a monomial inverse takes no product), made
+# 1,517; and the scaled Chevalley module re-reading the conjugation scalars
+# that R2 had read on the module, which it now shares (c x has the support
+# of x), 1,497.
+VERIFY_N4_PMUL_CALLS = 1481
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -454,8 +460,13 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # tensor lemma now reads them off hopf.tensor's construction and the
 # factors' commutators (rep_core docstring), made 1,566, and
 # build_chevalley_eval inverting w and w' of each factor twice, where each
-# inverse is now formed once, 1,422.
-TENSOR_33_PINNED_PMUL_CALLS = 1390
+# inverse is now formed once, 1,422.  The tensor lemmas re-deriving each
+# factor's conjugation scalars and inverse pairs on every R3 and R4 instance
+# (and R4's ad-iterates once more), where each factor's weight view
+# (rep_core.Weights) now reads each once, made 1,390; and each inverse pair
+# tested by one product per diagonal entry, where the view now compares
+# w^-1 with the inverse of w (a monomial inverse takes no product), 1,206.
+TENSOR_33_PINNED_PMUL_CALLS = 1166
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -514,8 +525,11 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # the Chevalley module now compare E_i and F_i scaled by r - s (the scaling
 # lemma): 10 products to scale them, 6 fewer in R3, so 4 more calls.
 # build_chevalley_eval inverting w and w' twice each, where each inverse is
-# now formed once, made 1,491.
-MUTATED_PINNED_PMUL_CALLS = 1479
+# now formed once, made 1,491.  Each R4 iterate testing w^-1 w = 1 by
+# products, where the module's weight view now compares w^-1 with the
+# inverse of w once per module, made 1,479; and the scaled Chevalley module
+# re-reading the scalars R2 had read, which it now shares, 1,467.
+MUTATED_PINNED_PMUL_CALLS = 1459
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):

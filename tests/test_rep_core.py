@@ -16,6 +16,8 @@ from rsaffine.errors import MissingGenerator, UnsupportedRank, WindowTooSmall
 from rsaffine.field import A, B, ONE, R, S, ZERO, parse, quantum_int, rf
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
+    WP_KIND,
+    W_KIND,
     Aim,
     E,
     F,
@@ -37,13 +39,12 @@ from rsaffine.rep_core import (
     check_drinfeld,
     chevalley_instance_counts,
     commutation_scalar,
-    conjugation_scalar,
     current_form,
     drinfeld_instance_counts,
 )
 from rsaffine import rep_core
 from rsaffine.hopf import tensor, twist_sigma
-from rsaffine.sl2 import build_chevalley_eval, build_current_eval
+from rsaffine.sl2 import build_chevalley_eval, build_current_eval, build_series_eval
 from rsaffine.specialize import parse_spec_map, specialize_module, substitute_module
 
 A1 = build_pairing(AffineType("A", 1))
@@ -113,6 +114,14 @@ def test_window_too_small():
     curr = build_current_eval(1, kmax=2, lmax=2)
     with pytest.raises(WindowTooSmall):
         check_drinfeld(curr, 8, 2)
+
+
+# A module that stores no currents is refused as such; the message used to
+# name the bound |k| <= -1, which no module can have.
+@pytest.mark.parametrize("build", (lambda: build_series_eval(2, False, 8), lambda: build_chevalley_eval(2)))
+def test_drinfeld_refuses_a_module_without_currents(build):
+    with pytest.raises(WindowTooSmall, match="^the module stores no currents$"):
+        check_drinfeld(build(), 1, 1)
 
 
 # A window whose currents are stored but whose series (to order 2 kmax) or
@@ -541,7 +550,24 @@ def _tensor_cases():
     yield "left factor's E(1) replaced after the build", built.with_assign(E(1), doubled)
 
 
+def _nested_tensors():
+    """Tensors with a factor that is itself a tensor, which answers the outer
+    tensor lemmas from its own weight view."""
+    v1 = build_chevalley_eval(1)
+
+    def at(n, pin):
+        return substitute_module(build_chevalley_eval(n), a=pin)
+
+    yield "(V1 x V1(b)) x V1(2)", tensor(tensor(v1, at(1, B)), at(1, rf(2)))
+    yield "V1 x (V1(b) x V2(1+r))", tensor(v1, tensor(at(1, B), at(2, 1 + R)))
+    yield "(V1 x V1(b)) x (V1(2) x V1(3))", tensor(tensor(v1, at(1, B)), tensor(at(1, rf(2)), at(1, rf(3))))
+    twisted = tensor(_twisted(v1, "W", 0), at(1, B))
+    yield "(V1 with W(0) twisted x V1(b)) x V1(2)", tensor(twisted, at(1, rf(2)))
+    yield "V1(2) x (V1 with W(0) twisted x V1(b))", tensor(at(1, rf(2)), twisted)
+
+
 def _chevalley_modules():
+    yield from _nested_tensors()
     for n in (1, 2):
         chev, curr = build_chevalley_eval(n), build_current_eval(n, kmax=1, lmax=1)
         for which in CORRUPTIONS:
@@ -620,16 +646,59 @@ def test_r2_and_r4_take_the_conjugation_lemma(monkeypatch, n):
     assert (spans["R2"], spans["R4"]) == (0, 24)
 
 
+# The weight view against the products it stands for: a scalar that is a
+# value is the c of g x h == c x multiplied out, for h = g.partner; "not
+# homogeneous" (False) has two nonzeros x_ab with different g_a h_b; "not
+# diagonal" (None) has g or h off the diagonal; and g is in the inverse set
+# exactly when g and h are diagonal and h g == 1.
+@pytest.mark.parametrize(
+    "mod",
+    [
+        pytest.param(mod, id=name)
+        for name, mod in (*_chevalley_modules(), *(("tensor 2x3 " + n, m) for n, m in _tensor_cases()))
+    ],
+)
+def test_weight_view_matches_the_products(mod):
+    wts, nodes = mod.weights, range(mod.table.size)
+    for g in (Gen(kind, i, e) for kind in (W_KIND, WP_KIND) for i in nodes for e in (1, -1)):
+        gm, hm = mod.get(g), mod.get(g.partner)
+        diagonal = gm.is_diagonal() and hm.is_diagonal()
+        assert wts.diagonal.get(g) == ([gm[a, a] for a in range(mod.dim)] if gm.is_diagonal() else None)
+        assert (g in wts.inverse) == (diagonal and hm @ gm == Matrix.identity(mod.dim))
+        for x in (gen(i) for gen in (E, F) for i in nodes):
+            v, xm = wts.scalar(g, x), mod.get(x)
+            if v is None:
+                assert not diagonal
+            elif v is False:
+                assert diagonal and len({gm[a, a] * hm[b, b] for a, row in enumerate(xm._rows) for b in row}) > 1
+            else:
+                assert diagonal and gm @ xm @ hm == xm.scale(v)
+            assert wts.scalar(g, x) is v
+
+
 def test_conjugation_scalar_reads_the_lemma():
     chev = build_chevalley_eval(2)
-    w, winv, e1 = chev.get(W(1)), chev.get(W(1, -1)), chev.get(E(1))
+    ident, e1 = Matrix.identity(chev.dim), chev.get(E(1))
     rho = chev.table.entry(1, 1)
-    assert conjugation_scalar(w, e1, winv) == rho
-    assert conjugation_scalar(w, Matrix.identity(chev.dim), winv) == ONE
-    assert conjugation_scalar(w, Matrix.zeros(chev.dim), winv) == ONE
-    assert conjugation_scalar(w, e1 + Matrix.identity(chev.dim), winv) is False
-    assert conjugation_scalar(w + e1, e1, winv) is None
-    assert conjugation_scalar(w, e1, winv + e1) is None
+    assert chev.weights.scalar(W(1), E(1)) == rho
+    assert chev.with_assign(E(1), ident).weights.scalar(W(1), E(1)) == ONE
+    assert chev.with_assign(E(1), Matrix.zeros(chev.dim)).weights.scalar(W(1), E(1)) == ONE
+    assert chev.with_assign(E(1), e1 + ident).weights.scalar(W(1), E(1)) is False
+    # a non-diagonal g, then a non-diagonal partner: no scalar, no inverse pair
+    for gen in (W(1), W(1, -1)):
+        wts = chev.with_assign(gen, chev.get(gen) + e1).weights
+        assert wts.scalar(W(1), E(1)) is None
+        assert W(1) not in wts.inverse and W(1, -1) not in wts.inverse
+    # the inverse pairs: all of them, and none at w(1) once one entry of
+    # w(1)^-1, the first or the last, is doubled
+    pairs = {g(i, e) for g in (W, Wp) for i in (0, 1) for e in (1, -1)}
+    assert chev.weights.inverse == pairs
+    for k in (0, chev.dim - 1):
+        d = [rf(2) if a == k else ONE for a in range(chev.dim)]
+        off = chev.with_assign(W(1, -1), chev.get(W(1, -1)).scale_columns(d)).weights
+        assert off.inverse == pairs - {W(1), W(1, -1)}
+    # read once per module
+    assert chev.weights is chev.weights
 
 
 def test_tensor_lemmas_see_the_cases_they_decide():
@@ -734,6 +803,10 @@ def test_scaled_generators_only_for_laurent_entries(monkeypatch):
         assert mod.get(F(i)) == chev.get(F(i)).scale(R - S)
         assert mod.get(W(i)) is chev.get(W(i))
     assert mod.get(E(1))[0, 1] == R**3 - S**3
+    # c x has the support of x, so the scaled module shares the weight view;
+    # c = 0 would not keep the supports, and scales nothing
+    assert mod.weights is chev.weights
+    assert scaled(chev, ZERO) is None
 
 
 # -- the current form ------------------------------------------------------------------
