@@ -59,7 +59,8 @@ def _check_bounds(n=None, kmax=None, lmax=None, max_n=MAX_N, n_flag="--n"):
         raise UsageError(f"{n_flag} must be in 0..{max_n}")
     if kmax is not None and not (1 <= kmax <= MAX_KMAX):
         raise UsageError(f"--kmax must be in 1..{MAX_KMAX}")
-    # the omega series behind the D-relations is materialized to order 2*kmax
+    # a contract, not a need of the build: a(l) is read off its own ladder run
+    # to lmax, and the series to order 2*kmax (sl2.build_current_eval)
     if lmax is not None and not (1 <= lmax <= 2 * kmax):
         raise UsageError(f"--lmax must be in 1..{2 * kmax} (twice --kmax)")
 

@@ -35,9 +35,13 @@ Conjugation lemma.  For diagonals g and h, (g x h)_ab = g_a x_ab h_b, so
 g x h = c x holds exactly when g_a h_b = c at every nonzero x_ab (the
 entries lie in a field).  A module's weight view (MatrixModule.weights,
 read once: modules are read-only) holds the diagonal of each diagonal
-group-like g, whether g and its partner h of the other sign are an inverse
-pair, and per (g, x) that common value, or that g or h is not diagonal, or
-that g_a h_b is not constant.  Every precondition below is a lookup in it.
+group-like g (gamma halves too), whether g and its partner h of the other
+sign are an inverse pair, and per (g, x) that common value, or that g or h
+is not diagonal, or that g_a h_b is not constant.  Every precondition below
+is a lookup in it.
+  - The constructor, R1 and D1 read h g = 1 off the inverse set and multiply
+    out only a pair not in it; level zero, (gh gh)(gph gph) = 1, holds with
+    no product when both gamma halves are the identity.
   - R2 (g x h = c x for a group-like pair (w, w^-1) or (w', w'^-1) and
     x = e_i or f_i) and D4's family at k = 0 are read off it, with no
     product.
@@ -96,10 +100,6 @@ f_i(x)w'_i, W_i^+-1 = w_i^+-1(x)w_i^+-1 and W'_i^+-1 = w'_i^+-1(x)w'_i^+-1,
 and recall (A(x)B)(C(x)D) = AC(x)BD.  The modules hopf.tensor returns are
 these by construction: it builds every image from the factors it records,
 and modules are read-only, so neither can change after the build.
-  - R1.  hopf.tensor checks every W, W' inverse pair on the factors and
-    stores identity gamma halves, so the inverse and gamma instances hold.
-    [x(x)x', y(x)y'] = xy(x)x'y' - yx(x)y'x' is 0 when [x, y] = 0 on the
-    left factor and [x', y'] = 0 on the right one.
   - R3.  [E_i, F_j] = [e_i, f_j](x)w'_j + w_i(x)[e_i, f_j] + (w_i f_j (x)
     e_i w'_j - f_j w_i (x) w'_j e_i).  Let w_i^-1 w_i = 1 and
     w_i f_j w_i^-1 = c f_j on the left factor, and w'_j^-1 w'_j = 1 and
@@ -134,21 +134,21 @@ and modules are read-only, so neither can change after the build.
   Jantzen, Lectures on Quantum Groups, ch. 4, for the skew-primitive Serre
   element; Benkart and Witherspoon (2004) for U_{r,s}.
 Every instance is counted by _Checker.verdict, with the verdict of a lemma
-or by comparing its two sides.  R2 takes its plain products when the
-weight view has no scalar c for it, and an R4 ad-iterate when w^-1 w = 1
-fails or e_i or e_j (f_i or f_j) has no scalar in the weight view.  R1, R3
-and R4 of a module hopf.tensor returned take the tensor lemmas when an
-instance meets their hypotheses, and every other instance of a tensor its
-products; R3 and R4 of any other module compare the scaled generators when
-the scaling lemma applies, and their plain products otherwise.  A sign off
-the form has its D4, D5 and D6 instances take their plain products, and D7
-takes them unless both signs are on the form; so does an instance of D4
-whose x(0) has no scalar c in the weight view, of D5 with a non-diagonal
-a(l) or K^-l, and every instance of a D6 sign or of D7 when a commutation
-identity fails.  D6 then still builds each product X(a)X(b) once and
-decides each pair k <= k2 once.  A failing decided instance, a scaled one
-too, is reported with the sides its plain expressions build, so
-reports_at_pin maps it unchanged.
+or by comparing its two sides.  R2 takes its plain products when the weight
+view has no scalar c for it, and an R4 ad-iterate when w^-1 w = 1 fails or
+e_i or e_j (f_i or f_j) has no scalar in the weight view.  R3 and R4 (not
+R1: Kronecker products of diagonals are diagonal) of a module hopf.tensor
+returned take the tensor lemmas when an instance meets their hypotheses,
+and every other instance of a tensor its products; R3 and R4 of any other
+module compare the scaled generators when the scaling lemma applies, and
+their plain products otherwise.  A sign off the form has its D4, D5 and D6
+instances take their plain products, and D7 takes them unless both signs
+are on the form; so does an instance of D4 whose x(0) has no scalar c in
+the weight view, of D5 with a non-diagonal a(l) or K^-l, and every instance
+of a D6 sign or of D7 when a commutation identity fails.  D6 then still
+builds each product X(a)X(b) once and decides each pair k <= k2 once.  A
+failing decided instance, a scaled one too, is reported with the sides its
+plain expressions build, so reports_at_pin maps it unchanged.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ XM_KIND = "Xm"
 AIM_KIND = "Aimag"
 WSER_KIND = "Wser"
 WPSER_KIND = "Wpser"
+_GROUP_LIKE_KINDS = (W_KIND, WP_KIND, GH_KIND, GPH_KIND)
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,9 @@ class Gen:
     def __str__(self):
         if self.kind in (E_KIND, F_KIND):
             return f"{self.kind}({self.i})"
-        if self.kind in (W_KIND, WP_KIND, GH_KIND, GPH_KIND):
+        if self.kind in _GROUP_LIKE_KINDS:
             sign = "+1" if self.k >= 0 else "-1"
-            base = f"{self.kind}({self.i},{sign})" if self.kind in (W_KIND, WP_KIND) else f"{self.kind}({sign})"
-            return base
+            return f"{self.kind}({self.i},{sign})" if self.kind in (W_KIND, WP_KIND) else f"{self.kind}({sign})"
         return f"{self.kind}({self.i},{self.k})"
 
     @property
@@ -258,8 +258,8 @@ class MatrixModule:
     Read-only: assign is a read-only view of the module's own copy of the
     mapping, and Matrix values are immutable, so a derived module is a new
     one (with_assign).  Construction verifies the group-like inverse pairs
-    and the central half-element normalization (level zero: gamma gamma'
-    acts as the identity).
+    and level zero (gamma gamma' acts as the identity), with no product for
+    a pair in the weight view's inverse set or identity gamma halves.
     """
 
     factors = None  # (mL, mR) on a module hopf.tensor returned, None on every other
@@ -278,19 +278,15 @@ class MatrixModule:
             self._check_invariants()
 
     def _check_invariants(self):
-        ident = Matrix.identity(self.dim)
+        ident, unread = Matrix.identity(self.dim), self.assign.keys() - self.weights.inverse
         for i in range(self.table.size):
             for kind in (W_KIND, WP_KIND):
                 plus, minus = Gen(kind, i, 1), Gen(kind, i, -1)
-                if plus in self.assign and minus in self.assign:
-                    if self.assign[plus] @ self.assign[minus] != ident:
-                        raise ValueError(f"{kind}({i}) inverse pair broken")
-        gh, gph = Gen(GH_KIND, 0, 1), Gen(GPH_KIND, 0, 1)
-        if gh in self.assign and gph in self.assign:
-            g = self.assign[gh]
-            gp = self.assign[gph]
-            if (g @ g) @ (gp @ gp) != ident:
-                raise ValueError("gamma gamma' must act as the identity (c = 0)")
+                if {plus, minus} <= unread and self.assign[plus] @ self.assign[minus] != ident:
+                    raise ValueError(f"{kind}({i}) inverse pair broken")
+        g, gp = self.assign.get(GammaHalf()), self.assign.get(GammaPrimeHalf())
+        if None not in (g, gp) and not (g.is_identity() and gp.is_identity()) and (g @ g) @ (gp @ gp) != ident:
+            raise ValueError("gamma gamma' must act as the identity (c = 0)")
 
     def get(self, gen: Gen) -> Matrix:
         # out-of-range series elements are zero by definition
@@ -332,9 +328,9 @@ class MatrixModule:
 
 class Weights:
     """The weight data of a module (the conjugation lemma in the module
-    docstring): diagonal, the entries of each diagonal group-like W(i, +-1)
-    and Wp(i, +-1); inverse, the group-likes g with g and g.partner diagonal
-    and g.partner g = 1; and scalar(g, x), read once per (g, x)."""
+    docstring): diagonal, the entries of each diagonal group-like; inverse,
+    the g with g and g.partner diagonal and g.partner g = 1, which the
+    constructor, R1 and D1 read; and scalar(g, x), read once per (g, x)."""
 
     def __init__(self, mod: MatrixModule):
         # the matrices, not the module: a view that referred back to its
@@ -344,7 +340,7 @@ class Weights:
         self.diagonal = {
             g: [row.get(a, ZERO) for a, row in enumerate(m._rows)]
             for g, m in mod.assign.items()
-            if g.kind in (W_KIND, WP_KIND) and m.is_diagonal()
+            if g.kind in _GROUP_LIKE_KINDS and m.is_diagonal()
         }
         # h_a == 1 / g_a, so that a monomial g_a takes no product
         pairs = ((g, d, self.diagonal.get(g.partner)) for g, d in self.diagonal.items())
@@ -440,27 +436,18 @@ def check_chevalley(mod: MatrixModule) -> list:
     report each."""
     table = mod.table
     nodes = range(table.size)
-    ident = Matrix.identity(mod.dim)
     zero = Matrix.zeros(mod.dim)
     reports = []
 
-    # R1 of a tensor module is read off its factors (the tensor lemmas in the
-    # module docstring): True for the instances that hold by construction
-    factors = mod.factors
-    built = True if factors else None
     c = _Checker("R1")
     for i in nodes:
-        for tag, g in (("winv", W), ("wpinv", Wp)):
-            c.verdict((tag, i), built, lambda: (mod.get(g(i)) @ mod.get(g(i, -1)), ident))
+        for tag, g in (("winv", W(i)), ("wpinv", Wp(i))):
+            _inverse_verdict(c, (tag, i), mod, g)
     for i in nodes:
         for j in nodes:
             for tag, g, h in (("ww", W(i), W(j)), ("wwp", W(i), Wp(j)), ("wpwp", Wp(i), Wp(j))):
-                holds = factors and all(commutator(m.get(g), m.get(h)).is_zero() for m in factors) or None
-                c.verdict((tag, i, j), holds, lambda: (commutator(mod.get(g), mod.get(h)), zero))
-    gh, gph = mod.get(GammaHalf()), mod.get(GammaPrimeHalf())
-    c.verdict(("ghinv",), built, lambda: (gh @ mod.get(GammaHalf(-1)), ident))
-    c.verdict(("gphinv",), built, lambda: (gph @ mod.get(GammaPrimeHalf(-1)), ident))
-    c.verdict(("central-product",), built, lambda: ((gh @ gh) @ (gph @ gph), ident))
+                c.check((tag, i, j), commutator(mod.get(g), mod.get(h)), zero)
+    _gamma_verdicts(c, mod)
     reports.append(c.done())
 
     # R2 reads g x h == c x for the group-like g and h = g.partner: it holds
@@ -484,6 +471,7 @@ def check_chevalley(mod: MatrixModule) -> list:
     # lemmas in the module docstring); on any other module they compare
     # generators scaled by c = r - s when that takes no gcd (the scaling
     # lemma), and a failing instance builds its sides unscaled
+    factors = mod.factors
     rsub, ssub = table.rs
     rsinv = (rsub - ssub).inv()
     scaled = None if factors else scaled_chevalley(mod, rsub - ssub)
@@ -515,6 +503,21 @@ def check_chevalley(mod: MatrixModule) -> list:
     reports.append(c.done())
 
     return reports
+
+
+def _inverse_verdict(c: _Checker, instance, mod: MatrixModule, g: Gen):
+    """Instance g g.partner == 1, held by the weight view's inverse set."""
+    sides = lambda: (mod.get(g) @ mod.get(g.partner), Matrix.identity(mod.dim))
+    c.verdict(instance, g in mod.weights.inverse or None, sides)
+
+
+def _gamma_verdicts(c: _Checker, mod: MatrixModule):
+    """R1's and D1's gamma instances; identity halves hold level zero."""
+    gh, gph = mod.get(GammaHalf()), mod.get(GammaPrimeHalf())
+    _inverse_verdict(c, ("ghinv",), mod, GammaHalf())
+    _inverse_verdict(c, ("gphinv",), mod, GammaPrimeHalf())
+    sides = lambda: ((gh @ gh) @ (gph @ gph), Matrix.identity(mod.dim))
+    c.verdict(("central-product",), gh.is_identity() and gph.is_identity() or None, sides)
 
 
 def scaled_chevalley(mod: MatrixModule, c: RatFunc):
@@ -721,13 +724,10 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     reports = []
 
     c = _Checker("D1")
-    gh, gph = mod.get(GammaHalf()), mod.get(GammaPrimeHalf())
-    c.check(("winv",), w @ winv, ident)
-    c.check(("wpinv",), wp @ wpinv, ident)
+    _inverse_verdict(c, ("winv",), mod, W(i))
+    _inverse_verdict(c, ("wpinv",), mod, Wp(i))
     c.check(("wwp",), commutator(w, wp), zero)
-    c.check(("ghinv",), gh @ mod.get(GammaHalf(-1)), ident)
-    c.check(("gphinv",), gph @ mod.get(GammaPrimeHalf(-1)), ident)
-    c.check(("central-product",), (gh @ gh) @ (gph @ gph), ident)
+    _gamma_verdicts(c, mod)
     reports.append(c.done())
 
     ells = [l for l in range(-lmax, lmax + 1) if l != 0]

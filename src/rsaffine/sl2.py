@@ -181,11 +181,17 @@ def build_series_eval(n: int, use_shift: bool, order: int) -> MatrixModule:
 def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) -> MatrixModule:
     """Current module with x+-(k) for |k| <= 2*kmax, the omega series to
     order 2*kmax, and the imaginary generators to +-lmax, 0 <= lmax <=
-    2*kmax since a(l) is read off the series to order l.  It stores what
-    build_series_eval(n, use_shift, 2*kmax) does, in the same order, with
-    the currents after the group-likes and a(l) last.  The series are
-    read off the ladder and a(l) off the log-derivative recurrence (module
-    docstring); the invariants are checked once, on the finished module."""
+    2*kmax.  It stores what build_series_eval(n, use_shift, 2*kmax) does,
+    in the same order, with the currents after the group-likes and a(l)
+    last.  The series are read off the ladder, and a(l) off the
+    log-derivative recurrence on its own ladder run to lmax (module
+    docstring), so neither reads a stored current, and the build needs no
+    bound on lmax: lmax <= 2*kmax is a contract, shared with the CLI.
+    check_drinfeld reads the currents at |k| <= kmax + 1 and the series to
+    order 2*kmax; the currents past kmax + 1 are read by the twist
+    command's entrywise match with the reparameterized module and by the
+    commutators of tests/seriesoracle.py.  The invariants are checked once,
+    on the finished module."""
     if n < 0 or kmax < 1:
         raise ValueError("need n >= 0 and kmax >= 1")
     if not 0 <= lmax <= 2 * kmax:
@@ -193,7 +199,7 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
     e, f, w, wp = _vn_matrices(n)
     lam, mu = loop_diagonals(n + 1, shift_factor(use_shift))
     assign = _group_likes(w, wp)
-    order = 2 * kmax  # series to order 2*kmax need currents there
+    order = 2 * kmax  # D7 reads the series to order 2*kmax; the currents share the window
     for k, (xp, xm) in current_matrices(e, f, lam, mu, range(-order, order + 1)).items():
         assign[Xp(1, k)] = xp
         assign[Xm(1, k)] = xm

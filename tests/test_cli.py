@@ -86,8 +86,12 @@ def test_verify_kmax_bound(capsys):
 # inverse of w once per module (a monomial inverse takes no product), made
 # 1,517; and the scaled Chevalley module re-reading the conjugation scalars
 # that R2 had read on the module, which it now shares (c x has the support
-# of x), 1,497.
-VERIFY_N4_PMUL_CALLS = 1481
+# of x), 1,497.  The constructor of both modules multiplying out each
+# group-like inverse pair and the gamma product (gh gh)(gph gph), where a
+# pair in the weight view's inverse set (rep_core.Weights) now takes no
+# product and identity gamma halves hold level zero with none, made 1,481;
+# the same products in R1, 1,421; and in D1, 1,376.
+VERIFY_N4_PMUL_CALLS = 1341
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -174,8 +178,13 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 # counts sum to 165.  R2's 16 instances (two products each), the D4 families
 # (two per tag) and the conjugation w b w^-1 in each of R4's 12 steps (two
 # per step), which the conjugation lemma now reads off the group-likes'
-# diagonals, made 125.
-VERIFY_N4_MATMUL_CALLS = 61
+# diagonals, made 125.  Each inverse pair and the gamma product multiplied
+# out, where the weight view's inverse set and identity gamma halves now
+# hold them with no product: 12 in the constructors of both modules (two
+# pairs per node and three gamma products in build_chevalley_eval, one pair
+# of each kind and three in build_current_eval), 9 in R1 and 7 in D1, made
+# 61.
+VERIFY_N4_MATMUL_CALLS = 33
 # The products a @ b and b @ a that one-pass commutators of two
 # non-diagonal factors stand for, two per commutator, in the same run: the
 # four [(r - s) e_i, f_j] of R3.  The build's C(m), C'(m) for m <= lmax = 3
@@ -321,8 +330,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # the command now builds series-only modules (sl2.build_series_eval), made
 # 722, and reconstruct_P expanding r^3 P(sz)/P(rz) and its mirror to order
 # 8, where each now takes the reduced form's polynomial identity (drinfeld
-# docstring), 530.
-DRINFELD_N3_PMUL_CALLS = 519
+# docstring), 530.  The constructor of both series modules multiplying out
+# each group-like inverse pair, where a pair in the weight view's inverse
+# set (rep_core.Weights) now takes no product, made 519.
+DRINFELD_N3_PMUL_CALLS = 479
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -466,7 +477,13 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # (rep_core.Weights) now reads each once, made 1,390; and each inverse pair
 # tested by one product per diagonal entry, where the view now compares
 # w^-1 with the inverse of w (a monomial inverse takes no product), 1,206.
-TENSOR_33_PINNED_PMUL_CALLS = 1166
+# Each factor's constructor multiplying out its inverse pairs and the gamma
+# product, where a pair in the weight view's inverse set now takes no
+# product and identity gamma halves hold level zero with none, made 1,166;
+# and hopf.tensor checking the tensor's inverse pairs on the factors'
+# products, where the tensor is now built checked and its Kronecker-product
+# pairs are diagonal, so they are read off its weight view, 1,110.
+TENSOR_33_PINNED_PMUL_CALLS = 1078
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -528,8 +545,12 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # now formed once, made 1,491.  Each R4 iterate testing w^-1 w = 1 by
 # products, where the module's weight view now compares w^-1 with the
 # inverse of w once per module, made 1,479; and the scaled Chevalley module
-# re-reading the scalars R2 had read, which it now shares, 1,467.
-MUTATED_PINNED_PMUL_CALLS = 1459
+# re-reading the scalars R2 had read, which it now shares, 1,467.  The
+# constructor of both modules multiplying out each group-like inverse pair
+# and the gamma product, where a pair in the weight view's inverse set now
+# takes no product and identity gamma halves hold level zero with none,
+# made 1,459; the same products in R1, 1,423; and in D1, 1,396.
+MUTATED_PINNED_PMUL_CALLS = 1375
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -778,8 +799,12 @@ def test_twist_sigma(capsys):
 # constant entry denominator in reports_at_pin's regularity check, which now
 # skips them, 1,281.  theta(l) built twice per l through a gcd, where it is
 # now one exact division per l, made 1,278, and the build's series as general
-# commutators, where they are now read off the ladder, 1,181.
-TWIST_GAMMA2_N3_PMUL_CALLS = 1153
+# commutators, where they are now read off the ladder, 1,181.  The build's
+# constructor multiplying out each group-like inverse pair and the gamma
+# product, where a pair in the weight view's inverse set now takes no product
+# and identity gamma halves hold level zero with none, made 1,153; and D1
+# doing the same, 1,133.
+TWIST_GAMMA2_N3_PMUL_CALLS = 1105
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):

@@ -1,7 +1,9 @@
-"""tools/corners.py, the A/B recorder: it reads the committed command lists
-and, run with the working tree on both sides, records identical rows."""
+"""tools/corners.py, the A/B recorder: it reads the committed command lists,
+run with the working tree on both sides it records identical rows, and a
+perfbench run that fails ends the recording with the failure written out."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,20 @@ def test_corners_records_the_tree_against_itself(capsys):
     for side in corners.SIDES:
         assert [row[side]["exit_codes"] for row in rows] == [[0], [2]]
     assert capsys.readouterr().out.count("same  ") == 2
+
+
+def test_corners_records_a_failing_perfbench_run(tmp_path, capsys):
+    # a parent tree whose perfbench exits 1: the parent side runs first in
+    # pair 1, so the recording stops there, before any full benchmark run
+    corners = _load_corners()
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("import sys\nsys.exit('no benchmark here')\n")
+    out = tmp_path / "bench.json"
+    code = corners.main(["--parent", str(parent), "--perfbench", "verify", "--pairs", "3", "--out", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())["perfbench"]["verify"]
+    assert record["failed_run"] == {"side": "parent", "pair": 1, "exit_code": 1}
+    assert record["pairs"] == 0 and "pass_rel" not in record
+    printed = capsys.readouterr()
+    assert "the parent run exited 1" in printed.out and "no benchmark here" in printed.err

@@ -161,18 +161,37 @@ def test_grouplike_inverse_enforced_at_construction():
         MatrixModule(A1, bad)
 
 
-# -- D2-D7 reports against a naive reference ------------------------------------------
+# A pair off the weight view's inverse set is multiplied out: a non-diagonal
+# inverse pair is accepted, and a non-diagonal broken one refused like a
+# diagonal one.  Gamma halves that are not the identity are multiplied out
+# too, and gh = 2 I, gph = I is not at level zero.
+def test_non_diagonal_pairs_and_gamma_halves_at_construction():
+    chev = build_chevalley_eval(2)
+    twisted = _conjugated(chev, W(0))
+    assert not twisted.get(W(0)).is_diagonal() and W(0) not in twisted.weights.inverse
+    assert MatrixModule(chev.table, twisted.assign).dim == chev.dim
+    broken = twisted.with_assign(Wp(1, -1), chev.get(Wp(1, -1)) + _unit(chev.dim, 0, 1))
+    with pytest.raises(ValueError, match=re.escape("Wp(1) inverse pair broken")):
+        MatrixModule(chev.table, broken.assign)
+    ident = Matrix.identity(chev.dim)
+    halves = {GammaHalf(): ident.scale(2), GammaHalf(-1): ident.scale(Fraction(1, 2)), GammaPrimeHalf(): ident}
+    with pytest.raises(ValueError, match="gamma gamma' must act as the identity"):
+        MatrixModule(chev.table, {**chev.assign, **halves})
+
+
+# -- D1-D7 reports against a naive reference ------------------------------------------
 # The reference takes both full products of every commutator, builds both
 # sides of every instance and compares them plainly, so it shares neither the
-# diagonal commutator, the D6 products shared by an instance pair, the current
-# form of D4-D7, the commutation lemmas of D6 and D7 nor the cross-multiplied
-# D7 comparison with check_drinfeld.  Like check_drinfeld it takes K^-1 as the
-# generator product w^-1 w'^-1, which differs from the inverse of K = w w' on
-# a module whose w^-1 or w'^-1 is corrupted.
+# weight view's inverse set and the identity gamma halves of D1, the
+# diagonal commutator, the D6 products shared by an instance pair, the
+# current form of D4-D7, the commutation lemmas of D6 and D7 nor the
+# cross-multiplied D7 comparison with check_drinfeld.  Like check_drinfeld
+# it takes K^-1 as the generator product w^-1 w'^-1, which differs from the
+# inverse of K = w w' on a module whose w^-1 or w'^-1 is corrupted.
 
 
 def naive_reports(mod, kmax, lmax):
-    """(instances_checked, failures) of D2-D7, naively."""
+    """(instances_checked, failures) of D1-D7, naively."""
     i = 1
     rho = mod.table.entry(i, i)
     rs = (R - S).inv()
@@ -199,7 +218,17 @@ def naive_reports(mod, kmax, lmax):
         return mod.get(Xm(i, k))
 
     ells = [l for l in range(-lmax, lmax + 1) if l != 0]
-    found = {rid: [] for rid in ("D2", "D3", "D4", "D5_1", "D5_2", "D6", "D7")}
+    found = {rid: [] for rid in ("D1", "D2", "D3", "D4", "D5_1", "D5_2", "D6", "D7")}
+    ident = Matrix.identity(mod.dim)
+    gh, gph = mod.get(GammaHalf()), mod.get(GammaPrimeHalf())
+    found["D1"] += [
+        (("winv",), w @ winv, ident),
+        (("wpinv",), wp @ wpinv, ident),
+        (("wwp",), comm(w, wp), zero),
+        (("ghinv",), gh @ mod.get(GammaHalf(-1)), ident),
+        (("gphinv",), gph @ mod.get(GammaPrimeHalf(-1)), ident),
+        (("central-product",), gh @ gh @ gph @ gph, ident),
+    ]
     for l1 in ells:
         for l2 in ells:
             found["D2"].append(((l1, l2), comm(al(l1), al(l2)), zero))
@@ -306,7 +335,7 @@ MUTATIONS = {
         {"D4", "D5_1", "D5_2", "D6", "D7"},
     ),
     # K = w w' is still c I but w^-1 w'^-1 is not c^-1 I: D7 takes its plain path
-    "w^-1 * 2": (lambda mod: mod.with_assign(W(1, -1), mod.get(W(1, -1)).scale(2)), {"D4", "D5_1", "D5_2", "D7"}),
+    "w^-1 * 2": (lambda mod: mod.with_assign(W(1, -1), mod.get(W(1, -1)).scale(2)), {"D1", "D4", "D5_1", "D5_2", "D7"}),
     # K = w G w' is not scalar, while w G (w^-1 G^-1) = 1 still
     "w G, w^-1 G^-1": (
         lambda mod: mod.with_assign(W(1), mod.get(W(1)) @ _g(mod)).with_assign(
@@ -326,7 +355,7 @@ MUTATIONS = {
     # their plain products, and D7 its plain path
     "w'^-1 + E_01": (
         lambda mod: mod.with_assign(Wp(1, -1), mod.get(Wp(1, -1)) + _unit(mod.dim, 0, 1)),
-        {"D3", "D4", "D5_1", "D5_2", "D7"},
+        {"D1", "D3", "D4", "D5_1", "D5_2", "D7"},
     ),
 }
 
@@ -428,7 +457,9 @@ def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
 
 # Matrix products made by each relation on a module whose currents are all
 # on the form (kmax = K, lmax = L <= 2K):
-# - D1: the inverse and centrality products of the group-likes;
+# - D1: none, each inverse pair read off the weight view's inverse set and
+#   level zero off the identity gamma halves, where the inverse and
+#   centrality products of the group-likes made 7;
 # - D4: none, each tag's family decided by the conjugation lemma, where
 #   w x(0) w^-1, two products once per tag, made 8;
 # - D5_1: per l, K^-l = K^-(l-1) K^-1, whose diagonal the entrywise family
@@ -441,7 +472,7 @@ def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
 #   powers of K that D5 did not build made 2(2K+1) + 2(2K+1)^2 + K + max(K-L, 0).
 def relation_products(K, L):
     return {
-        "D1": 7,
+        "D1": 0,
         "D2": 0,
         "D3": 0,
         "D4": 0,
@@ -452,9 +483,10 @@ def relation_products(K, L):
     }
 
 
-def products_per_relation(monkeypatch, check, dim=None):
+def products_per_relation(monkeypatch, check, dim=None, passing=True):
     """The matrix products each relation's checker spans while check() runs,
-    which must pass; with dim, only the products of dim x dim matrices."""
+    which must pass unless passing is False; with dim, only the products of
+    dim x dim matrices."""
     import rsaffine.rep_core as rep_core
 
     calls = 0
@@ -477,7 +509,7 @@ def products_per_relation(monkeypatch, check, dim=None):
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     monkeypatch.setattr(rep_core, "_Checker", Spans)
-    assert all_pass(check())
+    assert all_pass(check()) or not passing
     return spans
 
 
@@ -595,9 +627,20 @@ def _chevalley_modules():
             "e(0) = 0": (E(0), Matrix.zeros(chev.dim)),
             "e(1) = 0": (E(1), Matrix.zeros(chev.dim)),
             "f(1) = 0": (F(1), Matrix.zeros(chev.dim)),
+            "gh^-1 * 2 is not the inverse of gh": (GammaHalf(-1), ident.scale(2)),
         }
         for name, (gen, mat) in broken.items():
             yield f"n={n} {name}", chev.with_assign(gen, mat)
+        # level zero without the identity: (-1)^2 (-1)^2 = 1
+        minus = {g(e): -ident for g in (GammaHalf, GammaPrimeHalf) for e in (1, -1)}
+        yield f"n={n} both gamma halves at -1", MatrixModule(chev.table, {**chev.assign, **minus})
+        # gh = P, a unipotent that is not diagonal: level zero fails with
+        # gph = 1 and holds with gph = P^-1, both on the products
+        p = ident + _unit(chev.dim, 0, chev.dim - 1)
+        unipotent = {GammaHalf(): p, GammaHalf(-1): p.inverse()}
+        yield f"n={n} gh not diagonal", MatrixModule(chev.table, {**chev.assign, **unipotent}, check=False)
+        inverse = {GammaPrimeHalf(): p.inverse(), GammaPrimeHalf(-1): p}
+        yield f"n={n} gh and gph^-1 not diagonal", MatrixModule(chev.table, {**chev.assign, **unipotent, **inverse})
     for name, mod in _tensor_cases():
         yield f"tensor 2x3 {name}", mod
     # the scaling lemma on failing R3 and R4 instances, and on pinned direct
@@ -649,8 +692,8 @@ def test_r2_and_r4_take_the_conjugation_lemma(monkeypatch, n):
 # The weight view against the products it stands for: a scalar that is a
 # value is the c of g x h == c x multiplied out, for h = g.partner; "not
 # homogeneous" (False) has two nonzeros x_ab with different g_a h_b; "not
-# diagonal" (None) has g or h off the diagonal; and g is in the inverse set
-# exactly when g and h are diagonal and h g == 1.
+# diagonal" (None) has g or h off the diagonal; and g, a gamma half too, is
+# in the inverse set exactly when g and h are diagonal and h g == 1.
 @pytest.mark.parametrize(
     "mod",
     [
@@ -660,7 +703,8 @@ def test_r2_and_r4_take_the_conjugation_lemma(monkeypatch, n):
 )
 def test_weight_view_matches_the_products(mod):
     wts, nodes = mod.weights, range(mod.table.size)
-    for g in (Gen(kind, i, e) for kind in (W_KIND, WP_KIND) for i in nodes for e in (1, -1)):
+    halves = (g(e) for g in (GammaHalf, GammaPrimeHalf) for e in (1, -1))
+    for g in (*(Gen(kind, i, e) for kind in (W_KIND, WP_KIND) for i in nodes for e in (1, -1)), *halves):
         gm, hm = mod.get(g), mod.get(g.partner)
         diagonal = gm.is_diagonal() and hm.is_diagonal()
         assert wts.diagonal.get(g) == ([gm[a, a] for a in range(mod.dim)] if gm.is_diagonal() else None)
@@ -692,6 +736,7 @@ def test_conjugation_scalar_reads_the_lemma():
     # the inverse pairs: all of them, and none at w(1) once one entry of
     # w(1)^-1, the first or the last, is doubled
     pairs = {g(i, e) for g in (W, Wp) for i in (0, 1) for e in (1, -1)}
+    pairs |= {g(e) for g in (GammaHalf, GammaPrimeHalf) for e in (1, -1)}
     assert chev.weights.inverse == pairs
     for k in (0, chev.dim - 1):
         d = [rf(2) if a == k else ONE for a in range(chev.dim)]
@@ -755,15 +800,50 @@ def test_tensor_r3_and_r4_make_no_tensor_sized_product(monkeypatch, left, right)
     assert (spans["R3"], spans["R4"]) == (0, 0)
 
 
-# R1 on V_m(a) (x) V_n(b) makes no tensor-sized product either: hopf.tensor
-# checked the inverse pairs on the factors and stores identity gamma halves,
-# and the factors' group-likes commute (the R1 tensor lemma); multiplying
-# out the pairs and the gamma products made 2 N + 5 = 9.
-@pytest.mark.parametrize("left,right", ((1, 1), (2, 3), (4, 2)))
-def test_tensor_r1_makes_no_tensor_sized_product(monkeypatch, left, right):
-    mod = tensor(*_factors(left, right))
-    spans = products_per_relation(monkeypatch, lambda: check_chevalley(mod), dim=mod.dim)
+# R1 on V_m(a) (x) V_n(b), and on tensors with a tensor factor, makes no
+# tensor-sized product either: Kronecker products of diagonal inverse pairs
+# are diagonal inverse pairs, which the weight view reads, the gamma halves
+# are the identity, and diagonal group-likes commute with no product, so R1
+# needs no lemma at any depth; multiplying out the pairs and the gamma
+# products made 2 N + 5 = 9.  A nested tensor with a twisted inner factor
+# fails R2, R3 and R4, not R1.
+@pytest.mark.parametrize(
+    "mod",
+    [
+        *(pytest.param(tensor(*_factors(left, right)), id=f"{left}-{right}") for left, right in ((1, 1), (2, 3), (4, 2))),
+        *(pytest.param(mod, id=name) for name, mod in _nested_tensors()),
+    ],
+)
+def test_tensor_r1_makes_no_tensor_sized_product(monkeypatch, mod):
+    spans = products_per_relation(monkeypatch, lambda: check_chevalley(mod), dim=mod.dim, passing=False)
     assert spans["R1"] == 0
+    assert check_chevalley(mod)[0].passed
+
+
+# No diagonal inverse pair is multiplied: building every sl2 module, and the
+# tensor of two untwisted factors, reads the pairs off the weight view and
+# the identity gamma halves, and so do R1 and D1 on the clean modules.
+@pytest.mark.parametrize("shift", (False, True))
+@pytest.mark.parametrize("n", range(5))
+def test_no_diagonal_pair_is_multiplied(monkeypatch, n, shift):
+    sizes = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        sizes.append(a.n)
+        return matmul(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "__matmul__", counting)
+        chev = build_chevalley_eval(n, shift)
+        curr = build_current_eval(n, shift, kmax=1, lmax=1)
+        build_series_eval(n, shift, 4)
+        pinned = substitute_module(build_chevalley_eval(n, shift), a=B)
+        tens = tensor(chev, pinned)
+    assert sizes == []
+    for mod in (chev, tens):
+        assert products_per_relation(monkeypatch, lambda: check_chevalley(mod))["R1"] == 0
+    assert products_per_relation(monkeypatch, lambda: check_drinfeld(curr, 1, 1))["D1"] == 0
 
 
 # R3 and R4 of a module that is not a tensor compare E_i and F_i scaled by

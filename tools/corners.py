@@ -28,7 +28,10 @@ Perfbench mode runs `python3 perfbench/run.py --workload W --seed S` of
 each side in pairs, alternating which runs first, so each run lasts the
 `run_seconds` that run.py reads from BENCHMARK.json; it records the median,
 the quartiles and the number of pairs in which the working tree was better
-for each end-to-end metric of BENCHMARK.json.
+for each end-to-end metric of BENCHMARK.json.  A run that exits non-zero
+ends the recording: its stderr is passed on, its side, pair and exit code
+are recorded as failed_run, the pairs completed before it are still
+compared and written to --out, and the recorder exits 1.
 
 The recorder adds no gate: it exits 0 whatever it measured, and prints a
 one-line summary per row and the number of commands whose outputs differ.
@@ -141,33 +144,43 @@ def record_perfbench(roots, workload: str, pairs: int, seed: int):
     results = {side: [] for side in SIDES}
     correct = True
     failed = 0
+    failed_run = None
     for k in range(pairs):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
             env = child_env(roots[side])
-            proc = subprocess.run(cmd, cwd=roots[side], env=env, capture_output=True, text=True, check=True)
+            proc = subprocess.run(cmd, cwd=roots[side], env=env, capture_output=True, text=True)
+            if proc.returncode:
+                failed_run = {"side": side, "pair": k + 1, "exit_code": proc.returncode}
+                sys.stderr.write(proc.stderr)
+                print(f"pair {k + 1}/{pairs} of {workload}: the {side} run exited {proc.returncode}", flush=True)
+                break
             doc = json.loads(proc.stdout.strip().splitlines()[-1])
             correct = correct and doc["correct"]
             failed += doc["failed"]
             results[side].append({name: m["value"] for name, m in doc["metrics"].items()})
+        if failed_run:
+            break
         print(f"pair {k + 1}/{pairs} of {workload} done", flush=True)
-    out = {"pairs": pairs, "seed": seed, "seconds": declared["run_seconds"]}
-    out.update(all_correct=correct, failed_ops=failed)
-    for name, better in metrics.items():
-        p = [m[name] for m in results["parent"]]
-        t = [m[name] for m in results["tree"]]
+    # only whole pairs are compared
+    done = min(len(results[side]) for side in SIDES)
+    out = {"pairs": done, "seed": seed, "seconds": declared["run_seconds"]}
+    out.update(all_correct=correct, failed_ops=failed, failed_run=failed_run)
+    for name, better in metrics.items() if done else ():
+        p = [m[name] for m in results["parent"][:done]]
+        t = [m[name] for m in results["tree"][:done]]
         wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(p, t))
         out[name] = {
             "parent_median": round(statistics.median(p), 4),
-            "parent_quartiles": [round(x, 4) for x in statistics.quantiles(p, n=4)] if pairs > 1 else None,
+            "parent_quartiles": [round(x, 4) for x in statistics.quantiles(p, n=4)] if done > 1 else None,
             "tree_median": round(statistics.median(t), 4),
-            "tree_quartiles": [round(x, 4) for x in statistics.quantiles(t, n=4)] if pairs > 1 else None,
+            "tree_quartiles": [round(x, 4) for x in statistics.quantiles(t, n=4)] if done > 1 else None,
             "tree_over_parent": round(statistics.median(t) / statistics.median(p), 3),
             "tree_better_pairs": wins,
             "parent_runs": [round(x, 4) for x in p],
             "tree_runs": [round(x, 4) for x in t],
         }
-        print(f"  {name}: {out[name]['parent_median']} -> {out[name]['tree_median']} ({wins}/{pairs})")
+        print(f"  {name}: {out[name]['parent_median']} -> {out[name]['tree_median']} ({wins}/{done})")
     return out
 
 
@@ -186,8 +199,11 @@ def main(argv=None) -> int:
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
     }
+    code = 0
     if args.perfbench:
-        doc["perfbench"] = {args.perfbench: record_perfbench(roots, args.perfbench, args.pairs, args.seed)}
+        record = record_perfbench(roots, args.perfbench, args.pairs, args.seed)
+        doc["perfbench"] = {args.perfbench: record}
+        code = 1 if record["failed_run"] else 0
     else:
         rows = record_commands(roots, read_list(args.list), args.repeat)
         doc["list"] = str(args.list.name)
@@ -196,7 +212,7 @@ def main(argv=None) -> int:
         print(f"{len(rows)} commands, {len(differ)} with differing output")
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return code
 
 
 if __name__ == "__main__":
