@@ -14,8 +14,9 @@ class NotPolynomial(RsaffineError):
 
 
 class BadConstantTerm(RsaffineError):
-    """A series constant term violates a precondition: the log-derivative
-    recurrence divides by a nonzero w(0) eigenvalue."""
+    """A series constant term violates a precondition: a zero w(0)
+    eigenvalue, which the log-derivative recurrence divides by, or a
+    constant term a series quotient, logarithm or exponential cannot take."""
 
 
 class SpecializationPole(RsaffineError):

@@ -753,13 +753,42 @@ def quantum_int(n: int, base=None) -> RatFunc:
     if n < 0:
         raise ValueError("quantum_int needs n >= 0")
     if base is None:
-        terms = {(LATTICE * (n - 1 - j), LATTICE * j, 0, 0): 1 for j in range(n)}
-        return RatFunc._make(terms, _UNIT)
+        return quantum_int_sum([(1, (), n)])
     br, bs = base
     out = ZERO
     for j in range(n):
         out = out + br ** (n - 1 - j) * bs ** j
     return out
+
+
+def quantum_int_sum(parts, den: int = 1) -> RatFunc:
+    """(sum of c * x_1 ... x_m * [k] over the (c, (x_1, ..., x_m), k) in
+    parts) / den, for integers c, monomials x_j of coefficient 1, k >= 0
+    and a positive integer den.  Its terms are read off their exponents, as
+    quantum_int's are, so it takes no product and no gcd."""
+    if den < 1:
+        raise ValueError(f"den must be a positive integer, got {den}")
+    terms = {}
+    for c, xs, k in parts:
+        er = es = ea = eb = 0
+        for x in xs:
+            if len(x.num) != 1 or x.den != _UNIT or 1 not in x.num.values():
+                raise ValueError(f"{render(x)} is not a monomial of coefficient 1")
+            ((kr, ks, ka, kb),) = x.num
+            er, es, ea, eb = er + kr, es + ks, ea + ka, eb + kb
+        for j in range(k):
+            key = (er + LATTICE * (k - 1 - j), es + LATTICE * j, ea, eb)
+            v = terms.get(key, 0) + c
+            if v:
+                terms[key] = v
+            else:
+                del terms[key]
+    if not terms:
+        return ZERO
+    g = _intgcd(den, *terms.values())
+    if g != 1:
+        terms, den = {key: v // g for key, v in terms.items()}, den // g
+    return RatFunc._make(terms, _UNIT if den == 1 else {_ZERO_KEY: den})
 
 
 def gauss_binom(m: int, k: int, base=None) -> RatFunc:

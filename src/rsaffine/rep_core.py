@@ -679,8 +679,8 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
 
     Level-zero convention: the series generators Wser/Wpser and the
     imaginary generators are the operational ones, as stored: on the
-    evaluation modules the series are read off the ladder and a(l) comes
-    from the log-derivative recurrence (sl2 module docstring).  In that
+    evaluation modules the series are read off the ladder and a(l) off the
+    telescoped per-weight form (sl2 module docstring).  In that
     normalization the central prefactors of D5/D7 are integer powers of the
     central group-like K = omega omega' (central because rank 1), and the
     gamma half-generators enter only the D1 inverse/centrality checks.

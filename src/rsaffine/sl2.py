@@ -29,24 +29,36 @@ diagonal is a difference of neighbours, C(m)_ii = t_(i+1) - t_i with
 t_j = P_(j-1) lam_j^m, and C'(m)_ii = u_i - u_(i-1) with u_j = P_j mu_j^-m:
 n running products per m, one monomial product each.  For w(m) and w'(-m)
 the factor r-s goes into P once, (r-s) P_i = (r^(n-i) - s^(n-i)) [i+1],
-since (r-s)[k] = r^k - s^k has two terms; C(m) for m <= lmax, which the
-recurrence below reads, runs from P itself.  tests/seriesoracle.py derives
+since (r-s)[k] = r^k - s^k has two terms.  tests/seriesoracle.py derives
 the same series by general commutators.
 
-Lemma (log-derivative recurrence; Knuth, TAOCP vol. 2, 4.7): differentiating,
-W'(z) = W(z) B'(z), since these matrices are all diagonal and so commute.
-At z^(m-1) this is m w(m) = sum_{l=1..m} l b(l) w(m-l); divided by r-s,
-    m a(m) w(0) = m C(m) - sum_{l<m} l b(l) C(m-l).
-The primed side is the same with C', w'(0) and b(l) = (s-r) a(-l).  Each
-step multiplies by the short exponential sums b(l) and divides only by
-m w(0)_ii, a monomial on the evaluation modules, so a build takes no gcd.
+Lemma (telescoped per-weight form; Chari and Pressley, CMP 142, 1991).
+Extend lam_j = a' s^-n rho^-j (loop_diagonals) to j = n + 1.  Summing the
+ladder identity's geometric series puts W(z)_ii / w(0)_ii over
+(1 - lam_i z)(1 - lam_(i+1) z), with a numerator of degree 2 whose roots
+telescope as the drinfeld docstring shows for the RQ form:
+    W(z)_ii / w(0)_ii = (1 - lam_0 z)(1 - lam_(n+1) z)
+                        / ((1 - lam_i z)(1 - lam_(i+1) z)),
+where one factor cancels at i = 0 and at i = n.  The logarithm of the right
+side is B(z)_ii, so b(l)_ii = (lam_i^l + lam_(i+1)^l - lam_0^l - lam_(n+1)^l)
+/ l.  Since lam_i / lam_0 = rho^-i, lam_(i+1) / lam_(n+1) = rho^(n-i) and
+rho^k - 1 = (r-s)[k] s^-k, each difference divided by r - s is a monomial
+times a quantum integer:
+    a(l)_ii = (u_i^l [(n-i) l] - v_i^l [i l]) / l,
+    u_i = a' r^-(n+1) s^(i+1-n),  v_i = a' r^-i s^-n.
+The primed side is the same argument in z^-1 with nu_j = mu_(j-1)^-1 for
+lam_j and b(l) = (s-r) a(-l): a(-l)_ii is the same expression with
+u'_i = a'^-1 r^(i+1-n) s^-(n+1) and v'_i = a'^-1 r^-n s^-i.  So each entry's
+terms are read off their exponents (field.quantum_int_sum), with no product
+and no gcd.  tests/seriesoracle.py keeps the log-derivative recurrence on
+general commutators as the oracle.
 """
 
 from __future__ import annotations
 
 from .cartan import AffineType, build_pairing
-from .errors import BadConstantTerm, NotEigenvector
-from .field import A, ONE, R, S, ZERO, RatFunc, quantum_int
+from .errors import NotEigenvector
+from .field import A, ONE, R, S, ZERO, RatFunc, quantum_int, quantum_int_sum
 from .matrix import Matrix
 from .rep_core import (
     Aim,
@@ -97,7 +109,7 @@ def build_chevalley_eval(n: int, use_shift=False) -> MatrixModule:
     omega pair swapped between the two nodes."""
     sh = shift_factor(use_shift)
     e, f, w, wp = _vn_matrices(n)
-    winv, wpinv = w.inverse(), wp.inverse()
+    winv, wpinv = _diagonal_inverse(w), _diagonal_inverse(wp)
     ap = sh * A
     assign = {
         E(1): e,
@@ -146,9 +158,15 @@ def current_matrices(e: Matrix, f: Matrix, lam, mu, ks):
     return {k: table[k] for k in ks}
 
 
+def _diagonal_inverse(g: Matrix) -> Matrix:
+    """The inverse of a diagonal group-like of V_n, entry by entry: its
+    entries are monomials, so no product."""
+    return Matrix.diagonal([g[i, i].inv() for i in range(g.n)])
+
+
 def _group_likes(w: Matrix, wp: Matrix) -> dict:
     """The node-1 group-likes of V_n and their inverses."""
-    return {W(1): w, W(1, -1): w.inverse(), Wp(1): wp, Wp(1, -1): wp.inverse()}
+    return {W(1): w, W(1, -1): _diagonal_inverse(w), Wp(1): wp, Wp(1, -1): _diagonal_inverse(wp)}
 
 
 def _series(n: int, f: Matrix, w: Matrix, wp: Matrix, lam, mu, order: int) -> dict:
@@ -183,10 +201,11 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
     order 2*kmax, and the imaginary generators to +-lmax, 0 <= lmax <=
     2*kmax.  It stores what build_series_eval(n, use_shift, 2*kmax) does,
     in the same order, with the currents after the group-likes and a(l)
-    last.  The series are read off the ladder, and a(l) off the
-    log-derivative recurrence on its own ladder run to lmax (module
-    docstring), so neither reads a stored current, and the build needs no
-    bound on lmax: lmax <= 2*kmax is a contract, shared with the CLI.
+    last.  The series are read off the ladder, and each a(+-l) entry off
+    the telescoped per-weight form in closed form, with no product (module
+    docstring), so neither reads a stored current, a(l) costs the same at
+    every l, and the build needs no bound on lmax: lmax <= 2*kmax is a
+    contract, shared with the CLI.
     check_drinfeld reads the currents at |k| <= kmax + 1 and the series to
     order 2*kmax; the currents past kmax + 1 are read by the twist
     command's entrywise match with the reparameterized module and by the
@@ -205,16 +224,8 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
         assign[Xm(1, k)] = xm
     _with_gammas(assign, n + 1)
     assign.update(_series(n, f, w, wp, lam, mu, order))
-    if lmax:
-        # a(l) reads C(m) from P_i = e_(i,i+1) f_(i+1,i) (module docstring)
-        p = [e[i, i + 1] * f[i + 1, i] for i in range(n)]
-        cs, cps = _ladder_series(p, lam, mu, lmax)
-        rs = R - S
-        apos = _imaginary(w, cs, rs, lmax)
-        aneg = _imaginary(wp, cps, -rs, lmax)
-        for l in range(1, lmax + 1):
-            assign[Aim(1, l)] = apos[l - 1]
-            assign[Aim(1, -l)] = aneg[l - 1]
+    for l in range(1, lmax + 1):
+        assign[Aim(1, l)], assign[Aim(1, -l)] = _imaginary(n, lam[0], l)
     return MatrixModule(_A1, assign)
 
 
@@ -235,25 +246,17 @@ def _ladder_series(p, lam, mu, order: int):
     return cs, cps
 
 
-def _imaginary(w0: Matrix, cs, rs: RatFunc, lmax: int):
-    """a(1..lmax), or a(-1..-lmax) from w'(0), C' and rs = s-r, as diagonal
-    matrices, by the log-derivative recurrence (module docstring) on each
-    diagonal entry, with C(m)_ii = cs[m-1][i] for m <= lmax and
-    b(l) = rs a(l)."""
-    mrs = [m * rs for m in range(lmax + 1)]
-    cols = []
-    for i in range(w0.n):
-        c0 = w0[i, i]
-        if c0.is_zero():
-            raise BadConstantTerm("group-like eigenvalue vanished")
-        c = [ZERO] + [cm[i] for cm in cs]
-        a, lb = [], [ZERO]  # lb[l] = l b(l)
-        for m in range(1, lmax + 1):
-            acc = m * c[m] - sum((lb[l] * c[m - l] for l in range(1, m)), ZERO)
-            a.append(acc / (m * c0))
-            lb.append(mrs[m] * a[-1])
-        cols.append(a)
-    return [Matrix.diagonal(col) for col in zip(*cols)]
+def _imaginary(n: int, lam0: RatFunc, l: int):
+    """a(l) and a(-l) on V_n as diagonal matrices: a(+-l)_ii =
+    (u_i^l [(n-i) l] - v_i^l [i l]) / l (module docstring), with each u_i,
+    v_i written as lam_0^+-1 = (a' s^-n)^+-1 times powers of r and s."""
+    r, s, x, y = R**l, S**l, lam0**l, lam0**-l
+    pos = [((x, r ** -(n + 1), s ** (i + 1)), (x, r**-i)) for i in range(n + 1)]
+    neg = [((y, r ** (i + 1 - n), s ** -(2 * n + 1)), (y, r**-n, s ** -(n + i))) for i in range(n + 1)]
+    return tuple(
+        Matrix.diagonal([quantum_int_sum([(1, u, (n - i) * l), (-1, v, i * l)], l) for i, (u, v) in enumerate(side)])
+        for side in (pos, neg)
+    )
 
 
 def _require_diagonal(ws, wps):

@@ -126,8 +126,9 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
     be homogeneous of a-degree k, and let its series and imaginary
     generators be those its currents define: w(m) = (r-s)[x+(m), x-(0)],
     w'(-m) = -(r-s)[x+(0), x-(-m)] and a(l) by the log-derivative
-    recurrence (sl2 module docstring; sl2.build_current_eval reads them off
-    the ladder, and they are these).  Then the twist x+-(k) -> c^k x+-(k),
+    recurrence (tests/seriesoracle.py; sl2.build_current_eval reads the
+    series off the ladder and a(l) off the telescoped per-weight form, and
+    they are these).  Then the twist x+-(k) -> c^k x+-(k),
     with the series derived again from the twisted currents, is
     substitute_module(symbolic, a=c*a), so its reports are
     reports_at_pin(check, symbolic, a=c*a).  The proof needs only the

@@ -53,9 +53,8 @@ def test_verify_kmax_bound(capsys):
 # commutation identities of x(0) (rep_core docstring), with x(0)x(0) once per
 # sign and one D7 verdict per m = k + k2; the per-index products, the
 # anti-diagonal sums and a right side per D7 instance made 6,436.  The build
-# reads a(l) off the log-derivative recurrence on diagonal entries (sl2
-# docstring); a series logarithm per weight, divided back by r - s, made
-# 3,875.  Negative powers, inverses and quotients by a monomial through
+# then read a(l) off the log-derivative recurrence on diagonal entries; a
+# series logarithm per weight, divided back by r - s, made 3,875.  Negative powers, inverses and quotients by a monomial through
 # ONE / x, with two products each, where they now take the closed monomial
 # form, made 2,897; scaling by 1, which now returns the matrix, 2,303; the
 # D7 left side scaled by r - s once per m, where x+(0)x-(0) and x-(0)x+(0)
@@ -90,8 +89,12 @@ def test_verify_kmax_bound(capsys):
 # group-like inverse pair and the gamma product (gh gh)(gph gph), where a
 # pair in the weight view's inverse set (rep_core.Weights) now takes no
 # product and identity gamma halves hold level zero with none, made 1,481;
-# the same products in R1, 1,421; and in D1, 1,376.
-VERIFY_N4_PMUL_CALLS = 1341
+# the same products in R1, 1,421; and in D1, 1,376.  Both builds inverting
+# w and w' through Matrix.inverse, an echelon form with two products per
+# entry, where each inverse is now taken entry by entry, made 1,341; and
+# a(l) through the log-derivative recurrence, where each entry is now read
+# off the telescoped per-weight form with no product (sl2 docstring), 1,301.
+VERIFY_N4_PMUL_CALLS = 1077
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -133,8 +136,11 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # theta(l) for D5_1 and again for D5_2 made 146, and each neighbour
 # difference a(e)_i - a(e)_j of D5 formed for the x+ family and again, as
 # a_j - a_i, for the x- family, where the x- family now negates the x+
-# family's difference, 141.
-VERIFY_N4_NORMALIZE_CALLS = 125
+# family's difference, 141.  a(l) through the log-derivative recurrence,
+# with a quotient by m w(0)_ii per entry, where each entry is now built in
+# canonical form off the telescoped per-weight form (sl2 docstring), made
+# 125.
+VERIFY_N4_NORMALIZE_CALLS = 75
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -240,8 +246,8 @@ def test_verify_commutator_product_count_tripwire(capsys, monkeypatch):
 # on the symbolic module and only substitutes the distinct denominators
 # (tests/test_specialize.py keeps the 3,474 of the direct path pinned).
 # Dividing each weight's series logarithm by r - s while the symbolic module
-# was built made 82; the log-derivative recurrence divides only by m w(0)_ii,
-# a monomial, so the build takes no gcd.  theta(l) of D5, built twice per l
+# was built made 82; a(l) is now read off the telescoped per-weight form
+# (sl2 docstring), with no division, so the build takes no gcd.  theta(l) of D5, built twice per l
 # through a gcd of rho^l - rho^-l against r - s, made 24; it is now one exact
 # division per l, and the run takes no gcd at all.
 VERIFY_PINNED_PGCD_CALLS = 0
@@ -332,8 +338,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # 8, where each now takes the reduced form's polynomial identity (drinfeld
 # docstring), 530.  The constructor of both series modules multiplying out
 # each group-like inverse pair, where a pair in the weight view's inverse
-# set (rep_core.Weights) now takes no product, made 519.
-DRINFELD_N3_PMUL_CALLS = 479
+# set (rep_core.Weights) now takes no product, made 519; and both builds
+# inverting w and w' through Matrix.inverse, with two products per entry,
+# where each inverse is now taken entry by entry, 479.
+DRINFELD_N3_PMUL_CALLS = 447
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -482,8 +490,10 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # product and identity gamma halves hold level zero with none, made 1,166;
 # and hopf.tensor checking the tensor's inverse pairs on the factors'
 # products, where the tensor is now built checked and its Kronecker-product
-# pairs are diagonal, so they are read off its weight view, 1,110.
-TENSOR_33_PINNED_PMUL_CALLS = 1078
+# pairs are diagonal, so they are read off its weight view, 1,110; and
+# build_chevalley_eval inverting w and w' through Matrix.inverse, with two
+# products per entry, where each inverse is now taken entry by entry, 1,078.
+TENSOR_33_PINNED_PMUL_CALLS = 1046
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -549,8 +559,12 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # constructor of both modules multiplying out each group-like inverse pair
 # and the gamma product, where a pair in the weight view's inverse set now
 # takes no product and identity gamma halves hold level zero with none,
-# made 1,459; the same products in R1, 1,423; and in D1, 1,396.
-MUTATED_PINNED_PMUL_CALLS = 1375
+# made 1,459; the same products in R1, 1,423; and in D1, 1,396.  Both
+# builds inverting w and w' through Matrix.inverse, with two products per
+# entry, where each inverse is now taken entry by entry, made 1,375; and
+# a(l) through the log-derivative recurrence, where each entry is now read
+# off the telescoped per-weight form with no product (sl2 docstring), 1,351.
+MUTATED_PINNED_PMUL_CALLS = 1271
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -803,8 +817,12 @@ def test_twist_sigma(capsys):
 # constructor multiplying out each group-like inverse pair and the gamma
 # product, where a pair in the weight view's inverse set now takes no product
 # and identity gamma halves hold level zero with none, made 1,153; and D1
-# doing the same, 1,133.
-TWIST_GAMMA2_N3_PMUL_CALLS = 1105
+# doing the same, 1,133.  The build inverting w and w' through
+# Matrix.inverse, with two products per entry, where each inverse is now
+# taken entry by entry, made 1,105; and a(l) through the log-derivative
+# recurrence, where each entry is now read off the telescoped per-weight
+# form with no product (sl2 docstring), 1,089.
+TWIST_GAMMA2_N3_PMUL_CALLS = 982
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):

@@ -33,6 +33,7 @@ from rsaffine.field import (
     parse,
     pgcd,
     quantum_int,
+    quantum_int_sum,
     render,
     rf,
 )
@@ -233,6 +234,33 @@ def test_quantum_int_is_the_summed_definition():
     for base in (None, (R, S)):
         with pytest.raises(ValueError, match="n >= 0"):
             quantum_int(-1, base)
+
+
+def test_quantum_int_sum_is_the_arithmetic_sum():
+    # terms read off their exponents, in the canonical form the arithmetic
+    # gives: merged and cancelled terms, and the content shared with den
+    # divided out
+    x, y = A * R**-3 * S, B**2 * S ** Fraction(-1, 2)
+    cases = [
+        ([(1, (x, R**2), 5), (-1, (x, S**2), 3)], 4),
+        ([(2, (x,), 3), (-4, (y, A), 2)], 6),
+        ([(1, (x,), 3), (-1, (x,), 3)], 5),
+        ([(3, (), 2), (1, (y,), 0)], 9),
+        ([], 1),
+    ]
+    for parts, den in cases:
+        want = ZERO
+        for c, xs, k in parts:
+            term = c * quantum_int(k)
+            for z in xs:
+                term = term * z
+            want = want + term
+        want = want / den
+        got = quantum_int_sum(parts, den)
+        assert (got.num, got.den) == (want.num, want.den)
+    for parts, den in (([(1, (R + S,), 2)], 1), ([(1, (2 * R,), 2)], 1), ([(1, (R,), 2)], 0)):
+        with pytest.raises(ValueError):
+            quantum_int_sum(parts, den)
 
 
 def test_gauss_binom_values():
