@@ -16,7 +16,7 @@ import sys
 from .cartan import build_pairing, parse_type, table_to_json
 from .drinfeld import drinfeld_report, verify_RQ_form
 from .errors import LatticeOverflow, ParseError, RsaffineError, UnsupportedRank
-from .field import ONE, ZERO, A, B, RatFunc, parse, render
+from .field import ONE, ZERO, A, B, RatFunc, parse, render, substitution
 from .hopf import exact_span_closure, full_span_certified, tensor, tensor_basis_vector, twist_sigma
 from .rep_core import XM_KIND, XP_KIND, all_pass, check_chevalley, check_drinfeld
 from .sl2 import build_chevalley_eval, build_current_eval, build_series_eval
@@ -59,8 +59,10 @@ def _check_bounds(n=None, kmax=None, lmax=None, max_n=MAX_N, n_flag="--n"):
         raise UsageError(f"{n_flag} must be in 0..{max_n}")
     if kmax is not None and not (1 <= kmax <= MAX_KMAX):
         raise UsageError(f"--kmax must be in 1..{MAX_KMAX}")
-    # a contract, not a need of the build: a(l) is read off its own ladder run
-    # to lmax, and the series to order 2*kmax (sl2.build_current_eval)
+    # a contract, not a need of the build: each a(l) is read off the
+    # telescoped per-weight form in closed form, at the same cost for every
+    # l, and the series to order 2*kmax (sl2.build_current_eval), which
+    # keeps lmax <= 2*kmax as the same contract
     if lmax is not None and not (1 <= lmax <= 2 * kmax):
         raise UsageError(f"--lmax must be in 1..{2 * kmax} (twice --kmax)")
 
@@ -300,8 +302,9 @@ def cmd_twist(args) -> int:
         ca = c * A
         mod = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
         reports = reports_at_pin(lambda m: check_drinfeld(m, args.kmax, args.lmax), mod, a=ca)
+        at_ca = substitution(a=ca)
         entrywise = all(
-            mat.scale(c**g.k) == mat.map(lambda x: x.substitute(a=ca))
+            mat.scale(c**g.k) == mat.map(at_ca)
             for g, mat in mod.assign.items()
             if g.kind in (XP_KIND, XM_KIND)
         )

@@ -13,12 +13,6 @@ class NotPolynomial(RsaffineError):
     """An exact division that must be remainder-free left a remainder."""
 
 
-class BadConstantTerm(RsaffineError):
-    """A series constant term violates a precondition: a zero w(0)
-    eigenvalue, which the log-derivative recurrence divides by, or a
-    constant term a series quotient, logarithm or exponential cannot take."""
-
-
 class SpecializationPole(RsaffineError):
     """A substitution sends a denominator to zero."""
 

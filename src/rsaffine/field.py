@@ -7,6 +7,12 @@ denominator 6 = lcm(2, 3) covers the half- and third-integer powers the
 pairing tables and weight extensions need.  There is no floating point
 anywhere in this module.
 
+Substitutions are compiled once per map (substitution): the images are
+coerced and a monomial relabel read once, and the general path keeps one
+table of image powers for the life of the map, so a module's entries share
+every power.  A Laurent value's image is its substituted numerator over
+its integer denominator, with no quotient of rational functions.
+
 Values are immutable after construction and safe to share across threads.
 """
 
@@ -600,24 +606,30 @@ class RatFunc:
 
     def substitute(self, r=None, s=None, a=None, b=None) -> "RatFunc":
         """Exact image under r|s|a|b -> RatFunc, int or Fraction maps
-        (identity when None).
+        (identity when None): substitution(r, s, a, b)(self).
 
         Raises TypeError naming the variable for any other image,
         SpecializationPole when the denominator vanishes identically,
         LatticeOverflow when a fractional exponent meets a non-monomial image.
         """
-        images = []
-        for name, img in zip("rsab", (r, s, a, b)):
-            if img is not None:
-                img = RatFunc._coerce(img)
-                if img is NotImplemented:
-                    raise TypeError(f"image of {name} must be RatFunc, int or Fraction")
-            images.append(img)
-        ni = _subst_poly(self.num, images)
-        di = _subst_poly(self.den, images)
-        if di.is_zero():
-            raise SpecializationPole("substitution sends the denominator to zero")
-        return ni / di
+        return substitution(r, s, a, b)(self)
+
+    def as_point(self):
+        """(key, c) for a nonzero monomial c * r^(k0/6) s^(k1/6) a^k2 b^k3,
+        with c an int or, off the integers, a Fraction; None for any other
+        value.  Equal monomials have equal points (the canonical form is
+        unique), and from_point inverts it."""
+        if len(self.num) != 1 or len(self.den) != 1:
+            return None
+        ((k, c),) = self.num.items()
+        d = self.den[_ZERO_KEY]
+        return k, (c if d == 1 else Fraction(c, d))
+
+    @classmethod
+    def from_point(cls, key, c) -> "RatFunc":
+        """The monomial c * r^(k0/6) s^(k1/6) a^k2 b^k3 of the lattice point
+        (key, c), c a nonzero int or Fraction."""
+        return cls._make({key: c.numerator}, {_ZERO_KEY: c.denominator})
 
     def __repr__(self):
         return f"RatFunc({render(self)!r})"
@@ -654,44 +666,85 @@ def eval_mod(x: RatFunc, point, monomials=None):
     return None if d == 0 else at(x.num) * pow(d, -1, P61) % P61
 
 
-def _subst_poly(p, images) -> RatFunc:
-    """The image of the Laurent dict p with images[ax] put for each axis
-    whose image is not None.
+def substitution(r=None, s=None, a=None, b=None):
+    """The map x -> x.substitute(r, s, a, b), compiled once for every value
+    it is applied to.
 
-    When every image is a monomial x^m with coefficient 1, the image of a
-    term is a term: an exponent e on a substituted axis becomes e m (e/6 m on
-    r and s, whose stored exponents are sixths), so the keys are mapped and
-    the coefficients of equal keys added, with no power and no product; a
-    Laurent dict over the unit denominator is canonical as it stands.  A key
-    that leaves the (1/6)Z lattice there falls through to the general path,
-    which raises its LatticeOverflow.  The general path groups the terms by
-    their exponents on the substituted axes: a class keeps its other
-    exponents as one Laurent coefficient, takes each image's power once and
-    is added to the sum once.
+    Compiling coerces the images (TypeError naming the variable for any
+    other image) and reads the axis moves of a relabel (_moves), so neither
+    is repeated per value.  A numerator or denominator is then mapped in
+    one of two ways:
+    - When every image is a monomial x^m with coefficient 1, the image of a
+      term is a term: an exponent e on a substituted axis becomes e m (e/6 m
+      on r and s, whose stored exponents are sixths), so the keys are
+      mapped and the coefficients of equal keys added, with no power and no
+      product (_relabel).  A key that leaves the (1/6)Z lattice there falls
+      through to the general path, which raises its LatticeOverflow.
+    - The general path groups the terms by their exponents on the
+      substituted axes: a class keeps its other exponents as one Laurent
+      coefficient, is multiplied by each image's power and is added to the
+      sum once.  The powers images[ax] ** e are kept in one table that
+      belongs to the map, so each distinct power is raised once however
+      many values the map is applied to, and is dropped with the map.
+    A Laurent value's denominator is a positive integer, so its image is
+    the image of its numerator over that integer, canonicalized, with no
+    quotient of rational functions; any other value's image is the
+    quotient of the two images, after SpecializationPole when the
+    denominator's image is zero.  Without images the map is the identity.
     """
-    out = _relabel(p, images)
-    if out is not None:
-        return out
+    images = []
+    for name, img in zip("rsab", (r, s, a, b)):
+        if img is not None:
+            img = RatFunc._coerce(img)
+            if img is NotImplemented:
+                raise TypeError(f"image of {name} must be RatFunc, int or Fraction")
+        images.append(img)
     axes = [ax for ax in range(4) if images[ax] is not None]
-    classes = {}
-    for k, c in p.items():
-        rest = list(k)
-        for ax in axes:
-            rest[ax] = 0
-        classes.setdefault(tuple(k[ax] for ax in axes), {})[tuple(rest)] = c
-    out = ZERO
-    for exps, rest in classes.items():
-        term = RatFunc._make(rest, _UNIT)
-        for ax, e in zip(axes, exps):
-            if e:
-                term = term * images[ax] ** (Fraction(e, LATTICE) if ax < 2 else e)
-        out = out + term
-    return out
+    if not axes:
+        return lambda x: x
+    moves = _moves(images)
+    powers = {}
+
+    def poly(p) -> RatFunc:
+        if moves is not None:
+            out = _relabel(p, moves)
+            if out is not None:
+                return out
+        classes = {}
+        for k, c in p.items():
+            rest = list(k)
+            for ax in axes:
+                rest[ax] = 0
+            classes.setdefault(tuple(k[ax] for ax in axes), {})[tuple(rest)] = c
+        out = ZERO
+        for exps, rest in classes.items():
+            term = RatFunc._make(rest, _UNIT)
+            for ax, e in zip(axes, exps):
+                if e:
+                    pw = powers.get((ax, e))
+                    if pw is None:
+                        pw = powers[ax, e] = images[ax] ** (Fraction(e, LATTICE) if ax < 2 else e)
+                    term = term * pw
+            out = out + term
+        return out
+
+    def substitute(x: RatFunc) -> RatFunc:
+        ni = poly(x.num)
+        if len(x.den) > 1:
+            di = poly(x.den)
+            if di.is_zero():
+                raise SpecializationPole("substitution sends the denominator to zero")
+            return ni / di
+        d = x.den[_ZERO_KEY]
+        return ni if d == 1 else RatFunc._canonical(ni.num, {k: v * d for k, v in ni.den.items()})
+
+    return substitute
 
 
-def _relabel(p, images):
-    """_subst_poly(p, images) when every image is a monomial with coefficient
-    1 and every mapped key stays on the lattice; None otherwise."""
+def _moves(images):
+    """The axis moves of a relabel: (ax, the nonzero (j, m_j) of the image
+    x^m of axis ax, the lattice scale of ax) per substituted axis; None
+    unless every image is a monomial with coefficient 1."""
     moves = []
     for ax, img in enumerate(images):
         if img is not None:
@@ -700,18 +753,27 @@ def _relabel(p, images):
             ((m, c),) = img.num.items()
             if c != 1:
                 return None
-            moves.append((ax, m, LATTICE if ax < 2 else 1))
+            moves.append((ax, [(j, mj) for j, mj in enumerate(m) if mj], LATTICE if ax < 2 else 1))
+    return moves
+
+
+def _relabel(p, moves) -> RatFunc:
+    """The image of the Laurent dict p under the relabel moves (_moves) when
+    every mapped key stays on the lattice; None otherwise.  key[ax] -= e
+    removes the original exponent e of a moved axis whatever earlier moves
+    added to it, so the moves may be taken one at a time."""
     out = {}
     for k, c in p.items():
         key = list(k)
-        for ax, _, _ in moves:
-            key[ax] = 0
         for ax, m, d in moves:
-            for j, mj in enumerate(m):
-                q, miss = divmod(mj * k[ax], d)
-                if miss:
-                    return None
-                key[j] += q
+            e = k[ax]
+            if e:
+                key[ax] -= e
+                for j, mj in m:
+                    q, miss = divmod(mj * e, d)
+                    if miss:
+                        return None
+                    key[j] += q
         key = tuple(key)
         v = out.get(key, 0) + c
         if v:

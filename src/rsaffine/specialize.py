@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import SpecializationPole
-from .field import MAX_EXPONENT, R, S, RatFunc
+from .field import MAX_EXPONENT, R, S, RatFunc, substitution
 from .rep_core import MatrixModule
 
 S_TO_R_INVERSE = "s_to_r_inverse"
@@ -50,7 +50,9 @@ class SpecMap:
         return {}
 
     def apply(self, x: RatFunc) -> RatFunc:
-        return x.substitute(**self.subs())
+        """The image of one value; specialize_module compiles the map once
+        for every entry of a module."""
+        return substitution(**self.subs())(x)
 
 
 def parse_spec_map(text: str) -> SpecMap:
@@ -88,12 +90,14 @@ def _map_generators(mod: MatrixModule, fn) -> dict:
 
 def substitute_module(mod: MatrixModule, **subs) -> MatrixModule:
     """Image of mod under RatFunc.substitute(**subs), applied to every
-    generator matrix entrywise and, in one map of the table, to its entries
-    and its images of (r, s), from which the relation coefficients are read
-    (classical data and diagnostics inherited, not recomputed)."""
-    assign = _map_generators(mod, lambda x: x.substitute(**subs))
-    entries = tuple(tuple(e.substitute(**subs) for e in row) for row in mod.table.entries)
-    rs = tuple(x.substitute(**subs) for x in mod.table.rs)
+    generator matrix entrywise and to the table's entries and its images of
+    (r, s), from which the relation coefficients are read (classical data
+    and diagnostics inherited, not recomputed).  One compiled map
+    (field.substitution) serves every entry."""
+    sub = substitution(**subs)
+    assign = _map_generators(mod, sub)
+    entries = tuple(tuple(sub(e) for e in row) for row in mod.table.entries)
+    rs = tuple(sub(x) for x in mod.table.rs)
     return MatrixModule(replace(mod.table, entries=entries, rs=rs), assign, check=False)
 
 
@@ -118,9 +122,11 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
     Regularity is checked as substitute_module checks it, walking the
     stored entries generator by generator in assignment order, with one
     substitution per distinct entry denominator and no mapped copy, and
-    raises the same SpecializationPole, naming the same generator.  Without
-    a pin the symbolic run is the run; a zero pin, where a^-1 or b^-1 is not
-    regular, takes the direct path and raises what the substitution raises.
+    raises the same SpecializationPole, naming the same generator.  One
+    compiled map (field.substitution) serves that walk and the failures.
+    Without a pin the symbolic run is the run; a zero pin, where a^-1 or
+    b^-1 is not regular, takes the direct path and raises what the
+    substitution raises.
 
     Lemma (loop twists): let every entry of each current x+-(k) of symbolic
     be homogeneous of a-degree k, and let its series and imaginary
@@ -148,6 +154,7 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
         return check(symbolic)
     if not all(pins):
         return check(substitute_module(symbolic, a=a, b=b))
+    at_pin = substitution(a=a, b=b)
     # a Laurent entry's denominator is a constant, regular at every pin
     regular = set()
     for g, mat in symbolic.assign.items():
@@ -157,13 +164,10 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
                     den = x.as_quotient()[1]
                     if den not in regular:
                         try:  # raises on a pole, as x.substitute would
-                            den.inv().substitute(a=a, b=b)
+                            at_pin(den.inv())
                         except SpecializationPole as exc:
                             raise SpecializationPole(f"generator {g} has a pole: {exc}") from None
                         regular.add(den)
-
-    def at_pin(x):
-        return x.substitute(a=a, b=b)
 
     reports = check(symbolic)
     for rep in reports:
@@ -178,7 +182,12 @@ def specialize_module(mod: MatrixModule, m: SpecMap) -> MatrixModule:
 
 
 def centrality_report(mod: MatrixModule) -> dict:
-    """Do the group-like matrices commute with every generator matrix?"""
+    """Do the group-like matrices commute with every generator matrix?
+
+    A group-like g with lattice points in the weight view (rep_core.Weights)
+    is diagonal, so [g, h]_ab = (g_a - g_b) h_ab, and g commutes with h
+    exactly when g_a == g_b, equal points, at every nonzero h_ab; any other
+    g takes its commutators."""
     from .matrix import commutator
     from .rep_core import W_KIND, WP_KIND
 
@@ -186,8 +195,13 @@ def centrality_report(mod: MatrixModule) -> dict:
     failures = []
     checked = 0
     for g, gm in grouplikes:
+        pts = mod.weights.points.get(g)
         for h, hm in mod.assign.items():
             checked += 1
-            if not commutator(gm, hm).is_zero():
+            if pts is not None:
+                central = all(pts[a] == pts[b] for a, row in enumerate(hm._rows) for b in row)
+            else:
+                central = commutator(gm, hm).is_zero()
+            if not central:
                 failures.append(f"[{g}, {h}] != 0")
     return {"checked": checked, "failures": failures}

@@ -18,7 +18,9 @@ serves modules whose currents were changed after the build, such as the
 loop twists.
 """
 
-from rsaffine.errors import BadConstantTerm, NotEigenvector, WindowTooSmall
+from truncseries import BadConstantTerm
+
+from rsaffine.errors import NotEigenvector, WindowTooSmall
 from rsaffine.field import ZERO, R, S
 from rsaffine.matrix import Matrix, commutator
 from rsaffine.rep_core import (

@@ -94,7 +94,10 @@ def test_verify_kmax_bound(capsys):
 # entry, where each inverse is now taken entry by entry, made 1,341; and
 # a(l) through the log-derivative recurrence, where each entry is now read
 # off the telescoped per-weight form with no product (sl2 docstring), 1,301.
-VERIFY_N4_PMUL_CALLS = 1077
+# The weight view multiplying the diagonal entries g_a h_b of each
+# conjugation scalar, where the entries are now lattice points whose keys
+# add (rep_core.Weights), made 1,077.
+VERIFY_N4_PMUL_CALLS = 981
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -493,7 +496,13 @@ def test_drinfeld_reports_a_series_off_the_polynomial_form(capsys, monkeypatch):
 # pairs are diagonal, so they are read off its weight view, 1,110; and
 # build_chevalley_eval inverting w and w' through Matrix.inverse, with two
 # products per entry, where each inverse is now taken entry by entry, 1,078.
-TENSOR_33_PINNED_PMUL_CALLS = 1046
+# Each pinned factor's Laurent entries divided by the image of their
+# integer denominator, where the compiled substitution now keeps the
+# numerator's image over it (field.substitution), made 1,046; and the weight
+# views multiplying the diagonal entries g_a h_b of each conjugation scalar,
+# where the entries are now lattice points whose keys add
+# (rep_core.Weights), 980.
+TENSOR_33_PINNED_PMUL_CALLS = 524
 
 
 def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -564,7 +573,14 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # entry, where each inverse is now taken entry by entry, made 1,375; and
 # a(l) through the log-derivative recurrence, where each entry is now read
 # off the telescoped per-weight form with no product (sl2 docstring), 1,351.
-MUTATED_PINNED_PMUL_CALLS = 1271
+# Each substituted entry raising its own powers of the pin, where one
+# compiled substitution now keeps a table of them (field.substitution),
+# made 1,271; each Laurent entry divided by the image of its integer
+# denominator, where its numerator's image is now kept over it, 1,145; and
+# the weight view multiplying the diagonal entries g_a h_b of each
+# conjugation scalar, where they are now lattice points (rep_core.Weights),
+# 1,084.
+MUTATED_PINNED_PMUL_CALLS = 1040
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -821,8 +837,14 @@ def test_twist_sigma(capsys):
 # Matrix.inverse, with two products per entry, where each inverse is now
 # taken entry by entry, made 1,105; and a(l) through the log-derivative
 # recurrence, where each entry is now read off the telescoped per-weight
-# form with no product (sl2 docstring), 1,089.
-TWIST_GAMMA2_N3_PMUL_CALLS = 982
+# form with no product (sl2 docstring), 1,089.  Each current's entries
+# raising their own powers of c·a, where one compiled substitution now keeps
+# a table of them (field.substitution), made 982; each Laurent entry divided
+# by the image of its integer denominator, where its numerator's image is
+# now kept over it, 742; and the weight view multiplying the diagonal
+# entries g_a h_b of each conjugation scalar, where they are now lattice
+# points (rep_core.Weights), 664.
+TWIST_GAMMA2_N3_PMUL_CALLS = 652
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):
@@ -841,6 +863,29 @@ def test_twist_pmul_count_tripwire(capsys, monkeypatch):
     assert code == EXIT_PASS
     assert calls == TWIST_GAMMA2_N3_PMUL_CALLS
     assert calls < 5676
+
+
+# The entrywise match of a gamma2 twist maps every current through one
+# compiled substitution a -> c·a (field.substitution), whose table of image
+# powers serves all of them: each distinct power of c·a is raised once,
+# where each entry raised its own.
+def test_twist_raises_each_image_power_once(capsys, monkeypatch):
+    from collections import Counter
+
+    from rsaffine.field import A, RatFunc, parse
+
+    ca, raised = parse("(1+r)/(2+s)") * A, Counter()
+    pow_ = RatFunc.__pow__
+
+    def counting(x, n):
+        if x == ca:
+            raised[n] += 1
+        return pow_(x, n)
+
+    monkeypatch.setattr(RatFunc, "__pow__", counting)
+    code, _ = run(capsys, "twist", "--aut", "gamma2", "--c", "(1+r)/(2+s)", "--n", "3", "--json")
+    assert code == EXIT_PASS
+    assert raised and max(raised.values()) == 1
 
 
 def test_output_does_not_depend_on_the_environment():

@@ -24,6 +24,7 @@ from rsaffine.field import (
     S,
     ZERO,
     RatFunc,
+    _moves,
     _relabel,
     _univ_collapse,
     _univ_view,
@@ -36,6 +37,7 @@ from rsaffine.field import (
     quantum_int_sum,
     render,
     rf,
+    substitution,
 )
 
 
@@ -706,6 +708,19 @@ def test_substitute_matches_term_by_term(x, r, s, a, b):
     assert got == _outcome(lambda: termsubst.substitute(x, r=r, s=s, a=a, b=b))
 
 
+# One compiled map applied to several values shares its table of image
+# powers across them; each image, or the error it raises, is still the
+# oracle's for that value alone.
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_substituted_values, min_size=2, max_size=4), _images, _images, _images, _images)
+@example(xs=[A**-1 + R, (1 + A) / (2 + R), A**2], r=None, s=None, a=ZERO, b=None)
+@example(xs=[R ** Fraction(1, 2) + A, (1 + R) ** 2, R**-1], r=1 + R, s=None, a=2 * B, b=None)
+def test_one_map_serves_many_values(xs, r, s, a, b):
+    sub = substitution(r=r, s=s, a=a, b=b)
+    for x in xs:
+        assert _outcome(lambda: sub(x)) == _outcome(lambda: termsubst.substitute(x, r=r, s=s, a=a, b=b))
+
+
 @pytest.mark.parametrize(
     "x, images, error",
     (
@@ -747,7 +762,8 @@ def test_monomial_images_relabel_the_keys(x, r, s, a, b):
     assert got == _outcome(lambda: termsubst.substitute(x, r=r, s=s, a=a, b=b))
     # the keys are relabelled unless one leaves the lattice, where the
     # general path raises the oracle's LatticeOverflow
-    missed = _relabel(x.num, images) is None or _relabel(x.den, images) is None
+    moves = _moves(images)
+    missed = _relabel(x.num, moves) is None or _relabel(x.den, moves) is None
     assert missed == (got[0] is LatticeOverflow)
 
 
@@ -760,9 +776,9 @@ def test_monomial_images_keep_the_errors_and_the_general_path():
     assert str(got.value) == str(want.value)
     # a coefficient other than 1 takes the general path
     y = (1 + A**2) / (R - S * A)
-    assert _relabel(y.num, [None, None, 2 * B, None]) is None
+    assert _moves([None, None, 2 * B, None]) is None
     assert y.substitute(a=2 * B) == termsubst.substitute(y, a=2 * B) == (1 + 4 * B**2) / (R - 2 * S * B)
-    assert _relabel((1 + A**2).num, [None, None, B, None]) == 1 + B**2
+    assert _relabel((1 + A**2).num, _moves([None, None, B, None])) == 1 + B**2
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,7 @@ from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from rsaffine.field import A, B, ONE, R, S, ZERO, parse, quantum_int, rf
+from rsaffine.field import A, B, ONE, R, S, ZERO, RatFunc, parse, quantum_int, rf
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (
     WP_KIND,
@@ -487,16 +487,22 @@ def products_per_relation(monkeypatch, check, dim=None, passing=True):
     """The matrix products each relation's checker spans while check() runs,
     which must pass unless passing is False; with dim, only the products of
     dim x dim matrices."""
+    counted = lambda a, b: dim is None or a.n == dim
+    return calls_per_relation(monkeypatch, check, Matrix, "__matmul__", counted, passing)
+
+
+def calls_per_relation(monkeypatch, check, owner, name, counted=lambda *args: True, passing=True):
+    """The calls of owner.name for which counted(*args) holds that each
+    relation's checker spans while check() runs, which must pass unless
+    passing is False."""
     import rsaffine.rep_core as rep_core
 
-    calls = 0
-    spans = {}
-    matmul = Matrix.__matmul__
+    calls, spans, fn = 0, {}, getattr(owner, name)
 
-    def counting(a, b):
+    def counting(*args):
         nonlocal calls
-        calls += dim is None or a.n == dim
-        return matmul(a, b)
+        calls += counted(*args)
+        return fn(*args)
 
     class Spans(rep_core._Checker):
         def __init__(self, relation_id):
@@ -507,7 +513,7 @@ def products_per_relation(monkeypatch, check, dim=None, passing=True):
             spans[self.report.relation_id] = calls - self.start
             return super().done()
 
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    monkeypatch.setattr(owner, name, counting)
     monkeypatch.setattr(rep_core, "_Checker", Spans)
     assert all_pass(check()) or not passing
     return spans
@@ -518,6 +524,24 @@ def test_each_relation_builds_its_products_once(monkeypatch, kmax, lmax):
     mod = build_current_eval(1, kmax=kmax, lmax=lmax)
     spans = products_per_relation(monkeypatch, lambda: check_drinfeld(mod, kmax, lmax))
     assert {rid: n for rid, n in spans.items() if not rid.startswith("D8")} == relation_products(kmax, lmax)
+
+
+# Two diagonal generators commute, and the weight view's diagonal set names
+# every stored diagonal generator, a(l) included: the R1 commutators of the
+# group-likes and the D1, D2 and D3 ones of the group-likes and the a(l) are
+# read off it, with no commutator and no is_diagonal test, where each of
+# their instances took a commutator that tested both operands.
+def test_diagonal_commutators_are_read_off_the_view(monkeypatch):
+    import rsaffine.rep_core as rep_core
+
+    mod = build_current_eval(12, False, kmax=8, lmax=16)
+    chev = build_chevalley_eval(12)
+    # the diagonal set is read once per module, on first use
+    assert Aim(1, 16) in mod.weights.diagonal and W(0) in chev.weights.diagonal
+    for owner, name in ((rep_core, "commutator"), (Matrix, "is_diagonal")):
+        spans = calls_per_relation(monkeypatch, lambda: check_drinfeld(mod, 8, 16), owner, name)
+        assert spans["D1"] == spans["D2"] == spans["D3"] == 0
+        assert calls_per_relation(monkeypatch, lambda: check_chevalley(chev), owner, name)["R1"] == 0
 
 
 # -- R2, R3 and R4 against the plain loops -----------------------------------------------
@@ -631,6 +655,7 @@ def _chevalley_modules():
         }
         for name, (gen, mat) in broken.items():
             yield f"n={n} {name}", chev.with_assign(gen, mat)
+        yield f"n={n} w(1) = diag(1+r, 1, ...) with its inverse", _non_monomial_pair(chev)
         # level zero without the identity: (-1)^2 (-1)^2 = 1
         minus = {g(e): -ident for g in (GammaHalf, GammaPrimeHalf) for e in (1, -1)}
         yield f"n={n} both gamma halves at -1", MatrixModule(chev.table, {**chev.assign, **minus})
@@ -656,6 +681,15 @@ def _chevalley_modules():
     mL, mR = _factors()
     yield "tensor 2x3 with a non-diagonal w(0) on the left", tensor(_conjugated(mL, W(0)), mR)
     yield "tensor 2x3 with a non-diagonal w'(1) on the right", tensor(mL, _conjugated(mR, Wp(1)))
+
+
+def _non_monomial_pair(mod):
+    """mod with w(1) = diag(1+r, 1, ..., 1) and w(1)^-1 its inverse: a
+    diagonal inverse pair with a non-monomial entry, so outside the weight
+    view's lattice points, and R2 fails on e(1) and f(1)."""
+    d = [1 + R] + [ONE] * (mod.dim - 1)
+    pair = {W(1): Matrix.diagonal(d), W(1, -1): Matrix.diagonal([x.inv() for x in d])}
+    return MatrixModule(mod.table, {**mod.assign, **pair})
 
 
 def _conjugated(mod, plus):
@@ -689,11 +723,14 @@ def test_r2_and_r4_take_the_conjugation_lemma(monkeypatch, n):
     assert (spans["R2"], spans["R4"]) == (0, 24)
 
 
-# The weight view against the products it stands for: a scalar that is a
-# value is the c of g x h == c x multiplied out, for h = g.partner; "not
-# homogeneous" (False) has two nonzeros x_ab with different g_a h_b; "not
-# diagonal" (None) has g or h off the diagonal; and g, a gamma half too, is
-# in the inverse set exactly when g and h are diagonal and h g == 1.
+# The weight view against the products it stands for: g is in the diagonal
+# set exactly when it is diagonal, and has lattice points exactly when it is
+# diagonal with nonzero monomial entries, whose points they are; a scalar
+# that is a value is the c of g x h == c x multiplied out, for h =
+# g.partner; "not homogeneous" (False) has two nonzeros x_ab with different
+# g_a h_b; "not in the view" (None) has g or h without points; and g, a
+# gamma half too, is in the inverse set exactly when g and h have points
+# and h g == 1.
 @pytest.mark.parametrize(
     "mod",
     [
@@ -706,17 +743,20 @@ def test_weight_view_matches_the_products(mod):
     halves = (g(e) for g in (GammaHalf, GammaPrimeHalf) for e in (1, -1))
     for g in (*(Gen(kind, i, e) for kind in (W_KIND, WP_KIND) for i in nodes for e in (1, -1)), *halves):
         gm, hm = mod.get(g), mod.get(g.partner)
-        diagonal = gm.is_diagonal() and hm.is_diagonal()
-        assert wts.diagonal.get(g) == ([gm[a, a] for a in range(mod.dim)] if gm.is_diagonal() else None)
-        assert (g in wts.inverse) == (diagonal and hm @ gm == Matrix.identity(mod.dim))
+        assert (g in wts.diagonal) == gm.is_diagonal()
+        entries = [gm[a, a] for a in range(mod.dim)]
+        monomial = gm.is_diagonal() and all(x and x.is_monomial() for x in entries)
+        assert wts.points.get(g) == ([x.as_point() for x in entries] if monomial else None)
+        assert not monomial or [RatFunc.from_point(*p) for p in wts.points[g]] == entries
+        viewed = g in wts.points and g.partner in wts.points
+        assert (g in wts.inverse) == (viewed and hm @ gm == Matrix.identity(mod.dim))
         for x in (gen(i) for gen in (E, F) for i in nodes):
             v, xm = wts.scalar(g, x), mod.get(x)
-            if v is None:
-                assert not diagonal
-            elif v is False:
-                assert diagonal and len({gm[a, a] * hm[b, b] for a, row in enumerate(xm._rows) for b in row}) > 1
-            else:
-                assert diagonal and gm @ xm @ hm == xm.scale(v)
+            assert (v is None) == (not viewed)
+            if v is False:
+                assert len({gm[a, a] * hm[b, b] for a, row in enumerate(xm._rows) for b in row}) > 1
+            elif v is not None:
+                assert gm @ xm @ hm == xm.scale(v)
             assert wts.scalar(g, x) is v
 
 
@@ -744,6 +784,23 @@ def test_conjugation_scalar_reads_the_lemma():
         assert off.inverse == pairs - {W(1), W(1, -1)}
     # read once per module
     assert chev.weights is chev.weights
+
+
+# A diagonal inverse pair with a non-monomial entry leaves the view: it is
+# diagonal, but has no lattice points, no inverse pair and no scalar, so its
+# R1 and R2 instances take their plain products, and the R2 instances on
+# e(1) and f(1) fail with the sides the plain loops build.
+@pytest.mark.parametrize("n", (1, 3))
+def test_a_non_monomial_inverse_pair_leaves_the_view(n):
+    mod = _non_monomial_pair(build_chevalley_eval(n))
+    wts = mod.weights
+    assert {W(1), W(1, -1)} <= wts.diagonal
+    assert W(1) not in wts.points and W(1, -1) not in wts.points
+    assert W(1) not in wts.inverse and wts.scalar(W(1), E(1)) is None
+    reports, plain = {r.relation_id: r for r in check_chevalley(mod)}, plain_reports(mod)
+    for rid in ("R1", "R2"):
+        assert (reports[rid].instances_checked, reports[rid].failures) == plain[rid]
+    assert reports["R1"].passed and not reports["R2"].passed
 
 
 def test_tensor_lemmas_see_the_cases_they_decide():

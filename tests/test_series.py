@@ -4,10 +4,10 @@ oracle's own arithmetic (division, inv, log, exp, exact coefficients)."""
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from truncseries import TruncSeries
+from truncseries import BadConstantTerm, TruncSeries
 
 from rsaffine.drinfeld import expand
-from rsaffine.errors import BadConstantTerm, DivisionByZero
+from rsaffine.errors import DivisionByZero
 from rsaffine.field import A, ONE, R, S, ZERO, rf
 
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 from seriesoracle import with_series
-from truncseries import TruncSeries
+from truncseries import BadConstantTerm, TruncSeries
 
 from rsaffine.cli import MAX_KMAX
-from rsaffine.errors import BadConstantTerm, MissingGenerator, NotEigenvector, WindowTooSmall
+from rsaffine.errors import MissingGenerator, NotEigenvector, WindowTooSmall
 from rsaffine.field import A, ONE, R, S, ZERO, quantum_int
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import (

@@ -7,7 +7,7 @@ from twists import twist_gamma1, twist_gamma2
 
 from rsaffine.cartan import AffineType, build_pairing
 from rsaffine.errors import DivisionByZero, SpecializationPole, TypeMismatch
-from rsaffine.field import ONE, A, B, R, S, ZERO, parse, quantum_int
+from rsaffine.field import ONE, A, B, R, S, ZERO, RatFunc, parse, quantum_int
 from rsaffine.hopf import span_closure, tensor
 from rsaffine.matrix import Matrix
 from rsaffine.rep_core import E, MatrixModule, W, Wp, Xm, Xp, all_pass, check_chevalley, check_drinfeld
@@ -101,6 +101,55 @@ def test_grouplikes_of_the_generic_module_are_not_central():
     assert rep["checked"] == 128
     assert len(rep["failures"]) == 32
     assert "[W(1,+1), E(1)] != 0" in rep["failures"]
+
+
+# centrality_report reads a group-like with lattice points off its
+# diagonal; against the plain commutators it gives the same failures, in the
+# same order, on the generic, the specialized and two corrupted modules: a
+# group-like with a non-monomial entry and one that is not diagonal, both
+# outside the view's points.
+@pytest.mark.parametrize("n", (1, 3))
+def test_centrality_matches_the_commutators(n):
+    chev = build_chevalley_eval(n)
+    d = [1 + R] + [ONE] * n
+    for mod in (
+        chev,
+        specialize_module(chev, SpecMap("s_to_r")),
+        chev.with_assign(W(1), Matrix.diagonal(d)),
+        chev.with_assign(Wp(0), chev.get(Wp(0)) + chev.get(E(0))),
+    ):
+        plain = [
+            f"[{g}, {h}] != 0"
+            for g, gm in mod.assign.items()
+            if g.kind in ("W", "Wp")
+            for h, hm in mod.assign.items()
+            if not (gm @ hm - hm @ gm).is_zero()
+        ]
+        assert centrality_report(mod)["failures"] == plain
+
+
+# Every entry of the Chevalley evaluation module and of its table is a
+# Laurent polynomial, whose image is its substituted numerator over its
+# integer denominator (field.substitution): substitute_module divides no two
+# rational functions, under every SpecMap and at a = B, where each entry's
+# image was the quotient of its numerator's and its denominator's.
+@pytest.mark.parametrize("n", (1, 4))
+def test_substitute_module_takes_no_quotient(monkeypatch, n):
+    mod = build_chevalley_eval(n)
+    maps = [SpecMap(kind).subs() for kind in ("s_to_r_inverse", "s_to_r", "independent")]
+    maps += [SpecMap("r_to_s_pow", k).subs() for k in (-3, 2)] + [{"a": B}]
+    calls = 0
+    truediv = RatFunc.__truediv__
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return truediv(x, y)
+
+    monkeypatch.setattr(RatFunc, "__truediv__", counting)
+    for subs in maps:
+        substitute_module(mod, **subs)
+    assert calls == 0
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -9,8 +9,16 @@ index k, so the one set of recurrences serves both.
 
 from __future__ import annotations
 
-from rsaffine.errors import BadConstantTerm
+from rsaffine.errors import RsaffineError
 from rsaffine.field import ONE, ZERO, RatFunc
+
+
+class BadConstantTerm(RsaffineError):
+    """A series constant term violates a precondition: a zero w(0)
+    eigenvalue, which the log-derivative recurrence (seriesoracle) divides
+    by, or a constant term a series quotient, logarithm or exponential
+    cannot take.  Only these test oracles raise it: the library reads a(l)
+    off its closed form and expands no series quotient."""
 
 
 class TruncSeries:
