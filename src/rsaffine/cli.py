@@ -178,16 +178,17 @@ def cmd_table(args) -> int:
     t = build_pairing(_parse_type(args.type))
     doc = table_to_json(t)
     doc["command"] = "table"
-    _emit(doc, args.json, () if args.json else _table_lines(t))
+    _emit(doc, args.json, () if args.json else _table_lines(t, doc["entries"]))
     return EXIT_PASS
 
 
-def _table_lines(t):
-    """The text form of a pairing table: its entries in columns of one width."""
-    width = max(len(render(e)) for row in t.entries for e in row)
+def _table_lines(t, entries):
+    """The text form of a pairing table: its entries, as rendered once in
+    the JSON document, in columns of one width."""
+    width = max(len(e) for row in entries for e in row)
     lines = [f"quantum Cartan matrix for {t.type}"]
-    for row in t.entries:
-        lines.append("  " + "  ".join(render(e).ljust(width) for e in row))
+    for row in entries:
+        lines.append("  " + "  ".join(e.ljust(width) for e in row))
     for d in t.diagnostics:
         lines.append(f"  note: {d}")
     return lines

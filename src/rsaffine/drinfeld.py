@@ -19,9 +19,15 @@ and for 0 <= i <= n
     R(us) Q(ur) / (R(ur) Q(us))  =  (1 - r p_0 u)(1 - r p_(n+1) u)
                                     / ((1 - r p_i u)(1 - r p_(i+1) u)),
 
-where one more factor cancels when i = 0 or i = n.  Both sides have
-constant term 1, so the reduced ratio expands to the same truncated series
-as the unreduced one.
+where one more factor cancels when i = 0 or i = n.  verify_RQ_form cancels
+the factor lists on their lattice points (exponent keys), with no product.
+
+RQ identity.  D(0) = 1, so D is a unit mod u^(order+1), and c_0..c_order
+is the expansion to order of r^(n-i) s^i N/D (reduced or not) exactly when
+c D == r^(n-i) s^i N (mod u^(order+1)).  verify_RQ_form multiplies c by
+each factor (1 - x u) of D, one monomial product per coefficient, and
+compares with the at most three coefficients of N, so a pass expands
+nothing; expand renders a failing weight's residual.
 
 A truncated series is the tuple of its coefficients c_0..c_order, its
 order being len - 1.  expand is the one expansion of a polynomial ratio,
@@ -51,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, MirrorMismatch, NoSolution
-from .field import A, ONE, R, S, ZERO, monomial_quotient, render
+from .field import A, LATTICE, ONE, R, S, ZERO, RatFunc, monomial_quotient, render
 from .rep_core import MatrixModule
 from .sl2 import build_series_eval, series_matrices, shift_factor
 
@@ -248,39 +254,36 @@ def weight_gamma_series(mod: MatrixModule, i: int, order: int):
 
 def rq_polynomials(n: int, i: int):
     """The two factor lists (R, Q) in the per-weight closed form, as
-    linear-factor parameter lists: R over j = 1..n, Q doubled over j = 1..i."""
-    rfac = [A * R**-j * S ** (j - n - 1) for j in range(1, n + 1)]
-    qfac = []
-    for j in range(1, i + 1):
-        qfac.append(A * R**-j * S ** (j - n - 1))
-        qfac.append(A * R ** (1 - j) * S ** (j - n - 2))
-    return rfac, qfac
+    linear-factor parameter lists: R over j = 1..n, Q doubled over j = 1..i,
+    with each p_j = a r^-j s^(j-n-1) built from its lattice point."""
+    p = [RatFunc.from_point((-LATTICE * j, LATTICE * (j - n - 1), 1, 0), 1) for j in range(n + 1)]
+    return p[1:], [q for j in range(1, i + 1) for q in (p[j], p[j - 1])]
 
 
 def _poly_from_roots(params):
+    """The coefficients of prod (1 - x z) over the parameters x."""
     coeffs = [ONE]
-    for rt in params:
-        nxt = [ZERO] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j] = nxt[j] + c
-            nxt[j + 1] = nxt[j + 1] - c * rt
-        coeffs = nxt
+    for x in params:
+        coeffs = [a - x * b for a, b in zip([*coeffs, ZERO], [ZERO, *coeffs])]
     return coeffs
 
 
-def _expand_rq(n: int, i: int, order: int, rfac, qfac) -> tuple:
-    num = Counter([S * p for p in rfac] + [R * p for p in qfac])
-    den = Counter([R * p for p in rfac] + [S * p for p in qfac])
-    num, den = _poly_from_roots((num - den).elements()), _poly_from_roots((den - num).elements())
-    scale = R ** (n - i) * S**i
-    return expand([c * scale for c in num], den, order)
+def _rq_reduced(rfac, qfac):
+    """The parameters x of (1 - x u) in N and in D, cancelled on lattice points."""
+    def keys(params, dr, ds):
+        return Counter(((k[0] + dr, k[1] + ds, k[2], k[3]), c) for k, c in map(RatFunc.as_point, params))
+
+    num, den = keys(rfac, 0, LATTICE) + keys(qfac, LATTICE, 0), keys(rfac, LATTICE, 0) + keys(qfac, 0, LATTICE)
+    return [[RatFunc.from_point(*x) for x in (u - v).elements()] for u, v in ((num, den), (den, num))]
 
 
 def verify_RQ_form(mod: MatrixModule, order: int) -> dict:
-    """Per-weight check of the closed-form eigenvalue generating function.
+    """Per-weight check of the closed-form eigenvalue generating function
+    on a module with the rs^-1 shift (the closed form's normalization).
 
-    The module must carry the rs^-1 shift (the closed form is stated for
-    that normalization).  Also asserts the two prefactor readings agree:
+    Weight i passes when its stored w(0..order)_ii meet the RQ identity on
+    the reduced form N/D (module docstring); only a failing weight is
+    expanded, for its residual.  prefactor_consistent asserts that
     r^(deg R - deg Q/2) s^(deg Q/2) == r^(n-i) s^i, with deg R and deg Q
     read from the factor lists of rq_polynomials (they are n and 2i).
     Failures are report content, never exceptions; an order below 1, which
@@ -292,26 +295,22 @@ def verify_RQ_form(mod: MatrixModule, order: int) -> dict:
     ws, _ = series_matrices(mod, order)
     results = []
     for i in range(n + 1):
-        plus = tuple(w[i, i] for w in ws)
+        cd = [w[i, i] for w in ws]
         rfac, qfac = rq_polynomials(n, i)
-        want = _expand_rq(n, i, order, rfac, qfac)
-        degR, degQ = len(rfac), len(qfac)
-        pref_printed = R ** (degR - degQ // 2) * S ** (degQ // 2)
-        pref_proof = R ** (n - i) * S**i
-        entry = {
-            "i": i,
-            "pass": plus == want,
-            "prefactor_consistent": pref_printed == pref_proof,
-        }
+        numf, denf = _rq_reduced(rfac, qfac)
+        pref = RatFunc.from_point((LATTICE * (n - i), LATTICE * i, 0, 0), 1)
+        num = [c * pref for c in _poly_from_roots(numf)] + [ZERO] * order
+        for x in denf:  # cd = cd (1 - x u), one monomial product per coefficient
+            for k in range(order, 0, -1):
+                cd[k] = cd[k] - x * cd[k - 1]
+        entry = {"i": i, "pass": cd == num[: order + 1]}
+        entry["prefactor_consistent"] = (len(rfac) - len(qfac) // 2, len(qfac) // 2) == (n - i, i)
         if not entry["pass"]:
-            entry["residual"] = [render(a - b) for a, b in zip(plus, want)]
+            want = expand(num, _poly_from_roots(denf), order)
+            entry["residual"] = [render(w[i, i] - b) for w, b in zip(ws, want)]
         results.append(entry)
-    return {
-        "n": n,
-        "order": order,
-        "all_pass": all(e["pass"] and e["prefactor_consistent"] for e in results),
-        "per_weight": results,
-    }
+    all_pass = all(e["pass"] and e["prefactor_consistent"] for e in results)
+    return {"n": n, "order": order, "all_pass": all_pass, "per_weight": results}
 
 
 def drinfeld_report(n: int, use_shift=False, *, order: int, mod=None) -> dict:

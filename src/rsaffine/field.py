@@ -924,13 +924,17 @@ def _laurent_div_exact(p, g):
 # ---------------------------------------------------------------------------
 
 _VAR_NAMES = ("r", "s", "a", "b")
+_EXP_DENOMINATORS = (LATTICE, LATTICE, 1, 1)
 
 
-def _render_exp(e: Fraction) -> str:
-    if e.denominator == 1:
-        n = int(e)
+def _render_exp(e: int, d: int) -> str:
+    """The exponent e/d, read off the integers of a key (d is LATTICE for r
+    and s, 1 for a and b), in lowest terms."""
+    if e % d == 0:
+        n = e // d
         return "" if n == 1 else (f"^{n}" if n > 0 else f"^({n})")
-    return f"^({e.numerator}/{e.denominator})"
+    g = _intgcd(e, d)
+    return f"^({e // g}/{d // g})"
 
 
 def _render_poly(p) -> str:
@@ -939,17 +943,7 @@ def _render_poly(p) -> str:
     parts = []
     for k in sorted(p, key=_order_key, reverse=True):
         c = p[k]
-        exps = (
-            Fraction(k[0], LATTICE),
-            Fraction(k[1], LATTICE),
-            Fraction(k[2]),
-            Fraction(k[3]),
-        )
-        factors = [
-            _VAR_NAMES[ax] + _render_exp(e)
-            for ax, e in enumerate(exps)
-            if e != 0
-        ]
+        factors = [name + _render_exp(e, d) for name, e, d in zip(_VAR_NAMES, k, _EXP_DENOMINATORS) if e]
         mag = abs(c)
         if not factors:
             body = str(mag)

@@ -178,7 +178,7 @@ def _series(n: int, f: Matrix, w: Matrix, wp: Matrix, lam, mu, order: int) -> di
     out = {Wser(1, 0): w}
     out.update((Wser(1, m), Matrix.diagonal(d)) for m, d in enumerate(ws, 1))
     out[Wpser(1, 0)] = wp
-    out.update((Wpser(1, -m), Matrix.diagonal([-x for x in d])) for m, d in enumerate(wps, 1))
+    out.update((Wpser(1, -m), Matrix.diagonal(d)) for m, d in enumerate(wps, 1))
     return out
 
 
@@ -230,11 +230,12 @@ def build_current_eval(n: int, use_shift=False, kmax: int = 4, lmax: int = 4) ->
 
 
 def _ladder_series(p, lam, mu, order: int):
-    """The diagonals of C(m) and C'(m) for m = 1..order from the ladder
+    """The diagonals of C(m) and -C'(m) for m = 1..order from the ladder
     products P_i = p[i], i < n (module docstring): C(m)_ii = t_(i+1) - t_i
-    with t_j = P_(j-1) lam_j^m, and C'(m)_ii = u_i - u_(i-1) with
-    u_j = P_j mu_j^-m, where t_0, t_(n+1), u_(-1) and u_n are 0.  Each t_j
-    and u_j is a running product, one monomial product per m."""
+    with t_j = P_(j-1) lam_j^m, and -C'(m)_ii = u_(i-1) - u_i with
+    u_j = P_j mu_j^-m, where t_0, t_(n+1), u_(-1) and u_n are 0, so the
+    sign of w'(-m) is in the difference.  Each t_j and u_j is a running
+    product, one monomial product per m."""
     t, u = [ZERO, *p], [*p, ZERO]
     muinv = [x**-1 for x in mu]
     cs, cps = [], []
@@ -242,7 +243,7 @@ def _ladder_series(p, lam, mu, order: int):
         t = [x * y for x, y in zip(t, lam)]
         u = [x * y for x, y in zip(u, muinv)]
         cs.append([b - a for a, b in zip(t, [*t[1:], ZERO])])
-        cps.append([a - b for a, b in zip(u, [ZERO, *u])])
+        cps.append([b - a for a, b in zip(u, [ZERO, *u])])
     return cs, cps
 
 

@@ -343,8 +343,15 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # each group-like inverse pair, where a pair in the weight view's inverse
 # set (rep_core.Weights) now takes no product, made 519; and both builds
 # inverting w and w' through Matrix.inverse, with two products per entry,
-# where each inverse is now taken entry by entry, 479.
-DRINFELD_N3_PMUL_CALLS = 447
+# where each inverse is now taken entry by entry, 479.  The RQ check
+# building each factor parameter of rq_polynomials from powers and products
+# of a, r and s, where it is now read off its lattice point, made 447;
+# comparing the two prefactor readings as products, where they are now
+# integer pairs, 399; shifting every factor by r or s and cancelling the
+# lists as values, where they cancel on lattice points, 391; and expanding
+# each weight's closed form to the order, where a pass is now the RQ
+# identity on the reduced form (drinfeld docstring), 339.
+DRINFELD_N3_PMUL_CALLS = 333
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):

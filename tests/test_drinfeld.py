@@ -1,10 +1,16 @@
 """Polynomial reconstruction from eigenvalue series, closed forms, mirror
 law, per-weight generating functions, and series multiplicativity."""
 
+from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from truncseries import TruncSeries
+
+import rsaffine.drinfeld as drinfeld
 
 from rsaffine.drinfeld import (
     DrinfeldPoly,
@@ -18,14 +24,14 @@ from rsaffine.drinfeld import (
     minus_series_of,
     plus_series_of,
     poly_text,
-    _expand_rq,
     reconstruct_P,
     rq_polynomials,
     verify_RQ_form,
     weight_gamma_series,
 )
 from rsaffine.errors import IndexOutOfRange, MirrorMismatch, NoSolution, NotEigenvector
-from rsaffine.field import A, B, ONE, R, S, ZERO, quantum_int
+from rsaffine.field import A, B, ONE, R, S, ZERO, RatFunc, quantum_int, render
+from rsaffine.matrix import Matrix
 from rsaffine.rep_core import Wser, Xp
 from rsaffine.sl2 import build_current_eval, build_series_eval
 
@@ -411,10 +417,98 @@ def test_library_order_lower_bounds():
     assert rep["all_pass"] and rep["order"] == 1
 
 
+def _expand_rq(n, i, order, rfac, qfac):
+    # the expansion oracle: the linear factors cancelled as values, and
+    # r^(n-i) s^i N/D expanded to order.  _poly_from_roots is read through the
+    # module, so a test can record the degrees it is asked for.
+    num = Counter([S * p for p in rfac] + [R * p for p in qfac])
+    den = Counter([R * p for p in rfac] + [S * p for p in qfac])
+    num, den = drinfeld._poly_from_roots((num - den).elements()), drinfeld._poly_from_roots((den - num).elements())
+    scale = R ** (n - i) * S**i
+    return expand([c * scale for c in num], den, order)
+
+
 def rq_closed_series(n, i, order):
     # the closed form r^(n-i) s^i R(us) Q(ur) / (R(ur) Q(us)) in lowest terms,
-    # expanded as the RQ check expands it
+    # expanded to order
     return _expand_rq(n, i, order, *rq_polynomials(n, i))
+
+
+def _bumped(mod, i, k):
+    # the module with ONE added to w(k)_ii
+    bump = Matrix.diagonal([ONE if j == i else ZERO for j in range(mod.dim)])
+    return mod.with_assign(Wser(1, k), mod.get(Wser(1, k)) + bump)
+
+
+@pytest.mark.parametrize("n,order", ((2, 1), (2, 6), (3, 1), (3, 8)))
+def test_a_corrupted_coefficient_fails_exactly_its_weight(n, order):
+    # every w(k)_ii, k = 0..order, changed by one: the RQ identity fails at
+    # weight i alone, and its residual is the expansion oracle's
+    mod = build_series_eval(n, True, order)
+    for i in range(n + 1):
+        want = rq_closed_series(n, i, order)
+        for k in range(order + 1):
+            rep = verify_RQ_form(_bumped(mod, i, k), order)
+            assert [e["pass"] for e in rep["per_weight"]] == [j != i for j in range(n + 1)]
+            plus, _ = weight_gamma_series(_bumped(mod, i, k), i, order)
+            assert rep["per_weight"][i]["residual"] == [render(a - b) for a, b in zip(plus, want)]
+            assert [j for j, e in enumerate(rep["per_weight"]) if "residual" in e] == [i]
+
+
+def test_a_passing_rq_check_expands_nothing(monkeypatch):
+    # a pass is the RQ identity alone; only a failing weight is expanded,
+    # once, for its residual
+    calls = []
+    real = drinfeld.expand
+
+    def counting(num, den, order):
+        calls.append(order)
+        return real(num, den, order)
+
+    monkeypatch.setattr(drinfeld, "expand", counting)
+    for n in range(5):
+        for order in (1, 2 * n + 2, 3 * n + 1):
+            assert verify_RQ_form(build_series_eval(n, True, order), order)["all_pass"]
+    assert calls == []
+    assert not verify_RQ_form(_bumped(build_series_eval(3, True, 8), 1, 7), 8)["all_pass"]
+    assert calls == [8]
+
+
+_RQ_PARAMS = st.builds(
+    RatFunc.monomial,
+    st.sampled_from((1, -1, 2, Fraction(1, 3))),
+    st.integers(-2, 1),
+    st.integers(-2, 1),
+    st.integers(0, 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rq_identity_decides_as_the_expansion(data):
+    # random monomial factor lists and truncations, order 1 included, where
+    # N may have more coefficients than the series: the verdict of the RQ
+    # identity is the expansion's, and so is a failing residual
+    n = data.draw(st.integers(0, 2), label="n")
+    order = data.draw(st.integers(1, 4), label="order")
+    factors = st.lists(_RQ_PARAMS, max_size=3)
+    lists = [data.draw(st.tuples(factors, factors), label=f"factors of weight {i}") for i in range(n + 1)]
+    series = []
+    for i, (rfac, qfac) in enumerate(lists):
+        cs = list(_expand_rq(n, i, order, rfac, qfac))
+        if data.draw(st.booleans(), label=f"perturb weight {i}"):
+            k = data.draw(st.integers(0, order))
+            cs[k] = cs[k] + data.draw(_RQ_PARAMS)
+        series.append(cs)
+    ws = [Matrix.diagonal([cs[k] for cs in series]) for k in range(order + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drinfeld, "rq_polynomials", lambda n, i: lists[i])
+        mp.setattr(drinfeld, "series_matrices", lambda mod, order: (ws, ws))
+        rep = verify_RQ_form(build_series_eval(n, True, 1), order)
+    for i, (e, (rfac, qfac), cs) in enumerate(zip(rep["per_weight"], lists, series)):
+        want = _expand_rq(n, i, order, rfac, qfac)
+        assert e["pass"] == (want == tuple(cs))
+        assert e.get("residual") == (None if e["pass"] else [render(a - b) for a, b in zip(cs, want)])
 
 
 def _unreduced_rq_closed_series(n, i, order):
@@ -472,17 +566,24 @@ def test_rq_form_detects_dropped_factor():
 
 # Polynomial products made by verify_RQ_form on the rs^-1-shifted n = 4
 # module at order 12 (the module is built first and not counted).  The
-# closed side cancels its common linear factors and expands two polynomials
-# of degree at most 2 with one division recurrence; expanding all 3n
-# factors made 2,202 calls, and expanding four factor series, multiplying
+# factor lists cancel on lattice points, and each weight's stored series is
+# multiplied by the at most two factors of the reduced denominator and
+# compared with the reduced numerator (the RQ identity), with no expansion.
+# Expanding all 3n factors made 2,202 calls, and expanding four factor series, multiplying
 # them and inverting the denominator series made 2,952 calls and 75,441
 # term products.  Multiplying the unit denominators of two Laurent
 # coefficients made 992.  Negative powers and inverses of monomials through
 # ONE / x, with two products each, made 637.  Dividing every expanded
 # coefficient by a constant term of one, and multiplying it by r^(n-i) s^i,
 # where that scalar is now folded into the numerator (drinfeld.expand),
-# made 420.
-RQ_N4_PMUL_CALLS = 303
+# made 420.  Building each factor parameter of rq_polynomials from powers
+# and products of a, r and s, where it is now read off its lattice point,
+# made 303; comparing the two prefactor readings as products, where they
+# are now integer pairs, 223; shifting every factor by r or s and
+# cancelling the lists as values, where they cancel on lattice points, 213;
+# and expanding each weight's closed form to order 12 (860 term products,
+# now 412), where a pass is now the RQ identity, 128.
+RQ_N4_PMUL_CALLS = 120
 
 
 def test_rq_pmul_count_tripwire(monkeypatch):

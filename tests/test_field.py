@@ -802,6 +802,47 @@ def test_render_simple():
     assert render(-2 * A**2 + rf(3)) == "-2*a^2 + 3"
 
 
+def _fraction_render_poly(p):
+    # the renderer that formats each exponent through a Fraction, the oracle
+    # of field._render_poly, which reads the integers of the key
+    from rsaffine.field import LATTICE, _order_key
+
+    def exp(e):
+        if e.denominator == 1:
+            n = int(e)
+            return "" if n == 1 else (f"^{n}" if n > 0 else f"^({n})")
+        return f"^({e.numerator}/{e.denominator})"
+
+    if not p:
+        return "0"
+    parts = []
+    for k in sorted(p, key=_order_key, reverse=True):
+        c = p[k]
+        exps = (Fraction(k[0], LATTICE), Fraction(k[1], LATTICE), Fraction(k[2]), Fraction(k[3]))
+        factors = ["rsab"[ax] + exp(e) for ax, e in enumerate(exps) if e != 0]
+        mag = abs(c)
+        body = str(mag) if not factors else ("*".join(factors) if mag == 1 else str(mag) + "*" + "*".join(factors))
+        parts.append((body if c > 0 else "-" + body) if not parts else (" + " if c > 0 else " - ") + body)
+    return "".join(parts)
+
+
+_RENDER_KEYS = st.tuples(st.integers(-25, 25), st.integers(-25, 25), st.integers(-4, 4), st.integers(-4, 4))
+_RENDER_COEFFS = st.one_of(
+    st.integers(-30, 30).filter(bool),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_RENDER_KEYS, _RENDER_COEFFS, max_size=6))
+def test_render_reads_the_lattice_integers(p):
+    # fractional and negative r, s exponents, negative a, b exponents, int
+    # and Fraction coefficients: the same text as formatting Fractions
+    from rsaffine.field import _render_poly
+
+    assert _render_poly(p) == _fraction_render_poly(p)
+
+
 def test_parse_round_trip_specific():
     for x in [
         ZERO,
