@@ -16,12 +16,13 @@ import sys
 from .cartan import build_pairing, parse_type, table_to_json
 from .drinfeld import drinfeld_report, verify_RQ_form
 from .errors import LatticeOverflow, ParseError, RsaffineError, UnsupportedRank
-from .field import ONE, ZERO, A, B, RatFunc, parse, render, substitution
+from .field import ONE, ZERO, A, B, RatFunc, parse, render
 from .hopf import exact_span_closure, full_span_certified, tensor, tensor_basis_vector, twist_sigma
-from .rep_core import XM_KIND, XP_KIND, all_pass, check_chevalley, check_drinfeld
+from .rep_core import all_pass, check_chevalley, check_drinfeld
 from .sl2 import build_chevalley_eval, build_current_eval, build_series_eval
 from .specialize import (
     centrality_report,
+    matches_reparameterized_module,
     parse_spec_map,
     reports_at_pin,
     specialize_module,
@@ -298,18 +299,15 @@ def cmd_twist(args) -> int:
     else:
         # x+-(k) -> c^k x+-(k) is the reparameterization a -> c a (gamma1 is
         # c = -1), so the twisted verdicts are the symbolic ones mapped
-        # through that substitution (specialize.reports_at_pin)
+        # through that substitution (specialize.reports_at_pin), and the
+        # currents match it when they are a-homogeneous
+        # (specialize.matches_reparameterized_module).  Only the verdict of
+        # the reports is printed, so a failed match decides it unchecked.
         c = _parse_scalar(args.c, "--c") if args.aut == "gamma2" else -ONE
-        ca = c * A
         mod = build_current_eval(args.n, shift, kmax=args.kmax, lmax=args.lmax)
-        reports = reports_at_pin(lambda m: check_drinfeld(m, args.kmax, args.lmax), mod, a=ca)
-        at_ca = substitution(a=ca)
-        entrywise = all(
-            mat.scale(c**g.k) == mat.map(at_ca)
-            for g, mat in mod.assign.items()
-            if g.kind in (XP_KIND, XM_KIND)
-        )
-        ok = all_pass(reports) and entrywise
+        entrywise = matches_reparameterized_module(mod, c)
+        check = lambda m: check_drinfeld(m, args.kmax, args.lmax)
+        ok = entrywise and all_pass(reports_at_pin(check, mod, a=c * A))
     doc = {
         "command": "twist",
         "aut": args.aut,

@@ -631,6 +631,44 @@ class RatFunc:
         (key, c), c a nonzero int or Fraction."""
         return cls._make({key: c.numerator}, {_ZERO_KEY: c.denominator})
 
+    def times_point(self, p) -> "RatFunc":
+        """self times the monomial of the lattice point p = (key, c), with no
+        product: the numerator's keys shift by key and its coefficients
+        scale by c.  A monomial is a unit, so the shift keeps the canonical
+        form, and so does c = +-1; any other c takes the content and sign
+        tail (_canonical)."""
+        if not self.num:
+            return ZERO
+        key, c = p
+        num = K.pshift(self.num, *key)
+        if c == 1:
+            return RatFunc._make(num, self.den)
+        if c == -1:
+            return RatFunc._make(K.pneg(num), self.den)
+        c = _to_frac(c)
+        num = {k: v * c.numerator for k, v in num.items()}
+        return RatFunc._canonical(num, {k: v * c.denominator for k, v in self.den.items()})
+
+    def split_point(self):
+        """(u, p) with self == u times the monomial of the lattice point p,
+        for a nonzero value: u is None for a monomial (p is its as_point),
+        and otherwise the primitive part, the value with its numerator
+        shifted to minimal exponent 0 and numerator and denominator divided
+        by their integer contents, the numerator's leading coefficient made
+        positive.  Values that differ by a monomial factor have one u."""
+        p = self.as_point()
+        if p is not None:
+            return None, p
+        num, den = self.num, self.den
+        mk = _min_exps(num)
+        cn, cd = _intgcd(*num.values()), _intgcd(*den.values())
+        if num[_leading(num)] < 0:
+            cn = -cn
+        num = {(k[0] - mk[0], k[1] - mk[1], k[2] - mk[2], k[3] - mk[3]): v // cn for k, v in num.items()}
+        c = Fraction(cn, cd)
+        u = RatFunc._make(num, den if cd == 1 else {k: v // cd for k, v in den.items()})
+        return u, (mk, c.numerator if c.denominator == 1 else c)
+
     def __repr__(self):
         return f"RatFunc({render(self)!r})"
 
@@ -885,16 +923,32 @@ def _mul_coprime(n1, d1, n2, d2) -> RatFunc:
     return RatFunc._canonical(K.pmul(n1, n2), K.pmul(d1, d2))
 
 
-def monomial_quotient(x: RatFunc, y: RatFunc):
-    """x / y when both are Laurent polynomials and x is a monomial times y,
-    else None.  The monomial is the ratio of their leading terms, confirmed
-    by one product, so no gcd is taken."""
+def point_quotient(x: RatFunc, y: RatFunc):
+    """The lattice point of x / y when both are Laurent polynomials and x is
+    a monomial times y, else None.  The point is the ratio of their leading
+    terms, confirmed by shifting y (RatFunc.times_point), so neither a
+    product nor a gcd is taken."""
     if not (x.num and y.num) or len(x.den) != 1 or len(y.den) != 1:
         return None
     lx, ly = _leading(x.num), _leading(y.num)
     c = Fraction(x.num[lx] * y.den[_ZERO_KEY], y.num[ly] * x.den[_ZERO_KEY])
-    m = RatFunc._make({tuple(a - b for a, b in zip(lx, ly)): c.numerator}, {_ZERO_KEY: c.denominator})
-    return m if y * m == x else None
+    p = (tuple(a - b for a, b in zip(lx, ly)), c.numerator if c.denominator == 1 else c)
+    return p if y.times_point(p) == x else None
+
+
+def monomial_quotient(x: RatFunc, y: RatFunc):
+    """x / y as a RatFunc when point_quotient reads it, else None."""
+    p = point_quotient(x, y)
+    return None if p is None else RatFunc.from_point(*p)
+
+
+def is_sum(x: RatFunc, y: RatFunc, z: RatFunc) -> bool:
+    """x == y + z.  Over one denominator the numerators are compared, with
+    no canonical form: values over one denominator are equal exactly when
+    their numerators are."""
+    if x.den == y.den == z.den:
+        return x.num == K.padd(y.num, z.num)
+    return x == y + z
 
 
 def _laurent_div(p, g):

@@ -19,9 +19,18 @@ specialize.reports_at_pin decides every pinned verdict that way.
 
 Currents on the form.  On the evaluation modules every current is
 x(k) = x(0) D^k with D diagonal and invertible (sl2.current_matrices), one
-D for x+ and one for x-.  current_form reads a D from x(1) against x(0) and
-answers per sign: D when every stored x(k) with |k| <= kmax + 1 equals
-x(0) D^k exactly, None otherwise.  Lemma: for D
+D for x+ and one for x-, and every entry of D is a monomial.  current_form
+reads D from x(1) against x(0) as lattice points (field.RatFunc.as_point)
+and answers per sign: the points when every stored x(k) with
+|k| <= kmax + 1 equals x(0) D^k exactly, None otherwise.  Times a
+monomial, an entry's numerator shifts by the point's key and scales by its
+coefficient, over the same denominator (RatFunc.times_point), so that
+check and the lemmas below compare shifted entries, with no product and
+no power of D.  A module pinned or twisted by a scalar that is not a
+monomial (a -> (1+r) a, say) has D = u D' with one scalar u for both signs
+and D' of monomials: current_form reads u once (RatFunc.split_point), and
+where the lemmas scale by a power of D they scale by that power of u.
+Lemma: for D
 diagonal and invertible and X(k) = X(0) D^k,
   - A X(k) = (A X(0)) D^k for any A;
   - [G, X(k)] = [G, X(0)] D^k, and G X(k) H = (G X(0) H) D^k, for G and H
@@ -77,13 +86,18 @@ Laurent polynomials (scaled_chevalley), so the scaling takes no gcd.
 Commutation lemmas.  For diagonals F and G, F X = c X G holds exactly when
 F_i = c G_j at every nonzero X_ij, so each identity below is checked entry
 by entry, without a product.
-  - D5.  With a = a(e) and K^-l diagonal, the family identity
-    [a, x(0)] = t K^-l x(0) D^e, for t = +-theta(l) and K^-l = 1 on the
-    side of the sign of e, reads (a_i - a_j) x(0)_ij = t (K^-l)_ii x(0)_ij
-    D_j^e.  The entries lie in an integral domain, so each nonzero x(0)_ij
-    cancels: the family holds exactly when a_i - a_j = t (K^-l)_ii D_j^e at
-    every nonzero x(0)_ij.  With a(e) or K^-l not diagonal each instance
-    takes its plain products.
+  - D5 (the sum form).  With a = a(e) and K^-l diagonal, the family
+    identity [a, x(0)] = t K^-l x(0) D^e, for t = +-theta(l) and K^-l = 1
+    on the side of the sign of e, reads (a_i - a_j) x(0)_ij =
+    t (K^-l)_ii x(0)_ij D_j^e.  The entries lie in an integral domain, so
+    each nonzero x(0)_ij cancels: the family holds exactly when
+        a_i == a_j + t (K^-l)_ii D_j^e
+    at every nonzero x(0)_ij.  The last term is t shifted by the point of
+    (K^-l)_ii D_j^e, with K^-1 = w^-1 w'^-1 read off the weight view's
+    points, and over one denominator the sum compares numerators
+    (field.is_sum), so no difference of a entries is formed.  With a(e) not
+    diagonal, or w^-1 or w'^-1 not in the weight view, each instance takes
+    its plain products.
   - D6.  Let X(a) = X(0) D^a for every |a| <= kmax + 1, E the diagonal with
     E_i = D_j at the first nonzero X(0)_ij (1 on an empty row), Q = X(0)X(0)
     and kappa = E_i / D_j at the first nonzero Q_ij.  If X(0) D = E X(0) and
@@ -93,16 +107,23 @@ by entry, without a product.
     fails exactly when that scalar times Q is nonzero.  On V_n(a),
     kappa = rr.  E is read from the rows of X(0), not taken as a multiple of
     D: current_form sets D to 1 on an empty column, so on the evaluation
-    modules D X(0) is not a multiple of X(0) D.
-  - D7.  Let x+(k) and x-(k) be on the form for every |k| <= kmax, K = c I
-    with K^-1 (the matrix kpow uses) = c^-1 I, and D+ x-(0) = c^-1 x-(0) D-,
-    D- x+(0) = c x+(0) D+.  Then [x+(k), x-(k2)] = c^-k L(m) for m = k + k2
-    and L(m) = x+(0)x-(0) D-^m - c^m x-(0)x+(0) D+^m, while the right side is
-    c^-k (c^m w(m) - w'(m))/(r-s).  So instance (k, k2) has the verdict of
-    L(m) (r-s) = c^m w(m) - w'(m): one per m, 4 kmax + 1 in all.  A scalar
-    commutes with the column scaling by a diagonal, so
-    L(m) (r-s) = (x+(0)x-(0) (r-s)) D-^m - c^m (x-(0)x+(0) (r-s)) D+^m,
-    and the two products are scaled by r - s once, before the m loop.
+    modules D X(0) is not a multiple of X(0) D.  E, kappa and both
+    identities are points: a scalar u cancels from each.
+  - D7 (the per-weight ladder identity on points).  Let x+(k) and x-(k) be
+    on the form for every |k| <= kmax, with one u, K = c I and
+    K^-1 = c^-1 I on the weight view's points, and D+ x-(0) = c^-1 x-(0) D-,
+    D- x+(0) = c x+(0) D+.  Then [x+(k), x-(k2)] = c^-k L(m) for
+    m = k + k2 and L(m) = x+(0)x-(0) D-^m - c^m x-(0)x+(0) D+^m, while the
+    right side is c^-k (c^m w(m) - w'(m))/(r-s).  So instance (k, k2) has
+    the verdict of L(m) (r-s) = c^m w(m) - w'(m): one per m, 4 kmax + 1 in
+    all.  With A = (r-s) x+(0)x-(0) and B = (r-s) x-(0)x+(0), formed once,
+    and the series zero out of range (w'(m) for m > 0, w(m) for m < 0),
+    that verdict reads, entry by entry,
+        w(m) = A (D-/c)^m - B D+^m            for m > 0,
+        w'(m) = B (c D+)^m - A D-^m           for m < 0,
+        w(0) - w'(0) = A - B                  for m = 0,
+    each side the difference of two shifted entries (times u^m), with no
+    power of D and no scaling by c^m.
 Tensor lemmas.  Let M store exactly the coproduct images of the Chevalley
 generators of two factors, E_i = e_i(x)1 + w_i(x)e_i, F_i = 1(x)f_i +
 f_i(x)w'_i, W_i^+-1 = w_i^+-1(x)w_i^+-1 and W'_i^+-1 = w'_i^+-1(x)w'_i^+-1,
@@ -154,9 +175,11 @@ and every other instance of a tensor its products; R3 and R4 of any other
 module compare the scaled generators when the scaling lemma applies, and
 their plain products otherwise.  A sign off the form has its D4, D5 and D6
 instances take their plain products, and D7 takes them unless both signs
-are on the form; so does an instance of D4 whose x(0) has no scalar c in
-the weight view, of D5 with a non-diagonal a(l) or K^-l, and every instance
-of a D6 sign or of D7 when a commutation identity fails.  D6 then still
+are on the form with one u; so does an instance of D4 whose x(0) has no
+scalar c in the weight view, of D5 with a non-diagonal a(l) or with w^-1
+or w'^-1 off the weight view, and every instance of a D6 sign or of D7
+when a commutation identity fails; only their plain sides multiply out
+powers of K.  D6 then still
 builds each product X(a)X(b) once and decides each pair k <= k2 once.  A
 failing decided instance, a scaled one too, is reported with the sides its
 plain expressions build, so reports_at_pin maps it unchanged.
@@ -172,7 +195,7 @@ from types import MappingProxyType
 
 from .cartan import PairingTable
 from .errors import MissingGenerator, UnsupportedRank, WindowTooSmall
-from .field import ONE, RatFunc, monomial_quotient, rf, render
+from .field import ONE, ZERO, RatFunc, is_sum, point_quotient, rf, render
 from .matrix import Matrix, commutator
 
 # -- generator symbols ---------------------------------------------------------
@@ -348,7 +371,8 @@ class Weights:
     - points: per diagonal group-like (gamma halves too) whose entries are
       all nonzero monomials, the lattice point (field.RatFunc.as_point) of
       each entry.  A group-like with a zero or non-monomial entry is not in
-      the view, and its instances take their plain products.
+      the view, and its instances take their plain products.  D5 and D7
+      read K = w w' and K^-1 = w^-1 w'^-1 off these points.
     - inverse: the g with g and g.partner in points and g.partner g = 1,
       that is each point of g.partner the negated key and the reciprocal
       coefficient of g's; the constructor, R1 and D1 read it.
@@ -404,6 +428,16 @@ def _point_inv(p):
     -1 is its own inverse."""
     k, c = p
     return (-k[0], -k[1], -k[2], -k[3]), (c if c in (1, -1) else 1 / Fraction(c))
+
+
+def _point_pow(p, n: int):
+    """The lattice point of the n-th power of a monomial, n of any sign."""
+    k, c = p if n >= 0 else _point_inv(p)
+    n = abs(n)
+    return (k[0] * n, k[1] * n, k[2] * n, k[3] * n), c**n
+
+
+_ONE_POINT = ((0, 0, 0, 0), 1)
 
 
 @dataclass
@@ -599,31 +633,59 @@ def chevalley_instance_counts(table: PairingTable) -> dict:
 
 
 def current_form(mod: MatrixModule, sign: int, kmax: int):
-    """D, the entries of a diagonal read from x(1) against x(0), when every
-    stored x(k) with |k| <= kmax + 1 equals x(0) D^k exactly, for the
-    currents x = x+ (sign > 0) or x- of a rank-1 module; None otherwise.
+    """(u, d) when every stored x(k) with |k| <= kmax + 1 equals x(0) (u D)^k
+    exactly, for the currents x = x+ (sign > 0) or x- of a rank-1 module,
+    where D is the diagonal whose entries are the lattice points d
+    (field.RatFunc.as_point) and u one scalar, None when every entry of u D
+    is a monomial; None otherwise.
 
-    Column j of D is x(1)_ij / x(0)_ij at the first nonzero x(0)_ij, taken
-    as a monomial quotient when there is one (no gcd), and 1 where that
-    ratio is zero or the column of x(0) is.  Every entry is nonzero, and any
-    such D is sound, because each k is then checked against the stored x(k).
+    Column j of u D is x(1)_ij / x(0)_ij at the first nonzero x(0)_ij, read
+    off the leading terms with no product when it is a monomial
+    (field.point_quotient) and otherwise split as u times a point
+    (RatFunc.split_point); the columns must share u.  A column whose ratio
+    is zero, or whose x(0) column is empty, has the point of 1.  Any such D
+    is sound, because each k is then checked against the stored x(k), entry
+    by entry: x(k)_ij must be x(k-1)_ij u times the monomial of d_j, which
+    with u None is x(k-1)_ij's numerator shifted by d_j's key and scaled by
+    its coefficient, over the same denominator.
     """
     gen = Xp if sign > 0 else Xm
     x0 = mod.get(gen(1, 0))
-    diag = []
+    us, d = set(), []
     for col0, col1 in zip(zip(*x0.rows), zip(*mod.get(gen(1, 1)).rows)):
-        y, z = next(((y, z) for y, z in zip(col0, col1) if y), (ONE, ONE))
-        diag.append((monomial_quotient(z, y) or z / y) if z else ONE)
-    # outward from k = 0: x(k-1) = x(0) D^(k-1) is checked first, so
-    # x(k) == x(k-1) D exactly when x(k) == x(0) D^k (likewise with D^-1)
-    for step, ks in ((diag, range(1, kmax + 2)), ([x.inv() for x in diag], range(-1, -kmax - 2, -1))):
+        y, z = next(((y, z) for y, z in zip(col0, col1) if y), (ONE, ZERO))
+        p = point_quotient(z, y) if z else _ONE_POINT
+        if p is None:
+            u, p = (z / y).split_point()
+            us.add(u)
+        d.append(p)
+    if len(us) > 1:
+        return None
+    u = us.pop() if us else None
+    # outward from k = 0: x(k-1) = x(0) (u D)^(k-1) is checked first, so
+    # x(k) == x(k-1) u D exactly when x(k) == x(0) (u D)^k (likewise with
+    # the inverses)
+    inv = (None if u is None else u.inv(), [_point_inv(p) for p in d])
+    for (v, step), ks in (((u, d), range(1, kmax + 2)), (inv, range(-1, -kmax - 2, -1))):
         x = x0
         for k in ks:
             stored = mod.get(gen(1, k))
-            if stored != x.scale_columns(step):
+            if not _columns_scaled(stored, x, v, step):
                 return None
             x = stored
-    return diag
+    return u, d
+
+
+def _columns_scaled(y: Matrix, x: Matrix, u, d) -> bool:
+    """y == x u D for the diagonal D of the points d (u None: 1), entry by
+    entry."""
+    for yrow, xrow in zip(y._rows, x._rows):
+        if yrow.keys() != xrow.keys():
+            return False
+        for j, v in xrow.items():
+            if yrow[j] != (v if u is None else v * u).times_point(d[j]):
+                return False
+    return True
 
 
 def _intertwines(x: Matrix, left, right) -> bool:
@@ -700,27 +762,54 @@ def _r4_on_factors(mL: MatrixModule, mR: MatrixModule, i: int, j: int, aij: int,
 
 
 def anti_diagonal_form(x0: Matrix, d):
-    """(Q, kappa) with X(a)X(b) = kappa^a Q D^(a+b) whenever X(a) = x0 D^a for
-    the diagonal D with entries d (the D6 lemma in the module docstring), or
-    None when x0 D = E x0 or E Q = kappa Q D fails."""
-    e = [d[min(row)] if row else ONE for row in x0._rows]
+    """(Q, kappa) with X(a)X(b) = kappa^a Q (u D)^(a+b) whenever X(a) =
+    x0 (u D)^a, for the diagonal D of the points d and kappa a point (the D6
+    lemma in the module docstring), or None when x0 D = E x0 or
+    E Q = kappa Q D fails."""
+    e = [d[min(row)] if row else _ONE_POINT for row in x0._rows]
     if not _intertwines(x0, e, d):
         return None
     q = x0 @ x0
     i, j = next(((i, min(row)) for i, row in enumerate(q._rows) if row), (0, 0))
-    kappa = monomial_quotient(e[i], d[j]) or e[i] / d[j]
-    return (q, kappa) if _intertwines(q, e, [kappa * x for x in d]) else None
+    kappa = _point_mul(e[i], _point_inv(d[j]))
+    return (q, kappa) if _intertwines(q, e, [_point_mul(kappa, x) for x in d]) else None
 
 
-def commutation_scalar(kc: Matrix, kcinv: Matrix, xp0: Matrix, xm0: Matrix, dp, dm):
-    """The c of the D7 lemma in the module docstring: kc = c I, kcinv = c^-1 I,
-    D+ x-(0) = c^-1 x-(0) D- and D- x+(0) = c x+(0) D+ for the diagonals
-    with entries dp and dm; None when one of them fails."""
-    c = kc[0, 0]
-    if not c or kc != Matrix.identity(kc.n).scale(c) or kcinv != Matrix.identity(kc.n).scale(c.inv()):
+def commutation_scalar(wts: Weights, xp0: Matrix, xm0: Matrix, plus, minus):
+    """The point c of the D7 lemma in the module docstring, for the current
+    forms plus = (u, d+) and minus = (u, d-) of one u: K = w w' = c I and
+    K^-1 = w^-1 w'^-1 = c^-1 I on the weight view's points,
+    D+ x-(0) = c^-1 x-(0) D- and D- x+(0) = c x+(0) D+; None when one of
+    them fails."""
+    (u, dp), (v, dm) = plus, minus
+    k, kinv = _k_points(wts, 1), _k_points(wts, -1)
+    if u != v or k is None or kinv is None or len(set(k)) != 1:
         return None
-    cdp = [c * x for x in dp]
+    c = k[0]
+    if set(kinv) != {_point_inv(c)}:
+        return None
+    cdp = [_point_mul(c, x) for x in dp]
     return c if _intertwines(xm0, cdp, dm) and _intertwines(xp0, dm, cdp) else None
+
+
+def _k_points(wts: Weights, sign: int):
+    """The points of K = w w' (sign 1) or of K^-1 = w^-1 w'^-1 (sign -1) at
+    node 1, None unless both factors are in the weight view."""
+    g, h = wts.points.get(W(1, sign)), wts.points.get(Wp(1, sign))
+    return None if g is None or h is None else [_point_mul(p, q) for p, q in zip(g, h)]
+
+
+def _scaled_difference(t: Matrix, x: Matrix, p, y: Matrix, q, u) -> bool:
+    """t == (x P - y Q) u for the diagonals P and Q of the points p and q
+    (u None: 1), entry by entry over the nonzeros of t, x and y."""
+    for trow, xrow, yrow in zip(t._rows, x._rows, y._rows):
+        for j in trow.keys() | xrow.keys() | yrow.keys():
+            xs = xrow[j].times_point(p[j]) if j in xrow else ZERO
+            ys = yrow[j].times_point(q[j]) if j in yrow else ZERO
+            tv = trow.get(j, ZERO)
+            if not (is_sum(xs, tv, ys) if u is None else (xs - ys) * u == tv):
+                return False
+    return True
 
 
 def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
@@ -754,19 +843,19 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     dim = mod.dim
     ident = Matrix.identity(dim)
     rho = table.entry(i, i)
+    rhoinv = rho.inv()
     rsub, ssub = mod.table.rs
     rs = (rsub - ssub).inv()
+    wts = mod.weights
 
-    w, winv = mod.get(W(i)), mod.get(W(i, -1))
-    wp, wpinv = mod.get(Wp(i)), mod.get(Wp(i, -1))
-    kc = w @ wp
-    kcinv = winv @ wpinv
-
+    # powers of K = w w' and of K^-1 = w^-1 w'^-1, multiplied out only for
+    # the plain sides of an instance that no lemma decides
     kpows = {0: ident}
 
     def kpow(n):
         if n not in kpows:
-            kpows[n] = kpow(n - 1) @ kc if n > 0 else kpow(n + 1) @ kcinv
+            e = 1 if n > 0 else -1
+            kpows[n] = mod.get(W(i, e)) @ mod.get(Wp(i, e)) if n == e else kpow(n - e) @ kpow(e)
         return kpows[n]
 
     reports = []
@@ -794,30 +883,24 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     reports.append(c.done())
 
     # D4-D7 read the currents through current_form: a sign on the form has
-    # its instances decided by the lemmas in the module docstring, and every
-    # other instance takes its plain products.
+    # its instances decided by the lemmas in the module docstring, on the
+    # lattice points of its D, and every other instance takes its plain
+    # products.
     X = {1: lambda k: mod.get(Xp(i, k)), -1: lambda k: mod.get(Xm(i, k))}
-    diag = {sign: current_form(mod, sign, kmax) for sign in (1, -1)}
-    dpows = {}  # (sign, k) -> D^k
-
-    def dpow(sign, k):
-        """The entries of D^k for the diagonal D of sign."""
-        if (sign, k) not in dpows:
-            dpows[sign, k] = [x**k for x in diag[sign]]
-        return dpows[sign, k]
+    forms = {sign: current_form(mod, sign, kmax) for sign in (1, -1)}
 
     c = _Checker("D4")
     conj = (
         ("w x+", W(i), 1, rho),
-        ("w x-", W(i), -1, rho.inv()),
-        ("wp x+", Wp(i), 1, rho.inv()),
+        ("w x-", W(i), -1, rhoinv),
+        ("wp x+", Wp(i), 1, rhoinv),
         ("wp x-", Wp(i), -1, rho),
     )
     # one verdict per tag for a sign on the form: True when the weight view's
     # scalar of g on x(0) is sc, and otherwise each instance takes its products
     family = {}
     for tag, g, sign, sc in conj:
-        v = mod.weights.scalar(g, (Xp if sign > 0 else Xm)(i, 0)) if diag[sign] is not None else None
+        v = wts.scalar(g, (Xp if sign > 0 else Xm)(i, 0)) if forms[sign] is not None else None
         family[tag] = v is not False and v == sc or None
     for k in range(-(kmax + 1), kmax + 2):
         for tag, g, sign, sc in conj:
@@ -831,13 +914,15 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
         return (rho**l - rho**-l) / (rsub - ssub) / rf(l)
 
     thetas = {l: theta(l) for l in range(1, lmax + 1)}
+    kinv = _k_points(wts, -1)
 
     # Instance (tag, e, k) of D5 reads [a(e), x(k)] == rhs(x(k + e)) for x = x+
     # or x-, where rhs(m) = +-theta(l) m, with K^-l m in place of m on the
-    # side whose sign is not that of e.  With a(e) and K^-l diagonal and x on
-    # the form its verdict is that of [a(e), x(0)] == rhs(x(0) D^e), one per
-    # family (e, tag), read entry by entry (the D5 lemma in the module
-    # docstring); otherwise each instance takes its products.
+    # side whose sign is not that of e.  With a(e) diagonal, K^-l in the
+    # weight view and x on the form its verdict is that of
+    # [a(e), x(0)] == rhs(x(0) (u D)^e), one per family (e, tag), read entry
+    # by entry on lattice points (the D5 lemma in the module docstring);
+    # otherwise each instance takes its products.
     for rid, e_sign in (("D5_1", 1), ("D5_2", -1)):
         c = _Checker(rid)
         for l in range(1, lmax + 1):
@@ -850,29 +935,25 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
                     m = kpow(-l) @ m
                 return m.scale(th if sign > 0 else -th)
 
-            a, diffs = [al[j, j] for j in range(dim)], {}
-
-            def diff(i, j):
-                """a_i - a_j, formed once per pair: x-(0) has its nonzeros
-                where x+(0) has them transposed, so its family reads the
-                negations."""
-                if (j, i) in diffs:
-                    return -diffs[j, i]
-                if (i, j) not in diffs:
-                    diffs[i, j] = a[i] - a[j]
-                return diffs[i, j]
-
             def family(sign):
-                if diag[sign] is None or Aim(i, e) not in mod.weights.diagonal:
+                """a_i == a_j + t (K^-l)_ii D_j^e at every nonzero x(0)_ij, for
+                t = +-theta(l) u^e: one shifted copy of t per pair, and no
+                difference of a entries."""
+                form = forms[sign]
+                if form is None or Aim(i, e) not in wts.diagonal or (sign != e_sign and kinv is None):
                     return None
-                kl = ident if sign == e_sign else kpow(-l)
-                if not kl.is_diagonal():
-                    return None
-                x0 = X[sign](0)
+                u, d = form
                 t = th if sign > 0 else -th
-                d = dpow(sign, e)
-                ts = [t] * dim if kl is ident else [t * kl[j, j] for j in range(dim)]
-                return all(diff(i, j) == ts[i] * d[j] for i, row in enumerate(x0._rows) for j in row)
+                if u is not None:
+                    t = t * u**e
+                de = [_point_pow(p, e) for p in d]
+                kl = [_point_pow(p, l) for p in kinv] if sign != e_sign else None
+                a = [al[j, j] for j in range(dim)]
+                return all(
+                    is_sum(a[i], a[j], t.times_point(de[j] if kl is None else _point_mul(kl[i], de[j])))
+                    for i, row in enumerate(X[sign](0)._rows)
+                    for j in row
+                )
 
             families = {sign: family(sign) for sign in (1, -1)}
             for k in range(-kmax, kmax + 1):
@@ -896,7 +977,7 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     sqrt_factor = ONE  # (<j,i><i,j>^-1)^(1/2) at i = j
     ks = range(-(kmax + 1), kmax + 1)
     for sign in (+1, -1):
-        rr = rho if sign > 0 else rho.inv()
+        rr = rho if sign > 0 else rhoinv
         P = {}
 
         def prod(a, b):
@@ -907,10 +988,11 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
         def L(k, k2):
             return prod(k + 1, k2) - prod(k2, k + 1).scale(rr)
 
-        form = anti_diagonal_form(X[sign](0), diag[sign]) if diag[sign] is not None else None
+        form = anti_diagonal_form(X[sign](0), forms[sign][1]) if forms[sign] is not None else None
         failed = set()
         if form is not None:
             square, kappa = form
+            kappa = RatFunc.from_point(*kappa)
             if not square.is_zero() and kappa != rr:
                 pw = {k: kappa**k for k in ks}
                 failed = {(k, k2) for k in ks for k2 in ks if pw[k] + pw[k2]}
@@ -929,19 +1011,26 @@ def check_drinfeld(mod: MatrixModule, kmax: int, lmax: int) -> list:
     reports.append(c.done())
 
     # D7 reads [x+(k), x-(k2)] == (K^k2 w(m) - K^-k w'(m))/(r-s), m = k + k2;
-    # under the D7 lemma (module docstring) it has one verdict per m.
+    # under the D7 lemma (module docstring) it has one verdict per m, read
+    # entry by entry on the lattice points of D+, D- and c.
     c = _Checker("D7")
     window = range(-kmax, kmax + 1)
     holds = {}
-    scalar = None if None in diag.values() else commutation_scalar(kc, kcinv, X[1](0), X[-1](0), diag[1], diag[-1])
+    scalar = None if None in forms.values() else commutation_scalar(wts, X[1](0), X[-1](0), forms[1], forms[-1])
     if scalar is not None:
-        # both products scaled by r - s once (the D7 lemma)
-        p, q = rs.as_quotient()
-        pm, mp = (X[1](0) @ X[-1](0)).scale(q), (X[-1](0) @ X[1](0)).scale(q)
+        (u, dp), (_, dm) = forms[1], forms[-1]
+        rsd = rsub - ssub
+        pm, mp = (X[1](0) @ X[-1](0)).scale(rsd), (X[-1](0) @ X[1](0)).scale(rsd)
+        dmc, cdp = [_point_mul(x, _point_inv(scalar)) for x in dm], [_point_mul(scalar, x) for x in dp]
         for m in range(-2 * kmax, 2 * kmax + 1):
-            cm = scalar**m
-            lhs = pm.scale_columns(dpow(-1, m)) - mp.scale_columns(dpow(1, m)).scale(cm)
-            holds[m] = lhs == (mod.get(Wser(i, m)).scale(cm) - mod.get(Wpser(i, m))).scale(p)
+            um = u**m if u is not None and m else None
+            if m > 0:
+                sides = (mod.get(Wser(i, m)), pm, [_point_pow(x, m) for x in dmc], mp, [_point_pow(x, m) for x in dp])
+            elif m < 0:
+                sides = (mod.get(Wpser(i, m)), mp, [_point_pow(x, m) for x in cdp], pm, [_point_pow(x, m) for x in dm])
+            else:
+                sides = (mod.get(Wser(i, 0)) - mod.get(Wpser(i, 0)), pm, [_ONE_POINT] * dim, mp, [_ONE_POINT] * dim)
+            holds[m] = _scaled_difference(*sides, um)
 
     def rhs(k, k2):
         return kpow(k2) @ mod.get(Wser(i, k + k2)) - kpow(-k) @ mod.get(Wpser(i, k + k2))

@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import SpecializationPole
-from .field import MAX_EXPONENT, R, S, RatFunc, substitution
-from .rep_core import MatrixModule
+from .field import MAX_EXPONENT, A, R, S, RatFunc, substitution
+from .rep_core import XM_KIND, XP_KIND, MatrixModule
 
 S_TO_R_INVERSE = "s_to_r_inverse"
 S_TO_R = "s_to_r"
@@ -138,9 +138,11 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
     with the series derived again from the twisted currents, is
     substitute_module(symbolic, a=c*a), so its reports are
     reports_at_pin(check, symbolic, a=c*a).  The proof needs only the
-    identity c^k x+-(k) = x+-(k) at a -> c a for this c (the twist command
-    checks it current by current); homogeneity is sufficient for it at
-    every nonzero c.  So the twisted currents are the images of the stored
+    identity c^k x+-(k) = x+-(k) at a -> c a for this c, which the twist
+    command decides current by current (matches_reparameterized_module):
+    homogeneity, read off the exponent keys, decides it at every nonzero
+    c, and only a current that is not homogeneous is compared with its
+    image.  So the twisted currents are the images of the stored
     ones; the definitions build w(m), w'(-m) and a(l) from products, sums
     and scalings of the currents and divisions by m w(0)_ii, which has no
     a; these commute with the substitution, so the series derived from the
@@ -174,6 +176,40 @@ def reports_at_pin(check, symbolic: MatrixModule, a=None, b=None) -> list:
         images = [(inst, lhs.map(at_pin), rhs.map(at_pin)) for inst, lhs, rhs in rep.mismatches]
         rep.mismatches = [m for m in images if m[1] != m[2]]
     return reports
+
+
+def matches_reparameterized_module(mod: MatrixModule, c: RatFunc) -> bool:
+    """Whether every stored current x+-(k) of mod has c^k x+-(k) equal to its
+    image under a -> c a, the identity the loop-twist lemma of
+    reports_at_pin needs, for a nonzero scalar c.
+
+    Lemma (a-homogeneity): in canonical form, x is homogeneous of a-degree
+    k, x == a^k x|_(a=1), exactly when every numerator key has a-exponent k
+    and every denominator key a-exponent 0; then x|_(a -> c a) = c^k x for
+    every nonzero c, whether or not c contains a.  So a current whose
+    entries pass that test on their keys holds with no product.  Only a
+    current with an entry that fails it compares c^k x+-(k) with its image,
+    entry by entry, through one compiled substitution (field.substitution)
+    shared by every such current: the identity can still hold for one c
+    without homogeneity, such as c = 1, or c = -1 with a parity."""
+    at_ca = None
+    for g, mat in mod.assign.items():
+        if g.kind not in (XP_KIND, XM_KIND) or _a_homogeneous(mat, g.k):
+            continue
+        if at_ca is None:
+            at_ca = substitution(a=c * A)
+        if mat.scale(c**g.k) != mat.map(at_ca):
+            return False
+    return True
+
+
+def _a_homogeneous(mat, k: int) -> bool:
+    """Every entry of mat homogeneous of a-degree k, read off its keys."""
+    return all(
+        all(key[2] == k for key in x.num) and all(key[2] == 0 for key in x.den)
+        for row in mat._rows
+        for x in row.values()
+    )
 
 
 def specialize_module(mod: MatrixModule, m: SpecMap) -> MatrixModule:

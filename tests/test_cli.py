@@ -96,8 +96,16 @@ def test_verify_kmax_bound(capsys):
 # off the telescoped per-weight form with no product (sl2 docstring), 1,301.
 # The weight view multiplying the diagonal entries g_a h_b of each
 # conjugation scalar, where the entries are now lattice points whose keys
-# add (rep_core.Weights), made 1,077.
-VERIFY_N4_PMUL_CALLS = 981
+# add (rep_core.Weights), made 1,077.  D4-D7 reading the current form by
+# products made 981: current_form scaling every stored current's columns
+# by D and confirming D by one product per column (90), K = w w' and
+# K^-1 = w^-1 w'^-1 multiplied out before any relation read them (10), the
+# D5 neighbour differences and their right sides t (K^-l)_ii D_j^e (145),
+# D6's kappa and kappa D by products (12), and D7's column scalings by
+# powers of D- and D+ with the scalings by c^m (255).  The form is now read
+# as lattice points (rep_core docstring): shifts of numerators, with K^+-l
+# multiplied out only for plain sides.
+VERIFY_N4_PMUL_CALLS = 469
 
 
 def test_verify_pmul_count_tripwire(capsys, monkeypatch):
@@ -142,8 +150,11 @@ def test_verify_pmul_count_tripwire(capsys, monkeypatch):
 # family's difference, 141.  a(l) through the log-derivative recurrence,
 # with a quotient by m w(0)_ii per entry, where each entry is now built in
 # canonical form off the telescoped per-weight form (sl2 docstring), made
-# 125.
-VERIFY_N4_NORMALIZE_CALLS = 75
+# 125.  The D5 neighbour differences a(e)_i - a(e)_j and their right sides
+# t (K^-l)_ii D_j^e, each over the denominator l and canonicalized, where
+# each pair now compares the numerators of a_i and of a_j plus a shifted
+# copy of t over their one denominator (field.is_sum), made 75.
+VERIFY_N4_NORMALIZE_CALLS = 7
 
 
 def test_verify_normalize_count_tripwire(capsys, monkeypatch):
@@ -192,8 +203,11 @@ def test_verify_normalize_count_tripwire(capsys, monkeypatch):
 # hold them with no product: 12 in the constructors of both modules (two
 # pairs per node and three gamma products in build_chevalley_eval, one pair
 # of each kind and three in build_current_eval), 9 in R1 and 7 in D1, made
-# 61.
-VERIFY_N4_MATMUL_CALLS = 33
+# 61.  K = w w' and K^-1 = w^-1 w'^-1 multiplied out on every run, and
+# K^-l = K^-(l-1) K^-1 per l in D5_1, whose diagonal the D5 families read,
+# where the D5 and D7 lemmas now read K off the weight view's points and
+# powers of K are multiplied out only for plain sides, made 33.
+VERIFY_N4_MATMUL_CALLS = 28
 # The products a @ b and b @ a that one-pass commutators of two
 # non-diagonal factors stand for, two per commutator, in the same run: the
 # four [(r - s) e_i, f_j] of R3.  The build's C(m), C'(m) for m <= lmax = 3
@@ -350,8 +364,10 @@ def test_tensor_apply_count_tripwire(capsys, monkeypatch):
 # integer pairs, 399; shifting every factor by r or s and cancelling the
 # lists as values, where they cancel on lattice points, 391; and expanding
 # each weight's closed form to the order, where a pass is now the RQ
-# identity on the reduced form (drinfeld docstring), 339.
-DRINFELD_N3_PMUL_CALLS = 333
+# identity on the reduced form (drinfeld docstring), 339.  monomial_quotient
+# confirming the ratio of leading terms by a product, where it is now
+# confirmed by shifting the divisor (field.point_quotient), made 333.
+DRINFELD_N3_PMUL_CALLS = 331
 
 
 def test_drinfeld_pmul_count_tripwire(capsys, monkeypatch):
@@ -586,8 +602,11 @@ def test_tensor_pinned_pmul_count_tripwire(capsys, monkeypatch):
 # denominator, where its numerator's image is now kept over it, 1,145; and
 # the weight view multiplying the diagonal entries g_a h_b of each
 # conjugation scalar, where they are now lattice points (rep_core.Weights),
-# 1,084.
-MUTATED_PINNED_PMUL_CALLS = 1040
+# 1,084.  The x- currents, still on the form, read by products (current_form
+# scaling columns by D, the D5 x- families by neighbour differences) and
+# K = w w' and K^-1 multiplied out before any relation read them, where the
+# form is now read as lattice points (rep_core docstring), made 1,040.
+MUTATED_PINNED_PMUL_CALLS = 991
 
 
 def test_mutated_pinned_pmul_count_tripwire(capsys, monkeypatch):
@@ -850,8 +869,12 @@ def test_twist_sigma(capsys):
 # by the image of its integer denominator, where its numerator's image is
 # now kept over it, 742; and the weight view multiplying the diagonal
 # entries g_a h_b of each conjugation scalar, where they are now lattice
-# points (rep_core.Weights), 664.
-TWIST_GAMMA2_N3_PMUL_CALLS = 652
+# points (rep_core.Weights), 664.  D4-D7 reading the current form by
+# products, where it is now read as lattice points (rep_core docstring),
+# made 652, and the match of every current with its image under a -> c·a
+# by products, where an a-homogeneous current now holds off its exponent
+# keys (specialize.matches_reparameterized_module), 416.
+TWIST_GAMMA2_N3_PMUL_CALLS = 128
 
 
 def test_twist_pmul_count_tripwire(capsys, monkeypatch):
@@ -872,16 +895,14 @@ def test_twist_pmul_count_tripwire(capsys, monkeypatch):
     assert calls < 5676
 
 
-# The entrywise match of a gamma2 twist maps every current through one
-# compiled substitution a -> c·a (field.substitution), whose table of image
-# powers serves all of them: each distinct power of c·a is raised once,
-# where each entry raised its own.
-def test_twist_raises_each_image_power_once(capsys, monkeypatch):
+def _image_powers(capsys, monkeypatch, c):
+    """The powers of c·a, with how often each is raised, that
+    `twist --aut gamma2 --c c --n 3 --json` raises, and its exit code."""
     from collections import Counter
 
     from rsaffine.field import A, RatFunc, parse
 
-    ca, raised = parse("(1+r)/(2+s)") * A, Counter()
+    ca, raised = parse(c) * A, Counter()
     pow_ = RatFunc.__pow__
 
     def counting(x, n):
@@ -890,9 +911,30 @@ def test_twist_raises_each_image_power_once(capsys, monkeypatch):
         return pow_(x, n)
 
     monkeypatch.setattr(RatFunc, "__pow__", counting)
-    code, _ = run(capsys, "twist", "--aut", "gamma2", "--c", "(1+r)/(2+s)", "--n", "3", "--json")
-    assert code == EXIT_PASS
+    code, _ = run(capsys, "twist", "--aut", "gamma2", "--c", c, "--n", "3", "--json")
+    return raised, code
+
+
+# A current that is not a-homogeneous (x+(1) + I) takes the entrywise
+# comparison with its image under a -> c·a, through one compiled
+# substitution (field.substitution) whose table of image powers serves every
+# entry: each distinct power of c·a is raised once, where each entry raised
+# its own.  The failed match decides the verdict, so the relation check,
+# whose failures would be mapped through a map of their own, is not run.
+def test_twist_raises_each_image_power_once(capsys, monkeypatch):
+    mutate_cli(monkeypatch, "xplus-identity")
+    raised, code = _image_powers(capsys, monkeypatch, "(1+r)/(2+s)")
+    assert code == EXIT_FAIL
     assert raised and max(raised.values()) == 1
+
+
+# Every current of the clean module is a-homogeneous of degree k, which its
+# exponent keys show, so the match substitutes nothing and the passing
+# check maps no failure: no power of c·a is raised at all.
+def test_clean_twist_raises_no_image_power(capsys, monkeypatch):
+    raised, code = _image_powers(capsys, monkeypatch, "(1+r)/(2+s)")
+    assert code == EXIT_PASS
+    assert not raised
 
 
 def test_output_does_not_depend_on_the_environment():

@@ -357,7 +357,57 @@ MUTATIONS = {
         lambda mod: mod.with_assign(Wp(1, -1), mod.get(Wp(1, -1)) + _unit(mod.dim, 0, 1)),
         {"D1", "D3", "D4", "D5_1", "D5_2", "D7"},
     ),
+    # One entry of each generator at the edges of the window (kmax = 2,
+    # lmax = 2): the currents x+-(+-(kmax + 1)), which leave their sign off
+    # the form, and w(2 kmax), w'(-2 kmax) and a(+-lmax), which the lattice
+    # paths of D7 and D5 read entry by entry.
+    **{
+        f"{name} entry + 1": (lambda mod, gen=gen: _at_first_entry(mod, gen, lambda x: x + 1), failing)
+        for name, gen, failing in (
+            ("x+(kmax+1)", Xp(1, 3), {"D5_1", "D6"}),
+            ("x+(-(kmax+1))", Xp(1, -3), {"D5_2", "D6"}),
+            ("x-(kmax+1)", Xm(1, 3), {"D5_1", "D6"}),
+            ("x-(-(kmax+1))", Xm(1, -3), {"D5_2", "D6"}),
+            ("w(2 kmax)", Wser(1, 4), {"D7"}),
+            ("w'(-2 kmax)", Wpser(1, -4), {"D7"}),
+            ("a(lmax)", Aim(1, 2), {"D5_1"}),
+            ("a(-lmax)", Aim(1, -2), {"D5_2"}),
+        )
+    },
+    # a zero where the lattice side of D7 is not
+    "w(2 kmax) entry = 0": (lambda mod: _at_first_entry(mod, Wser(1, 4), lambda x: ZERO), {"D7"}),
+    # D- with the coefficient 1/2: every current on the form, with Fraction
+    # points, and D+ x-(0) = c^-1 x-(0) D- fails
+    "x-(k) * (1/2)^k": (
+        lambda mod: _at_every_index(mod, Xm, lambda k, x: x.scale(Fraction(1, 2) ** k)),
+        {"D5_1", "D5_2", "D7"},
+    ),
+    # the last entry of D+ times 1+r, the others monomials: the columns share
+    # no scalar u, so the x+ sign is off the form and takes its products
+    "x+(k) last column * (1+r)^k": (
+        lambda mod: _at_every_index(mod, Xp, lambda k, x: x.scale_columns([ONE] * (mod.dim - 1) + [(1 + R) ** k])),
+        {"D5_1", "D5_2", "D6", "D7"},
+    ),
+    # every D times u = 1+r (the twist), with one entry of w(2 kmax) or of
+    # a(-lmax) corrupted: the lattice paths of D7 and D5 with a scalar u
+    "gamma2 twist, c = 1+r, w(2 kmax) entry + 1": (
+        lambda mod: _at_first_entry(twist_gamma2(mod, 1 + R), Wser(1, 4), lambda x: x + 1),
+        {"D7"},
+    ),
+    "gamma2 twist, c = 1+r, a(-lmax) entry + 1": (
+        lambda mod: _at_first_entry(twist_gamma2(mod, 1 + R), Aim(1, -2), lambda x: x + 1),
+        {"D5_2"},
+    ),
 }
+
+
+def _at_first_entry(mod, gen, f):
+    """mod with the first nonzero entry x of gen, row by row, replaced by
+    f(x)."""
+    rows = [list(row) for row in mod.get(gen).rows]
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+    rows[i][j] = f(rows[i][j])
+    return mod.with_assign(gen, Matrix(rows))
 
 
 def _unit(d, i, j):
@@ -375,7 +425,13 @@ def _g(mod):
 
 def _dplus(mod, k):
     """D+^k for the D+ that current_form reads from mod."""
-    return Matrix.diagonal([y**k for y in current_form(mod, 1, 2)])
+    return Matrix.diagonal([y**k for y in _form_diagonal(current_form(mod, 1, 2))])
+
+
+def _form_diagonal(form):
+    """The entries u d_j of the diagonal u D of a current form (u, d)."""
+    u, d = form
+    return [RatFunc.from_point(*p) * (ONE if u is None else u) for p in d]
 
 
 def _nilpotent(d):
@@ -412,8 +468,8 @@ def test_reports_match_the_naive_reference_when_q_vanishes(n):
     kmax, lmax = 2, 2
     mod = build_current_eval(n, kmax=kmax, lmax=lmax)
     for sign in (1, -1):
-        diag = current_form(mod, sign, kmax)
-        q, _ = anti_diagonal_form(mod.get((Xp if sign > 0 else Xm)(1, 0)), diag)
+        _, d = current_form(mod, sign, kmax)
+        q, _ = anti_diagonal_form(mod.get((Xp if sign > 0 else Xm)(1, 0)), d)
         assert q.is_zero()
     reports = {r.relation_id: r for r in check_drinfeld(mod, kmax, lmax)}
     for rid, (count, failures) in naive_reports(mod, kmax, lmax).items():
@@ -462,9 +518,10 @@ def test_d6_failures_match_the_naive_reference(n, kmax, shift, mutation):
 #   centrality products of the group-likes made 7;
 # - D4: none, each tag's family decided by the conjugation lemma, where
 #   w x(0) w^-1, two products once per tag, made 8;
-# - D5_1: per l, K^-l = K^-(l-1) K^-1, whose diagonal the entrywise family
-#   verdict reads; D5_2: none, K^-l built by D5_1, where K^-l x(0) D^e once
-#   per l in each made 2L and L;
+# - D5_1 and D5_2: none, each family read entry by entry with (K^-l)_ii a
+#   lattice point of the weight view, where K^-l x(0) D^e once per l in
+#   each made 2L and L, and then K^-l = K^-(l-1) K^-1 per l in D5_1, whose
+#   diagonal the entrywise family verdict read, L;
 # - D6: Q = x(0)x(0) once per sign, whatever K, where X(a)X(0) once per a
 #   made 2(2K+3);
 # - D7: x+(0)x-(0) and x-(0)x+(0) once, whatever K, where x+(k)x-(0) and
@@ -476,7 +533,7 @@ def relation_products(K, L):
         "D2": 0,
         "D3": 0,
         "D4": 0,
-        "D5_1": L,
+        "D5_1": 0,
         "D5_2": 0,
         "D6": 2,
         "D7": 2,
@@ -542,6 +599,22 @@ def test_diagonal_commutators_are_read_off_the_view(monkeypatch):
         spans = calls_per_relation(monkeypatch, lambda: check_drinfeld(mod, 8, 16), owner, name)
         assert spans["D1"] == spans["D2"] == spans["D3"] == 0
         assert calls_per_relation(monkeypatch, lambda: check_chevalley(chev), owner, name)["R1"] == 0
+
+
+# The current form is read as lattice points: current_form shifts numerators
+# by the points of D, the D5 families compare a_i with a_j plus a shifted
+# copy of theta(l), and D7 compares each w(m) with two shifted entries, so
+# on the evaluation module at the cap corner D4-D7 raise no power, scale no
+# column, and D5 takes no difference, where they did all three.
+def test_the_form_is_read_not_multiplied(monkeypatch):
+    mod = build_current_eval(12, False, kmax=8, lmax=16)
+    check = lambda: check_drinfeld(mod, 8, 16)
+    ds = ("D4", "D5_1", "D5_2", "D6", "D7")
+    for owner, name in ((RatFunc, "__pow__"), (Matrix, "scale_columns")):
+        spans = calls_per_relation(monkeypatch, check, owner, name)
+        assert [spans[rid] for rid in ds] == [0] * len(ds)
+    spans = calls_per_relation(monkeypatch, check, RatFunc, "__sub__")
+    assert spans["D5_1"] == spans["D5_2"] == 0
 
 
 # -- R2, R3 and R4 against the plain loops -----------------------------------------------
@@ -958,10 +1031,9 @@ def assert_lemma_path(mod, kmax):
     for sign, gen, rr in ((1, Xp, rho), (-1, Xm, rho.inv())):
         diag[sign] = current_form(mod, sign, kmax)
         assert diag[sign] is not None
-        q, kappa = anti_diagonal_form(mod.get(gen(1, 0)), diag[sign])
-        assert q.is_zero() or kappa == rr
-    w, winv, wp, wpinv = mod.get(W(1)), mod.get(W(1, -1)), mod.get(Wp(1)), mod.get(Wp(1, -1))
-    assert commutation_scalar(w @ wp, winv @ wpinv, mod.get(Xp(1, 0)), mod.get(Xm(1, 0)), diag[1], diag[-1])
+        q, kappa = anti_diagonal_form(mod.get(gen(1, 0)), diag[sign][1])
+        assert q.is_zero() or RatFunc.from_point(*kappa) == rr
+    assert commutation_scalar(mod.weights, mod.get(Xp(1, 0)), mod.get(Xm(1, 0)), diag[1], diag[-1])
     return diag
 
 
@@ -970,7 +1042,8 @@ def assert_lemma_path(mod, kmax):
 def test_every_stored_current_is_on_the_form(shift, kmax):
     for n in range(13):
         diag = assert_lemma_path(build_current_eval(n, shift, kmax=kmax, lmax=1), kmax)
-        assert all(x.is_monomial() for sign in (1, -1) for x in diag[sign])
+        # no scalar u: every entry of D is a monomial, read as a lattice point
+        assert diag[1][0] is None and diag[-1][0] is None
 
 
 # The loop twists scale D by c, which cancels in kappa and leaves K alone.
@@ -1011,9 +1084,10 @@ def test_current_form_marks_the_indices_off_the_form(corrupt, plus, minus):
     kmax = 2
     mod = corrupt(build_current_eval(2, kmax=kmax, lmax=1))
     for sign, gen, on in ((1, Xp, plus), (-1, Xm, minus)):
-        diag = current_form(mod, sign, kmax)
-        assert (diag is not None) == on
+        form = current_form(mod, sign, kmax)
+        assert (form is not None) == on
         if on:
+            diag = _form_diagonal(form)
             for k in range(-(kmax + 1), kmax + 2):
                 assert mod.get(gen(1, k)) == mod.get(gen(1, 0)).scale_columns([y**k for y in diag])
 

@@ -15,6 +15,7 @@ from rsaffine.sl2 import build_chevalley_eval, build_current_eval
 from rsaffine.specialize import (
     SpecMap,
     centrality_report,
+    matches_reparameterized_module,
     parse_spec_map,
     reports_at_pin,
     specialize_module,
@@ -415,6 +416,18 @@ def test_twist_verdicts_match_the_twisted_module(twist, corruption):
             assert (symbolic == 0) == (n == 0 or corruption == "clean")
 
 
+# The twist command's match: a-homogeneous currents hold at every c off
+# their exponent keys, and a current that is not homogeneous (x+(1) + I) is
+# compared with its image, which fails for these c and holds at c = 1.
+def test_the_match_reads_homogeneity_and_compares_the_rest():
+    mod = build_current_eval(2, kmax=2, lmax=1)
+    bad = mod.with_assign(Xp(1, 1), mod.get(Xp(1, 1)) + Matrix.identity(mod.dim))
+    for c in ("1+r", "-1", "1/a", "a^2*r", "(1+r)^8/(2+s)^8"):
+        assert matches_reparameterized_module(mod, parse(c))
+        assert not matches_reparameterized_module(bad, parse(c))
+    assert matches_reparameterized_module(bad, ONE)
+
+
 def test_pole_error_on_the_command_line(capsys, monkeypatch):
     from rsaffine import cli
 
@@ -456,8 +469,13 @@ def test_pole_error_on_the_command_line(capsys, monkeypatch):
 # that exact division itself, ahead of its gcd.  Each neighbour difference
 # a(e)_i - a(e)_j of D5 formed for the x+ family and again, as a_j - a_i,
 # for the x- family, where the x- family now negates the x+ family's
-# difference, made 451.
-DIRECT_PINNED_PGCD_CALLS = 433
+# difference, made 451.  The D5 families over the pinned denominators by
+# differences and products, where each pair now compares a_i with a_j plus
+# a shifted copy of theta(l) u^e (u = 1+r here, the scalar of the current
+# form: rep_core.current_form), and D7's column scalings by powers of D,
+# where each m now scales the difference of two shifted entries by u^m
+# once, made 433.
+DIRECT_PINNED_PGCD_CALLS = 349
 
 
 def test_direct_pinned_pgcd_count_tripwire(monkeypatch):
